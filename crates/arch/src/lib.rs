@@ -3,7 +3,7 @@
 //! Where `tcam-core` answers "how fast/expensive is one operation at
 //! circuit level", this crate answers the system questions:
 //!
-//! * [`array`] — a functional ternary CAM with priority encoding, the
+//! * [`mod@array`] — a functional ternary CAM with priority encoding, the
 //!   abstraction applications program against.
 //! * [`energy_model`] — per-operation costs (paper values or `tcam-core`
 //!   measurements) and workload accounting.

@@ -3,7 +3,7 @@
 //! sharded distance serving vs the monolithic scan, the
 //! nearest-neighbor classifier on the seeded clustered workload, and
 //! the circuit spine — discharge-vs-distance calibration plus the
-//! batched conductance-noise sweep that turns cell-level σ into a
+//! conductance-noise sweep that turns cell-level σ into a
 //! classification accuracy curve.
 //!
 //! Emits one flat JSON record in the `BENCH_*.json` style:

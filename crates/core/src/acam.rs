@@ -1,6 +1,6 @@
 //! Circuit spine of the analog/range-CAM layer: a 6T2M-style cell
 //! netlist, a matchline-discharge vs interval-distance calibration, and
-//! a batched conductance-variation study.
+//! a conductance-variation study.
 //!
 //! The behavioral acam layer (`tcam-arch`) stores an acceptance interval
 //! `[lo, hi]` per cell and counts out-of-range cells. The canonical
@@ -42,30 +42,28 @@
 //! `ML(t_sense)` per distance and fits the sense threshold the
 //! behavioral match/mismatch verdict maps onto.
 //!
-//! [`acam_noise_study`] is the variation companion (same engine shape as
+//! [`acam_noise_study`] is the variation companion (same shape as
 //! [`crate::variation`]): conductance noise on every bound memristor,
-//! trials sharded through kind-homogeneous structure-shared
-//! [`run_search_batched`] calls, per-trial failures contained with
-//! causes retained, deterministic for a seed regardless of worker
-//! count. [`AcamCellDesign::perturbed_bound`] exposes the calibrated
+//! every trial an independent pair of scalar [`run_search`] transients on
+//! the worker pool, per-trial failures contained with causes retained,
+//! bit-identical to a serial trial loop for any worker count.
+//! [`AcamCellDesign::perturbed_bound`] exposes the calibrated
 //! noise→bound transfer so `acam_bench` can turn the same σ grid into a
 //! classification accuracy-vs-noise curve without transients.
 //!
 //! [`Rram`]: tcam_devices::rram::Rram
 //! [`VSwitch`]: tcam_spice::element::VSwitch
 
-use std::result::Result as StdResult;
-
 use crate::designs::{
     add_line_cap, add_ml_precharge, add_step_driver, experiment_options, SearchExperiment,
 };
 use crate::fault::ChaosProbe;
-use crate::ops::{run_search_batched, SearchResult};
+use crate::ops::run_search;
+use crate::variation::assemble;
 use tcam_devices::params::RramParams;
 use tcam_devices::rram::Rram;
 use tcam_numeric::parallel::parallel_map;
 use tcam_numeric::rng::SplitMix64;
-use tcam_numeric::stats::Running;
 use tcam_spice::element::VSwitch;
 use tcam_spice::error::{Result, SpiceError};
 use tcam_spice::netlist::Circuit;
@@ -406,16 +404,16 @@ impl DistanceCalibration {
 }
 
 /// Measures the matchline level at the sense instant for interval
-/// distances `0..=max_d` through **one** structure-shared batched
-/// transient, checks the monotone distance→discharge ordering, and fits
-/// the behavioral sense threshold. The stored word is a mid-window
+/// distances `0..=max_d` (one independent [`run_search`] per distance, on
+/// the worker pool), checks the monotone distance→discharge ordering, and
+/// fits the behavioral sense threshold. The stored word is a mid-window
 /// exact interval per cell; distance `d` drives the first `d` data
 /// lines above their window.
 ///
 /// # Errors
 ///
 /// Propagates build/simulation failures (the calibration runs on the
-/// clean reference design, so a lane quarantine is a real defect) and
+/// clean reference design, so a failing distance is a real defect) and
 /// rejects `max_d > spec.cols`.
 pub fn calibrate_distance(
     design: &AcamCellDesign,
@@ -430,19 +428,17 @@ pub fn calibrate_distance(
     }
     let mid = spec.levels / 2;
     let stored: Vec<(u16, u16)> = vec![(mid, mid); spec.cols];
-    let exps: Vec<SearchExperiment> = (0..=max_d)
-        .map(|d| {
-            let key: Vec<u16> = (0..spec.cols)
-                .map(|j| if j < d { spec.levels - 2 } else { mid })
-                .collect();
-            design.build_search(spec, &stored, &key)
-        })
-        .collect::<Result<_>>()?;
+    let runs = parallel_map((0..=max_d).collect(), |d| {
+        let key: Vec<u16> = (0..spec.cols)
+            .map(|j| if j < d { spec.levels - 2 } else { mid })
+            .collect();
+        run_search(design.build_search(spec, &stored, &key)?)
+    });
 
     let mut ml_at_sense = Vec::with_capacity(max_d + 1);
     let mut verdicts_agree = true;
-    for lane in run_search_batched(exps)? {
-        let res = lane?;
+    for run in runs {
+        let res = run?;
         ml_at_sense.push(res.ml_at_sense);
         // The circuit's own sense criteria (hold vs timely discharge)
         // must reproduce the behavioral d == 0 verdict; `expect_match`
@@ -473,7 +469,8 @@ pub struct AcamNoiseSpec {
     pub seed: u64,
     /// Fault injection: force every k-th trial's transients to be
     /// non-convergent (`0` disables); when non-zero every trial carries
-    /// the inert chaos probe so topologies stay batch-shareable.
+    /// the chaos probe (inert unless hostile) so sabotaged and clean
+    /// trials keep one circuit topology.
     pub sabotage_every: usize,
 }
 
@@ -500,20 +497,19 @@ pub struct AcamNoiseStudy {
     pub failure_causes: Vec<(usize, String)>,
 }
 
-/// One shard's trials: perturbed filament states per trial, plus the
-/// hostile flag.
+/// One trial: the perturbed filament states per cell, plus the hostile
+/// flag.
 type NoiseTrial = (Vec<(f64, f64)>, bool);
 
 /// Runs the conductance-variation study on the acam cell: every trial
 /// perturbs each bound memristor's resistance lognormally, then runs an
-/// in-window search and a worst-case one-cell-violation search. Trials
-/// are sharded into kind-homogeneous structure-shared batches (one
-/// mismatch batch, one match batch per shard — the engine and rationale
-/// of [`crate::variation::search_margin_study`]); per-trial failures of
-/// any kind are counted with simulation causes retained.
+/// in-window search and a worst-case one-cell-violation search as two
+/// independent scalar transients on the worker pool. Per-trial failures
+/// of any kind are counted with simulation causes retained.
 ///
-/// Sampling happens up front from the seeded generator, so the study is
-/// deterministic for a seed at any worker count.
+/// Sampling happens up front from the seeded generator and results are
+/// collected in trial order, so the study is bit-identical to a serial
+/// trial loop at any worker count.
 ///
 /// # Errors
 ///
@@ -535,8 +531,38 @@ pub fn acam_noise_study(
     check_acam(spec, &stored, &miss_key)?;
 
     // Phase 1 (serial): sample every trial's perturbed states.
+    let trials = sample_noise_trials(design, spec, cfg, &stored);
+
+    // Phase 2 (parallel): independent trials, collected in trial order.
+    let outcomes = parallel_map(trials, |trial| {
+        run_noise_trial(design, spec, cfg, &trial, &hit_key, &miss_key).map_err(|e| e.to_string())
+    });
+
+    // Phase 3 (serial): the margin study's fold, with no infeasible
+    // samples (every perturbed state is clamped into the device range).
+    let study = assemble(0, outcomes);
+    Ok(AcamNoiseStudy {
+        margins: study.margins,
+        mean: study.mean,
+        std_dev: study.std_dev,
+        min: study.min,
+        failures: study.failures,
+        sim_failures: study.sim_failures,
+        failure_causes: study.failure_causes,
+    })
+}
+
+/// Samples every trial's perturbed filament states serially from one
+/// seeded generator, so the draws do not depend on how the trials are
+/// later scheduled.
+fn sample_noise_trials(
+    design: &AcamCellDesign,
+    spec: &AcamSpec,
+    cfg: &AcamNoiseSpec,
+    stored: &[(u16, u16)],
+) -> Vec<NoiseTrial> {
     let mut rng = SplitMix64::new(cfg.seed);
-    let trials: Vec<NoiseTrial> = (0..cfg.trials)
+    (0..cfg.trials)
         .map(|t| {
             let states = stored
                 .iter()
@@ -564,124 +590,39 @@ pub fn acam_noise_study(
             let hostile = cfg.sabotage_every != 0 && (t + 1).is_multiple_of(cfg.sabotage_every);
             (states, hostile)
         })
-        .collect();
-
-    // Phase 2 (parallel): kind-homogeneous batched shards.
-    let shards: Vec<Vec<NoiseTrial>> = trials
-        .chunks(crate::variation::TRIALS_PER_SHARD)
-        .map(<[NoiseTrial]>::to_vec)
-        .collect();
-    let sabotage = cfg.sabotage_every != 0;
-    let outcomes: Vec<StdResult<(f64, bool), String>> = parallel_map(shards, |shard| {
-        run_noise_shard(design, spec, &shard, &hit_key, &miss_key, sabotage)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    // Phase 3 (serial): fold in trial order.
-    let mut stats = Running::new();
-    let mut margins = Vec::with_capacity(outcomes.len());
-    let mut failures = 0;
-    let mut sim_failures = 0;
-    let mut failure_causes = Vec::new();
-    for (trial, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok((margin, ok)) => {
-                if !ok {
-                    failures += 1;
-                }
-                margins.push(margin);
-                stats.push(margin);
-            }
-            Err(cause) => {
-                failures += 1;
-                sim_failures += 1;
-                failure_causes.push((trial, cause));
-            }
-        }
-    }
-    Ok(AcamNoiseStudy {
-        mean: stats.mean(),
-        std_dev: stats.sample_std_dev(),
-        min: if margins.is_empty() { 0.0 } else { stats.min() },
-        failures,
-        sim_failures,
-        failure_causes,
-        margins,
-    })
+        .collect()
 }
 
-/// Runs one shard: a batch of one-violation mismatch searches and a
-/// batch of in-window match searches, both structure-shared. Build
-/// failures and lane quarantines come back as `Err` entries; a
-/// batch-level failure is charged to every pending trial of the shard.
-fn run_noise_shard(
+/// One trial: the one-violation mismatch search and the in-window match
+/// search on the trial's perturbed row, as margin and functional verdict.
+/// With fault injection on, both circuits carry the chaos probe (inert
+/// unless the trial is hostile).
+fn run_noise_trial(
     design: &AcamCellDesign,
     spec: &AcamSpec,
-    shard: &[NoiseTrial],
+    cfg: &AcamNoiseSpec,
+    (states, hostile): &NoiseTrial,
     hit_key: &[u16],
     miss_key: &[u16],
-    sabotage: bool,
-) -> Vec<StdResult<(f64, bool), String>> {
-    let mut miss_exps = Vec::with_capacity(shard.len());
-    let mut hit_exps = Vec::with_capacity(shard.len());
-    let mut out: Vec<Option<StdResult<(f64, bool), String>>> = Vec::with_capacity(shard.len());
-    for (states, hostile) in shard {
-        let built = design
-            .build_row(spec, states, miss_key, false)
-            .and_then(|miss| Ok((miss, design.build_row(spec, states, hit_key, true)?)))
-            .and_then(|(mut miss, mut hit)| {
-                if sabotage {
-                    ChaosProbe::plant(&mut miss.circuit, "chaos", *hostile)?;
-                    ChaosProbe::plant(&mut hit.circuit, "chaos", *hostile)?;
-                }
-                Ok((miss, hit))
-            });
-        match built {
-            Ok((miss, hit)) => {
-                miss_exps.push(miss);
-                hit_exps.push(hit);
-                out.push(None);
-            }
-            Err(e) => out.push(Some(Err(e.to_string()))),
+) -> Result<(f64, bool)> {
+    let search = |key: &[u16], expect_match: bool| {
+        let mut exp = design.build_row(spec, states, key, expect_match)?;
+        if cfg.sabotage_every != 0 {
+            ChaosProbe::plant(&mut exp.circuit, "chaos", *hostile)?;
         }
-    }
-
-    let lanes = match (run_search_batched(miss_exps), run_search_batched(hit_exps)) {
-        (Ok(miss), Ok(hit)) => miss.into_iter().zip(hit),
-        (Err(e), _) | (_, Err(e)) => {
-            let cause = e.to_string();
-            return out
-                .into_iter()
-                .map(|slot| slot.unwrap_or_else(|| Err(cause.clone())))
-                .collect();
-        }
+        run_search(exp)
     };
-
-    let mut lane_iter = lanes;
-    out.into_iter()
-        .map(|slot| {
-            if let Some(done) = slot {
-                return done;
-            }
-            let (miss, hit): (Result<SearchResult>, Result<SearchResult>) =
-                lane_iter.next().expect("one lane pair per built trial");
-            match (miss, hit) {
-                (Ok(m), Ok(h)) => Ok((
-                    h.ml_at_sense - m.ml_at_sense,
-                    m.functional_ok && h.functional_ok,
-                )),
-                (Err(e), _) | (_, Err(e)) => Err(e.to_string()),
-            }
-        })
-        .collect()
+    let miss = search(miss_key, false)?;
+    let hit = search(hit_key, true)?;
+    Ok((
+        hit.ml_at_sense - miss.ml_at_sense,
+        miss.functional_ok && hit.functional_ok,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::run_search;
 
     #[test]
     fn input_validation() {
@@ -794,6 +735,16 @@ mod tests {
             assert!(!cal.verdict(ml), "threshold {} vs {ml}", cal.v_threshold);
         }
         assert!(calibrate_distance(&d, &spec, spec.cols + 1).is_err());
+
+        // The curve is exactly what per-distance scalar searches measure.
+        let mid = spec.levels / 2;
+        let stored = vec![(mid, mid); spec.cols];
+        for (dist, &ml) in cal.ml_at_sense.iter().enumerate() {
+            let mut key = vec![mid; spec.cols];
+            key[..dist].fill(spec.levels - 2);
+            let solo = run_search(d.build_search(&spec, &stored, &key).unwrap()).unwrap();
+            assert_eq!(ml, solo.ml_at_sense, "distance {dist}");
+        }
     }
 
     #[test]
@@ -809,6 +760,18 @@ mod tests {
         let a = acam_noise_study(&d, &spec, &cfg).unwrap();
         let b = acam_noise_study(&d, &spec, &cfg).unwrap();
         assert_eq!(a.margins, b.margins);
+        // ...and equal to a plain serial loop over the trials.
+        let q = spec.levels / 4;
+        let stored = vec![(q, 3 * q - 1); spec.cols];
+        let hit_key = vec![2 * q; spec.cols];
+        let mut miss_key = hit_key.clone();
+        miss_key[0] = spec.levels - 1;
+        let mut serial = Vec::new();
+        for trial in sample_noise_trials(&d, &spec, &cfg, &stored) {
+            let (margin, _) = run_noise_trial(&d, &spec, &cfg, &trial, &hit_key, &miss_key).unwrap();
+            serial.push(margin);
+        }
+        assert_eq!(a.margins, serial);
         assert_eq!(a.failures, 0, "5% conductance spread must not flip verdicts");
         assert_eq!(a.margins.len(), 4);
         assert!(a.min > 0.4, "worst margin {:.3}", a.min);

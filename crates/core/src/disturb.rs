@@ -17,7 +17,7 @@
 use crate::bit::TernaryBit;
 use crate::designs::{add_driver, add_line_cap, ArraySpec, Fefet2f, TcamDesign};
 use tcam_devices::fefet::Fefet;
-use tcam_spice::analysis::{batched_transient, transient, TransientSpec};
+use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::error::Result;
 use tcam_spice::netlist::Circuit;
 use tcam_spice::options::SimOptions;
@@ -67,10 +67,7 @@ pub fn run_fefet_write_disturb(
     measure_disturb(design, wave)
 }
 
-/// Builds the two-row half-select disturb slice. The write voltage enters
-/// only as source amplitudes (gate pulses, plate PWL), so slices built at
-/// different `v_write` share one topology — the property
-/// [`fefet_disturb_vwrite_sweep`] exploits to batch the whole sweep.
+/// Builds the two-row half-select disturb slice.
 fn build_disturb_slice(design: &Fefet2f, spec: &ArraySpec, cycles: usize) -> Result<Circuit> {
     let cols = spec.cols;
     let half = design.v_write / 2.0;
@@ -185,8 +182,7 @@ fn build_disturb_slice(design: &Fefet2f, spec: &ArraySpec, cycles: usize) -> Res
     Ok(ckt)
 }
 
-/// Extracts the disturb metrics from a completed slice transient (scalar
-/// run or one batched lane).
+/// Extracts the disturb metrics from a completed slice transient.
 fn measure_disturb(design: &Fefet2f, wave: Waveform) -> Result<DisturbResult> {
     // Victim f2 (stores the '1', p = +1) is pushed by the −V/2 phases on
     // its shared SLB; track its drift. The aggressor must have flipped to
@@ -219,10 +215,7 @@ fn measure_disturb(design: &Fefet2f, wave: Waveform) -> Result<DisturbResult> {
 /// Failures are contained per point: an `Err` entry (e.g. a degenerate
 /// cycle count or a non-convergent corner) never disturbs the other
 /// points, and consumers must report it as a counted failure rather than
-/// aborting the sweep. The cycle axis cannot ride the lockstep batched
-/// engine — each point's `t_stop` scales with its cycle count — which is
-/// why this sweep stays on the thread pool while
-/// [`fefet_disturb_vwrite_sweep`] batches.
+/// aborting the sweep.
 #[must_use]
 pub fn fefet_disturb_cycle_sweep(
     design: &Fefet2f,
@@ -234,55 +227,28 @@ pub fn fefet_disturb_cycle_sweep(
     })
 }
 
-/// Sweeps the aggressor write voltage at a fixed cycle count with **one**
-/// batched lockstep transient: `V_W` only changes source amplitudes, so
-/// every level's slice shares one topology, one pattern pass, and one
-/// symbolic analysis. This is the disturb-vs-drive design curve — the
-/// half-select envelope `tanh((V_W/2 − V_c)/σ)` — resolved at batched
-/// cost. A level whose lane is quarantined comes back as an `Err` entry;
-/// the other levels complete.
-///
-/// # Errors
-///
-/// Returns a top-level error only for circuit-construction or batch-level
-/// failures (including a zero `cycles`, which makes `t_stop` degenerate).
+/// Sweeps the aggressor write voltage at a fixed cycle count: the
+/// disturb-vs-drive design curve, the half-select envelope
+/// `tanh((V_W/2 − V_c)/σ)`. Each level is an independent
+/// [`run_fefet_write_disturb`] on the worker pool, with the same ordering
+/// and per-point failure containment as [`fefet_disturb_cycle_sweep`]: a
+/// level whose slice cannot be built or simulated (including a zero
+/// `cycles`, which makes `t_stop` degenerate) is an `Err` entry and the
+/// other levels complete.
+#[must_use]
 pub fn fefet_disturb_vwrite_sweep(
     design: &Fefet2f,
     spec: &ArraySpec,
     cycles: usize,
     v_writes: &[f64],
-) -> Result<Vec<(f64, Result<DisturbResult>)>> {
-    if v_writes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut variants = Vec::with_capacity(v_writes.len());
-    let mut circuits = Vec::with_capacity(v_writes.len());
-    for &vw in v_writes {
+) -> Vec<(f64, Result<DisturbResult>)> {
+    tcam_numeric::parallel::parallel_map(v_writes.to_vec(), |v_write| {
         let variant = Fefet2f {
-            v_write: vw,
+            v_write,
             ..design.clone()
         };
-        circuits.push(build_disturb_slice(&variant, spec, cycles)?);
-        variants.push(variant);
-    }
-    let t_stop = cycles as f64 * CYCLE;
-    let run = batched_transient(
-        &mut circuits,
-        TransientSpec::to(t_stop),
-        &SimOptions::default(),
-    )?;
-    Ok(run
-        .into_lanes()
-        .into_iter()
-        .zip(v_writes)
-        .zip(variants)
-        .map(|((outcome, &vw), variant)| {
-            let res = outcome
-                .into_result()
-                .and_then(|wave| measure_disturb(&variant, wave));
-            (vw, res)
-        })
-        .collect())
+        (v_write, run_fefet_write_disturb(&variant, spec, cycles))
+    })
 }
 
 /// The 3T2N counterpart: the victim cell's relays see only the sub-window
@@ -387,32 +353,41 @@ mod tests {
     }
 
     #[test]
-    fn batched_vwrite_sweep_matches_scalar_and_orders_by_stress() {
+    fn vwrite_sweep_equals_scalar_runs_and_orders_by_stress() {
         let d = Fefet2f::default();
         let levels = [3.0, 4.0, 5.0];
-        let sweep = fefet_disturb_vwrite_sweep(&d, &spec(), 2, &levels).unwrap();
+        let sweep = fefet_disturb_vwrite_sweep(&d, &spec(), 2, &levels);
         assert_eq!(sweep.len(), 3);
         let mut drifts = Vec::new();
         for (vw, res) in sweep {
-            let batched = res.expect("lane completes");
+            let swept = res.expect("level completes");
             let variant = Fefet2f {
                 v_write: vw,
                 ..d.clone()
             };
             let scalar = run_fefet_write_disturb(&variant, &spec(), 2).unwrap();
-            assert!(
-                (batched.victim_p_end - scalar.victim_p_end).abs() < 2e-2,
-                "V_W = {vw}: batched p_end {} vs scalar {}",
-                batched.victim_p_end,
-                scalar.victim_p_end
-            );
-            drifts.push(batched.victim_p_start - batched.victim_p_end);
+            assert_eq!(swept.victim_p_start, scalar.victim_p_start, "V_W = {vw}");
+            assert_eq!(swept.victim_p_end, scalar.victim_p_end, "V_W = {vw}");
+            assert_eq!(swept.victim_vth_shift, scalar.victim_vth_shift, "V_W = {vw}");
+            drifts.push(swept.victim_p_start - swept.victim_p_end);
         }
         // Higher write voltage → deeper half-select stress → more drift.
         assert!(
             drifts[0] <= drifts[1] + 1e-6 && drifts[1] <= drifts[2] + 1e-6,
             "drifts {drifts:?}"
         );
+    }
+
+    #[test]
+    fn vwrite_sweep_contains_an_unbuildable_level() {
+        // A NaN write voltage cannot even build its slice (the plate PWL
+        // rejects non-finite points): that level is an Err entry and the
+        // levels on either side still complete.
+        let d = Fefet2f::default();
+        let sweep = fefet_disturb_vwrite_sweep(&d, &spec(), 2, &[3.0, f64::NAN, 4.0]);
+        assert_eq!(sweep.len(), 3);
+        assert!(sweep[0].1.is_ok() && sweep[2].1.is_ok());
+        assert!(sweep[1].1.is_err(), "NaN level is a per-level failure");
     }
 
     #[test]

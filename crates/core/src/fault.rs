@@ -9,8 +9,7 @@
 //! the Newton iterate during *transient* analysis, defeating the solver at
 //! any gmin and with either integrator — the unrescuable trial a variation
 //! sweep can draw. Both modes produce the identical stamp structure, so
-//! sabotaged and clean trials share one MNA pattern and can ride in the
-//! same [`tcam_spice::analysis::batched_transient`] batch.
+//! sabotaged and clean trials share one circuit topology.
 //!
 //! The operating point stays convergent in both modes: the failure is
 //! engineered to happen *mid-sweep*, where the per-trial containment of

@@ -24,7 +24,7 @@
 //!   margin (the paper's Fig. 7c caveat, quantified).
 //! * [`acam`] — the analog/range-CAM circuit spine: a 6T2M-style
 //!   interval cell from the device library, matchline-discharge vs
-//!   interval-distance calibration, and a batched conductance-noise
+//!   interval-distance calibration, and a conductance-noise
 //!   study feeding the accuracy-vs-σ curves in `acam_bench`.
 //!
 //! # Example — search a word on the 3T2N matchline

@@ -1,10 +1,9 @@
 //! Running write/search experiments and extracting the paper's metrics.
 
 use crate::designs::{SearchExperiment, WriteExperiment};
-use tcam_spice::analysis::{batched_transient, transient, TransientSpec};
+use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::error::{Result, SpiceError};
 use tcam_spice::measure::{cross_time, Edge};
-use tcam_spice::netlist::Circuit;
 use tcam_spice::waveform::Waveform;
 
 /// Outcome of a write-row experiment.
@@ -107,32 +106,22 @@ impl SearchResult {
 pub fn run_search(exp: SearchExperiment) -> Result<SearchResult> {
     let mut circuit = exp.circuit;
     let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &exp.options)?;
-    finish_search(&exp.ml_signal, exp.t_search, exp.t_sense, exp.expect_match, exp.v_match_min, exp.vdd, &circuit, wave)
-}
-
-/// Shared search post-processing: extracts latency/energy/margin metrics
-/// from a completed transient record (scalar or one batched lane).
-#[allow(clippy::too_many_arguments)]
-fn finish_search(
-    ml_signal: &str,
-    t_search: f64,
-    t_sense: f64,
-    expect_match: bool,
-    v_match_min: f64,
-    vdd: f64,
-    circuit: &Circuit,
-    wave: Waveform,
-) -> Result<SearchResult> {
-    let ml_at_sense = wave.sample(ml_signal, t_sense)?;
+    let ml_at_sense = wave.sample(&exp.ml_signal, exp.t_sense)?;
     let energy = circuit.total_sourced_energy();
 
-    let (latency, functional_ok) = if expect_match {
-        (None, ml_at_sense >= v_match_min)
+    let (latency, functional_ok) = if exp.expect_match {
+        (None, ml_at_sense >= exp.v_match_min)
     } else {
-        match cross_time(&wave, ml_signal, vdd / 2.0, Edge::Falling, t_search) {
+        match cross_time(
+            &wave,
+            &exp.ml_signal,
+            exp.vdd / 2.0,
+            Edge::Falling,
+            exp.t_search,
+        ) {
             Ok(t) => {
-                let lat = t - t_search;
-                (Some(lat), t <= t_sense)
+                let lat = t - exp.t_search;
+                (Some(lat), t <= exp.t_sense)
             }
             Err(SpiceError::NotFound(_)) => (None, false),
             Err(e) => return Err(e),
@@ -146,73 +135,6 @@ fn finish_search(
         functional_ok,
         waveform: wave,
     })
-}
-
-/// Runs N same-topology search experiments through one structure-shared
-/// [`batched_transient`]: the MNA pattern pass, symbolic LU analysis, and
-/// breakpoint/step schedule are computed once and shared across all lanes.
-///
-/// All experiments must come from the same design family built against the
-/// same [`crate::designs::ArraySpec`] — same `t_stop` (checked) and same
-/// circuit topology (checked by the batched engine); the first experiment's
-/// solver options drive the whole batch. Per-lane outcomes come back in
-/// input order; a lane whose simulation was quarantined (non-convergence,
-/// timestep underflow) yields an `Err` *entry* without disturbing the
-/// other lanes.
-///
-/// # Errors
-///
-/// Returns a top-level error only for batch-level problems: mismatched
-/// `t_stop`s, mismatched circuit topologies, or an invalid spec. Per-lane
-/// simulation failures are the `Err` entries of the returned vector.
-pub fn run_search_batched(exps: Vec<SearchExperiment>) -> Result<Vec<Result<SearchResult>>> {
-    if exps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let t_stop = exps[0].t_stop;
-    if exps.iter().any(|e| e.t_stop != t_stop) {
-        return Err(SpiceError::InvalidCircuit(
-            "batched search lanes must share one t_stop".into(),
-        ));
-    }
-    let options = exps[0].options.clone();
-    let mut circuits = Vec::with_capacity(exps.len());
-    let mut metas = Vec::with_capacity(exps.len());
-    for exp in exps {
-        circuits.push(exp.circuit);
-        metas.push((
-            exp.ml_signal,
-            exp.t_search,
-            exp.t_sense,
-            exp.expect_match,
-            exp.v_match_min,
-            exp.vdd,
-        ));
-    }
-
-    let run = batched_transient(&mut circuits, TransientSpec::to(t_stop), &options)?;
-    let results = run
-        .into_lanes()
-        .into_iter()
-        .zip(metas)
-        .zip(&circuits)
-        .map(
-            |((outcome, (ml_signal, t_search, t_sense, expect_match, v_match_min, vdd)), ckt)| {
-                let wave = outcome.into_result()?;
-                finish_search(
-                    &ml_signal,
-                    t_search,
-                    t_sense,
-                    expect_match,
-                    v_match_min,
-                    vdd,
-                    ckt,
-                    wave,
-                )
-            },
-        )
-        .collect();
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -270,55 +192,6 @@ mod tests {
         let res = run_search(exp).unwrap();
         assert!(res.functional_ok, "ml at sense = {}", res.ml_at_sense);
         assert!(res.latency.is_none());
-    }
-
-    #[test]
-    fn batched_search_matches_per_trial_runs() {
-        let d = Nem3t2n::default();
-        let stored = vec![One, Zero, X, One];
-        let mut key = stored.clone();
-        key[1] = One;
-        let solo_miss = run_search(d.build_search(&spec(), &stored, &key).unwrap()).unwrap();
-        let solo_hit = run_search(d.build_search(&spec(), &stored, &stored).unwrap()).unwrap();
-
-        let exps = vec![
-            d.build_search(&spec(), &stored, &key).unwrap(),
-            d.build_search(&spec(), &stored, &stored).unwrap(),
-        ];
-        let batch = run_search_batched(exps).unwrap();
-        assert_eq!(batch.len(), 2);
-        let miss = batch[0].as_ref().unwrap();
-        let hit = batch[1].as_ref().unwrap();
-        assert!(miss.functional_ok && hit.functional_ok);
-        assert!(
-            (miss.ml_at_sense - solo_miss.ml_at_sense).abs() < 5e-3,
-            "miss ml {} vs {}",
-            miss.ml_at_sense,
-            solo_miss.ml_at_sense
-        );
-        assert!(
-            (hit.ml_at_sense - solo_hit.ml_at_sense).abs() < 5e-3,
-            "hit ml {} vs {}",
-            hit.ml_at_sense,
-            solo_hit.ml_at_sense
-        );
-        let lat = miss.latency.expect("mismatch lane has a latency");
-        let solo_lat = solo_miss.latency.unwrap();
-        assert!(
-            (lat - solo_lat).abs() < 0.1 * solo_lat,
-            "latency {lat:.3e} vs {solo_lat:.3e}"
-        );
-    }
-
-    #[test]
-    fn batched_search_rejects_mixed_t_stop() {
-        let d = Nem3t2n::default();
-        let stored = vec![One, Zero, X, One];
-        let mut a = d.build_search(&spec(), &stored, &stored).unwrap();
-        let b = d.build_search(&spec(), &stored, &stored).unwrap();
-        a.t_stop *= 2.0;
-        assert!(run_search_batched(vec![a, b]).is_err());
-        assert!(run_search_batched(Vec::new()).unwrap().is_empty());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{add_line_cap, add_pulse_driver, ArraySpec, Nem3t2n, TcamDesign};
-use tcam_spice::analysis::{batched_transient, transient, TransientSpec};
+use tcam_numeric::parallel::parallel_map;
+use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::element::VoltageSource;
 use tcam_spice::error::Result;
 use tcam_spice::netlist::Circuit;
@@ -75,11 +76,7 @@ pub fn run_osr(
     measure_osr(&ckt, wave, spec, &stored)
 }
 
-/// Builds the OSR column-slice circuit at one refresh voltage. Every
-/// `v_refresh` produces the identical topology (the level only changes
-/// bitline source amplitudes), which is what lets
-/// [`osr_refresh_window`] batch a whole V_R sweep into one lockstep
-/// transient.
+/// Builds the OSR column-slice circuit at one refresh voltage.
 fn build_osr_slice(
     design: &Nem3t2n,
     spec: &ArraySpec,
@@ -141,8 +138,7 @@ fn build_osr_slice(
     Ok((ckt, stored))
 }
 
-/// Extracts the OSR metrics from a completed slice transient (scalar run
-/// or one batched lane).
+/// Extracts the OSR metrics from a completed slice transient.
 fn measure_osr(
     ckt: &Circuit,
     wave: Waveform,
@@ -190,51 +186,22 @@ fn measure_osr(
     })
 }
 
-/// Sweeps the refresh voltage across `v_levels` with **one** batched
-/// lockstep transient: every level's slice shares the circuit topology
-/// (only bitline source amplitudes differ), so the whole V_R design-margin
-/// experiment pays for one pattern pass, one symbolic LU analysis, and one
-/// breakpoint schedule. Results come back per level in input order; a
-/// level whose lane was quarantined (e.g. a non-convergent corner) is an
-/// `Err` entry and never aborts the other levels.
-///
-/// # Errors
-///
-/// Returns a top-level error only for circuit-construction or batch-level
-/// failures; per-level simulation failures are the `Err` entries.
+/// Sweeps the refresh voltage across `v_levels` — the V_R design-margin
+/// experiment. Each level is an independent [`run_osr`] on the worker
+/// pool; results come back per level in input order, identical to running
+/// the levels serially. A level that fails (circuit construction or a
+/// non-convergent corner) is an `Err` entry and never aborts the other
+/// levels.
+#[must_use]
 pub fn osr_refresh_window(
     design: &Nem3t2n,
     spec: &ArraySpec,
     v_levels: &[f64],
-    pattern: impl Fn(usize) -> TernaryBit,
-) -> Result<Vec<(f64, Result<OsrResult>)>> {
-    if v_levels.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut circuits = Vec::with_capacity(v_levels.len());
-    let mut stored_words = Vec::with_capacity(v_levels.len());
-    for &vr in v_levels {
-        let (ckt, stored) = build_osr_slice(design, spec, vr, &pattern)?;
-        circuits.push(ckt);
-        stored_words.push(stored);
-    }
-    let run = batched_transient(
-        &mut circuits,
-        TransientSpec::to(T_STOP),
-        &SimOptions::default(),
-    )?;
-    Ok(run
-        .into_lanes()
-        .into_iter()
-        .zip(v_levels)
-        .zip(circuits.iter().zip(stored_words))
-        .map(|((outcome, &vr), (ckt, stored))| {
-            let res = outcome
-                .into_result()
-                .and_then(|wave| measure_osr(ckt, wave, spec, &stored));
-            (vr, res)
-        })
-        .collect())
+    pattern: impl Fn(usize) -> TernaryBit + Sync,
+) -> Vec<(f64, Result<OsrResult>)> {
+    parallel_map(v_levels.to_vec(), |vr| {
+        (vr, run_osr(design, spec, vr, &pattern))
+    })
 }
 
 /// The default test pattern: rows alternate stored '1' / '0', with every
@@ -277,29 +244,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_refresh_window_matches_scalar_runs() {
-        // One lockstep batch across three V_R levels spanning the window:
-        // the verdicts (and the restored storage levels) must agree with
-        // independent scalar runs.
+    fn refresh_window_equals_scalar_runs() {
+        // Three V_R levels spanning the window: every level must equal an
+        // independent scalar run exactly.
         let d = Nem3t2n::default();
         let levels = [0.05, V_REFRESH, 0.8];
-        let window = osr_refresh_window(&d, &small_spec(), &levels, osr_default_pattern).unwrap();
+        let window = osr_refresh_window(&d, &small_spec(), &levels, osr_default_pattern);
         assert_eq!(window.len(), levels.len());
         for (vr, res) in window {
-            let batched = res.expect("lane completes");
+            let swept = res.expect("level completes");
             let scalar = run_osr(&d, &small_spec(), vr, osr_default_pattern).unwrap();
-            assert_eq!(
-                batched.states_preserved, scalar.states_preserved,
-                "verdict at V_R = {vr}"
-            );
-            assert!(
-                (batched.q_after.0 - scalar.q_after.0).abs() < 5e-3
-                    && (batched.q_after.1 - scalar.q_after.1).abs() < 5e-3,
-                "q_after at V_R = {vr}: {:?} vs {:?}",
-                batched.q_after,
-                scalar.q_after
-            );
-            assert!(batched.energy_array > 0.0);
+            assert_eq!(swept.states_preserved, scalar.states_preserved, "V_R = {vr}");
+            assert_eq!(swept.q_after, scalar.q_after, "V_R = {vr}");
+            assert_eq!(swept.energy_array, scalar.energy_array, "V_R = {vr}");
+            assert!(swept.energy_array > 0.0);
         }
     }
 

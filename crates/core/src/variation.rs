@@ -13,18 +13,12 @@
 //! is the pessimistic corner for threshold-type devices and a good proxy
 //! for the dominant D2D component without per-cell netlist rebuild.
 //!
-//! Two execution engines produce the same study:
+//! Every feasible trial is an independent pair of scalar transients
+//! ([`run_search`] on the mismatch and the match circuit), fanned out over
+//! the scoped worker pool and collected in trial order, so a study is
+//! bit-identical to a serial loop over its trials for any worker count.
 //!
-//! * [`search_margin_study`] — the default. Trials are grouped into shards
-//!   and each shard's match/mismatch circuits run through one
-//!   structure-shared [`tcam_spice::analysis::batched_transient`] (one
-//!   pattern pass, one symbolic LU analysis, SoA value planes across
-//!   lanes); shards are distributed over the scoped worker pool.
-//! * [`search_margin_study_per_trial`] — the reference engine: every trial
-//!   is an independent pair of scalar transients. Used by `sweep_bench
-//!   --check` to bound the batched engine's tolerance.
-//!
-//! Both engines **contain per-trial failures**: a trial whose simulation
+//! The study **contains per-trial failures**: a trial whose simulation
 //! errors (non-convergence, timestep underflow — including deliberately
 //! sabotaged trials, see [`crate::fault`]) is recorded as a counted
 //! failure with its cause retained, excluded from the margin statistics,
@@ -32,28 +26,15 @@
 
 use std::result::Result as StdResult;
 
-use crate::designs::{ArraySpec, Nem3t2n, Rram2t2r, SearchExperiment, TcamDesign};
+use crate::designs::{ArraySpec, Nem3t2n, Rram2t2r, TcamDesign};
 use crate::experiments::{mismatch_key, pattern_word};
 use crate::fault::SabotagedDesign;
-use crate::ops::{run_search, run_search_batched};
+use crate::ops::run_search;
 use crate::bit::TernaryBit;
 use tcam_numeric::parallel::parallel_map;
 use tcam_numeric::rng::SplitMix64;
 use tcam_numeric::stats::Running;
 use tcam_spice::error::Result;
-
-/// Trials per batched shard: each shard becomes **two** kind-homogeneous
-/// `batched_transient` calls of this many lanes (one batch of mismatch
-/// searches, one of match searches), and shards run concurrently on the
-/// worker pool. Keeping a batch to one experiment kind matters for the
-/// lockstep schedule: mismatch searches discharge the match line and
-/// demand a finer shared timestep, and mixing them with quiescent match
-/// searches drags every hit lane onto the miss schedule. The width is a
-/// cache trade-off — wide enough to amortize the shared symbolic
-/// analysis, narrow enough that the per-lane circuit state, staging
-/// planes, and waveforms stay cache-resident (measured optimum on
-/// `sweep_bench`'s 16×16 reference study).
-pub const TRIALS_PER_SHARD: usize = 8;
 
 /// Which design a variation trial perturbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +91,7 @@ pub struct MarginStudy {
 ///
 /// Pulling the sampling out of the simulation loop keeps the draw order —
 /// and therefore every sampled parameter set — identical regardless of how
-/// many worker threads (or batch lanes) later run the trials. Infeasible
+/// many worker threads later run the trials. Infeasible
 /// samples come back as `None` (yield loss). With
 /// [`VariationSpec::sabotage_every`] non-zero, every feasible design is
 /// wrapped in a [`SabotagedDesign`] — hostile on every k-th feasible draw,
@@ -166,72 +147,12 @@ fn one_trial(
     Ok((margin, miss.functional_ok && hit.functional_ok))
 }
 
-/// Runs one shard of trials through two kind-homogeneous structure-shared
-/// batched transients: one batch of mismatch searches, one of match
-/// searches (see [`TRIALS_PER_SHARD`] for why the kinds are not mixed).
-/// Per-trial failures (circuit build, lane quarantine, post-processing)
-/// come back as `Err` entries; a batch-level failure is charged to every
-/// trial of the shard rather than escaping.
-fn run_shard(
-    shard: Vec<Box<dyn TcamDesign>>,
-    spec: &ArraySpec,
-    stored: &[TernaryBit],
-    key_miss: &[TernaryBit],
-) -> Vec<StdResult<(f64, bool), String>> {
-    let n = shard.len();
-    let mut miss_exps: Vec<SearchExperiment> = Vec::with_capacity(n);
-    let mut hit_exps: Vec<SearchExperiment> = Vec::with_capacity(n);
-    let mut out: Vec<Option<StdResult<(f64, bool), String>>> = Vec::with_capacity(n);
-    for design in &shard {
-        match (
-            design.build_search(spec, stored, key_miss),
-            design.build_search(spec, stored, stored),
-        ) {
-            (Ok(miss), Ok(hit)) => {
-                miss_exps.push(miss);
-                hit_exps.push(hit);
-                out.push(None);
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                out.push(Some(Err(e.to_string())));
-            }
-        }
-    }
-
-    let batches = match (run_search_batched(miss_exps), run_search_batched(hit_exps)) {
-        (Ok(miss), Ok(hit)) => miss.into_iter().zip(hit),
-        (Err(e), _) | (_, Err(e)) => {
-            // Batch-level failure (it should be impossible for same-design
-            // shards): charge every pending trial, lose none of the others.
-            let cause = e.to_string();
-            return out
-                .into_iter()
-                .map(|slot| slot.unwrap_or_else(|| Err(cause.clone())))
-                .collect();
-        }
-    };
-
-    let mut lane_iter = batches;
-    out.into_iter()
-        .map(|slot| {
-            if let Some(done) = slot {
-                return done;
-            }
-            let (miss, hit) = lane_iter.next().expect("one lane pair per built trial");
-            match (miss, hit) {
-                (Ok(m), Ok(h)) => Ok((
-                    h.ml_at_sense - m.ml_at_sense,
-                    m.functional_ok && h.functional_ok,
-                )),
-                (Err(e), _) | (_, Err(e)) => Err(e.to_string()),
-            }
-        })
-        .collect()
-}
-
 /// Folds per-trial outcomes (in feasible-trial order) into the study
 /// summary. `infeasible` seeds the failure count.
-fn assemble(infeasible: usize, outcomes: Vec<StdResult<(f64, bool), String>>) -> MarginStudy {
+pub(crate) fn assemble(
+    infeasible: usize,
+    outcomes: Vec<StdResult<(f64, bool), String>>,
+) -> MarginStudy {
     let mut failures = infeasible;
     let mut sim_failures = 0;
     let mut failure_causes = Vec::new();
@@ -265,81 +186,42 @@ fn assemble(infeasible: usize, outcomes: Vec<StdResult<(f64, bool), String>>) ->
 }
 
 /// Runs the study on a reduced array (variation trials are full transient
-/// simulations; keep `spec` modest) using the **batched sweep engine**:
-/// trials are sharded, each shard's circuits step in lockstep through two
-/// kind-homogeneous shared-structure batched transients (mismatch batch,
-/// match batch), and shards run concurrently.
-///
-/// Parameter sets are sampled up front from the seeded generator, so the
-/// sampled designs are identical for any worker count or shard width; the
-/// simulated margins agree with [`search_margin_study_per_trial`] within
-/// the batched engine's documented tolerance (shared step schedule, not
-/// bit-identical for N > 1).
+/// simulations; keep `spec` modest). Parameter sets are sampled up front
+/// from the seeded generator; every feasible trial then runs as an
+/// independent share-nothing pair of scalar transient searches on the
+/// worker pool, with results collected in trial order — bit-identical to
+/// a serial run for any worker count.
 ///
 /// Per-trial failures of any kind — infeasible samples, functional
-/// failures, simulation errors (quarantined lanes) — are counted, with
-/// simulation causes retained in [`MarginStudy::failure_causes`]; no
-/// single trial can abort the study.
+/// failures, simulation errors — are counted, with simulation causes
+/// retained in [`MarginStudy::failure_causes`]; no single trial can abort
+/// the study.
 ///
 /// # Errors
 ///
-/// Reserved for future batch-level failures; the current engines contain
-/// every per-trial error.
+/// None today: every per-trial error is counted in the returned study.
 pub fn search_margin_study(spec: &ArraySpec, cfg: &VariationSpec) -> Result<MarginStudy> {
     let stored = pattern_word(spec.cols);
     let key_miss = mismatch_key(spec.cols);
 
-    // Phase 1 (serial): sample every trial's parameters.
     let sampled = sample_varied_designs(cfg);
     let infeasible = sampled.iter().filter(|d| d.is_none()).count();
     let feasible: Vec<Box<dyn TcamDesign>> = sampled.into_iter().flatten().collect();
 
-    // Phase 2 (parallel): shards of lockstep-batched trial pairs.
-    let spec = *spec;
-    let mut shards: Vec<Vec<Box<dyn TcamDesign>>> = Vec::new();
-    let mut it = feasible.into_iter();
-    loop {
-        let shard: Vec<_> = it.by_ref().take(TRIALS_PER_SHARD).collect();
-        if shard.is_empty() {
-            break;
-        }
-        shards.push(shard);
-    }
-    let shard_outcomes = parallel_map(shards, |shard| {
-        run_shard(shard, &spec, &stored, &key_miss)
-    });
-
-    // Phase 3 (serial): fold in trial order.
-    Ok(assemble(
-        infeasible,
-        shard_outcomes.into_iter().flatten().collect(),
-    ))
-}
-
-/// The reference engine: every feasible trial is an independent
-/// share-nothing pair of scalar transient searches on the worker pool,
-/// with results collected in trial order — bit-identical to a serial run
-/// for any worker count. Failure containment matches
-/// [`search_margin_study`].
-///
-/// # Errors
-///
-/// Reserved for future batch-level failures; per-trial errors are counted
-/// in the returned study.
-pub fn search_margin_study_per_trial(spec: &ArraySpec, cfg: &VariationSpec) -> Result<MarginStudy> {
-    let stored = pattern_word(spec.cols);
-    let key_miss = mismatch_key(spec.cols);
-
-    let sampled = sample_varied_designs(cfg);
-    let infeasible = sampled.iter().filter(|d| d.is_none()).count();
-    let feasible: Vec<Box<dyn TcamDesign>> = sampled.into_iter().flatten().collect();
-
-    let spec = *spec;
     let outcomes = parallel_map(feasible, |design| {
-        one_trial(design.as_ref(), &spec, &stored, &key_miss).map_err(|e| e.to_string())
+        one_trial(design.as_ref(), spec, &stored, &key_miss).map_err(|e| e.to_string())
     });
 
     Ok(assemble(infeasible, outcomes))
+}
+
+/// Forwards to [`search_margin_study`]. `stack_bench` (off-limits to the
+/// PR that removed the batched engine) is the sole caller; the benchmark
+/// PR that drops its `spice_batched_ms_per_trial` /
+/// `spice_per_trial_ms_per_trial` pair deletes this with them.
+#[doc(hidden)]
+pub fn search_margin_study_per_trial(spec: &ArraySpec, cfg: &VariationSpec) -> Result<MarginStudy> {
+    search_margin_study(spec, cfg)
 }
 
 #[cfg(test)]
@@ -420,7 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_per_trial_within_tolerance() {
+    fn study_is_bit_identical_to_serial_trial_loop() {
+        let spec = spec();
+        let stored = pattern_word(spec.cols);
+        let key_miss = mismatch_key(spec.cols);
         for design in [VariedDesign::Nem3t2n, VariedDesign::Rram2t2r] {
             let cfg = VariationSpec {
                 design,
@@ -429,24 +314,15 @@ mod tests {
                 seed: 21,
                 sabotage_every: 0,
             };
-            let batched = search_margin_study(&spec(), &cfg).unwrap();
-            let reference = search_margin_study_per_trial(&spec(), &cfg).unwrap();
-            assert_eq!(batched.margins.len(), reference.margins.len());
-            assert_eq!(batched.failures, reference.failures, "{design:?}");
-            for (i, (b, r)) in batched
-                .margins
-                .iter()
-                .zip(&reference.margins)
-                .enumerate()
-            {
-                // The engine's documented tolerance: a shared lockstep
-                // schedule samples the ML at slightly different steps
-                // (5 mV on ~1 V margins, matching the spice-layer bound).
-                assert!(
-                    (b - r).abs() < 5e-3,
-                    "{design:?} trial {i}: batched {b} vs per-trial {r}"
-                );
+            let study = search_margin_study(&spec, &cfg).unwrap();
+            let mut serial = Vec::new();
+            for d in sample_varied_designs(&cfg).into_iter().flatten() {
+                let miss = run_search(d.build_search(&spec, &stored, &key_miss).unwrap()).unwrap();
+                let hit = run_search(d.build_search(&spec, &stored, &stored).unwrap()).unwrap();
+                serial.push(hit.ml_at_sense - miss.ml_at_sense);
             }
+            assert_eq!(study.margins, serial, "{design:?}");
+            assert_eq!(study.sim_failures, 0, "{design:?}");
         }
     }
 
@@ -454,7 +330,7 @@ mod tests {
     fn injected_nonconvergent_trial_is_counted_not_fatal() {
         // Every 2nd feasible trial is forced non-convergent; the study must
         // still complete, with the sabotaged trials counted (cause kept)
-        // and the clean trials' margins intact. Both engines.
+        // and the clean trials' margins intact.
         let cfg = VariationSpec {
             design: VariedDesign::Nem3t2n,
             sigma: 0.02,
@@ -462,21 +338,14 @@ mod tests {
             seed: 5,
             sabotage_every: 2,
         };
-        for (name, study) in [
-            ("batched", search_margin_study(&spec(), &cfg).unwrap()),
-            (
-                "per-trial",
-                search_margin_study_per_trial(&spec(), &cfg).unwrap(),
-            ),
-        ] {
-            assert_eq!(study.sim_failures, 1, "{name}: exactly trial #2 dies");
-            assert_eq!(study.failures, 1, "{name}");
-            assert_eq!(study.margins.len(), 2, "{name}: survivors keep margins");
-            assert_eq!(study.failure_causes.len(), 1, "{name}");
-            let (trial, cause) = &study.failure_causes[0];
-            assert_eq!(*trial, 1, "{name}: 0-based feasible index of trial #2");
-            assert!(!cause.is_empty(), "{name}: cause retained");
-            assert!(study.min > 0.7, "{name}: clean margins intact");
-        }
+        let study = search_margin_study(&spec(), &cfg).unwrap();
+        assert_eq!(study.sim_failures, 1, "exactly trial #2 dies");
+        assert_eq!(study.failures, 1);
+        assert_eq!(study.margins.len(), 2, "survivors keep margins");
+        assert_eq!(study.failure_causes.len(), 1);
+        let (trial, cause) = &study.failure_causes[0];
+        assert_eq!(*trial, 1, "0-based feasible index of trial #2");
+        assert!(!cause.is_empty(), "cause retained");
+        assert!(study.min > 0.7, "clean margins intact");
     }
 }

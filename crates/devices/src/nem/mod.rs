@@ -2,7 +2,7 @@
 //!
 //! * [`mechanics`] — the lumped beam physics (spring–mass–damper with
 //!   electrostatic drive, contact capture, adhesive release).
-//! * [`calibrate`] — solves beam parameters from the paper's Table I
+//! * [`mod@calibrate`] — solves beam parameters from the paper's Table I
 //!   electrical targets.
 //! * [`relay`] — the circuit-level [`NemRelay`] device.
 

@@ -3,8 +3,9 @@
 //!
 //! A [`TcamNode`] owns
 //!
-//! * the [`DurableStore`] — WAL + snapshots, one [`RuleStore`] per
-//!   namespace (the logical source of truth that survives restarts), and
+//! * the [`DurableStore`] — WAL + snapshots, one
+//!   [`RuleStore`](tcam_update::store::RuleStore) per namespace (the
+//!   logical source of truth that survives restarts), and
 //! * one [`NamespaceGroup`] per provisioned namespace — a live
 //!   [`TcamService`] (its own shard workers) plus the single-writer
 //!   [`Updater`] that publishes epoch snapshots into it.

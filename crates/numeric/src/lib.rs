@@ -10,8 +10,6 @@
 //!   factorization with partial pivoting and a reusable symbolic pattern.
 //! * [`roots`] — scalar root finding (bisection, Brent) used for device
 //!   calibration (e.g. solving pull-in voltage for a beam stiffness).
-//! * [`ode`] — explicit Runge–Kutta integrators for standalone device
-//!   dynamics (NEM beam ballistics) outside the circuit engine.
 //! * [`interp`] — piecewise-linear evaluation used by PWL sources and
 //!   waveform post-processing.
 //! * [`stats`] — summary statistics for Monte-Carlo and architectural
@@ -43,14 +41,12 @@
 
 pub mod dense;
 pub mod interp;
-pub mod ode;
 pub mod parallel;
 pub mod rng;
 pub mod roots;
 pub mod sparse;
 pub mod sparse_lu;
 pub mod stats;
-pub mod vector;
 
 use std::fmt;
 

@@ -364,424 +364,6 @@ impl SparseLu {
     }
 }
 
-/// Numeric backend for structure-shared Monte-Carlo sweeps: one symbolic
-/// analysis (pattern, pivot order, fill-in) shared across `n_lanes`
-/// independent numeric factorizations whose values are laid out SoA across
-/// lanes. The CPU implementation is [`BatchedLu`]; the trait is the seam a
-/// GPU backend would slot into (same plane layout, device-side kernels).
-///
-/// Plane layout contract: a per-entry quantity `q` for lane `l` lives at
-/// `q[entry * n_lanes + l]`, so the innermost lane loop is contiguous and
-/// vectorizable. Matrix value planes are indexed by the CSC entry order of
-/// the pattern matrix; solution planes by unknown index.
-pub trait SweepBackend {
-    /// System dimension (unknowns per lane).
-    fn n(&self) -> usize;
-
-    /// Number of lanes factored per call.
-    fn n_lanes(&self) -> usize;
-
-    /// Recomputes the numeric factors of every *active* lane from the SoA
-    /// value planes (`values[entry * n_lanes + lane]`, entry-indexed by
-    /// `pattern`'s CSC order). Inactive lanes are untouched. Per-lane
-    /// failures (degraded pivot, non-finite pivot) land in `status` — a lane
-    /// that fails is cleaned up and skipped for the rest of the pass, and
-    /// never poisons its neighbours.
-    ///
-    /// `pattern` must have the sparsity pattern the backend was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths disagree with `n`/`n_lanes`/the pattern.
-    fn refactorize_lanes(
-        &mut self,
-        pattern: &CscMatrix,
-        values: &[f64],
-        active: &[bool],
-        status: &mut [Option<NumericError>],
-    );
-
-    /// Solves one system per active lane with the current factors: `x`
-    /// (`x[i * n_lanes + lane]`) holds the right-hand sides on entry and the
-    /// solutions on exit. Inactive lanes' planes are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths disagree with `n`/`n_lanes`.
-    fn solve_lanes(&mut self, x: &mut [f64], active: &[bool]);
-}
-
-/// CPU lane-batched LU: the [`SweepBackend`] used by the batched transient
-/// engine. Built from one scalar [`SparseLu`] whose symbolic pattern and
-/// pivot order are shared by every lane; numeric factors live in SoA planes
-/// so the refactorization and triangular-solve inner loops run contiguously
-/// across lanes.
-///
-/// Per-lane arithmetic replays the scalar [`SparseLu::refactorize`] /
-/// [`SparseLu::solve_in_place`] operation order *exactly* (same column
-/// order, same elimination order, same zero-skip guards), so a lane of a
-/// batch is bit-identical to running that lane's values through the scalar
-/// path — the property the batched-vs-scalar equivalence tests pin down.
-#[derive(Debug, Clone)]
-pub struct BatchedLu {
-    n: usize,
-    n_lanes: usize,
-    // Shared symbolic structure, cloned from the seed factorization.
-    l_col_ptr: Vec<usize>,
-    l_row_idx: Vec<usize>,
-    u_col_ptr: Vec<usize>,
-    u_row_idx: Vec<usize>,
-    perm: Vec<usize>,
-    // SoA numeric planes: `[entry * n_lanes + lane]`.
-    l_values: Vec<f64>,
-    u_values: Vec<f64>,
-    /// Dense working planes, `[orig_row * n_lanes + lane]`, zeroed between
-    /// calls per the same invariant as the scalar `work`.
-    work: Vec<f64>,
-    /// Per-lane scratch (`yk`/`xk` of the current column).
-    lane_tmp: Vec<f64>,
-    /// Gather planes for the batched triangular solves.
-    gather: Vec<f64>,
-}
-
-impl BatchedLu {
-    /// Builds the batch around `seed`'s symbolic structure and installs the
-    /// seed's numeric factors into lane `seed_lane` verbatim. Other lanes
-    /// hold zeros until the first [`SweepBackend::refactorize_lanes`].
-    ///
-    /// Installing the seed values (rather than refactorizing lane
-    /// `seed_lane` too) preserves bit-identity with the scalar path, whose
-    /// first solve uses the factors produced by full-pivoting
-    /// [`SparseLu::factorize`] directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n_lanes == 0` or `seed_lane >= n_lanes`.
-    #[must_use]
-    pub fn from_seed(seed: &SparseLu, n_lanes: usize, seed_lane: usize) -> Self {
-        assert!(n_lanes > 0, "batched LU needs at least one lane");
-        assert!(seed_lane < n_lanes, "seed lane out of range");
-        let n = seed.n;
-        let mut l_values = vec![0.0; seed.l_values.len() * n_lanes];
-        let mut u_values = vec![0.0; seed.u_values.len() * n_lanes];
-        for (e, &v) in seed.l_values.iter().enumerate() {
-            l_values[e * n_lanes + seed_lane] = v;
-        }
-        for (e, &v) in seed.u_values.iter().enumerate() {
-            u_values[e * n_lanes + seed_lane] = v;
-        }
-        Self {
-            n,
-            n_lanes,
-            l_col_ptr: seed.l_col_ptr.clone(),
-            l_row_idx: seed.l_row_idx.clone(),
-            u_col_ptr: seed.u_col_ptr.clone(),
-            u_row_idx: seed.u_row_idx.clone(),
-            perm: seed.perm.clone(),
-            l_values,
-            u_values,
-            work: vec![0.0; n * n_lanes],
-            lane_tmp: vec![0.0; n_lanes],
-            gather: vec![0.0; n * n_lanes],
-        }
-    }
-
-    /// Copies one lane's solution/right-hand-side plane into a contiguous
-    /// buffer (`out[i] = plane[i * n_lanes + lane]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches or an out-of-range lane.
-    pub fn gather_lane(&self, plane: &[f64], lane: usize, out: &mut [f64]) {
-        assert!(lane < self.n_lanes);
-        assert_eq!(out.len() * self.n_lanes, plane.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = plane[i * self.n_lanes + lane];
-        }
-    }
-}
-
-impl SweepBackend for BatchedLu {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.n_lanes
-    }
-
-    fn refactorize_lanes(
-        &mut self,
-        pattern: &CscMatrix,
-        values: &[f64],
-        active: &[bool],
-        status: &mut [Option<NumericError>],
-    ) {
-        let nl = self.n_lanes;
-        assert_eq!(pattern.n_rows(), self.n, "pattern dimension mismatch");
-        assert_eq!(pattern.n_cols(), self.n, "pattern dimension mismatch");
-        assert_eq!(values.len(), pattern.nnz() * nl, "value plane length");
-        assert_eq!(active.len(), nl, "active mask length");
-        assert_eq!(status.len(), nl, "status slice length");
-
-        let col_ptr = pattern.col_ptr();
-        let row_idx = pattern.row_idx();
-        // Lanes still being factored this pass: starts as the active set and
-        // shrinks as lanes fail their pivot check.
-        let mut live: Vec<bool> = active.to_vec();
-        for s in status.iter_mut() {
-            *s = None;
-        }
-
-        for k in 0..self.n {
-            let all_live = live.iter().all(|&a| a);
-
-            // Scatter column k of A into the working planes.
-            for idx in col_ptr[k]..col_ptr[k + 1] {
-                let r = row_idx[idx];
-                let src = &values[idx * nl..(idx + 1) * nl];
-                let dst = &mut self.work[r * nl..(r + 1) * nl];
-                if all_live {
-                    dst.copy_from_slice(src);
-                } else {
-                    for lane in 0..nl {
-                        if live[lane] {
-                            dst[lane] = src[lane];
-                        }
-                    }
-                }
-            }
-
-            // Eliminate along the stored U pattern, ascending pivot order —
-            // the same replay as the scalar `refactorize`, with the lane
-            // loop innermost over contiguous planes.
-            let ulo = self.u_col_ptr[k];
-            let uhi = self.u_col_ptr[k + 1];
-            for uidx in ulo..uhi - 1 {
-                let j = self.u_row_idx[uidx];
-                let pr = self.perm[j];
-                let mut all_nonzero = all_live;
-                let mut any_nonzero = false;
-                {
-                    let ujk_dst = &mut self.u_values[uidx * nl..(uidx + 1) * nl];
-                    let ujk_src = &self.work[pr * nl..(pr + 1) * nl];
-                    for lane in 0..nl {
-                        if live[lane] {
-                            ujk_dst[lane] = ujk_src[lane];
-                            any_nonzero |= ujk_src[lane] != 0.0;
-                            all_nonzero &= ujk_src[lane] != 0.0;
-                        } else {
-                            all_nonzero = false;
-                        }
-                    }
-                }
-                // Whole-column skip, mirroring the scalar `ujk != 0.0` fast
-                // path: the union U pattern is mostly numerically zero at any
-                // one operating point (open relays, off transistors), and the
-                // lanes share that zero structure, so this skip carries the
-                // bulk of the scalar path's sparsity win into the batch.
-                if !any_nonzero {
-                    continue;
-                }
-                for lidx in self.l_col_ptr[j]..self.l_col_ptr[j + 1] {
-                    let r = self.l_row_idx[lidx];
-                    let lv = &self.l_values[lidx * nl..(lidx + 1) * nl];
-                    let ujk = &self.u_values[uidx * nl..(uidx + 1) * nl];
-                    let dst = &mut self.work[r * nl..(r + 1) * nl];
-                    if all_nonzero {
-                        // Contiguous unguarded FMA across lanes.
-                        for lane in 0..nl {
-                            dst[lane] -= lv[lane] * ujk[lane];
-                        }
-                    } else {
-                        // Per-lane zero-skip exactly as the scalar path.
-                        for lane in 0..nl {
-                            if live[lane] && ujk[lane] != 0.0 {
-                                dst[lane] -= lv[lane] * ujk[lane];
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Reused pivot with the scalar growth check, per lane.
-            let piv_row = self.perm[k];
-            for lane in 0..nl {
-                if !live[lane] {
-                    continue;
-                }
-                let pivot = self.work[piv_row * nl + lane];
-                let mut cand_max = pivot.abs();
-                for lidx in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                    cand_max = cand_max.max(self.work[self.l_row_idx[lidx] * nl + lane].abs());
-                }
-                if !pivot.is_finite()
-                    || pivot.abs() < f64::MIN_POSITIVE
-                    || pivot.abs() < REFACTOR_PIVOT_TOL * cand_max
-                {
-                    status[lane] = Some(NumericError::PivotDegraded { column: k });
-                    live[lane] = false;
-                    // Leave this lane's workspace clean (the scalar path
-                    // zeroes its whole work vector on failure).
-                    for r in 0..self.n {
-                        self.work[r * nl + lane] = 0.0;
-                    }
-                    continue;
-                }
-                self.u_values[(uhi - 1) * nl + lane] = pivot;
-            }
-
-            // Emit L column k and clear the touched work entries for the
-            // lanes still live.
-            for lidx in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                let r = self.l_row_idx[lidx];
-                for (lane, &is_live) in live.iter().enumerate() {
-                    if is_live {
-                        let pivot = self.u_values[(uhi - 1) * nl + lane];
-                        let w = self.work[r * nl + lane];
-                        self.l_values[lidx * nl + lane] = w / pivot;
-                        self.work[r * nl + lane] = 0.0;
-                    }
-                }
-            }
-            for (lane, &is_live) in live.iter().enumerate() {
-                if is_live {
-                    self.work[piv_row * nl + lane] = 0.0;
-                }
-            }
-            for uidx in ulo..uhi - 1 {
-                let pr = self.perm[self.u_row_idx[uidx]];
-                for (lane, &is_live) in live.iter().enumerate() {
-                    if is_live {
-                        self.work[pr * nl + lane] = 0.0;
-                    }
-                }
-            }
-        }
-    }
-
-    fn solve_lanes(&mut self, x: &mut [f64], active: &[bool]) {
-        let nl = self.n_lanes;
-        assert_eq!(x.len(), self.n * nl, "solution plane length");
-        assert_eq!(active.len(), nl, "active mask length");
-        let all = active.iter().all(|&a| a);
-
-        // Forward solve L y = P b, in original-row space, replaying the
-        // scalar op order (including the yk == 0 skip) per lane.
-        for k in 0..self.n {
-            let pr = self.perm[k];
-            let mut any_nonzero = false;
-            let mut all_nonzero = all;
-            {
-                let yk_src = &x[pr * nl..(pr + 1) * nl];
-                for lane in 0..nl {
-                    let live = active[lane];
-                    let yk = if live { yk_src[lane] } else { 0.0 };
-                    self.lane_tmp[lane] = yk;
-                    any_nonzero |= yk != 0.0;
-                    all_nonzero &= live && yk != 0.0;
-                }
-            }
-            if !any_nonzero {
-                continue;
-            }
-            for idx in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                let r = self.l_row_idx[idx];
-                let lv = &self.l_values[idx * nl..(idx + 1) * nl];
-                let dst = &mut x[r * nl..(r + 1) * nl];
-                if all_nonzero {
-                    for lane in 0..nl {
-                        dst[lane] -= lv[lane] * self.lane_tmp[lane];
-                    }
-                } else {
-                    for lane in 0..nl {
-                        let yk = self.lane_tmp[lane];
-                        if yk != 0.0 {
-                            dst[lane] -= lv[lane] * yk;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Gather into pivot order.
-        for k in 0..self.n {
-            let pr = self.perm[k];
-            let src = &x[pr * nl..(pr + 1) * nl];
-            let dst = &mut self.gather[k * nl..(k + 1) * nl];
-            if all {
-                dst.copy_from_slice(src);
-            } else {
-                for lane in 0..nl {
-                    if active[lane] {
-                        dst[lane] = src[lane];
-                    }
-                }
-            }
-        }
-
-        // Back solve U x = z; off-diagonals first, diagonal stored last.
-        for k in (0..self.n).rev() {
-            let lo = self.u_col_ptr[k];
-            let hi = self.u_col_ptr[k + 1];
-            let mut any_nonzero = false;
-            let mut all_nonzero = all;
-            {
-                let diag = &self.u_values[(hi - 1) * nl..hi * nl];
-                for lane in 0..nl {
-                    let live = active[lane];
-                    let xk = if live {
-                        self.gather[k * nl + lane] / diag[lane]
-                    } else {
-                        0.0
-                    };
-                    if live {
-                        self.gather[k * nl + lane] = xk;
-                    }
-                    self.lane_tmp[lane] = xk;
-                    any_nonzero |= xk != 0.0;
-                    all_nonzero &= live && xk != 0.0;
-                }
-            }
-            if !any_nonzero {
-                continue;
-            }
-            for idx in lo..hi - 1 {
-                let r = self.u_row_idx[idx];
-                let uv = &self.u_values[idx * nl..(idx + 1) * nl];
-                let dst = &mut self.gather[r * nl..(r + 1) * nl];
-                if all_nonzero {
-                    for lane in 0..nl {
-                        dst[lane] -= uv[lane] * self.lane_tmp[lane];
-                    }
-                } else {
-                    for lane in 0..nl {
-                        let xk = self.lane_tmp[lane];
-                        if xk != 0.0 {
-                            dst[lane] -= uv[lane] * xk;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Copy the solutions back out.
-        for k in 0..self.n {
-            let src = &self.gather[k * nl..(k + 1) * nl];
-            let dst = &mut x[k * nl..(k + 1) * nl];
-            if all {
-                dst.copy_from_slice(src);
-            } else {
-                for lane in 0..nl {
-                    if active[lane] {
-                        dst[lane] = src[lane];
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1025,228 +607,6 @@ mod tests {
         let lu = SparseLu::factorize(&a).unwrap();
         assert_eq!(lu.factor_nnz(), 3); // diagonal only: U diag, empty L
         assert_eq!(lu.n(), 3);
-    }
-
-    /// Strides contiguous per-lane vectors into an SoA plane.
-    fn to_plane(lanes: &[Vec<f64>]) -> Vec<f64> {
-        let nl = lanes.len();
-        let n = lanes[0].len();
-        let mut plane = vec![0.0; n * nl];
-        for (lane, v) in lanes.iter().enumerate() {
-            for (i, &x) in v.iter().enumerate() {
-                plane[i * nl + lane] = x;
-            }
-        }
-        plane
-    }
-
-    #[test]
-    fn batched_lane_is_bit_identical_to_scalar() {
-        // Each lane: same pattern, different values. Every lane's solution
-        // must match the scalar factorize-once-then-refactorize path BIT
-        // FOR BIT (identical op order), including the seeded lane 0.
-        let mut rng = SplitMix64::new(0xBA7C);
-        let n = 40;
-        let n_lanes = 7;
-        let (a0, _) = ring_system(n, &mut rng);
-        let mut lane_mats: Vec<CscMatrix> = vec![a0.clone()];
-        for _ in 1..n_lanes {
-            let mut a = a0.clone();
-            for idx in 0..a.values().len() {
-                let on_diag = a0.values()[idx].abs() >= 2.0;
-                a.values_mut()[idx] = if on_diag {
-                    3.0 + rng.uniform(-0.5, 0.5)
-                } else {
-                    rng.uniform(-0.5, 0.5)
-                };
-            }
-            lane_mats.push(a);
-        }
-        let rhs: Vec<Vec<f64>> = (0..n_lanes)
-            .map(|_| (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect())
-            .collect();
-
-        // Scalar reference: lane 0 solves straight off factorize; other
-        // lanes replay lane 0's symbolic structure via refactorize — the
-        // same protocol the batch uses.
-        let seed = SparseLu::factorize(&lane_mats[0]).unwrap();
-        let mut expected: Vec<Vec<f64>> = Vec::new();
-        expected.push(seed.solve(&rhs[0]).unwrap());
-        for lane in 1..n_lanes {
-            let mut lu = seed.clone();
-            lu.refactorize(&lane_mats[lane]).unwrap();
-            expected.push(lu.solve(&rhs[lane]).unwrap());
-        }
-
-        // Batched: seed lane 0, refactorize the rest, solve all at once.
-        let mut batch = BatchedLu::from_seed(&seed, n_lanes, 0);
-        assert_eq!(batch.n(), n);
-        assert_eq!(batch.n_lanes(), n_lanes);
-        let values_plane = {
-            let vals: Vec<Vec<f64>> = lane_mats.iter().map(|m| m.values().to_vec()).collect();
-            to_plane(&vals)
-        };
-        let mut active = vec![true; n_lanes];
-        active[0] = false; // lane 0 keeps the installed factorize factors
-        let mut status = vec![None; n_lanes];
-        batch.refactorize_lanes(&a0, &values_plane, &active, &mut status);
-        assert!(status.iter().all(Option::is_none), "{status:?}");
-
-        let mut x = to_plane(&rhs);
-        batch.solve_lanes(&mut x, &vec![true; n_lanes]);
-        let mut got = vec![0.0; n];
-        for (lane, want) in expected.iter().enumerate() {
-            batch.gather_lane(&x, lane, &mut got);
-            for (i, (g, e)) in got.iter().zip(want).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    e.to_bits(),
-                    "lane {lane} unknown {i}: {g} vs {e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_repeated_refactorize_matches_scalar_loop() {
-        // Newton-style repeated value updates: each round refactorizes all
-        // lanes and solves; every round must stay bit-identical to per-lane
-        // scalar refactorize loops.
-        let mut rng = SplitMix64::new(0xFACE);
-        let n = 24;
-        let n_lanes = 4;
-        let (a0, _) = ring_system(n, &mut rng);
-        let seed = SparseLu::factorize(&a0).unwrap();
-        let mut scalar: Vec<SparseLu> = (0..n_lanes).map(|_| seed.clone()).collect();
-        let mut batch = BatchedLu::from_seed(&seed, n_lanes, 0);
-        let active = vec![true; n_lanes];
-        let mut status = vec![None; n_lanes];
-
-        for _round in 0..10 {
-            let mut lane_vals: Vec<Vec<f64>> = Vec::new();
-            for _ in 0..n_lanes {
-                let mut v = a0.values().to_vec();
-                for (idx, slot) in v.iter_mut().enumerate() {
-                    let on_diag = a0.values()[idx].abs() >= 2.0;
-                    *slot = if on_diag {
-                        3.0 + rng.uniform(-0.5, 0.5)
-                    } else {
-                        rng.uniform(-0.5, 0.5)
-                    };
-                }
-                lane_vals.push(v);
-            }
-            let rhs: Vec<Vec<f64>> = (0..n_lanes)
-                .map(|_| (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect())
-                .collect();
-
-            let plane = to_plane(&lane_vals);
-            batch.refactorize_lanes(&a0, &plane, &active, &mut status);
-            assert!(status.iter().all(Option::is_none));
-            let mut x = to_plane(&rhs);
-            batch.solve_lanes(&mut x, &active);
-
-            let mut got = vec![0.0; n];
-            for lane in 0..n_lanes {
-                let mut a = a0.clone();
-                a.values_mut().copy_from_slice(&lane_vals[lane]);
-                scalar[lane].refactorize(&a).unwrap();
-                let want = scalar[lane].solve(&rhs[lane]).unwrap();
-                batch.gather_lane(&x, lane, &mut got);
-                for (g, e) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), e.to_bits(), "lane {lane}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn degraded_lane_is_reported_and_isolated() {
-        // Lane 1's values make the reused pivot order catastrophically bad;
-        // the batch must flag exactly that lane and keep lane 0 and lane 2
-        // bit-identical to their scalar solves.
-        let mut t = TripletMatrix::new(2, 2);
-        t.add(0, 0, 10.0);
-        t.add(0, 1, 1.0);
-        t.add(1, 0, 1.0);
-        t.add(1, 1, 10.0);
-        let (a0, _) = t.to_csc().unwrap();
-        let seed = SparseLu::factorize(&a0).unwrap();
-
-        let healthy = a0.values().to_vec();
-        let mut bad = healthy.clone();
-        for (idx, v) in bad.iter_mut().enumerate() {
-            if a0.row_idx()[idx] == 0 && idx < a0.col_ptr()[1] {
-                *v = 1e-9; // shrink the reused (0,0) pivot
-            }
-        }
-        let lanes = vec![healthy.clone(), bad, healthy.clone()];
-        let plane = to_plane(&lanes);
-
-        let mut batch = BatchedLu::from_seed(&seed, 3, 0);
-        let active = vec![true; 3];
-        let mut status = vec![None; 3];
-        batch.refactorize_lanes(&a0, &plane, &active, &mut status);
-        assert!(status[0].is_none());
-        assert!(
-            matches!(status[1], Some(NumericError::PivotDegraded { .. })),
-            "{status:?}"
-        );
-        assert!(status[2].is_none());
-
-        // Healthy lanes solve bit-identically to scalar despite the failure
-        // in between (lane 1 masked out of the solve).
-        let rhs = vec![vec![1.0, 2.0], vec![0.0, 0.0], vec![-1.0, 0.5]];
-        let mut x = to_plane(&rhs);
-        batch.solve_lanes(&mut x, &[true, false, true]);
-        let mut lu = seed.clone();
-        let mut a = a0.clone();
-        let mut got = vec![0.0; 2];
-        for lane in [0usize, 2] {
-            a.values_mut().copy_from_slice(&lanes[lane]);
-            lu.refactorize(&a).unwrap();
-            let want = lu.solve(&rhs[lane]).unwrap();
-            batch.gather_lane(&x, lane, &mut got);
-            for (g, e) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), e.to_bits(), "lane {lane}");
-            }
-        }
-        // The masked lane's plane is untouched by the solve.
-        batch.gather_lane(&x, 1, &mut got);
-        assert_eq!(got, vec![0.0, 0.0]);
-
-        // After the degraded pass, a refactorize with healthy values on the
-        // failed lane succeeds (workspace was left clean).
-        let plane2 = to_plane(&[healthy.clone(), healthy.clone(), healthy]);
-        batch.refactorize_lanes(&a0, &plane2, &active, &mut status);
-        assert!(status.iter().all(Option::is_none), "{status:?}");
-    }
-
-    #[test]
-    fn inactive_lanes_are_untouched_by_refactorize() {
-        let mut rng = SplitMix64::new(77);
-        let (a0, b) = ring_system(16, &mut rng);
-        let seed = SparseLu::factorize(&a0).unwrap();
-        let mut batch = BatchedLu::from_seed(&seed, 2, 0);
-        // Refactorize only lane 1 with different values; lane 0's installed
-        // factors must survive and still solve bit-identically to the seed.
-        let mut other = a0.values().to_vec();
-        for v in &mut other {
-            *v *= 1.25;
-        }
-        let plane = to_plane(&[vec![0.0; a0.nnz()], other]);
-        let mut status = vec![None; 2];
-        batch.refactorize_lanes(&a0, &plane, &[false, true], &mut status);
-        // Lane 1's matrix is a scalar multiple: still well-conditioned.
-        assert!(status[1].is_none());
-        let want = seed.solve(&b).unwrap();
-        let mut x = to_plane(&[b.clone(), vec![0.0; 16]]);
-        batch.solve_lanes(&mut x, &[true, false]);
-        let mut got = vec![0.0; 16];
-        batch.gather_lane(&x, 0, &mut got);
-        for (g, e) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), e.to_bits());
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! structured events per thread, snapshotted into a self-describing
 //! JSON dump when something goes wrong.
 //!
-//! Counters tell you *that* the WAL rolled back or a sweep lane was
-//! quarantined; they cannot tell you what the process was doing in the
+//! Counters tell you *that* the WAL rolled back or a sweep trial failed
+//! to converge; they cannot tell you what the process was doing in the
 //! milliseconds before. The flight recorder fills that gap the way an
 //! aircraft black box does: every thread that calls
 //! [`flight_record`] gets its own fixed-capacity ring of
@@ -43,7 +43,8 @@ const MAX_RINGS: usize = 256;
 
 /// One recorded event: a monotonic timestamp, a static kind tag, and
 /// two free-form operands whose meaning the kind defines (bytes and
-/// nanoseconds for `wal_fsync`, lane and step for `lane_quarantine`…).
+/// nanoseconds for `wal_fsync`, rung code and rejected-step count for
+/// `rung_engaged`…).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Nanoseconds since the recorder's first use in this process.

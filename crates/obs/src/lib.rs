@@ -11,7 +11,7 @@
 //! * [`hist`] — the shared [`LatencyHistogram`] (moved from `tcam-serve`).
 //! * [`registry`] — named counters/gauges/histograms + phase totals,
 //!   [`registry::snapshot`] to read.
-//! * [`span`] — `let _g = span!("lu_factorize");` RAII phase timing with
+//! * [`mod@span`] — `let _g = span!("lu_factorize");` RAII phase timing with
 //!   self-time accounting and bounded event rings.
 //! * [`export`] — Prometheus text, flat JSON (parseable by
 //!   `tcam_bench::jsonline`), and a tick-driven console reporter.

@@ -38,7 +38,8 @@
 //! `refresh_op_work` units of real work, so a row-by-row event stalls the
 //! shard ~`rows`× longer than a one-shot event — the paper's argument,
 //! measured instead of assumed. Energy is metered per op through
-//! [`WorkloadMeter`] exactly as the trace-replay bank does.
+//! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter) exactly as
+//! the trace-replay bank does.
 //!
 //! # Online updates: epoch-snapshot publication
 //!

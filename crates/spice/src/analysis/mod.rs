@@ -1,11 +1,9 @@
 //! Circuit analyses: operating point, DC sweep, transient.
 
-mod batched;
 mod dcsweep;
 mod op;
 mod transient;
 
-pub use batched::{batched_transient, BatchedRun, LaneOutcome, QuarantinedLane};
 pub use dcsweep::{dc_sweep, DcSweepSpec};
 pub use op::{operating_point, operating_point_traced, OpSolution};
 pub use transient::{transient, TransientSpec};

@@ -54,10 +54,7 @@ pub use error::{Result, SpiceError};
 
 /// Convenient glob import for application code.
 pub mod prelude {
-    pub use crate::analysis::{
-        batched_transient, dc_sweep, operating_point, transient, BatchedRun, DcSweepSpec,
-        LaneOutcome, QuarantinedLane, TransientSpec,
-    };
+    pub use crate::analysis::{dc_sweep, operating_point, transient, DcSweepSpec, TransientSpec};
     pub use crate::device::{
         AnalysisKind, BranchId, CommitCtx, Device, EvalCtx, Stamps, UnknownIndex,
     };

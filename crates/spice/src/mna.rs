@@ -34,12 +34,10 @@ pub struct SolveStats {
     pub steps_rejected: usize,
 }
 
-/// Records the stamp pattern during the build pass. Shared with the batched
-/// transient assembly (`crate::analysis::batched`), which runs the same
-/// pattern pass per lane to verify topology agreement.
-pub(crate) struct PatternSink {
-    pub(crate) triplets: TripletMatrix,
-    pub(crate) rhs_len: usize,
+/// Records the stamp pattern during the build pass.
+struct PatternSink {
+    triplets: TripletMatrix,
+    rhs_len: usize,
 }
 
 impl StampSink for PatternSink {
@@ -52,10 +50,10 @@ impl StampSink for PatternSink {
 }
 
 /// Writes stamp values during a refill pass.
-pub(crate) struct ValueSink<'a> {
-    pub(crate) vals: &'a mut [f64],
-    pub(crate) cursor: usize,
-    pub(crate) rhs: &'a mut [f64],
+struct ValueSink<'a> {
+    vals: &'a mut [f64],
+    cursor: usize,
+    rhs: &'a mut [f64],
 }
 
 impl StampSink for ValueSink<'_> {

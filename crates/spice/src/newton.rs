@@ -7,7 +7,7 @@ use crate::options::{Integrator, SimOptions};
 use tcam_numeric::NumericError;
 
 /// Names the unknown a numeric failure points at, when it points at one.
-pub(crate) fn numeric_worst_unknown(circuit: &Circuit, e: &NumericError) -> Option<String> {
+fn numeric_worst_unknown(circuit: &Circuit, e: &NumericError) -> Option<String> {
     match e {
         NumericError::SingularMatrix { column } | NumericError::PivotDegraded { column } => {
             circuit.unknown_name(*column)

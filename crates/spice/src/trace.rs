@@ -370,7 +370,7 @@ impl SolverTrace {
 
     /// The event ring as one flat JSON line per step, oldest first — the
     /// deep-diagnosis companion to [`SolverTrace::to_json_line`]. Node
-    /// names are escaped and length-bounded (see [`safe_node_name`]), so a
+    /// names are escaped and length-bounded (see `safe_node_name`), so a
     /// netlist node named `v("odd")` — or a pathologically long generated
     /// name — cannot corrupt bench output.
     #[must_use]

@@ -18,8 +18,9 @@
 //!   expansion helpers ([`store::prefix_word`], [`store::range_words`]).
 //! * [`delta::DeltaCompiler`] — compiles a batch into the **minimal
 //!   per-shard row writes/erases** (replication included, covers diffed
-//!   with the sharding layer's own [`covered_shards`]
-//!   (tcam_serve::shard::covered_shards) function), priced through
+//!   with the sharding layer's own
+//!   [`covered_shards`](tcam_serve::shard::covered_shards) function),
+//!   priced through
 //!   [`OperationCosts`](tcam_arch::energy_model::OperationCosts).
 //! * [`publish::Updater`] — applies batches to a shadow
 //!   [`ShardedRuleSet`](tcam_serve::shard::ShardedRuleSet), cross-checks
