@@ -8,13 +8,13 @@
 //!
 //! ```text
 //! for each block of BLOCK_ROWS rows:          // ~2–4 cache lines/plane
-//!     for each key in the tile (≤ MAX_TILE_KEYS):
+//!     for each key in the tile (TILE_KEYS):
 //!         hits: u64 bitmask over the block    // branchless, unrolled
 //! ```
 //!
 //! * **Cache blocking.** A block is [`BLOCK_ROWS`] = 64 rows × (2 or 4)
 //!   `u64` planes = 1–2 KiB — resident in L1 while every key of the tile
-//!   scans it, so row loads are amortized `tile`-fold.
+//!   scans it, so row loads are amortized [`TILE_KEYS`]-fold.
 //! * **Branchless hit masks with ILP.** Per key per block the kernel
 //!   builds one `u64` whose bit `j` says "row `block+j` matches", via four
 //!   independent accumulators (manual 4× unroll of the AND/XOR/CMP chain
@@ -44,13 +44,11 @@ use crate::packed::{PackedTcamArray, PackedWord};
 /// dual-limb block at 2 KiB (four `u64` planes) — comfortably L1-resident.
 pub const BLOCK_ROWS: usize = 64;
 
-/// Hard upper bound on the key-tile width (pending/retire state is a
-/// `u32` bitmask).
-pub const MAX_TILE_KEYS: usize = 32;
-
-/// Default key-tile width: 16 keys balances row-load amortization against
-/// the registers/L1 the per-key masks occupy.
+/// Key-tile width: 16 keys balances row-load amortization against the
+/// registers/L1 the per-key masks occupy (pending/retire state is a `u32`
+/// bitmask, so the tile must stay below 32).
 pub const TILE_KEYS: usize = 16;
+const _: () = assert!(TILE_KEYS < 32);
 
 /// 4-bit hit pattern for one quad of rows against one key (single-limb):
 /// bit `i` set ⇔ row `i` of the quad matches. The four XOR/AND/CMP chains
@@ -236,28 +234,9 @@ impl PackedTcamArray {
     /// worker reuses one buffer across batches). `out` is cleared and
     /// resized to `keys.len()`; `out[i]` is the winner for `keys[i]`.
     ///
-    /// Uses the default tile width [`TILE_KEYS`]; see the module docs for
+    /// Keys are scanned in tiles of [`TILE_KEYS`]; see the module docs for
     /// the kernel structure.
     pub fn first_match_batch_into(&self, keys: &[PackedWord], out: &mut Vec<Option<u32>>) {
-        self.first_match_batch_tiled(keys, TILE_KEYS, out);
-    }
-
-    /// Batched first-match with an explicit tile width (1 ..=
-    /// [`MAX_TILE_KEYS`]) — the entry point `kernel_bench` sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tile` is 0 or exceeds [`MAX_TILE_KEYS`].
-    pub fn first_match_batch_tiled(
-        &self,
-        keys: &[PackedWord],
-        tile: usize,
-        out: &mut Vec<Option<u32>>,
-    ) {
-        assert!(
-            (1..=MAX_TILE_KEYS).contains(&tile),
-            "tile width {tile} outside 1..={MAX_TILE_KEYS}"
-        );
         out.clear();
         out.resize(keys.len(), None);
         let rows = self.ids.len();
@@ -265,17 +244,13 @@ impl PackedTcamArray {
             return;
         }
         let single_limb = self.width() <= 64;
-        for (t, tile_keys) in keys.chunks(tile).enumerate() {
-            let base = t * tile;
+        for (t, tile_keys) in keys.chunks(TILE_KEYS).enumerate() {
+            let base = t * TILE_KEYS;
             // Bit k set ⇔ tile key k still needs a winner (ordered scan).
-            let mut pending: u32 = if tile_keys.len() == 32 {
-                u32::MAX
-            } else {
-                (1u32 << tile_keys.len()) - 1
-            };
+            let mut pending: u32 = (1u32 << tile_keys.len()) - 1;
             // Min-reduction state for the unordered path (u64 sentinel so
             // a genuine id of u32::MAX stays representable).
-            let mut best = [u64::MAX; MAX_TILE_KEYS];
+            let mut best = [u64::MAX; TILE_KEYS];
             let mut block = 0;
             while block < rows {
                 let end = (block + BLOCK_ROWS).min(rows);
@@ -380,8 +355,8 @@ mod tests {
     /// The satellite property test: the batch kernel is bit-identical to
     /// the scalar `first_match` oracle across widths (single and dual
     /// limb), X-laden rules, partially-masked keys, ordered and
-    /// post-remove unordered arrays, every tile width, and ragged batch
-    /// lengths (not a multiple of the tile).
+    /// post-remove unordered arrays, and batch lengths straddling
+    /// [`TILE_KEYS`] (one key, a full tile ± 1, ragged final tiles).
     #[test]
     fn batch_kernel_matches_scalar_oracle() {
         let mut rng = SplitMix64::new(0xB10C);
@@ -389,23 +364,18 @@ mod tests {
             for &churn in &[false, true] {
                 for &rows in &[1usize, 7, 64, 65, 150] {
                     let packed = random_array(&mut rng, width, rows, churn);
-                    // Ragged: 37 keys covers partial final tiles for every
-                    // tile width below.
                     let keys: Vec<PackedWord> = (0..37)
                         .map(|_| PackedWord::pack(&random_word(&mut rng, width, 0.15)))
                         .collect();
                     let oracle: Vec<Option<u32>> =
                         keys.iter().map(|k| packed.first_match(k)).collect();
-                    for tile in [1usize, 3, 8, 16, 32] {
-                        let mut got = Vec::new();
-                        packed.first_match_batch_tiled(&keys, tile, &mut got);
+                    for len in [1usize, 15, 16, 17, 33, 37] {
                         assert_eq!(
-                            got, oracle,
-                            "width {width} rows {rows} churn {churn} tile {tile}"
+                            packed.first_match_batch(&keys[..len]),
+                            oracle[..len],
+                            "width {width} rows {rows} churn {churn} batch {len}"
                         );
                     }
-                    // Default-tile entry points agree too.
-                    assert_eq!(packed.first_match_batch(&keys), oracle);
                 }
             }
         }
@@ -435,14 +405,6 @@ mod tests {
             let key = PackedWord::pack(&[TernaryBit::X; 72]);
             assert_eq!(packed.first_match_batch(&[key]), vec![Some(min_id)]);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "tile width")]
-    fn oversized_tile_is_rejected() {
-        let packed = PackedTcamArray::new(8);
-        let mut out = Vec::new();
-        packed.first_match_batch_tiled(&[], MAX_TILE_KEYS + 1, &mut out);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! interleaved trial by trial so machine drift hits both modes equally:
 //!
 //! * the reference 16×16 3T2N single-bit-mismatch **search transient**
-//!   (the same run `solver_trace_bench` traces), timed around
-//!   `run_search`;
+//!   (the run `tcam-core`'s `reference_search_needs_no_recovery_rung`
+//!   test holds to a clean solver trace), timed around `run_search`;
 //! * a short **serve run** (router LPM, one shard, paced open-loop load),
 //!   scored by the **median per-batch-group match cost** (picoseconds per
 //!   key) — the quantity the match-path spans could plausibly perturb.

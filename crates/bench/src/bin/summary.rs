@@ -8,7 +8,7 @@
 //! repeat them, records are grouped by their `"bench"` field (file stem
 //! when absent), and the phase-breakdown fields (`phase_<name>_ns` /
 //! `phase_<name>_count`, the unified scheme of DESIGN.md §10 emitted by
-//! `solver_trace_bench` and `obs_bench`) are folded into one cross-bench
+//! `obs_bench`) are folded into one cross-bench
 //! per-phase total/share table with per-bench subtotals — the quick way
 //! to see where a batch of runs spent its time without re-running
 //! anything. `trace_bench` records additionally get an SLO/tracing

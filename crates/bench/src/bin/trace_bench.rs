@@ -1,7 +1,7 @@
 //! The observability-tentpole gate: proves the request-tracing path is
 //! cheap, honest, and useful on the full wire stack.
 //!
-//! Stands up a loopback node + TCP server (like `net_bench`) and drives
+//! Stands up a loopback node + TCP server and drives
 //! fixed-size pipelined lookup runs from one client connection, then
 //! asserts three contracts:
 //!

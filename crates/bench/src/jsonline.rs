@@ -229,10 +229,10 @@ mod tests {
 
     #[test]
     fn parses_a_bench_style_record() {
-        let line = "{\"bench\":\"serve_bench\",\"seed\":1,\"throughput_lps\":1.23e6,\
+        let line = "{\"bench\":\"trace_bench\",\"seed\":1,\"throughput_lps\":1.23e6,\
                     \"ok\":true,\"worst_unknown\":null,\"mean_ns\":-0.0}";
         let obj = parse_flat_object(line).unwrap();
-        assert_eq!(str_of(&obj, "bench"), Some("serve_bench"));
+        assert_eq!(str_of(&obj, "bench"), Some("trace_bench"));
         assert_eq!(num(&obj, "seed"), Some(1.0));
         assert_eq!(num(&obj, "throughput_lps"), Some(1.23e6));
         assert_eq!(obj[3].1, JsonValue::Bool(true));

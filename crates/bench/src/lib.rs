@@ -15,25 +15,6 @@ pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// Renders a histogram as the unified flat-JSON fragment
-/// `"<prefix>_p50_ns":…,…,"<prefix>_count":…` (no surrounding braces or
-/// trailing comma). Every bench binary emits histograms through this, so
-/// one histogram always carries the same key set (DESIGN.md §10).
-#[must_use]
-pub fn hist_json(prefix: &str, h: &tcam_obs::LatencyHistogram) -> String {
-    tcam_obs::export::hist_fields(h)
-        .into_iter()
-        .map(|(k, v)| {
-            if v.fract() == 0.0 && v.abs() < 9.0e15 {
-                format!("\"{prefix}_{k}\":{}", v as i64)
-            } else {
-                format!("\"{prefix}_{k}\":{v:.1}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Parses `--size N` (array is N×N), `--rows N`, `--cols N` from argv;
 /// defaults to the paper's 64×64. Unknown arguments are ignored so the
 /// binaries stay forgiving.
@@ -113,28 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn hist_json_fragment_parses_and_carries_the_unified_keys() {
-        let mut h = tcam_obs::LatencyHistogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let line = format!("{{{}}}", hist_json("search", &h));
-        let obj = jsonline::parse_flat_object(&line).expect("fragment is valid flat JSON");
-        for k in [
-            "search_p50_ns",
-            "search_p95_ns",
-            "search_p99_ns",
-            "search_p999_ns",
-            "search_max_ns",
-            "search_mean_ns",
-            "search_count",
-        ] {
-            assert!(jsonline::num(&obj, k).is_some(), "missing {k}");
-        }
-        assert_eq!(jsonline::num(&obj, "search_count"), Some(100.0));
-    }
-
-    #[test]
     fn obs_flat_json_export_parses_with_jsonline() {
         // The contract the exporter promises: its whole line stays inside
         // the flat dialect our own parser accepts.
@@ -145,7 +104,6 @@ mod tests {
             gauges: vec![(("serve_queue_depth", Some(2)), 4.0)],
             hists: vec![(("serve_latency", None), h)],
             phases: vec![("serve_match", tcam_obs::PhaseStat { ns: 800, count: 2 })],
-            events: Vec::new(),
         };
         let json = tcam_obs::export::flat_json(&snap);
         let obj = jsonline::parse_flat_object(&json).expect("exporter output parses");

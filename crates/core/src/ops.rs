@@ -204,4 +204,36 @@ mod tests {
         let res = run_search(exp).unwrap();
         assert!(res.functional_ok);
     }
+
+    /// The reference 16×16 single-bit-mismatch search converges plainly:
+    /// a recovery-ladder rung firing here is a solver regression even if
+    /// the run still succeeds.
+    #[test]
+    fn reference_search_needs_no_recovery_rung() {
+        use crate::experiments::{mismatch_key, pattern_word};
+        let spec = ArraySpec {
+            rows: 16,
+            cols: 16,
+            vdd: 1.0,
+        };
+        let exp = Nem3t2n::default()
+            .build_search(&spec, &pattern_word(16), &mismatch_key(16))
+            .unwrap();
+        let res = run_search(exp).unwrap();
+        assert!(res.functional_ok, "ml at sense = {}", res.ml_at_sense);
+        let trace = res.waveform.solver_trace().expect("transient records a trace");
+        assert!(trace.steps_accepted > 0);
+        assert!(trace.nr_iterations >= trace.steps_accepted);
+        assert!(
+            0.0 < trace.min_dt_used && trace.min_dt_used <= trace.max_dt_used,
+            "dt extrema: min={:e}, max={:e}",
+            trace.min_dt_used,
+            trace.max_dt_used
+        );
+        assert_eq!(
+            (trace.gmin_events, trace.source_step_events, trace.integrator_fallbacks),
+            (0, 0, 0),
+            "a recovery-ladder rung fired on the reference array"
+        );
+    }
 }

@@ -25,7 +25,7 @@
 //! the workspace. Errors come back as `{"error": "…"}` with 400/404/503.
 
 use crate::error::Result;
-use crate::json::{escape, Json};
+use crate::json::Json;
 use crate::node::TcamNode;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -207,7 +207,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
 }
 
 fn error_json(detail: &str) -> String {
-    format!("{{\"error\": \"{}\"}}", escape(detail))
+    format!("{{\"error\": \"{}\"}}", tcam_obs::json_escape(detail))
 }
 
 fn handle_connection(mut stream: TcpStream, node: &Arc<TcamNode>) {

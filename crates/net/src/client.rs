@@ -4,8 +4,8 @@
 //! throughput, pipeline: issue several [`NetClient::send_lookup`]s, then
 //! collect with [`NetClient::recv_response`] — responses arrive in
 //! request order (the server's per-connection writer preserves it), each
-//! carrying the request id for pairing. `net_bench` drives exactly this
-//! loop.
+//! carrying the request id for pairing. `stack_bench`'s wire phases drive
+//! exactly this loop.
 //!
 //! **Tracing.** [`NetClient::set_tracing`] attaches the wire trace
 //! extension to every lookup, sampling one request in `sample_every`

@@ -244,24 +244,6 @@ fn parse_object(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,7 +322,7 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{1}f";
-        let doc = format!("\"{}\"", escape(nasty));
+        let doc = format!("\"{}\"", tcam_obs::json_escape(nasty));
         assert_eq!(Json::parse(&doc).unwrap(), Json::String(nasty.into()));
     }
 }

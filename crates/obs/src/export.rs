@@ -1,6 +1,5 @@
-//! Exporters: Prometheus-style text exposition, a flat-JSON snapshot in
-//! the unified bench key scheme, and a tick-driven console reporter for
-//! long-running serve/churn loops.
+//! Exporters: Prometheus-style text exposition and a flat-JSON snapshot
+//! in the unified bench key scheme.
 //!
 //! # Key scheme (the one `snake_case` scheme, see DESIGN.md §10)
 //!
@@ -19,7 +18,6 @@
 use crate::hist::LatencyHistogram;
 use crate::registry::Snapshot;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 fn label_suffix(label: Option<u32>) -> String {
     label.map(|l| format!("_{l}")).unwrap_or_default()
@@ -79,6 +77,27 @@ fn fmt_num(v: f64) -> String {
     } else {
         format!("{v}")
     }
+}
+
+/// Escapes `s` for embedding in a JSON string literal — the one escaper
+/// every JSON emitter in the workspace uses.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Escapes a string for use as a Prometheus label **value**: `\` →
@@ -176,71 +195,6 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
     out
 }
 
-
-/// A tick-driven console reporter: call [`ConsoleReporter::tick`] from a
-/// long-running loop and it prints a one-line snapshot summary to stderr
-/// at most once per interval. No background thread — the reporter is as
-/// alive as the loop it instruments.
-#[derive(Debug)]
-pub struct ConsoleReporter {
-    interval: Duration,
-    last: Instant,
-    prefix: &'static str,
-}
-
-impl ConsoleReporter {
-    /// A reporter printing at most every `interval`, each line prefixed
-    /// with `prefix`. The first tick after construction reports.
-    #[must_use]
-    pub fn new(prefix: &'static str, interval: Duration) -> Self {
-        Self {
-            interval,
-            last: Instant::now() - interval,
-            prefix,
-        }
-    }
-
-    /// Prints a summary line if at least one interval elapsed since the
-    /// last report. Returns whether it printed.
-    pub fn tick(&mut self) -> bool {
-        if self.last.elapsed() < self.interval {
-            return false;
-        }
-        self.last = Instant::now();
-        let snap = crate::registry::snapshot();
-        eprintln!("[{}] {}", self.prefix, summary_line(&snap));
-        true
-    }
-}
-
-/// A compact human summary of a snapshot: counters, gauges, histogram
-/// p50/p99, and the top phases by self-time.
-#[must_use]
-pub fn summary_line(snap: &Snapshot) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for &((name, label), v) in &snap.counters {
-        parts.push(format!("{name}{}={v}", label_suffix(label)));
-    }
-    for &((name, label), v) in &snap.gauges {
-        parts.push(format!("{name}{}={v}", label_suffix(label)));
-    }
-    for ((name, label), h) in &snap.hists {
-        parts.push(format!(
-            "{name}{} p50={}ns p99={}ns n={}",
-            label_suffix(*label),
-            h.quantile(50.0),
-            h.quantile(99.0),
-            h.count()
-        ));
-    }
-    let mut phases: Vec<_> = snap.phases.clone();
-    phases.sort_by_key(|&(_, s)| std::cmp::Reverse(s.ns));
-    for &(name, stat) in phases.iter().take(6) {
-        parts.push(format!("{name}={}us", stat.ns / 1_000));
-    }
-    parts.join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +211,6 @@ mod tests {
             gauges: vec![(("test_exp_depth", None), 3.5)],
             hists: vec![(("test_exp_lat", None), h)],
             phases: vec![("test_exp_phase", crate::PhaseStat { ns: 1500, count: 3 })],
-            events: Vec::new(),
         }
     }
 
@@ -297,7 +250,6 @@ mod tests {
             gauges: Vec::new(),
             hists: Vec::new(),
             phases: Vec::new(),
-            events: Vec::new(),
         };
         let text = prometheus_text(&snap);
         assert_eq!(
@@ -328,13 +280,5 @@ mod tests {
         assert_eq!(escape_label_value("n\nn"), "n\\nn");
         // Unlabeled series render bare.
         assert_eq!(prom_series("bare_name", &[]), "bare_name");
-    }
-
-    #[test]
-    fn console_reporter_rate_limits() {
-        let _g = crate::test_lock();
-        let mut rep = ConsoleReporter::new("test", Duration::from_secs(3600));
-        assert!(rep.tick(), "first tick reports");
-        assert!(!rep.tick(), "second tick within interval is silent");
     }
 }

@@ -30,6 +30,7 @@
 //!              "events":[{"ts_ns":...,"kind":"wal_fsync","a":...,"b":...}]}]}
 //! ```
 
+use crate::export::json_escape;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -149,23 +150,6 @@ fn last_dump_slot() -> &'static Mutex<Option<DumpSlot>> {
 }
 
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Snapshots every registered ring into one JSON dump naming the
 /// trigger `cause` (snake_case, e.g. `wal_rollback`), stores it as the

@@ -12,9 +12,9 @@
 //! * [`registry`] — named counters/gauges/histograms + phase totals,
 //!   [`registry::snapshot`] to read.
 //! * [`mod@span`] — `let _g = span!("lu_factorize");` RAII phase timing with
-//!   self-time accounting and bounded event rings.
-//! * [`export`] — Prometheus text, flat JSON (parseable by
-//!   `tcam_bench::jsonline`), and a tick-driven console reporter.
+//!   self-time accounting.
+//! * [`export`] — Prometheus text and flat JSON (parseable by
+//!   `tcam_bench::jsonline`).
 //!
 //! `obs_bench` holds the overhead budget to its contract: enabled-mode
 //! overhead < 5 % on the hot stacks, disabled-mode indistinguishable
@@ -31,6 +31,7 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
+pub use export::json_escape;
 pub use flight::{
     flight_dump, flight_dump_count, flight_last_dump, flight_record, flight_reset,
     install_panic_hook, FlightEvent,

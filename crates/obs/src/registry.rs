@@ -24,7 +24,7 @@
 //! labeled by shard.
 
 use crate::hist::LatencyHistogram;
-use crate::span::{self, SpanEvent};
+use crate::span;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,14 +77,9 @@ fn phase_slot<'a>(
     &mut phases[idx].1
 }
 
-/// Most recent span events kept globally after flushes (a debugging aid,
-/// not an accounting structure — phases carry the totals).
-const GLOBAL_EVENT_CAP: usize = 1024;
-
 #[derive(Default)]
 struct Global {
     merged: Buffers,
-    events: Vec<SpanEvent>,
     /// Bumped by [`reset`] so stale thread-local buffers from before the
     /// reset are discarded at their next flush instead of leaking old
     /// totals into the new window.
@@ -267,10 +262,9 @@ pub fn phases_since(mark: &PhaseMark) -> Vec<(&'static str, PhaseStat)> {
     .unwrap_or_default()
 }
 
-/// Merges this thread's buffers (and drained span events) into the global
-/// state. Buffers recorded before the last [`reset`] are discarded.
+/// Merges this thread's buffers into the global state. Buffers recorded
+/// before the last [`reset`] are discarded.
 pub fn flush() {
-    let events = span::drain_events();
     let local = LOCAL.try_with(|local| {
         let mut local = local.borrow_mut();
         let generation = local.generation;
@@ -305,11 +299,6 @@ pub fn flush() {
     for (name, stat) in buf.phases {
         phase_slot(&mut global.merged.phases, name).add(stat);
     }
-    global.events.extend(events);
-    let len = global.events.len();
-    if len > GLOBAL_EVENT_CAP {
-        global.events.drain(..len - GLOBAL_EVENT_CAP);
-    }
 }
 
 /// Clears the global state and invalidates every thread's unflushed
@@ -320,7 +309,6 @@ pub fn reset() {
     {
         let mut global = global().lock().unwrap();
         global.merged = Buffers::default();
-        global.events.clear();
         global.generation += 1;
     }
     let _ = LOCAL.try_with(|local| {
@@ -342,8 +330,6 @@ pub struct Snapshot {
     pub hists: Vec<(Key, LatencyHistogram)>,
     /// Span self-time totals, sorted by name.
     pub phases: Vec<(&'static str, PhaseStat)>,
-    /// Most recent span events (bounded; newest last).
-    pub events: Vec<SpanEvent>,
 }
 
 impl Snapshot {
@@ -422,7 +408,6 @@ pub fn snapshot() -> Snapshot {
             phases.sort_unstable_by_key(|&(n, _)| n);
             phases
         },
-        events: global.events.clone(),
     }
 }
 

@@ -1,5 +1,4 @@
-//! Span tracing: thread-local span stack, RAII guards, and bounded
-//! per-thread event rings.
+//! Span tracing: a thread-local span stack and RAII guards.
 //!
 //! A span measures one phase of work. Opening is a push onto this
 //! thread's stack; closing (guard drop) pops it, computes the duration,
@@ -20,10 +19,8 @@
 //! } // accounts (step duration - lu duration) to phase "step"
 //! ```
 //!
-//! Each closed span also appends a [`SpanEvent`] to a bounded per-thread
-//! ring (newest kept), drained into the global snapshot at
-//! [`crate::registry::flush`] — a recent-history debugging aid; the phase
-//! totals carry the accounting.
+//! The phase totals carry the accounting; recent history is the flight
+//! recorder's job ([`crate::flight`]).
 //!
 //! # Cost
 //!
@@ -36,43 +33,14 @@ use crate::registry::{enabled, phase_add};
 use std::cell::RefCell;
 use std::time::Instant;
 
-/// One closed span, as kept in the event ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// The span's static name (a phase name).
-    pub name: &'static str,
-    /// Total duration, nanoseconds (children included).
-    pub dur_ns: u64,
-    /// Nesting depth at open (0 = top level on its thread).
-    pub depth: u32,
-}
-
 struct Frame {
     name: &'static str,
     start: Instant,
     child_ns: u64,
 }
 
-/// Per-thread event-ring capacity. Oldest events are evicted first.
-const EVENT_CAP: usize = 256;
-
-struct ThreadSpans {
-    stack: Vec<Frame>,
-    /// Circular event buffer: grows to [`EVENT_CAP`], then `next` marks
-    /// the oldest slot and closes overwrite in place — no shifting on the
-    /// hot path.
-    events: Vec<SpanEvent>,
-    next: usize,
-}
-
 thread_local! {
-    static SPANS: RefCell<ThreadSpans> = const {
-        RefCell::new(ThreadSpans {
-            stack: Vec::new(),
-            events: Vec::new(),
-            next: 0,
-        })
-    };
+    static SPANS: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard for one span; created by [`SpanGuard::enter`] (usually via
@@ -92,7 +60,7 @@ impl SpanGuard {
         }
         let active = SPANS
             .try_with(|spans| {
-                spans.borrow_mut().stack.push(Frame {
+                spans.borrow_mut().push(Frame {
                     name,
                     start: Instant::now(),
                     child_ns: 0,
@@ -110,34 +78,21 @@ impl Drop for SpanGuard {
             return;
         }
         let _ = SPANS.try_with(|spans| {
-            let mut spans = spans.borrow_mut();
+            let mut stack = spans.borrow_mut();
             // Guards are strictly nested by construction (RAII on one
             // thread), so the top of the stack is this guard's frame —
             // unless a disable raced in between enter and drop and a
             // nested enter returned inert; popping is still correct
             // because inert guards never pushed.
-            let Some(frame) = spans.stack.pop() else {
+            let Some(frame) = stack.pop() else {
                 return;
             };
             let dur_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let self_ns = dur_ns.saturating_sub(frame.child_ns);
-            let depth = u32::try_from(spans.stack.len()).unwrap_or(u32::MAX);
-            if let Some(parent) = spans.stack.last_mut() {
+            if let Some(parent) = stack.last_mut() {
                 parent.child_ns += dur_ns;
             }
-            let event = SpanEvent {
-                name: frame.name,
-                dur_ns,
-                depth,
-            };
-            if spans.events.len() < EVENT_CAP {
-                spans.events.push(event);
-            } else {
-                let slot = spans.next;
-                spans.events[slot] = event;
-                spans.next = (slot + 1) % EVENT_CAP;
-            }
-            drop(spans);
+            drop(stack);
             phase_add(frame.name, self_ns);
         });
     }
@@ -153,38 +108,17 @@ macro_rules! span {
     };
 }
 
-/// Drains this thread's event ring (oldest first).
-pub(crate) fn drain_events() -> Vec<SpanEvent> {
-    SPANS
-        .try_with(|spans| {
-            let mut spans = spans.borrow_mut();
-            let mut events = std::mem::take(&mut spans.events);
-            // When the ring wrapped, `next` is the oldest slot.
-            let oldest = spans.next.min(events.len());
-            events.rotate_left(oldest);
-            spans.next = 0;
-            events
-        })
-        .unwrap_or_default()
-}
-
-/// Clears this thread's ring and any stranded stack frames (used by
+/// Clears any stranded stack frames on this thread (used by
 /// [`crate::registry::reset`] between bench trials).
 pub(crate) fn clear_thread() {
-    let _ = SPANS.try_with(|spans| {
-        let mut spans = spans.borrow_mut();
-        spans.events.clear();
-        spans.next = 0;
-        // Live guards keep measuring; only a reset *between* runs (no
-        // spans open) fully clears. Stranded frames would mis-attribute
-        // child time, so drop them.
-        spans.stack.clear();
-    });
+    // Live guards keep measuring; only a reset *between* runs (no spans
+    // open) fully clears. Stranded frames would mis-attribute child
+    // time, so drop them.
+    let _ = SPANS.try_with(|spans| spans.borrow_mut().clear());
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::registry::{phase_mark, phases_since};
     use std::time::Duration;
 
@@ -223,44 +157,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compile-out", ignore = "recording is compiled out")]
-    fn events_record_duration_and_depth() {
-        let _g = crate::test_lock();
-        drain_events();
-        {
-            let _a = span!("test_span_evt_a");
-            let _b = span!("test_span_evt_b");
-        }
-        let events = drain_events();
-        let b = events
-            .iter()
-            .find(|e| e.name == "test_span_evt_b")
-            .expect("inner event");
-        let a = events
-            .iter()
-            .find(|e| e.name == "test_span_evt_a")
-            .expect("outer event");
-        assert_eq!(b.depth, 1);
-        assert_eq!(a.depth, 0);
-        assert!(a.dur_ns >= b.dur_ns, "outer contains inner");
-    }
-
-    #[test]
-    #[cfg_attr(feature = "compile-out", ignore = "recording is compiled out")]
-    fn event_ring_is_bounded() {
-        let _g = crate::test_lock();
-        drain_events();
-        for _ in 0..(EVENT_CAP + 50) {
-            let _s = span!("test_span_ring");
-        }
-        let events = drain_events();
-        assert_eq!(events.len(), EVENT_CAP);
-    }
-
-    #[test]
     fn disabled_spans_record_nothing() {
         let _g = crate::test_lock();
-        drain_events();
         let mark = phase_mark();
         crate::registry::set_enabled(false);
         {
@@ -268,6 +166,5 @@ mod tests {
         }
         crate::registry::set_enabled(true);
         assert_eq!(phase_ns("test_span_off", &phases_since(&mark)), 0);
-        assert!(drain_events().iter().all(|e| e.name != "test_span_off"));
     }
 }

@@ -128,6 +128,9 @@ pub struct AcamServeReport {
     pub batches: u64,
     /// Per-shard batch service time, nanoseconds (all shards merged).
     pub service: LatencyHistogram,
+    /// Workers that panicked instead of returning stats; their shards'
+    /// telemetry is absent from the fields above.
+    pub workers_panicked: u64,
 }
 
 impl AcamServeReport {
@@ -154,7 +157,8 @@ const DRAIN_JOBS: usize = 8;
 const POLL: Duration = Duration::from_millis(5);
 
 impl AcamService {
-    /// Starts one worker thread per shard.
+    /// Starts one worker thread per shard, each behind a queue of
+    /// `queue_capacity` jobs (clamped to at least 1).
     ///
     /// # Errors
     ///
@@ -167,7 +171,7 @@ impl AcamService {
         let mut queues = Vec::with_capacity(shards.len());
         let mut workers = Vec::with_capacity(shards.len());
         for (i, table) in shards.shards.into_iter().enumerate() {
-            let queue = Arc::new(BoundedQueue::new(queue_capacity));
+            let queue = Arc::new(BoundedQueue::new(queue_capacity.max(1)));
             queues.push(Arc::clone(&queue));
             let shard_label = u32::try_from(i).unwrap_or(u32::MAX);
             workers.push(
@@ -294,25 +298,47 @@ impl AcamService {
     }
 
     /// Closes the queues, joins every worker, and folds their telemetry.
+    /// A worker that panicked is counted in
+    /// [`AcamServeReport::workers_panicked`] instead of poisoning the
+    /// caller.
     #[must_use]
-    pub fn shutdown(self) -> AcamServeReport {
+    pub fn shutdown(mut self) -> AcamServeReport {
+        self.shutdown_in_place()
+    }
+
+    /// The idempotent core of [`Self::shutdown`], shared with `Drop`:
+    /// after the first call the worker list is empty, so a later call
+    /// returns an empty report instead of blocking.
+    fn shutdown_in_place(&mut self) -> AcamServeReport {
         for queue in &self.queues {
             queue.close();
         }
-        let mut shard_searches = Vec::with_capacity(self.workers.len());
-        let mut batches = 0;
-        let mut service = LatencyHistogram::new();
-        for worker in self.workers {
-            let stats = worker.join().expect("acam shard worker panicked");
-            shard_searches.push(stats.searches);
-            batches += stats.batches;
-            service.merge(&stats.service);
+        let mut report = AcamServeReport {
+            shard_searches: Vec::with_capacity(self.workers.len()),
+            batches: 0,
+            service: LatencyHistogram::new(),
+            workers_panicked: 0,
+        };
+        for worker in self.workers.drain(..) {
+            match worker.join() {
+                Ok(stats) => {
+                    report.shard_searches.push(stats.searches);
+                    report.batches += stats.batches;
+                    report.service.merge(&stats.service);
+                }
+                Err(_) => report.workers_panicked += 1,
+            }
         }
-        AcamServeReport {
-            shard_searches,
-            batches,
-            service,
-        }
+        report
+    }
+}
+
+impl Drop for AcamService {
+    /// Dropping without [`AcamService::shutdown`] still closes the queues
+    /// and joins the workers (so no thread outlives the service), it just
+    /// discards the telemetry. After an explicit shutdown this is a no-op.
+    fn drop(&mut self) {
+        let _ = self.shutdown_in_place();
     }
 }
 
@@ -457,6 +483,50 @@ mod tests {
             .is_empty());
         let report = service.shutdown();
         assert_eq!(report.shard_searches.len(), 2);
+    }
+
+    /// Dropping a started service (no `shutdown`) must still stop its
+    /// workers: each worker owns a clone of its queue's `Arc`, so the
+    /// queue is freed only once the worker thread has exited.
+    #[test]
+    fn drop_without_shutdown_stops_the_workers() {
+        let mut rng = SplitMix64::new(5);
+        let array = random_array(&mut rng, 4, 16, 10);
+        // Capacity 0 is clamped, not a panic inside `BoundedQueue::new`.
+        let service = AcamService::start(AcamShards::build(&array, 2).unwrap(), 0).unwrap();
+        let key = vec![3u16, 7, 1, 12];
+        assert_eq!(
+            service.best_match_blocking(&key, AcamMetric::Hamming).unwrap(),
+            array.best_match(&key, AcamMetric::Hamming).unwrap()
+        );
+        let queues: Vec<_> = service.queues.iter().map(Arc::downgrade).collect();
+        drop(service);
+        assert!(
+            queues.iter().all(|q| q.upgrade().is_none()),
+            "a shard worker outlived the dropped service"
+        );
+    }
+
+    #[test]
+    fn panicked_worker_is_reported_not_propagated() {
+        let mut rng = SplitMix64::new(6);
+        let array = random_array(&mut rng, 4, 16, 10);
+        let service = AcamService::start(AcamShards::build(&array, 2).unwrap(), 4).unwrap();
+        // A short key (which `search_blocking` would reject) pushed
+        // straight onto shard 0's queue panics that worker in the kernel.
+        let (tx, rx) = mpsc::sync_channel(1);
+        let job = AcamJob {
+            keys: Arc::new(vec![vec![1u16]]),
+            query: AcamQuery::Best(AcamMetric::Hamming),
+            reply: tx,
+            submitted: Instant::now(),
+            trace: None,
+        };
+        assert!(service.queues[0].push(job).is_ok());
+        assert!(rx.recv().is_err(), "the panicking worker drops the reply slot");
+        let report = service.shutdown();
+        assert_eq!(report.workers_panicked, 1);
+        assert_eq!(report.shard_searches.len(), 1);
     }
 
     #[test]

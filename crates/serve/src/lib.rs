@@ -21,16 +21,16 @@
 //! * [`telemetry`] — HDR-style log-bucketed latency histograms
 //!   (p50/p95/p99/p999), per-shard counters, refresh-stall gauges, and
 //!   energy via the arch crate's `WorkloadMeter`.
-//! * [`loadgen`] — deterministic open-loop and closed-loop generators
-//!   driven by [`SplitMix64`](tcam_numeric::rng::SplitMix64) forks.
+//! * [`loadgen`] — a deterministic open-loop generator driven by a
+//!   seeded [`SplitMix64`](tcam_numeric::rng::SplitMix64).
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
 //! * [`acam`] — the opt-in similarity-search path: distance queries
 //!   cannot be prefix-routed, so [`acam::AcamService`] scatters each
 //!   batch to every row-partitioned shard and min-reduces the per-shard
 //!   winners at gather, bit-identical to a monolithic scan.
 //!
-//! The `serve_bench` binary in `tcam-bench` wires these together and
-//! emits single-line JSON records alongside `perf_baseline`'s.
+//! `stack_bench` (the repo's one benchmark, its own package) measures
+//! these layers end to end and one by one.
 //!
 //! ```
 //! use std::time::Duration;

@@ -1,21 +1,14 @@
-//! Deterministic load generators for the lookup service.
+//! Deterministic open-loop load generator for the lookup service.
 //!
-//! Two standard shapes:
+//! [`open_loop`] offers keys on a fixed schedule (or flat-out when `rate`
+//! is 0) regardless of how fast the service drains them, the shape that
+//! exposes queueing delay: if a refresh event stalls a shard, the offered
+//! keys pile up and the latency histogram records the damage. Keys are
+//! pre-routed and pre-packed so generation is one RNG draw + one copy per
+//! key.
 //!
-//! * **Open loop** ([`open_loop`]) — keys are offered on a fixed schedule
-//!   (or flat-out when `rate` is 0) regardless of how fast the service
-//!   drains them, the shape that exposes queueing delay: if a refresh
-//!   event stalls a shard, the offered keys pile up and the latency
-//!   histogram records the damage. Keys are pre-routed and pre-packed so
-//!   generation is one RNG draw + one copy per key.
-//! * **Closed loop** ([`closed_loop`]) — `clients` threads each keep
-//!   exactly one lookup in flight ([`TcamService::search_blocking`]),
-//!   the shape that measures service latency without queue buildup.
-//!
-//! Both derive every random choice from a caller seed via
-//! [`SplitMix64::fork`], so identical seeds offer identical key sequences
-//! — the property the refresh-policy comparison in `serve_bench` relies
-//! on.
+//! Every random choice derives from the caller's seed through one
+//! [`SplitMix64`], so identical seeds offer identical key sequences.
 
 use crate::error::Result;
 use crate::service::{SearchBatch, TcamService};
@@ -153,59 +146,6 @@ fn flush(
     Ok(n)
 }
 
-/// Runs `clients` closed-loop client threads for `duration`, each keeping
-/// one lookup in flight, and returns the total lookups completed.
-///
-/// Client `i` draws keys with an RNG forked from `seed` in index order, so
-/// the offered sequence is deterministic per client count.
-///
-/// # Errors
-///
-/// Routing errors from the key pool.
-///
-/// # Panics
-///
-/// Panics when `keys` is empty, `clients` is 0, or a client thread
-/// panics.
-pub fn closed_loop(
-    service: &TcamService,
-    keys: &[Vec<TernaryBit>],
-    clients: usize,
-    seed: u64,
-    duration: Duration,
-) -> Result<u64> {
-    assert!(!keys.is_empty() && clients > 0, "degenerate closed loop");
-    // Validate the pool up front so per-lookup routing cannot fail below.
-    let _ = prepare(service, keys)?;
-    let mut seeder = SplitMix64::new(seed);
-    let seeds: Vec<u64> = (0..clients).map(|_| seeder.next_u64()).collect();
-    let total = std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .into_iter()
-            .map(|client_seed| {
-                scope.spawn(move || {
-                    let mut rng = SplitMix64::new(client_seed);
-                    let deadline = Instant::now() + duration;
-                    let mut done = 0u64;
-                    while Instant::now() < deadline {
-                        let key = &keys[rng.below(keys.len() as u64) as usize];
-                        match service.search_blocking(key) {
-                            Ok(_) => done += 1,
-                            Err(_) => break,
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("closed-loop client panicked"))
-            .sum()
-    });
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,14 +199,5 @@ mod tests {
             (offered as f64) < expected * 1.5 + 2.0 * cfg.batch as f64,
             "offered {offered} vs schedule {expected}"
         );
-    }
-
-    #[test]
-    fn closed_loop_completes_lookups_under_refresh() {
-        let (w, svc) = service(BankRefresh::OneShot { op_time: 10e-9 });
-        let total = closed_loop(&svc, &w.keys, 2, 13, Duration::from_millis(20)).unwrap();
-        let report = svc.shutdown();
-        assert!(total > 0);
-        assert_eq!(report.searches(), total);
     }
 }

@@ -56,7 +56,8 @@
 //! * searches are linearizable against rule versions: every reply reports
 //!   the epoch that served it ([`BatchReply::epoch`]), and the result is
 //!   exactly what a single-threaded search against that epoch's rule set
-//!   would return — the property `churn_bench` checks continuously.
+//!   would return — the property `tcam-update`'s `concurrent_churn` test
+//!   checks under a live updater.
 //!
 //! Update application competes with refresh and traffic on the worker's
 //! wall clock exactly like refresh events do; publication latency
@@ -397,8 +398,9 @@ impl TcamService {
     }
 
     /// One closed-loop lookup that also reports the epoch of the table
-    /// snapshot that served it — the hook `churn_bench` uses to verify
-    /// that every result is consistent with exactly one published epoch.
+    /// snapshot that served it — the hook the epoch-verified churn tests
+    /// use to check that every result is consistent with exactly one
+    /// published epoch.
     ///
     /// # Errors
     ///

@@ -428,22 +428,7 @@ fn safe_node_name(s: &str) -> String {
         }
         bounded.push(ch);
     }
-    escape_json(&bounded)
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    tcam_obs::json_escape(&bounded)
 }
 
 #[cfg(test)]

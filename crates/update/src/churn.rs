@@ -1,40 +1,21 @@
-//! Deterministic churn workload generators: rule-update streams shaped
-//! like the two applications the paper benchmarks TCAMs on.
+//! Deterministic churn workload generator: a rule-update stream shaped
+//! like the router application the paper benchmarks TCAMs on.
 //!
-//! * [`BgpChurn`] — BGP-like prefix churn for an LPM table: a mix of
-//!   announcements (inserts), withdrawals (removes) and re-advertisements
-//!   (in-place modifies) over random prefixes. Priorities are **banded by
-//!   prefix length** — `priority = (width - len) << 20 | counter` — so a
-//!   longer (more specific) prefix always carries a numerically lower
-//!   priority and longest-prefix-match ordering survives arbitrary
-//!   interleavings of inserts and removes without renumbering.
-//! * [`AclRotation`] — ACL rule rotation: a fixed-size classifier table
-//!   whose entries are periodically rewritten in place (policy pushes),
-//!   keeping priorities stable.
+//! [`BgpChurn`] is BGP-like prefix churn for an LPM table: a mix of
+//! announcements (inserts), withdrawals (removes) and re-advertisements
+//! (in-place modifies) over random prefixes. Priorities are **banded by
+//! prefix length** — `priority = (width - len) << 20 | counter` — so a
+//! longer (more specific) prefix always carries a numerically lower
+//! priority and longest-prefix-match ordering survives arbitrary
+//! interleavings of inserts and removes without renumbering.
 //!
-//! Both are driven by [`SplitMix64`] forks, so a seed fully determines
-//! the initial table, every batch, and every probe key — the property
-//! `churn_bench --check` relies on.
+//! It is driven by [`SplitMix64`] forks, so a seed fully determines the
+//! initial table, every batch, and every probe key — the property the
+//! epoch-verified churn tests rely on.
 
 use crate::store::{prefix_word, RuleChange};
 use tcam_core::bit::TernaryBit;
 use tcam_numeric::rng::SplitMix64;
-
-/// A deterministic source of rule-update batches plus probe keys for the
-/// table it describes.
-pub trait ChurnWorkload {
-    /// Short name for bench records.
-    fn name(&self) -> &'static str;
-    /// Word width in bits.
-    fn width(&self) -> usize;
-    /// The initial (priority, word) table the store is seeded with.
-    fn initial(&self) -> Vec<(u32, Vec<TernaryBit>)>;
-    /// The next batch of logical changes (valid against a store that has
-    /// applied every prior batch in order).
-    fn next_batch(&mut self, size: usize) -> Vec<RuleChange>;
-    /// A fully-specified probe key, biased toward the live rules.
-    fn random_key(&mut self) -> Vec<TernaryBit>;
-}
 
 /// Priority banding: `(width - len) << BAND_SHIFT | counter`. The
 /// counter space bounds how many announcements one band can see over a
@@ -140,20 +121,22 @@ fn next_priority(counters: &mut [u32], band: usize) -> u32 {
     (band as u32) << BAND_SHIFT | counter
 }
 
-impl ChurnWorkload for BgpChurn {
-    fn name(&self) -> &'static str {
-        "bgp_churn"
-    }
-
-    fn width(&self) -> usize {
+impl BgpChurn {
+    /// Word width in bits.
+    #[must_use]
+    pub fn width(&self) -> usize {
         self.width
     }
 
-    fn initial(&self) -> Vec<(u32, Vec<TernaryBit>)> {
+    /// The initial (priority, word) table the store is seeded with.
+    #[must_use]
+    pub fn initial(&self) -> Vec<(u32, Vec<TernaryBit>)> {
         self.initial.clone()
     }
 
-    fn next_batch(&mut self, size: usize) -> Vec<RuleChange> {
+    /// The next batch of logical changes (valid against a store that has
+    /// applied every prior batch in order).
+    pub fn next_batch(&mut self, size: usize) -> Vec<RuleChange> {
         let mut batch = Vec::with_capacity(size);
         for _ in 0..size {
             match self.rng.below(10) {
@@ -198,7 +181,8 @@ impl ChurnWorkload for BgpChurn {
         batch
     }
 
-    fn random_key(&mut self) -> Vec<TernaryBit> {
+    /// A fully-specified probe key, biased toward the live rules.
+    pub fn random_key(&mut self) -> Vec<TernaryBit> {
         // 3 in 4 keys concretize a live prefix (traffic follows routes);
         // the rest are uniform (default-route traffic).
         let template = if self.key_rng.below(4) < 3 && !self.active.is_empty() {
@@ -223,125 +207,12 @@ impl ChurnWorkload for BgpChurn {
     }
 }
 
-/// ACL rule rotation: a fixed table of `rules` classifier entries whose
-/// words are rewritten in place, round-robin with random skips.
-#[derive(Debug)]
-pub struct AclRotation {
-    width: usize,
-    rng: SplitMix64,
-    key_rng: SplitMix64,
-    words: Vec<(u32, Vec<TernaryBit>)>,
-    cursor: usize,
-}
-
-impl AclRotation {
-    /// A rotation over `rules` entries of `width`-bit classifier words,
-    /// deterministic in `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is 0 or `rules < 2` (the backstop plus at
-    /// least one rotatable rule).
-    #[must_use]
-    pub fn new(width: usize, rules: usize, seed: u64) -> Self {
-        assert!(width > 0 && rules >= 2, "need a backstop plus one rule");
-        let mut rng = SplitMix64::new(seed);
-        let key_rng = rng.fork();
-        let mut acl = Self {
-            width,
-            rng,
-            key_rng,
-            words: Vec::with_capacity(rules),
-            cursor: 0,
-        };
-        for i in 0..rules {
-            // Priorities leave gaps so the generator mirrors how real
-            // ACLs are numbered (room for insertion between lines).
-            let priority = (i as u32) * 10;
-            let word = acl.random_rule(i == rules - 1);
-            acl.words.push((priority, word));
-        }
-        acl
-    }
-
-    /// A classifier word: concrete header-ish prefix, don't-care tail;
-    /// the final rule is the all-X deny-all backstop.
-    fn random_rule(&mut self, backstop: bool) -> Vec<TernaryBit> {
-        if backstop {
-            return vec![TernaryBit::X; self.width];
-        }
-        let concrete = self.width / 2 + self.rng.below((self.width / 2) as u64 + 1) as usize;
-        (0..self.width)
-            .map(|i| {
-                if i < concrete {
-                    if self.rng.below(2) == 0 {
-                        TernaryBit::Zero
-                    } else {
-                        TernaryBit::One
-                    }
-                } else {
-                    TernaryBit::X
-                }
-            })
-            .collect()
-    }
-}
-
-impl ChurnWorkload for AclRotation {
-    fn name(&self) -> &'static str {
-        "acl_rotation"
-    }
-
-    fn width(&self) -> usize {
-        self.width
-    }
-
-    fn initial(&self) -> Vec<(u32, Vec<TernaryBit>)> {
-        self.words.clone()
-    }
-
-    fn next_batch(&mut self, size: usize) -> Vec<RuleChange> {
-        let rotatable = self.words.len().saturating_sub(1).max(1);
-        let mut batch = Vec::with_capacity(size);
-        for _ in 0..size.min(rotatable) {
-            // Round-robin with random skips, never the backstop.
-            self.cursor = (self.cursor + 1 + self.rng.below(3) as usize) % rotatable;
-            let word = self.random_rule(false);
-            let (priority, stored) = &mut self.words[self.cursor];
-            stored.clone_from(&word);
-            batch.push(RuleChange::Modify {
-                priority: *priority,
-                word,
-            });
-        }
-        batch
-    }
-
-    fn random_key(&mut self) -> Vec<TernaryBit> {
-        let i = self.key_rng.below(self.words.len() as u64) as usize;
-        let template = self.words[i].1.clone();
-        (0..self.width)
-            .map(|b| match template[b] {
-                TernaryBit::Zero => TernaryBit::Zero,
-                TernaryBit::One => TernaryBit::One,
-                TernaryBit::X => {
-                    if self.key_rng.below(2) == 0 {
-                        TernaryBit::Zero
-                    } else {
-                        TernaryBit::One
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::RuleStore;
 
-    fn drive<W: ChurnWorkload>(mut workload: W, batches: usize) -> (u64, RuleStore) {
+    fn drive(mut workload: BgpChurn, batches: usize) -> (u64, RuleStore) {
         let mut store = RuleStore::from_rules(&workload.initial()).unwrap();
         let mut fingerprint = 0u64;
         for _ in 0..batches {
@@ -388,26 +259,5 @@ mod tests {
         let p_long = (16u32 - 12) << BAND_SHIFT;
         let p_short = (16u32 - 6) << BAND_SHIFT;
         assert!(p_long < p_short);
-    }
-
-    #[test]
-    fn acl_rotation_keeps_priorities_and_size_stable() {
-        let mut acl = AclRotation::new(24, 32, 9);
-        let initial = acl.initial();
-        let mut store = RuleStore::from_rules(&initial).unwrap();
-        for _ in 0..50 {
-            let batch = acl.next_batch(4);
-            assert!(batch
-                .iter()
-                .all(|c| matches!(c, RuleChange::Modify { .. })));
-            store.apply(&batch).unwrap();
-        }
-        assert_eq!(store.len(), initial.len(), "rotation never grows the table");
-        // The backstop's priority is never rewritten.
-        let backstop = initial.last().unwrap().0;
-        assert_eq!(
-            store.word(backstop).unwrap(),
-            vec![TernaryBit::X; 24].as_slice()
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! `tcam-update`: online rule updates for the TCAM serving stack —
 //! versioned rule store, delta compiler, epoch-snapshot publication, and
-//! deterministic churn workload generators.
+//! a deterministic churn workload generator.
 //!
 //! The serving layer (`tcam-serve`) answers *how fast can a dynamic TCAM
 //! look things up while refreshing*. This crate answers the companion
@@ -29,13 +29,13 @@
 //!   [`TcamService`](tcam_serve::service::TcamService) workers — which
 //!   swap only at batch boundaries, so no search ever observes a torn
 //!   table.
-//! * [`churn`] — deterministic BGP-like prefix churn and ACL rotation
-//!   generators behind the [`churn::ChurnWorkload`] trait, the fuel for
-//!   the `churn_bench` binary in `tcam-bench`.
+//! * [`churn`] — the deterministic BGP-like prefix churn generator
+//!   [`churn::BgpChurn`], the fuel for the epoch-verified concurrency
+//!   test (`tests/concurrent_churn.rs`).
 //!
 //! ```
 //! use tcam_arch::energy_model::OperationCosts;
-//! use tcam_update::churn::{BgpChurn, ChurnWorkload};
+//! use tcam_update::churn::BgpChurn;
 //! use tcam_update::publish::Updater;
 //! use tcam_update::store::RuleStore;
 //!
@@ -56,7 +56,7 @@ pub mod delta;
 pub mod publish;
 pub mod store;
 
-pub use churn::{AclRotation, BgpChurn, ChurnWorkload};
+pub use churn::BgpChurn;
 pub use delta::{CompiledDelta, DeltaCompiler, DeltaCost};
 pub use publish::{StagedDelta, Updater};
 pub use store::{prefix_word, range_words, RuleChange, RuleStore};

@@ -18,9 +18,9 @@
 //! [`Updater::publish`] then hands every shard worker the current-epoch
 //! snapshot through [`TcamService::publish`]. Workers swap at batch
 //! boundaries only, so a search is always served from exactly one epoch —
-//! and because every reply reports that epoch, `churn_bench` can verify
-//! the zero-torn-snapshot property continuously against the updater's
-//! recorded history.
+//! and because every reply reports that epoch, `tests/concurrent_churn.rs`
+//! verifies the zero-torn-snapshot property against the updater's
+//! recorded history while checkers and the updater run concurrently.
 
 use crate::delta::{CompiledDelta, DeltaCompiler};
 use crate::store::{RuleChange, RuleStore};
@@ -31,8 +31,8 @@ use tcam_serve::error::Result;
 use tcam_serve::service::TcamService;
 use tcam_serve::shard::{RowOps, ShardedRuleSet};
 
-/// One applied-but-possibly-unpublished update batch: the record the
-/// churn bench keeps per epoch to verify search results against.
+/// One applied-but-possibly-unpublished update batch: the planned and
+/// realized row work behind one epoch.
 #[derive(Debug, Clone)]
 pub struct StagedDelta {
     /// The epoch this batch produced (workers report it in replies).
