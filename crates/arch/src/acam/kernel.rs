@@ -6,8 +6,7 @@
 //! [`PackedAcamArray`] stores the bounds as *cell-major planes* — for
 //! each cell position `c`, one contiguous `u16` vector of that cell's
 //! `lo` bound across all rows, and one of `hi` — and the batched kernel
-//! restructures the loop nest the way [`crate::kernel`] does for ternary
-//! matching:
+//! restructures the loop nest into row blocks × key tiles:
 //!
 //! ```text
 //! for each block of ACAM_BLOCK_ROWS rows:       // 2 u16 planes ≈ 256 B/cell

@@ -1,221 +1,198 @@
-//! The block-batched SoA match kernel: the serving path's hot loop.
+//! The bit-sliced match-line kernel: the serving path's hot loop.
 //!
-//! [`PackedTcamArray::first_match`] answers one key at a time — fine as a
-//! reference, but a worker draining a [`SearchBatch`] of hundreds of keys
-//! pays the whole row-plane memory stream once **per key**. This module
-//! adds [`PackedTcamArray::first_match_batch_into`], which restructures
-//! the loop nest so the row stream is paid once per *tile* of keys:
+//! A hardware TCAM drives the key down the columns and every row's match
+//! line resolves at once; a priority encoder picks the first row.
+//! `MatchLines` is that picture in `u64`s. Rows are cut into blocks of
+//! 64, and for each block and each bit column `c` the index keeps two
+//! row bitmaps (bit `j` = row `64·block + j`):
 //!
 //! ```text
-//! for each block of BLOCK_ROWS rows:          // ~2–4 cache lines/plane
-//!     for each key in the tile (TILE_KEYS):
-//!         hits: u64 bitmask over the block    // branchless, unrolled
+//! zero[block][c] = rows matching a key 0 at c = !(care & value)
+//! one [block][c] = rows matching a key 1 at c = !care | value
 //! ```
 //!
-//! * **Cache blocking.** A block is [`BLOCK_ROWS`] = 64 rows × (2 or 4)
-//!   `u64` planes = 1–2 KiB — resident in L1 while every key of the tile
-//!   scans it, so row loads are amortized [`TILE_KEYS`]-fold.
-//! * **Branchless hit masks with ILP.** Per key per block the kernel
-//!   builds one `u64` whose bit `j` says "row `block+j` matches", via four
-//!   independent accumulators (manual 4× unroll of the AND/XOR/CMP chain
-//!   — stable Rust, zero deps, and a shape the autovectorizer maps onto
-//!   `u64` SIMD lanes). The only branch per (key, block) is `hits != 0`.
-//! * **Single-limb specialization.** Words ≤ 64 bits (the 32-bit router
-//!   workload) have all-zero limb-1 planes; the kernel skips them,
-//!   halving the work — decided once per call, not per row.
-//! * **Early-exit / min-reduce duality.** While the array is id-ordered
-//!   (see [`PackedTcamArray::is_ordered`]) the first set bit of the first
-//!   non-zero block mask *is* the winner: `hits.trailing_zeros()` and the
-//!   key retires from the tile (per-key pending bitmask; a block whose
-//!   tile has fully retired ends the scan). After an order-breaking
-//!   `remove` the kernel scans every block and min-reduces matching ids
-//!   in an epilogue — exactly the scalar path's duality.
+//! A stored `X` sets both; the bits of absent rows in the last block are
+//! zero. Words are block-major — `(block · width + c) · 2 + key_bit` — so
+//! one block's `2·width` words (512 B at width 32) are contiguous.
 //!
-//! Semantics are bit-identical to per-key [`PackedTcamArray::first_match`]
-//! on ordered and unordered arrays; the property tests below pin that,
-//! including X-laden rules, partially-masked keys, post-`remove` storage
-//! orders, and ragged final tiles.
+//! [`PackedTcamArray::first_match_batch_into`] answers one key by
 //!
-//! [`SearchBatch`]: ../../tcam_serve/service/struct.SearchBatch.html
+//! 1. listing the word offsets of the columns the key cares about,
+//!    leading column first, in one branch-free pass over the columns.
+//!    This per-key fixed cost is what a small table pays for, so a fully
+//!    specified single-limb key — an ordinary lookup — takes a pass
+//!    without the running count, which vectorises;
+//! 2. per block, ANDing those bitmaps into a match-line word — 64 rows
+//!    per AND — and testing it for zero every eight columns. A block
+//!    whose line dies is left at once; on a longest-prefix table that is
+//!    after the first eight columns for about four blocks in five;
+//! 3. priority-encoding the first non-zero line with `trailing_zeros`.
+//!    Rows are stored in ascending id order (see [`crate::packed`]), so
+//!    the first set bit of the first live block *is* the winner.
+//!
+//! The worst case (no early exit: X-heavy rules, or a key that matches
+//! late) is `width` ANDs per 64 rows. Key care bits at positions ≥ the
+//! array width — which a hostile wire frame can carry — are never read,
+//! exactly as the stored planes' zero care bits ignore them in the scalar
+//! scan.
+//!
+//! The write side keeps the bitmaps in step with the row planes: an
+//! append sets `2·width` bits; a mid-table insert or remove opens or
+//! closes a one-bit hole by a shift-with-carry over the blocks from that
+//! row on — O(rows · width / 64) word operations; a replace rewrites
+//! `2·width` bits.
+//!
+//! Semantics are bit-identical to per-key [`PackedTcamArray::first_match`],
+//! which stays a row-at-a-time scan over the row planes and never reads
+//! this index: it is the oracle the property tests below (and the
+//! benchmark) check every kernel answer against.
 
-use crate::packed::{PackedTcamArray, PackedWord};
+use crate::packed::{PackedTcamArray, PackedWord, MAX_PACKED_WIDTH};
 
-/// Rows per cache block: 64 matches the hit-mask word width, and keeps a
-/// dual-limb block at 2 KiB (four `u64` planes) — comfortably L1-resident.
-pub const BLOCK_ROWS: usize = 64;
+/// Rows per block: the bits of one match-line word.
+const BLOCK_ROWS: usize = 64;
 
-/// Key-tile width: 16 keys balances row-load amortization against the
-/// registers/L1 the per-key masks occupy (pending/retire state is a `u32`
-/// bitmask, so the tile must stay below 32).
-pub const TILE_KEYS: usize = 16;
-const _: () = assert!(TILE_KEYS < 32);
+/// Columns ANDed between zero tests of the match-line word.
+const COLUMN_GROUP: usize = 8;
 
-/// 4-bit hit pattern for one quad of rows against one key (single-limb):
-/// bit `i` set ⇔ row `i` of the quad matches. The four XOR/AND/CMP chains
-/// are independent, so they retire together (the manual-unroll ILP shape).
-#[inline(always)]
-fn quad_hits_one(m: &[u64; 4], v: &[u64; 4], km0: u64, kv0: u64) -> u64 {
-    u64::from((v[0] ^ kv0) & m[0] & km0 == 0)
-        | (u64::from((v[1] ^ kv0) & m[1] & km0 == 0) << 1)
-        | (u64::from((v[2] ^ kv0) & m[2] & km0 == 0) << 2)
-        | (u64::from((v[3] ^ kv0) & m[3] & km0 == 0) << 3)
+/// The bit-sliced search index of a [`PackedTcamArray`]: two row bitmaps
+/// per 64-row block and bit column (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct MatchLines {
+    width: usize,
+    rows: usize,
+    /// Block-major bitmaps: word `(block * width + column) * 2 + key_bit`.
+    bits: Vec<u64>,
 }
 
-/// 4-bit hit pattern for one quad of rows against one key (dual-limb).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn quad_hits_two(
-    m0: &[u64; 4],
-    v0: &[u64; 4],
-    m1: &[u64; 4],
-    v1: &[u64; 4],
-    km0: u64,
-    kv0: u64,
-    km1: u64,
-    kv1: u64,
-) -> u64 {
-    // One row's miss bits across both limbs: zero ⇔ the row matches.
-    let miss =
-        |i: usize| ((v0[i] ^ kv0) & m0[i] & km0) | ((v1[i] ^ kv1) & m1[i] & km1);
-    u64::from(miss(0) == 0)
-        | (u64::from(miss(1) == 0) << 1)
-        | (u64::from(miss(2) == 0) << 2)
-        | (u64::from(miss(3) == 0) << 3)
-}
-
-/// First matching row offset within one block (single-limb), or `None`.
-/// Quad-stepped early exit: rows are tested four at a time branchlessly,
-/// with one branch per quad — the ordered-array fast path, where the
-/// first hit in the first non-empty quad is the final answer.
-#[inline]
-fn block_first_hit_one(m0: &[u64], v0: &[u64], km0: u64, kv0: u64) -> Option<usize> {
-    let mut j = 0usize;
-    for (m, v) in m0.chunks_exact(4).zip(v0.chunks_exact(4)) {
-        let b = quad_hits_one(m.try_into().unwrap(), v.try_into().unwrap(), km0, kv0);
-        if b != 0 {
-            return Some(j + b.trailing_zeros() as usize);
+impl MatchLines {
+    pub(crate) fn new(width: usize) -> Self {
+        Self {
+            width,
+            rows: 0,
+            bits: Vec::new(),
         }
-        j += 4;
     }
-    for (&m, &v) in m0[j..].iter().zip(&v0[j..]) {
-        if (v ^ kv0) & m & km0 == 0 {
-            return Some(j);
-        }
-        j += 1;
-    }
-    None
-}
 
-/// First matching row offset within one block (dual-limb), or `None`.
-#[inline]
-fn block_first_hit_two(
-    planes: (&[u64], &[u64], &[u64], &[u64]),
-    km0: u64,
-    kv0: u64,
-    km1: u64,
-    kv1: u64,
-) -> Option<usize> {
-    let (m0, v0, m1, v1) = planes;
-    let mut j = 0usize;
-    for (((m0q, v0q), m1q), v1q) in m0
-        .chunks_exact(4)
-        .zip(v0.chunks_exact(4))
-        .zip(m1.chunks_exact(4))
-        .zip(v1.chunks_exact(4))
-    {
-        let b = quad_hits_two(
-            m0q.try_into().unwrap(),
-            v0q.try_into().unwrap(),
-            m1q.try_into().unwrap(),
-            v1q.try_into().unwrap(),
-            km0,
-            kv0,
-            km1,
-            kv1,
-        );
-        if b != 0 {
-            return Some(j + b.trailing_zeros() as usize);
+    /// Inserts `word` as row `row`, moving rows `row..` up by one.
+    pub(crate) fn insert(&mut self, row: usize, word: &PackedWord) {
+        let stride = 2 * self.width;
+        if self.rows.is_multiple_of(BLOCK_ROWS) {
+            self.bits.resize(self.bits.len() + stride, 0);
         }
-        j += 4;
-    }
-    while j < m0.len() {
-        let miss = ((v0[j] ^ kv0) & m0[j] & km0) | ((v1[j] ^ kv1) & m1[j] & km1);
-        if miss == 0 {
-            return Some(j);
+        self.rows += 1;
+        let (first, pos) = (row / BLOCK_ROWS, row % BLOCK_ROWS);
+        // Later blocks shift up one row, last block first, each taking the
+        // top row of the block below it.
+        for block in (first + 1..self.rows.div_ceil(BLOCK_ROWS)).rev() {
+            let (below, this) =
+                self.bits[(block - 1) * stride..(block + 1) * stride].split_at_mut(stride);
+            for (w, b) in this.iter_mut().zip(below) {
+                *w = *w << 1 | *b >> 63;
+            }
         }
-        j += 1;
+        let low = (1u64 << pos) - 1;
+        for w in &mut self.bits[first * stride..(first + 1) * stride] {
+            *w = (*w & low) | (*w & !low) << 1;
+        }
+        self.write(row, word);
     }
-    None
-}
 
-/// Hit mask over one block for a single-limb (width ≤ 64) array: bit `j`
-/// set ⇔ row `j` of the block matches the key. Fully branchless (the
-/// unordered min-reduce path must inspect every row anyway);
-/// `chunks_exact` keeps the quad bodies bounds-check-free.
-#[inline]
-fn block_hits_one(m0: &[u64], v0: &[u64], km0: u64, kv0: u64) -> u64 {
-    debug_assert_eq!(m0.len(), v0.len());
-    debug_assert!(m0.len() <= BLOCK_ROWS);
-    let mut hits = 0u64;
-    let mut j = 0u32;
-    for (m, v) in m0.chunks_exact(4).zip(v0.chunks_exact(4)) {
-        let b = quad_hits_one(m.try_into().unwrap(), v.try_into().unwrap(), km0, kv0);
-        hits |= b << j;
-        j += 4;
+    /// Removes row `row`, moving rows `row + 1..` down by one.
+    pub(crate) fn remove(&mut self, row: usize) {
+        let stride = 2 * self.width;
+        let (first, pos) = (row / BLOCK_ROWS, row % BLOCK_ROWS);
+        let low = (1u64 << pos) - 1;
+        for w in &mut self.bits[first * stride..(first + 1) * stride] {
+            *w = (*w & low) | (*w >> 1 & !low);
+        }
+        // Each later block hands its bottom row to the block below it.
+        for block in first + 1..self.rows.div_ceil(BLOCK_ROWS) {
+            let (below, this) =
+                self.bits[(block - 1) * stride..(block + 1) * stride].split_at_mut(stride);
+            for (w, b) in this.iter_mut().zip(below) {
+                *b |= *w << 63;
+                *w >>= 1;
+            }
+        }
+        self.rows -= 1;
+        self.bits.truncate(self.rows.div_ceil(BLOCK_ROWS) * stride);
     }
-    for (m, v) in m0
-        .chunks_exact(4)
-        .remainder()
-        .iter()
-        .zip(v0.chunks_exact(4).remainder())
-    {
-        hits |= u64::from((v ^ kv0) & m & km0 == 0) << j;
-        j += 1;
-    }
-    hits
-}
 
-/// Hit mask over one block for a dual-limb (width > 64) array.
-#[inline]
-fn block_hits_two(
-    planes: (&[u64], &[u64], &[u64], &[u64]),
-    km0: u64,
-    kv0: u64,
-    km1: u64,
-    kv1: u64,
-) -> u64 {
-    let (m0, v0, m1, v1) = planes;
-    debug_assert!(m0.len() == v0.len() && m0.len() == m1.len() && m0.len() == v1.len());
-    debug_assert!(m0.len() <= BLOCK_ROWS);
-    let mut hits = 0u64;
-    let mut j = 0u32;
-    for (((m0q, v0q), m1q), v1q) in m0
-        .chunks_exact(4)
-        .zip(v0.chunks_exact(4))
-        .zip(m1.chunks_exact(4))
-        .zip(v1.chunks_exact(4))
-    {
-        let b = quad_hits_two(
-            m0q.try_into().unwrap(),
-            v0q.try_into().unwrap(),
-            m1q.try_into().unwrap(),
-            v1q.try_into().unwrap(),
-            km0,
-            kv0,
-            km1,
-            kv1,
-        );
-        hits |= b << j;
-        j += 4;
+    /// Rewrites the `2 * width` bits of row `row` to store `word`.
+    pub(crate) fn write(&mut self, row: usize, word: &PackedWord) {
+        let stride = 2 * self.width;
+        let bit = 1u64 << (row % BLOCK_ROWS);
+        let block = &mut self.bits[row / BLOCK_ROWS * stride..][..stride];
+        for (c, pair) in block.chunks_exact_mut(2).enumerate() {
+            let shift = 63 - c % 64;
+            let care = word.mask[c / 64] >> shift & 1;
+            let value = word.value[c / 64] >> shift & 1;
+            for (w, on) in pair
+                .iter_mut()
+                .zip([care & value == 0, care == 0 || value == 1])
+            {
+                *w = if on { *w | bit } else { *w & !bit };
+            }
+        }
     }
-    let mut i = m0.len() - m0.chunks_exact(4).remainder().len();
-    while i < m0.len() {
-        let miss = ((v0[i] ^ kv0) & m0[i] & km0) | ((v1[i] ^ kv1) & m1[i] & km1);
-        hits |= u64::from(miss == 0) << j;
-        i += 1;
-        j += 1;
+
+    /// Fills `offsets` with the in-block word offset of each column `key`
+    /// cares about, leading column first, and returns how many groups of
+    /// [`COLUMN_GROUP`] they fill. The last group is padded with repeats
+    /// of the last offset: ANDing a bitmap in twice changes nothing.
+    fn key_offsets(&self, key: &PackedWord, offsets: &mut [u16; MAX_PACKED_WIDTH]) -> usize {
+        // The top `width` bits of limb 0 (all of it from 64 columns up).
+        let every = !(u64::MAX.checked_shr(self.width as u32).unwrap_or(0));
+        let mut n = 0;
+        if self.width <= 64 && key.mask[0] & every == every {
+            // A fully specified single-limb key — a plain lookup — keeps
+            // every column: no running count, so the pass vectorises.
+            for (c, o) in offsets[..self.width].iter_mut().enumerate() {
+                *o = (2 * c) as u16 + (key.value[0] >> (63 - c) & 1) as u16;
+            }
+            n = self.width;
+        } else {
+            // Every column writes its offset; only a cared-for one keeps it.
+            for limb in 0..2 {
+                let (value, care) = (key.value[limb], key.mask[limb]);
+                for c in 0..self.width.saturating_sub(64 * limb).min(64) {
+                    offsets[n] = (2 * (64 * limb + c)) as u16 + (value >> (63 - c) & 1) as u16;
+                    n += (care >> (63 - c) & 1) as usize;
+                }
+            }
+        }
+        let padded = n.next_multiple_of(COLUMN_GROUP);
+        if let Some(&last) = offsets[..n].last() {
+            offsets[n..padded].fill(last);
+        }
+        padded / COLUMN_GROUP
     }
-    hits
+
+    /// The first (lowest) row matching `key`, or `None`. `offsets` is
+    /// scratch space, reused across the keys of a batch.
+    fn first_row(&self, key: &PackedWord, offsets: &mut [u16; MAX_PACKED_WIDTH]) -> Option<usize> {
+        let stride = 2 * self.width;
+        let groups = self.key_offsets(key, offsets);
+        let groups = &offsets.as_chunks::<COLUMN_GROUP>().0[..groups];
+        'blocks: for block in 0..self.rows.div_ceil(BLOCK_ROWS) {
+            let bits = &self.bits[block * stride..][..stride];
+            // Absent rows of the last block are zero in every bitmap, and
+            // a key that cares about no column stops at the block's first
+            // row, which is always present.
+            let mut line = !0u64;
+            for group in groups {
+                for &o in group {
+                    line &= bits[usize::from(o)];
+                }
+                if line == 0 {
+                    continue 'blocks;
+                }
+            }
+            return Some(block * BLOCK_ROWS + line.trailing_zeros() as usize);
+        }
+        None
+    }
 }
 
 impl PackedTcamArray {
@@ -232,96 +209,62 @@ impl PackedTcamArray {
 
     /// Batched first-match with a caller-owned output buffer (the serving
     /// worker reuses one buffer across batches). `out` is cleared and
-    /// resized to `keys.len()`; `out[i]` is the winner for `keys[i]`.
-    ///
-    /// Keys are scanned in tiles of [`TILE_KEYS`]; see the module docs for
-    /// the kernel structure.
+    /// filled to `keys.len()`; `out[i]` is the winner for `keys[i]`. See
+    /// the module docs for the kernel structure.
     pub fn first_match_batch_into(&self, keys: &[PackedWord], out: &mut Vec<Option<u32>>) {
         out.clear();
-        out.resize(keys.len(), None);
-        let rows = self.ids.len();
-        if rows == 0 {
-            return;
-        }
-        let single_limb = self.width() <= 64;
-        for (t, tile_keys) in keys.chunks(TILE_KEYS).enumerate() {
-            let base = t * TILE_KEYS;
-            // Bit k set ⇔ tile key k still needs a winner (ordered scan).
-            let mut pending: u32 = (1u32 << tile_keys.len()) - 1;
-            // Min-reduction state for the unordered path (u64 sentinel so
-            // a genuine id of u32::MAX stays representable).
-            let mut best = [u64::MAX; TILE_KEYS];
-            let mut block = 0;
-            while block < rows {
-                let end = (block + BLOCK_ROWS).min(rows);
-                let (bm0, bv0) = (&self.m0[block..end], &self.v0[block..end]);
-                let (bm1, bv1) = (&self.m1[block..end], &self.v1[block..end]);
-                for (k, key) in tile_keys.iter().enumerate() {
-                    if pending & (1 << k) == 0 {
-                        continue;
-                    }
-                    if self.ordered {
-                        // Ascending ids: the first matching row of the
-                        // first non-empty block = smallest id, so the scan
-                        // early-exits per quad inside the block.
-                        let hit = if single_limb {
-                            block_first_hit_one(bm0, bv0, key.mask[0], key.value[0])
-                        } else {
-                            block_first_hit_two(
-                                (bm0, bv0, bm1, bv1),
-                                key.mask[0],
-                                key.value[0],
-                                key.mask[1],
-                                key.value[1],
-                            )
-                        };
-                        if let Some(row) = hit {
-                            out[base + k] = Some(self.ids[block + row]);
-                            pending &= !(1 << k);
-                        }
-                    } else {
-                        // Unordered: every row must be inspected anyway,
-                        // so the mask is built fully branchlessly.
-                        let hits = if single_limb {
-                            block_hits_one(bm0, bv0, key.mask[0], key.value[0])
-                        } else {
-                            block_hits_two(
-                                (bm0, bv0, bm1, bv1),
-                                key.mask[0],
-                                key.value[0],
-                                key.mask[1],
-                                key.value[1],
-                            )
-                        };
-                        let mut h = hits;
-                        while h != 0 {
-                            let row = block + h.trailing_zeros() as usize;
-                            best[k] = best[k].min(u64::from(self.ids[row]));
-                            h &= h - 1;
-                        }
-                    }
-                }
-                if self.ordered && pending == 0 {
-                    break; // whole tile retired: skip the remaining blocks
-                }
-                block = end;
-            }
-            if !self.ordered {
-                for (k, &b) in best.iter().enumerate().take(tile_keys.len()) {
-                    if b != u64::MAX {
-                        out[base + k] = Some(u32::try_from(b).expect("ids are u32"));
+        let mut offsets = [0; MAX_PACKED_WIDTH];
+        out.extend(
+            keys.iter()
+                .map(|key| Some(self.ids[self.lines.first_row(key, &mut offsets)?])),
+        );
+    }
+}
+
+#[cfg(test)]
+impl MatchLines {
+    /// Test-only: the index holds exactly `rows`, each bitmap bit derived
+    /// afresh through the scalar rule ([`PackedWord::matches`] against a
+    /// one-column key), with no word beyond the last block and the bits
+    /// of absent rows zero.
+    pub(crate) fn assert_stores(&self, rows: &[PackedWord]) {
+        assert_eq!(self.rows, rows.len());
+        let mut want = vec![0u64; rows.len().div_ceil(BLOCK_ROWS) * 2 * self.width];
+        for (r, row) in rows.iter().enumerate() {
+            for c in 0..self.width {
+                let mut key = PackedWord {
+                    mask: [0; 2],
+                    value: [0; 2],
+                };
+                key.mask[c / 64] = 1 << (63 - c % 64);
+                for key_bit in 0..2 {
+                    key.value[c / 64] = key.mask[c / 64] * key_bit;
+                    if row.matches(&key) {
+                        let word = (r / BLOCK_ROWS * self.width + c) * 2 + key_bit as usize;
+                        want[word] |= 1 << (r % BLOCK_ROWS);
                     }
                 }
             }
         }
+        assert_eq!(self.bits, want, "width {} rows {}", self.width, self.rows);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::TcamArray;
     use tcam_core::bit::TernaryBit;
     use tcam_numeric::rng::SplitMix64;
+
+    /// The top `n` bits of a limb (`n` saturates at 64).
+    fn leading_bits(n: usize) -> u64 {
+        match n {
+            0 => 0,
+            1..=63 => !0 << (64 - n),
+            _ => !0,
+        }
+    }
 
     fn random_word(rng: &mut SplitMix64, width: usize, x_prob: f64) -> Vec<TernaryBit> {
         (0..width)
@@ -336,27 +279,35 @@ mod tests {
     }
 
     /// A random array of `rows` X-laden words; when `churn`, a random
-    /// subset is then swap-removed so storage order breaks (the
-    /// `ordered = false` min-id path).
-    fn random_array(rng: &mut SplitMix64, width: usize, rows: usize, churn: bool) -> PackedTcamArray {
+    /// third is then removed and half of those re-pushed below their
+    /// neighbours, so the rows have been through mid-table holes both
+    /// ways.
+    fn random_array(
+        rng: &mut SplitMix64,
+        width: usize,
+        rows: usize,
+        churn: bool,
+    ) -> PackedTcamArray {
         let mut packed = PackedTcamArray::new(width);
         for id in 0..rows {
             packed.push(&random_word(rng, width, 0.35), id as u32 * 3);
         }
         if churn {
-            for _ in 0..rows / 3 {
+            for n in 0..rows / 3 {
                 let id = rng.below(rows as u64) as u32 * 3;
-                packed.remove(id);
+                if packed.remove(id) && n % 2 == 0 {
+                    packed.push(&random_word(rng, width, 0.35), id + 1);
+                }
             }
         }
+        packed.assert_planes_consistent();
         packed
     }
 
-    /// The satellite property test: the batch kernel is bit-identical to
-    /// the scalar `first_match` oracle across widths (single and dual
-    /// limb), X-laden rules, partially-masked keys, ordered and
-    /// post-remove unordered arrays, and batch lengths straddling
-    /// [`TILE_KEYS`] (one key, a full tile ± 1, ragged final tiles).
+    /// The batch kernel is bit-identical to the scalar `first_match`
+    /// oracle across widths (single and dual limb), X-laden rules,
+    /// partially-masked keys, appended and churned arrays, row counts
+    /// around the block boundary, and a spread of batch lengths.
     #[test]
     fn batch_kernel_matches_scalar_oracle() {
         let mut rng = SplitMix64::new(0xB10C);
@@ -394,7 +345,7 @@ mod tests {
     #[test]
     fn all_x_keys_match_the_minimum_id_row() {
         // An all-X key matches every row; the winner must be the smallest
-        // id under both storage orders.
+        // id, appended or churned.
         let mut rng = SplitMix64::new(9);
         for churn in [false, true] {
             let packed = random_array(&mut rng, 72, 90, churn);
@@ -408,18 +359,113 @@ mod tests {
     }
 
     #[test]
-    fn normalized_array_keeps_kernel_results() {
-        // normalize() flips the kernel from min-reduce to early-exit; the
-        // answers must not change.
+    fn churned_array_keeps_id_order_and_kernel_results() {
+        // Removes and mid-table pushes leave rows in ascending id order,
+        // so the kernel's first set bit is still the scalar scan's winner.
         let mut rng = SplitMix64::new(0xAB);
-        let mut packed = random_array(&mut rng, 48, 120, true);
-        assert!(!packed.is_ordered());
+        let packed = random_array(&mut rng, 48, 120, true);
+        for i in 1..packed.len() {
+            assert!(packed.row(i).unwrap().0 > packed.row(i - 1).unwrap().0);
+        }
         let keys: Vec<PackedWord> = (0..64)
             .map(|_| PackedWord::pack(&random_word(&mut rng, 48, 0.1)))
             .collect();
-        let before = packed.first_match_batch(&keys);
-        packed.normalize();
-        assert!(packed.is_ordered());
-        assert_eq!(packed.first_match_batch(&keys), before);
+        let scalar: Vec<Option<u32>> = keys.iter().map(|k| packed.first_match(k)).collect();
+        assert_eq!(packed.first_match_batch(&keys), scalar);
+    }
+
+    /// Kernel ≡ scalar `first_match` ≡ `TcamArray` on the cases with no
+    /// column early exit and on degenerate keys: rule sets ≥ 90 % X,
+    /// all-X keys, keys masked in the leading columns, a width-0 array,
+    /// and batch lengths 0/1/17/512.
+    #[test]
+    fn kernel_scalar_and_functional_array_agree_without_early_exit() {
+        let mut rng = SplitMix64::new(0x0E17);
+        for width in [0usize, 1, 13, 32, 64, 65, 128] {
+            for rows in [1usize, 63, 64, 65, 200] {
+                let mut array = TcamArray::new(rows, width);
+                for row in 0..rows {
+                    // The first rows are the X-heaviest, so a hit is late
+                    // and every block before it runs all its columns.
+                    let x_prob = if row < rows / 2 { 0.9 } else { 0.97 };
+                    array
+                        .write(row, random_word(&mut rng, width, x_prob))
+                        .unwrap();
+                }
+                let packed = PackedTcamArray::from_array(&array).unwrap();
+                packed.assert_planes_consistent();
+                let keys: Vec<Vec<TernaryBit>> = (0..512)
+                    .map(|i| match i % 4 {
+                        0 => vec![TernaryBit::X; width],
+                        1 => {
+                            let mut key = random_word(&mut rng, width, 0.0);
+                            let masked = rng.below(width as u64 + 1) as usize;
+                            key[..masked].fill(TernaryBit::X);
+                            key
+                        }
+                        2 => random_word(&mut rng, width, 0.0),
+                        _ => random_word(&mut rng, width, 0.5),
+                    })
+                    .collect();
+                let want: Vec<Option<u32>> = keys
+                    .iter()
+                    .map(|k| array.first_match(k).map(|r| r as u32))
+                    .collect();
+                let packed_keys: Vec<PackedWord> =
+                    keys.iter().map(|k| PackedWord::pack(k)).collect();
+                let scalar: Vec<Option<u32>> =
+                    packed_keys.iter().map(|k| packed.first_match(k)).collect();
+                assert_eq!(scalar, want, "width {width} rows {rows}");
+                for len in [0usize, 1, 17, 512] {
+                    assert_eq!(
+                        packed.first_match_batch(&packed_keys[..len]),
+                        want[..len],
+                        "width {width} rows {rows} batch {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A hostile wire frame can carry care (and value) bits at positions
+    /// ≥ the array width, and value bits under a zero care bit: both
+    /// paths must ignore them alike, answering as for the clean key.
+    #[test]
+    fn care_bits_beyond_the_width_are_ignored_by_both_paths() {
+        let mut rng = SplitMix64::new(0xBAD);
+        for width in [0usize, 1, 13, 32, 63, 64, 65, 100, 128] {
+            let packed = random_array(&mut rng, width, 100, true);
+            for x_prob in [0.0, 0.3] {
+                let clean: Vec<PackedWord> = (0..64)
+                    .map(|_| PackedWord::pack(&random_word(&mut rng, width, x_prob)))
+                    .collect();
+                let inside = [leading_bits(width), leading_bits(width.saturating_sub(64))];
+                let hostile: Vec<PackedWord> = clean
+                    .iter()
+                    .map(|k| {
+                        let mut k = *k;
+                        for (limb, &inside) in inside.iter().enumerate() {
+                            k.mask[limb] |= rng.next_u64() & !inside;
+                            k.value[limb] |= rng.next_u64() & !(k.mask[limb] & inside);
+                        }
+                        k
+                    })
+                    .collect();
+                let want: Vec<Option<u32>> = clean.iter().map(|k| packed.first_match(k)).collect();
+                let scalar: Vec<Option<u32>> =
+                    hostile.iter().map(|k| packed.first_match(k)).collect();
+                assert_eq!(scalar, want, "scalar, width {width}");
+                assert_eq!(
+                    packed.first_match_batch(&hostile),
+                    want,
+                    "kernel, width {width}"
+                );
+                assert_eq!(
+                    packed.first_match_batch(&clean),
+                    want,
+                    "kernel, width {width}"
+                );
+            }
+        }
     }
 }

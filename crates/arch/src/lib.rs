@@ -8,10 +8,13 @@
 //! * [`energy_model`] — per-operation costs (paper values or `tcam-core`
 //!   measurements) and workload accounting.
 //! * [`packed`] — bit-packed ternary words and arrays for the serving path
-//!   (`tcam-serve`), matching millions of keys per second.
-//! * [`kernel`] — the cache-blocked, key-batched SoA match kernel behind
-//!   [`packed::PackedTcamArray::first_match_batch`]: streams 64-row
-//!   blocks against tiles of keys with unrolled `u64`-lane hit masks.
+//!   (`tcam-serve`), matching millions of keys per second; rows are
+//!   always stored in ascending id (= priority) order.
+//! * [`kernel`] — the bit-sliced match-line kernel behind
+//!   [`packed::PackedTcamArray::first_match_batch`]: two row bitmaps per
+//!   64-row block and bit column, so one AND resolves a column for 64
+//!   rows, a dead block is left early, and `trailing_zeros` is the
+//!   priority encoder.
 //! * [`bank`] — a timed TCAM bank replaying operation traces with refresh
 //!   interleaved per policy; exposes its [`bank::RefreshSchedule`] so
 //!   external schedulers reuse the same deadline logic.
@@ -22,8 +25,7 @@
 //!   interval-per-cell words (`[lo, hi]` acceptance ranges, analog
 //!   don't-care = full range), exact / distance-threshold / best-match
 //!   queries with priority tiebreak, and a cell-major SoA
-//!   representation with a block-batched distance kernel mirroring
-//!   [`kernel`].
+//!   representation with a block-batched distance kernel.
 //! * [`apps`] — longest-prefix-match routing, ACL packet classification
 //!   with range-to-prefix expansion, a mixed-page-size TLB, and a
 //!   nearest-neighbor classifier over the acam layer.

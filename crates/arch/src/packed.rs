@@ -14,22 +14,23 @@
 //!
 //! This implements exactly [`tcam_core::bit::TernaryBit::matches`]: `X` on
 //! *either* side matches everything. [`PackedTcamArray`] keeps rows in
-//! full structure-of-arrays layout — four `u64` *planes* (`mask` limb 0,
-//! mask limb 1, value limb 0, value limb 1), one entry per row — so the
-//! block-batched kernel in [`crate::kernel`] can stream a cache-resident
-//! block of one plane with unit stride, and words ≤ 64 bits touch only
-//! the limb-0 planes. Each row carries a caller-supplied id that **is its
-//! match priority** (lower id wins) — the serving layer stores *global*
-//! rule indices there so sharded lookups report the same winner as a
-//! monolithic array. Because priority lives in the id rather than in
-//! storage order, rows can be removed by O(1) swap-remove (via an id→row
-//! index) without disturbing match results; arrays whose ids happen to be
-//! in ascending storage order (every static build path) keep the
-//! early-exit scan, and [`PackedTcamArray::normalize`] restores that
-//! order (it is how the update layer re-orders snapshots after churn).
+//! structure-of-arrays layout — four `u64` *planes* (`mask` limb 0, mask
+//! limb 1, value limb 0, value limb 1), one entry per row — which the
+//! scalar [`PackedTcamArray::first_match`] scans row by row, and beside
+//! them the bit-sliced `MatchLines` index (`2·width` bits per row) that
+//! the batch kernel in [`crate::kernel`] searches 64 rows per AND.
+//!
+//! Each row carries a caller-supplied id that **is its match priority**
+//! (lower id wins) — the serving layer stores *global* rule indices there
+//! so sharded lookups report the same winner as a monolithic array. Rows
+//! are **always stored in ascending id order**: a push of the largest id
+//! so far (every static build and table load) appends, any other push
+//! inserts at its sorted position, and a remove closes the hole. Both
+//! search paths therefore stop at the first matching row, and a snapshot
+//! of a churned table is a plain clone.
 
 use crate::array::TcamArray;
-use std::collections::HashMap;
+use crate::kernel::MatchLines;
 use tcam_core::bit::TernaryBit;
 
 /// Maximum word width a [`PackedWord`] can hold (two 64-bit limbs).
@@ -95,30 +96,25 @@ impl PackedWord {
 /// matching id wins** — ids are priorities (a shard stores global rule
 /// indices; [`PackedTcamArray::from_array`] stores the source array's row
 /// numbers, so "smallest id" is exactly the functional array's priority
-/// encoder). Storage order is an implementation detail: while ids happen
-/// to be appended in ascending order (every static build path) the scan
-/// early-exits at the first match; once a [`PackedTcamArray::remove`]
-/// breaks that order the scan inspects every row and keeps the minimum
-/// matching id, which is what makes O(1) swap-remove safe for the online
-/// update path.
+/// encoder). Rows are kept in ascending id order through every
+/// [`push`](Self::push), [`remove`](Self::remove) and
+/// [`replace`](Self::replace), so the first matching row is the winner.
 #[derive(Debug, Clone)]
 pub struct PackedTcamArray {
     width: usize,
     /// Care-mask limb-0 plane: `m0[i]` is row `i`'s `mask[0]`.
-    pub(crate) m0: Vec<u64>,
+    m0: Vec<u64>,
     /// Care-mask limb-1 plane (all zero when `width <= 64`).
-    pub(crate) m1: Vec<u64>,
+    m1: Vec<u64>,
     /// Value limb-0 plane.
-    pub(crate) v0: Vec<u64>,
+    v0: Vec<u64>,
     /// Value limb-1 plane (all zero when `width <= 64`).
-    pub(crate) v1: Vec<u64>,
-    /// Row ids (= priorities, lower wins).
+    v1: Vec<u64>,
+    /// Row ids (= priorities, lower wins), strictly ascending.
     pub(crate) ids: Vec<u32>,
-    /// id → storage row, maintained across push/remove/replace.
-    index: HashMap<u32, usize>,
-    /// Whether `ids` is in strictly ascending storage order (enables the
-    /// early-exit scan; cleared by an order-breaking remove).
-    pub(crate) ordered: bool,
+    /// The bit-sliced search index over the same rows, kept in step by
+    /// every mutation.
+    pub(crate) lines: MatchLines,
 }
 
 impl Default for PackedTcamArray {
@@ -146,8 +142,7 @@ impl PackedTcamArray {
             v0: Vec::new(),
             v1: Vec::new(),
             ids: Vec::new(),
-            index: HashMap::new(),
-            ordered: true,
+            lines: MatchLines::new(width),
         }
     }
 
@@ -170,45 +165,40 @@ impl PackedTcamArray {
     }
 
     /// Inserts a stored word with the given id (lowest id = highest
-    /// priority). Storage position is irrelevant to match results.
+    /// priority) at its place in id order: an id above every stored one
+    /// appends, any other moves the rows after it up by one.
     ///
     /// # Panics
     ///
-    /// Panics on a width mismatch or a duplicate id.
+    /// Panics on a width mismatch or a duplicate id, before anything is
+    /// stored.
     pub fn push(&mut self, word: &[TernaryBit], id: u32) {
         assert_eq!(word.len(), self.width, "word width mismatch");
+        let row = match self.ids.binary_search(&id) {
+            Ok(_) => panic!("duplicate row id {id}"),
+            Err(row) => row,
+        };
         let p = PackedWord::pack(word);
-        if let Some(&last) = self.ids.last() {
-            self.ordered &= id > last;
-        }
-        let prev = self.index.insert(id, self.ids.len());
-        assert!(prev.is_none(), "duplicate row id {id}");
-        self.m0.push(p.mask[0]);
-        self.m1.push(p.mask[1]);
-        self.v0.push(p.value[0]);
-        self.v1.push(p.value[1]);
-        self.ids.push(id);
+        self.m0.insert(row, p.mask[0]);
+        self.m1.insert(row, p.mask[1]);
+        self.v0.insert(row, p.value[0]);
+        self.v1.insert(row, p.value[1]);
+        self.ids.insert(row, id);
+        self.lines.insert(row, &p);
     }
 
-    /// Removes the row with `id` by O(1) swap-remove, returning whether it
-    /// was present. Match results are unaffected for all other ids
-    /// (priority lives in the id, not in storage order).
+    /// Removes the row with `id`, moving the rows after it down by one;
+    /// returns whether it was present.
     pub fn remove(&mut self, id: u32) -> bool {
-        let Some(row) = self.index.remove(&id) else {
+        let Ok(row) = self.ids.binary_search(&id) else {
             return false;
         };
-        let last = self.ids.len() - 1;
-        self.m0.swap_remove(row);
-        self.m1.swap_remove(row);
-        self.v0.swap_remove(row);
-        self.v1.swap_remove(row);
-        self.ids.swap_remove(row);
-        if row < last {
-            // A row moved into the hole: repoint its index entry, and the
-            // ascending-order invariant is broken in general.
-            self.index.insert(self.ids[row], row);
-            self.ordered = false;
-        }
+        self.m0.remove(row);
+        self.m1.remove(row);
+        self.v0.remove(row);
+        self.v1.remove(row);
+        self.ids.remove(row);
+        self.lines.remove(row);
         true
     }
 
@@ -220,7 +210,7 @@ impl PackedTcamArray {
     /// Panics on a width mismatch.
     pub fn replace(&mut self, id: u32, word: &[TernaryBit]) -> bool {
         assert_eq!(word.len(), self.width, "word width mismatch");
-        let Some(&row) = self.index.get(&id) else {
+        let Ok(row) = self.ids.binary_search(&id) else {
             return false;
         };
         let p = PackedWord::pack(word);
@@ -228,13 +218,14 @@ impl PackedTcamArray {
         self.m1[row] = p.mask[1];
         self.v0[row] = p.value[0];
         self.v1[row] = p.value[1];
+        self.lines.write(row, &p);
         true
     }
 
     /// Whether a row with `id` is stored.
     #[must_use]
     pub fn contains_id(&self, id: u32) -> bool {
-        self.index.contains_key(&id)
+        self.ids.binary_search(&id).is_ok()
     }
 
     /// Word width.
@@ -255,85 +246,42 @@ impl PackedTcamArray {
         self.ids.is_empty()
     }
 
-    /// Whether storage order is still ascending in id (the early-exit
-    /// fast path; see [`Self::normalize`] to restore it after removals).
-    #[must_use]
-    pub fn is_ordered(&self) -> bool {
-        self.ordered
-    }
-
     /// Whether stored row `i` matches `key` — THE row comparison, shared
-    /// by [`Self::first_match`], [`Self::matches`], and (as its scalar
-    /// reference semantics) the block kernel in [`crate::kernel`], so the
-    /// paths cannot drift.
+    /// by [`Self::first_match`] and [`Self::matches`], and the reference
+    /// semantics of the bit-sliced kernel in [`crate::kernel`].
     #[inline(always)]
-    pub(crate) fn row_hit(&self, i: usize, key: &PackedWord) -> bool {
+    fn row_hit(&self, i: usize, key: &PackedWord) -> bool {
         ((self.v0[i] ^ key.value[0]) & self.m0[i] & key.mask[0]) == 0
             && ((self.v1[i] ^ key.value[1]) & self.m1[i] & key.mask[1]) == 0
     }
 
-    /// The highest-priority (numerically smallest) matching id, or `None`.
+    /// The highest-priority (numerically smallest) matching id, or `None`:
+    /// the first matching row, since rows are in ascending id order.
     ///
-    /// When storage order is still ascending in id the scan early-exits at
-    /// the first match; after an order-breaking [`Self::remove`] it
-    /// inspects every row and keeps the minimum matching id.
-    ///
-    /// This is the scalar reference path; the serving layer batches keys
-    /// through [`Self::first_match_batch_into`](crate::kernel), which is
+    /// This is the scalar reference path, a row-at-a-time scan over the
+    /// row planes that never reads the bit-sliced index; the serving
+    /// layer batches keys through
+    /// [`Self::first_match_batch_into`](crate::kernel), which is
     /// property-tested bit-identical to this.
     #[inline]
     #[must_use]
     pub fn first_match(&self, key: &PackedWord) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        for i in 0..self.ids.len() {
-            if self.row_hit(i, key) {
-                if self.ordered {
-                    return Some(self.ids[i]);
-                }
-                let id = self.ids[i];
-                best = Some(best.map_or(id, |b| b.min(id)));
-            }
-        }
-        best
+        (0..self.ids.len())
+            .find(|&i| self.row_hit(i, key))
+            .map(|i| self.ids[i])
     }
 
     /// Ids of all matching rows in priority (ascending id) order. Uses the
     /// same per-row comparison as [`Self::first_match`].
     #[must_use]
     pub fn matches(&self, key: &PackedWord) -> Vec<u32> {
-        let mut hits: Vec<u32> = (0..self.ids.len())
+        (0..self.ids.len())
             .filter(|&i| self.row_hit(i, key))
             .map(|i| self.ids[i])
-            .collect();
-        if !self.ordered {
-            hits.sort_unstable();
-        }
-        hits
+            .collect()
     }
 
-    /// Restores ascending-id storage order (and with it the early-exit
-    /// scan and the kernel's per-block early exit) after order-breaking
-    /// removals. O(n log n); a no-op when already ordered. The update
-    /// layer calls this when it freezes a shard snapshot for publication,
-    /// so long-lived serving tables always scan in priority order.
-    pub fn normalize(&mut self) {
-        if self.ordered {
-            return;
-        }
-        let mut perm: Vec<usize> = (0..self.ids.len()).collect();
-        perm.sort_unstable_by_key(|&i| self.ids[i]);
-        self.m0 = perm.iter().map(|&i| self.m0[i]).collect();
-        self.m1 = perm.iter().map(|&i| self.m1[i]).collect();
-        self.v0 = perm.iter().map(|&i| self.v0[i]).collect();
-        self.v1 = perm.iter().map(|&i| self.v1[i]).collect();
-        self.ids = perm.iter().map(|&i| self.ids[i]).collect();
-        for (row, &id) in self.ids.iter().enumerate() {
-            self.index.insert(id, row);
-        }
-        self.ordered = true;
-    }
-
-    /// The stored row at insertion index `i` as `(id, packed word)`.
+    /// The `i`-th stored row in id order as `(id, packed word)`.
     #[must_use]
     pub fn row(&self, i: usize) -> Option<(u32, PackedWord)> {
         Some((
@@ -347,8 +295,27 @@ impl PackedTcamArray {
 }
 
 #[cfg(test)]
+impl PackedTcamArray {
+    /// Test-only: ids are strictly ascending, every plane has one entry
+    /// per row, and the bit-sliced index equals one rebuilt from the row
+    /// planes (absent rows of the last block zero).
+    pub(crate) fn assert_planes_consistent(&self) {
+        assert!(
+            self.ids.windows(2).all(|w| w[0] < w[1]),
+            "ids not strictly ascending"
+        );
+        for plane in [&self.m0, &self.m1, &self.v0, &self.v1] {
+            assert_eq!(plane.len(), self.ids.len());
+        }
+        let rows: Vec<PackedWord> = (0..self.len()).map(|i| self.row(i).unwrap().1).collect();
+        self.lines.assert_stores(&rows);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use tcam_core::bit::{parse_ternary, word_matches};
     use tcam_numeric::rng::SplitMix64;
 
@@ -424,18 +391,27 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_priorities_regardless_of_storage_order() {
+    fn out_of_order_pushes_land_in_id_order() {
         let mut packed = PackedTcamArray::new(4);
-        // Pushed out of id order: the smaller id must still win.
+        // Pushed out of id order: the smaller id is stored first and wins.
         packed.push(&parse_ternary("1XXX").unwrap(), 42);
         packed.push(&parse_ternary("XXXX").unwrap(), 7);
+        packed.push(&parse_ternary("10XX").unwrap(), 20);
+        packed.assert_planes_consistent();
+        let ids: Vec<u32> = (0..3).map(|i| packed.row(i).unwrap().0).collect();
+        assert_eq!(ids, [7, 20, 42]);
+        assert_eq!(
+            packed.row(1).unwrap().1,
+            PackedWord::pack(&parse_ternary("10XX").unwrap())
+        );
+        assert!(packed.row(5).is_none());
         let key = PackedWord::pack(&parse_ternary("1000").unwrap());
         assert_eq!(packed.first_match(&key), Some(7));
-        assert_eq!(packed.matches(&key), vec![7, 42]);
-        let miss_all_care = PackedWord::pack(&parse_ternary("0000").unwrap());
-        assert_eq!(packed.first_match(&miss_all_care), Some(7));
-        assert_eq!(packed.row(0).unwrap().0, 42);
-        assert!(packed.row(5).is_none());
+        assert_eq!(packed.first_match_batch(&[key]), vec![Some(7)]);
+        assert_eq!(packed.matches(&key), vec![7, 20, 42]);
+        assert!(packed.remove(7));
+        assert_eq!(packed.first_match(&key), Some(20));
+        assert_eq!(packed.first_match_batch(&[key]), vec![Some(20)]);
     }
 
     #[test]
@@ -457,50 +433,133 @@ mod tests {
     }
 
     #[test]
-    fn normalize_restores_order_and_results() {
+    fn rows_stay_in_id_order_through_mutation() {
         let mut rng = SplitMix64::new(0x0B0B);
         for width in [24usize, 80] {
             let mut packed = PackedTcamArray::new(width);
+            let ascending = |packed: &PackedTcamArray| {
+                (1..packed.len()).all(|i| packed.row(i).unwrap().0 > packed.row(i - 1).unwrap().0)
+            };
             for id in 0..40u32 {
-                packed.push(&random_word(&mut rng, width, 0.3), id);
+                packed.push(&random_word(&mut rng, width, 0.3), id * 2);
             }
-            // Break storage order with swap-removes.
-            for id in [3u32, 17, 5, 30] {
+            for id in [6u32, 34, 10, 60, 0, 78] {
                 assert!(packed.remove(id));
+                assert!(ascending(&packed));
             }
-            assert!(!packed.is_ordered());
-            let unordered = packed.clone();
-            packed.normalize();
-            assert!(packed.is_ordered());
-            assert_eq!(packed.len(), unordered.len());
-            // Bit-identical results, ascending storage, live index.
+            // Re-announce below, between and above the stored ids.
+            for id in [10u32, 0, 33, 79, 100, 6] {
+                packed.push(&random_word(&mut rng, width, 0.3), id);
+                assert!(ascending(&packed));
+            }
+            assert!(packed.replace(33, &random_word(&mut rng, width, 0.2)));
+            assert!(ascending(&packed));
+            packed.assert_planes_consistent();
+            assert_eq!(packed.len(), 40);
+            // Stored order is priority order: the first hit of a full
+            // listing is the first match, on both search paths.
             for _ in 0..100 {
-                let key = random_word(&mut rng, width, 0.1);
-                let pk = PackedWord::pack(&key);
-                assert_eq!(packed.first_match(&pk), unordered.first_match(&pk));
-                assert_eq!(packed.matches(&pk), unordered.matches(&pk));
+                let pk = PackedWord::pack(&random_word(&mut rng, width, 0.1));
+                let first = packed.matches(&pk).first().copied();
+                assert_eq!(packed.first_match(&pk), first);
+                assert_eq!(packed.first_match_batch(&[pk]), vec![first]);
             }
-            for i in 1..packed.len() {
-                assert!(packed.row(i).unwrap().0 > packed.row(i - 1).unwrap().0);
-            }
-            assert!(packed.replace(7, &random_word(&mut rng, width, 0.2)));
-            assert!(packed.remove(7), "index must track normalized rows");
-            packed.normalize(); // idempotent after another remove
-            assert!(packed.is_ordered());
         }
     }
 
     #[test]
-    #[should_panic(expected = "duplicate row id")]
     fn duplicate_ids_are_rejected() {
         let mut packed = PackedTcamArray::new(2);
         packed.push(&parse_ternary("1X").unwrap(), 3);
-        packed.push(&parse_ternary("0X").unwrap(), 3);
+        packed.push(&parse_ternary("XX").unwrap(), 9);
+        // A duplicate panics before any plane, id or bitmap is touched —
+        // whether it would have landed mid-table or at the back.
+        for id in [3u32, 9] {
+            let mut victim = packed.clone();
+            let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                victim.push(&parse_ternary("0X").unwrap(), id);
+            }));
+            let message = *unwind
+                .expect_err("duplicate push must panic")
+                .downcast::<String>()
+                .unwrap();
+            assert_eq!(message, format!("duplicate row id {id}"));
+            victim.assert_planes_consistent();
+            assert_eq!(victim.len(), 2);
+            assert_eq!(victim.row(0), packed.row(0));
+            assert_eq!(victim.row(1), packed.row(1));
+            for (key, want) in [("10", Some(3)), ("01", Some(9)), ("11", Some(3))] {
+                let key = PackedWord::pack(&parse_ternary(key).unwrap());
+                assert_eq!(victim.first_match(&key), want);
+                assert_eq!(victim.first_match_batch(&[key]), vec![want]);
+            }
+        }
     }
 
-    /// Satellite property: interleaved push/remove/replace/search stays
-    /// bit-identical to the functional `TcamArray` oracle, with packed id
-    /// = oracle row (so min-id = the oracle's priority encoder).
+    /// The bitmaps follow the row planes through every kind of write:
+    /// pushes below, between and above the stored ids, removes and
+    /// replaces, with the row count swept across the 64- and 128-row
+    /// block boundaries in both directions so carries cross blocks and
+    /// the last block is created and dropped.
+    #[test]
+    fn bitmaps_track_row_planes_through_mutation() {
+        let mut rng = SplitMix64::new(0xB175);
+        for width in [1usize, 13, 32, 63, 64, 65, 88, 128] {
+            let mut packed = PackedTcamArray::new(width);
+            let mut model: BTreeMap<u32, Vec<TernaryBit>> = BTreeMap::new();
+            packed.assert_planes_consistent();
+            for target in [131usize, 62, 130, 0] {
+                while model.len() != target {
+                    let ids: Vec<u32> = model.keys().copied().collect();
+                    let grow = model.len() < target;
+                    // One step in four runs against the sweep, so each
+                    // boundary is crossed back and forth, not just once.
+                    let push = ids.is_empty() || (grow != (rng.below(4) == 0));
+                    if push {
+                        let (lo, hi) = (
+                            ids.first().map_or(1 << 30, |&i| i),
+                            *ids.last().unwrap_or(&(1 << 30)),
+                        );
+                        let id = match rng.below(3) {
+                            0 => lo - 1 - rng.below(8) as u32,
+                            1 => hi + 1 + rng.below(8) as u32,
+                            _ => lo + rng.below(u64::from(hi - lo) + 1) as u32,
+                        };
+                        let word = random_word(&mut rng, width, 0.3);
+                        if model.contains_key(&id) {
+                            assert!(packed.replace(id, &word));
+                        } else {
+                            packed.push(&word, id);
+                        }
+                        model.insert(id, word);
+                    } else {
+                        let id = match rng.below(3) {
+                            0 => ids[0],
+                            1 => ids[ids.len() - 1],
+                            _ => ids[rng.below(ids.len() as u64) as usize],
+                        };
+                        assert!(packed.remove(id));
+                        model.remove(&id);
+                    }
+                    packed.assert_planes_consistent();
+                    assert_eq!(packed.len(), model.len());
+                    let key = random_word(&mut rng, width, 0.05);
+                    let want = model
+                        .iter()
+                        .find(|(_, w)| word_matches(w, &key))
+                        .map(|(&id, _)| id);
+                    let pk = PackedWord::pack(&key);
+                    assert_eq!(packed.first_match(&pk), want, "width {width}");
+                    assert_eq!(packed.first_match_batch(&[pk]), vec![want], "width {width}");
+                }
+            }
+            assert!(packed.is_empty());
+        }
+    }
+
+    /// Interleaved push/remove/replace/search stays bit-identical to the
+    /// functional `TcamArray` oracle, with packed id = oracle row (so
+    /// min-id = the oracle's priority encoder).
     #[test]
     fn interleaved_mutation_agrees_with_functional_oracle() {
         let mut rng = SplitMix64::new(0x0D17);
@@ -540,6 +599,7 @@ mod tests {
                 }
                 assert_eq!(packed.len(), oracle.occupancy());
             }
+            packed.assert_planes_consistent();
         }
     }
 }

@@ -9,15 +9,13 @@
 //! [`ServiceConfig::workers_per_shard`] worker threads (the multi-core
 //! scaling knob; `0` = spread the machine's available parallelism across
 //! shards) that drain batches from the shared shard queue and push every
-//! drained batch through the block-batched SoA kernel
+//! drained batch through the bit-sliced match-line kernel
 //! ([`PackedTcamArray::first_match_batch_into`]) — the whole batch is
 //! matched in one call, telemetry is recorded per batch
 //! ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)),
 //! and no per-key clock reads or per-key metric updates survive on the
-//! hot path. Batching amortizes queue synchronization *and* the row-plane
-//! memory stream over hundreds of lookups, which is what lets the
-//! service clear tens of millions of lookups per second on modest
-//! hardware.
+//! hot path. Batching amortizes queue synchronization over hundreds of
+//! lookups, and the kernel resolves 64 rows per AND.
 //!
 //! # Refresh under load
 //!
@@ -75,7 +73,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tcam_arch::bank::BankRefresh;
 use tcam_arch::energy_model::OperationCosts;
-use tcam_arch::kernel::TILE_KEYS;
 use tcam_arch::packed::{PackedTcamArray, PackedWord};
 
 /// Service configuration.
@@ -685,12 +682,9 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
         let t0 = Instant::now();
         let obs_match = tcam_obs::span!("serve_match");
         let mut group_keys = 0u64;
-        let mut group_tile_slots = 0u64;
         for batch in batches {
-            let keys = batch.keys.len();
-            let n = keys as u64;
+            let n = batch.keys.len() as u64;
             group_keys += n;
-            group_tile_slots += (keys.div_ceil(TILE_KEYS) * TILE_KEYS) as u64;
             ctx.gauge.queued_keys.fetch_sub(n, Ordering::Relaxed);
             let dequeued = Instant::now();
             let wait_ns = u64::try_from(
@@ -705,7 +699,7 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
             }
             stats.batches += 1;
 
-            // The whole batch goes through the block-batched kernel in one
+            // The whole batch goes through the bit-sliced kernel in one
             // call; telemetry is settled per batch (one clock read, O(1)
             // histogram/meter updates), never per key.
             table.first_match_batch_into(&batch.keys, &mut kernel_out);
@@ -743,23 +737,12 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
         if let Some(ps) = group_ps.checked_div(group_keys) {
             stats.batch_cost.record(ps);
         }
-        if tcam_obs::enabled() {
-            // Tile occupancy of this batch group: offered keys over the
-            // kernel tile slots they consumed — 100% means every tile ran
-            // full; low values flag fragmented (tiny-batch) traffic.
-            // Recorded once per drained group, never per key.
-            if group_tile_slots > 0 {
-                let pct = (100 * group_keys).div_euclid(group_tile_slots);
-                tcam_obs::hist_record("serve_tile_occupancy_pct", pct);
-            }
-            if stats.batches - batches_at_last_flush >= FLUSH_EVERY_BATCHES {
-                // Periodic visibility for long-running services: gauges
-                // plus accumulated span phases, amortized far past the
-                // batch path.
-                batches_at_last_flush = stats.batches;
-                publish_gauges(ctx, &stats, shard_label, worker_start);
-                tcam_obs::flush();
-            }
+        if tcam_obs::enabled() && stats.batches - batches_at_last_flush >= FLUSH_EVERY_BATCHES {
+            // Periodic visibility for long-running services: gauges plus
+            // accumulated span phases, amortized far past the batch path.
+            batches_at_last_flush = stats.batches;
+            publish_gauges(ctx, &stats, shard_label, worker_start);
+            tcam_obs::flush();
         }
     }
 }

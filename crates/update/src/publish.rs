@@ -95,11 +95,7 @@ impl Updater {
             shadow.insert(priority, word.to_vec())?;
         }
         let tables = (0..shadow.shards())
-            .map(|s| {
-                let mut table = shadow.shard(s).clone();
-                table.normalize();
-                Arc::new(table)
-            })
+            .map(|s| Arc::new(shadow.shard(s).clone()))
             .collect();
         Ok(Self {
             store,
@@ -187,13 +183,9 @@ impl Updater {
             "delta compiler and sharding layer disagree on row work"
         );
         for &s in &planned.touched() {
-            // The shadow mutates in place (removals swap rows out of id
-            // order), but the snapshot handed to workers is a fresh clone
-            // — normalize it so the serving kernels keep their early-exit
-            // scan instead of falling back to the min-reduction epilogue.
-            let mut table = self.shadow.shard(s).clone();
-            table.normalize();
-            self.tables[s] = Arc::new(table);
+            // The shadow mutates in place; the snapshot handed to workers
+            // is a fresh clone.
+            self.tables[s] = Arc::new(self.shadow.shard(s).clone());
         }
         self.epoch += 1;
         tcam_obs::flight_record("update_apply", self.epoch, batch.len() as u64);
@@ -345,11 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn published_snapshots_are_normalized_after_churn() {
+    fn published_snapshots_are_id_ordered_after_churn() {
         let mut updater = seeded_updater();
-        // Removing priority 10 swap-removes inside the touched shadow
-        // shards, but every published snapshot must come out id-ordered so
-        // serving kernels keep the early-exit scan.
+        // Removing priority 10 closes a hole ahead of later rows, 40 is
+        // announced behind them and 15 between them: every published
+        // snapshot must still come out id-ordered, which is what lets the
+        // serving kernel stop at the first matching row.
         updater
             .apply(&[
                 RuleChange::Remove { priority: 10 },
@@ -357,13 +350,20 @@ mod tests {
                     priority: 40,
                     word: w("11XX"),
                 },
+                RuleChange::Insert {
+                    priority: 15,
+                    word: w("X1XX"),
+                },
             ])
             .unwrap();
         for (s, table) in updater.tables.iter().enumerate() {
-            assert!(table.is_ordered(), "published shard {s} not id-ordered");
+            let ids: Vec<u32> = (0..table.len()).map(|i| table.row(i).unwrap().0).collect();
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "published shard {s} not id-ordered: {ids:?}"
+            );
         }
-        // Normalization is presentation-only: snapshot results agree with
-        // the (possibly unordered) shadow reference.
+        // Snapshot results agree with the shadow reference.
         for key in ["1100", "1111", "0011", "0000"] {
             let key = w(key);
             let reference = updater.snapshot().search(&key).unwrap();

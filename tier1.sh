@@ -25,6 +25,10 @@ for arg in "$@"; do
 done
 
 cargo build --release --offline --workspace
+# The match kernel's shift/carry and AND loops are property-tested a
+# second time as optimised code: that is the code stack_bench times and
+# the service runs, and overflow checks differ between the profiles.
+cargo test -q --offline --release -p tcam-arch
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
