@@ -193,7 +193,7 @@ impl PackedAcamArray {
     }
 
     /// Batched best-match with an explicit tile width and caller-owned
-    /// output buffer — the entry point `acam_bench` sweeps.
+    /// output buffer — the entry point the shard workers call.
     ///
     /// # Panics
     ///

@@ -14,11 +14,13 @@
 //! rows at the centers, and queries drawn as center + Gaussian noise with
 //! the generating class as ground-truth label. Every run with one seed
 //! sees the identical workload, so classifier accuracy is a reproducible
-//! gate (`acam_bench --check`), and the noise scale maps directly onto
-//! the accuracy-vs-σ story of the circuit calibration in `tcam-core`.
+//! test, and [`ClusteredWorkload::accuracy_under_conductance_noise`]
+//! carries it through the calibrated cell's noise transfer function — the
+//! accuracy-vs-σ experiment of the aCAM literature, without a transient.
 
 use crate::acam::kernel::PackedAcamArray;
 use crate::acam::{quantize, AcamArray, AcamCell, AcamMatch, AcamMetric, Result};
+use tcam_core::acam::{AcamCellDesign, AcamSpec};
 use tcam_numeric::rng::SplitMix64;
 
 /// A nearest-neighbor classifier: quantized feature vectors stored as
@@ -96,12 +98,6 @@ impl NnClassifier {
             .array
             .best_match(&key, AcamMetric::Interval)?
             .map(|m| (self.classes[m.id as usize], m)))
-    }
-
-    /// The class stored for prototype row `id`.
-    #[must_use]
-    pub fn class_of(&self, id: u32) -> Option<u32> {
-        self.classes.get(id as usize).copied()
     }
 
     /// Stored prototype count.
@@ -216,6 +212,94 @@ impl ClusteredWorkload {
         }
         Ok(correct as f64 / self.queries.len() as f64)
     }
+
+    /// Mean classification accuracy at each conductance-noise level in
+    /// `sigmas`, over `trials` noise draws: every stored bound of `clf`
+    /// goes through the cell's noise→bound transfer
+    /// ([`AcamCellDesign::perturbed_bound`], lognormal factor
+    /// `exp(σ·z)`), and each query is classified by interval distance
+    /// against the shifted, now continuous, bounds with the kernel's rule
+    /// (smallest distance, then earliest prototype).
+    ///
+    /// Common random numbers: a trial's `z` per bound is drawn once from
+    /// `seed` and scaled by every σ, so the curve's shape is the transfer
+    /// function's and not sampling noise — at σ = 0 it equals
+    /// [`Self::accuracy`] exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `clf` is empty or not `dims` wide, or `trials` is 0.
+    #[must_use]
+    pub fn accuracy_under_conductance_noise(
+        &self,
+        clf: &NnClassifier,
+        design: &AcamCellDesign,
+        spec: &AcamSpec,
+        sigmas: &[f64],
+        trials: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        assert!(
+            !clf.is_empty() && clf.array().width() == self.dims && trials > 0,
+            "degenerate noise study"
+        );
+        let bounds: Vec<(f64, f64)> = (0..clf.len())
+            .flat_map(|row| clf.array().row(row).expect("row below len").1)
+            .map(|cell| (f64::from(cell.lo()), f64::from(cell.hi())))
+            .collect();
+        let mut rng = SplitMix64::new(seed);
+        let draws: Vec<Vec<(f64, f64)>> = (0..trials)
+            .map(|_| {
+                bounds
+                    .iter()
+                    .map(|_| (rng.normal(), rng.normal()))
+                    .collect()
+            })
+            .collect();
+        let keys: Vec<(Vec<u16>, u32)> = self
+            .queries
+            .iter()
+            .map(|(features, truth)| (clf.quantize_features(features), *truth))
+            .collect();
+        sigmas
+            .iter()
+            .map(|&sigma| {
+                let mut correct = 0usize;
+                for z in &draws {
+                    let noisy: Vec<(f64, f64)> = bounds
+                        .iter()
+                        .zip(z)
+                        .map(|(&(lo, hi), &(z_lo, z_hi))| {
+                            (
+                                design.perturbed_bound(lo, sigma, z_lo, spec),
+                                design.perturbed_bound(hi, sigma, z_hi, spec),
+                            )
+                        })
+                        .collect();
+                    for (key, truth) in &keys {
+                        let mut best = (f64::INFINITY, 0usize);
+                        for (row, cells) in noisy.chunks(self.dims).enumerate() {
+                            let distance: f64 = cells
+                                .iter()
+                                .zip(key)
+                                .map(|(&(lo, hi), &k)| {
+                                    (lo - f64::from(k)).max(0.0) + (f64::from(k) - hi).max(0.0)
+                                })
+                                .sum();
+                            if distance < best.0 {
+                                best = (distance, row);
+                            }
+                        }
+                        // Prototypes are only ever appended: row = id.
+                        if clf.classes[best.1] == *truth {
+                            correct += 1;
+                        }
+                    }
+                }
+                correct as f64 / (trials * keys.len()) as f64
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +371,35 @@ mod tests {
         let noisy = ClusteredWorkload::generate(6, 8, 24, 0.35, 42);
         let noisy_acc = noisy.accuracy(&clf).unwrap();
         assert!(noisy_acc <= acc, "noisy {noisy_acc} vs clean {acc}");
+    }
+
+    /// The S1 experiment at the circuit's quantization (8 cells × 16
+    /// levels, ±1 margin): the clean classifier clears its floor, σ = 0
+    /// reproduces it, and accuracy only falls as conductance noise grows.
+    #[test]
+    fn accuracy_falls_with_conductance_noise_from_the_clean_classifier() {
+        let spec = AcamSpec::reference();
+        let w = ClusteredWorkload::generate(6, spec.cols, 24, 0.05, 41);
+        let clf = w.classifier(spec.levels, 1).unwrap();
+        let clean = w.accuracy(&clf).unwrap();
+        assert!(clean >= 0.90, "classifier accuracy {clean} at 16 levels");
+
+        let sigmas = [0.0, 0.15, 0.4, 0.9];
+        let design = AcamCellDesign::default();
+        let curve = w.accuracy_under_conductance_noise(&clf, &design, &spec, &sigmas, 8, 110);
+        assert_eq!(curve[0], clean, "σ = 0 is the clean classifier");
+        for pair in curve.windows(2) {
+            assert!(
+                pair[1] <= pair[0] + 0.02,
+                "accuracy not monotone in σ: {curve:?}"
+            );
+        }
+        assert!(curve[3] < clean, "σ = 0.9 must cost accuracy: {curve:?}");
+        // Every grid point scales the same draws, so a point's accuracy
+        // does not depend on where in the grid it sits — that, not the
+        // trial count, is what makes the curve monotone.
+        let alone = w.accuracy_under_conductance_noise(&clf, &design, &spec, &[0.9], 8, 110);
+        assert_eq!(alone[0], curve[3]);
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! Minimal validator for the single-line flat JSON records the bench
-//! binaries emit.
+//! The single-line flat JSON records `stack_bench` emits and reads back:
+//! one object per line, values limited to strings, numbers, booleans and
+//! null, keys in emission order.
 //!
-//! The tier-1 gate used to pipe bench output into `python3 -c "json.loads..."`
-//! to prove the records parse; that made the test harness depend on a
-//! Python toolchain the Rust workspace never needed. This module is a
-//! hand-rolled parser for exactly the dialect the binaries produce — one
-//! flat object per line, values limited to strings, numbers, booleans and
-//! null — so the binaries can validate their own output (`--check`) with
-//! zero non-cargo dependencies.
-//!
-//! It is deliberately *not* a general JSON parser: nested objects/arrays
-//! are rejected, which doubles as a schema check (a bench record growing a
-//! nested value should be a conscious decision, not an accident).
+//! The grammar is `tcam_net::json`'s; this module adds the schema: the
+//! top level is an object and nothing nests (a record growing a nested
+//! value should be a conscious decision, not an accident).
+
+use tcam_net::json::Json;
 
 /// A parsed flat-JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,166 +56,34 @@ pub fn str_of<'a>(obj: &'a FlatObject, key: &str) -> Option<&'a str> {
     obj.iter().find(|(k, _)| k == key)?.1.as_str()
 }
 
-struct Scanner<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            chars: s.chars().peekable(),
-            pos: 0,
-        }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            got => Err(format!(
-                "expected '{want}' at char {}, got {got:?}",
-                self.pos
-            )),
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at char {}", self.pos)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                        out.push(c);
-                    }
-                    other => return Err(self.err(&format!("bad escape {other:?}"))),
-                },
-                Some(c) if (c as u32) < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let mut raw = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                raw.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        raw.parse::<f64>()
-            .map_err(|e| self.err(&format!("bad number {raw:?}: {e}")))
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        for want in word.chars() {
-            match self.bump() {
-                Some(c) if c == want => {}
-                _ => return Err(self.err(&format!("expected literal `{word}`"))),
-            }
-        }
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some('"') => Ok(JsonValue::Str(self.string()?)),
-            Some('t') => self.literal("true", JsonValue::Bool(true)),
-            Some('f') => self.literal("false", JsonValue::Bool(false)),
-            Some('n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => Ok(JsonValue::Num(self.number()?)),
-            Some('{' | '[') => Err(self.err("nested values are not part of the bench schema")),
-            other => Err(self.err(&format!("expected a value, got {other:?}"))),
-        }
-    }
-}
-
 /// Parses a single-line flat JSON object (`{"k": v, ...}`) into its
 /// key/value pairs. Rejects nested objects/arrays, duplicate keys, and
 /// trailing garbage — each of those indicates a malformed bench record.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax problem,
-/// with a character offset into the line.
+/// Returns a human-readable description of the first problem.
 pub fn parse_flat_object(line: &str) -> Result<FlatObject, String> {
-    let mut sc = Scanner::new(line.trim_end_matches(['\n', '\r']));
-    sc.skip_ws();
-    sc.expect('{')?;
-    let mut obj: FlatObject = Vec::new();
-    sc.skip_ws();
-    if sc.peek() == Some('}') {
-        sc.bump();
-    } else {
-        loop {
-            sc.skip_ws();
-            let key = sc.string()?;
-            if obj.iter().any(|(k, _)| *k == key) {
-                return Err(sc.err(&format!("duplicate key {key:?}")));
-            }
-            sc.skip_ws();
-            sc.expect(':')?;
-            sc.skip_ws();
-            let value = sc.value()?;
-            obj.push((key, value));
-            sc.skip_ws();
-            match sc.bump() {
-                Some(',') => {}
-                Some('}') => break,
-                got => return Err(sc.err(&format!("expected ',' or '}}', got {got:?}"))),
-            }
-        }
-    }
-    sc.skip_ws();
-    if sc.peek().is_some() {
-        return Err(sc.err("trailing garbage after object"));
-    }
-    Ok(obj)
+    let Json::Object(pairs) = Json::parse(line)? else {
+        return Err("top level is not an object".into());
+    };
+    pairs
+        .into_iter()
+        .map(|(key, value)| {
+            let value = match value {
+                Json::Null => JsonValue::Null,
+                Json::Bool(b) => JsonValue::Bool(b),
+                Json::Number(n) => JsonValue::Num(n),
+                Json::String(s) => JsonValue::Str(s),
+                Json::Array(_) | Json::Object(_) => {
+                    return Err(format!(
+                        "nested value under {key:?} is not part of the bench schema"
+                    ))
+                }
+            };
+            Ok((key, value))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -48,8 +48,8 @@
 //! the worker pool, per-trial failures contained with causes retained,
 //! bit-identical to a serial trial loop for any worker count.
 //! [`AcamCellDesign::perturbed_bound`] exposes the calibrated
-//! noise→bound transfer so `acam_bench` can turn the same σ grid into a
-//! classification accuracy-vs-noise curve without transients.
+//! noise→bound transfer so `tcam_arch::apps::knn` can turn the same σ
+//! grid into a classification accuracy-vs-noise curve without transients.
 //!
 //! [`Rram`]: tcam_devices::rram::Rram
 //! [`VSwitch`]: tcam_spice::element::VSwitch
@@ -775,6 +775,23 @@ mod tests {
         assert_eq!(a.failures, 0, "5% conductance spread must not flip verdicts");
         assert_eq!(a.margins.len(), 4);
         assert!(a.min > 0.4, "worst margin {:.3}", a.min);
+
+        // The same draws scaled up only ever flip more verdicts: circuit
+        // reliability is non-increasing in σ, and σ = 0.8 does bite.
+        let flipped: Vec<usize> = [0.3, 0.8]
+            .iter()
+            .map(|&sigma| {
+                let study = acam_noise_study(&d, &spec, &AcamNoiseSpec { sigma, ..cfg }).unwrap();
+                assert_eq!(study.sim_failures, 0);
+                study.failures
+            })
+            .collect();
+        assert!(
+            flipped[0] <= flipped[1] && flipped[1] > 0,
+            "verdict flips at σ = 0.05/0.3/0.8: 0/{}/{}",
+            flipped[0],
+            flipped[1]
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * [`acam`] — the analog/range-CAM circuit spine: a 6T2M-style
 //!   interval cell from the device library, matchline-discharge vs
 //!   interval-distance calibration, and a conductance-noise
-//!   study feeding the accuracy-vs-σ curves in `acam_bench`.
+//!   study feeding the accuracy-vs-σ curves of `acam_study`.
 //!
 //! # Example — search a word on the 3T2N matchline
 //!

@@ -207,7 +207,7 @@ mod tests {
 
     /// The reference 16×16 single-bit-mismatch search converges plainly:
     /// a recovery-ladder rung firing here is a solver regression even if
-    /// the run still succeeds.
+    /// the run still succeeds. Its phase self-times cover the wall clock.
     #[test]
     fn reference_search_needs_no_recovery_rung() {
         use crate::experiments::{mismatch_key, pattern_word};
@@ -219,7 +219,9 @@ mod tests {
         let exp = Nem3t2n::default()
             .build_search(&spec, &pattern_word(16), &mismatch_key(16))
             .unwrap();
+        let t0 = std::time::Instant::now();
         let res = run_search(exp).unwrap();
+        let wall_ns = t0.elapsed().as_secs_f64() * 1e9;
         assert!(res.functional_ok, "ml at sense = {}", res.ml_at_sense);
         let trace = res.waveform.solver_trace().expect("transient records a trace");
         assert!(trace.steps_accepted > 0);
@@ -235,5 +237,19 @@ mod tests {
             (0, 0, 0),
             "a recovery-ladder rung fired on the reference array"
         );
+        // The waveform's own phase breakdown accounts for the run: a hot
+        // region that lost its span shows up as unattributed wall time.
+        let phase_ns: f64 = trace
+            .phases()
+            .iter()
+            .filter(|(key, _)| key.ends_with("_ns"))
+            .map(|(_, ns)| ns)
+            .sum();
+        assert!(
+            phase_ns >= 0.90 * wall_ns,
+            "phases attribute {phase_ns:.0} of {wall_ns:.0} ns: {:?}",
+            trace.phases()
+        );
+        assert!(trace.counter("phase_device_eval_count") > Some(0.0));
     }
 }

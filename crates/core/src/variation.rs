@@ -347,5 +347,33 @@ mod tests {
         assert_eq!(*trial, 1, "0-based feasible index of trial #2");
         assert!(!cause.is_empty(), "cause retained");
         assert!(study.min > 0.7, "clean margins intact");
+
+        // At scale: every 7th feasible trial of 42 at a 10 % spread.
+        // Each failure is contained at its own index, and the failure
+        // arithmetic adds up around the clean trials' margins.
+        let cfg = VariationSpec {
+            sigma: 0.10,
+            trials: 42,
+            seed: 42,
+            sabotage_every: 7,
+            ..cfg
+        };
+        let study = search_margin_study(&spec(), &cfg).unwrap();
+        let feasible = study.margins.len() + study.sim_failures;
+        assert!(study.sim_failures > 0);
+        assert_eq!(study.sim_failures, feasible / 7);
+        let hostile: Vec<usize> = (1..=study.sim_failures).map(|k| 7 * k - 1).collect();
+        let contained: Vec<usize> = study.failure_causes.iter().map(|(t, _)| *t).collect();
+        assert_eq!(contained, hostile);
+        assert!(study
+            .failure_causes
+            .iter()
+            .all(|(_, cause)| !cause.is_empty()));
+        assert_eq!(study.failures, (cfg.trials - feasible) + study.sim_failures);
+        assert!(
+            study.min > 0.5,
+            "clean margins degraded: min {:.3} V",
+            study.min
+        );
     }
 }

@@ -5,9 +5,8 @@
 //! full JSON grammar (objects, arrays, strings with escapes, numbers,
 //! literals). It is used only on the *admin* path — rule batches and
 //! snapshot triggers — never on the lookup hot path, which speaks the
-//! binary protocol.
-
-use std::collections::BTreeMap;
+//! binary protocol. `tcam_bench::jsonline` reads flat bench records
+//! through it too, so the workspace has one JSON grammar.
 
 /// Deepest container nesting [`Json::parse`] accepts. The parser is
 /// recursive-descent and the admin plane accepts multi-megabyte bodies,
@@ -28,8 +27,8 @@ pub enum Json {
     String(String),
     /// An array.
     Array(Vec<Json>),
-    /// An object (key order normalized).
-    Object(BTreeMap<String, Json>),
+    /// An object: pairs in document order, keys unique.
+    Object(Vec<(String, Json)>),
 }
 
 impl Json {
@@ -39,7 +38,9 @@ impl Json {
     /// # Errors
     ///
     /// A human-readable description of the first syntax error, including
-    /// documents nested deeper than `MAX_DEPTH` containers.
+    /// documents nested deeper than `MAX_DEPTH` containers and objects
+    /// that repeat a key (a body saying `"priority"` twice must not have
+    /// one of the two silently win).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut at = 0usize;
@@ -55,7 +56,7 @@ impl Json {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Object(map) => map.get(key),
+            Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -110,7 +111,8 @@ fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
         Some(b't') => parse_literal(bytes, at, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, at, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, at, "null", Json::Null),
-        Some(_) => parse_number(bytes, at),
+        Some(b'-' | b'0'..=b'9') => parse_number(bytes, at),
+        Some(_) => Err(format!("expected a value at byte {at}", at = *at)),
     }
 }
 
@@ -214,11 +216,11 @@ fn parse_array(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
 
 fn parse_object(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, String> {
     *at += 1; // '{'
-    let mut map = BTreeMap::new();
+    let mut pairs = Vec::new();
     skip_ws(bytes, at);
     if bytes.get(*at) == Some(&b'}') {
         *at += 1;
-        return Ok(Json::Object(map));
+        return Ok(Json::Object(pairs));
     }
     loop {
         skip_ws(bytes, at);
@@ -231,17 +233,29 @@ fn parse_object(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Stri
             return Err(format!("expected ':' at byte {at}", at = *at));
         }
         *at += 1;
-        map.insert(key, parse_value(bytes, at, depth + 1)?);
+        pairs.push((key, parse_value(bytes, at, depth + 1)?));
         skip_ws(bytes, at);
         match bytes.get(*at) {
             Some(b',') => *at += 1,
             Some(b'}') => {
                 *at += 1;
-                return Ok(Json::Object(map));
+                break;
             }
             _ => return Err(format!("expected ',' or '}}' at byte {at}", at = *at)),
         }
     }
+    // Sorted once at the end: a hostile body with a million keys costs
+    // n log n here, not the n² of checking each key as it arrives.
+    let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
+        return Err(format!(
+            "duplicate key {:?} in object ending at byte {at}",
+            dup[0],
+            at = *at
+        ));
+    }
+    Ok(Json::Object(pairs))
 }
 
 #[cfg(test)]
@@ -276,15 +290,23 @@ mod tests {
             Json::String("a\"b\\c\ndA".into())
         );
         assert_eq!(Json::parse("[]").unwrap(), Json::Array(vec![]));
-        assert_eq!(Json::parse("{}").unwrap(), Json::Object(BTreeMap::new()));
+        assert_eq!(Json::parse("{}").unwrap(), Json::Object(vec![]));
         assert_eq!(
             Json::parse("[1, [2, {\"k\": 3}]]").unwrap(),
             Json::Array(vec![
                 Json::Number(1.0),
                 Json::Array(vec![
                     Json::Number(2.0),
-                    Json::Object([("k".to_string(), Json::Number(3.0))].into()),
+                    Json::Object(vec![("k".to_string(), Json::Number(3.0))]),
                 ])
+            ])
+        );
+        // Objects keep document order.
+        assert_eq!(
+            Json::parse(r#"{"b": 1, "a": 2}"#).unwrap(),
+            Json::Object(vec![
+                ("b".to_string(), Json::Number(1.0)),
+                ("a".to_string(), Json::Number(2.0)),
             ])
         );
         // Unicode passes through untouched.
@@ -297,8 +319,21 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "\"open", "{\"k\" 1}", "tru", "1 2", "{\"k\":}", "nan",
+            "",
+            "{",
+            "[1,",
+            "\"open",
+            "{\"k\" 1}",
+            "tru",
+            "1 2",
+            "{\"k\":}",
+            "nan",
             "\"\u{1}\"",
+            "+1",
+            ".5",
+            // A repeated key, at any depth: neither value may silently win.
+            r#"{"op": "insert", "priority": 1, "word": "10XX", "priority": 9}"#,
+            r#"{"changes": [{"k": 1, "k": 1}]}"#,
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use tcam_arch::bank::BankRefresh;
 use tcam_arch::packed::PackedWord;
 use tcam_net::client::NetClient;
+use tcam_net::json::Json;
 use tcam_net::node::{NodeConfig, TcamNode};
 use tcam_net::server::{NetServer, ServerConfig};
 use tcam_net::wire::{
@@ -133,6 +134,124 @@ fn untraced_frames_serve_identically_and_collect_no_trace() {
         "untraced frames must not be acknowledged as traced"
     );
     assert_eq!(old.peer_traces(), None, "a silent client learns nothing");
+
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The tracing contract on the whole wire stack, one pass: with every
+/// request sampled the top-level hops (`net_decode` → `net_admission` →
+/// `net_gather` → `net_write`) tile ≥ 90 % of each request's wall clock
+/// (median), the exemplar store and the `net_request` SLO saw the
+/// traffic, and an injected WAL append fault fails the `apply` and
+/// leaves a flight dump that parses and names `wal_rollback`.
+#[test]
+fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
+    const REQUESTS: usize = 64;
+    let _g = lock();
+    let dir = tmpdir("cover");
+    let node = quiet_node(&dir, 0);
+    // 1024 /12 routes: the match is most of a request even in a debug
+    // build, as it is in service; the reply encode between the gather
+    // and write hops is the one stretch no hop covers.
+    let routes: Vec<RuleChange> = (0..1024u32)
+        .map(|i| RuleChange::Insert {
+            priority: i,
+            word: prefix_word(u64::from(i) * 16, 12, 16),
+        })
+        .collect();
+    node.apply(0, 16, &routes).unwrap();
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    client.set_tracing(1);
+
+    tcam_obs::trace_store_reset();
+    let keys: Vec<PackedWord> = (0..256u64)
+        .map(|v| PackedWord::pack(&prefix_word(v * 251, 16, 16)))
+        .collect();
+    for i in 0..REQUESTS {
+        client.lookup(0, &keys[(i % 4) * 64..][..64]).unwrap();
+    }
+    // The connection's one writer thread closes a request's span and
+    // scores its SLO *after* the client has the reply, and answers in
+    // order: once the pong is back, all of that is done for every lookup.
+    client.ping().unwrap();
+
+    let records = tcam_obs::trace_recent(REQUESTS);
+    assert_eq!(
+        records.len(),
+        REQUESTS,
+        "every sampled request leaves a record"
+    );
+    for r in &records {
+        let tiling: Vec<&str> = r.top_level().into_iter().map(|i| r.hops[i].name).collect();
+        assert_eq!(
+            tiling,
+            ["net_decode", "net_admission", "net_gather", "net_write"],
+            "the request timeline lost a stage: {}",
+            r.to_json()
+        );
+    }
+    let mut covers: Vec<f64> = records.iter().map(|r| r.cover_pct()).collect();
+    covers.sort_by(f64::total_cmp);
+    let median = covers[REQUESTS / 2];
+    assert!(
+        median >= 90.0,
+        "span trees attribute only {median:.1}% of request wall; one record: {}",
+        records[0].to_json()
+    );
+    assert!(
+        !tcam_obs::trace_exemplars().is_empty(),
+        "no latency-bucket exemplar kept"
+    );
+    let window = tcam_obs::slo_report()
+        .into_iter()
+        .find(|r| r.name == "net_request")
+        .and_then(|r| r.windows.into_iter().find(|w| w.secs == 60))
+        .expect("the server configures the net_request SLO");
+    assert!(
+        window.total >= REQUESTS as u64,
+        "SLO window missed traffic: {window:?}"
+    );
+
+    // Post-mortem: the next WAL append writes a torn half-frame and fails.
+    let epoch = node.group(0).unwrap().epoch();
+    node.chaos_fail_appends(1);
+    let poisoned = node.apply(
+        0,
+        16,
+        &[RuleChange::Insert {
+            priority: u32::MAX,
+            word: prefix_word(0, 0, 16),
+        }],
+    );
+    assert!(poisoned.is_err(), "the injected append fault must surface");
+    assert_eq!(
+        node.group(0).unwrap().epoch(),
+        epoch,
+        "a rolled-back batch publishes nothing"
+    );
+    let (cause, json) = tcam_obs::flight_last_dump().expect("a rollback takes a flight dump");
+    assert_eq!(cause, "wal_rollback");
+    let dump = Json::parse(&json).expect("the dump is valid nested JSON");
+    assert_eq!(
+        dump.get("cause").and_then(Json::as_str),
+        Some("wal_rollback")
+    );
+    let events: usize = dump
+        .get("threads")
+        .and_then(Json::as_array)
+        .expect("dump lists thread rings")
+        .iter()
+        .filter_map(|t| t.get("events").and_then(Json::as_array))
+        .map(<[Json]>::len)
+        .sum();
+    assert!(
+        events >= 1,
+        "the dump holds the history that led to the rollback"
+    );
 
     server.shutdown();
     node.shutdown();

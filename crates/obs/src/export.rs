@@ -12,8 +12,7 @@
 //! * phases — `phase_<name>_ns` and `phase_<name>_count`.
 //!
 //! Every value is a plain number, so the whole line parses with
-//! `tcam_bench::jsonline::parse_flat_object` — the same self-check the
-//! bench binaries already run on their own output.
+//! `tcam_bench::jsonline::parse_flat_object`.
 
 use crate::hist::LatencyHistogram;
 use crate::registry::Snapshot;

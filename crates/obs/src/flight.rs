@@ -18,9 +18,7 @@
 //! [`crate::registry::enabled`]: a black box that was switched off
 //! during the crash is useless. The per-event cost is one
 //! thread-local hit plus one uncontended mutex lock (the lock only
-//! ever contends with a dump in flight), which the `trace_bench`
-//! overhead gate holds to the same < 5 % budget as the rest of the
-//! observability layer.
+//! ever contends with a dump in flight).
 //!
 //! The dump is plain nested JSON with snake_case keys:
 //!

@@ -24,7 +24,6 @@
 //! labeled by shard.
 
 use crate::hist::LatencyHistogram;
-use crate::span;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,46 +76,23 @@ fn phase_slot<'a>(
     &mut phases[idx].1
 }
 
-#[derive(Default)]
-struct Global {
-    merged: Buffers,
-    /// Bumped by [`reset`] so stale thread-local buffers from before the
-    /// reset are discarded at their next flush instead of leaking old
-    /// totals into the new window.
-    generation: u64,
-}
-
-struct Local {
-    buf: Buffers,
-    generation: u64,
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-fn global() -> &'static Mutex<Global> {
-    static GLOBAL: OnceLock<Mutex<Global>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Global::default()))
+/// Every flushed thread's buffers, merged.
+fn global() -> &'static Mutex<Buffers> {
+    static GLOBAL: OnceLock<Mutex<Buffers>> = OnceLock::new();
+    GLOBAL.get_or_init(|| Mutex::new(Buffers::default()))
 }
 
 thread_local! {
-    static LOCAL: RefCell<Local> = RefCell::new(Local {
-        buf: Buffers::default(),
-        generation: global().lock().unwrap().generation,
-    });
+    static LOCAL: RefCell<Buffers> = RefCell::new(Buffers::default());
 }
 
 /// Whether recording is on. One relaxed load; the hot-path gate.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    #[cfg(feature = "compile-out")]
-    {
-        false
-    }
-    #[cfg(not(feature = "compile-out"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns recording on or off globally. Off makes every recording entry
@@ -127,9 +103,7 @@ pub fn set_enabled(on: bool) {
 
 #[inline]
 fn with_local<R>(f: impl FnOnce(&mut Buffers) -> R) -> Option<R> {
-    LOCAL
-        .try_with(|local| f(&mut local.borrow_mut().buf))
-        .ok()
+    LOCAL.try_with(|local| f(&mut local.borrow_mut())).ok()
 }
 
 /// Adds `delta` to the named counter.
@@ -262,61 +236,24 @@ pub fn phases_since(mark: &PhaseMark) -> Vec<(&'static str, PhaseStat)> {
     .unwrap_or_default()
 }
 
-/// Merges this thread's buffers into the global state. Buffers recorded
-/// before the last [`reset`] are discarded.
+/// Merges this thread's buffers into the global state.
 pub fn flush() {
-    let local = LOCAL.try_with(|local| {
-        let mut local = local.borrow_mut();
-        let generation = local.generation;
-        (std::mem::take(&mut local.buf), generation)
-    });
-    let Ok((buf, generation)) = local else {
+    let Ok(buf) = LOCAL.try_with(|local| std::mem::take(&mut *local.borrow_mut())) else {
         return;
     };
-    let mut global = global().lock().unwrap();
-    if generation != global.generation {
-        // This thread's buffer predates a reset: drop it and adopt the
-        // current window.
-        let gen_now = global.generation;
-        drop(global);
-        let _ = LOCAL.try_with(|local| local.borrow_mut().generation = gen_now);
-        return;
-    }
+    let mut merged = global().lock().unwrap();
     for (key, v) in buf.counters {
-        *global.merged.counters.entry(key).or_insert(0) += v;
+        *merged.counters.entry(key).or_insert(0) += v;
     }
     for (key, v) in buf.gauges {
-        global.merged.gauges.insert(key, v);
+        merged.gauges.insert(key, v);
     }
     for (key, h) in buf.hists {
-        global
-            .merged
-            .hists
-            .entry(key)
-            .or_default()
-            .merge(&h);
+        merged.hists.entry(key).or_default().merge(&h);
     }
     for (name, stat) in buf.phases {
-        phase_slot(&mut global.merged.phases, name).add(stat);
+        phase_slot(&mut merged.phases, name).add(stat);
     }
-}
-
-/// Clears the global state and invalidates every thread's unflushed
-/// buffer (their next flush discards instead of merging). The calling
-/// thread's buffer is cleared immediately. Benches call this between
-/// trials.
-pub fn reset() {
-    {
-        let mut global = global().lock().unwrap();
-        global.merged = Buffers::default();
-        global.generation += 1;
-    }
-    let _ = LOCAL.try_with(|local| {
-        let mut local = local.borrow_mut();
-        local.buf = Buffers::default();
-        local.generation += 1;
-    });
-    span::clear_thread();
 }
 
 /// A point-in-time copy of the merged global state.
@@ -373,13 +310,6 @@ impl Snapshot {
             .map(|(_, s)| *s)
             .unwrap_or_default()
     }
-
-    /// Sum of all phase self-times — the observed, non-overlapping wall
-    /// time attribution.
-    #[must_use]
-    pub fn phase_total_ns(&self) -> u64 {
-        self.phases.iter().map(|(_, s)| s.ns).sum()
-    }
 }
 
 /// Flushes the calling thread, then copies the merged global state.
@@ -388,23 +318,13 @@ impl Snapshot {
 #[must_use]
 pub fn snapshot() -> Snapshot {
     flush();
-    let global = global().lock().unwrap();
+    let merged = global().lock().unwrap();
     Snapshot {
-        counters: global
-            .merged
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect(),
-        gauges: global.merged.gauges.iter().map(|(&k, &v)| (k, v)).collect(),
-        hists: global
-            .merged
-            .hists
-            .iter()
-            .map(|(&k, h)| (k, h.clone()))
-            .collect(),
+        counters: merged.counters.iter().map(|(&k, &v)| (k, v)).collect(),
+        gauges: merged.gauges.iter().map(|(&k, &v)| (k, v)).collect(),
+        hists: merged.hists.iter().map(|(&k, h)| (k, h.clone())).collect(),
         phases: {
-            let mut phases = global.merged.phases.clone();
+            let mut phases = merged.phases.clone();
             phases.sort_unstable_by_key(|&(n, _)| n);
             phases
         },
@@ -416,24 +336,11 @@ mod tests {
     use super::*;
 
     // The registry is global state: tests share it, so each test uses its
-    // own key names and a fresh reset where totals matter. Tests in this
-    // module run under cargo's default parallelism, so cross-test
-    // interference on *different* keys is harmless by construction.
-
-    #[cfg(feature = "compile-out")]
-    #[test]
-    fn compiled_out_recording_is_a_no_op() {
-        let _g = crate::test_lock();
-        reset();
-        set_enabled(true);
-        assert!(!enabled(), "compile-out overrides the runtime switch");
-        counter_add("test_co_counter", 7);
-        flush();
-        assert_eq!(snapshot().counter("test_co_counter"), 0);
-    }
+    // own key names. Tests in this module run under cargo's default
+    // parallelism, so cross-test interference on *different* keys is
+    // harmless by construction.
 
     #[test]
-    #[cfg_attr(feature = "compile-out", ignore = "recording is compiled out")]
     fn counters_accumulate_across_flushes() {
         let _g = crate::test_lock();
         counter_add("test_reg_hits", 2);
@@ -445,7 +352,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compile-out", ignore = "recording is compiled out")]
     fn gauges_are_last_write_wins() {
         let _g = crate::test_lock();
         gauge_set("test_reg_depth", 4.0);
@@ -456,7 +362,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compile-out", ignore = "recording is compiled out")]
     fn histograms_merge_across_threads() {
         let _g = crate::test_lock();
         let threads: Vec<_> = (0..4)

@@ -5,8 +5,8 @@
 //! and accounts **self-time** — the span's duration minus the time spent
 //! in child spans — to the span's phase in the registry. Self-times of
 //! live spans therefore partition wall time: summing every phase never
-//! double-counts nesting, which is what lets `obs_bench` check that the
-//! phase breakdown covers ≥ 90 % of measured wall time.
+//! double-counts nesting, which is what lets a test check that the phase
+//! breakdown covers ≥ 90 % of measured wall time.
 //!
 //! ```
 //! # use tcam_obs::span;
@@ -27,7 +27,7 @@
 //! Enter + drop is two `Instant` reads, a `Vec` push/pop, and one
 //! thread-local map update — tens of nanoseconds, no atomics, no locks.
 //! Disabled ([`crate::registry::set_enabled`]) it is one relaxed atomic
-//! load; the `compile-out` cargo feature removes even that.
+//! load.
 
 use crate::registry::{enabled, phase_add};
 use std::cell::RefCell;
@@ -52,7 +52,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Opens a span named `name` on this thread. When observability is
-    /// disabled (or compiled out) the guard is inert.
+    /// disabled the guard is inert.
     #[inline]
     pub fn enter(name: &'static str) -> Self {
         if !enabled() {
@@ -108,15 +108,6 @@ macro_rules! span {
     };
 }
 
-/// Clears any stranded stack frames on this thread (used by
-/// [`crate::registry::reset`] between bench trials).
-pub(crate) fn clear_thread() {
-    // Live guards keep measuring; only a reset *between* runs (no spans
-    // open) fully clears. Stranded frames would mis-attribute child
-    // time, so drop them.
-    let _ = SPANS.try_with(|spans| spans.borrow_mut().clear());
-}
-
 #[cfg(test)]
 mod tests {
     use crate::registry::{phase_mark, phases_since};
@@ -131,7 +122,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compile-out", ignore = "recording is compiled out")]
     fn nested_spans_account_self_time() {
         let _g = crate::test_lock();
         let mark = phase_mark();

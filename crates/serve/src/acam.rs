@@ -198,7 +198,7 @@ impl AcamService {
     /// every shard, block for the replies, gather by min-reduction.
     /// `out[i]` is bit-identical to the monolithic scalar answer for
     /// `keys[i]` (for [`AcamQuery::Threshold`] the winner's reported
-    /// distance is its shard-local mismatch count).
+    /// distance is 0: the threshold kernel does not compute it).
     ///
     /// # Errors
     ///
@@ -449,13 +449,18 @@ mod tests {
                     .collect();
                 assert_eq!(got, want, "shards {shards} metric {metric:?}");
             }
-            for d in [0u32, 1, 3] {
+            for d in [0u32, 1, 2, 3] {
                 let got = service
                     .search_blocking(&keys, AcamQuery::Threshold(d))
                     .unwrap();
-                let want: Vec<_> = keys.iter().map(|k| array.threshold_match(k, d).unwrap()).collect();
-                let got_ids: Vec<_> = got.iter().map(|m| m.map(|m| m.id)).collect();
-                assert_eq!(got_ids, want, "shards {shards} d {d}");
+                let want: Vec<_> = keys
+                    .iter()
+                    .map(|k| {
+                        let id = array.threshold_match(k, d).unwrap();
+                        id.map(|id| AcamMatch { id, distance: 0 })
+                    })
+                    .collect();
+                assert_eq!(got, want, "shards {shards} d {d}");
             }
             let report = service.shutdown();
             assert_eq!(report.shard_searches.len(), shards.min(array.len()));

@@ -21,8 +21,6 @@
 //! * [`telemetry`] — HDR-style log-bucketed latency histograms
 //!   (p50/p95/p99/p999), per-shard counters, refresh-stall gauges, and
 //!   energy via the arch crate's `WorkloadMeter`.
-//! * [`loadgen`] — a deterministic open-loop generator driven by a
-//!   seeded [`SplitMix64`](tcam_numeric::rng::SplitMix64).
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
 //! * [`acam`] — the opt-in similarity-search path: distance queries
 //!   cannot be prefix-routed, so [`acam::AcamService`] scatters each
@@ -33,19 +31,19 @@
 //! these layers end to end and one by one.
 //!
 //! ```
-//! use std::time::Duration;
-//! use tcam_serve::loadgen::{open_loop, OpenLoop};
 //! use tcam_serve::service::{ServiceConfig, TcamService};
 //! use tcam_serve::shard::ShardedRuleSet;
 //! use tcam_serve::workload::Workload;
 //!
 //! let w = Workload::router_lpm(128, 256, 42);
+//! let reference = ShardedRuleSet::build(&w.words, 2).unwrap();
 //! let rules = ShardedRuleSet::build(&w.words, 2).unwrap();
 //! let service = TcamService::start(rules, &ServiceConfig::default()).unwrap();
-//! let cfg = OpenLoop { duration: Duration::from_millis(5), ..OpenLoop::default() };
-//! let offered = open_loop(&service, &w.keys, 1, &cfg).unwrap();
+//! for key in &w.keys {
+//!     assert_eq!(service.search_blocking(key).unwrap(), reference.search(key).unwrap());
+//! }
 //! let report = service.shutdown();
-//! assert_eq!(report.searches(), offered);
+//! assert_eq!(report.searches(), 256);
 //! assert!(report.latency.quantile(99.0) >= report.latency.quantile(50.0));
 //! ```
 
@@ -54,7 +52,6 @@
 
 pub mod acam;
 pub mod error;
-pub mod loadgen;
 pub mod queue;
 pub mod service;
 pub mod shard;
@@ -63,7 +60,6 @@ pub mod workload;
 
 pub use acam::{AcamQuery, AcamServeReport, AcamService, AcamShards};
 pub use error::{Result, ServeError};
-pub use loadgen::OpenLoop;
 pub use queue::{BoundedQueue, TryPushError};
 pub use service::{BatchReply, SearchBatch, ServiceConfig, TableUpdate, TcamService};
 pub use shard::{RowOps, ShardedRuleSet};

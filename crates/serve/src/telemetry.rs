@@ -71,12 +71,6 @@ pub struct ShardStats {
     /// Update publication latency (publish → swap applied), nanoseconds —
     /// the staleness window of an epoch snapshot.
     pub update_latency: LatencyHistogram,
-    /// Per-lookup match cost, picoseconds per key, one sample per drained
-    /// batch group (the group's processing wall time divided by its key
-    /// count). Unlike `busy`, whose total absorbs any preemption that
-    /// lands mid-batch, the median of this distribution is robust to
-    /// scheduler noise — preempted groups land in the tail.
-    pub batch_cost: LatencyHistogram,
     /// Modeled per-operation energy/time accounting.
     pub meter: WorkloadMeter,
 }
@@ -106,7 +100,6 @@ impl ShardStats {
             latency: LatencyHistogram::new(),
             queue_wait: LatencyHistogram::new(),
             update_latency: LatencyHistogram::new(),
-            batch_cost: LatencyHistogram::new(),
             meter: WorkloadMeter::new(),
         }
     }
@@ -127,9 +120,6 @@ pub struct ServeReport {
     pub queue_wait: LatencyHistogram,
     /// All shards' update publication latencies merged.
     pub update_latency: LatencyHistogram,
-    /// All shards' per-batch-group match costs merged (picoseconds per
-    /// key; see [`ShardStats::batch_cost`]).
-    pub batch_cost: LatencyHistogram,
     /// Table updates rejected because the service had already begun
     /// shutdown when they were published.
     pub updates_dropped: u64,
@@ -149,13 +139,11 @@ impl ServeReport {
         let mut latency = LatencyHistogram::new();
         let mut queue_wait = LatencyHistogram::new();
         let mut update_latency = LatencyHistogram::new();
-        let mut batch_cost = LatencyHistogram::new();
         let mut meter = WorkloadMeter::new();
         for s in &shards {
             latency.merge(&s.latency);
             queue_wait.merge(&s.queue_wait);
             update_latency.merge(&s.update_latency);
-            batch_cost.merge(&s.batch_cost);
             meter.searches += s.meter.searches;
             meter.writes += s.meter.writes;
             meter.refreshes += s.meter.refreshes;
@@ -168,7 +156,6 @@ impl ServeReport {
             latency,
             queue_wait,
             update_latency,
-            batch_cost,
             updates_dropped,
             workers_panicked: 0,
             meter,

@@ -46,7 +46,7 @@ impl OpSolution {
 /// Returns [`SpiceError::NonConvergence`] when even the recovery ladder
 /// fails, and propagates structural errors from system assembly.
 pub fn operating_point(circuit: &mut Circuit, opts: &SimOptions) -> Result<OpSolution> {
-    let mut trace = SolverTrace::new(0);
+    let mut trace = SolverTrace::new();
     operating_point_traced(circuit, opts, &mut trace)
 }
 
@@ -349,7 +349,7 @@ mod tests {
         );
 
         let mut ckt = steep_diode_circuit(vt);
-        let mut trace = SolverTrace::new(64);
+        let mut trace = SolverTrace::new();
         let op = operating_point_traced(&mut ckt, &tight(true), &mut trace).unwrap();
         assert!(op.source_steps > 0, "{op:?}");
         assert!(trace.source_step_events > 0);

@@ -16,7 +16,7 @@
 //! [`SimOptions::recovery_ladder`] is set — (1) a gmin ramp at the same
 //! step, (2) a TR→BE integrator fallback for the failing step — before the
 //! pre-existing dt shrink; underflow of [`SimOptions::dt_min`] aborts with
-//! [`SpiceError::TimestepUnderflow`]. Every proposal is recorded in a
+//! [`SpiceError::TimestepUnderflow`]. Every proposal is counted in the
 //! [`SolverTrace`] attached to the returned waveform.
 
 use crate::analysis::op::operating_point_traced;
@@ -79,7 +79,7 @@ pub fn transient(
 
     // 1. Operating point (also commits device initial states). Recovery
     //    work done for the OP (gmin/source stepping) lands in the trace.
-    let mut trace = SolverTrace::new(opts.trace_events);
+    let mut trace = SolverTrace::new();
     let op = operating_point_traced(circuit, opts, &mut trace)?;
 
     // 2. Signal list.
@@ -205,7 +205,7 @@ pub fn transient(
         // then TR→BE — before falling back to the dt shrink.
         x_cur.clear();
         x_cur.extend_from_slice(&x_prev);
-        let mut rungs: Vec<Rung> = Vec::new();
+        let mut recovered = false;
         let mut step_integrator = opts.integrator;
         let iterations = match solve_point_in_place(
             circuit,
@@ -225,7 +225,7 @@ pub fn transient(
                 worst_unknown,
                 ..
             }) => {
-                trace.reject(t_new, step, iterations, RejectReason::Newton, worst_unknown);
+                trace.reject(iterations, RejectReason::Newton, worst_unknown);
                 sys.stats_mut().steps_rejected += 1;
                 let rescued = if opts.recovery_ladder {
                     recover_step(
@@ -238,13 +238,13 @@ pub fn transient(
                         &mut x_scratch,
                         opts,
                         &mut trace,
-                        &mut rungs,
                     )
                 } else {
                     None
                 };
                 match rescued {
                     Some((iters, integrator)) => {
+                        recovered = true;
                         step_integrator = integrator;
                         iters
                     }
@@ -279,7 +279,7 @@ pub fn transient(
                 lte_max = lte_max.max((curvature * step * step * 0.5).abs());
             }
             if lte_max > 4.0 * opts.lte_tol && step > 4.0 * opts.dt_min && !hit_bp {
-                trace.reject(t_new, step, iterations, RejectReason::Lte, None);
+                trace.reject(iterations, RejectReason::Lte, None);
                 sys.stats_mut().steps_rejected += 1;
                 dt = step * (0.9 * (opts.lte_tol / lte_max).sqrt()).clamp(0.1, 0.5);
                 continue;
@@ -306,8 +306,7 @@ pub fn transient(
         record(&mut wave, &mut row, t_new, &x_cur, circuit);
         drop(obs_commit);
         sys.stats_mut().steps_accepted += 1;
-        let recovered = !rungs.is_empty();
-        trace.accept(t_new, step, iterations, rungs);
+        trace.accept(step, iterations, recovered);
 
         // Next step size; never grow straight out of a rescued point.
         let mut grow = if lte_max > 0.0 {
@@ -370,12 +369,10 @@ fn recover_step(
     x_scratch: &mut Vec<f64>,
     opts: &SimOptions,
     trace: &mut SolverTrace,
-    rungs: &mut Vec<Rung>,
 ) -> Option<(usize, Integrator)> {
     // Rung 1: gmin ramp at the same step and integrator. Extra conductance
     // to ground tames an exponential device long enough to walk the iterate
     // into its basin of attraction.
-    rungs.push(Rung::GminRamp);
     trace.rung_engaged(Rung::GminRamp);
     let obs_gmin = tcam_obs::span!("rung_gmin_ramp");
     if let Some(iters) = gmin_ramp(
@@ -399,7 +396,6 @@ fn recover_step(
     // Euler's L-stability damps it. (Rung 2, source stepping, applies only
     // to the initial operating point and lives in the OP driver.)
     if opts.integrator == Integrator::Trapezoidal {
-        rungs.push(Rung::IntegratorFallback);
         trace.rung_engaged(Rung::IntegratorFallback);
         let _obs = tcam_obs::span!("rung_integrator_fallback");
         x_cur.clear();
@@ -766,6 +762,24 @@ mod tests {
         assert!(
             matches!(err, SpiceError::TimestepUnderflow { .. }),
             "got {err:?}"
+        );
+        // The dump taken on the way out shows the last steps: Newton
+        // rejections, each answered by a dt shrink. The dump store is
+        // process-global, but a later dump by a concurrent test still
+        // snapshots this thread's ring, so look this thread up in it.
+        let (cause, dump) = tcam_obs::flight_last_dump().expect("underflow takes a dump");
+        assert_eq!(cause, "non_convergence");
+        let me = std::thread::current();
+        let label = format!("{}\",", me.name().unwrap_or("unnamed"));
+        let ring = dump
+            .split("{\"thread\":\"")
+            .find(|ring| ring.starts_with(&label))
+            .unwrap_or_else(|| panic!("no ring for {label} in {dump}"));
+        let last_reject = ring.rfind("\"kind\":\"step_reject\",\"a\":0,\"b\":12}");
+        let last_shrink = ring.rfind("\"kind\":\"rung_engaged\",\"a\":3,");
+        assert!(
+            last_reject.is_some() && last_reject < last_shrink,
+            "the run ends in a Newton rejection (12 iterations) then the dt shrink: {ring}"
         );
     }
 

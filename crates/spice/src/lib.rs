@@ -68,6 +68,6 @@ pub mod prelude {
     pub use crate::node::NodeId;
     pub use crate::options::{Integrator, SimOptions, SolverKind};
     pub use crate::source::Waveshape;
-    pub use crate::trace::{RejectReason, Rung, SolverTrace, StepEvent, StepOutcome};
+    pub use crate::trace::{RejectReason, Rung, SolverTrace};
     pub use crate::waveform::Waveform;
 }

@@ -77,9 +77,6 @@ pub struct SimOptions {
     /// Source-stepping stages when the ladder ramps independent sources
     /// 0 → 1 for a hard initial operating point.
     pub source_step_points: usize,
-    /// Per-step events retained in the [`crate::trace::SolverTrace`] ring
-    /// (aggregate counters are always exact). 0 disables event capture.
-    pub trace_events: usize,
     /// Relative breakpoint-dedup tolerance: two breakpoints closer than
     /// `bp_reltol · t_stop` are merged. Kept far below `reltol` so genuine
     /// sub-ns source corners in µs-scale runs stay distinct.
@@ -110,7 +107,6 @@ impl Default for SimOptions {
             gmin_step_decades: 10,
             recovery_ladder: false,
             source_step_points: 10,
-            trace_events: 4096,
             bp_reltol: 1e-12,
         }
     }

@@ -1,13 +1,15 @@
 //! Structured solver telemetry: what the transient/OP drivers actually did.
 //!
 //! A [`SolverTrace`] accumulates exact aggregate counters (accepted and
-//! rejected steps, Newton iterations, recovery-ladder engagements) plus a
-//! bounded ring of per-step [`StepEvent`]s. The transient engine attaches
-//! the finished trace to the [`crate::waveform::Waveform`], where it is
-//! queryable by counter name (the same ergonomics as `.meas`) and can be
-//! dumped as a single-line JSON record by the bench binaries.
+//! rejected steps, Newton iterations, recovery-ladder engagements). The
+//! transient engine attaches the finished trace to the
+//! [`crate::waveform::Waveform`], where it is queryable by counter name
+//! (the same ergonomics as `.meas`) and can be dumped as a single-line
+//! JSON record. The *sequence* of recent rejections and rung engagements
+//! lives in the process-wide flight recorder (`step_reject` and
+//! `rung_engaged` events), which the solver dumps on terminal
+//! non-convergence.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Why a proposed transient step was rejected.
@@ -17,17 +19,6 @@ pub enum RejectReason {
     Newton,
     /// The local truncation error estimate exceeded `lte_tol`.
     Lte,
-}
-
-impl RejectReason {
-    /// Stable lowercase label used in JSON records.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            RejectReason::Newton => "newton",
-            RejectReason::Lte => "lte",
-        }
-    }
 }
 
 /// A recovery-ladder rung, in escalation order.
@@ -43,52 +34,7 @@ pub enum Rung {
     DtShrink,
 }
 
-impl Rung {
-    /// Stable lowercase label used in JSON records.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Rung::GminRamp => "gmin_ramp",
-            Rung::SourceStepping => "source_stepping",
-            Rung::IntegratorFallback => "integrator_fallback",
-            Rung::DtShrink => "dt_shrink",
-        }
-    }
-}
-
-/// Outcome of one proposed step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepOutcome {
-    /// The step was accepted; `rungs` lists any ladder rungs that were
-    /// needed to converge it (empty for a plain Newton success).
-    Accepted {
-        /// Ladder rungs engaged before this acceptance.
-        rungs: Vec<Rung>,
-    },
-    /// The step was rejected and will be retried (or the run aborted).
-    Rejected {
-        /// Why the step was rejected.
-        reason: RejectReason,
-        /// Worst-converging unknown by signal name, when Newton diagnosed
-        /// one.
-        worst_unknown: Option<String>,
-    },
-}
-
-/// One recorded solver step (accepted or rejected).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepEvent {
-    /// Start time of the proposed step.
-    pub time: f64,
-    /// Proposed step size.
-    pub dt: f64,
-    /// Newton iterations spent on this proposal.
-    pub iterations: usize,
-    /// What happened.
-    pub outcome: StepOutcome,
-}
-
-/// Aggregate solver telemetry plus a bounded ring of recent step events.
+/// Aggregate solver telemetry of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverTrace {
     /// Accepted transient steps.
@@ -121,8 +67,6 @@ pub struct SolverTrace {
     pub max_dt_used: f64,
     /// Worst-converging unknown reported by the most recent Newton failure.
     pub last_worst_unknown: Option<String>,
-    events: VecDeque<StepEvent>,
-    capacity: usize,
     /// Wall-time phase attribution for the run that produced this trace
     /// (`phase_<name>_ns`/`phase_<name>_count` pairs from the span layer),
     /// queryable through [`SolverTrace::counter`] exactly like the exact
@@ -132,15 +76,14 @@ pub struct SolverTrace {
 
 impl Default for SolverTrace {
     fn default() -> Self {
-        Self::new(0)
+        Self::new()
     }
 }
 
 impl SolverTrace {
-    /// An empty trace retaining at most `capacity` step events (aggregate
-    /// counters are always exact regardless of capacity).
+    /// An empty trace.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub fn new() -> Self {
         SolverTrace {
             steps_accepted: 0,
             steps_rejected: 0,
@@ -156,66 +99,48 @@ impl SolverTrace {
             min_dt_used: f64::INFINITY,
             max_dt_used: 0.0,
             last_worst_unknown: None,
-            events: VecDeque::new(),
-            capacity,
             phases: Vec::new(),
         }
     }
 
-    fn push_event(&mut self, ev: StepEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-
-    /// Records an accepted step; `rungs` lists ladder rungs that were needed.
-    pub fn accept(&mut self, time: f64, dt: f64, iterations: usize, rungs: Vec<Rung>) {
+    /// Records an accepted step of size `dt`; `recovered` says a ladder
+    /// rung above the dt shrink was needed to converge it.
+    pub fn accept(&mut self, dt: f64, iterations: usize, recovered: bool) {
         self.steps_accepted += 1;
         self.nr_iterations += iterations as u64;
         self.min_dt_used = self.min_dt_used.min(dt);
         self.max_dt_used = self.max_dt_used.max(dt);
-        if rungs.iter().any(|r| *r != Rung::DtShrink) {
+        if recovered {
             self.ladder_recoveries += 1;
         }
-        self.push_event(StepEvent {
-            time,
-            dt,
-            iterations,
-            outcome: StepOutcome::Accepted { rungs },
-        });
     }
 
-    /// Records a rejected step proposal.
+    /// Records a rejected step proposal. The rejection also lands in the
+    /// flight recorder (`step_reject` events, first payload = reason code:
+    /// 0 Newton, 1 LTE; second = Newton iterations spent), so the dump
+    /// taken on terminal non-convergence shows the last steps.
     pub fn reject(
         &mut self,
-        time: f64,
-        dt: f64,
         iterations: usize,
         reason: RejectReason,
         worst_unknown: Option<String>,
     ) {
         self.steps_rejected += 1;
         self.nr_iterations += iterations as u64;
-        match reason {
-            RejectReason::Newton => self.reject_newton += 1,
-            RejectReason::Lte => self.reject_lte += 1,
-        }
+        let code = match reason {
+            RejectReason::Newton => {
+                self.reject_newton += 1;
+                0
+            }
+            RejectReason::Lte => {
+                self.reject_lte += 1;
+                1
+            }
+        };
+        tcam_obs::flight_record("step_reject", code, iterations as u64);
         if worst_unknown.is_some() {
-            self.last_worst_unknown.clone_from(&worst_unknown);
+            self.last_worst_unknown = worst_unknown;
         }
-        self.push_event(StepEvent {
-            time,
-            dt,
-            iterations,
-            outcome: StepOutcome::Rejected {
-                reason,
-                worst_unknown,
-            },
-        });
     }
 
     /// Counts one rung engagement (a retry attempt, successful or not).
@@ -255,11 +180,6 @@ impl SolverTrace {
         self.device_hint_limited += 1;
     }
 
-    /// Recorded step events, oldest first (bounded by the capacity).
-    pub fn events(&self) -> impl Iterator<Item = &StepEvent> {
-        self.events.iter()
-    }
-
     /// Attaches the run's wall-time phase breakdown: `(key, value)` pairs
     /// in the unified scheme (`phase_<name>_ns`, `phase_<name>_count`).
     /// Replaces any previous attachment.
@@ -274,8 +194,7 @@ impl SolverTrace {
     }
 
     /// Merges another trace's aggregates into this one (used to fold the
-    /// initial-OP ladder work into the transient trace). Events are
-    /// appended subject to capacity.
+    /// initial-OP ladder work into the transient trace).
     pub fn absorb(&mut self, other: &SolverTrace) {
         self.steps_accepted += other.steps_accepted;
         self.steps_rejected += other.steps_rejected;
@@ -292,9 +211,6 @@ impl SolverTrace {
         self.max_dt_used = self.max_dt_used.max(other.max_dt_used);
         if other.last_worst_unknown.is_some() {
             self.last_worst_unknown.clone_from(&other.last_worst_unknown);
-        }
-        for ev in &other.events {
-            self.push_event(ev.clone());
         }
         for (name, value) in &other.phases {
             match self.phases.iter_mut().find(|(n, _)| n == name) {
@@ -341,8 +257,10 @@ impl SolverTrace {
             })
     }
 
-    /// The trace as one line of JSON, in the same hand-formatted style as
-    /// the bench records.
+    /// The trace as one line of JSON. The worst unknown's node name is
+    /// escaped and length-bounded (see `safe_node_name`), so a netlist node
+    /// named `v("odd")` — or a pathologically long generated name — cannot
+    /// corrupt the record.
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut s = String::from("{\"trace\":\"solver\"");
@@ -366,49 +284,6 @@ impl SolverTrace {
         }
         s.push('}');
         s
-    }
-
-    /// The event ring as one flat JSON line per step, oldest first — the
-    /// deep-diagnosis companion to [`SolverTrace::to_json_line`]. Node
-    /// names are escaped and length-bounded (see `safe_node_name`), so a
-    /// netlist node named `v("odd")` — or a pathologically long generated
-    /// name — cannot corrupt bench output.
-    #[must_use]
-    pub fn events_json_lines(&self) -> Vec<String> {
-        self.events
-            .iter()
-            .map(|ev| {
-                let mut s = String::from("{\"trace\":\"step\"");
-                let _ = write!(s, ",\"time\":{:.6e},\"dt\":{:.6e}", ev.time, ev.dt);
-                let _ = write!(s, ",\"iterations\":{}", ev.iterations);
-                match &ev.outcome {
-                    StepOutcome::Accepted { rungs } => {
-                        s.push_str(",\"outcome\":\"accepted\",\"rungs\":\"");
-                        for (i, r) in rungs.iter().enumerate() {
-                            if i > 0 {
-                                s.push('+');
-                            }
-                            s.push_str(r.label());
-                        }
-                        s.push('"');
-                    }
-                    StepOutcome::Rejected {
-                        reason,
-                        worst_unknown,
-                    } => {
-                        let _ = write!(s, ",\"outcome\":\"rejected\",\"reason\":\"{}\"", reason.label());
-                        match worst_unknown {
-                            Some(w) => {
-                                let _ = write!(s, ",\"worst_unknown\":\"{}\"", safe_node_name(w));
-                            }
-                            None => s.push_str(",\"worst_unknown\":null"),
-                        }
-                    }
-                }
-                s.push('}');
-                s
-            })
-            .collect()
     }
 }
 
@@ -437,11 +312,11 @@ mod tests {
 
     #[test]
     fn counters_track_accepts_and_rejects() {
-        let mut t = SolverTrace::new(8);
-        t.accept(0.0, 1e-12, 3, vec![]);
-        t.reject(1e-12, 2e-12, 100, RejectReason::Newton, Some("v(ml)".into()));
+        let mut t = SolverTrace::new();
+        t.accept(1e-12, 3, false);
+        t.reject(100, RejectReason::Newton, Some("v(ml)".into()));
         t.rung_engaged(Rung::DtShrink);
-        t.accept(1e-12, 5e-13, 4, vec![Rung::GminRamp]);
+        t.accept(5e-13, 4, true);
         assert_eq!(t.steps_accepted, 2);
         assert_eq!(t.steps_rejected, 1);
         assert_eq!(t.reject_newton, 1);
@@ -456,51 +331,26 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_is_bounded() {
-        let mut t = SolverTrace::new(2);
-        for i in 0..5 {
-            t.accept(f64::from(i), 1e-12, 1, vec![]);
-        }
-        let times: Vec<f64> = t.events().map(|e| e.time).collect();
-        assert_eq!(times, vec![3.0, 4.0]);
-        assert_eq!(t.steps_accepted, 5, "counters stay exact past capacity");
-    }
-
-    #[test]
-    fn zero_capacity_disables_events_not_counters() {
-        let mut t = SolverTrace::new(0);
-        t.accept(0.0, 1e-12, 1, vec![]);
-        assert_eq!(t.events().count(), 0);
-        assert_eq!(t.steps_accepted, 1);
-    }
-
-    #[test]
     fn absorb_folds_op_work_into_transient_trace() {
-        let mut op = SolverTrace::new(4);
+        let mut op = SolverTrace::new();
         op.gmin_stage();
         op.source_stage();
-        op.reject(f64::NAN, 0.0, 7, RejectReason::Newton, Some("v(a)".into()));
-        let mut tr = SolverTrace::new(4);
-        tr.accept(0.0, 1e-12, 2, vec![]);
+        op.reject(7, RejectReason::Newton, Some("v(a)".into()));
+        let mut tr = SolverTrace::new();
+        tr.accept(1e-12, 2, false);
         tr.absorb(&op);
         assert_eq!(tr.gmin_events, 1);
         assert_eq!(tr.source_step_events, 1);
         assert_eq!(tr.steps_rejected, 1);
+        assert_eq!(tr.nr_iterations, 9);
         assert_eq!(tr.last_worst_unknown.as_deref(), Some("v(a)"));
-        assert_eq!(tr.events().count(), 2);
     }
 
     #[test]
     fn json_line_is_single_line_and_complete() {
-        let mut t = SolverTrace::new(4);
-        t.accept(0.0, 1e-12, 3, vec![]);
-        t.reject(
-            1e-12,
-            2e-12,
-            50,
-            RejectReason::Lte,
-            Some("v(\"odd\")".into()),
-        );
+        let mut t = SolverTrace::new();
+        t.accept(1e-12, 3, false);
+        t.reject(50, RejectReason::Lte, Some("v(\"odd\")".into()));
         let line = t.to_json_line();
         assert!(!line.contains('\n'));
         assert!(line.starts_with("{\"trace\":\"solver\""));
@@ -512,21 +362,21 @@ mod tests {
 
     #[test]
     fn empty_trace_json_has_no_infinities() {
-        let line = SolverTrace::new(0).to_json_line();
+        let line = SolverTrace::new().to_json_line();
         assert!(!line.contains("inf"), "{line}");
         assert!(line.contains("\"worst_unknown\":null"));
     }
 
     #[test]
     fn phases_are_queryable_and_absorbed() {
-        let mut t = SolverTrace::new(0);
+        let mut t = SolverTrace::new();
         t.set_phases(vec![
             ("phase_lu_factorize_ns".into(), 1200.0),
             ("phase_device_eval_ns".into(), 800.0),
         ]);
         assert_eq!(t.counter("phase_lu_factorize_ns"), Some(1200.0));
         assert_eq!(t.counter("steps_accepted"), Some(0.0), "counters still win");
-        let mut other = SolverTrace::new(0);
+        let mut other = SolverTrace::new();
         other.set_phases(vec![
             ("phase_lu_factorize_ns".into(), 300.0),
             ("phase_back_solve_ns".into(), 50.0),
@@ -539,23 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn event_lines_escape_and_bound_node_names() {
-        let mut t = SolverTrace::new(4);
-        t.reject(
-            1e-12,
-            2e-12,
-            9,
-            RejectReason::Newton,
-            Some("v(\"quoted\")".into()),
+    fn json_line_escapes_and_bounds_the_worst_unknown() {
+        let mut t = SolverTrace::new();
+        t.reject(9, RejectReason::Newton, Some("v(\"quoted\")".into()));
+        let quoted = t.to_json_line();
+        assert!(quoted.contains("\\\"quoted\\\""), "{quoted}");
+        t.reject(7, RejectReason::Newton, Some("x".repeat(300)));
+        let long = t.to_json_line();
+        assert!(
+            long.contains(&format!("\"{}..\"", "x".repeat(MAX_NODE_NAME_JSON))),
+            "long node name must be truncated with a marker: {long}"
         );
-        let long_name: String = "x".repeat(300);
-        t.reject(2e-12, 1e-12, 7, RejectReason::Newton, Some(long_name));
-        t.accept(2e-12, 1e-12, 3, vec![Rung::GminRamp, Rung::IntegratorFallback]);
-        let lines = t.events_json_lines();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
+        for line in [&quoted, &long] {
             assert!(!line.contains('\n'));
-            assert!(line.starts_with("{\"trace\":\"step\""));
             // Raw interior quotes would break the line: every quote in the
             // payload must be escaped, so stripping \" leaves none inside.
             let stripped = line.replace("\\\"", "");
@@ -566,28 +412,5 @@ mod tests {
                 "unbalanced quotes: {line}"
             );
         }
-        assert!(lines[0].contains("\\\"quoted\\\""), "{}", lines[0]);
-        assert!(
-            lines[1].len() < 300,
-            "long node name must be truncated: {}",
-            lines[1]
-        );
-        assert!(lines[1].contains(".."), "truncation marker: {}", lines[1]);
-        assert!(
-            lines[2].contains("\"rungs\":\"gmin_ramp+integrator_fallback\""),
-            "{}",
-            lines[2]
-        );
-        // The summary line bounds the same way.
-        assert!(t.to_json_line().len() < 1500);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(RejectReason::Newton.label(), "newton");
-        assert_eq!(Rung::GminRamp.label(), "gmin_ramp");
-        assert_eq!(Rung::SourceStepping.label(), "source_stepping");
-        assert_eq!(Rung::IntegratorFallback.label(), "integrator_fallback");
-        assert_eq!(Rung::DtShrink.label(), "dt_shrink");
     }
 }

@@ -272,8 +272,8 @@ mod tests {
         let mut w = wf();
         assert!(w.solver_trace().is_none());
         assert!(w.meas_solver("steps_accepted").is_err());
-        let mut t = SolverTrace::new(4);
-        t.accept(0.0, 1e-12, 3, vec![]);
+        let mut t = SolverTrace::new();
+        t.accept(1e-12, 3, false);
         w.set_solver_trace(t);
         assert_eq!(w.meas_solver("steps_accepted").unwrap(), 1.0);
         assert_eq!(w.meas_solver("nr_iterations").unwrap(), 3.0);

@@ -5,8 +5,11 @@
 #   1. JSON object keys emitted from Rust source (escaped `\"key\":`
 #      inside format strings and string literals);
 #   2. metric/SLO/flight/phase names passed to the tcam-obs recording
-#      entry points;
-#   3. keys in the committed BENCH_*.json perf-trajectory records.
+#      entry points.
+#
+# (No committed record files are left to lint: the BENCH_*.json
+# trajectories went with the binaries that wrote them; stack_bench checks
+# its own metric names against BENCHMARK.json in its tests.)
 #
 # A key is non-conforming when it contains an uppercase letter or a
 # hyphen. Zero dependencies beyond POSIX sh + grep, same as tier1.sh;
@@ -40,17 +43,6 @@ if [ -n "$metric_bad" ]; then
     echo "$metric_bad" >&2
     status=1
 fi
-
-# --- 3. Committed bench records -------------------------------------
-for f in BENCH_*.json; do
-    [ -f "$f" ] || continue
-    rec_bad=$(grep -oE '"[A-Za-z0-9_-]*([A-Z]|-)[A-Za-z0-9_-]*" *:' "$f" || true)
-    if [ -n "$rec_bad" ]; then
-        echo "lint_keys: non-snake_case key(s) in $f:" >&2
-        echo "$rec_bad" | sort -u >&2
-        status=1
-    fi
-done
 
 if [ "$status" -eq 0 ]; then
     echo "lint_keys: ok"
