@@ -11,14 +11,14 @@
 //! ```text
 //! for each block of ACAM_BLOCK_ROWS rows:       // 2 u16 planes ≈ 256 B/cell
 //!     for each cell c (one lo/hi plane pair):
-//!         for each key in the tile (≤ ACAM_MAX_TILE_KEYS):
+//!         for each key in the tile (ACAM_TILE_KEYS):
 //!             counts[key][row] += miss(key[c], lo[row], hi[row])
 //!     fold counts into per-key (distance, id) min-reductions
 //! ```
 //!
 //! * **Cache blocking.** One block of one cell's planes is
 //!   `2 × 64 × 2 B = 256 B`; the whole tile of keys scans it before the
-//!   next plane streams in, amortizing the row-bound loads `tile`-fold.
+//!   next plane streams in, amortizing the row-bound loads 16-fold.
 //! * **Branchless lane loops.** The per-cell inner loop is a pure
 //!   `u16` compare/`saturating_sub` accumulation over a 64-row slice —
 //!   no data-dependent branches, a shape the autovectorizer maps onto
@@ -33,7 +33,7 @@
 //!
 //! Results are bit-identical to the scalar [`AcamArray`] oracle; the
 //! property tests below pin that across widths, level depths, removals
-//! (storage-order churn), metrics, tile widths, and ragged batches.
+//! (storage-order churn), metrics, and batch lengths straddling the tile.
 
 use super::{AcamArray, AcamMatch, AcamMetric};
 
@@ -41,11 +41,10 @@ use super::{AcamArray, AcamMatch, AcamMetric};
 /// lo/hi plane pair per cell stays a few cache lines.
 pub const ACAM_BLOCK_ROWS: usize = 64;
 
-/// Hard upper bound on the key-tile width.
-pub const ACAM_MAX_TILE_KEYS: usize = 32;
-
-/// Default key-tile width (same trade-off as the ternary kernel's).
-pub const ACAM_TILE_KEYS: usize = 16;
+/// Keys matched per block pass: each key's 64 `u32` row counts are one
+/// 256 B lane, so a tile's accumulators (4 KiB) stay L1-resident beside
+/// the planes.
+const ACAM_TILE_KEYS: usize = 16;
 
 /// Cell-major packed analog-CAM array: per cell position, contiguous
 /// `lo`/`hi` bound planes across rows, plus the row-id plane. Built from
@@ -132,14 +131,10 @@ impl PackedAcamArray {
     /// one `u64` min-reduction slot per key (`u64::MAX` = nothing
     /// admitted). `fold_block(counts, ids, slot)` defines the query
     /// mode.
-    fn batch_tiled<F>(&self, keys: &[Vec<u16>], metric: AcamMetric, tile: usize, fold_block: F) -> Vec<u64>
+    fn batch_scan<F>(&self, keys: &[Vec<u16>], metric: AcamMetric, fold_block: F) -> Vec<u64>
     where
         F: Fn(&[u32], &[u32], &mut u64),
     {
-        assert!(
-            (1..=ACAM_MAX_TILE_KEYS).contains(&tile),
-            "tile width {tile} outside 1..={ACAM_MAX_TILE_KEYS}"
-        );
         for key in keys {
             assert!(
                 key.len() == self.width,
@@ -154,10 +149,10 @@ impl PackedAcamArray {
             return best;
         }
         // One flat count buffer reused across blocks: `tile × block` u32
-        // accumulators (≤ 8 KiB) — L1-resident alongside the planes.
-        let mut counts = vec![0u32; tile * ACAM_BLOCK_ROWS];
-        for (t, tile_keys) in keys.chunks(tile).enumerate() {
-            let base = t * tile;
+        // accumulators — L1-resident alongside the planes.
+        let mut counts = vec![0u32; ACAM_TILE_KEYS * ACAM_BLOCK_ROWS];
+        for (t, tile_keys) in keys.chunks(ACAM_TILE_KEYS).enumerate() {
+            let base = t * ACAM_TILE_KEYS;
             let mut block = 0;
             while block < rows {
                 let end = (block + ACAM_BLOCK_ROWS).min(rows);
@@ -184,31 +179,29 @@ impl PackedAcamArray {
 
     /// Batched **best match** (see [`AcamArray::best_match`]): `out[i]`
     /// is the `(distance, id)`-minimal row for `keys[i]`, bit-identical
-    /// to the scalar oracle. Uses the default tile width.
+    /// to the scalar oracle.
     #[must_use]
     pub fn best_match_batch(&self, keys: &[Vec<u16>], metric: AcamMetric) -> Vec<Option<AcamMatch>> {
         let mut out = Vec::new();
-        self.best_match_batch_tiled(keys, metric, ACAM_TILE_KEYS, &mut out);
+        self.best_match_batch_into(keys, metric, &mut out);
         out
     }
 
-    /// Batched best-match with an explicit tile width and caller-owned
-    /// output buffer — the entry point the shard workers call.
+    /// [`Self::best_match_batch`] into a caller-owned output buffer — the
+    /// entry point the shard workers call.
     ///
     /// # Panics
     ///
-    /// Panics when `tile` is outside `1..=`[`ACAM_MAX_TILE_KEYS`] or a
-    /// key's width differs from the array's.
-    pub fn best_match_batch_tiled(
+    /// Panics when a key's width differs from the array's.
+    pub fn best_match_batch_into(
         &self,
         keys: &[Vec<u16>],
         metric: AcamMetric,
-        tile: usize,
         out: &mut Vec<Option<AcamMatch>>,
     ) {
         // Pack (distance, id) so the plain u64 min is the lexicographic
         // minimum: smaller distance first, then smaller id.
-        let best = self.batch_tiled(keys, metric, tile, |counts, ids, slot| {
+        let best = self.batch_scan(keys, metric, |counts, ids, slot| {
             for (&d, &id) in counts.iter().zip(ids) {
                 let cand = (u64::from(d) << 32) | u64::from(id);
                 if cand < *slot {
@@ -232,25 +225,22 @@ impl PackedAcamArray {
     #[must_use]
     pub fn threshold_match_batch(&self, keys: &[Vec<u16>], d: u32) -> Vec<Option<u32>> {
         let mut out = Vec::new();
-        self.threshold_match_batch_tiled(keys, d, ACAM_TILE_KEYS, &mut out);
+        self.threshold_match_batch_into(keys, d, &mut out);
         out
     }
 
-    /// Batched threshold-match with an explicit tile width and
-    /// caller-owned output buffer.
+    /// [`Self::threshold_match_batch`] into a caller-owned output buffer.
     ///
     /// # Panics
     ///
-    /// Panics when `tile` is outside `1..=`[`ACAM_MAX_TILE_KEYS`] or a
-    /// key's width differs from the array's.
-    pub fn threshold_match_batch_tiled(
+    /// Panics when a key's width differs from the array's.
+    pub fn threshold_match_batch_into(
         &self,
         keys: &[Vec<u16>],
         d: u32,
-        tile: usize,
         out: &mut Vec<Option<u32>>,
     ) {
-        let best = self.batch_tiled(keys, AcamMetric::Hamming, tile, |counts, ids, slot| {
+        let best = self.batch_scan(keys, AcamMetric::Hamming, |counts, ids, slot| {
             for (&c, &id) in counts.iter().zip(ids) {
                 if c <= d {
                     *slot = (*slot).min(u64::from(id));
@@ -317,8 +307,8 @@ mod tests {
 
     /// The tentpole property test: the batched kernel is bit-identical
     /// to the scalar oracle across widths, level depths, row counts
-    /// (partial and multiple blocks), storage churn, both metrics,
-    /// every tile width, and ragged batch lengths.
+    /// (partial and multiple blocks), storage churn, both metrics, and
+    /// batch lengths straddling the key tile.
     #[test]
     fn batch_kernel_matches_scalar_oracle() {
         let mut rng = SplitMix64::new(0xACA0);
@@ -328,38 +318,34 @@ mod tests {
                     let a = random_array(&mut rng, width, levels, rows, churn);
                     let packed = PackedAcamArray::from_array(&a);
                     assert_eq!(packed.len(), a.len());
-                    // 37 keys: partial final tiles for every width below.
-                    let keys: Vec<Vec<u16>> =
+                    let pool: Vec<Vec<u16>> =
                         (0..37).map(|_| random_key(&mut rng, width, levels)).collect();
-                    for metric in [AcamMetric::Hamming, AcamMetric::Interval] {
-                        let oracle: Vec<_> = keys
-                            .iter()
-                            .map(|k| a.best_match(k, metric).unwrap())
-                            .collect();
-                        for tile in [1usize, 3, 8, 16, 32] {
-                            let mut got = Vec::new();
-                            packed.best_match_batch_tiled(&keys, metric, tile, &mut got);
+                    // Around the 16-key tile: a single key, one short, exact,
+                    // one over, two tiles and one over, a ragged third.
+                    for n in [1usize, 15, 16, 17, 33, 37] {
+                        let keys = &pool[..n];
+                        for metric in [AcamMetric::Hamming, AcamMetric::Interval] {
+                            let oracle: Vec<_> = keys
+                                .iter()
+                                .map(|k| a.best_match(k, metric).unwrap())
+                                .collect();
                             assert_eq!(
-                                got, oracle,
-                                "best {metric:?} w{width} l{levels} r{rows} churn {churn} tile {tile}"
+                                packed.best_match_batch(keys, metric),
+                                oracle,
+                                "best {metric:?} w{width} l{levels} r{rows} churn {churn} n {n}"
                             );
                         }
-                        assert_eq!(packed.best_match_batch(&keys, metric), oracle);
-                    }
-                    for d in [0u32, 1, 2] {
-                        let oracle: Vec<_> = keys
-                            .iter()
-                            .map(|k| a.threshold_match(k, d).unwrap())
-                            .collect();
-                        for tile in [1usize, 5, 32] {
-                            let mut got = Vec::new();
-                            packed.threshold_match_batch_tiled(&keys, d, tile, &mut got);
+                        for d in [0u32, 1, 2] {
+                            let oracle: Vec<_> = keys
+                                .iter()
+                                .map(|k| a.threshold_match(k, d).unwrap())
+                                .collect();
                             assert_eq!(
-                                got, oracle,
-                                "thresh d{d} w{width} l{levels} r{rows} churn {churn} tile {tile}"
+                                packed.threshold_match_batch(keys, d),
+                                oracle,
+                                "thresh d{d} w{width} l{levels} r{rows} churn {churn} n {n}"
                             );
                         }
-                        assert_eq!(packed.threshold_match_batch(&keys, d), oracle);
                     }
                 }
             }
@@ -395,20 +381,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile width")]
-    fn oversized_tile_is_rejected() {
-        let a = AcamArray::new(2, 16).unwrap();
-        let packed = PackedAcamArray::from_array(&a);
-        let mut out = Vec::new();
-        packed.best_match_batch_tiled(&[], AcamMetric::Hamming, ACAM_MAX_TILE_KEYS + 1, &mut out);
-    }
-
-    #[test]
     #[should_panic(expected = "key width")]
     fn mismatched_key_width_is_rejected() {
         let a = AcamArray::new(3, 16).unwrap();
         let packed = PackedAcamArray::from_array(&a);
-        let mut out = Vec::new();
-        packed.best_match_batch_tiled(&[vec![1, 2]], AcamMetric::Hamming, 1, &mut out);
+        let _ = packed.best_match_batch(&[vec![1, 2]], AcamMetric::Hamming);
     }
 }

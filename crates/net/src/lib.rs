@@ -8,7 +8,7 @@
 //!
 //! * **A wire front-end** ([`server`], [`wire`], [`client`]): a compact
 //!   length-prefixed binary lookup protocol over TCP, decoding straight
-//!   into the per-shard batch mailboxes, every reply tagged with the
+//!   into the per-shard batch queues, every reply tagged with the
 //!   epoch that served it; plus a minimal HTTP/JSON admin plane
 //!   ([`admin`]) for rule batches, stats, and snapshot triggers.
 //! * **Durability** ([`wal`]): a CRC-framed write-ahead log (fsync per

@@ -21,15 +21,16 @@
 //!
 //! **Read path** (wire plane): [`TcamNode::lookup`] routes each packed
 //! key to its shard, submits with the non-blocking admission-control
-//! path ([`TcamService::try_submit`]), and gathers replies; the response
-//! epoch is the newest epoch that served any key (all keys of a batch
-//! are served at-or-after the epoch current at submission).
+//! path ([`try_submit`](tcam_serve::pool::ShardPool::try_submit)), and
+//! gathers replies; the response epoch is the newest epoch that served
+//! any key (every key is served at or after the last epoch whose
+//! [`TcamNode::apply`] had returned at submission).
 //!
 //! **Recovery**: [`TcamNode::open`] replays the store (snapshot + WAL),
-//! then rebuilds every namespace's group with [`Updater::resume`],
-//! booting the workers at the recovered version
-//! ([`ServiceConfig::initial_epoch`]) so the first reply after a restart
-//! already carries the exact pre-crash epoch.
+//! then rebuilds every namespace's group with [`Updater::resume`], whose
+//! [`start_service`](Updater::start_service) boots the workers at the
+//! recovered version, so the first reply after a restart already carries
+//! the exact pre-crash epoch.
 
 use crate::error::{NetError, Result};
 use crate::wal::DurableStore;
@@ -84,9 +85,7 @@ impl NamespaceGroup {
     /// reply after a restart carries the exact pre-crash epoch.
     fn start(store: tcam_update::store::RuleStore, config: &NodeConfig) -> Result<Self> {
         let updater = Updater::resume(store, config.shard_bits, config.service.costs)?;
-        let mut service_config = config.service;
-        service_config.initial_epoch = updater.epoch();
-        let service = updater.start_service(&service_config)?;
+        let service = updater.start_service(&config.service)?;
         Ok(Self {
             service,
             updater: Mutex::new(updater),
@@ -139,8 +138,8 @@ impl NamespaceGroup {
         keys: &[PackedWord],
         trace: Option<&Arc<RequestTrace>>,
     ) -> Result<PendingLookup> {
-        let rules = self.service.rules();
-        let shards = rules.shards();
+        let router = self.service.router();
+        let shards = self.service.shards();
         // Fast path: a single-shard namespace needs no scatter.
         if shards == 1 {
             let (tx, rx) = std::sync::mpsc::sync_channel(1);
@@ -162,7 +161,7 @@ impl NamespaceGroup {
         let mut per_shard: Vec<(Vec<PackedWord>, Vec<usize>)> =
             vec![(Vec::new(), Vec::new()); shards];
         for (i, key) in keys.iter().enumerate() {
-            let s = rules.route_packed(key).map_err(NetError::Serve)?;
+            let s = router.route_packed(key).map_err(NetError::Serve)?;
             per_shard[s].0.push(*key);
             per_shard[s].1.push(i);
         }
@@ -325,13 +324,16 @@ impl TcamNode {
     /// so versions and epochs stay in lockstep. A new namespace is
     /// provisioned (with word width `width`) by its first batch.
     ///
-    /// Returns the namespace's new version (== the epoch lookups will
-    /// report once the snapshot swaps in).
+    /// Returns the namespace's new version — the epoch every lookup
+    /// submitted after this call returns is served at (or a later one).
     ///
     /// # Errors
     ///
     /// Validation, I/O, or shard-construction errors; on any error the
-    /// store, WAL, and live tables are all unchanged.
+    /// store, WAL, and live tables are all unchanged (the durable store
+    /// validates before it logs, and the updater's one validation accepts
+    /// exactly what that one does — `tcam-update`'s
+    /// `validate_and_compile_agree`).
     ///
     /// # Panics
     ///
@@ -352,7 +354,7 @@ impl TcamNode {
             let mut updater = group.updater.lock().expect("updater lock");
             let staged = updater.apply(batch)?;
             assert_eq!(
-                staged.version, version,
+                staged.epoch, version,
                 "durable store and updater fell out of lockstep"
             );
             updater.publish(&group.service)?;
@@ -498,17 +500,14 @@ mod tests {
             ],
         )
         .unwrap();
-        // The published snapshot swaps in at a batch boundary; poll until
-        // the epoch tag arrives (bounded).
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let (epoch, results) = node.lookup(0, &[key("1011"), key("0100")]).unwrap();
-            if epoch == 1 {
-                assert_eq!(results, vec![Some(1), Some(2)]);
-                break;
-            }
-            assert!(Instant::now() < deadline, "epoch 1 never published");
-        }
+        // `apply` returned version 1, so the very next lookup is served
+        // at epoch 1 — and so is the first one after a later batch.
+        let (epoch, results) = node.lookup(0, &[key("1011"), key("0100")]).unwrap();
+        assert_eq!((epoch, results), (1, vec![Some(1), Some(2)]));
+        node.apply(0, 4, &[RuleChange::Remove { priority: 1 }])
+            .unwrap();
+        let (epoch, results) = node.lookup(0, &[key("1011"), key("0100")]).unwrap();
+        assert_eq!((epoch, results), (2, vec![Some(2), Some(2)]));
         // Unknown namespace is an explicit status, not a panic.
         assert!(matches!(
             node.lookup(9, &[key("0000")]),

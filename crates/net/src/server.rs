@@ -14,7 +14,7 @@
 //! Each connection runs a **reader/writer thread pair** bridged by a
 //! bounded channel of [`ServerConfig::inflight_per_connection`] entries —
 //! the per-connection pipelining cap. The reader decodes a request,
-//! *scatters* it to the shard mailboxes with the non-blocking
+//! *scatters* it to the shard queues with the non-blocking
 //! [`submit`](crate::node::NamespaceGroup::submit) path, and hands the
 //! pending gather to the writer; the writer *gathers* replies and
 //! encodes responses in request order. A full shard queue becomes an

@@ -113,8 +113,9 @@ fn updates_are_visible_with_their_epoch_tag() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
 
-    // A high-priority override for one /8: once epoch 2 serves the reply,
-    // the new rule MUST be visible (linearizability of the epoch tag).
+    // A high-priority override for one /8: `apply` returned version 2, so
+    // the very next lookup is served at epoch 2 and sees the new rule
+    // (read-your-writes, through the wire).
     node.apply(
         0,
         8,
@@ -125,28 +126,14 @@ fn updates_are_visible_with_their_epoch_tag() {
     )
     .unwrap();
     let key = [PackedWord::pack(&w("00000000"))];
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let (epoch, results) = client.lookup(0, &key).unwrap();
-        if epoch >= 2 {
-            assert_eq!(results, vec![Some(0)], "priority 0 still wins (lower id)");
-            break;
-        }
-        assert!(Instant::now() < deadline, "epoch 2 never became visible");
-    }
-    // Remove the only rule matching 0x10-prefixed keys; once epoch 3
-    // replies, the miss must be real.
+    let (epoch, results) = client.lookup(0, &key).unwrap();
+    assert_eq!(epoch, 2);
+    assert_eq!(results, vec![Some(0)], "priority 0 still wins (lower id)");
+    // Remove the only rule matching 0x10-prefixed keys: epoch 3 replies,
+    // and the miss is real.
     node.apply(0, 8, &[RuleChange::Remove { priority: 1 }]).unwrap();
     let key = [PackedWord::pack(&w("00010000"))];
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let (epoch, results) = client.lookup(0, &key).unwrap();
-        if epoch >= 3 {
-            assert_eq!(results, vec![None]);
-            break;
-        }
-        assert!(Instant::now() < deadline, "epoch 3 never became visible");
-    }
+    assert_eq!(client.lookup(0, &key).unwrap(), (3, vec![None]));
     server.shutdown();
     node.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -390,15 +377,10 @@ fn admin_plane_applies_rules_and_exposes_state() {
 
     // It is immediately servable over the wire plane.
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let (epoch, results) = client.lookup(3, &[PackedWord::pack(&w("1011"))]).unwrap();
-        if epoch == 1 {
-            assert_eq!(results, vec![Some(1)]);
-            break;
-        }
-        assert!(Instant::now() < deadline);
-    }
+    assert_eq!(
+        client.lookup(3, &[PackedWord::pack(&w("1011"))]).unwrap(),
+        (1, vec![Some(1)])
+    );
 
     let (status, body) = http(&addr, "GET /namespaces HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);

@@ -1,5 +1,5 @@
-//! Opt-in similarity-search serving: distance queries through a sharded
-//! worker pool.
+//! Opt-in similarity-search serving: the shard-worker pool of
+//! [`crate::pool`] plus the **scatter-all + min-reduce** plan.
 //!
 //! Exact ternary lookups route a key to *one* shard by its prefix bits
 //! ([`crate::shard::ShardedRuleSet`]). A distance query cannot be routed
@@ -8,29 +8,29 @@
 //! partitioned across shards ([`AcamShards`]); a query batch is
 //! scattered to *every* shard's bounded queue, each shard worker answers
 //! with its local winners through the block-batched kernel
-//! ([`PackedAcamArray::best_match_batch`]), and the gather step
+//! ([`PackedAcamArray::best_match_batch_into`]), and the gather step
 //! min-reduces the per-shard winners — `(distance, id)` for best-match,
 //! smallest id for threshold-match — which is exactly the cross-shard
 //! reduction the scalar oracle's full scan performs, so results are
 //! bit-identical to a monolithic [`AcamArray`] (property-tested below).
 //!
-//! The plumbing deliberately mirrors [`crate::service::TcamService`]:
-//! bounded queues as backpressure, one worker thread per shard, replies
-//! over a rendezvous channel, per-shard telemetry folded into a report
-//! at shutdown. It stays a separate, opt-in service because the
-//! fan-out economics differ: an exact lookup costs one shard's scan,
-//! a distance query costs every shard's scan (the win is latency and
-//! multi-core parallelism, not total work).
+//! Queues, workers, admission, telemetry and shutdown are the pool's —
+//! the same code [`crate::service::TcamService`] runs on. What differs
+//! is the fan-out economics: an exact lookup costs one shard's scan, a
+//! distance query costs every shard's scan (the win is latency and
+//! multi-core parallelism, not total work). 6T2M cells are non-volatile,
+//! so the pool runs with no refresh clock, and nothing publishes to its
+//! cells: every reply is epoch 0.
 
 use crate::error::{Result, ServeError};
-use crate::queue::BoundedQueue;
-use crate::telemetry::LatencyHistogram;
+use crate::pool::{Batch, ServiceConfig, ShardPool, ShardTable};
+use crate::telemetry::ServeReport;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tcam_arch::acam::kernel::PackedAcamArray;
 use tcam_arch::acam::{AcamArray, AcamMatch, AcamMetric};
+use tcam_arch::bank::BankRefresh;
 
 /// A similarity query mode served by [`AcamService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,6 @@ pub enum AcamQuery {
 #[derive(Debug, Clone)]
 pub struct AcamShards {
     shards: Vec<PackedAcamArray>,
-    width: usize,
 }
 
 impl AcamShards {
@@ -74,7 +73,6 @@ impl AcamShards {
         }
         Ok(Self {
             shards: parts.iter().map(PackedAcamArray::from_array).collect(),
-            width: array.width(),
         })
     }
 
@@ -89,72 +87,45 @@ impl AcamShards {
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
+}
 
-    /// Cells per word.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
+/// A shard's query is the key block every shard of the scatter shares,
+/// plus the query mode. A threshold winner's reported distance is 0 (the
+/// threshold kernel does not compute it).
+impl ShardTable for PackedAcamArray {
+    type Query = (Arc<Vec<Vec<u16>>>, AcamQuery);
+    type Answer = Vec<Option<AcamMatch>>;
+
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    fn keys(query: &Self::Query) -> usize {
+        query.0.len()
+    }
+
+    fn answer(&self, (keys, query): &Self::Query, out: &mut Self::Answer) -> u64 {
+        match *query {
+            AcamQuery::Best(metric) => self.best_match_batch_into(keys, metric, out),
+            AcamQuery::Threshold(d) => {
+                out.clear();
+                out.extend(
+                    self.threshold_match_batch(keys, d)
+                        .into_iter()
+                        .map(|w| w.map(|id| AcamMatch { id, distance: 0 })),
+                );
+            }
+        }
+        out.iter().flatten().count() as u64
     }
 }
 
-/// One scattered query batch: the shared key block, the query mode, and
-/// the reply slot the gather step drains.
-struct AcamJob {
-    keys: Arc<Vec<Vec<u16>>>,
-    query: AcamQuery,
-    reply: mpsc::SyncSender<Vec<Option<AcamMatch>>>,
-    /// Scatter time, for the `acam_queue` trace hop.
-    submitted: Instant,
-    /// Request trace to record per-shard `acam_queue`/`acam_match` hops
-    /// against (`None` on the untraced fast path — no clock reads added).
-    trace: Option<Arc<tcam_obs::RequestTrace>>,
-}
-
-/// Per-shard serving statistics, folded into [`AcamServeReport`].
-#[derive(Debug, Clone)]
-struct AcamShardStats {
-    searches: u64,
-    batches: u64,
-    service: LatencyHistogram,
-}
-
-/// Shutdown report of an [`AcamService`].
-#[derive(Debug, Clone)]
-pub struct AcamServeReport {
-    /// Distance lookups served (per shard scan; a batch of `n` keys over
-    /// `s` shards counts `n` on each shard).
-    pub shard_searches: Vec<u64>,
-    /// Scattered batches served per shard.
-    pub batches: u64,
-    /// Per-shard batch service time, nanoseconds (all shards merged).
-    pub service: LatencyHistogram,
-    /// Workers that panicked instead of returning stats; their shards'
-    /// telemetry is absent from the fields above.
-    pub workers_panicked: u64,
-}
-
-impl AcamServeReport {
-    /// Total per-shard lookups across the pool.
-    #[must_use]
-    pub fn searches(&self) -> u64 {
-        self.shard_searches.iter().sum()
-    }
-}
-
-/// The sharded similarity-search service: one worker thread per shard
-/// behind a bounded queue, scatter on submit, min-reduce on gather.
+/// The sharded similarity-search service: a [`ShardPool`] of packed acam
+/// shards, scatter on submit, min-reduce on gather.
 pub struct AcamService {
-    queues: Vec<Arc<BoundedQueue<AcamJob>>>,
-    workers: Vec<JoinHandle<AcamShardStats>>,
+    pool: ShardPool<PackedAcamArray>,
     width: usize,
 }
-
-/// Max jobs a worker drains per queue visit (scattered batches are
-/// fan-out amplified, so drains stay small).
-const DRAIN_JOBS: usize = 8;
-
-/// Worker poll timeout while idle.
-const POLL: Duration = Duration::from_millis(5);
 
 impl AcamService {
     /// Starts one worker thread per shard, each behind a queue of
@@ -167,31 +138,32 @@ impl AcamService {
         if shards.is_empty() {
             return Err(ServeError::EmptyRuleSet);
         }
-        let width = shards.width();
-        let mut queues = Vec::with_capacity(shards.len());
-        let mut workers = Vec::with_capacity(shards.len());
-        for (i, table) in shards.shards.into_iter().enumerate() {
-            let queue = Arc::new(BoundedQueue::new(queue_capacity.max(1)));
-            queues.push(Arc::clone(&queue));
-            let shard_label = u32::try_from(i).unwrap_or(u32::MAX);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("acam-shard-{i}"))
-                    .spawn(move || run_worker(&table, &queue, shard_label))
-                    .expect("spawn acam shard worker"),
-            );
-        }
-        Ok(Self {
-            queues,
-            workers,
+        let config = ServiceConfig {
+            queue_capacity,
+            ..ServiceConfig::default()
+        };
+        Ok(Self::with_config(shards, &config))
+    }
+
+    /// 6T2M cells are non-volatile: whatever `config` says, no refresh
+    /// clock runs.
+    fn with_config(shards: AcamShards, config: &ServiceConfig) -> Self {
+        let config = ServiceConfig {
+            refresh: BankRefresh::None,
+            ..*config
+        };
+        let width = shards.shards[0].width();
+        let tables = shards.shards.into_iter().map(Arc::new).collect();
+        Self {
+            pool: ShardPool::start(tables, 0, &config),
             width,
-        })
+        }
     }
 
     /// Shard count.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.queues.len()
+        self.pool.shards()
     }
 
     /// Serves one batch of similarity queries end to end: scatter to
@@ -209,23 +181,6 @@ impl AcamService {
         keys: &[Vec<u16>],
         query: AcamQuery,
     ) -> Result<Vec<Option<AcamMatch>>> {
-        self.search_blocking_traced(keys, query, None)
-    }
-
-    /// As [`Self::search_blocking`], recording trace hops against `trace`
-    /// when one is supplied: a top-level `acam_scatter` span over the
-    /// fan-out, per-shard `acam_queue`/`acam_match` spans from the worker
-    /// side, and a top-level `acam_gather` span over the min-reduction.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::search_blocking`].
-    pub fn search_blocking_traced(
-        &self,
-        keys: &[Vec<u16>],
-        query: AcamQuery,
-        trace: Option<&Arc<tcam_obs::RequestTrace>>,
-    ) -> Result<Vec<Option<AcamMatch>>> {
         for key in keys {
             if key.len() != self.width {
                 return Err(ServeError::WidthMismatch {
@@ -237,46 +192,35 @@ impl AcamService {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let shards = self.queues.len();
+        let shards = self.pool.shards();
         let shared = Arc::new(keys.to_vec());
         let (tx, rx) = mpsc::sync_channel(shards);
-        let scatter_start = Instant::now();
-        for queue in &self.queues {
-            let job = AcamJob {
-                keys: Arc::clone(&shared),
-                query,
-                reply: tx.clone(),
-                submitted: scatter_start,
-                trace: trace.cloned(),
-            };
-            if queue.push(job).is_err() {
-                return Err(ServeError::ServiceClosed);
-            }
+        let submitted = Instant::now();
+        for shard in 0..shards {
+            self.pool.submit(
+                shard,
+                Batch {
+                    keys: (Arc::clone(&shared), query),
+                    submitted,
+                    reply: Some(tx.clone()),
+                    trace: None,
+                },
+            )?;
         }
         drop(tx);
-        let scattered = Instant::now();
-        if let Some(trace) = trace {
-            trace.hop("acam_scatter", scatter_start, scattered);
-        }
-        // Gather: element-wise min-reduce over the per-shard winners.
-        // Reply order doesn't matter — both reductions are commutative.
+        // Gather: element-wise min-reduce over the per-shard winners, in
+        // any reply order (the reduction is commutative). `(distance, id)`
+        // orders both modes: a threshold winner's distance is 0, so there
+        // it is the smallest id.
         let mut merged: Vec<Option<AcamMatch>> = vec![None; keys.len()];
         for _ in 0..shards {
-            let local = rx.recv().map_err(|_| ServeError::ServiceClosed)?;
+            let local = rx.recv().map_err(|_| ServeError::ServiceClosed)?.results;
             for (slot, cand) in merged.iter_mut().zip(local) {
                 let Some(c) = cand else { continue };
-                let better = match (&query, &slot) {
-                    (_, None) => true,
-                    (AcamQuery::Best(_), Some(b)) => (c.distance, c.id) < (b.distance, b.id),
-                    (AcamQuery::Threshold(_), Some(b)) => c.id < b.id,
-                };
-                if better {
+                if slot.is_none_or(|b| (c.distance, c.id) < (b.distance, b.id)) {
                     *slot = Some(c);
                 }
             }
-        }
-        if let Some(trace) = trace {
-            trace.hop("acam_gather", scattered, Instant::now());
         }
         Ok(merged)
     }
@@ -297,107 +241,15 @@ impl AcamService {
             .flatten())
     }
 
-    /// Closes the queues, joins every worker, and folds their telemetry.
-    /// A worker that panicked is counted in
-    /// [`AcamServeReport::workers_panicked`] instead of poisoning the
-    /// caller.
+    /// [`ShardPool::shutdown`]: closes the queues, joins every worker and
+    /// folds their telemetry. One [`ShardStats`](crate::telemetry::ShardStats)
+    /// per shard; a batch of `n` keys scattered over `s` shards counts `n`
+    /// searches on each. The report's `meter` prices those searches with
+    /// the default (3T2N) cost model — there is no 6T2M cost table — so
+    /// only its counts mean anything here.
     #[must_use]
-    pub fn shutdown(mut self) -> AcamServeReport {
-        self.shutdown_in_place()
-    }
-
-    /// The idempotent core of [`Self::shutdown`], shared with `Drop`:
-    /// after the first call the worker list is empty, so a later call
-    /// returns an empty report instead of blocking.
-    fn shutdown_in_place(&mut self) -> AcamServeReport {
-        for queue in &self.queues {
-            queue.close();
-        }
-        let mut report = AcamServeReport {
-            shard_searches: Vec::with_capacity(self.workers.len()),
-            batches: 0,
-            service: LatencyHistogram::new(),
-            workers_panicked: 0,
-        };
-        for worker in self.workers.drain(..) {
-            match worker.join() {
-                Ok(stats) => {
-                    report.shard_searches.push(stats.searches);
-                    report.batches += stats.batches;
-                    report.service.merge(&stats.service);
-                }
-                Err(_) => report.workers_panicked += 1,
-            }
-        }
-        report
-    }
-}
-
-impl Drop for AcamService {
-    /// Dropping without [`AcamService::shutdown`] still closes the queues
-    /// and joins the workers (so no thread outlives the service), it just
-    /// discards the telemetry. After an explicit shutdown this is a no-op.
-    fn drop(&mut self) {
-        let _ = self.shutdown_in_place();
-    }
-}
-
-/// The shard worker loop: drain scattered jobs, answer each through the
-/// batched kernel, reply with the shard-local winners.
-fn run_worker(
-    table: &PackedAcamArray,
-    queue: &BoundedQueue<AcamJob>,
-    shard_label: u32,
-) -> AcamShardStats {
-    let mut stats = AcamShardStats {
-        searches: 0,
-        batches: 0,
-        service: LatencyHistogram::new(),
-    };
-    let mut best = Vec::new();
-    let mut ids = Vec::new();
-    loop {
-        let (jobs, closed) = queue.pop_batch(DRAIN_JOBS, POLL);
-        for job in jobs {
-            let dequeued = Instant::now();
-            let local: Vec<Option<AcamMatch>> = match job.query {
-                AcamQuery::Best(metric) => {
-                    table.best_match_batch_tiled(
-                        &job.keys,
-                        metric,
-                        tcam_arch::acam::kernel::ACAM_TILE_KEYS,
-                        &mut best,
-                    );
-                    best.clone()
-                }
-                AcamQuery::Threshold(d) => {
-                    table.threshold_match_batch_tiled(
-                        &job.keys,
-                        d,
-                        tcam_arch::acam::kernel::ACAM_TILE_KEYS,
-                        &mut ids,
-                    );
-                    ids.iter()
-                        .map(|w| w.map(|id| AcamMatch { id, distance: 0 }))
-                        .collect()
-                }
-            };
-            let done = Instant::now();
-            if let Some(trace) = &job.trace {
-                trace.hop_labeled("acam_queue", Some(shard_label), job.submitted, dequeued);
-                trace.hop_labeled("acam_match", Some(shard_label), dequeued, done);
-            }
-            stats.searches += job.keys.len() as u64;
-            stats.batches += 1;
-            stats
-                .service
-                .record(u64::try_from(done.saturating_duration_since(dequeued).as_nanos()).unwrap_or(u64::MAX));
-            // A gather that gave up (caller dropped) is not an error.
-            let _ = job.reply.send(local);
-        }
-        if closed && queue.is_empty() {
-            return stats;
-        }
+    pub fn shutdown(self) -> ServeReport {
+        self.pool.shutdown()
     }
 }
 
@@ -426,9 +278,9 @@ mod tests {
         a
     }
 
-    /// The serving property test: scatter/gather over 1..=4 shards is
-    /// bit-identical to the monolithic scalar oracle for both query
-    /// modes and both metrics.
+    /// The serving property test: scatter/gather over 1..=4 shards, one
+    /// and two workers each, is bit-identical to the monolithic scalar
+    /// oracle for both query modes and both metrics.
     #[test]
     fn sharded_service_matches_monolithic_oracle() {
         let mut rng = SplitMix64::new(0x5EA7);
@@ -436,9 +288,14 @@ mod tests {
         let keys: Vec<Vec<u16>> = (0..53)
             .map(|_| (0..6).map(|_| rng.below(64) as u16).collect())
             .collect();
-        for shards in [1usize, 2, 3, 4] {
+        for (shards, workers) in [(1usize, 1usize), (2, 1), (3, 2), (4, 1), (4, 2)] {
+            let config = ServiceConfig {
+                queue_capacity: 8,
+                workers_per_shard: workers,
+                ..ServiceConfig::default()
+            };
             let service =
-                AcamService::start(AcamShards::build(&array, shards).unwrap(), 8).unwrap();
+                AcamService::with_config(AcamShards::build(&array, shards).unwrap(), &config);
             for metric in [AcamMetric::Hamming, AcamMetric::Interval] {
                 let got = service
                     .search_blocking(&keys, AcamQuery::Best(metric))
@@ -447,7 +304,7 @@ mod tests {
                     .iter()
                     .map(|k| array.best_match(k, metric).unwrap())
                     .collect();
-                assert_eq!(got, want, "shards {shards} metric {metric:?}");
+                assert_eq!(got, want, "shards {shards}x{workers} metric {metric:?}");
             }
             for d in [0u32, 1, 2, 3] {
                 let got = service
@@ -460,11 +317,13 @@ mod tests {
                         id.map(|id| AcamMatch { id, distance: 0 })
                     })
                     .collect();
-                assert_eq!(got, want, "shards {shards} d {d}");
+                assert_eq!(got, want, "shards {shards}x{workers} d {d}");
             }
             let report = service.shutdown();
-            assert_eq!(report.shard_searches.len(), shards.min(array.len()));
-            assert!(report.searches() > 0 && report.batches > 0);
+            assert_eq!(report.shards.len(), shards * workers);
+            // Six scattered batches of 53 keys, each served once per shard.
+            assert_eq!(report.searches(), (6 * keys.len() * shards) as u64);
+            assert_eq!(report.refresh_events(), 0, "6T2M cells need no refresh");
         }
     }
 
@@ -487,12 +346,12 @@ mod tests {
             .unwrap()
             .is_empty());
         let report = service.shutdown();
-        assert_eq!(report.shard_searches.len(), 2);
+        assert_eq!(report.shards.len(), 2);
     }
 
     /// Dropping a started service (no `shutdown`) must still stop its
-    /// workers: each worker owns a clone of its queue's `Arc`, so the
-    /// queue is freed only once the worker thread has exited.
+    /// workers: each worker owns a clone of its shard's `Arc`, so the
+    /// shard is freed only once the worker thread has exited.
     #[test]
     fn drop_without_shutdown_stops_the_workers() {
         let mut rng = SplitMix64::new(5);
@@ -504,10 +363,10 @@ mod tests {
             service.best_match_blocking(&key, AcamMetric::Hamming).unwrap(),
             array.best_match(&key, AcamMetric::Hamming).unwrap()
         );
-        let queues: Vec<_> = service.queues.iter().map(Arc::downgrade).collect();
+        let shards: Vec<_> = service.pool.shards.iter().map(Arc::downgrade).collect();
         drop(service);
         assert!(
-            queues.iter().all(|q| q.upgrade().is_none()),
+            shards.iter().all(|s| s.upgrade().is_none()),
             "a shard worker outlived the dropped service"
         );
     }
@@ -517,21 +376,58 @@ mod tests {
         let mut rng = SplitMix64::new(6);
         let array = random_array(&mut rng, 4, 16, 10);
         let service = AcamService::start(AcamShards::build(&array, 2).unwrap(), 4).unwrap();
-        // A short key (which `search_blocking` would reject) pushed
-        // straight onto shard 0's queue panics that worker in the kernel.
+        // A short key (which `search_blocking` would reject) submitted
+        // straight to shard 0's pool panics that worker in the kernel.
         let (tx, rx) = mpsc::sync_channel(1);
-        let job = AcamJob {
-            keys: Arc::new(vec![vec![1u16]]),
-            query: AcamQuery::Best(AcamMetric::Hamming),
-            reply: tx,
+        let job = Batch {
+            keys: (
+                Arc::new(vec![vec![1u16]]),
+                AcamQuery::Best(AcamMetric::Hamming),
+            ),
             submitted: Instant::now(),
+            reply: Some(tx),
             trace: None,
         };
-        assert!(service.queues[0].push(job).is_ok());
+        service.pool.submit(0, job).unwrap();
         assert!(rx.recv().is_err(), "the panicking worker drops the reply slot");
         let report = service.shutdown();
         assert_eq!(report.workers_panicked, 1);
-        assert_eq!(report.shard_searches.len(), 1);
+        assert_eq!(report.shards.len(), 1);
+    }
+
+    /// Admission control comes with the pool: a full shard queue sheds a
+    /// `try_submit` with `Overloaded` instead of blocking the caller, and
+    /// what was shed is never served.
+    #[test]
+    fn try_submit_sheds_when_the_queue_is_full() {
+        let mut rng = SplitMix64::new(7);
+        let array = random_array(&mut rng, 6, 64, 150);
+        let service = AcamService::start(AcamShards::build(&array, 1).unwrap(), 1).unwrap();
+        // 512 keys x 113 rows is milliseconds of scanning per batch; the
+        // submit loop offers the next one microseconds later.
+        let keys: Arc<Vec<Vec<u16>>> = Arc::new(
+            (0..512)
+                .map(|_| (0..6).map(|_| rng.below(64) as u16).collect())
+                .collect(),
+        );
+        let (mut shed, mut accepted) = (0u32, 0u64);
+        for _ in 0..64 {
+            let job = Batch {
+                keys: (Arc::clone(&keys), AcamQuery::Threshold(1)),
+                submitted: Instant::now(),
+                reply: None,
+                trace: None,
+            };
+            match service.pool.try_submit(0, job) {
+                Ok(()) => accepted += keys.len() as u64,
+                Err(ServeError::Overloaded { shard: 0 }) => shed += 1,
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
+        assert!(shed > 0, "a 1-slot queue never shed under a tight loop");
+        let report = service.shutdown();
+        assert_eq!(report.searches(), accepted, "shed batches must not serve");
+        assert_eq!(report.workers_panicked, 0);
     }
 
     #[test]

@@ -14,18 +14,23 @@
 //! * [`shard::ShardedRuleSet`] — prefix-range sharding of a ternary rule
 //!   set with don't-care replication, provably equivalent to a monolithic
 //!   array (property-tested against the oracle).
-//! * [`service::TcamService`] — one worker thread per shard behind a
-//!   bounded [`queue::BoundedQueue`] (blocking push = backpressure),
-//!   draining batched searches over bit-packed rule arrays and executing
-//!   refresh events on schedule per [`BankRefresh`] policy.
+//! * [`pool::ShardPool`] — the one serving core: per shard, a bounded
+//!   [`queue::BoundedQueue`] (blocking push = backpressure, `try_submit`
+//!   = load shedding), `workers_per_shard` worker threads draining
+//!   batched searches through the table's kernel, refresh events on
+//!   schedule per [`BankRefresh`] policy, and a published-snapshot cell
+//!   that rule updates swap whole tables through.
+//! * [`service::TcamService`] — the pool over bit-packed ternary tables
+//!   plus the *route-to-one* plan (a key's prefix bits name its shard).
 //! * [`telemetry`] — HDR-style log-bucketed latency histograms
 //!   (p50/p95/p99/p999), per-shard counters, refresh-stall gauges, and
 //!   energy via the arch crate's `WorkloadMeter`.
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
 //! * [`acam`] — the opt-in similarity-search path: distance queries
-//!   cannot be prefix-routed, so [`acam::AcamService`] scatters each
-//!   batch to every row-partitioned shard and min-reduces the per-shard
-//!   winners at gather, bit-identical to a monolithic scan.
+//!   cannot be prefix-routed, so [`acam::AcamService`] is the same pool
+//!   plus the *scatter-all + min-reduce* plan — each batch goes to every
+//!   row-partitioned shard and the per-shard winners are min-reduced at
+//!   gather, bit-identical to a monolithic scan.
 //!
 //! `stack_bench` (the repo's one benchmark, its own package) measures
 //! these layers end to end and one by one.
@@ -52,17 +57,19 @@
 
 pub mod acam;
 pub mod error;
+pub mod pool;
 pub mod queue;
 pub mod service;
 pub mod shard;
 pub mod telemetry;
 pub mod workload;
 
-pub use acam::{AcamQuery, AcamServeReport, AcamService, AcamShards};
+pub use acam::{AcamQuery, AcamService, AcamShards};
 pub use error::{Result, ServeError};
+pub use pool::{Batch, Reply, ShardPool, ShardTable};
 pub use queue::{BoundedQueue, TryPushError};
-pub use service::{BatchReply, SearchBatch, ServiceConfig, TableUpdate, TcamService};
-pub use shard::{RowOps, ShardedRuleSet};
+pub use service::{BatchReply, SearchBatch, ServiceConfig, TcamService};
+pub use shard::{RowOps, ShardRouter, ShardedRuleSet};
 pub use telemetry::{LatencyHistogram, ServeReport, ShardStats};
 pub use workload::Workload;
 

@@ -1,0 +1,685 @@
+//! The shard-worker pool: per shard, a bounded queue in front, worker
+//! threads behind it, refresh competing with traffic on the worker's
+//! clock, and one published-snapshot cell that rule updates swap whole
+//! tables through. Both services of this crate are a *plan* over it —
+//! [`TcamService`](crate::service::TcamService) routes a key to one shard,
+//! [`AcamService`](crate::acam::AcamService) scatters to all and
+//! min-reduces — and a [`ShardTable`] is the only thing that differs.
+//!
+//! # Execution model
+//!
+//! Searches arrive as [`Batch`]es on a shard's [`BoundedQueue`] (blocking
+//! [`ShardPool::submit`] = backpressure, [`ShardPool::try_submit`] = load
+//! shedding). The shard's [`ServiceConfig::workers_per_shard`] workers
+//! drain the shared queue and match each batch in one kernel call
+//! ([`ShardTable::answer`]); telemetry is settled per batch
+//! ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)), so
+//! no per-key clock read or metric update is on the hot path.
+//!
+//! # Refresh under load
+//!
+//! A dynamic TCAM must refresh within every retention interval, and the
+//! paper's one-shot scheme exists so that doing so barely interrupts
+//! traffic. Here refresh is a *scheduled event on the worker's wall clock*
+//! — while it runs the queue keeps filling, and the telemetry records the
+//! stall and the searches caught behind it. A physical shard refreshes
+//! once per interval however many threads serve it, so worker 0 owns the
+//! shard's refresh clock and its siblings serve through the stall. An
+//! event is sized by the [`BankRefresh`] policy hooks the timed bank uses
+//! (1 op one-shot, `rows` ops row-by-row), each op `refresh_op_work` units
+//! of real work and metered through
+//! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter): a row-by-row
+//! event stalls the shard ~`rows`× longer — the paper's argument, measured.
+//!
+//! # Online updates: the published-snapshot cell
+//!
+//! Rule updates never mutate a table a worker is reading. A publisher
+//! (the `tcam-update` crate's `Updater`) builds a complete replacement
+//! table and [`publishes`](ShardPool::publish) it under a monotonically
+//! increasing **epoch**: one store into the shard's cell, which holds
+//! exactly one `(epoch, Arc<table>, published_at)` — the newest. As with
+//! one-shot refresh, one whole-table operation supersedes any number of
+//! earlier ones, so nothing queues: a stale or repeated epoch is refused
+//! at the cell, and a worker that saw no traffic between two publications
+//! jumps straight to the newer one. All workers of a shard share the
+//! cell's `Arc`; none owns a copy.
+//!
+//! A worker loads the cell **after it has dequeued work and before it
+//! matches the first batch of that drain — never inside a batch**. That
+//! one rule gives three guarantees:
+//!
+//! * **no torn table**: a batch is served entirely from one immutable
+//!   snapshot whose epoch the reply reports ([`Reply::epoch`]), so the
+//!   result is what a single-threaded search of that epoch's rules returns;
+//! * **read-your-writes**: a lookup submitted after `publish(v)` returned
+//!   is served at an epoch ≥ v — the submit → dequeue hand-off orders the
+//!   worker's load after the publisher's store;
+//! * **per-caller monotonic epochs**: a caller's consecutive replies from
+//!   a shard never go back in epoch, whichever of its workers serves them.
+//!   (Cells are per shard and a publisher stores into them one by one, so
+//!   *across* shards a caller can see `v` and then `v − 1` while a
+//!   publication is under way.)
+//!
+//! `tcam-update`'s `concurrent_churn` test holds all three under a live
+//! updater. Publish → swap is recorded per worker as the snapshot's
+//! staleness window (`update_latency`), the epoch jump as `max_epoch_lag`.
+
+use crate::error::{Result, ServeError};
+use crate::queue::{BoundedQueue, TryPushError};
+use crate::telemetry::{ServeReport, ShardStats};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+use tcam_arch::bank::BankRefresh;
+use tcam_arch::energy_model::OperationCosts;
+
+/// Service configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct ServiceConfig {
+    /// Batches each shard queue can hold before producers block.
+    pub queue_capacity: usize,
+    /// Refresh policy (event sizing; `None` disables refresh).
+    pub refresh: BankRefresh,
+    /// Wall-clock interval between refresh events per shard. The physical
+    /// retention (26.5 µs for the paper's 3T2N) is far below what software
+    /// can schedule, so benches run a scaled-up interval; the *ratio*
+    /// between policies is what the model preserves.
+    pub refresh_interval: Duration,
+    /// Units of work per refresh operation (SplitMix64 rounds); scales how
+    /// long one op occupies the shard.
+    pub refresh_op_work: u32,
+    /// Worker threads per shard — the multi-core scaling knob. All of a
+    /// shard's workers pop from the same bounded queue and serve from the
+    /// shard's one published snapshot, so scaling needs no sharding
+    /// change. `0` = auto: spread [`std::thread::available_parallelism`]
+    /// evenly across shards (at least one worker each).
+    pub workers_per_shard: usize,
+    /// Per-operation cost model for energy accounting.
+    pub costs: OperationCosts,
+}
+
+impl ServiceConfig {
+    /// The worker count per shard this config resolves to for `shards`
+    /// shards (`0` = auto = available parallelism spread across shards).
+    #[must_use]
+    pub fn resolved_workers_per_shard(&self, shards: usize) -> usize {
+        if self.workers_per_shard > 0 {
+            return self.workers_per_shard;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        (cores / shards.max(1)).max(1)
+    }
+}
+
+impl Default for ServiceConfig {
+    fn default() -> Self {
+        Self {
+            queue_capacity: 64,
+            refresh: BankRefresh::OneShot { op_time: 10e-9 },
+            refresh_interval: Duration::from_millis(5),
+            refresh_op_work: 512,
+            workers_per_shard: 1,
+            costs: OperationCosts::paper_3t2n(),
+        }
+    }
+}
+
+/// What a shard serves from: an immutable table with a batch kernel. The
+/// pool owns everything else.
+pub trait ShardTable: Send + Sync + 'static {
+    /// One batch of keys (plus whatever says how to match them).
+    type Query: Send + 'static;
+    /// The kernel's output for one batch, one slot per key.
+    type Answer: Default + Send + 'static;
+
+    /// Stored rows (sizes a row-by-row refresh event).
+    fn rows(&self) -> usize;
+
+    /// Keys in `query`.
+    fn keys(query: &Self::Query) -> usize;
+
+    /// Matches every key of `query` into `out` (cleared first) and returns
+    /// how many found a match.
+    fn answer(&self, query: &Self::Query, out: &mut Self::Answer) -> u64;
+}
+
+/// A batch of keys bound for one shard.
+pub struct Batch<T: ShardTable> {
+    /// The keys, all belonging to the destination shard.
+    pub keys: T::Query,
+    /// When the batch was submitted (queue-wait measurement starts here).
+    pub submitted: Instant,
+    /// Reply channel for closed-loop callers; `None` discards results
+    /// (open-loop load generation counts completions instead).
+    pub reply: Option<SyncSender<Reply<T::Answer>>>,
+    /// The sampled request's hop collector, when the submitter carries
+    /// one: the worker records its shard-labeled queue-wait and match
+    /// hops into it. `None` (the common case) costs nothing on the
+    /// match path.
+    pub trace: Option<Arc<tcam_obs::RequestTrace>>,
+}
+
+/// A worker's reply to a [`Batch`].
+#[derive(Debug)]
+pub struct Reply<A> {
+    /// The epoch of the table snapshot that served every key in the batch
+    /// (0 = the initial table). Exactly one epoch serves a whole batch —
+    /// the no-torn-snapshot guarantee, exposed so callers can verify it.
+    pub epoch: u64,
+    /// One result per key, in submission order.
+    pub results: A,
+}
+
+/// One published table snapshot.
+struct Published<T> {
+    epoch: u64,
+    table: Arc<T>,
+    published_at: Instant,
+}
+
+/// A shard's published-snapshot cell: the newest snapshot behind a lock,
+/// and its epoch beside it so "anything new?" is one atomic load.
+///
+/// `epoch` is stored with `Release` while the slot lock is held, after the
+/// slot was replaced; a worker that `Acquire`-loads epoch `v` and then
+/// locks the slot therefore finds a snapshot of epoch ≥ `v`.
+struct Cell<T> {
+    epoch: AtomicU64,
+    slot: Mutex<Published<T>>,
+}
+
+impl<T> Cell<T> {
+    fn new(epoch: u64, table: Arc<T>) -> Self {
+        Self {
+            epoch: AtomicU64::new(epoch),
+            slot: Mutex::new(Published {
+                epoch,
+                table,
+                published_at: Instant::now(),
+            }),
+        }
+    }
+
+    /// Replaces the snapshot if `epoch` is newer than the one held;
+    /// returns whether it did. Republication is idempotent, and an older
+    /// epoch can never overwrite a newer one.
+    fn publish(&self, epoch: u64, table: Arc<T>) -> bool {
+        let mut slot = self
+            .slot
+            .lock()
+            .expect("cell lock is never held across a panic");
+        if epoch <= slot.epoch {
+            return false;
+        }
+        *slot = Published {
+            epoch,
+            table,
+            published_at: Instant::now(),
+        };
+        self.epoch.store(epoch, Ordering::Release);
+        true
+    }
+
+    fn load(&self) -> Published<T> {
+        let slot = self
+            .slot
+            .lock()
+            .expect("cell lock is never held across a panic");
+        Published {
+            table: Arc::clone(&slot.table),
+            ..*slot
+        }
+    }
+
+    /// The worker's swap point. An unchanged cell costs one `Acquire`
+    /// load; a newer snapshot replaces `current`, is accounted in `stats`,
+    /// and the retired table is handed back so the caller decides when its
+    /// memory is freed.
+    fn adopt(&self, current: &mut Published<T>, stats: &mut ShardStats) -> Option<Arc<T>> {
+        if self.epoch.load(Ordering::Acquire) <= current.epoch {
+            return None;
+        }
+        let _obs = tcam_obs::span!("serve_swap");
+        let next = self.load();
+        stats.updates_applied += 1;
+        // 1 = caught the very next publication; larger = publications
+        // superseded each other between this worker's swap points.
+        stats.max_epoch_lag = stats.max_epoch_lag.max(next.epoch - current.epoch);
+        stats.epoch = next.epoch;
+        stats
+            .update_latency
+            .record(nanos(next.published_at, Instant::now()));
+        Some(std::mem::replace(current, next).table)
+    }
+}
+
+/// What a shard's workers and the submitting side share.
+pub(crate) struct Shard<T: ShardTable> {
+    pub(crate) queue: BoundedQueue<Batch<T>>,
+    cell: Cell<T>,
+    /// Keys currently waiting in the queue (batch contents included);
+    /// updated outside the match loop.
+    queued_keys: AtomicU64,
+}
+
+/// The running pool. Dropping without [`ShardPool::shutdown`] closes the
+/// queues and joins the workers (discarding their telemetry); shutdown and
+/// drop are both idempotent, in any order.
+pub struct ShardPool<T: ShardTable> {
+    pub(crate) shards: Vec<Arc<Shard<T>>>,
+    workers: Vec<JoinHandle<ShardStats>>,
+}
+
+impl<T: ShardTable> ShardPool<T> {
+    /// Starts `workers_per_shard` worker threads per table of `tables`
+    /// (see [`ServiceConfig::workers_per_shard`]), every cell published at
+    /// `epoch`. A queue capacity of 0 is clamped to 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the OS refuses to spawn a thread.
+    #[must_use]
+    pub fn start(tables: Vec<Arc<T>>, epoch: u64, config: &ServiceConfig) -> Self {
+        let per_shard = config.resolved_workers_per_shard(tables.len());
+        let mut shards = Vec::with_capacity(tables.len());
+        let mut workers = Vec::with_capacity(tables.len() * per_shard);
+        for (index, table) in tables.into_iter().enumerate() {
+            let shard = Arc::new(Shard {
+                queue: BoundedQueue::new(config.queue_capacity.max(1)),
+                cell: Cell::new(epoch, table),
+                queued_keys: AtomicU64::new(0),
+            });
+            for worker in 0..per_shard {
+                let ctx = WorkerCtx {
+                    index,
+                    worker,
+                    worker_label: u32::try_from(index * per_shard + worker).unwrap_or(u32::MAX),
+                    shard: Arc::clone(&shard),
+                    config: *config,
+                };
+                workers.push(
+                    std::thread::Builder::new()
+                        .name(format!("tcam-s{index}w{worker}"))
+                        .spawn(move || run_worker(&ctx))
+                        .expect("spawn shard worker"),
+                );
+            }
+            shards.push(shard);
+        }
+        Self { shards, workers }
+    }
+
+    /// Number of shards.
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Submits a batch to shard `shard`, blocking while its queue is full.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ServiceClosed`] after shutdown began.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn submit(&self, shard: usize, batch: Batch<T>) -> Result<()> {
+        let target = &self.shards[shard];
+        let keys = T::keys(&batch.keys) as u64;
+        target.queued_keys.fetch_add(keys, Ordering::Relaxed);
+        target.queue.push(batch).map_err(|_rejected| {
+            target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
+            ServeError::ServiceClosed
+        })
+    }
+
+    /// Submits a batch to shard `shard` **only if its queue has room right
+    /// now** — the admission-control path a network front-end uses so that
+    /// overload becomes an explicit error on the wire instead of unbounded
+    /// queueing (or a blocked accept loop).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Overloaded`] when the shard queue is at capacity,
+    /// [`ServeError::ServiceClosed`] after shutdown began.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn try_submit(&self, shard: usize, batch: Batch<T>) -> Result<()> {
+        let target = &self.shards[shard];
+        let keys = T::keys(&batch.keys) as u64;
+        target.queued_keys.fetch_add(keys, Ordering::Relaxed);
+        target.queue.try_push(batch).map_err(|rejected| {
+            target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
+            match rejected {
+                TryPushError::Full(_) => ServeError::Overloaded { shard },
+                TryPushError::Closed(_) => ServeError::ServiceClosed,
+            }
+        })
+    }
+
+    /// Publishes `table` as shard `shard`'s snapshot of epoch `epoch`: one
+    /// store into the shard's cell, never blocking. Returns `false` — and
+    /// changes nothing — when the cell already holds that epoch or a newer
+    /// one. Once this returns, every lookup submitted afterwards is served
+    /// at `epoch` or later.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn publish(&self, shard: usize, epoch: u64, table: Arc<T>) -> bool {
+        self.shards[shard].cell.publish(epoch, table)
+    }
+
+    /// Stops accepting work, drains the search queues, joins every worker
+    /// and returns the merged telemetry. Each worker loads its cell once
+    /// more on the way out, so [`ServeReport::last_epoch`] is the last
+    /// published epoch.
+    ///
+    /// Shutdown is **idempotent and panic-free**: closing the queues twice
+    /// is a no-op, and a worker that panicked (or already exited) is
+    /// counted in [`ServeReport::workers_panicked`] instead of poisoning
+    /// the caller — the lifecycle contract the network front-end's accept
+    /// loops rely on, where `Drop` may race an explicit shutdown.
+    #[must_use]
+    pub fn shutdown(mut self) -> ServeReport {
+        self.shutdown_in_place()
+    }
+
+    /// The idempotent core of [`Self::shutdown`], shared with `Drop`:
+    /// closes every queue (a second close is a no-op), joins whatever
+    /// workers are still owned, and merges their stats. After the first
+    /// call the worker list is empty, so later calls return an empty
+    /// report instead of blocking or panicking.
+    fn shutdown_in_place(&mut self) -> ServeReport {
+        for shard in &self.shards {
+            shard.queue.close();
+        }
+        let mut panicked = 0u64;
+        let stats = self
+            .workers
+            .drain(..)
+            .filter_map(|w| match w.join() {
+                Ok(stats) => Some(stats),
+                Err(_) => {
+                    panicked += 1;
+                    None
+                }
+            })
+            .collect();
+        let mut report = ServeReport::from_shards(stats);
+        report.workers_panicked = panicked;
+        report
+    }
+}
+
+impl<T: ShardTable> Drop for ShardPool<T> {
+    /// Dropping without [`ShardPool::shutdown`] still closes the queues
+    /// and joins the workers (so no thread outlives the pool), it just
+    /// discards the telemetry. After an explicit shutdown this is a no-op.
+    fn drop(&mut self) {
+        let _ = self.shutdown_in_place();
+    }
+}
+
+struct WorkerCtx<T: ShardTable> {
+    /// Shard index.
+    index: usize,
+    /// Worker index within the shard (worker 0 owns the refresh clock).
+    worker: usize,
+    /// Global worker index (`shard * workers_per_shard + worker`), the
+    /// label for per-worker registry gauges.
+    worker_label: u32,
+    shard: Arc<Shard<T>>,
+    config: ServiceConfig,
+}
+
+/// One refresh operation's worth of work: `work` SplitMix64 rounds over
+/// the op counter, kept live via `black_box` so the optimizer cannot
+/// elide the stall being measured.
+fn refresh_op(state: u64, work: u32) -> u64 {
+    let mut acc = state;
+    for _ in 0..work {
+        acc = acc.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = acc;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        acc ^= z >> 27;
+    }
+    std::hint::black_box(acc)
+}
+
+/// `from → to` in nanoseconds (0 when `to` is earlier).
+fn nanos(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Mirrors a worker's coarse state into the global `tcam-obs` registry as
+/// labeled gauges (shard-scoped gauges labeled by shard index, the
+/// utilization gauge by global worker index). Called at flush boundaries
+/// only — never per key — so the registry costs nothing on the match
+/// path.
+fn publish_gauges<T: ShardTable>(
+    ctx: &WorkerCtx<T>,
+    stats: &ShardStats,
+    shard: u32,
+    worker_start: Instant,
+) {
+    #[allow(clippy::cast_precision_loss)]
+    {
+        tcam_obs::gauge_set_at(
+            "serve_queue_depth",
+            shard,
+            ctx.shard.queued_keys.load(Ordering::Relaxed) as f64,
+        );
+        tcam_obs::gauge_set_at("serve_epoch", shard, stats.epoch as f64);
+        tcam_obs::gauge_set_at("serve_epoch_lag", shard, stats.max_epoch_lag as f64);
+        // Utilization: fraction of this worker's wall clock spent matching
+        // batches (refresh/swap/idle excluded).
+        let elapsed = worker_start.elapsed().as_secs_f64();
+        if elapsed > 0.0 {
+            tcam_obs::gauge_set_at(
+                "serve_worker_busy_pct",
+                ctx.worker_label,
+                100.0 * stats.busy.as_secs_f64() / elapsed,
+            );
+        }
+    }
+}
+
+/// Max batches a worker drains per queue visit.
+const DRAIN_BATCHES: usize = 4;
+
+/// How long a worker with no refresh clock blocks on an empty queue before
+/// it looks at the cell again.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// How many processed batches between registry flushes. Flushing takes the
+/// global mutex, so workers amortize it well past the per-batch path.
+const FLUSH_EVERY_BATCHES: u64 = 64;
+
+fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
+    let worker_start = Instant::now();
+    let (queue, cell) = (&ctx.shard.queue, &ctx.shard.cell);
+    let mut current = cell.load();
+    let mut stats = ShardStats::new(ctx.index, current.table.rows());
+    stats.epoch = current.epoch;
+    stats.worker = ctx.worker;
+    let config = &ctx.config;
+    // A physical shard refreshes once per interval no matter how many
+    // threads serve it: worker 0 owns the shard's refresh clock, siblings
+    // keep draining the queue through the stall.
+    let refresh_on = ctx.worker == 0 && !matches!(config.refresh, BankRefresh::None);
+    let refresh_interval = config.refresh_interval.max(Duration::from_micros(10));
+    let mut next_refresh = Instant::now() + refresh_interval;
+    let mut refresh_state = ctx.index as u64;
+    let shard_label = u32::try_from(ctx.index).unwrap_or(u32::MAX);
+    let mut batches_at_last_flush = 0u64;
+    // Reused kernel output buffer: the no-reply (open-loop) path never
+    // allocates; the reply path takes the buffer and leaves a fresh one.
+    let mut kernel_out = T::Answer::default();
+
+    loop {
+        let now = Instant::now();
+        if refresh_on && now >= next_refresh {
+            // A refresh event competes with traffic: the shard serves
+            // nothing until its ops complete.
+            let _obs = tcam_obs::span!("serve_refresh");
+            let ops = config.refresh.ops_per_event(current.table.rows());
+            for _ in 0..ops {
+                refresh_state = refresh_op(refresh_state, config.refresh_op_work);
+                stats.meter.refresh(&config.costs, config.refresh.op_time());
+            }
+            let end = Instant::now();
+            stats.refresh_events += 1;
+            stats.refresh_ops += ops;
+            stats.refresh_stall += end - now;
+            // Everything queued right now sat through the stall.
+            stats.stalled_searches += ctx.shard.queued_keys.load(Ordering::Relaxed);
+            next_refresh += refresh_interval;
+            if next_refresh <= end {
+                next_refresh = end + refresh_interval;
+            }
+            continue;
+        }
+
+        let timeout = if refresh_on {
+            next_refresh.saturating_duration_since(now)
+        } else {
+            IDLE_POLL
+        };
+        let (batches, closed) = {
+            // Idle time (blocking on the queue) is a phase of its own so
+            // the span breakdown partitions the worker's whole wall clock.
+            let _obs = tcam_obs::span!("serve_idle");
+            queue.pop_batch(DRAIN_BATCHES, timeout)
+        };
+        // The swap point: after the dequeue, so whatever was published
+        // before these batches were submitted is what serves them, and
+        // before the first match, so the whole drain sees one snapshot.
+        // On the closed-and-drained visit this is the exit-time load. The
+        // retired table is held until the drain's replies are out: freeing
+        // it is not on any request's critical path.
+        let retired = cell.adopt(&mut current, &mut stats);
+        if batches.is_empty() {
+            if closed {
+                stats.rows = current.table.rows();
+                if tcam_obs::enabled() {
+                    // Publish the shard's exact histograms wholesale and
+                    // mirror the counters once — the registry view matches
+                    // the final `ServeReport` without per-key recording.
+                    tcam_obs::hist_merge("serve_latency", &stats.latency);
+                    tcam_obs::hist_merge("serve_queue_wait", &stats.queue_wait);
+                    tcam_obs::hist_merge("serve_update_latency", &stats.update_latency);
+                    tcam_obs::counter_add("serve_searches", stats.searches);
+                    tcam_obs::counter_add("serve_batches", stats.batches);
+                    tcam_obs::counter_add("serve_refresh_events", stats.refresh_events);
+                    tcam_obs::counter_add("serve_updates_applied", stats.updates_applied);
+                    publish_gauges(ctx, &stats, shard_label, worker_start);
+                    tcam_obs::flush();
+                }
+                return stats;
+            }
+            continue;
+        }
+
+        let t0 = Instant::now();
+        let obs_match = tcam_obs::span!("serve_match");
+        for batch in batches {
+            let n = T::keys(&batch.keys) as u64;
+            ctx.shard.queued_keys.fetch_sub(n, Ordering::Relaxed);
+            let dequeued = Instant::now();
+            stats.queue_wait.record(nanos(batch.submitted, dequeued));
+            stats.batches += 1;
+
+            // The whole batch goes through the kernel in one call;
+            // telemetry is settled per batch (one clock read, O(1)
+            // histogram/meter updates), never per key.
+            stats.matched += current.table.answer(&batch.keys, &mut kernel_out);
+            stats.searches += n;
+            stats.meter.search_n(&config.costs, n);
+            let done = Instant::now();
+            if let Some(trace) = &batch.trace {
+                // Shard-labeled worker hops for the sampled request: its
+                // queue wait and the kernel-match interval, both nesting
+                // inside the submitter's gather span by containment.
+                trace.hop_labeled("serve_queue", Some(shard_label), batch.submitted, dequeued);
+                trace.hop_labeled("serve_match", Some(shard_label), dequeued, done);
+            }
+            stats.latency.record_n(nanos(batch.submitted, done), n);
+            if let Some(reply) = batch.reply {
+                // A departed closed-loop caller is not an error.
+                let _ = reply.send(Reply {
+                    epoch: current.epoch,
+                    results: std::mem::take(&mut kernel_out),
+                });
+            }
+        }
+        drop(obs_match);
+        stats.busy += t0.elapsed();
+        drop(retired);
+        if tcam_obs::enabled() && stats.batches - batches_at_last_flush >= FLUSH_EVERY_BATCHES {
+            // Periodic visibility for long-running services: gauges plus
+            // accumulated span phases, amortized far past the batch path.
+            batches_at_last_flush = stats.batches;
+            publish_gauges(ctx, &stats, shard_label, worker_start);
+            tcam_obs::flush();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcam_arch::packed::PackedTcamArray;
+
+    fn table() -> Arc<PackedTcamArray> {
+        Arc::new(PackedTcamArray::new(8))
+    }
+
+    #[test]
+    fn cell_refuses_stale_epochs_and_adopt_tracks_the_jump() {
+        let cell = Cell::new(0, table());
+        let mut current = cell.load();
+        let mut stats = ShardStats::new(0, 0);
+
+        // An unchanged cell costs no swap: nothing retired, nothing counted.
+        assert!(cell.adopt(&mut current, &mut stats).is_none());
+        assert_eq!(
+            (stats.updates_applied, stats.update_latency.count()),
+            (0, 0)
+        );
+
+        // Epochs 1 and 3 supersede each other in the cell; the worker
+        // jumps 0 -> 3 in one swap and is handed the epoch-0 table back.
+        let boot = Arc::clone(&current.table);
+        let third = table();
+        assert!(cell.publish(1, table()));
+        assert!(cell.publish(3, Arc::clone(&third)));
+        let retired = cell.adopt(&mut current, &mut stats).expect("a newer epoch");
+        assert!(Arc::ptr_eq(&retired, &boot));
+        assert!(Arc::ptr_eq(&current.table, &third));
+        assert_eq!((current.epoch, stats.epoch), (3, 3));
+        assert_eq!(
+            stats.updates_applied, 1,
+            "one swap, not one per publication"
+        );
+        assert_eq!(stats.max_epoch_lag, 3);
+        assert_eq!(stats.update_latency.count(), 1);
+
+        // A repeated or older epoch is refused at the cell and the table
+        // offered with it never becomes visible.
+        assert!(!cell.publish(3, table()));
+        assert!(!cell.publish(2, table()));
+        assert!(cell.adopt(&mut current, &mut stats).is_none());
+        assert!(Arc::ptr_eq(&cell.load().table, &third));
+
+        // Catching the very next epoch keeps the max at the worst case.
+        assert!(cell.publish(4, table()));
+        assert!(cell.adopt(&mut current, &mut stats).is_some());
+        assert_eq!((current.epoch, stats.max_epoch_lag), (4, 3));
+    }
+}

@@ -46,6 +46,58 @@ impl RowOps {
     }
 }
 
+/// Where a key goes: the word width and selector width of a
+/// [`ShardedRuleSet`], without its tables. The running service keeps only
+/// this (the tables live in the pool's published cells), so routing a key
+/// never touches — or keeps alive — a rule set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardRouter {
+    width: usize,
+    shard_bits: u32,
+}
+
+impl ShardRouter {
+    /// Word width in bits.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of shards keys route across (`2^shard_bits`).
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        1 << self.shard_bits
+    }
+
+    /// Routes an already-packed key: the selector is the top `shard_bits`
+    /// bits of limb 0, so routing is one shift of the value limb, guarded
+    /// by a leading-ones test on the care mask (an `X` in the selector is
+    /// a care-mask hole). This is the hot-path form — callers that pack a
+    /// key for matching route it with no second pass over the bits.
+    ///
+    /// The key is **not** width-checked (a `PackedWord` carries no
+    /// width); [`ShardedRuleSet::route`] and [`ShardedRuleSet::search`]
+    /// validate width first.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::AmbiguousKey`] when a selector bit is `X`.
+    #[inline]
+    pub fn route_packed(&self, key: &PackedWord) -> Result<usize> {
+        let bits = self.shard_bits;
+        if bits == 0 {
+            return Ok(0);
+        }
+        // Selector bits live at the top of limb 0 (MAX_SHARD_BITS <= 12 <
+        // 64, and shard_bits <= width). All of them must be cared for.
+        let lead = key.mask[0].leading_ones();
+        if lead < bits {
+            return Err(ServeError::AmbiguousKey { bit: lead as usize });
+        }
+        Ok((key.value[0] >> (64 - bits)) as usize)
+    }
+}
+
 /// A ternary rule set sharded by its top `shard_bits` bits.
 ///
 /// The set is **mutable**: [`insert`](Self::insert),
@@ -227,11 +279,6 @@ impl ShardedRuleSet {
         self.words.get(&id).map(Vec::as_slice)
     }
 
-    /// All rule ids in ascending (priority) order.
-    pub fn rule_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.keys().copied()
-    }
-
     /// Number of shards (`2^shard_bits`).
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -300,31 +347,31 @@ impl ShardedRuleSet {
         self.route_packed(&PackedWord::pack(&key[..self.shard_bits as usize]))
     }
 
-    /// Routes an already-packed key: the selector is the top `shard_bits`
-    /// bits of limb 0, so routing is one shift of the value limb, guarded
-    /// by a leading-ones test on the care mask (an `X` in the selector is
-    /// a care-mask hole). This is the hot-path form — callers that pack a
-    /// key for matching route it with no second pass over the bits.
-    ///
-    /// The key is **not** width-checked (a `PackedWord` carries no
-    /// width); [`Self::route`] and [`Self::search`] validate width first.
+    /// [`ShardRouter::route_packed`] with this set's widths.
     ///
     /// # Errors
     ///
     /// [`ServeError::AmbiguousKey`] when a selector bit is `X`.
     #[inline]
     pub fn route_packed(&self, key: &PackedWord) -> Result<usize> {
-        let bits = self.shard_bits;
-        if bits == 0 {
-            return Ok(0);
+        self.router().route_packed(key)
+    }
+
+    /// This set's router (two integers).
+    #[must_use]
+    pub fn router(&self) -> ShardRouter {
+        ShardRouter {
+            width: self.width,
+            shard_bits: self.shard_bits,
         }
-        // Selector bits live at the top of limb 0 (MAX_SHARD_BITS <= 12 <
-        // 64, and shard_bits <= width). All of them must be cared for.
-        let lead = key.mask[0].leading_ones();
-        if lead < bits {
-            return Err(ServeError::AmbiguousKey { bit: lead as usize });
-        }
-        Ok((key.value[0] >> (64 - bits)) as usize)
+    }
+
+    /// Gives up the shard tables (ascending shard index) with the router
+    /// that addresses them — how a service takes ownership of a rule set
+    /// without copying a row.
+    #[must_use]
+    pub fn into_shards(self) -> (ShardRouter, Vec<PackedTcamArray>) {
+        (self.router(), self.shards)
     }
 
     /// Single-threaded sharded lookup: route, then shard-local first match.

@@ -9,7 +9,7 @@
 //! sharing, no atomics on the hot path) and [`ServeReport`] is the
 //! shutdown-time merge across shards. Workers also mirror coarse
 //! aggregates into the global `tcam-obs` registry at batch-boundary
-//! flushes (see `service.rs`), so a long-running serve loop is observable
+//! flushes (see `pool.rs`), so a long-running serve loop is observable
 //! before shutdown; the report stays the exact, complete record.
 
 use std::time::Duration;
@@ -18,7 +18,7 @@ use tcam_arch::energy_model::WorkloadMeter;
 pub use tcam_obs::hist::{bucket_of, value_of, LatencyHistogram};
 
 /// Counters one shard worker accumulates privately and returns at join.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -34,25 +34,22 @@ pub struct ShardStats {
     pub matched: u64,
     /// Batches processed.
     pub batches: u64,
-    /// Searches whose batch waited longer than the configured delay
-    /// threshold before a worker picked it up.
-    pub delayed_searches: u64,
     /// Keys observed waiting in the queue at the end of refresh events —
     /// traffic directly stalled behind refresh.
     pub stalled_searches: u64,
-    /// Table updates (epoch snapshots) applied by this shard's worker.
+    /// Snapshot swaps this worker made: times it found a newer epoch in
+    /// its shard's published cell and switched to it. At most the number
+    /// of publications — epochs that superseded each other between two of
+    /// the worker's swap points cost one swap, not one each.
     pub updates_applied: u64,
-    /// Last published epoch this shard serves from (0 = the initial
-    /// table) — the per-shard epoch gauge.
+    /// The epoch this worker serves from (0 = the initial table) — after
+    /// shutdown, the last epoch published to its shard.
     pub epoch: u64,
-    /// Largest epoch jump observed at a snapshot swap: newest pending
-    /// epoch minus the epoch served before the swap. 1 = the shard always
-    /// caught the next epoch promptly; larger = publications piled up
-    /// between batch boundaries; 0 = no update was ever applied.
+    /// Largest epoch jump observed at a snapshot swap: the published
+    /// epoch minus the epoch served before the swap. 1 = the worker always
+    /// caught the next epoch; larger = publications superseded each other
+    /// between its swap points; 0 = it never swapped.
     pub max_epoch_lag: u64,
-    /// Wall time spent applying snapshot swaps (draining the update
-    /// mailbox between batches).
-    pub swap_stall: Duration,
     /// Refresh events executed (one per deadline).
     pub refresh_events: u64,
     /// Refresh operations executed (1/event one-shot, rows/event
@@ -60,8 +57,6 @@ pub struct ShardStats {
     pub refresh_ops: u64,
     /// Wall time spent inside refresh events.
     pub refresh_stall: Duration,
-    /// Largest queue depth (in batches) observed at dequeue.
-    pub max_queue_depth: usize,
     /// Wall time spent processing batches.
     pub busy: Duration,
     /// End-to-end per-lookup latency (submit → result), nanoseconds.
@@ -81,26 +76,8 @@ impl ShardStats {
     pub fn new(shard: usize, rows: usize) -> Self {
         Self {
             shard,
-            worker: 0,
             rows,
-            searches: 0,
-            matched: 0,
-            batches: 0,
-            delayed_searches: 0,
-            stalled_searches: 0,
-            updates_applied: 0,
-            epoch: 0,
-            max_epoch_lag: 0,
-            swap_stall: Duration::ZERO,
-            refresh_events: 0,
-            refresh_ops: 0,
-            refresh_stall: Duration::ZERO,
-            max_queue_depth: 0,
-            busy: Duration::ZERO,
-            latency: LatencyHistogram::new(),
-            queue_wait: LatencyHistogram::new(),
-            update_latency: LatencyHistogram::new(),
-            meter: WorkloadMeter::new(),
+            ..Self::default()
         }
     }
 }
@@ -112,17 +89,12 @@ pub struct ServeReport {
     /// (shard-major). With one worker per shard — the default — this is
     /// exactly one entry per shard.
     pub shards: Vec<ShardStats>,
-    /// Service wall-clock uptime.
-    pub wall: Duration,
     /// All shards' lookup latencies merged.
     pub latency: LatencyHistogram,
     /// All shards' queue waits merged.
     pub queue_wait: LatencyHistogram,
     /// All shards' update publication latencies merged.
     pub update_latency: LatencyHistogram,
-    /// Table updates rejected because the service had already begun
-    /// shutdown when they were published.
-    pub updates_dropped: u64,
     /// Worker threads that panicked (or were otherwise unjoinable) at
     /// shutdown — their stats are missing from [`Self::shards`]. Always 0
     /// in a healthy run; shutdown reports it instead of panicking so the
@@ -135,7 +107,7 @@ pub struct ServeReport {
 impl ServeReport {
     /// Builds the aggregate view from per-shard stats.
     #[must_use]
-    pub fn from_shards(shards: Vec<ShardStats>, wall: Duration, updates_dropped: u64) -> Self {
+    pub fn from_shards(shards: Vec<ShardStats>) -> Self {
         let mut latency = LatencyHistogram::new();
         let mut queue_wait = LatencyHistogram::new();
         let mut update_latency = LatencyHistogram::new();
@@ -152,11 +124,9 @@ impl ServeReport {
         }
         Self {
             shards,
-            wall,
             latency,
             queue_wait,
             update_latency,
-            updates_dropped,
             workers_panicked: 0,
             meter,
         }
@@ -168,25 +138,13 @@ impl ServeReport {
         self.shards.iter().map(|s| s.searches).sum()
     }
 
-    /// Total searches that found a match.
-    #[must_use]
-    pub fn matched(&self) -> u64 {
-        self.shards.iter().map(|s| s.matched).sum()
-    }
-
-    /// Total delayed searches (queue wait above threshold).
-    #[must_use]
-    pub fn delayed_searches(&self) -> u64 {
-        self.shards.iter().map(|s| s.delayed_searches).sum()
-    }
-
     /// Total keys observed stalled behind refresh events.
     #[must_use]
     pub fn stalled_searches(&self) -> u64 {
         self.shards.iter().map(|s| s.stalled_searches).sum()
     }
 
-    /// Total table updates applied across shards.
+    /// Total snapshot swaps across workers.
     #[must_use]
     pub fn updates_applied(&self) -> u64 {
         self.shards.iter().map(|s| s.updates_applied).sum()
@@ -197,18 +155,6 @@ impl ServeReport {
     #[must_use]
     pub fn last_epoch(&self) -> u64 {
         self.shards.iter().map(|s| s.epoch).max().unwrap_or(0)
-    }
-
-    /// Largest epoch lag any shard observed at a snapshot swap.
-    #[must_use]
-    pub fn max_epoch_lag(&self) -> u64 {
-        self.shards.iter().map(|s| s.max_epoch_lag).max().unwrap_or(0)
-    }
-
-    /// Total wall time spent applying snapshot swaps across shards.
-    #[must_use]
-    pub fn swap_stall(&self) -> Duration {
-        self.shards.iter().map(|s| s.swap_stall).sum()
     }
 
     /// Total refresh events across shards.
@@ -228,17 +174,6 @@ impl ServeReport {
     pub fn refresh_stall(&self) -> Duration {
         self.shards.iter().map(|s| s.refresh_stall).sum()
     }
-
-    /// Achieved throughput, lookups/second over the uptime.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.searches() as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +189,6 @@ mod tests {
         let mut s1 = ShardStats::new(1, 12);
         s0.searches = 100;
         s1.searches = 50;
-        s0.delayed_searches = 3;
         s1.stalled_searches = 4;
         s0.latency.record(100);
         s1.latency.record(300);
@@ -262,22 +196,14 @@ mod tests {
         s0.epoch = 5;
         s1.updates_applied = 3;
         s1.epoch = 7;
-        s1.max_epoch_lag = 2;
-        s0.swap_stall = Duration::from_micros(5);
-        s1.swap_stall = Duration::from_micros(7);
         s0.update_latency.record(2_000);
-        let report = ServeReport::from_shards(vec![s0, s1], Duration::from_millis(100), 2);
+        let report = ServeReport::from_shards(vec![s0, s1]);
         assert_eq!(report.searches(), 150);
-        assert_eq!(report.delayed_searches(), 3);
         assert_eq!(report.stalled_searches(), 4);
         assert_eq!(report.latency.count(), 2);
         assert_eq!(report.updates_applied(), 8);
         assert_eq!(report.last_epoch(), 7);
-        assert_eq!(report.max_epoch_lag(), 2);
-        assert_eq!(report.swap_stall(), Duration::from_micros(12));
-        assert_eq!(report.updates_dropped, 2);
         assert_eq!(report.update_latency.count(), 1);
-        assert!((report.throughput() - 1500.0).abs() < 1e-9);
     }
 
     #[test]

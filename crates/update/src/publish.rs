@@ -3,24 +3,29 @@
 //!
 //! The [`Updater`] is the single writer of the serving stack. It owns
 //!
-//! * the [`RuleStore`] (logical source of truth, versioned),
-//! * a **shadow** [`ShardedRuleSet`] kept bit-identical to the store, and
+//! * a **shadow** [`ShardedRuleSet`] — the one rule table it keeps (its
+//!   priority → word map is the logical rule set; a [`RuleStore`] only
+//!   seeds it, and a durable copy, where there is one, is the WAL
+//!   layer's), and
 //! * one cached `Arc<PackedTcamArray>` per shard — the immutable
 //!   snapshots workers serve from.
 //!
-//! [`Updater::apply`] stages one batch: it compiles the plan, applies the
-//! batch atomically to the store, mutates the shadow with the minimal row
-//! operations, cross-checks that the realized row work equals the plan,
-//! and bumps the **epoch**. Only the shards the delta touched get a new
-//! snapshot `Arc`; untouched shards keep their cached one, so publishing
-//! to them is a pointer clone, not a table copy.
+//! [`Updater::apply`] stages one batch: it compiles the plan (which
+//! validates the batch exactly as [`RuleStore::validate`] would — the
+//! `validate_and_compile_agree` property test), mutates the shadow with
+//! the minimal row operations, cross-checks that the realized row work
+//! equals the plan, and bumps the **epoch**. Only the shards the delta
+//! touched get a new snapshot `Arc`; untouched shards keep their cached
+//! one, so publishing to them is a pointer clone, not a table copy.
 //!
-//! [`Updater::publish`] then hands every shard worker the current-epoch
-//! snapshot through [`TcamService::publish`]. Workers swap at batch
-//! boundaries only, so a search is always served from exactly one epoch —
-//! and because every reply reports that epoch, `tests/concurrent_churn.rs`
-//! verifies the zero-torn-snapshot property against the updater's
-//! recorded history while checkers and the updater run concurrently.
+//! [`Updater::publish`] then stores the current-epoch snapshot into every
+//! shard's published cell
+//! ([`publish`](tcam_serve::pool::ShardPool::publish)). Workers load the
+//! cell between batches only, so a search is always served from exactly
+//! one epoch — and because every reply reports that epoch,
+//! `tests/concurrent_churn.rs` verifies the zero-torn-snapshot property
+//! against the updater's recorded history while checkers and the updater
+//! run concurrently.
 
 use crate::delta::{CompiledDelta, DeltaCompiler};
 use crate::store::{RuleChange, RuleStore};
@@ -37,9 +42,6 @@ use tcam_serve::shard::{RowOps, ShardedRuleSet};
 pub struct StagedDelta {
     /// The epoch this batch produced (workers report it in replies).
     pub epoch: u64,
-    /// The store version after the batch (== epoch while one updater is
-    /// the only writer).
-    pub version: u64,
     /// The physical work plan the compiler produced.
     pub planned: CompiledDelta,
     /// Row operations the shadow actually performed — checked equal to
@@ -47,11 +49,10 @@ pub struct StagedDelta {
     pub realized: RowOps,
 }
 
-/// The serving stack's single writer: rule store + shadow shards +
-/// per-shard snapshot cache, advanced one epoch per applied batch.
+/// The serving stack's single writer: shadow shards + per-shard snapshot
+/// cache, advanced one epoch per applied batch.
 #[derive(Debug)]
 pub struct Updater {
-    store: RuleStore,
     shadow: ShardedRuleSet,
     tables: Vec<Arc<PackedTcamArray>>,
     epoch: u64,
@@ -59,15 +60,15 @@ pub struct Updater {
 }
 
 impl Updater {
-    /// Builds the shadow rule set and snapshot cache from `store`,
-    /// starting at epoch 0 (the epoch workers boot with).
+    /// Builds the shadow rule set and snapshot cache from `store`'s rules
+    /// (the store itself is dropped), starting at epoch 0.
     ///
     /// # Errors
     ///
     /// Shard-construction errors ([`tcam_serve::ServeError::TooWide`],
     /// [`tcam_serve::ServeError::BadShardBits`]).
     pub fn new(store: RuleStore, shard_bits: u32, costs: OperationCosts) -> Result<Self> {
-        Self::at_epoch(store, shard_bits, costs, 0)
+        Self::at_epoch(&store, shard_bits, costs, 0)
     }
 
     /// Like [`Self::new`], but resumes at `store.version()` as the boot
@@ -80,12 +81,11 @@ impl Updater {
     ///
     /// As [`Self::new`].
     pub fn resume(store: RuleStore, shard_bits: u32, costs: OperationCosts) -> Result<Self> {
-        let epoch = store.version();
-        Self::at_epoch(store, shard_bits, costs, epoch)
+        Self::at_epoch(&store, shard_bits, costs, store.version())
     }
 
     fn at_epoch(
-        store: RuleStore,
+        store: &RuleStore,
         shard_bits: u32,
         costs: OperationCosts,
         epoch: u64,
@@ -98,19 +98,11 @@ impl Updater {
             .map(|s| Arc::new(shadow.shard(s).clone()))
             .collect();
         Ok(Self {
-            store,
             shadow,
             tables,
             epoch,
             costs,
         })
-    }
-
-    /// The logical rule store (read-only; all writes go through
-    /// [`Self::apply`]).
-    #[must_use]
-    pub fn store(&self) -> &RuleStore {
-        &self.store
     }
 
     /// The shadow rule set at the current epoch — the reference a checker
@@ -126,22 +118,28 @@ impl Updater {
         self.epoch
     }
 
-    /// Starts a service serving this updater's current snapshot — the
-    /// handshake that makes worker epoch 0 mean "the updater's epoch-0
-    /// tables".
+    /// Starts a service on this updater's cached snapshots (the `Arc`s
+    /// themselves — no table is copied), its workers booting at the
+    /// current epoch: epoch 0 for a fresh updater, the recovered version
+    /// for a [resumed](Self::resume) one.
     ///
     /// # Errors
     ///
-    /// As [`TcamService::start`].
+    /// None today: the `Result` is what every caller already propagates.
     pub fn start_service(
         &self,
         config: &tcam_serve::service::ServiceConfig,
     ) -> Result<TcamService> {
-        TcamService::start(self.shadow.clone(), config)
+        Ok(TcamService::start_at(
+            self.shadow.router(),
+            self.tables.clone(),
+            self.epoch,
+            config,
+        ))
     }
 
-    /// Applies one update batch: compile → store (atomic) → shadow →
-    /// refresh touched snapshots → bump epoch.
+    /// Applies one update batch: compile (validates) → shadow → refresh
+    /// touched snapshots → bump epoch.
     ///
     /// The realized row work is cross-checked against the compiled plan;
     /// a mismatch means the compiler and the sharding layer disagree
@@ -150,8 +148,8 @@ impl Updater {
     ///
     /// # Errors
     ///
-    /// Validation errors from the compiler/store; the updater is
-    /// unchanged when an error is returned.
+    /// Validation errors from the compiler; the updater is unchanged when
+    /// an error is returned.
     ///
     /// # Panics
     ///
@@ -159,10 +157,10 @@ impl Updater {
     pub fn apply(&mut self, batch: &[RuleChange]) -> Result<StagedDelta> {
         let _obs = tcam_obs::span!("update_apply");
         let planned = DeltaCompiler::new(&self.shadow, self.costs).compile(batch)?;
-        let version = self.store.apply(batch)?;
         let mut realized = RowOps::default();
         for change in batch {
-            // Infallible now: compile + store.apply validated the batch.
+            // Infallible now: compile validated the batch, in order,
+            // against the same staged view these mutations build.
             let ops = match change {
                 RuleChange::Insert { priority, word } => self
                     .shadow
@@ -194,25 +192,26 @@ impl Updater {
         tcam_obs::gauge_set("update_epoch", self.epoch as f64);
         Ok(StagedDelta {
             epoch: self.epoch,
-            version,
             planned,
             realized,
         })
     }
 
-    /// Publishes the current epoch's snapshot to every shard worker of
-    /// `service`, blocking on each full update mailbox (backpressure).
-    /// Untouched shards receive the cached `Arc` — a pointer, not a copy.
-    /// Publishing the same epoch twice is idempotent (workers skip stale
-    /// epochs).
+    /// Publishes the current epoch's snapshot into every shard's cell of
+    /// `service` — one store per shard, never blocking. Untouched shards
+    /// receive the cached `Arc` — a pointer, not a copy. Publishing the
+    /// same epoch twice is idempotent (the cell refuses it). Once this
+    /// returns, every lookup submitted afterwards is served at this epoch
+    /// or a later one.
     ///
     /// # Errors
     ///
-    /// [`tcam_serve::ServeError::ServiceClosed`] once shutdown began.
+    /// None today — a live `&TcamService` cannot have shut down. The
+    /// `Result` is what every caller already propagates.
     pub fn publish(&self, service: &TcamService) -> Result<()> {
         let _obs = tcam_obs::span!("update_publish");
         for (s, table) in self.tables.iter().enumerate() {
-            service.publish(s, self.epoch, Arc::clone(table))?;
+            service.publish(s, self.epoch, Arc::clone(table));
         }
         tcam_obs::flight_record("update_publish", self.epoch, self.tables.len() as u64);
         tcam_obs::counter_add("update_epochs_published", 1);
@@ -230,14 +229,12 @@ mod tests {
         parse_ternary(s).unwrap()
     }
 
+    fn seeded_store() -> RuleStore {
+        RuleStore::from_rules(&[(10, w("1100")), (20, w("0X11")), (30, w("XXXX"))]).unwrap()
+    }
+
     fn seeded_updater() -> Updater {
-        let store = RuleStore::from_rules(&[
-            (10, w("1100")),
-            (20, w("0X11")),
-            (30, w("XXXX")),
-        ])
-        .unwrap();
-        Updater::new(store, 2, OperationCosts::paper_3t2n()).unwrap()
+        Updater::new(seeded_store(), 2, OperationCosts::paper_3t2n()).unwrap()
     }
 
     #[test]
@@ -254,7 +251,6 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(staged.epoch, 1);
-        assert_eq!(staged.version, 1);
         assert_eq!(staged.realized, staged.planned.total);
         assert_eq!(staged.realized, RowOps { writes: 1, erases: 4 });
         // The shadow answers with the new rules.
@@ -263,7 +259,55 @@ mod tests {
         // A failed batch changes nothing.
         assert!(updater.apply(&[RuleChange::Remove { priority: 99 }]).is_err());
         assert_eq!(updater.epoch(), 1);
-        assert_eq!(updater.store().version(), 1);
+        assert_eq!(updater.snapshot().rules(), 3);
+    }
+
+    /// The fact that lets `apply` validate a batch once, through `compile`,
+    /// and lets a node log a batch its durable store validated and then
+    /// apply it here with no second way to fail: on the same rules,
+    /// `RuleStore::validate` and `DeltaCompiler::compile` accept the same
+    /// batches and reject the rest with the same error.
+    #[test]
+    fn validate_and_compile_agree() {
+        const WIDTH: usize = 6;
+        let costs = OperationCosts::paper_3t2n();
+        let mut rng = tcam_numeric::rng::SplitMix64::new(0xDE17A);
+        let mut store = RuleStore::new(WIDTH);
+        let mut updater = Updater::new(store.clone(), 2, costs).unwrap();
+        let (mut accepted, mut errors) = (0u32, std::collections::HashMap::new());
+        for trial in 0..4000 {
+            // Ten priorities, up to five changes: repeats within a batch
+            // (insert-then-remove, double removes, insert over a staged
+            // insert) and unknown ids are the common case; one word in
+            // twelve has the wrong width; one batch in six is empty.
+            let batch: Vec<RuleChange> = (0..rng.below(6))
+                .map(|_| {
+                    let priority = rng.below(10) as u32;
+                    let len = WIDTH - usize::from(rng.below(12) == 0);
+                    let bits = [TernaryBit::Zero, TernaryBit::One, TernaryBit::X];
+                    let word = (0..len).map(|_| bits[rng.below(3) as usize]).collect();
+                    match rng.below(3) {
+                        0 => RuleChange::Insert { priority, word },
+                        1 => RuleChange::Remove { priority },
+                        _ => RuleChange::Modify { priority, word },
+                    }
+                })
+                .collect();
+            let validated = store.validate(&batch);
+            let compiled = DeltaCompiler::new(updater.snapshot(), costs).compile(&batch);
+            assert_eq!(validated, compiled.map(|_| ()), "trial {trial}: {batch:?}");
+            match validated {
+                Ok(()) => {
+                    // Both move to the same next state.
+                    accepted += 1;
+                    let version = store.apply(&batch).unwrap();
+                    assert_eq!(updater.apply(&batch).unwrap().epoch, version);
+                }
+                Err(e) => *errors.entry(std::mem::discriminant(&e)).or_insert(0u32) += 1,
+            }
+        }
+        // Empty batch, wrong width, duplicate id, unknown id — each often.
+        assert!(accepted > 100 && errors.len() == 4 && errors.values().all(|&n| n > 100));
     }
 
     #[test]
@@ -292,15 +336,16 @@ mod tests {
     #[test]
     fn resume_continues_epochs_from_the_store_version() {
         // Simulate a recovery: a store that has already applied batches.
-        let mut pre = seeded_updater();
-        pre.apply(&[RuleChange::Insert {
-            priority: 5,
-            word: w("110X"),
-        }])
-        .unwrap();
-        pre.apply(&[RuleChange::Remove { priority: 5 }]).unwrap();
-        let recovered =
-            RuleStore::restore(4, &pre.store().rules_vec(), pre.store().version()).unwrap();
+        let mut recovered = seeded_store();
+        recovered
+            .apply(&[RuleChange::Insert {
+                priority: 5,
+                word: w("110X"),
+            }])
+            .unwrap();
+        recovered
+            .apply(&[RuleChange::Remove { priority: 5 }])
+            .unwrap();
         let mut resumed = Updater::resume(recovered, 2, OperationCosts::paper_3t2n()).unwrap();
         assert_eq!(resumed.epoch(), 2, "epoch resumes at the WAL'd version");
         // The next applied batch continues the sequence.
@@ -311,7 +356,6 @@ mod tests {
             }])
             .unwrap();
         assert_eq!(staged.epoch, 3);
-        assert_eq!(staged.version, 3);
         // And the shadow agrees with the pre-crash reference.
         assert_eq!(resumed.snapshot().search(&w("0110")).unwrap(), Some(6));
     }
@@ -416,6 +460,7 @@ mod tests {
                     })
                     .collect();
                 let (epoch, hit) = service.search_with_epoch(&key).unwrap();
+                assert_eq!(epoch, u64::from(round) + 1, "publish returned first");
                 let reference = &history[usize::try_from(epoch).unwrap()];
                 assert_eq!(
                     hit,
@@ -426,6 +471,5 @@ mod tests {
         }
         let report = service.shutdown();
         assert_eq!(report.last_epoch(), 20);
-        assert_eq!(report.updates_dropped, 0);
     }
 }

@@ -42,11 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = service.shutdown();
     println!(
         "sharded serving: {}/{} winners identical to the monolithic scan \
-         ({} shard searches, mean service {:.1} us)",
+         ({} shard searches over {} shards, p50 {:.1} us submit to result)",
         agree,
         keys.len(),
         report.searches(),
-        report.service.mean() / 1e3
+        report.shards.len(),
+        report.latency.quantile(50.0) as f64 / 1e3
     );
 
     // Circuit ground truth: matchline voltage at the sense point vs

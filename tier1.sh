@@ -18,6 +18,10 @@ cargo build --release --offline --workspace
 # second time as optimised code: that is the code stack_bench times and
 # the service runs, and overflow checks differ between the profiles.
 cargo test -q --offline --release -p tcam-arch
+# Same reason one layer up: the published cell's Acquire/Release pair and
+# the swap-between-batches rule are what optimised code can break, and
+# optimised code is what stack_bench times.
+cargo test -q --offline --release -p tcam-serve -p tcam-update
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
