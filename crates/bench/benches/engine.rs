@@ -1,7 +1,11 @@
 //! Engine performance benches + the integrator/solver ablations from
-//! DESIGN.md §4 (BE vs TR, dense vs sparse LU, factorize vs refactorize).
+//! DESIGN.md §4 (BE vs TR, fill on the search arrays, factorize vs
+//! refactorize).
 
 use tcam_bench::timing::bench;
+use tcam_core::designs::{ArraySpec, Nem3t2n, Sram16t, TcamDesign};
+use tcam_core::experiments::{mismatch_key, pattern_word};
+use tcam_core::ops::run_search;
 use tcam_numeric::sparse::TripletMatrix;
 use tcam_numeric::sparse_lu::SparseLu;
 use tcam_spice::prelude::*;
@@ -54,18 +58,27 @@ fn bench_integrators() {
     }
 }
 
-fn bench_solvers() {
-    for (name, solver) in [("dense", SolverKind::Dense), ("sparse", SolverKind::Sparse)] {
-        for n in [30usize, 120, 400] {
-            let opts = SimOptions {
-                solver,
-                ..SimOptions::default()
-            };
-            bench(&format!("solver_ablation/{name}/{n}"), 10, || {
-                let mut ckt = rc_ladder(n);
-                transient(&mut ckt, TransientSpec::to(5e-9), &opts).expect("converges")
-            });
-        }
+/// The pattern the fill-reducing column order exists for: the worst-case
+/// 64×64 search (ladders hanging off shared search and match lines), with
+/// the fill it left printed next to the time.
+fn bench_search_transient() {
+    let spec = ArraySpec::paper();
+    let (stored, key) = (pattern_word(spec.cols), mismatch_key(spec.cols));
+    let designs: [(&str, Box<dyn TcamDesign>); 2] = [
+        ("3t2n", Box::new(Nem3t2n::default())),
+        ("sram", Box::new(Sram16t::default())),
+    ];
+    for (name, design) in designs {
+        let mut stats = None;
+        bench(&format!("search_transient/{name}"), 5, || {
+            let exp = design.build_search(&spec, &stored, &key).expect("builds");
+            stats = run_search(exp).expect("converges").waveform.stats();
+        });
+        let s = stats.expect("transient records stats");
+        println!(
+            "    unknowns {}  matrix_nnz {}  factor_nnz {}",
+            s.unknowns, s.matrix_nnz, s.factor_nnz
+        );
     }
 }
 
@@ -100,6 +113,6 @@ fn bench_sparse_lu() {
 fn main() {
     bench_transient_ladder();
     bench_integrators();
-    bench_solvers();
+    bench_search_transient();
     bench_sparse_lu();
 }

@@ -127,12 +127,21 @@ fn main() {
     );
     // Optional: per-design solver statistics for the F7 mismatch search,
     // showing the cached-LU path at work (fresh factorizations stay in the
-    // low single digits; refactorizations track the NR iteration count).
+    // low single digits; refactorizations track the NR iteration count) and
+    // the fill the column order left (factor nnz over matrix nnz).
     if has_flag("stats") {
         println!("\n[--stats] solver statistics, worst-case search transient");
         println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "design", "fresh", "refactor", "nr iters", "accepted", "rejected"
+            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11}",
+            "design",
+            "fresh",
+            "refactor",
+            "nr iters",
+            "accepted",
+            "rejected",
+            "unknowns",
+            "matrix_nnz",
+            "factor_nnz"
         );
         let stored = pattern_word(spec.cols);
         let key = mismatch_key(spec.cols);
@@ -142,13 +151,16 @@ fn main() {
                 .and_then(run_search);
             match outcome.map(|r| r.waveform.stats()) {
                 Ok(Some(s)) => println!(
-                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
+                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11}",
                     design.name(),
                     s.fresh_factorizations,
                     s.refactorizations,
                     s.nr_iterations,
                     s.steps_accepted,
-                    s.steps_rejected
+                    s.steps_rejected,
+                    s.unknowns,
+                    s.matrix_nnz,
+                    s.factor_nnz
                 ),
                 Ok(None) => println!("{:<12} (no stats recorded)", design.name()),
                 Err(e) => println!("{:<12} failed: {e}", design.name()),

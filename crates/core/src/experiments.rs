@@ -230,6 +230,8 @@ pub fn table1_measurements() -> Result<Table1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{search_edp_ratios, search_latency_ratios};
+    use tcam_spice::mna::SolveStats;
 
     #[test]
     fn pattern_words_are_consistent() {
@@ -267,8 +269,8 @@ mod tests {
         assert!(off_at < 0.2, "off at {off_at}");
     }
 
-    /// The cross-design figures are exercised at reduced size here; the
-    /// full 64×64 runs live in the bench binaries.
+    /// The cross-design figures at reduced size; Fig. 7 at the paper's own
+    /// 64×64 is [`fig7_at_the_papers_size`].
     #[test]
     fn fig6_and_fig7_small_array() {
         let spec = ArraySpec {
@@ -306,5 +308,107 @@ mod tests {
         assert!(lat["3T2N"] < lat["16T SRAM"]);
         assert!(lat["3T2N"] < lat["2T2R RRAM"]);
         assert!(lat["3T2N"] < lat["2FeFET"]);
+    }
+
+    /// Solver counters of `design`'s worst-case (1-bit mismatch) search.
+    fn worst_case_search_stats(design: &dyn TcamDesign, spec: &ArraySpec) -> SolveStats {
+        let exp = design
+            .build_search(spec, &pattern_word(spec.cols), &mismatch_key(spec.cols))
+            .unwrap();
+        run_search(exp).unwrap().waveform.stats().unwrap()
+    }
+
+    /// The regression net for `SparseLu`'s column order: in the natural MNA
+    /// order the 64×64 factors hold 29–48× the matrix's nonzeros, ordered
+    /// 1.09–1.21×.
+    #[test]
+    fn column_order_keeps_search_fill_under_twice_the_matrix() {
+        let small = ArraySpec {
+            rows: 16,
+            cols: 16,
+            vdd: 1.0,
+        };
+        for spec in [small, ArraySpec::paper()] {
+            for design in all_designs() {
+                let s = worst_case_search_stats(design.as_ref(), &spec);
+                assert!(s.unknowns > spec.rows && s.matrix_nnz > s.unknowns, "{s:?}");
+                assert!(
+                    s.factor_nnz <= 2 * s.matrix_nnz,
+                    "{} at {}x{}: {s:?}",
+                    design.name(),
+                    spec.rows,
+                    spec.cols
+                );
+            }
+        }
+    }
+
+    /// Fig. 7 as the paper ran it. The pinned ratios were recorded at the
+    /// commit before `SparseLu` gained its column order: a simulator-only
+    /// change may move them by rounding (1e-6 relative), not more, and the
+    /// solver's work counts not at all.
+    #[test]
+    fn fig7_at_the_papers_size() {
+        let spec = ArraySpec::paper();
+        let rows = fig7_search(&spec).unwrap();
+        assert_eq!(rows.len(), 4);
+        for r in &rows {
+            assert!(r.mismatch_ok, "{} mismatch undetected", r.design);
+            assert!(r.match_ok, "{} match corrupted", r.design);
+        }
+        // The headline claim, in both of the paper's senses.
+        let nem = &rows[0];
+        assert_eq!(nem.design, "3T2N");
+        for other in &rows[1..] {
+            assert!(nem.latency < other.latency, "{other:?}");
+            assert!(nem.edp < other.edp, "{other:?}");
+        }
+
+        // (design, measured at the parent commit, the paper's value if the
+        // magnitude is held to a −20 … +10 % band of it).
+        type Pin<'a> = (&'a str, f64, Option<f64>);
+        let check = |what: &str, measured: Vec<(String, f64)>, pins: [Pin<'_>; 3]| {
+            for ((design, got), (name, pinned, paper)) in measured.into_iter().zip(pins) {
+                assert_eq!(design, name);
+                assert!(
+                    ((got - pinned) / pinned).abs() < 1e-6,
+                    "{what} over {name}: {got} moved from {pinned}"
+                );
+                if let Some(paper) = paper {
+                    assert!(
+                        (0.8 * paper..=1.1 * paper).contains(&got),
+                        "{what} over {name}: {got} outside the band of the paper's {paper}"
+                    );
+                }
+            }
+        };
+        check(
+            "search speedup",
+            search_latency_ratios(&rows, "3T2N"),
+            [
+                ("16T SRAM", 5.732692375057333, Some(5.50)),
+                ("2T2R RRAM", 1.3004785227563107, Some(1.47)),
+                ("2FeFET", 3.1549966175040205, Some(3.36)),
+            ],
+        );
+        // The RRAM / FeFET EDP ratios are pinned but not banded: the paper
+        // reports 1.30 / 2.83, reachable only if search-line load scales
+        // with cell size alone, whereas these search lines carry every
+        // row's access-gate capacitance (EXPERIMENTS.md, F7 "known
+        // divergence").
+        check(
+            "search EDP",
+            search_edp_ratios(&rows, "3T2N"),
+            [
+                ("16T SRAM", 12.519629271484806, Some(12.7)),
+                ("2T2R RRAM", 5.460118940551449, None),
+                ("2FeFET", 17.16144648122769, None),
+            ],
+        );
+
+        let s = worst_case_search_stats(&Nem3t2n::default(), &spec);
+        assert_eq!(s.nr_iterations, 228);
+        assert_eq!((s.steps_accepted, s.steps_rejected), (111, 2));
+        assert_eq!((s.fresh_factorizations, s.refactorizations), (1, 227));
     }
 }

@@ -164,7 +164,6 @@ fn nem_relay_transient_bitwise_identical_with_cached_solver() {
         ckt.add(Resistor::new("rs", s, gnd, 1e3).expect("valid"))
             .expect("adds");
         let opts = SimOptions {
-            solver: SolverKind::Sparse,
             reuse_factorization: reuse,
             ..SimOptions::fast_transient()
         };

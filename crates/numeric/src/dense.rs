@@ -1,11 +1,11 @@
-//! Dense row-major matrices with LU factorization.
+//! Dense row-major matrices with a direct solve.
 //!
-//! The circuit engine uses [`DenseMatrix`] for systems below the sparse
-//! crossover (a few hundred unknowns — which covers single-row TCAM
-//! experiments) and for reference solutions in the sparse-solver tests.
+//! The circuit engine solves every system through [`crate::sparse_lu`]; this
+//! module is the independent oracle the sparse solver is tested against
+//! (plain Gaussian elimination with partial pivoting, short enough to check
+//! by eye).
 
 use crate::{NumericError, Result};
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense row-major `n_rows × n_cols` matrix of `f64`.
@@ -39,16 +39,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Errors
@@ -79,38 +69,6 @@ impl DenseMatrix {
         })
     }
 
-    /// Number of rows.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Returns `true` when the matrix is square.
-    #[must_use]
-    pub fn is_square(&self) -> bool {
-        self.n_rows == self.n_cols
-    }
-
-    /// Sets every entry to zero, retaining the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Adds `value` to entry `(row, col)` — the MNA "stamp" primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        self[(row, col)] += value;
-    }
-
     /// Matrix–vector product `A x`.
     ///
     /// # Errors
@@ -131,49 +89,35 @@ impl DenseMatrix {
         Ok(y)
     }
 
-    /// LU-factorizes the matrix with partial pivoting.
+    /// Solves `A x = b` by Gaussian elimination with partial pivoting.
     ///
     /// # Errors
     ///
-    /// Returns [`NumericError::DimensionMismatch`] for non-square input and
-    /// [`NumericError::SingularMatrix`] when a pivot underflows.
-    pub fn lu(&self) -> Result<DenseLu> {
-        let mut out = DenseLu::empty();
-        self.lu_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// LU-factorizes into an existing [`DenseLu`], reusing its buffers.
-    ///
-    /// After the first call with a given dimension this performs no heap
-    /// allocation, which is what the circuit engine's solve loop needs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DenseMatrix::lu`].
-    pub fn lu_into(&self, out: &mut DenseLu) -> Result<()> {
-        if !self.is_square() {
+    /// Returns [`NumericError::DimensionMismatch`] for non-square input or
+    /// `b.len() != n`, and [`NumericError::SingularMatrix`] when a pivot
+    /// underflows.
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        if self.n_rows != self.n_cols {
             return Err(NumericError::DimensionMismatch {
                 expected: "square matrix".into(),
                 found: format!("{}x{}", self.n_rows, self.n_cols),
             });
         }
         let n = self.n_rows;
-        out.n = n;
-        out.lu.clear();
-        out.lu.extend_from_slice(&self.data);
-        out.perm.clear();
-        out.perm.extend(0..n);
-        out.sign = 1.0;
-        let lu = &mut out.lu;
-        let perm = &mut out.perm;
-
+        if b.len() != n {
+            return Err(NumericError::DimensionMismatch {
+                expected: format!("len {n}"),
+                found: format!("len {}", b.len()),
+            });
+        }
+        let mut a = self.data.clone();
+        let mut x = b.to_vec();
         for k in 0..n {
             // Partial pivot: largest magnitude in column k at or below row k.
             let mut p = k;
-            let mut pmax = lu[k * n + k].abs();
+            let mut pmax = a[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
+                let v = a[i * n + k].abs();
                 if v > pmax {
                     pmax = v;
                     p = i;
@@ -184,67 +128,28 @@ impl DenseMatrix {
             }
             if p != k {
                 for j in 0..n {
-                    lu.swap(k * n + j, p * n + j);
+                    a.swap(k * n + j, p * n + j);
                 }
-                perm.swap(k, p);
-                out.sign = -out.sign;
+                x.swap(k, p);
             }
-            let pivot = lu[k * n + k];
             for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
+                let factor = a[i * n + k] / a[k * n + k];
                 if factor != 0.0 {
                     for j in (k + 1)..n {
-                        lu[i * n + j] -= factor * lu[k * n + j];
+                        a[i * n + j] -= factor * a[k * n + j];
                     }
+                    x[i] -= factor * x[k];
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Solves `A x = b` via a fresh LU factorization.
-    ///
-    /// Callers solving the same matrix repeatedly should hold a [`DenseLu`]
-    /// and use [`DenseLu::solve`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization errors and length mismatches.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        self.lu()?.solve(b)
-    }
-
-    /// Determinant via LU. Returns 0 when the matrix is numerically singular.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] for non-square input.
-    pub fn det(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(NumericError::DimensionMismatch {
-                expected: "square matrix".into(),
-                found: format!("{}x{}", self.n_rows, self.n_cols),
-            });
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for j in (i + 1)..n {
+                s -= a[i * n + j] * x[j];
+            }
+            x[i] = s / a[i * n + i];
         }
-        match self.lu() {
-            Ok(f) => Ok(f.det()),
-            Err(NumericError::SingularMatrix { .. }) => Ok(0.0),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    #[must_use]
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.n_rows)
-            .map(|i| {
-                self.data[i * self.n_cols..(i + 1) * self.n_cols]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
+        Ok(x)
     }
 }
 
@@ -263,113 +168,6 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
     }
 }
 
-impl fmt::Display for DenseMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.n_rows {
-            for j in 0..self.n_cols {
-                write!(f, "{:>12.4e} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of [`DenseMatrix::lu`]: a packed LU factorization with its
-/// row permutation, reusable across multiple right-hand sides.
-#[derive(Debug, Clone)]
-pub struct DenseLu {
-    n: usize,
-    lu: Vec<f64>,
-    perm: Vec<usize>,
-    sign: f64,
-}
-
-impl DenseLu {
-    /// An empty factorization to be filled by [`DenseMatrix::lu_into`].
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            n: 0,
-            lu: Vec::new(),
-            perm: Vec::new(),
-            sign: 1.0,
-        }
-    }
-
-    /// Solves `A x = b` using the stored factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `b.len() != n`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `A x = b` writing the solution into `x` (resized as needed).
-    ///
-    /// Reuses `x`'s allocation, so repeated solves with the same `x` buffer
-    /// do not touch the heap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `b.len() != n`.
-    #[allow(clippy::needless_range_loop)] // triangular solves index by pivot order
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-        if b.len() != self.n {
-            return Err(NumericError::DimensionMismatch {
-                expected: format!("len {}", self.n),
-                found: format!("len {}", b.len()),
-            });
-        }
-        let n = self.n;
-        // Apply permutation.
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        // Forward substitution (L has unit diagonal).
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[i * n + j] * x[j];
-            }
-            x[i] = s;
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[i * n + j] * x[j];
-            }
-            x[i] = s / self.lu[i * n + i];
-        }
-        Ok(())
-    }
-
-    /// Determinant from the factorization.
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.n {
-            d *= self.lu[i * self.n + i];
-        }
-        d
-    }
-
-    /// System dimension.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
-impl Default for DenseLu {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,13 +177,6 @@ mod tests {
         ax.iter()
             .zip(b)
             .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()))
-    }
-
-    #[test]
-    fn identity_solve_is_identity() {
-        let a = DenseMatrix::identity(4);
-        let b = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(a.solve(&b).unwrap(), b.to_vec());
     }
 
     #[test]
@@ -413,29 +204,6 @@ mod tests {
             a.solve(&[1.0, 2.0]),
             Err(NumericError::SingularMatrix { .. })
         ));
-        assert_eq!(a.det().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn det_of_triangular_is_diagonal_product() {
-        let a = DenseMatrix::from_rows(&[&[2.0, 5.0], &[0.0, 3.0]]).unwrap();
-        assert!((a.det().unwrap() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_sign_tracks_permutation() {
-        let a = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!((a.det().unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_reuse_multiple_rhs() {
-        let a = DenseMatrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]).unwrap();
-        let f = a.lu().unwrap();
-        for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -2.0]] {
-            let x = f.solve(&b).unwrap();
-            assert!(residual(&a, &x, &b) < 1e-12);
-        }
     }
 
     #[test]
@@ -446,31 +214,14 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_dimension_check() {
+    fn dimension_checks() {
         let a = DenseMatrix::zeros(2, 3);
         assert!(a.mul_vec(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn non_square_lu_errors() {
-        let a = DenseMatrix::zeros(2, 3);
         assert!(matches!(
-            a.lu(),
+            a.solve(&[1.0, 2.0]),
             Err(NumericError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn norm_inf_max_row_sum() {
-        let a = DenseMatrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.norm_inf(), 7.0);
-    }
-
-    #[test]
-    fn display_contains_entries() {
-        let a = DenseMatrix::identity(2);
-        let s = a.to_string();
-        assert!(s.contains("1.0000e0"));
+        assert!(DenseMatrix::zeros(2, 2).solve(&[1.0]).is_err());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! This crate provides the math substrate that `tcam-spice` builds on:
 //!
-//! * [`dense`] — dense row-major matrices with LU factorization
-//!   (partial pivoting) used for small modified-nodal-analysis systems.
+//! * [`dense`] — dense row-major matrices with a direct solve, the oracle
+//!   the sparse solver is tested against.
 //! * [`sparse`] — triplet assembly and compressed-sparse-column storage
 //!   for large circuit matrices.
 //! * [`sparse_lu`] — a left-looking (Gilbert–Peierls style) sparse LU
-//!   factorization with partial pivoting and a reusable symbolic pattern.
+//!   factorization with a fill-reducing column order, partial pivoting and
+//!   a reusable symbolic pattern.
 //! * [`roots`] — scalar root finding (bisection, Brent) used for device
 //!   calibration (e.g. solving pull-in voltage for a beam stiffness).
 //! * [`interp`] — piecewise-linear evaluation used by PWL sources and
@@ -62,13 +63,15 @@ pub enum NumericError {
     },
     /// A factorization encountered an (numerically) singular pivot.
     SingularMatrix {
-        /// Pivot column at which elimination broke down.
+        /// Column of the matrix (in the caller's numbering, whatever order
+        /// the factorization eliminates in) whose elimination broke down.
         column: usize,
     },
     /// A reused (symbolic) pivot order degraded on the new values; the
-    /// caller should fall back to a fresh full-pivoting factorization.
+    /// caller should fall back to a fresh factorization.
     PivotDegraded {
-        /// Pivot column at which the reused pivot failed the growth check.
+        /// Column of the matrix (in the caller's numbering) whose reused
+        /// pivot failed the growth check.
         column: usize,
     },
     /// An iterative routine failed to converge within its budget.

@@ -297,23 +297,12 @@ impl CscMatrix {
     #[must_use]
     pub fn to_dense(&self) -> crate::dense::DenseMatrix {
         let mut d = crate::dense::DenseMatrix::zeros(self.n_rows, self.n_cols);
-        self.to_dense_into(&mut d);
-        d
-    }
-
-    /// Writes this matrix into an existing dense matrix, reusing its buffer
-    /// when the dimensions already match (zero-alloc in the steady state).
-    pub fn to_dense_into(&self, out: &mut crate::dense::DenseMatrix) {
-        if out.n_rows() != self.n_rows || out.n_cols() != self.n_cols {
-            *out = crate::dense::DenseMatrix::zeros(self.n_rows, self.n_cols);
-        } else {
-            out.clear();
-        }
         for col in 0..self.n_cols {
             for k in self.col_ptr[col]..self.col_ptr[col + 1] {
-                out[(self.row_idx[k], col)] = self.values[k];
+                d[(self.row_idx[k], col)] = self.values[k];
             }
         }
+        d
     }
 }
 

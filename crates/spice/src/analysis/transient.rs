@@ -593,18 +593,13 @@ mod tests {
 
     #[test]
     fn solver_stats_show_refactorization_reuse() {
-        use crate::options::SolverKind;
         let mut ckt = rc_circuit(1e3, 1e-9);
-        let opts = SimOptions {
-            solver: SolverKind::Sparse,
-            ..SimOptions::default()
-        };
-        let wave = transient(&mut ckt, TransientSpec::to(5e-6), &opts).unwrap();
+        let wave = transient(&mut ckt, TransientSpec::to(5e-6), &SimOptions::default()).unwrap();
         let stats = wave.stats().expect("transient records stats");
         assert!(stats.steps_accepted > 10);
         assert_eq!(stats.steps_accepted + 1, wave.len());
         assert!(stats.nr_iterations >= stats.steps_accepted);
-        // Every sparse solve is either fresh or a symbolic reuse...
+        // Every solve is either fresh or a symbolic reuse...
         assert_eq!(
             stats.fresh_factorizations + stats.refactorizations,
             stats.nr_iterations
@@ -619,10 +614,8 @@ mod tests {
 
     #[test]
     fn disabling_reuse_forces_fresh_factorizations() {
-        use crate::options::SolverKind;
         let mut ckt = rc_circuit(1e3, 1e-9);
         let opts = SimOptions {
-            solver: SolverKind::Sparse,
             reuse_factorization: false,
             ..SimOptions::default()
         };
@@ -634,14 +627,12 @@ mod tests {
 
     #[test]
     fn cached_solver_waveform_is_bitwise_identical() {
-        use crate::options::SolverKind;
         // The cached-refactorization path must not change a single bit of
         // the produced waveform relative to factorize-every-solve.
         let run = |reuse: bool| {
             let mut ckt = rc_circuit(1e3, 1e-9);
             let opts = SimOptions {
-                solver: SolverKind::Sparse,
-                reuse_factorization: reuse,
+                    reuse_factorization: reuse,
                 ..SimOptions::default()
             };
             transient(&mut ckt, TransientSpec::to(5e-6), &opts).unwrap()

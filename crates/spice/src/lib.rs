@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::mna::{MnaSystem, SolveStats};
     pub use crate::netlist::Circuit;
     pub use crate::node::NodeId;
-    pub use crate::options::{Integrator, SimOptions, SolverKind};
+    pub use crate::options::{Integrator, SimOptions};
     pub use crate::source::Waveshape;
     pub use crate::trace::{RejectReason, Rung, SolverTrace};
     pub use crate::waveform::Waveform;

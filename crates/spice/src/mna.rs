@@ -12,8 +12,7 @@
 use crate::device::{AnalysisKind, EvalCtx, StampSink, Stamps, UnknownIndex};
 use crate::error::{Result, SpiceError};
 use crate::netlist::Circuit;
-use crate::options::{Integrator, SimOptions, SolverKind};
-use tcam_numeric::dense::{DenseLu, DenseMatrix};
+use crate::options::{Integrator, SimOptions};
 use tcam_numeric::sparse::{CscMatrix, StampMap, TripletMatrix};
 use tcam_numeric::sparse_lu::SparseLu;
 use tcam_numeric::NumericError;
@@ -32,6 +31,13 @@ pub struct SolveStats {
     pub steps_accepted: usize,
     /// Transient steps rejected (Newton failure or LTE).
     pub steps_rejected: usize,
+    /// System dimension (node voltages + branch currents).
+    pub unknowns: usize,
+    /// Structural nonzeros of the MNA matrix.
+    pub matrix_nnz: usize,
+    /// Stored entries of L + U at the last fresh factorization; over
+    /// `matrix_nnz` it is the fill the column order left.
+    pub factor_nnz: usize,
 }
 
 /// Records the stamp pattern during the build pass.
@@ -82,14 +88,10 @@ pub struct MnaSystem {
     /// Stamp indices of the per-node gmin diagonal entries (refreshed with
     /// the active gmin each refill).
     gmin_first_stamp: usize,
-    use_dense: bool,
     reuse_factorization: bool,
-    /// Cached sparse factorization (symbolic pattern + numeric values),
+    /// Cached factorization (symbolic pattern + numeric values),
     /// refactorized in place on subsequent solves.
     lu: Option<SparseLu>,
-    /// Cached dense mirror + factorization buffers for the dense path.
-    dense_mat: Option<DenseMatrix>,
-    dense_lu: Option<DenseLu>,
     /// Scale applied to independent sources during refill (1.0 outside the
     /// recovery ladder's source-stepping rung).
     source_scale: f64,
@@ -146,11 +148,6 @@ impl MnaSystem {
         }
         let n_stamps = sink.triplets.len();
         let (csc, map) = sink.triplets.to_csc()?;
-        let use_dense = match opts.solver {
-            SolverKind::Dense => true,
-            SolverKind::Sparse => false,
-            SolverKind::Auto => n <= opts.sparse_threshold,
-        };
         Ok(Self {
             index,
             analysis,
@@ -159,11 +156,8 @@ impl MnaSystem {
             stamp_vals: vec![0.0; n_stamps],
             rhs: vec![0.0; n],
             gmin_first_stamp,
-            use_dense,
             reuse_factorization: opts.reuse_factorization,
             lu: None,
-            dense_mat: None,
-            dense_lu: None,
             source_scale: 1.0,
             stats: SolveStats::default(),
         })
@@ -173,12 +167,6 @@ impl MnaSystem {
     #[must_use]
     pub fn index(&self) -> UnknownIndex {
         self.index
-    }
-
-    /// Whether the dense solver path is active.
-    #[must_use]
-    pub fn uses_dense_solver(&self) -> bool {
-        self.use_dense
     }
 
     /// Stored structural nonzeros.
@@ -261,25 +249,15 @@ impl MnaSystem {
 
     /// Solves the assembled linear system `A x = z` into `out`.
     ///
-    /// On the sparse path the first solve factorizes from scratch and caches
-    /// the factorization; later solves refactorize the cached symbolic
-    /// pattern in place (zero heap traffic), falling back to a fresh
-    /// full-pivoting factorization when a reused pivot degrades. On the
-    /// dense path the matrix mirror and factorization buffers are cached and
-    /// refilled. Either way, the steady state performs no allocation.
+    /// The first solve factorizes from scratch and caches the factorization;
+    /// later solves refactorize the cached symbolic pattern in place (zero
+    /// heap traffic), falling back to a fresh factorization when a reused
+    /// pivot degrades. The steady state performs no allocation.
     ///
     /// # Errors
     ///
     /// Propagates singular-matrix failures from the factorization.
     pub fn solve_into(&mut self, out: &mut Vec<f64>) -> Result<()> {
-        if self.use_dense {
-            self.solve_dense_into(out)
-        } else {
-            self.solve_sparse_into(out)
-        }
-    }
-
-    fn solve_sparse_into(&mut self, out: &mut Vec<f64>) -> Result<()> {
         let need_fresh = match self.lu.as_mut() {
             Some(lu) if self.reuse_factorization => {
                 let _obs = tcam_obs::span!("lu_refactorize");
@@ -289,7 +267,7 @@ impl MnaSystem {
                         false
                     }
                     // The reused pivot order went bad numerically — fall back
-                    // to a fresh factorization with full partial pivoting.
+                    // to a fresh factorization, which re-pivots every column.
                     Err(NumericError::PivotDegraded { .. }) => true,
                     Err(e) => return Err(e.into()),
                 }
@@ -299,7 +277,11 @@ impl MnaSystem {
         if need_fresh {
             let _obs = tcam_obs::span!("lu_factorize");
             self.stats.fresh_factorizations += 1;
-            self.lu = Some(SparseLu::factorize(&self.csc)?);
+            let lu = SparseLu::factorize(&self.csc)?;
+            self.stats.unknowns = lu.n();
+            self.stats.matrix_nnz = self.csc.nnz();
+            self.stats.factor_nnz = lu.factor_nnz();
+            self.lu = Some(lu);
         }
         let _obs = tcam_obs::span!("back_solve");
         out.resize(self.rhs.len(), 0.0);
@@ -308,22 +290,6 @@ impl MnaSystem {
             .as_mut()
             .expect("factorization set above")
             .solve_in_place(out)?;
-        Ok(())
-    }
-
-    fn solve_dense_into(&mut self, out: &mut Vec<f64>) -> Result<()> {
-        let dense = self.dense_mat.get_or_insert_with(|| DenseMatrix::zeros(0, 0));
-        {
-            let _obs = tcam_obs::span!("lu_factorize");
-            self.csc.to_dense_into(dense);
-            let lu = self.dense_lu.get_or_insert_with(DenseLu::empty);
-            dense.lu_into(lu)?;
-        }
-        // Dense LU always pivots from scratch, so it counts as fresh.
-        self.stats.fresh_factorizations += 1;
-        let _obs = tcam_obs::span!("back_solve");
-        let lu = self.dense_lu.as_ref().expect("factorized above");
-        lu.solve_into(&self.rhs, out)?;
         Ok(())
     }
 
@@ -436,40 +402,6 @@ mod tests {
         let x2 = sys.solve().unwrap();
         for (a, b) in x1.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn dense_and_sparse_agree() {
-        let ckt = divider();
-        let dense_opts = SimOptions {
-            solver: SolverKind::Dense,
-            ..SimOptions::default()
-        };
-        let sparse_opts = SimOptions {
-            solver: SolverKind::Sparse,
-            ..SimOptions::default()
-        };
-
-        let mut xs = Vec::new();
-        for opts in [dense_opts, sparse_opts] {
-            let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
-            assert_eq!(sys.uses_dense_solver(), opts.solver == SolverKind::Dense);
-            let n = sys.index().n_unknowns();
-            let zeros = vec![0.0; n];
-            sys.refill(
-                &ckt,
-                0.0,
-                0.0,
-                Integrator::BackwardEuler,
-                &zeros,
-                &zeros,
-                opts.gmin,
-            );
-            xs.push(sys.solve().unwrap());
-        }
-        for (a, b) in xs[0].iter().zip(&xs[1]) {
-            assert!((a - b).abs() < 1e-10);
         }
     }
 

@@ -1,17 +1,5 @@
 //! Simulation tolerances and engine configuration.
 
-/// Linear-solver selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Choose dense below [`SimOptions::sparse_threshold`], sparse above.
-    #[default]
-    Auto,
-    /// Always dense LU.
-    Dense,
-    /// Always sparse LU.
-    Sparse,
-}
-
 /// Numerical integration method for the transient analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Integrator {
@@ -43,10 +31,6 @@ pub struct SimOptions {
     pub nr_damping_limit: f64,
     /// Integration method.
     pub integrator: Integrator,
-    /// Linear solver selection.
-    pub solver: SolverKind,
-    /// Unknown-count at which `Auto` switches to the sparse solver.
-    pub sparse_threshold: usize,
     /// Reuse the sparse symbolic factorization across Newton iterations and
     /// time steps (refactorizing values only, with a pivot-growth fallback
     /// to a fresh full-pivoting factorization). Disable as a safety valve to
@@ -93,8 +77,6 @@ impl Default for SimOptions {
             max_nr_iters: 100,
             nr_damping_limit: 1.0,
             integrator: Integrator::default(),
-            solver: SolverKind::default(),
-            sparse_threshold: 120,
             reuse_factorization: true,
             dt_initial_fraction: 1e-4,
             dt_initial: 0.0,
@@ -145,7 +127,6 @@ mod tests {
         assert!(o.gmin > 0.0);
         assert!(o.dt_shrink < 1.0 && o.dt_grow > 1.0);
         assert_eq!(o.integrator, Integrator::BackwardEuler);
-        assert_eq!(o.solver, SolverKind::Auto);
         // The ladder is opt-in and the breakpoint tolerance must sit far
         // below the Newton reltol or µs-scale runs merge real source edges.
         assert!(!o.recovery_ladder);

@@ -10,7 +10,7 @@
 //!
 //! | Layer | Crate | What it provides |
 //! |---|---|---|
-//! | [`numeric`] | `tcam-numeric` | dense/sparse linear algebra, roots, ODE |
+//! | [`numeric`] | `tcam-numeric` | sparse linear algebra, roots, statistics |
 //! | [`spice`] | `tcam-spice` | MNA circuit engine: OP, DC sweep, transient |
 //! | [`devices`] | `tcam-devices` | NEM relay, MOSFET, RRAM, FeFET models |
 //! | [`core`] | `tcam-core` | the TCAM designs + paper experiments |
