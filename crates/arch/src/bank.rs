@@ -1,30 +1,8 @@
-//! A timed TCAM bank: functional array + per-operation costs + refresh
-//! policy, driven by an operation trace.
-//!
-//! This is the level at which a system architect would evaluate the 3T2N
-//! TCAM: feed it the access stream of a router/classifier/TLB and get
-//! functional results *and* latency/energy totals, with refresh handled by
-//! the configured policy (one-shot for the 3T2N; none for SRAM/NVM).
-
-use crate::array::{ArchError, TcamArray};
-use crate::energy_model::{OperationCosts, WorkloadMeter};
-use tcam_core::bit::TernaryBit;
-
-/// One operation in a bank trace.
-#[derive(Debug, Clone)]
-pub enum BankOp {
-    /// Search with a key; the result (first match) is recorded.
-    Search(Vec<TernaryBit>),
-    /// Write a word into a row.
-    Write {
-        /// Target row.
-        row: usize,
-        /// Word to store.
-        word: Vec<TernaryBit>,
-    },
-    /// Invalidate a row.
-    Erase(usize),
-}
+//! The refresh policy of a TCAM bank: how many refresh operations one
+//! retention event costs and how long each takes (one-shot for the 3T2N;
+//! none for SRAM/NVM). The `tcam-serve` shard workers size their refresh
+//! events by it; the paper's §III-D interference argument is reproduced by
+//! [`crate::refresh_sched`].
 
 /// Refresh handling for the bank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,7 +11,7 @@ pub enum BankRefresh {
     None,
     /// One-shot refresh: one operation of `op_time` per retention interval
     /// (the 3T2N scheme). Energy comes from
-    /// [`OperationCosts::refresh_energy`].
+    /// [`crate::energy_model::OperationCosts::refresh_energy`].
     OneShot {
         /// OSR operation duration, seconds.
         op_time: f64,
@@ -64,385 +42,5 @@ impl BankRefresh {
             BankRefresh::None => 0.0,
             BankRefresh::OneShot { op_time } | BankRefresh::RowByRow { op_time } => *op_time,
         }
-    }
-}
-
-/// One refresh event due on a bank: `ops` operations of `op_time` each.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefreshEvent {
-    /// Refresh operations in this event (1 for one-shot, `rows` for
-    /// row-by-row).
-    pub ops: u64,
-    /// Duration of each operation, seconds.
-    pub op_time: f64,
-}
-
-/// Deadline tracker for a bank's refresh policy.
-///
-/// This is the single place retention deadlines are turned into refresh
-/// events. [`TcamBank::replay`] drives it on the bank's internal (virtual)
-/// clock; external schedulers — the `tcam-serve` workers run the same
-/// policy against a wall clock — create one via
-/// [`TcamBank::refresh_schedule`] or [`RefreshSchedule::new`] instead of
-/// duplicating the interval logic.
-#[derive(Debug, Clone)]
-pub struct RefreshSchedule {
-    policy: BankRefresh,
-    interval: f64,
-    next_deadline: f64,
-}
-
-impl RefreshSchedule {
-    /// A schedule for `policy` on a bank with the given retention interval
-    /// (seconds). A non-finite retention, or [`BankRefresh::None`], never
-    /// fires.
-    #[must_use]
-    pub fn new(policy: BankRefresh, retention: f64) -> Self {
-        let interval = if matches!(policy, BankRefresh::None) || !retention.is_finite() {
-            f64::INFINITY
-        } else {
-            retention
-        };
-        Self {
-            policy,
-            interval,
-            next_deadline: interval,
-        }
-    }
-
-    /// The policy this schedule enforces.
-    #[must_use]
-    pub fn policy(&self) -> BankRefresh {
-        self.policy
-    }
-
-    /// Seconds between refresh events (∞ when refresh never fires).
-    #[must_use]
-    pub fn interval(&self) -> f64 {
-        self.interval
-    }
-
-    /// Takes the next refresh event if its deadline has passed at `elapsed`
-    /// seconds, advancing the deadline by one interval. Call repeatedly
-    /// until `None` (several deadlines may have passed), adding the event's
-    /// busy time to `elapsed` in between, then [`Self::reanchor`].
-    pub fn pop_due(&mut self, elapsed: f64, rows: usize) -> Option<RefreshEvent> {
-        if elapsed < self.next_deadline {
-            return None;
-        }
-        self.next_deadline += self.interval;
-        Some(RefreshEvent {
-            ops: self.policy.ops_per_event(rows),
-            op_time: self.policy.op_time(),
-        })
-    }
-
-    /// Re-anchors the deadline to `elapsed + interval` when refresh work
-    /// outpaced the interval (a pathological configuration) so event loops
-    /// always terminate — such a bank does nothing but refresh, which the
-    /// meter shows.
-    pub fn reanchor(&mut self, elapsed: f64) {
-        if self.next_deadline <= elapsed {
-            self.next_deadline = elapsed + self.interval;
-        }
-    }
-}
-
-/// Outcome of replaying a trace.
-#[derive(Debug, Clone)]
-pub struct BankReport {
-    /// First-match row per search, in trace order.
-    pub search_results: Vec<Option<usize>>,
-    /// Operation/energy accounting.
-    pub meter: WorkloadMeter,
-    /// Total elapsed (busy) time including refresh, seconds.
-    pub elapsed: f64,
-    /// Refresh operations interleaved.
-    pub refresh_ops: u64,
-}
-
-/// A timed TCAM bank.
-#[derive(Debug, Clone)]
-pub struct TcamBank {
-    array: TcamArray,
-    costs: OperationCosts,
-    refresh: BankRefresh,
-}
-
-impl TcamBank {
-    /// Creates a bank of `rows`×`width` with the given cost model and
-    /// refresh policy.
-    #[must_use]
-    pub fn new(rows: usize, width: usize, costs: OperationCosts, refresh: BankRefresh) -> Self {
-        Self {
-            array: TcamArray::new(rows, width),
-            costs,
-            refresh,
-        }
-    }
-
-    /// A 3T2N bank with the paper's measured costs and one-shot refresh.
-    #[must_use]
-    pub fn paper_3t2n(rows: usize, width: usize) -> Self {
-        Self::new(
-            rows,
-            width,
-            OperationCosts::paper_3t2n(),
-            BankRefresh::OneShot { op_time: 10e-9 },
-        )
-    }
-
-    /// The functional array (e.g. to preload content).
-    #[must_use]
-    pub fn array(&self) -> &TcamArray {
-        &self.array
-    }
-
-    /// Mutable access to the functional array.
-    pub fn array_mut(&mut self) -> &mut TcamArray {
-        &mut self.array
-    }
-
-    /// The refresh policy this bank runs.
-    #[must_use]
-    pub fn refresh_policy(&self) -> BankRefresh {
-        self.refresh
-    }
-
-    /// The per-operation cost model.
-    #[must_use]
-    pub fn costs(&self) -> &OperationCosts {
-        &self.costs
-    }
-
-    /// A fresh deadline tracker for this bank's policy and retention —
-    /// the hook external schedulers (e.g. `tcam-serve` workers) use to
-    /// trigger and observe refresh instead of duplicating the policy logic.
-    #[must_use]
-    pub fn refresh_schedule(&self) -> RefreshSchedule {
-        RefreshSchedule::new(self.refresh, self.costs.retention)
-    }
-
-    /// Performs one refresh event *now*, regardless of deadlines, metering
-    /// its operations and energy into `meter`. Returns the event (0 ops
-    /// under [`BankRefresh::None`]).
-    pub fn force_refresh(&mut self, meter: &mut WorkloadMeter) -> RefreshEvent {
-        let event = RefreshEvent {
-            ops: self.refresh.ops_per_event(self.array.rows()),
-            op_time: self.refresh.op_time(),
-        };
-        for _ in 0..event.ops {
-            meter.refresh(&self.costs, event.op_time);
-        }
-        event
-    }
-
-    /// Replays a trace, interleaving refresh operations as the elapsed busy
-    /// time crosses retention deadlines.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first functional error (bad row, width mismatch).
-    pub fn replay(&mut self, trace: &[BankOp]) -> Result<BankReport, ArchError> {
-        let mut meter = WorkloadMeter::new();
-        let mut elapsed = 0.0_f64;
-        let mut refresh_ops = 0_u64;
-        let mut schedule = self.refresh_schedule();
-        let mut results = Vec::new();
-
-        for op in trace {
-            // Retire any refresh deadline that passed (all rows back to
-            // back for row-by-row — a pessimistic burst).
-            while let Some(event) = schedule.pop_due(elapsed, self.array.rows()) {
-                for _ in 0..event.ops {
-                    meter.refresh(&self.costs, event.op_time);
-                    elapsed += event.op_time;
-                    refresh_ops += 1;
-                }
-                schedule.reanchor(elapsed);
-            }
-
-            match op {
-                BankOp::Search(key) => {
-                    results.push(self.array.first_match(key));
-                    meter.search(&self.costs);
-                    elapsed += self.costs.search_latency;
-                }
-                BankOp::Write { row, word } => {
-                    self.array.write(*row, word.clone())?;
-                    meter.write(&self.costs);
-                    elapsed += self.costs.write_latency;
-                }
-                BankOp::Erase(row) => {
-                    self.array.erase(*row)?;
-                    meter.write(&self.costs);
-                    elapsed += self.costs.write_latency;
-                }
-            }
-        }
-
-        Ok(BankReport {
-            search_results: results,
-            meter,
-            elapsed,
-            refresh_ops,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tcam_core::bit::parse_ternary;
-
-    fn word(s: &str) -> Vec<TernaryBit> {
-        parse_ternary(s).expect("valid literal")
-    }
-
-    #[test]
-    fn replay_produces_functional_results_and_costs() {
-        let mut bank = TcamBank::paper_3t2n(8, 4);
-        let trace = vec![
-            BankOp::Write {
-                row: 0,
-                word: word("1X00"),
-            },
-            BankOp::Write {
-                row: 1,
-                word: word("1100"),
-            },
-            BankOp::Search(word("1100")),
-            BankOp::Erase(0),
-            BankOp::Search(word("1100")),
-            BankOp::Search(word("0000")),
-        ];
-        let report = bank.replay(&trace).unwrap();
-        assert_eq!(report.search_results, vec![Some(0), Some(1), None]);
-        assert_eq!(report.meter.searches, 3);
-        assert_eq!(report.meter.writes, 3); // 2 writes + 1 erase
-        assert!(report.meter.energy > 0.0);
-        // A 6-op trace is far shorter than retention: no refresh needed.
-        assert_eq!(report.refresh_ops, 0);
-    }
-
-    #[test]
-    fn long_traces_interleave_refresh() {
-        let mut bank = TcamBank::paper_3t2n(8, 4);
-        bank.array_mut().write(0, word("1010")).unwrap();
-        // Enough searches to exceed several retention intervals:
-        // 26.5 µs / 40 ps ≈ 660k searches per interval → use a cheaper
-        // route: shrink retention through a custom cost model.
-        let mut costs = OperationCosts::paper_3t2n();
-        costs.retention = 50.0 * costs.search_latency;
-        let mut bank = TcamBank::new(8, 4, costs, BankRefresh::OneShot { op_time: 10e-9 });
-        bank.array_mut().write(0, word("1010")).unwrap();
-        let trace: Vec<BankOp> = (0..500).map(|_| BankOp::Search(word("1010"))).collect();
-        let report = bank.replay(&trace).unwrap();
-        assert!(report.refresh_ops > 0, "refresh must interleave");
-        assert_eq!(report.meter.refreshes, report.refresh_ops);
-        assert!(report.search_results.iter().all(|r| *r == Some(0)));
-    }
-
-    #[test]
-    fn row_by_row_costs_n_times_more_ops() {
-        let mut costs = OperationCosts::paper_3t2n();
-        costs.retention = 10e-9;
-        let trace: Vec<BankOp> = (0..2000).map(|_| BankOp::Search(word("1010"))).collect();
-
-        let mut osr_bank = TcamBank::new(16, 4, costs, BankRefresh::OneShot { op_time: 0.1e-9 });
-        let osr = osr_bank.replay(&trace).unwrap();
-        let mut rbr_bank = TcamBank::new(16, 4, costs, BankRefresh::RowByRow { op_time: 0.1e-9 });
-        let rbr = rbr_bank.replay(&trace).unwrap();
-
-        assert!(osr.refresh_ops > 0);
-        assert!(
-            rbr.refresh_ops >= 8 * osr.refresh_ops,
-            "rbr {} osr {}",
-            rbr.refresh_ops,
-            osr.refresh_ops
-        );
-        assert!(rbr.elapsed > osr.elapsed);
-    }
-
-    #[test]
-    fn functional_errors_surface() {
-        let mut bank = TcamBank::paper_3t2n(2, 4);
-        let bad = vec![BankOp::Write {
-            row: 9,
-            word: word("1010"),
-        }];
-        assert!(matches!(
-            bank.replay(&bad),
-            Err(ArchError::RowOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn sram_bank_never_refreshes() {
-        let mut bank = TcamBank::new(8, 4, OperationCosts::paper_sram(), BankRefresh::None);
-        let trace: Vec<BankOp> = (0..100).map(|_| BankOp::Search(word("XXXX"))).collect();
-        let report = bank.replay(&trace).unwrap();
-        assert_eq!(report.refresh_ops, 0);
-    }
-
-    /// Driving the exposed schedule externally must reproduce the refresh
-    /// accounting `replay` does internally.
-    #[test]
-    fn external_schedule_matches_replay_accounting() {
-        let mut costs = OperationCosts::paper_3t2n();
-        costs.retention = 50.0 * costs.search_latency;
-        let refresh = BankRefresh::OneShot { op_time: 10e-9 };
-        let mut bank = TcamBank::new(8, 4, costs, refresh);
-        bank.array_mut().write(0, word("1010")).unwrap();
-        let trace: Vec<BankOp> = (0..500).map(|_| BankOp::Search(word("1010"))).collect();
-        let report = bank.replay(&trace).unwrap();
-
-        // Re-run the same virtual timeline by hand through the hook.
-        let mut schedule = bank.refresh_schedule();
-        assert_eq!(schedule.policy(), refresh);
-        assert!((schedule.interval() - costs.retention).abs() < 1e-18);
-        let mut elapsed = 0.0;
-        let mut external_ops = 0u64;
-        for _ in 0..500 {
-            while let Some(event) = schedule.pop_due(elapsed, 8) {
-                elapsed += event.ops as f64 * event.op_time;
-                external_ops += event.ops;
-                schedule.reanchor(elapsed);
-            }
-            elapsed += costs.search_latency;
-        }
-        assert_eq!(external_ops, report.refresh_ops);
-    }
-
-    #[test]
-    fn force_refresh_meters_policy_ops() {
-        let costs = OperationCosts::paper_3t2n();
-        let mut meter = WorkloadMeter::new();
-        let mut bank = TcamBank::new(16, 4, costs, BankRefresh::RowByRow { op_time: 1e-9 });
-        let event = bank.force_refresh(&mut meter);
-        assert_eq!(event.ops, 16);
-        assert_eq!(meter.refreshes, 16);
-        let mut none = TcamBank::new(16, 4, costs, BankRefresh::None);
-        assert_eq!(none.force_refresh(&mut meter).ops, 0);
-        assert_eq!(meter.refreshes, 16);
-    }
-
-    #[test]
-    fn schedule_never_fires_without_refresh() {
-        let mut s = RefreshSchedule::new(BankRefresh::None, 1e-6);
-        assert!(s.pop_due(1e9, 8).is_none());
-        let mut s = RefreshSchedule::new(BankRefresh::OneShot { op_time: 1e-9 }, f64::INFINITY);
-        assert!(s.pop_due(1e9, 8).is_none());
-    }
-
-    /// The bank (and its building blocks) must be `Send` so `tcam-serve`
-    /// can hand one to each worker thread.
-    #[test]
-    fn bank_types_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<TcamBank>();
-        assert_send::<TcamArray>();
-        assert_send::<RefreshSchedule>();
-        assert_send::<WorkloadMeter>();
     }
 }

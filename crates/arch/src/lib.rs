@@ -15,9 +15,8 @@
 //!   64-row block and bit column, so one AND resolves a column for 64
 //!   rows, a dead block is left early, and `trailing_zeros` is the
 //!   priority encoder.
-//! * [`bank`] — a timed TCAM bank replaying operation traces with refresh
-//!   interleaved per policy; exposes its [`bank::RefreshSchedule`] so
-//!   external schedulers reuse the same deadline logic.
+//! * [`bank`] — [`bank::BankRefresh`], the refresh policy (none / one-shot /
+//!   row-by-row) the `tcam-serve` workers size their refresh events by.
 //! * [`refresh_sched`] — event-driven simulation of refresh interference:
 //!   row-by-row refresh vs the paper's one-shot refresh under search
 //!   traffic.
@@ -66,7 +65,7 @@ pub mod refresh_sched;
 pub use acam::kernel::PackedAcamArray;
 pub use acam::{AcamArray, AcamCell, AcamError, AcamMatch, AcamMetric};
 pub use array::{ArchError, TcamArray};
-pub use bank::{BankOp, BankRefresh, BankReport, RefreshEvent, RefreshSchedule, TcamBank};
+pub use bank::BankRefresh;
 pub use energy_model::{OperationCosts, WorkloadMeter};
 pub use packed::{PackedTcamArray, PackedWord};
 pub use refresh_sched::{simulate, RefreshPolicy, RefreshSimConfig, RefreshSimReport};

@@ -3,7 +3,7 @@
 //! architectural refresh-interference study (A1).
 //!
 //! With `--stats` it additionally prints per-design solver statistics
-//! for the worst-case search transient.
+//! for the worst-case search transient, recovery-ladder rescues included.
 
 use tcam_arch::refresh_sched::compare_policies;
 use tcam_bench::{banner, has_flag, spec_from_args};
@@ -127,12 +127,14 @@ fn main() {
     );
     // Optional: per-design solver statistics for the F7 mismatch search,
     // showing the cached-LU path at work (fresh factorizations stay in the
-    // low single digits; refactorizations track the NR iteration count) and
-    // the fill the column order left (factor nnz over matrix nnz).
+    // low single digits; refactorizations track the NR iteration count),
+    // the fill the column order left (factor nnz over matrix nnz), and
+    // whether the recovery ladder had to step in: a run a rung rescued
+    // succeeds quietly, so Newton rejections and rescues are shown.
     if has_flag("stats") {
         println!("\n[--stats] solver statistics, worst-case search transient");
         println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11}",
+            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11} {:>11} {:>8}",
             "design",
             "fresh",
             "refactor",
@@ -141,7 +143,9 @@ fn main() {
             "rejected",
             "unknowns",
             "matrix_nnz",
-            "factor_nnz"
+            "factor_nnz",
+            "newton rej",
+            "rescued"
         );
         let stored = pattern_word(spec.cols);
         let key = mismatch_key(spec.cols);
@@ -149,18 +153,20 @@ fn main() {
             let outcome = design
                 .build_search(&spec, &stored, &key)
                 .and_then(run_search);
-            match outcome.map(|r| r.waveform.stats()) {
-                Ok(Some(s)) => println!(
-                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11}",
+            match outcome.as_ref().map(|r| r.waveform.solver_trace()) {
+                Ok(Some(t)) => println!(
+                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11} {:>11} {:>8}",
                     design.name(),
-                    s.fresh_factorizations,
-                    s.refactorizations,
-                    s.nr_iterations,
-                    s.steps_accepted,
-                    s.steps_rejected,
-                    s.unknowns,
-                    s.matrix_nnz,
-                    s.factor_nnz
+                    t.stats.fresh_factorizations,
+                    t.stats.refactorizations,
+                    t.stats.nr_iterations,
+                    t.stats.steps_accepted,
+                    t.stats.steps_rejected,
+                    t.stats.unknowns,
+                    t.stats.matrix_nnz,
+                    t.stats.factor_nnz,
+                    t.reject_newton,
+                    t.ladder_recoveries
                 ),
                 Ok(None) => println!("{:<12} (no stats recorded)", design.name()),
                 Err(e) => println!("{:<12} failed: {e}", design.name()),

@@ -54,9 +54,7 @@
 //! [`Rram`]: tcam_devices::rram::Rram
 //! [`VSwitch`]: tcam_spice::element::VSwitch
 
-use crate::designs::{
-    add_line_cap, add_ml_precharge, add_step_driver, experiment_options, SearchExperiment,
-};
+use crate::designs::{add_line_cap, add_ml_precharge, add_step_driver, SearchExperiment};
 use crate::fault::ChaosProbe;
 use crate::ops::run_search;
 use crate::variation::assemble;
@@ -332,7 +330,6 @@ impl AcamCellDesign {
             // tolerates only the precharge-contention dip.
             v_match_min: 0.8 * spec.vdd,
             vdd: spec.vdd,
-            options: experiment_options(),
         })
     }
 }

@@ -19,8 +19,7 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec,
-    experiment_options, search_drive,
+    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
     ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
 };
 use crate::parasitics::{fefet2f_geometry, CellGeometry};
@@ -224,7 +223,6 @@ impl TcamDesign for Fefet2f {
             t_drive: T_POS,
             t_stop: T_WRITE_STOP,
             probes,
-            options: experiment_options(),
         })
     }
 
@@ -276,7 +274,6 @@ impl TcamDesign for Fefet2f {
             t_sense: T_SEARCH + SENSE_WINDOW,
             v_match_min: 0.8 * spec.vdd,
             vdd: spec.vdd,
-            options: experiment_options(),
         })
     }
 }

@@ -11,7 +11,10 @@
 //!   mismatching cell discharging the full ML capacitance.
 //!
 //! Designs: [`Nem3t2n`] (the paper's contribution), [`Sram16t`],
-//! [`Rram2t2r`], [`Fefet2f`].
+//! [`Rram2t2r`], [`Fefet2f`]. All four are simulated under one solver
+//! set-up, as in the paper: [`crate::ops::run_write`] and
+//! [`crate::ops::run_search`] run every experiment with
+//! `SimOptions::default()`, so an experiment carries no solver options.
 
 mod fefet2f;
 mod nem3t2n;
@@ -29,22 +32,7 @@ use tcam_spice::element::{Capacitor, Resistor, VSwitch, VoltageSource};
 use tcam_spice::error::Result;
 use tcam_spice::netlist::Circuit;
 use tcam_spice::node::NodeId;
-use tcam_spice::options::SimOptions;
 use tcam_spice::source::Waveshape;
-
-/// Solver options shared by every design's experiment circuits: the
-/// defaults plus the convergence-recovery ladder, so an abrupt NEM relay
-/// pull-in or a stiff ferroelectric write in a large array engages the
-/// gmin/source-stepping/BE-fallback rungs instead of failing the run. On
-/// circuits that never miss a Newton solve this is bit-identical to the
-/// plain defaults (the ladder only runs after a failure).
-#[must_use]
-pub fn experiment_options() -> SimOptions {
-    SimOptions {
-        recovery_ladder: true,
-        ..SimOptions::default()
-    }
-}
 
 /// Array dimensions and supply for an experiment (the paper uses 64×64 at
 /// V_DD = 1 V).
@@ -114,8 +102,6 @@ pub struct WriteExperiment {
     pub t_stop: f64,
     /// Per-cell state checks.
     pub probes: Vec<StateProbe>,
-    /// Solver options tuned for this experiment.
-    pub options: SimOptions,
 }
 
 /// A built search experiment, ready for [`crate::ops::run_search`].
@@ -140,8 +126,6 @@ pub struct SearchExperiment {
     pub v_match_min: f64,
     /// Supply voltage (ML threshold reference).
     pub vdd: f64,
-    /// Solver options tuned for this experiment.
-    pub options: SimOptions,
 }
 
 /// A TCAM design: cell geometry plus experiment-circuit constructors.

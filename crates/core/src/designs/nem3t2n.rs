@@ -19,8 +19,7 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec,
-    experiment_options, search_drive,
+    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
     ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
 };
 use crate::parasitics::{nem3t2n_geometry, CellGeometry};
@@ -285,7 +284,6 @@ impl TcamDesign for Nem3t2n {
             t_drive: T_WL,
             t_stop: T_WRITE_STOP,
             probes,
-            options: experiment_options(),
         })
     }
 
@@ -332,7 +330,6 @@ impl TcamDesign for Nem3t2n {
             t_sense: T_SEARCH + SENSE_WINDOW,
             v_match_min: 0.85 * spec.vdd,
             vdd: spec.vdd,
-            options: experiment_options(),
         })
     }
 }

@@ -22,8 +22,7 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec,
-    experiment_options, search_drive,
+    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
     ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
 };
 use crate::parasitics::{rram2t2r_geometry, CellGeometry};
@@ -234,7 +233,6 @@ impl TcamDesign for Rram2t2r {
             t_drive: T_SET,
             t_stop: T_WRITE_STOP,
             probes,
-            options: experiment_options(),
         })
     }
 
@@ -288,7 +286,6 @@ impl TcamDesign for Rram2t2r {
             // HRS leakage droops the ML even on a match: accept 0.42·V_DD.
             v_match_min: 0.42 * spec.vdd,
             vdd: spec.vdd,
-            options: experiment_options(),
         })
     }
 }

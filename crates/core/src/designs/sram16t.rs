@@ -12,8 +12,7 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec,
-    experiment_options, search_drive,
+    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
     ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
 };
 use crate::parasitics::{sram16t_geometry, CellGeometry};
@@ -291,7 +290,6 @@ impl TcamDesign for Sram16t {
             t_drive: T_WL,
             t_stop: T_WRITE_STOP,
             probes,
-            options: experiment_options(),
         })
     }
 
@@ -360,7 +358,6 @@ impl TcamDesign for Sram16t {
             t_sense: T_SEARCH + SENSE_WINDOW,
             v_match_min: 0.85 * spec.vdd,
             vdd: spec.vdd,
-            options: experiment_options(),
         })
     }
 }

@@ -231,7 +231,6 @@ pub fn table1_measurements() -> Result<Table1Row> {
 mod tests {
     use super::*;
     use crate::metrics::{search_edp_ratios, search_latency_ratios};
-    use tcam_spice::mna::SolveStats;
 
     #[test]
     fn pattern_words_are_consistent() {
@@ -310,12 +309,12 @@ mod tests {
         assert!(lat["3T2N"] < lat["2FeFET"]);
     }
 
-    /// Solver counters of `design`'s worst-case (1-bit mismatch) search.
-    fn worst_case_search_stats(design: &dyn TcamDesign, spec: &ArraySpec) -> SolveStats {
+    /// Waveform of `design`'s worst-case (1-bit mismatch) search.
+    fn worst_case_search(design: &dyn TcamDesign, spec: &ArraySpec) -> Waveform {
         let exp = design
             .build_search(spec, &pattern_word(spec.cols), &mismatch_key(spec.cols))
             .unwrap();
-        run_search(exp).unwrap().waveform.stats().unwrap()
+        run_search(exp).unwrap().waveform
     }
 
     /// The regression net for `SparseLu`'s column order: in the natural MNA
@@ -330,7 +329,7 @@ mod tests {
         };
         for spec in [small, ArraySpec::paper()] {
             for design in all_designs() {
-                let s = worst_case_search_stats(design.as_ref(), &spec);
+                let s = worst_case_search(design.as_ref(), &spec).stats().unwrap();
                 assert!(s.unknowns > spec.rows && s.matrix_nnz > s.unknowns, "{s:?}");
                 assert!(
                     s.factor_nnz <= 2 * s.matrix_nnz,
@@ -406,9 +405,43 @@ mod tests {
             ],
         );
 
-        let s = worst_case_search_stats(&Nem3t2n::default(), &spec);
-        assert_eq!(s.nr_iterations, 228);
-        assert_eq!((s.steps_accepted, s.steps_rejected), (111, 2));
-        assert_eq!((s.fresh_factorizations, s.refactorizations), (1, 227));
+        // Worst-case search work per design: (nr_iterations, steps_accepted,
+        // steps_rejected, fresh_factorizations, refactorizations). The
+        // rejections are LTE only: no recovery rung fires at the paper's
+        // size, so the always-on ladder costs these runs nothing.
+        let counts = [
+            (228, 111, 2, 1, 227),
+            (304, 121, 2, 1, 303),
+            (454, 185, 2, 1, 453),
+            (253, 123, 0, 1, 252),
+        ];
+        for (design, pinned) in all_designs().iter().zip(counts) {
+            let wave = worst_case_search(design.as_ref(), &spec);
+            let (s, t) = (wave.stats().unwrap(), wave.solver_trace().unwrap());
+            let name = design.name();
+            assert_eq!(
+                (
+                    s.nr_iterations,
+                    s.steps_accepted,
+                    s.steps_rejected,
+                    s.fresh_factorizations,
+                    s.refactorizations
+                ),
+                pinned,
+                "{name}"
+            );
+            assert_eq!(t.reject_newton, 0, "{name}");
+            assert_eq!(
+                (
+                    t.gmin_events,
+                    t.source_step_events,
+                    t.integrator_fallbacks,
+                    t.dt_shrinks,
+                    t.ladder_recoveries
+                ),
+                (0, 0, 0, 0, 0),
+                "{name}: a recovery rung fired"
+            );
+        }
     }
 }

@@ -4,6 +4,7 @@ use crate::designs::{SearchExperiment, WriteExperiment};
 use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::error::{Result, SpiceError};
 use tcam_spice::measure::{cross_time, Edge};
+use tcam_spice::options::SimOptions;
 use tcam_spice::waveform::Waveform;
 
 /// Outcome of a write-row experiment.
@@ -32,7 +33,7 @@ pub struct WriteResult {
 /// [`SpiceError::NotFound`] if a probe signal was never recorded.
 pub fn run_write(exp: WriteExperiment) -> Result<WriteResult> {
     let mut circuit = exp.circuit;
-    let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &exp.options)?;
+    let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &SimOptions::default())?;
 
     let mut latency: f64 = 0.0;
     let mut all_valid = true;
@@ -105,7 +106,7 @@ impl SearchResult {
 /// Propagates simulation failures.
 pub fn run_search(exp: SearchExperiment) -> Result<SearchResult> {
     let mut circuit = exp.circuit;
-    let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &exp.options)?;
+    let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &SimOptions::default())?;
     let ml_at_sense = wave.sample(&exp.ml_signal, exp.t_sense)?;
     let energy = circuit.total_sourced_energy();
 
@@ -224,8 +225,8 @@ mod tests {
         let wall_ns = t0.elapsed().as_secs_f64() * 1e9;
         assert!(res.functional_ok, "ml at sense = {}", res.ml_at_sense);
         let trace = res.waveform.solver_trace().expect("transient records a trace");
-        assert!(trace.steps_accepted > 0);
-        assert!(trace.nr_iterations >= trace.steps_accepted);
+        assert!(trace.stats.steps_accepted > 0);
+        assert!(trace.stats.nr_iterations >= trace.stats.steps_accepted);
         assert!(
             0.0 < trace.min_dt_used && trace.min_dt_used <= trace.max_dt_used,
             "dt extrema: min={:e}, max={:e}",

@@ -165,7 +165,9 @@ fn nem_relay_transient_bitwise_identical_with_cached_solver() {
             .expect("adds");
         let opts = SimOptions {
             reuse_factorization: reuse,
-            ..SimOptions::fast_transient()
+            dt_max: 20e-12,
+            lte_tol: 2e-4,
+            ..SimOptions::default()
         };
         transient(&mut ckt, TransientSpec::to(20e-9), &opts).expect("simulates")
     };

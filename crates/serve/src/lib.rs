@@ -3,7 +3,7 @@
 //!
 //! The lower layers of this workspace establish *device-level* numbers
 //! for the paper's 3T2N NEM-relay dynamic TCAM — search energy, refresh
-//! cost, retention — and replay traces against a timed bank model. This
+//! cost, retention — and simulate refresh interference event by event. This
 //! crate asks the system-level question those numbers exist to answer:
 //! **what does a dynamic TCAM look like as a serving component**, where
 //! refresh is not a line in a trace but a recurring deadline competing

@@ -25,7 +25,7 @@
 //! stall and the searches caught behind it. A physical shard refreshes
 //! once per interval however many threads serve it, so worker 0 owns the
 //! shard's refresh clock and its siblings serve through the stall. An
-//! event is sized by the [`BankRefresh`] policy hooks the timed bank uses
+//! event is sized by the [`BankRefresh`] policy
 //! (1 op one-shot, `rows` ops row-by-row), each op `refresh_op_work` units
 //! of real work and metered through
 //! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter): a row-by-row

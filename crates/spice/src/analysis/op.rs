@@ -1,11 +1,11 @@
-//! DC operating-point analysis with gmin stepping and (opt-in) source
-//! stepping.
+//! DC operating-point analysis: plain Newton, then the gmin ramp, then
+//! source stepping.
 
 use crate::device::{AnalysisKind, CommitCtx};
-use crate::error::{Result, SpiceError};
+use crate::error::Result;
 use crate::mna::MnaSystem;
 use crate::netlist::Circuit;
-use crate::newton::{solve_point, NewtonOutcome};
+use crate::newton::{gmin_ramp, solve_point, NewtonOutcome};
 use crate::options::SimOptions;
 use crate::trace::SolverTrace;
 
@@ -16,10 +16,10 @@ pub struct OpSolution {
     pub x: Vec<f64>,
     /// Newton iterations of the final (target-gmin) solve.
     pub iterations: usize,
-    /// Number of gmin-stepping ladder stages needed (0 = direct).
+    /// Number of gmin-ramp stages needed (0 = direct).
     pub gmin_steps: usize,
-    /// Number of source-stepping stages needed (0 unless the gmin ladder
-    /// also failed and [`SimOptions::recovery_ladder`] is on).
+    /// Number of source-stepping stages needed (0 unless the gmin ramp
+    /// also failed).
     pub source_steps: usize,
 }
 
@@ -28,7 +28,7 @@ impl OpSolution {
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::NotFound`] for unknown node names.
+    /// Returns [`crate::SpiceError::NotFound`] for unknown node names.
     pub fn voltage(&self, circuit: &Circuit, node: &str) -> Result<f64> {
         circuit.voltage_of(&self.x, node)
     }
@@ -37,14 +37,17 @@ impl OpSolution {
 /// Computes the DC operating point of `circuit` and commits it into the
 /// devices (initializing their histories and quasi-static states).
 ///
-/// On a direct Newton failure the solver walks a gmin ladder from
+/// On a direct Newton failure the solver walks the gmin ramp from
 /// [`SimOptions::gmin_step_start`] down to the target gmin, warm-starting
-/// each stage from the last.
+/// each stage from the last and settling for the tightest converged stage
+/// when the final refinement fails — better a slightly soft OP than none.
+/// When a ramp stage fails too, every independent source is ramped 0 → 1.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::NonConvergence`] when even the recovery ladder
-/// fails, and propagates structural errors from system assembly.
+/// Returns [`crate::SpiceError::NonConvergence`] when even the recovery ladder
+/// fails (after a `non_convergence` flight dump), and propagates structural
+/// errors from system assembly.
 pub fn operating_point(circuit: &mut Circuit, opts: &SimOptions) -> Result<OpSolution> {
     let mut trace = SolverTrace::new();
     operating_point_traced(circuit, opts, &mut trace)
@@ -81,35 +84,40 @@ pub fn operating_point_traced(
 
     let (outcome, gmin_steps, source_steps) = match direct {
         Ok(o) => (o, 0, 0),
-        Err(SpiceError::NonConvergence { .. }) => {
-            match gmin_ladder(circuit, &mut sys, &zeros, opts, trace) {
-                Ok((o, stages)) => (o, stages, 0),
+        Err(_) => {
+            let mut x = Vec::new();
+            match gmin_ramp(
+                circuit,
+                &mut sys,
+                0.0,
+                0.0,
+                opts.integrator,
+                &zeros,
+                &mut x,
+                &mut Vec::new(),
+                opts,
+                trace,
+            ) {
+                Ok(ramp) => {
+                    let iterations = ramp.iterations;
+                    (NewtonOutcome { x, iterations }, ramp.stages, 0)
+                }
                 // Rung 2, initial OP only: walk the solution in from the
                 // trivial all-sources-off point.
-                Err(gmin_err) if opts.recovery_ladder => {
-                    match source_stepping(circuit, &mut sys, &zeros, opts, trace) {
-                        Ok((o, stages)) => (o, opts.gmin_step_decades, stages),
-                        // The gmin ladder's error names the worst unknown at
-                        // full drive, which is the more actionable report.
-                        Err(_) => {
-                            let _ = tcam_obs::flight_dump(
-                                "non_convergence",
-                                &format!("operating point failed after full recovery ladder: {gmin_err}"),
-                            );
-                            return Err(gmin_err);
-                        }
+                Err(gmin_err) => match source_stepping(circuit, &mut sys, &zeros, opts, trace) {
+                    Ok((o, stages)) => (o, opts.gmin_step_decades, stages),
+                    // The gmin ramp's error names the worst unknown at
+                    // full drive, which is the more actionable report.
+                    Err(_) => {
+                        let _ = tcam_obs::flight_dump(
+                            "non_convergence",
+                            &format!("operating point failed after full recovery ladder: {gmin_err}"),
+                        );
+                        return Err(gmin_err);
                     }
-                }
-                Err(e) => {
-                    let _ = tcam_obs::flight_dump(
-                        "non_convergence",
-                        &format!("operating point gmin ladder failed: {e}"),
-                    );
-                    return Err(e);
-                }
+                },
             }
         }
-        Err(e) => return Err(e),
     };
 
     commit_op(circuit, &outcome.x, &zeros);
@@ -121,60 +129,8 @@ pub fn operating_point_traced(
     })
 }
 
-fn gmin_ladder(
-    circuit: &Circuit,
-    sys: &mut MnaSystem,
-    zeros: &[f64],
-    opts: &SimOptions,
-    trace: &mut SolverTrace,
-) -> Result<(NewtonOutcome, usize)> {
-    let _obs = tcam_obs::span!("rung_gmin_ramp");
-    let mut guess = zeros.to_vec();
-    let mut stages = 0usize;
-    let mut gmin = opts.gmin_step_start;
-    let mut last: Option<NewtonOutcome> = None;
-    while gmin > opts.gmin {
-        trace.gmin_stage();
-        let out = solve_point(
-            circuit,
-            sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            zeros,
-            &guess,
-            opts,
-            gmin,
-        )?;
-        guess = out.x.clone();
-        last = Some(out);
-        stages += 1;
-        gmin *= 0.1;
-        if stages > opts.gmin_step_decades {
-            break;
-        }
-    }
-    // Final solve at the target gmin.
-    trace.gmin_stage();
-    let out = solve_point(
-        circuit,
-        sys,
-        0.0,
-        0.0,
-        opts.integrator,
-        zeros,
-        &guess,
-        opts,
-        opts.gmin,
-    )
-    .or_else(|e| match (e, last) {
-        // If the very last refinement fails, fall back to the tightest
-        // ladder stage that converged — better a slightly soft OP than none.
-        (SpiceError::NonConvergence { .. }, Some(l)) => Ok(l),
-        (e, _) => Err(e),
-    })?;
-    Ok((out, stages))
-}
+/// Source-stepping stages of an even 0 → 1 ramp (bisection adds more).
+const SOURCE_STEP_POINTS: usize = 10;
 
 /// Ramps every independent source 0 → 1, warm-starting each stage from the
 /// previous one. On a stage failure the increment is halved (continuation
@@ -188,9 +144,8 @@ fn source_stepping(
     trace: &mut SolverTrace,
 ) -> Result<(NewtonOutcome, usize)> {
     let _obs = tcam_obs::span!("rung_source_stepping");
-    let n_stages = opts.source_step_points.max(2);
     #[allow(clippy::cast_precision_loss)]
-    let dl0 = 1.0 / n_stages as f64;
+    let dl0 = 1.0 / SOURCE_STEP_POINTS as f64;
     let mut guess = zeros.to_vec();
     let mut lambda = 0.0_f64;
     let mut dl = dl0;
@@ -334,23 +289,15 @@ mod tests {
 
     #[test]
     fn source_stepping_rescues_steep_diode_op() {
-        let tight = |ladder: bool| SimOptions {
+        let tight = SimOptions {
             max_nr_iters: 10,
-            recovery_ladder: ladder,
             ..SimOptions::default()
         };
         let vt = 0.012;
 
         let mut ckt = steep_diode_circuit(vt);
-        let err = operating_point(&mut ckt, &tight(false)).unwrap_err();
-        assert!(
-            matches!(err, SpiceError::NonConvergence { .. }),
-            "got {err:?}"
-        );
-
-        let mut ckt = steep_diode_circuit(vt);
         let mut trace = SolverTrace::new();
-        let op = operating_point_traced(&mut ckt, &tight(true), &mut trace).unwrap();
+        let op = operating_point_traced(&mut ckt, &tight, &mut trace).unwrap();
         assert!(op.source_steps > 0, "{op:?}");
         assert!(trace.source_step_events > 0);
         // Physically sane: diode drop vt·ln(i/i_sat) with i ≈ 5 V / 1 kΩ.

@@ -12,19 +12,18 @@
 //!    [`crate::device::Device::dt_hint`] (the NEM relay uses this while its
 //!    beam is in flight).
 //!
-//! Newton failures engage the convergence-recovery ladder when
-//! [`SimOptions::recovery_ladder`] is set — (1) a gmin ramp at the same
-//! step, (2) a TR→BE integrator fallback for the failing step — before the
-//! pre-existing dt shrink; underflow of [`SimOptions::dt_min`] aborts with
-//! [`SpiceError::TimestepUnderflow`]. Every proposal is counted in the
-//! [`SolverTrace`] attached to the returned waveform.
+//! A Newton failure engages the convergence-recovery ladder — (1) a gmin
+//! ramp at the same step, (2) a TR→BE integrator fallback for the failing
+//! step — before the dt shrink; underflow of [`SimOptions::dt_min`] aborts
+//! with [`SpiceError::TimestepUnderflow`]. Every proposal is counted once,
+//! in the [`SolverTrace`] attached to the returned waveform.
 
 use crate::analysis::op::operating_point_traced;
 use crate::device::{AnalysisKind, CommitCtx};
 use crate::error::{Result, SpiceError};
 use crate::mna::MnaSystem;
 use crate::netlist::Circuit;
-use crate::newton::solve_point_in_place;
+use crate::newton::{gmin_ramp, solve_point_in_place, GminRamp};
 use crate::options::{Integrator, SimOptions};
 use crate::trace::{RejectReason, Rung, SolverTrace};
 use crate::waveform::Waveform;
@@ -47,6 +46,22 @@ impl TransientSpec {
 
 /// Hard cap on accepted+rejected step attempts, to bound runaway runs.
 const MAX_STEP_ATTEMPTS: usize = 50_000_000;
+
+/// Initial step as a fraction of the span (when
+/// [`SimOptions::dt_initial`] ≤ 0).
+const DT_INITIAL_FRACTION: f64 = 1e-4;
+/// The step grows by at most this factor after an accepted solve.
+const DT_GROW: f64 = 1.6;
+/// The step shrinks by this factor after a Newton rejection no rung rescued.
+const DT_SHRINK: f64 = 0.25;
+/// Relative breakpoint-dedup tolerance: two breakpoints closer than
+/// `BP_RELTOL · t_stop` are merged. An absolute tolerance (the seed's
+/// 1e-18 s) fails at µs timescales — corners 1e-17 s apart are distinct
+/// floats, survive, and force a sub-attosecond step — and the Newton
+/// `RELTOL` (1e-4) would merge genuine sub-ns edges of a 100 µs run. 1e-12
+/// keeps any edge a transient could resolve and merges the twins that
+/// accumulated float error makes (`microsecond_breakpoint_twins_merge`).
+const BP_RELTOL: f64 = 1e-12;
 
 /// Runs a transient analysis, recording every node voltage, branch current,
 /// device probe, and source energy meter at each accepted step.
@@ -118,11 +133,7 @@ pub fn transient(
     breakpoints.push(spec.t_stop);
     breakpoints.retain(|&t| t > 0.0 && t <= spec.t_stop);
     breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-    // Merge breakpoints with a *relative* tolerance: an absolute one either
-    // fails to merge float-noise twins in µs-scale runs (forcing the engine
-    // to land two corners attoseconds apart) or, made large enough to do
-    // so, would swallow genuine sub-ns edges in ns-scale runs.
-    let bp_tol = (opts.bp_reltol * spec.t_stop).max(f64::MIN_POSITIVE);
+    let bp_tol = (BP_RELTOL * spec.t_stop).max(f64::MIN_POSITIVE);
     breakpoints.dedup_by(|a, b| (*a - *b).abs() < bp_tol);
 
     // Record t = 0. `row` is a hoisted scratch buffer so each recorded step
@@ -150,7 +161,7 @@ pub fn transient(
     let dt0 = if opts.dt_initial > 0.0 {
         opts.dt_initial
     } else {
-        spec.t_stop * opts.dt_initial_fraction
+        spec.t_stop * DT_INITIAL_FRACTION
     };
     let mut t = 0.0_f64;
     let mut dt = dt0;
@@ -227,22 +238,17 @@ pub fn transient(
             }) => {
                 trace.reject(iterations, RejectReason::Newton, worst_unknown);
                 sys.stats_mut().steps_rejected += 1;
-                let rescued = if opts.recovery_ladder {
-                    recover_step(
-                        circuit,
-                        &mut sys,
-                        t_new,
-                        step,
-                        &x_prev,
-                        &mut x_cur,
-                        &mut x_scratch,
-                        opts,
-                        &mut trace,
-                    )
-                } else {
-                    None
-                };
-                match rescued {
+                match recover_step(
+                    circuit,
+                    &mut sys,
+                    t_new,
+                    step,
+                    &x_prev,
+                    &mut x_cur,
+                    &mut x_scratch,
+                    opts,
+                    &mut trace,
+                ) {
                     Some((iters, integrator)) => {
                         recovered = true;
                         step_integrator = integrator;
@@ -250,7 +256,7 @@ pub fn transient(
                     }
                     None => {
                         trace.rung_engaged(Rung::DtShrink);
-                        dt = step * opts.dt_shrink;
+                        dt = step * DT_SHRINK;
                         if dt < opts.dt_min {
                             let _ = tcam_obs::flight_dump(
                                 "non_convergence",
@@ -306,13 +312,13 @@ pub fn transient(
         record(&mut wave, &mut row, t_new, &x_cur, circuit);
         drop(obs_commit);
         sys.stats_mut().steps_accepted += 1;
-        trace.accept(step, iterations, recovered);
+        trace.accept(step, recovered);
 
         // Next step size; never grow straight out of a rescued point.
         let mut grow = if lte_max > 0.0 {
-            (0.9 * (opts.lte_tol / lte_max).sqrt()).clamp(0.3, opts.dt_grow)
+            (0.9 * (opts.lte_tol / lte_max).sqrt()).clamp(0.3, DT_GROW)
         } else {
-            opts.dt_grow
+            DT_GROW
         };
         if recovered {
             grow = grow.min(1.0);
@@ -349,7 +355,7 @@ pub fn transient(
         })
         .collect();
     trace.set_phases(phases);
-    wave.set_stats(sys.stats());
+    trace.stats = sys.stats();
     wave.set_solver_trace(trace);
     Ok(wave)
 }
@@ -370,12 +376,14 @@ fn recover_step(
     opts: &SimOptions,
     trace: &mut SolverTrace,
 ) -> Option<(usize, Integrator)> {
-    // Rung 1: gmin ramp at the same step and integrator. Extra conductance
-    // to ground tames an exponential device long enough to walk the iterate
-    // into its basin of attraction.
+    // Rung 1: gmin ramp at the same step and integrator. A ramp that
+    // cannot refine to the target gmin is no solution of this step.
     trace.rung_engaged(Rung::GminRamp);
-    let obs_gmin = tcam_obs::span!("rung_gmin_ramp");
-    if let Some(iters) = gmin_ramp(
+    if let Ok(GminRamp {
+        refined: true,
+        iterations,
+        ..
+    }) = gmin_ramp(
         circuit,
         sys,
         t_new,
@@ -387,9 +395,8 @@ fn recover_step(
         opts,
         trace,
     ) {
-        return Some((iters, opts.integrator));
+        return Some((iterations, opts.integrator));
     }
-    drop(obs_gmin);
 
     // Rung 3: TR→BE fallback for this one step — trapezoidal ringing around
     // an abrupt event (relay pull-in) can defeat Newton outright; backward
@@ -414,7 +421,11 @@ fn recover_step(
         ) {
             return Some((iters, Integrator::BackwardEuler));
         }
-        if let Some(iters) = gmin_ramp(
+        if let Ok(GminRamp {
+            refined: true,
+            iterations,
+            ..
+        }) = gmin_ramp(
             circuit,
             sys,
             t_new,
@@ -426,55 +437,10 @@ fn recover_step(
             opts,
             trace,
         ) {
-            return Some((iters, Integrator::BackwardEuler));
+            return Some((iterations, Integrator::BackwardEuler));
         }
     }
     None
-}
-
-/// Transient gmin ramp: solve at [`SimOptions::gmin_step_start`], warm-start
-/// each decade down, finish at the target gmin. Any stage failure abandons
-/// the ramp (`x_cur` is then garbage and the caller must reset it).
-#[allow(clippy::too_many_arguments)]
-fn gmin_ramp(
-    circuit: &Circuit,
-    sys: &mut MnaSystem,
-    t_new: f64,
-    step: f64,
-    integrator: Integrator,
-    x_prev: &[f64],
-    x_cur: &mut Vec<f64>,
-    x_scratch: &mut Vec<f64>,
-    opts: &SimOptions,
-    trace: &mut SolverTrace,
-) -> Option<usize> {
-    x_cur.clear();
-    x_cur.extend_from_slice(x_prev);
-    let mut gmin = opts.gmin_step_start;
-    let mut stages = 0usize;
-    while gmin > opts.gmin && stages <= opts.gmin_step_decades {
-        trace.gmin_stage();
-        solve_point_in_place(
-            circuit, sys, t_new, step, integrator, x_prev, x_cur, x_scratch, opts, gmin,
-        )
-        .ok()?;
-        gmin *= 0.1;
-        stages += 1;
-    }
-    trace.gmin_stage();
-    solve_point_in_place(
-        circuit,
-        sys,
-        t_new,
-        step,
-        integrator,
-        x_prev,
-        x_cur,
-        x_scratch,
-        opts,
-        opts.gmin,
-    )
-    .ok()
 }
 
 #[cfg(test)]
@@ -696,12 +662,14 @@ mod tests {
 
     /// A device that is unsolvable under trapezoidal integration during the
     /// transient (its injected current flips sign with the iterate, so
-    /// Newton oscillates at any dt) but benign under backward Euler and
-    /// during the OP. Exercises the TR→BE ladder rung in isolation.
+    /// Newton oscillates at any dt) but benign during the OP and — unless
+    /// `breaks_be` — under backward Euler. Exercises the TR→BE ladder rung
+    /// in isolation, or with `breaks_be` a step no rung rescues.
     #[derive(Debug)]
     struct TrapBreaker {
         name: String,
         a: crate::node::NodeId,
+        breaks_be: bool,
     }
 
     impl crate::device::Device for TrapBreaker {
@@ -714,7 +682,7 @@ mod tests {
         fn load(&self, ctx: &crate::device::EvalCtx<'_>, stamps: &mut crate::device::Stamps<'_>) {
             let v = ctx.v(self.a);
             let hostile = ctx.analysis == AnalysisKind::Transient
-                && ctx.integrator == Integrator::Trapezoidal;
+                && (self.breaks_be || ctx.integrator == Integrator::Trapezoidal);
             // Identical stamp structure on both branches (device contract).
             if hostile {
                 let i0 = if v > 0.25 { 1e-3 } else { -1e-3 };
@@ -725,7 +693,7 @@ mod tests {
         }
     }
 
-    fn trap_breaker_circuit() -> Circuit {
+    fn trap_breaker_circuit(breaks_be: bool) -> Circuit {
         let mut ckt = Circuit::new();
         let vin = ckt.node("vin");
         let a = ckt.node("a");
@@ -735,14 +703,15 @@ mod tests {
         ckt.add(TrapBreaker {
             name: "x1".into(),
             a,
+            breaks_be,
         })
         .unwrap();
         ckt
     }
 
     #[test]
-    fn trapezoidal_pathology_underflows_without_ladder() {
-        let mut ckt = trap_breaker_circuit();
+    fn unrescuable_step_underflows_with_a_readable_dump() {
+        let mut ckt = trap_breaker_circuit(true);
         let opts = SimOptions {
             integrator: Integrator::Trapezoidal,
             max_nr_iters: 12,
@@ -755,9 +724,10 @@ mod tests {
             "got {err:?}"
         );
         // The dump taken on the way out shows the last steps: Newton
-        // rejections, each answered by a dt shrink. The dump store is
-        // process-global, but a later dump by a concurrent test still
-        // snapshots this thread's ring, so look this thread up in it.
+        // rejections, each answered by the gmin ramp, the BE fallback and,
+        // both failing, a dt shrink. The dump store is process-global, but
+        // a later dump by a concurrent test still snapshots this thread's
+        // ring, so look this thread up in it.
         let (cause, dump) = tcam_obs::flight_last_dump().expect("underflow takes a dump");
         assert_eq!(cause, "non_convergence");
         let me = std::thread::current();
@@ -766,23 +736,26 @@ mod tests {
             .split("{\"thread\":\"")
             .find(|ring| ring.starts_with(&label))
             .unwrap_or_else(|| panic!("no ring for {label} in {dump}"));
-        let last_reject = ring.rfind("\"kind\":\"step_reject\",\"a\":0,\"b\":12}");
-        let last_shrink = ring.rfind("\"kind\":\"rung_engaged\",\"a\":3,");
+        let last = |event: &str| ring.rfind(event);
+        let reject = last("\"kind\":\"step_reject\",\"a\":0,\"b\":12}");
+        let gmin = last("\"kind\":\"rung_engaged\",\"a\":0,");
+        let fallback = last("\"kind\":\"rung_engaged\",\"a\":2,");
+        let shrink = last("\"kind\":\"rung_engaged\",\"a\":3,");
         assert!(
-            last_reject.is_some() && last_reject < last_shrink,
-            "the run ends in a Newton rejection (12 iterations) then the dt shrink: {ring}"
+            reject.is_some() && reject < gmin && gmin < fallback && fallback < shrink,
+            "the run ends in a Newton rejection (12 iterations), then the gmin \
+             ramp, the BE fallback and the dt shrink: {ring}"
         );
     }
 
     #[test]
     fn tr_to_be_rung_rescues_trapezoidal_pathology() {
-        let mut ckt = trap_breaker_circuit();
+        let mut ckt = trap_breaker_circuit(false);
         let opts = SimOptions {
             integrator: Integrator::Trapezoidal,
             max_nr_iters: 12,
             dt_min: 1e-15,
             dt_initial: 1e-10,
-            recovery_ladder: true,
             ..SimOptions::default()
         };
         let wave = transient(&mut ckt, TransientSpec::to(1e-9), &opts).unwrap();
@@ -795,6 +768,25 @@ mod tests {
         assert!(trace.reject_newton > 0);
         assert!(trace.gmin_events > 0, "gmin rung tried before TR→BE");
         assert!(wave.meas_solver("integrator_fallbacks").unwrap() >= 1.0);
+        // One ledger: each name has one value, and it holds the work of
+        // the ramp stages and failed rungs, not only of the solves that
+        // ended a proposal.
+        let stats = wave.stats().expect("the trace carries the stats");
+        for (name, value) in [
+            ("steps_accepted", stats.steps_accepted),
+            ("steps_rejected", stats.steps_rejected),
+            ("nr_iterations", stats.nr_iterations),
+        ] {
+            assert_eq!(wave.meas_solver(name).unwrap(), value as f64, "{name}");
+        }
+        // A rejected proposal spent the whole 12-iteration budget and an
+        // accepted one a single BE iteration (the device is linear there).
+        let final_solves = 12 * stats.steps_rejected + stats.steps_accepted;
+        assert!(
+            stats.nr_iterations > final_solves,
+            "{} iterations must include the failed gmin stages on top of {final_solves}",
+            stats.nr_iterations
+        );
         // The JSON line parses shallowly: single line, balanced braces.
         let line = trace.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}') && !line.contains('\n'));
@@ -818,7 +810,7 @@ mod tests {
         }
         let evals = wave.meas_solver("phase_device_eval_count").unwrap();
         assert!(
-            evals >= trace.nr_iterations as f64,
+            evals >= trace.stats.nr_iterations as f64,
             "one device_eval per NR iteration at minimum"
         );
         // Phases ride into the JSON line next to the exact counters.
@@ -829,43 +821,13 @@ mod tests {
     #[test]
     fn easy_run_trace_is_clean() {
         let mut ckt = rc_circuit(1e3, 1e-9);
-        let opts = SimOptions {
-            recovery_ladder: true,
-            ..SimOptions::default()
-        };
-        let wave = transient(&mut ckt, TransientSpec::to(5e-6), &opts).unwrap();
+        let wave = transient(&mut ckt, TransientSpec::to(5e-6), &SimOptions::default()).unwrap();
         let trace = wave.solver_trace().unwrap();
-        assert_eq!(usize::try_from(trace.steps_accepted).unwrap() + 1, wave.len());
+        assert_eq!(trace.stats.steps_accepted + 1, wave.len());
         assert_eq!(trace.ladder_recoveries, 0);
         assert_eq!(trace.integrator_fallbacks, 0);
         assert_eq!(trace.gmin_events, 0);
         assert!(trace.min_dt_used > 0.0 && trace.min_dt_used <= trace.max_dt_used);
-    }
-
-    #[test]
-    fn ladder_option_keeps_easy_waveforms_bitwise_identical() {
-        // recovery_ladder must be a pure no-op on circuits that never fail.
-        let run = |ladder: bool| {
-            let mut ckt = rc_circuit(1e3, 1e-9);
-            let opts = SimOptions {
-                recovery_ladder: ladder,
-                ..SimOptions::default()
-            };
-            transient(&mut ckt, TransientSpec::to(5e-6), &opts).unwrap()
-        };
-        let plain = run(false);
-        let laddered = run(true);
-        assert_eq!(plain.len(), laddered.len());
-        for name in plain.signal_names() {
-            for (a, b) in plain
-                .trace(name)
-                .unwrap()
-                .iter()
-                .zip(laddered.trace(name).unwrap())
-            {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

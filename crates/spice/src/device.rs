@@ -274,14 +274,6 @@ impl<'a> Stamps<'a> {
         let k = self.index.branch(br);
         self.sink.rhs(k, val);
     }
-
-    /// Adds `val` to the RHS of a node's KCL row (positive = current
-    /// injected into the node).
-    pub fn rhs_node(&mut self, n: NodeId, val: f64) {
-        if let Some(i) = self.index.node(n) {
-            self.sink.rhs(i, val);
-        }
-    }
 }
 
 /// A circuit element. See the module docs for the load/commit contract.

@@ -275,7 +275,6 @@ pub struct VoltageSource {
     branch: Option<BranchId>,
     energy: f64,
     sourced: f64,
-    charge: f64,
 }
 
 impl VoltageSource {
@@ -290,7 +289,6 @@ impl VoltageSource {
             branch: None,
             energy: 0.0,
             sourced: 0.0,
-            charge: 0.0,
         }
     }
 
@@ -298,12 +296,6 @@ impl VoltageSource {
     #[must_use]
     pub fn dc(name: impl Into<String>, pos: NodeId, neg: NodeId, volts: f64) -> Self {
         Self::new(name, pos, neg, Waveshape::Dc(volts))
-    }
-
-    /// Total charge sourced out of the positive terminal, in coulombs.
-    #[must_use]
-    pub fn delivered_charge(&self) -> f64 {
-        self.charge
     }
 
     /// Replaces the waveform (used by DC sweeps); resets no accounting.
@@ -320,12 +312,10 @@ impl VoltageSource {
         self.sourced
     }
 
-    /// Resets the energy/charge accumulators (e.g. between experiment
-    /// phases).
+    /// Resets the energy accumulators (e.g. between experiment phases).
     pub fn reset_accounting(&mut self) {
         self.energy = 0.0;
         self.sourced = 0.0;
-        self.charge = 0.0;
     }
 
     fn branch(&self) -> BranchId {
@@ -372,7 +362,6 @@ impl Device for VoltageSource {
             if de > 0.0 {
                 self.sourced += de;
             }
-            self.charge += -0.5 * (i1 + i0) * ctx.dt;
         }
     }
 

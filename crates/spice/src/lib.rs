@@ -3,9 +3,20 @@
 //! `tcam-spice` provides the simulation substrate for the `nem-tcam`
 //! project: modified nodal analysis (MNA) with damped Newton–Raphson,
 //! adaptive-timestep transient integration (Backward Euler / Trapezoidal),
-//! DC operating point with gmin stepping, quasi-static DC sweeps for
-//! hysteresis tracing, energy-metered sources, waveform capture, `.meas`
-//! style measurements, and a SPICE-like netlist parser.
+//! DC operating point, quasi-static DC sweeps for hysteresis tracing,
+//! energy-metered sources, waveform capture, `.meas` style measurements,
+//! and a SPICE-like netlist parser.
+//!
+//! There is one solver configuration. A Newton failure always walks the
+//! recovery ladder — gmin ramp, source stepping (operating point),
+//! TR→BE fallback (transient), dt shrink — and each step, iteration and
+//! factorization is counted once, in the [`trace::SolverTrace`] a
+//! transient [`waveform::Waveform`] carries. [`options::SimOptions`] holds
+//! the ten values some caller in this repository sets (`gmin`,
+//! `max_nr_iters`, `integrator`, `reuse_factorization`, `dt_initial`,
+//! `dt_min`, `dt_max`, `lte_tol`, `gmin_step_start`, `gmin_step_decades`);
+//! a tolerance with one value everywhere is a constant beside the code
+//! that reads it.
 //!
 //! Circuit elements implement the [`device::Device`] trait; the built-in
 //! linear elements live in [`element`], while the nonlinear NEM relay,

@@ -17,8 +17,9 @@ use tcam_numeric::sparse::{CscMatrix, StampMap, TripletMatrix};
 use tcam_numeric::sparse_lu::SparseLu;
 use tcam_numeric::NumericError;
 
-/// Cumulative linear/nonlinear solver counters, reset with
-/// [`MnaSystem::reset_stats`] and surfaced on transient waveforms.
+/// Cumulative linear/nonlinear solver counters of one [`MnaSystem`],
+/// surfaced on transient waveforms through the run's
+/// [`crate::trace::SolverTrace`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Full factorizations (fresh symbolic + numeric with full pivoting).
@@ -300,14 +301,7 @@ impl MnaSystem {
         self.source_scale = scale;
     }
 
-    /// The current independent-source scale.
-    #[must_use]
-    pub fn source_scale(&self) -> f64 {
-        self.source_scale
-    }
-
-    /// Cumulative solver statistics since construction or the last
-    /// [`MnaSystem::reset_stats`].
+    /// Cumulative solver statistics since construction.
     #[must_use]
     pub fn stats(&self) -> SolveStats {
         self.stats
@@ -316,11 +310,6 @@ impl MnaSystem {
     /// Mutable access for the stepping layers to record Newton/step counts.
     pub fn stats_mut(&mut self) -> &mut SolveStats {
         &mut self.stats
-    }
-
-    /// Zeroes all counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolveStats::default();
     }
 
     /// The current right-hand side (test/debug aid).

@@ -1,10 +1,22 @@
-//! Damped Newton–Raphson solution of one nonlinear circuit point.
+//! Damped Newton–Raphson solution of one nonlinear circuit point, and the
+//! gmin ramp that retries a failed one.
 
 use crate::error::{Result, SpiceError};
 use crate::mna::MnaSystem;
 use crate::netlist::Circuit;
 use crate::options::{Integrator, SimOptions};
+use crate::trace::SolverTrace;
 use tcam_numeric::NumericError;
+
+/// Relative convergence tolerance on unknowns (SPICE `RELTOL`).
+const RELTOL: f64 = 1e-4;
+/// Absolute node-voltage tolerance in volts (SPICE `VNTOL`).
+const VNTOL: f64 = 1e-7;
+/// Absolute branch-current tolerance in amps (SPICE `ABSTOL`).
+const ABSTOL: f64 = 1e-12;
+/// Largest Newton update applied per iteration (per unknown, volts or
+/// amps); a larger proposed update damps the whole step.
+const NR_DAMPING_LIMIT: f64 = 1.0;
 
 /// Names the unknown a numeric failure points at, when it points at one.
 fn numeric_worst_unknown(circuit: &Circuit, e: &NumericError) -> Option<String> {
@@ -28,11 +40,11 @@ pub struct NewtonOutcome {
 /// Solves the circuit at one (time, dt) point starting from `x_guess`.
 ///
 /// Each iteration refills the MNA system at the current iterate and solves
-/// the linearized system; updates larger than
-/// [`SimOptions::nr_damping_limit`] (∞-norm) are uniformly scaled down.
-/// Convergence requires every unknown's update to satisfy
-/// `|Δ| ≤ reltol·max(|x|, |x'|) + atol` with `atol` = `vntol` for node
-/// voltages and `abstol` for branch currents, on an *undamped* iteration.
+/// the linearized system; updates larger than `NR_DAMPING_LIMIT` (∞-norm)
+/// are uniformly scaled down. Convergence requires every unknown's update
+/// to satisfy `|Δ| ≤ RELTOL·max(|x|, |x'|) + atol` with `atol` = `VNTOL`
+/// for node voltages and `ABSTOL` for branch currents, on an *undamped*
+/// iteration.
 ///
 /// # Errors
 ///
@@ -137,8 +149,8 @@ pub fn solve_point_in_place(
             .iter()
             .zip(x.iter())
             .fold(0.0_f64, |m, (n, o)| m.max((n - o).abs()));
-        let scale = if max_delta > opts.nr_damping_limit {
-            opts.nr_damping_limit / max_delta
+        let scale = if max_delta > NR_DAMPING_LIMIT {
+            NR_DAMPING_LIMIT / max_delta
         } else {
             1.0
         };
@@ -147,8 +159,8 @@ pub fn solve_point_in_place(
         let mut worst_ratio = 0.0_f64;
         worst_idx = None;
         for (i, (xn, xo)) in x_new.iter().zip(x.iter()).enumerate() {
-            let atol = if i < n_nodes { opts.vntol } else { opts.abstol };
-            let tol = atol + opts.reltol * xn.abs().max(xo.abs());
+            let atol = if i < n_nodes { VNTOL } else { ABSTOL };
+            let tol = atol + RELTOL * xn.abs().max(xo.abs());
             let ratio = (xn - xo).abs() / tol;
             if ratio > 1.0 {
                 converged = false;
@@ -179,6 +191,77 @@ pub fn solve_point_in_place(
         worst_unknown: worst_idx.and_then(|i| circuit.unknown_name(i)),
         cause: None,
     })
+}
+
+/// How a [`gmin_ramp`] ended.
+#[derive(Debug)]
+pub(crate) struct GminRamp {
+    /// Stages that converged above the target gmin.
+    pub stages: usize,
+    /// Newton iterations of the solve whose solution `x` holds.
+    pub iterations: usize,
+    /// Whether the final solve at the target gmin converged. When it did
+    /// not, `x` holds the tightest converged stage instead, and the caller
+    /// decides whether a slightly soft point beats none.
+    pub refined: bool,
+}
+
+/// The recovery ladder's gmin ramp at one `(time, dt)` point: solve with
+/// [`SimOptions::gmin_step_start`] to ground on every node, warm-start each
+/// decade down (at most [`SimOptions::gmin_step_decades`] + 1 stages), then
+/// refine at the target [`SimOptions::gmin`]. Extra conductance to ground
+/// tames an exponential device long enough to walk the iterate into its
+/// basin of attraction. The ramp starts cold from `x_prev` and leaves its
+/// result in `x`; every solve is counted as one `gmin_events` in `trace`.
+///
+/// # Errors
+///
+/// The failing solve's [`SpiceError::NonConvergence`] when a stage fails,
+/// or the refinement fails with no stage converged (`x` is then garbage).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gmin_ramp(
+    circuit: &Circuit,
+    sys: &mut MnaSystem,
+    time: f64,
+    dt: f64,
+    integrator: Integrator,
+    x_prev: &[f64],
+    x: &mut Vec<f64>,
+    x_new: &mut Vec<f64>,
+    opts: &SimOptions,
+    trace: &mut SolverTrace,
+) -> Result<GminRamp> {
+    let _obs = tcam_obs::span!("rung_gmin_ramp");
+    let mut ramp = GminRamp {
+        stages: 0,
+        iterations: 0,
+        refined: false,
+    };
+    x.clear();
+    x.extend_from_slice(x_prev);
+    let mut gmin = opts.gmin_step_start;
+    while gmin > opts.gmin && ramp.stages <= opts.gmin_step_decades {
+        trace.gmin_stage();
+        ramp.iterations = solve_point_in_place(
+            circuit, sys, time, dt, integrator, x_prev, x, x_new, opts, gmin,
+        )?;
+        ramp.stages += 1;
+        gmin *= 0.1;
+    }
+    // The in-place solve clobbers its guess, so keep the tightest stage.
+    let stage_x = x.clone();
+    trace.gmin_stage();
+    match solve_point_in_place(
+        circuit, sys, time, dt, integrator, x_prev, x, x_new, opts, opts.gmin,
+    ) {
+        Ok(iterations) => {
+            ramp.iterations = iterations;
+            ramp.refined = true;
+        }
+        Err(e) if ramp.stages == 0 => return Err(e),
+        Err(_) => *x = stage_x,
+    }
+    Ok(ramp)
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Structured solver telemetry: what the transient/OP drivers actually did.
 //!
-//! A [`SolverTrace`] accumulates exact aggregate counters (accepted and
-//! rejected steps, Newton iterations, recovery-ladder engagements). The
-//! transient engine attaches the finished trace to the
+//! A [`SolverTrace`] is the one solver record of a run: the transient
+//! system's [`SolveStats`] (steps, Newton iterations, factorizations —
+//! each counted once, where it happens) beside the step controller's own
+//! aggregates (rejection reasons, recovery-ladder engagements, dt extrema).
+//! The transient engine attaches the finished trace to the
 //! [`crate::waveform::Waveform`], where it is queryable by counter name
 //! (the same ergonomics as `.meas`) and can be dumped as a single-line
 //! JSON record. The *sequence* of recent rejections and rung engagements
@@ -10,6 +12,7 @@
 //! `rung_engaged` events), which the solver dumps on terminal
 //! non-convergence.
 
+use crate::mna::SolveStats;
 use std::fmt::Write as _;
 
 /// Why a proposed transient step was rejected.
@@ -30,17 +33,18 @@ pub enum Rung {
     SourceStepping,
     /// Fall back from trapezoidal to backward Euler for the failing step.
     IntegratorFallback,
-    /// The pre-existing remedy: shrink dt and retry.
+    /// The last resort: shrink dt and retry.
     DtShrink,
 }
 
 /// Aggregate solver telemetry of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverTrace {
-    /// Accepted transient steps.
-    pub steps_accepted: u64,
-    /// Rejected step proposals (any reason).
-    pub steps_rejected: u64,
+    /// The transient system's counters at the end of the run: accepted and
+    /// rejected steps, and every Newton iteration and factorization on that
+    /// system — ramp stages and failed rungs included. The exported
+    /// `steps_accepted` / `steps_rejected` / `nr_iterations` read these.
+    pub stats: SolveStats,
     /// Rejections caused by Newton non-convergence.
     pub reject_newton: u64,
     /// Rejections caused by the LTE estimate.
@@ -48,16 +52,13 @@ pub struct SolverTrace {
     /// Steps whose size was bounded by a device timestep hint (hints limit
     /// dt; they never reject a solved step).
     pub device_hint_limited: u64,
-    /// Total Newton iterations across every proposal.
-    pub nr_iterations: u64,
     /// Individual gmin-ramp stage solves attempted.
     pub gmin_events: u64,
     /// Individual source-stepping stage solves attempted.
     pub source_step_events: u64,
     /// TR→BE integrator fallbacks engaged.
     pub integrator_fallbacks: u64,
-    /// dt-shrink retries (the ladder's last rung, and the only one in the
-    /// plain engine).
+    /// dt-shrink retries (the ladder's last rung).
     pub dt_shrinks: u64,
     /// Failures rescued by a ladder rung above dt shrink.
     pub ladder_recoveries: u64,
@@ -85,12 +86,10 @@ impl SolverTrace {
     #[must_use]
     pub fn new() -> Self {
         SolverTrace {
-            steps_accepted: 0,
-            steps_rejected: 0,
+            stats: SolveStats::default(),
             reject_newton: 0,
             reject_lte: 0,
             device_hint_limited: 0,
-            nr_iterations: 0,
             gmin_events: 0,
             source_step_events: 0,
             integrator_fallbacks: 0,
@@ -105,9 +104,7 @@ impl SolverTrace {
 
     /// Records an accepted step of size `dt`; `recovered` says a ladder
     /// rung above the dt shrink was needed to converge it.
-    pub fn accept(&mut self, dt: f64, iterations: usize, recovered: bool) {
-        self.steps_accepted += 1;
-        self.nr_iterations += iterations as u64;
+    pub fn accept(&mut self, dt: f64, recovered: bool) {
         self.min_dt_used = self.min_dt_used.min(dt);
         self.max_dt_used = self.max_dt_used.max(dt);
         if recovered {
@@ -117,16 +114,14 @@ impl SolverTrace {
 
     /// Records a rejected step proposal. The rejection also lands in the
     /// flight recorder (`step_reject` events, first payload = reason code:
-    /// 0 Newton, 1 LTE; second = Newton iterations spent), so the dump
-    /// taken on terminal non-convergence shows the last steps.
+    /// 0 Newton, 1 LTE; second = Newton iterations of the rejected solve),
+    /// so the dump taken on terminal non-convergence shows the last steps.
     pub fn reject(
         &mut self,
         iterations: usize,
         reason: RejectReason,
         worst_unknown: Option<String>,
     ) {
-        self.steps_rejected += 1;
-        self.nr_iterations += iterations as u64;
         let code = match reason {
             RejectReason::Newton => {
                 self.reject_newton += 1;
@@ -147,8 +142,8 @@ impl SolverTrace {
     ///
     /// Every engagement also lands in the flight recorder (`rung_engaged`
     /// events, first payload = rung code: 0 gmin ramp, 1 source stepping,
-    /// 2 integrator fallback, 3 dt shrink) so a post-mortem dump shows the
-    /// escalation ladder that preceded a failure.
+    /// 2 integrator fallback, 3 dt shrink; second = rejections so far) so a
+    /// post-mortem dump shows the escalation ladder that preceded a failure.
     pub fn rung_engaged(&mut self, rung: Rung) {
         let code = match rung {
             Rung::GminRamp => 0,
@@ -162,7 +157,7 @@ impl SolverTrace {
                 3
             }
         };
-        tcam_obs::flight_record("rung_engaged", code, self.steps_rejected);
+        tcam_obs::flight_record("rung_engaged", code, self.reject_newton + self.reject_lte);
     }
 
     /// Counts one gmin-ramp stage solve.
@@ -193,33 +188,6 @@ impl SolverTrace {
         &self.phases
     }
 
-    /// Merges another trace's aggregates into this one (used to fold the
-    /// initial-OP ladder work into the transient trace).
-    pub fn absorb(&mut self, other: &SolverTrace) {
-        self.steps_accepted += other.steps_accepted;
-        self.steps_rejected += other.steps_rejected;
-        self.reject_newton += other.reject_newton;
-        self.reject_lte += other.reject_lte;
-        self.device_hint_limited += other.device_hint_limited;
-        self.nr_iterations += other.nr_iterations;
-        self.gmin_events += other.gmin_events;
-        self.source_step_events += other.source_step_events;
-        self.integrator_fallbacks += other.integrator_fallbacks;
-        self.dt_shrinks += other.dt_shrinks;
-        self.ladder_recoveries += other.ladder_recoveries;
-        self.min_dt_used = self.min_dt_used.min(other.min_dt_used);
-        self.max_dt_used = self.max_dt_used.max(other.max_dt_used);
-        if other.last_worst_unknown.is_some() {
-            self.last_worst_unknown.clone_from(&other.last_worst_unknown);
-        }
-        for (name, value) in &other.phases {
-            match self.phases.iter_mut().find(|(n, _)| n == name) {
-                Some((_, v)) => *v += value,
-                None => self.phases.push((name.clone(), *value)),
-            }
-        }
-    }
-
     /// All aggregate counters as `(name, value)` pairs — the query surface
     /// mirrored by [`SolverTrace::counter`].
     #[must_use]
@@ -227,12 +195,12 @@ impl SolverTrace {
         #[allow(clippy::cast_precision_loss)]
         let c = |v: u64| v as f64;
         vec![
-            ("steps_accepted", c(self.steps_accepted)),
-            ("steps_rejected", c(self.steps_rejected)),
+            ("steps_accepted", c(self.stats.steps_accepted as u64)),
+            ("steps_rejected", c(self.stats.steps_rejected as u64)),
             ("reject_newton", c(self.reject_newton)),
             ("reject_lte", c(self.reject_lte)),
             ("device_hint_limited", c(self.device_hint_limited)),
-            ("nr_iterations", c(self.nr_iterations)),
+            ("nr_iterations", c(self.stats.nr_iterations as u64)),
             ("gmin_events", c(self.gmin_events)),
             ("source_step_events", c(self.source_step_events)),
             ("integrator_fallbacks", c(self.integrator_fallbacks)),
@@ -313,43 +281,35 @@ mod tests {
     #[test]
     fn counters_track_accepts_and_rejects() {
         let mut t = SolverTrace::new();
-        t.accept(1e-12, 3, false);
+        t.accept(1e-12, false);
         t.reject(100, RejectReason::Newton, Some("v(ml)".into()));
         t.rung_engaged(Rung::DtShrink);
-        t.accept(5e-13, 4, true);
-        assert_eq!(t.steps_accepted, 2);
-        assert_eq!(t.steps_rejected, 1);
+        t.accept(5e-13, true);
         assert_eq!(t.reject_newton, 1);
         assert_eq!(t.dt_shrinks, 1);
         assert_eq!(t.ladder_recoveries, 1);
-        assert_eq!(t.nr_iterations, 107);
         assert_eq!(t.last_worst_unknown.as_deref(), Some("v(ml)"));
-        assert_eq!(t.counter("steps_accepted"), Some(2.0));
         assert_eq!(t.counter("nope"), None);
         assert_eq!(t.min_dt_used, 5e-13);
         assert_eq!(t.max_dt_used, 1e-12);
-    }
-
-    #[test]
-    fn absorb_folds_op_work_into_transient_trace() {
-        let mut op = SolverTrace::new();
-        op.gmin_stage();
-        op.source_stage();
-        op.reject(7, RejectReason::Newton, Some("v(a)".into()));
-        let mut tr = SolverTrace::new();
-        tr.accept(1e-12, 2, false);
-        tr.absorb(&op);
-        assert_eq!(tr.gmin_events, 1);
-        assert_eq!(tr.source_step_events, 1);
-        assert_eq!(tr.steps_rejected, 1);
-        assert_eq!(tr.nr_iterations, 9);
-        assert_eq!(tr.last_worst_unknown.as_deref(), Some("v(a)"));
+        // Steps and iterations are the transient system's, under the same
+        // exported names.
+        t.stats = SolveStats {
+            steps_accepted: 2,
+            steps_rejected: 1,
+            nr_iterations: 107,
+            ..SolveStats::default()
+        };
+        assert_eq!(t.counter("steps_accepted"), Some(2.0));
+        assert_eq!(t.counter("steps_rejected"), Some(1.0));
+        assert_eq!(t.counter("nr_iterations"), Some(107.0));
     }
 
     #[test]
     fn json_line_is_single_line_and_complete() {
         let mut t = SolverTrace::new();
-        t.accept(1e-12, 3, false);
+        t.stats.steps_accepted = 1;
+        t.accept(1e-12, false);
         t.reject(50, RejectReason::Lte, Some("v(\"odd\")".into()));
         let line = t.to_json_line();
         assert!(!line.contains('\n'));
@@ -368,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn phases_are_queryable_and_absorbed() {
+    fn phases_are_queryable() {
         let mut t = SolverTrace::new();
         t.set_phases(vec![
             ("phase_lu_factorize_ns".into(), 1200.0),
@@ -376,16 +336,8 @@ mod tests {
         ]);
         assert_eq!(t.counter("phase_lu_factorize_ns"), Some(1200.0));
         assert_eq!(t.counter("steps_accepted"), Some(0.0), "counters still win");
-        let mut other = SolverTrace::new();
-        other.set_phases(vec![
-            ("phase_lu_factorize_ns".into(), 300.0),
-            ("phase_back_solve_ns".into(), 50.0),
-        ]);
-        t.absorb(&other);
-        assert_eq!(t.counter("phase_lu_factorize_ns"), Some(1500.0));
-        assert_eq!(t.counter("phase_back_solve_ns"), Some(50.0));
         let line = t.to_json_line();
-        assert!(line.contains("\"phase_lu_factorize_ns\":1500"), "{line}");
+        assert!(line.contains("\"phase_lu_factorize_ns\":1200"), "{line}");
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub struct Waveform {
     names: Vec<String>,
     data: Vec<Vec<f64>>,
     by_name: HashMap<String, usize>,
-    stats: Option<SolveStats>,
     solver_trace: Option<SolverTrace>,
 }
 
@@ -40,30 +39,25 @@ impl Waveform {
             names,
             data: vec![Vec::new(); count],
             by_name,
-            stats: None,
             solver_trace: None,
         }
     }
 
-    /// Attaches solver statistics from the run that produced this waveform.
-    pub fn set_stats(&mut self, stats: SolveStats) {
-        self.stats = Some(stats);
-    }
-
-    /// Solver statistics for the producing run, when the analysis recorded
-    /// them (transient does; other analyses may not).
+    /// Solver statistics for the producing run — the [`SolveStats`] its
+    /// [`SolverTrace`] carries (transient records one; other analyses may
+    /// not).
     #[must_use]
     pub fn stats(&self) -> Option<SolveStats> {
-        self.stats
+        self.solver_trace.as_ref().map(|t| t.stats)
     }
 
-    /// Attaches the structured solver trace from the producing run.
+    /// Attaches the solver record of the producing run.
     pub fn set_solver_trace(&mut self, trace: SolverTrace) {
         self.solver_trace = Some(trace);
     }
 
-    /// Structured solver trace from the producing run (transient records
-    /// one; other analyses may not).
+    /// The solver record of the producing run (transient records one;
+    /// other analyses may not).
     #[must_use]
     pub fn solver_trace(&self) -> Option<&SolverTrace> {
         self.solver_trace.as_ref()
@@ -272,9 +266,12 @@ mod tests {
         let mut w = wf();
         assert!(w.solver_trace().is_none());
         assert!(w.meas_solver("steps_accepted").is_err());
+        assert!(w.stats().is_none());
         let mut t = SolverTrace::new();
-        t.accept(1e-12, 3, false);
+        t.stats.steps_accepted = 1;
+        t.stats.nr_iterations = 3;
         w.set_solver_trace(t);
+        assert_eq!(w.stats().unwrap().steps_accepted, 1);
         assert_eq!(w.meas_solver("steps_accepted").unwrap(), 1.0);
         assert_eq!(w.meas_solver("nr_iterations").unwrap(), 3.0);
         assert!(w.meas_solver("not_a_counter").is_err());

@@ -15,9 +15,7 @@
 //!
 //! The plan is priced through [`OperationCosts`] — a NEM-relay row erase
 //! is physically a row write (the care mask is overwritten), so erases
-//! cost `write_latency`/`write_energy` too — and carries per-shard net
-//! row deltas so callers can check the batch against shard capacity
-//! before committing.
+//! cost `write_latency`/`write_energy` too.
 
 use crate::store::RuleChange;
 use std::collections::BTreeMap;
@@ -44,9 +42,6 @@ pub struct CompiledDelta {
     pub per_shard: Vec<RowOps>,
     /// Batch totals across shards.
     pub total: RowOps,
-    /// Net occupied-row change per shard (writes of *new* rows minus
-    /// erases; in-place rewrites are net zero).
-    pub net_rows: Vec<i64>,
     /// The plan priced through the cost model.
     pub cost: DeltaCost,
 }
@@ -61,20 +56,6 @@ impl CompiledDelta {
             .filter(|(_, ops)| ops.writes + ops.erases > 0)
             .map(|(s, _)| s)
             .collect()
-    }
-
-    /// Whether every shard stays within `capacity` rows after this delta,
-    /// given current per-shard occupancies.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `occupancy` has fewer entries than there are shards.
-    #[must_use]
-    pub fn fits(&self, occupancy: &[usize], capacity: usize) -> bool {
-        self.net_rows.iter().enumerate().all(|(s, net)| {
-            let after = occupancy[s] as i64 + net;
-            after <= capacity as i64
-        })
     }
 }
 
@@ -117,7 +98,6 @@ impl<'a> DeltaCompiler<'a> {
         let sel = self.rules.shard_bits() as usize;
         let width = self.rules.width();
         let mut per_shard = vec![RowOps::default(); shards];
-        let mut net_rows = vec![0i64; shards];
         let mut staged: BTreeMap<u32, Staged> = BTreeMap::new();
 
         for change in batch {
@@ -135,7 +115,6 @@ impl<'a> DeltaCompiler<'a> {
                     }
                     for &s in &covered_shards(&word[..sel]) {
                         per_shard[s].writes += 1;
-                        net_rows[s] += 1;
                     }
                     staged.insert(priority, Staged::Word(word.clone()));
                 }
@@ -145,7 +124,6 @@ impl<'a> DeltaCompiler<'a> {
                     };
                     for &s in &covered_shards(&old[..sel]) {
                         per_shard[s].erases += 1;
-                        net_rows[s] -= 1;
                     }
                     staged.insert(priority, Staged::Removed);
                 }
@@ -168,17 +146,14 @@ impl<'a> DeltaCompiler<'a> {
                             }
                             (Some(&o), Some(&n)) if o < n => {
                                 per_shard[o].erases += 1;
-                                net_rows[o] -= 1;
                                 i += 1;
                             }
                             (Some(&o), None) => {
                                 per_shard[o].erases += 1;
-                                net_rows[o] -= 1;
                                 i += 1;
                             }
                             (_, Some(&n)) => {
                                 per_shard[n].writes += 1;
-                                net_rows[n] += 1;
                                 j += 1;
                             }
                             (None, None) => unreachable!(),
@@ -201,7 +176,6 @@ impl<'a> DeltaCompiler<'a> {
         Ok(CompiledDelta {
             per_shard,
             total,
-            net_rows,
             cost,
         })
     }
@@ -254,7 +228,6 @@ mod tests {
         assert_eq!(delta.per_shard[0], RowOps { writes: 1, erases: 1 });
         assert_eq!(delta.per_shard[2], RowOps { writes: 1, erases: 1 });
         assert_eq!(delta.per_shard[3], RowOps { writes: 0, erases: 1 });
-        assert_eq!(delta.net_rows, vec![0, -1, 0, -1]);
         assert_eq!(delta.touched(), vec![0, 1, 2, 3]);
         let costs = OperationCosts::paper_3t2n();
         assert!((delta.cost.latency - 6.0 * costs.write_latency).abs() < 1e-18);
@@ -276,7 +249,6 @@ mod tests {
         assert_eq!(delta.per_shard[0], RowOps { writes: 0, erases: 1 });
         assert_eq!(delta.per_shard[1], RowOps { writes: 1, erases: 0 });
         assert_eq!(delta.per_shard[3], RowOps { writes: 1, erases: 0 });
-        assert_eq!(delta.net_rows, vec![-1, 0, 0, 1]);
     }
 
     #[test]
@@ -284,7 +256,7 @@ mod tests {
         let rules = base();
         let compiler = DeltaCompiler::new(&rules, OperationCosts::paper_3t2n());
         // Insert at 15 then remove it: the remove must see the staged
-        // word, and the net effect cancels row occupancy.
+        // word.
         let delta = compiler
             .compile(&[
                 RuleChange::Insert {
@@ -295,7 +267,6 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(delta.total, RowOps { writes: 1, erases: 1 });
-        assert_eq!(delta.net_rows, vec![0, 0, 0, 0]);
         // Removing a priority twice in one batch must fail.
         assert_eq!(
             compiler.compile(&[
@@ -304,23 +275,5 @@ mod tests {
             ]),
             Err(ServeError::UnknownRuleId { id: 10 })
         );
-    }
-
-    #[test]
-    fn capacity_check_uses_net_rows() {
-        let rules = base();
-        let compiler = DeltaCompiler::new(&rules, OperationCosts::paper_3t2n());
-        let delta = compiler
-            .compile(&[RuleChange::Insert {
-                priority: 5,
-                word: w("XXXX"),
-            }])
-            .unwrap();
-        // Every shard gains a row: occupancies 2,2,1,2 + 1 each.
-        let occ: Vec<usize> = (0..rules.shards())
-            .map(|s| rules.shard(s).len())
-            .collect();
-        assert!(delta.fits(&occ, 3));
-        assert!(!delta.fits(&occ, 2));
     }
 }

@@ -1,6 +1,6 @@
-//! An ACL firewall on a timed 3T2N TCAM bank: rules with port ranges are
-//! expanded to ternary rows, a packet trace is classified, and the bank
-//! accounts latency/energy — with one-shot refresh interleaving silently.
+//! An ACL firewall on a 3T2N TCAM: rules with port ranges are expanded to
+//! ternary rows, a packet trace is classified, and a workload meter
+//! accounts the search energy beside the one-shot refresh power.
 //!
 //! ```sh
 //! cargo run --release --example acl_firewall
