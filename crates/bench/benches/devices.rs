@@ -2,7 +2,7 @@
 //! integration, calibration cost.
 
 use tcam_bench::timing::bench;
-use tcam_devices::mosfet::{MosParams, Mosfet};
+use tcam_devices::mosfet::{channel, MosParams, Mosfet};
 use tcam_devices::nem::calibrate;
 use tcam_devices::nem::mechanics::{advance, BeamState};
 use tcam_devices::params::NemTargets;
@@ -22,6 +22,17 @@ fn bench_mosfet_ids() {
         for i in 0..100 {
             let vg = i as f64 * 0.01;
             acc += m.ids(std::hint::black_box(vg), 0.8, 0.0, 0.0);
+        }
+        acc
+    });
+    // What one Newton iteration pays per transistor: the current and its
+    // four partials.
+    bench("mosfet_channel_eval", 100, || {
+        let mut acc = 0.0;
+        for i in 0..100 {
+            let vg = i as f64 * 0.01;
+            let (id, g) = channel(m.params(), std::hint::black_box(vg), 0.8, 0.0, 0.0);
+            acc += id + g.iter().sum::<f64>();
         }
         acc
     });

@@ -60,7 +60,9 @@ fn bench_integrators() {
 
 /// The pattern the fill-reducing column order exists for: the worst-case
 /// 64×64 search (ladders hanging off shared search and match lines), with
-/// the fill it left printed next to the time.
+/// the fill it left printed next to the time — and beside it one `refill`
+/// of the same circuit at its operating point, which is every device's
+/// `load` once: what a Newton iteration pays before the linear solve.
 fn bench_search_transient() {
     let spec = ArraySpec::paper();
     let (stored, key) = (pattern_word(spec.cols), mismatch_key(spec.cols));
@@ -69,6 +71,17 @@ fn bench_search_transient() {
         ("sram", Box::new(Sram16t::default())),
     ];
     for (name, design) in designs {
+        let opts = SimOptions::default();
+        let mut ckt = design
+            .build_search(&spec, &stored, &key)
+            .expect("builds")
+            .circuit;
+        let op = operating_point(&mut ckt, &opts).expect("converges").x;
+        let mut sys = MnaSystem::build(&ckt, AnalysisKind::Transient, &opts).expect("builds");
+        bench(&format!("refill/{name}"), 200, || {
+            sys.refill(&ckt, 0.0, 1e-12, opts.integrator, &op, &op, opts.gmin);
+            sys.rhs()[0]
+        });
         let mut stats = None;
         bench(&format!("search_transient/{name}"), 5, || {
             let exp = design.build_search(&spec, &stored, &key).expect("builds");

@@ -309,12 +309,72 @@ mod tests {
         assert!(lat["3T2N"] < lat["2FeFET"]);
     }
 
-    /// Waveform of `design`'s worst-case (1-bit mismatch) search.
-    fn worst_case_search(design: &dyn TcamDesign, spec: &ArraySpec) -> Waveform {
+    /// Waveform of `design` searching `key` against [`pattern_word`].
+    fn search_waveform(design: &dyn TcamDesign, spec: &ArraySpec, key: &[TernaryBit]) -> Waveform {
         let exp = design
-            .build_search(spec, &pattern_word(spec.cols), &mismatch_key(spec.cols))
+            .build_search(spec, &pattern_word(spec.cols), key)
             .unwrap();
         run_search(exp).unwrap().waveform
+    }
+
+    /// Waveform of `design`'s worst-case (1-bit mismatch) search.
+    fn worst_case_search(design: &dyn TcamDesign, spec: &ArraySpec) -> Waveform {
+        search_waveform(design, spec, &mismatch_key(spec.cols))
+    }
+
+    /// The stamp sink's two passes mean the same thing on a real cell: what
+    /// a refill scatters into the compressed matrix is the pattern pass's
+    /// triplets at the same iterate summed per position, plus the gmin
+    /// diagonal (the two sum in different orders, hence the tolerance).
+    #[test]
+    fn refill_assembles_what_the_pattern_pass_records() {
+        use tcam_spice::prelude::{operating_point, AnalysisKind, EvalCtx, MnaSystem};
+        let spec = ArraySpec {
+            rows: 8,
+            cols: 8,
+            vdd: 1.0,
+        };
+        let exp = Nem3t2n::default()
+            .build_search(&spec, &pattern_word(8), &mismatch_key(8))
+            .unwrap();
+        let (mut ckt, opts) = (exp.circuit, SimOptions::default());
+        let op = operating_point(&mut ckt, &opts).unwrap().x;
+        let moved: Vec<f64> = (0..op.len())
+            .map(|i| op[i] + 0.02 * (i % 7) as f64)
+            .collect();
+        let mut sys = MnaSystem::build(&ckt, AnalysisKind::Transient, &opts).unwrap();
+        let index = sys.index();
+        for (x, dt) in [(&op, 1e-12), (&moved, 3e-12)] {
+            let (time, integrator) = (exp.t_search, opts.integrator);
+            sys.refill(&ckt, time, dt, integrator, x, &op, opts.gmin);
+            let ctx = EvalCtx {
+                analysis: AnalysisKind::Transient,
+                time,
+                dt,
+                integrator,
+                x,
+                x_prev: &op,
+                index,
+                source_scale: 1.0,
+            };
+            let mut triplets = MnaSystem::record_stamps(&ckt, &ctx);
+            for i in 0..index.n_node_unknowns() {
+                triplets.add(i, i, opts.gmin);
+            }
+            let (reference, _) = triplets.to_csc().unwrap();
+            let a = sys.matrix();
+            assert!(reference.nnz() > 8 * 8 && reference.nnz() <= a.nnz());
+            for col in 0..a.n_cols() {
+                for slot in a.col_ptr()[col]..a.col_ptr()[col + 1] {
+                    let (got, want) = (a.values()[slot], reference.get(a.row_idx()[slot], col));
+                    assert!(
+                        (got - want).abs() <= 1e-10 * want.abs(),
+                        "({}, {col}) at dt {dt}: refilled {got}, recorded {want}",
+                        a.row_idx()[slot]
+                    );
+                }
+            }
+        }
     }
 
     /// The regression net for `SparseLu`'s column order: in the natural MNA
@@ -405,43 +465,57 @@ mod tests {
             ],
         );
 
-        // Worst-case search work per design: (nr_iterations, steps_accepted,
-        // steps_rejected, fresh_factorizations, refactorizations). The
-        // rejections are LTE only: no recovery rung fires at the paper's
-        // size, so the always-on ladder costs these runs nothing.
-        let counts = [
+        // Search work per design, the worst-case miss and then the matching
+        // key — all eight transients of `fig7_search`: (nr_iterations,
+        // steps_accepted, steps_rejected, fresh_factorizations,
+        // refactorizations). The rejections are LTE only: no recovery rung
+        // fires at the paper's size, so the always-on ladder costs these
+        // runs nothing.
+        let miss = [
             (228, 111, 2, 1, 227),
             (304, 121, 2, 1, 303),
             (454, 185, 2, 1, 453),
             (253, 123, 0, 1, 252),
         ];
-        for (design, pinned) in all_designs().iter().zip(counts) {
-            let wave = worst_case_search(design.as_ref(), &spec);
-            let (s, t) = (wave.stats().unwrap(), wave.solver_trace().unwrap());
-            let name = design.name();
-            assert_eq!(
-                (
-                    s.nr_iterations,
-                    s.steps_accepted,
-                    s.steps_rejected,
-                    s.fresh_factorizations,
-                    s.refactorizations
-                ),
-                pinned,
-                "{name}"
-            );
-            assert_eq!(t.reject_newton, 0, "{name}");
-            assert_eq!(
-                (
-                    t.gmin_events,
-                    t.source_step_events,
-                    t.integrator_fallbacks,
-                    t.dt_shrinks,
-                    t.ladder_recoveries
-                ),
-                (0, 0, 0, 0, 0),
-                "{name}: a recovery rung fired"
-            );
+        let hit = [
+            (131, 83, 0, 1, 130),
+            (227, 100, 0, 1, 226),
+            (356, 157, 2, 1, 355),
+            (176, 103, 0, 1, 175),
+        ];
+        let keys = [
+            ("miss", mismatch_key(spec.cols), miss),
+            ("hit", pattern_word(spec.cols), hit),
+        ];
+        for (key_name, key, counts) in &keys {
+            for (design, pinned) in all_designs().iter().zip(counts) {
+                let wave = search_waveform(design.as_ref(), &spec, key);
+                let (s, t) = (wave.stats().unwrap(), wave.solver_trace().unwrap());
+                let name = format!("{} {key_name}", design.name());
+                assert_eq!(
+                    (
+                        s.nr_iterations,
+                        s.steps_accepted,
+                        s.steps_rejected,
+                        s.fresh_factorizations,
+                        s.refactorizations
+                    ),
+                    *pinned,
+                    "{name}"
+                );
+                assert_eq!(t.reject_newton, 0, "{name}");
+                assert_eq!(
+                    (
+                        t.gmin_events,
+                        t.source_step_events,
+                        t.integrator_fallbacks,
+                        t.dt_shrinks,
+                        t.ladder_recoveries
+                    ),
+                    (0, 0, 0, 0, 0),
+                    "{name}: a recovery rung fired"
+                );
+            }
         }
     }
 }

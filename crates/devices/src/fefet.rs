@@ -17,7 +17,7 @@
 //! energy to the 4 V write driver (see DESIGN.md substitutions).
 
 use crate::companion::CompanionCap;
-use crate::mosfet::{MosParams, Mosfet};
+use crate::mosfet::{load_transistor, terminal_caps, MosParams};
 use crate::params::FefetParams;
 use tcam_spice::device::{AnalysisKind, CommitCtx, Device, EvalCtx, Stamps};
 use tcam_spice::node::NodeId;
@@ -26,18 +26,16 @@ use tcam_spice::node::NodeId;
 #[derive(Debug, Clone)]
 pub struct Fefet {
     name: String,
-    d: NodeId,
-    g: NodeId,
-    s: NodeId,
-    b: NodeId,
+    /// Terminals `[d, g, s, b]`.
+    nodes: [NodeId; 4],
     fe: FefetParams,
     base: MosParams,
     /// Remanent polarization in `[−1, 1]`; +1 = low-V_T ("1").
     p: f64,
     c_fe: CompanionCap,
-    /// Scratch transistor used for current evaluation (threshold adjusted
-    /// per-load from `p`).
-    id_last: f64,
+    /// The baseline transistor's terminal capacitors. Loaded, never
+    /// committed: see [`Device::load`] below.
+    caps: [CompanionCap; 5],
 }
 
 impl Fefet {
@@ -55,15 +53,12 @@ impl Fefet {
         let c_fe = CompanionCap::new(fe.q_switch / (2.0 * 4.0));
         Self {
             name: name.into(),
-            d,
-            g,
-            s,
-            b,
+            nodes: [d, g, s, b],
             fe,
             base,
             p: -1.0,
             c_fe,
-            id_last: 0.0,
+            caps: terminal_caps(&base),
         }
     }
 
@@ -91,10 +86,12 @@ impl Fefet {
         self.base.vth0 - self.p * self.fe.vth_window / 2.0
     }
 
-    fn channel(&self) -> Mosfet {
-        let mut params = self.base;
-        params.vth0 = self.vth_eff();
-        Mosfet::new("__fe_core", self.d, self.g, self.s, self.b, params)
+    /// The baseline transistor at the present polarization's threshold.
+    fn channel_params(&self) -> MosParams {
+        MosParams {
+            vth0: self.vth_eff(),
+            ..self.base
+        }
     }
 
     /// Polarization envelope target for gate drive `v`.
@@ -115,26 +112,31 @@ impl Device for Fefet {
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        vec![self.d, self.g, self.s, self.b]
+        self.nodes.to_vec()
     }
 
     fn load(&self, ctx: &EvalCtx<'_>, stamps: &mut Stamps<'_>) {
-        // The embedded MOSFET emits a fixed stamp pattern, so delegating is
-        // pattern-safe.
-        self.channel().load(ctx, stamps);
-        self.c_fe.load(ctx, stamps, self.g, self.b);
+        // The embedded transistor's five terminal capacitors are
+        // history-less: `commit` never advances them, so their trapezoidal
+        // current history stays zero. Invisible under the default backward
+        // Euler; under trapezoidal a modelling quirk kept as it always was
+        // (giving them state would move every FeFET waveform).
+        load_transistor(ctx, stamps, self.nodes, &self.channel_params(), &self.caps);
+        let [_, g, _, b] = self.nodes;
+        self.c_fe.load(ctx, stamps, g, b);
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.c_fe.commit(ctx, self.g, self.b);
-        let v_now = ctx.v(self.g) - ctx.v(self.s);
+        let [_, g, s, b] = self.nodes;
+        self.c_fe.commit(ctx, g, b);
+        let v_now = ctx.v(g) - ctx.v(s);
         match ctx.analysis {
             AnalysisKind::Op | AnalysisKind::DcSweep => {
                 self.p = self.target(v_now);
             }
             AnalysisKind::Transient => {
                 if ctx.dt > 0.0 {
-                    let v_prev = ctx.v_prev(self.g) - ctx.v_prev(self.s);
+                    let v_prev = ctx.v_prev(g) - ctx.v_prev(s);
                     let v = 0.5 * (v_now + v_prev);
                     let target = self.target(v);
                     let alpha = 1.0 - (-ctx.dt / self.fe.tau_switch).exp();
@@ -143,8 +145,6 @@ impl Device for Fefet {
             }
         }
         self.p = self.p.clamp(-1.0, 1.0);
-        let ch = self.channel();
-        self.id_last = ch.ids(ctx.v(self.g), ctx.v(self.d), ctx.v(self.s), ctx.v(self.b));
     }
 
     fn dt_hint(&self, _t: f64) -> f64 {
@@ -167,6 +167,7 @@ impl Device for Fefet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mosfet::channel;
     use tcam_spice::prelude::*;
 
     fn fefet_at(gnd_all: &mut Circuit) -> (NodeId, NodeId) {
@@ -282,8 +283,8 @@ mod tests {
         let f = ckt.device_as::<Fefet>("f1").unwrap();
         let on = f.clone().with_bit(true);
         let off = f.clone().with_bit(false);
-        let i_on = on.channel().ids(1.0, 0.5, 0.0, 0.0);
-        let i_off = off.channel().ids(1.0, 0.5, 0.0, 0.0);
+        let i_on = channel(&on.channel_params(), 1.0, 0.5, 0.0, 0.0).0;
+        let i_off = channel(&off.channel_params(), 1.0, 0.5, 0.0, 0.0).0;
         assert!(
             i_on / i_off > 1e4,
             "on/off read contrast = {:.2e}",

@@ -7,10 +7,20 @@
 //! delay, OFF-leakage sets the dynamic cell's retention time.
 //!
 //! Parameters approximate a 45 nm low-power (PTM-LP-like) process; see
-//! [`MosParams::nmos_45lp`]/[`MosParams::pmos_45lp`]. The Jacobian for the
-//! Newton loop is computed by central finite differences of the analytic
-//! current (9 evaluations/load) — robust and exactly consistent with the
-//! stamped current.
+//! [`MosParams::nmos_45lp`]/[`MosParams::pmos_45lp`].
+//!
+//! # The Jacobian
+//!
+//! [`channel`] returns the current and its four partials from one pass:
+//! `F′(u) = softplus(u/2)·σ(u/2)` falls out of the `exp` that `F` already
+//! takes (two `exp`, two `ln_1p`, two `sqrt` per transistor per Newton
+//! iteration), and it differentiates exactly the current that is stamped.
+//! On each of the model's three kinks it is a valid one-sided derivative:
+//! at `V_DS = 0` the `|V_DS|` term multiplies `F_f − F_r = 0`; where
+//! `V_SB = V_DB` swaps the terminal that carries the body effect, that term
+//! multiplies `F′_f − F′_r = 0`; below the body clamp (`V_XB < −0.4φ`) the
+//! threshold no longer moves. The central difference it replaced is the
+//! oracle of `tests::analytic_jacobian_matches_central_difference`.
 
 use crate::companion::CompanionCap;
 use crate::params::VT_300K;
@@ -124,39 +134,113 @@ impl MosParams {
     }
 }
 
-/// Numerically stable `ln(1 + e^x)`.
-fn softplus(x: f64) -> f64 {
+/// `ln(1 + e^x)` and its derivative, the logistic `σ(x)`, from one `exp`.
+fn softplus(x: f64) -> (f64, f64) {
     if x > 40.0 {
-        x
+        (x, 1.0)
     } else if x < -40.0 {
-        x.exp()
+        let e = x.exp();
+        (e, e)
     } else {
-        x.exp().ln_1p()
+        let e = x.exp();
+        (e.ln_1p(), e / (1.0 + e))
     }
 }
 
-/// EKV interpolation function `F(u) = ln²(1 + e^{u/2})`.
-fn ekv_f(u: f64) -> f64 {
-    let s = softplus(u * 0.5);
-    s * s
+/// The channel model, body-referenced EKV with body-effect Vth shift and
+/// CLM: the drain current (D → S) and its partials `[gm, gd, gs, gb]` with
+/// respect to the gate, drain, source and body voltages. The one
+/// implementation of both (see the module docs for the closed form).
+#[must_use]
+pub fn channel(p: &MosParams, vg: f64, vd: f64, vs: f64, vb: f64) -> (f64, [f64; 4]) {
+    // I_p(v) = −I_n(−v): the NMOS form at mirrored biases; the current
+    // flips back, its partials do not.
+    let mirror = match p.polarity {
+        Polarity::Nmos => 1.0,
+        Polarity::Pmos => -1.0,
+    };
+    let vgb = mirror * (vg - vb);
+    let vsb = mirror * (vs - vb);
+    let vdb = mirror * (vd - vb);
+    // Body effect referenced to the *lower* channel terminal so the model
+    // stays drain/source symmetric (clamped so the sqrt stays real under
+    // forward body bias).
+    let vxb = vsb.min(vdb);
+    let clamp = -0.4 * p.phi;
+    let root = (p.phi + vxb.max(clamp)).sqrt();
+    let vth = p.vth0 + p.gamma * (root - p.phi.sqrt());
+    let vp = (vgb - vth) / p.n;
+    let i_s = 2.0 * p.n * p.kp * p.w_over_l() * VT_300K * VT_300K;
+    // F = softplus² and F′ = softplus·σ, forward (source) and reverse (drain).
+    let (sp_f, sg_f) = softplus((vp - vsb) / VT_300K * 0.5);
+    let (sp_r, sg_r) = softplus((vp - vdb) / VT_300K * 0.5);
+    let f = sp_f * sp_f - sp_r * sp_r;
+    let (df_f, df_r) = (sp_f * sg_f, sp_r * sg_r);
+    let vds = mirror * (vd - vs);
+    let clm = 1.0 + p.lambda * vds.abs();
+
+    let k = i_s * clm / VT_300K;
+    let gm = k * (df_f - df_r) / p.n;
+    // ∂vth/∂vxb is zero below the clamp; the lower terminal carries it.
+    let body = if vxb > clamp {
+        -gm * p.gamma / (2.0 * root)
+    } else {
+        0.0
+    };
+    let (body_d, body_s) = if vdb < vsb { (body, 0.0) } else { (0.0, body) };
+    let g_clm = i_s * f * p.lambda * vds.signum();
+    let gd = k * df_r + body_d + g_clm;
+    let gs = -k * df_f + body_s - g_clm;
+    // The current depends on terminal differences only.
+    (mirror * i_s * f * clm, [gm, gd, gs, -(gm + gd + gs)])
+}
+
+/// The ends of a transistor's five terminal capacitors, in stamping order
+/// (C_gs, C_gd, C_gb, C_db, C_sb), as indices into `[d, g, s, b]`.
+const CAP_ENDS: [(usize, usize); 5] = [(1, 2), (1, 0), (1, 3), (0, 3), (2, 3)];
+
+/// The capacitors of `CAP_ENDS` for a transistor with parameters `p`.
+pub(crate) fn terminal_caps(p: &MosParams) -> [CompanionCap; 5] {
+    [p.cgs, p.cgd, p.cgb, p.cdb, p.csb].map(CompanionCap::new)
+}
+
+/// A transistor's whole load — the linearized channel current and the five
+/// terminal capacitors — for terminals `[d, g, s, b]`. Shared with the
+/// FeFET, whose threshold moves with its polarization.
+pub(crate) fn load_transistor(
+    ctx: &EvalCtx<'_>,
+    stamps: &mut Stamps<'_>,
+    nodes: [NodeId; 4],
+    p: &MosParams,
+    caps: &[CompanionCap; 5],
+) {
+    let [d, g, s, b] = nodes;
+    let (vg, vd, vs, vb) = (ctx.v(g), ctx.v(d), ctx.v(s), ctx.v(b));
+    let (id, [gm, gd, gs, gb]) = channel(p, vg, vd, vs, vb);
+    // I_D flows D → S. Linearize against each terminal voltage
+    // (ground-referenced VCCS entries).
+    stamps.transconductance(d, s, g, NodeId::GROUND, gm);
+    stamps.transconductance(d, s, d, NodeId::GROUND, gd);
+    stamps.transconductance(d, s, s, NodeId::GROUND, gs);
+    stamps.transconductance(d, s, b, NodeId::GROUND, gb);
+    let i_eq = id - gm * vg - gd * vd - gs * vs - gb * vb;
+    stamps.current(d, s, i_eq);
+    for (cap, (i, j)) in caps.iter().zip(CAP_ENDS) {
+        cap.load(ctx, stamps, nodes[i], nodes[j]);
+    }
 }
 
 /// A four-terminal MOSFET (drain, gate, source, body).
+///
+/// It exposes no probe: the drain current of a recorded point is
+/// [`Mosfet::ids`] at the four recorded node voltages.
 #[derive(Debug, Clone)]
 pub struct Mosfet {
     name: String,
-    d: NodeId,
-    g: NodeId,
-    s: NodeId,
-    b: NodeId,
+    /// Terminals `[d, g, s, b]`.
+    nodes: [NodeId; 4],
     params: MosParams,
-    cgs: CompanionCap,
-    cgd: CompanionCap,
-    cgb: CompanionCap,
-    cdb: CompanionCap,
-    csb: CompanionCap,
-    /// Drain current at the last accepted solution (probe).
-    id_last: f64,
+    caps: [CompanionCap; 5],
 }
 
 impl Mosfet {
@@ -172,17 +256,9 @@ impl Mosfet {
     ) -> Self {
         Self {
             name: name.into(),
-            d,
-            g,
-            s,
-            b,
+            nodes: [d, g, s, b],
             params,
-            cgs: CompanionCap::new(params.cgs),
-            cgd: CompanionCap::new(params.cgd),
-            cgb: CompanionCap::new(params.cgb),
-            cdb: CompanionCap::new(params.cdb),
-            csb: CompanionCap::new(params.csb),
-            id_last: 0.0,
+            caps: terminal_caps(&params),
         }
     }
 
@@ -196,11 +272,7 @@ impl Mosfet {
     /// into the drain for NMOS, out of the drain for PMOS mirrored).
     #[must_use]
     pub fn ids(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> f64 {
-        let p = &self.params;
-        match p.polarity {
-            Polarity::Nmos => ids_n(p, vg, vd, vs, vb),
-            Polarity::Pmos => -ids_n(p, -vg, -vd, -vs, -vb),
-        }
+        channel(&self.params, vg, vd, vs, vb).0
     }
 
     /// Effective small-signal on-resistance at the given bias (numeric
@@ -214,75 +286,23 @@ impl Mosfet {
     }
 }
 
-/// NMOS current, body-referenced EKV with body-effect Vth shift and CLM.
-fn ids_n(p: &MosParams, vg: f64, vd: f64, vs: f64, vb: f64) -> f64 {
-    let vgb = vg - vb;
-    let vsb = vs - vb;
-    let vdb = vd - vb;
-    // Body effect referenced to the *lower* channel terminal so the model
-    // stays drain/source symmetric (clamped so the sqrt stays real under
-    // forward body bias).
-    let vxb = vsb.min(vdb);
-    let vth = p.vth0 + p.gamma * (((p.phi + vxb.max(-0.4 * p.phi)).max(0.0)).sqrt() - p.phi.sqrt());
-    let vp = (vgb - vth) / p.n;
-    let i_s = 2.0 * p.n * p.kp * p.w_over_l() * VT_300K * VT_300K;
-    let i_f = ekv_f((vp - vsb) / VT_300K);
-    let i_r = ekv_f((vp - vdb) / VT_300K);
-    let vds = vd - vs;
-    i_s * (i_f - i_r) * (1.0 + p.lambda * vds.abs())
-}
-
 impl Device for Mosfet {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        vec![self.d, self.g, self.s, self.b]
+        self.nodes.to_vec()
     }
 
     fn load(&self, ctx: &EvalCtx<'_>, stamps: &mut Stamps<'_>) {
-        let (vg, vd, vs, vb) = (ctx.v(self.g), ctx.v(self.d), ctx.v(self.s), ctx.v(self.b));
-        let id0 = self.ids(vg, vd, vs, vb);
-        // Central finite-difference Jacobian.
-        let h = 1e-6;
-        let gm = (self.ids(vg + h, vd, vs, vb) - self.ids(vg - h, vd, vs, vb)) / (2.0 * h);
-        let gd = (self.ids(vg, vd + h, vs, vb) - self.ids(vg, vd - h, vs, vb)) / (2.0 * h);
-        let gs = (self.ids(vg, vd, vs + h, vb) - self.ids(vg, vd, vs - h, vb)) / (2.0 * h);
-        let gb = (self.ids(vg, vd, vs, vb + h) - self.ids(vg, vd, vs, vb - h)) / (2.0 * h);
-
-        // I_D flows D → S. Linearize against each terminal voltage
-        // (ground-referenced VCCS entries).
-        stamps.transconductance(self.d, self.s, self.g, NodeId::GROUND, gm);
-        stamps.transconductance(self.d, self.s, self.d, NodeId::GROUND, gd);
-        stamps.transconductance(self.d, self.s, self.s, NodeId::GROUND, gs);
-        stamps.transconductance(self.d, self.s, self.b, NodeId::GROUND, gb);
-        let i_eq = id0 - gm * vg - gd * vd - gs * vs - gb * vb;
-        stamps.current(self.d, self.s, i_eq);
-
-        // Terminal capacitances.
-        self.cgs.load(ctx, stamps, self.g, self.s);
-        self.cgd.load(ctx, stamps, self.g, self.d);
-        self.cgb.load(ctx, stamps, self.g, self.b);
-        self.cdb.load(ctx, stamps, self.d, self.b);
-        self.csb.load(ctx, stamps, self.s, self.b);
+        load_transistor(ctx, stamps, self.nodes, &self.params, &self.caps);
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.cgs.commit(ctx, self.g, self.s);
-        self.cgd.commit(ctx, self.g, self.d);
-        self.cgb.commit(ctx, self.g, self.b);
-        self.cdb.commit(ctx, self.d, self.b);
-        self.csb.commit(ctx, self.s, self.b);
-        self.id_last = self.ids(ctx.v(self.g), ctx.v(self.d), ctx.v(self.s), ctx.v(self.b));
-    }
-
-    fn probe_names(&self) -> Vec<&'static str> {
-        vec!["id"]
-    }
-
-    fn probe(&self, name: &str) -> Option<f64> {
-        (name == "id").then_some(self.id_last)
+        for (cap, (i, j)) in self.caps.iter_mut().zip(CAP_ENDS) {
+            cap.commit(ctx, self.nodes[i], self.nodes[j]);
+        }
     }
 }
 
@@ -291,15 +311,13 @@ mod tests {
     use super::*;
     use tcam_spice::prelude::*;
 
+    fn mosfet(params: MosParams) -> Mosfet {
+        let gnd = NodeId::GROUND;
+        Mosfet::new("m1", gnd, gnd, gnd, gnd, params)
+    }
+
     fn nmos() -> Mosfet {
-        Mosfet::new(
-            "m1",
-            NodeId::GROUND,
-            NodeId::GROUND,
-            NodeId::GROUND,
-            NodeId::GROUND,
-            MosParams::nmos_45lp(),
-        )
+        mosfet(MosParams::nmos_45lp())
     }
 
     #[test]
@@ -386,6 +404,120 @@ mod tests {
         let r = m2.ids(1.0, 1.0, 0.0, 0.0) / m1.ids(1.0, 1.0, 0.0, 0.0);
         assert!((r - 2.0).abs() < 1e-9);
         assert!((p.cgs - 2.0 * MosParams::nmos_45lp().cgs).abs() < 1e-24);
+    }
+
+    const H: f64 = 1e-6;
+
+    /// The Jacobian `Mosfet::load` stamped before [`channel`] had a closed
+    /// form, verbatim: central finite differences of `ids`.
+    fn central_difference(m: &Mosfet, [vg, vd, vs, vb]: [f64; 4]) -> [f64; 4] {
+        let h = H;
+        let gm = (m.ids(vg + h, vd, vs, vb) - m.ids(vg - h, vd, vs, vb)) / (2.0 * h);
+        let gd = (m.ids(vg, vd + h, vs, vb) - m.ids(vg, vd - h, vs, vb)) / (2.0 * h);
+        let gs = (m.ids(vg, vd, vs + h, vb) - m.ids(vg, vd, vs - h, vb)) / (2.0 * h);
+        let gb = (m.ids(vg, vd, vs, vb + h) - m.ids(vg, vd, vs, vb - h)) / (2.0 * h);
+        [gm, gd, gs, gb]
+    }
+
+    /// `(backward, forward)` one-sided differences of `ids` along terminal
+    /// `k`. First-order, so the step is shorter than the oracle's: at `H`
+    /// their own truncation error, `h·f″/2 ≈ h/(2nV_T)·f′`, is 1.6e-5 of the
+    /// partial — above the tolerance they are held to.
+    fn one_sided(m: &Mosfet, v: [f64; 4], k: usize) -> (f64, f64) {
+        let h = 1e-8;
+        let at = |dv: f64| {
+            let mut w = v;
+            w[k] += dv;
+            m.ids(w[0], w[1], w[2], w[3])
+        };
+        ((at(0.0) - at(-h)) / h, (at(h) - at(0.0)) / h)
+    }
+
+    fn largest(g: &[f64]) -> f64 {
+        g.iter().fold(0.0, |m, x| x.abs().max(m))
+    }
+
+    #[test]
+    fn analytic_jacobian_matches_central_difference() {
+        let eval = |m: &Mosfet, [vg, vd, vs, vb]: [f64; 4]| {
+            let (id, g) = channel(m.params(), vg, vd, vs, vb);
+            // One implementation, not two.
+            assert_eq!(m.ids(vg, vd, vs, vb).to_bits(), id.to_bits());
+            // Translation invariance.
+            assert!(g.iter().sum::<f64>().abs() <= 1e-12 * largest(&g), "{g:?}");
+            (id, g)
+        };
+        for (params, sign) in [
+            (MosParams::nmos_45lp(), 1.0),
+            (MosParams::pmos_45lp(), -1.0),
+        ] {
+            let m = mosfet(params);
+            let as_nmos = mosfet(MosParams {
+                polarity: Polarity::Nmos,
+                ..params
+            });
+            let clamp = -0.4 * params.phi;
+
+            // Away from the kinks: the closed form against the oracle. The
+            // ranges are the NMOS's; the PMOS sees them negated.
+            let mut rng = tcam_numeric::rng::SplitMix64::new(20);
+            let mut compared = 0;
+            for _ in 0..25_000 {
+                let n = [
+                    rng.uniform(-0.5, 4.5), // the FeFET's write reaches x > 40
+                    rng.uniform(-0.3, 1.3),
+                    rng.uniform(-0.3, 1.3),
+                    rng.uniform(-0.6, 0.6), // crosses the −0.4φ body clamp
+                ];
+                let v = n.map(|x| sign * x);
+                let (id, g) = eval(&m, v);
+                // I_p(v) = −I_n(−v): same partials, no sign change.
+                assert_eq!((sign * id, g), eval(&as_nmos, n));
+                let vxb = n[1].min(n[2]) - n[3];
+                if (n[1] - n[2]).abs() < 2.0 * H || (vxb - clamp).abs() < 2.0 * H {
+                    continue;
+                }
+                let oracle = central_difference(&m, v);
+                for k in 0..4 {
+                    assert!(
+                        (g[k] - oracle[k]).abs() <= 1e-6 * largest(&oracle),
+                        "partial {k} at {v:?}: {g:?} against {oracle:?}"
+                    );
+                }
+                compared += 1;
+            }
+            assert!(compared >= 20_000, "{compared}");
+
+            // Exactly on the kinks every partial lies between the two
+            // one-sided differences. `vd == vs` is both the |vds| kink and
+            // the one where the body effect changes terminal; `vxb` sits at
+            // and one ulp either side of the body clamp.
+            let mut kinks = Vec::new();
+            for vg in [0.2, 0.7, 1.0, 4.0] {
+                for vb in [-0.5, 0.0, 0.5] {
+                    kinks.push([vg, 0.4, 0.4, vb]);
+                }
+                for vs in [clamp.next_down(), clamp, clamp.next_up()] {
+                    kinks.push([vg, 0.5, vs, 0.0]);
+                }
+            }
+            for n in kinks {
+                let v = n.map(|x| sign * x);
+                let (_, g) = eval(&m, v);
+                let sides: Vec<_> = (0..4).map(|k| one_sided(&m, v, k)).collect();
+                let tol = 1e-6
+                    * sides
+                        .iter()
+                        .fold(0.0, |t, (b, f)| b.abs().max(f.abs()).max(t));
+                for (k, (b, f)) in sides.into_iter().enumerate() {
+                    assert!(
+                        b.min(f) - tol <= g[k] && g[k] <= b.max(f) + tol,
+                        "partial {k} at {v:?}: {} outside [{b}, {f}]",
+                        g[k]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

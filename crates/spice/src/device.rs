@@ -12,11 +12,23 @@
 //!   per *accepted* solution (rejected Newton iterations and rejected time
 //!   steps never commit). This is what makes hysteretic devices (NEM relays,
 //!   RRAM, FeFET) well-defined under adaptive time stepping.
+//!
+//! # The two passes
+//!
+//! A [`Stamps`] wraps one of two concrete sinks, and the engine builds one
+//! per pass, not one per device. The *pattern pass* (once, at
+//! [`crate::mna::MnaSystem::build`]) records every matrix position as a
+//! triplet; the *value pass* (every [`crate::mna::MnaSystem::refill`])
+//! writes the n-th matrix value emitted into the n-th slot the pattern pass
+//! numbered and accumulates the RHS. Two asserts hold devices to the first
+//! rule above: a value pass panics at a matrix stamp beyond the pattern
+//! pass's count, and at the end of the refill when fewer arrived.
 
 use crate::node::NodeId;
 use crate::options::Integrator;
 use std::any::Any;
 use std::fmt;
+use tcam_numeric::sparse::TripletMatrix;
 
 /// Opaque handle to an MNA branch-current unknown (allocated for voltage
 /// sources, inductors, and any device that needs a current equation).
@@ -171,27 +183,62 @@ impl CommitCtx<'_> {
     }
 }
 
-/// Low-level sink receiving raw matrix/RHS contributions. Implemented by the
-/// engine's pattern recorder and value refiller; devices never see it
-/// directly — they use [`Stamps`].
-pub trait StampSink {
-    /// Adds `val` at matrix position `(row, col)`.
-    fn mat(&mut self, row: usize, col: usize, val: f64);
-    /// Adds `val` to the right-hand side at `row`.
-    fn rhs(&mut self, row: usize, val: f64);
+/// Where raw matrix/RHS contributions go: the engine's two passes (see the
+/// module docs). An enum, not a trait object — a `match` inlines where the
+/// ~48 indirect calls of a transistor's load could not.
+pub(crate) enum Sink<'a> {
+    /// Matrix positions (and values) are recorded; RHS rows range-checked.
+    Pattern(&'a mut TripletMatrix),
+    /// Matrix values fill `vals` — one slot per pattern-pass stamp — in
+    /// emission order; the RHS accumulates.
+    Values {
+        vals: std::slice::IterMut<'a, f64>,
+        rhs: &'a mut [f64],
+    },
 }
 
 /// Device-facing stamping facade: resolves handles, skips ground rows and
 /// columns, and provides the common composite stamps.
 pub struct Stamps<'a> {
-    sink: &'a mut dyn StampSink,
+    sink: Sink<'a>,
     index: UnknownIndex,
 }
 
 impl<'a> Stamps<'a> {
     /// Wraps a sink (engine-internal).
-    pub(crate) fn new(sink: &'a mut dyn StampSink, index: UnknownIndex) -> Self {
+    pub(crate) fn new(sink: Sink<'a>, index: UnknownIndex) -> Self {
         Self { sink, index }
+    }
+
+    /// Ends a value pass, which must have filled every slot it was given.
+    pub(crate) fn finish(self) {
+        if let Sink::Values { vals, .. } = self.sink {
+            let unwritten = vals.len();
+            assert_eq!(
+                unwritten, 0,
+                "a device emitted a different stamp count than its pattern pass"
+            );
+        }
+    }
+
+    /// Adds `val` at matrix position `(row, col)`.
+    fn mat(&mut self, row: usize, col: usize, val: f64) {
+        match &mut self.sink {
+            Sink::Pattern(triplets) => _ = triplets.add(row, col, val),
+            Sink::Values { vals, .. } => {
+                *vals
+                    .next()
+                    .expect("device emitted more stamps than its pattern pass") = val;
+            }
+        }
+    }
+
+    /// Adds `val` to the right-hand side at `row`.
+    fn rhs(&mut self, row: usize, val: f64) {
+        match &mut self.sink {
+            Sink::Pattern(t) => debug_assert!(row < t.n_rows(), "rhs row out of range"),
+            Sink::Values { rhs, .. } => rhs[row] += val,
+        }
     }
 
     /// Stamps a conductance `g` between nodes `a` and `b`.
@@ -199,14 +246,14 @@ impl<'a> Stamps<'a> {
         let ia = self.index.node(a);
         let ib = self.index.node(b);
         if let Some(i) = ia {
-            self.sink.mat(i, i, g);
+            self.mat(i, i, g);
         }
         if let Some(j) = ib {
-            self.sink.mat(j, j, g);
+            self.mat(j, j, g);
         }
         if let (Some(i), Some(j)) = (ia, ib) {
-            self.sink.mat(i, j, -g);
-            self.sink.mat(j, i, -g);
+            self.mat(i, j, -g);
+            self.mat(j, i, -g);
         }
     }
 
@@ -214,10 +261,10 @@ impl<'a> Stamps<'a> {
     /// through the device (i.e. leaving node `a`, entering node `b`).
     pub fn current(&mut self, a: NodeId, b: NodeId, i: f64) {
         if let Some(ia) = self.index.node(a) {
-            self.sink.rhs(ia, -i);
+            self.rhs(ia, -i);
         }
         if let Some(ib) = self.index.node(b) {
-            self.sink.rhs(ib, i);
+            self.rhs(ib, i);
         }
     }
 
@@ -240,7 +287,7 @@ impl<'a> Stamps<'a> {
             let Some(r) = row else { continue };
             for (col, sign_col) in [(ic, 1.0), (id, -1.0)] {
                 let Some(cidx) = col else { continue };
-                self.sink.mat(r, cidx, gm * sign_row * sign_col);
+                self.mat(r, cidx, gm * sign_row * sign_col);
             }
         }
     }
@@ -253,12 +300,12 @@ impl<'a> Stamps<'a> {
     pub fn branch_incidence(&mut self, a: NodeId, b: NodeId, br: BranchId) {
         let k = self.index.branch(br);
         if let Some(i) = self.index.node(a) {
-            self.sink.mat(i, k, 1.0);
-            self.sink.mat(k, i, 1.0);
+            self.mat(i, k, 1.0);
+            self.mat(k, i, 1.0);
         }
         if let Some(j) = self.index.node(b) {
-            self.sink.mat(j, k, -1.0);
-            self.sink.mat(k, j, -1.0);
+            self.mat(j, k, -1.0);
+            self.mat(k, j, -1.0);
         }
     }
 
@@ -266,13 +313,13 @@ impl<'a> Stamps<'a> {
     /// and source internal resistance).
     pub fn mat_branch_branch(&mut self, br: BranchId, val: f64) {
         let k = self.index.branch(br);
-        self.sink.mat(k, k, val);
+        self.mat(k, k, val);
     }
 
     /// Adds `val` to the RHS of a branch row.
     pub fn rhs_branch(&mut self, br: BranchId, val: f64) {
         let k = self.index.branch(br);
-        self.sink.rhs(k, val);
+        self.rhs(k, val);
     }
 }
 
@@ -347,22 +394,7 @@ pub trait Device: fmt::Debug + Any + Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct RecordingSink {
-        mat: HashMap<(usize, usize), f64>,
-        rhs: HashMap<usize, f64>,
-    }
-
-    impl StampSink for RecordingSink {
-        fn mat(&mut self, row: usize, col: usize, val: f64) {
-            *self.mat.entry((row, col)).or_insert(0.0) += val;
-        }
-        fn rhs(&mut self, row: usize, val: f64) {
-            *self.rhs.entry(row).or_insert(0.0) += val;
-        }
-    }
+    use tcam_numeric::sparse::CscMatrix;
 
     fn idx(nodes: usize, branches: usize) -> UnknownIndex {
         UnknownIndex {
@@ -371,70 +403,88 @@ mod tests {
         }
     }
 
+    /// What `stamp` assembles — the pattern pass's triplets summed per
+    /// position and the value pass's RHS — after checking that the value
+    /// pass wrote the same values into the slots the pattern pass numbered.
+    fn assemble(index: UnknownIndex, stamp: impl Fn(&mut Stamps<'_>)) -> (CscMatrix, Vec<f64>) {
+        let n = index.n_unknowns();
+        let mut triplets = TripletMatrix::new(n, n);
+        stamp(&mut Stamps::new(Sink::Pattern(&mut triplets), index));
+        let (mut vals, mut rhs) = (vec![0.0; triplets.len()], vec![0.0; n]);
+        let sink = Sink::Values {
+            vals: vals.iter_mut(),
+            rhs: &mut rhs,
+        };
+        let mut st = Stamps::new(sink, index);
+        stamp(&mut st);
+        st.finish();
+        let (mut csc, map) = triplets.to_csc().unwrap();
+        let summed = csc.values().to_vec();
+        map.scatter(&vals, csc.values_mut()).unwrap();
+        assert_eq!(csc.values(), summed);
+        (csc, rhs)
+    }
+
     #[test]
     fn conductance_stamp_pattern() {
-        let mut sink = RecordingSink::default();
-        let index = idx(2, 0);
-        let mut st = Stamps::new(&mut sink, index);
-        let a = NodeId(1);
-        let b = NodeId(2);
-        st.conductance(a, b, 0.5);
-        assert_eq!(sink.mat[&(0, 0)], 0.5);
-        assert_eq!(sink.mat[&(1, 1)], 0.5);
-        assert_eq!(sink.mat[&(0, 1)], -0.5);
-        assert_eq!(sink.mat[&(1, 0)], -0.5);
+        let (mat, _) = assemble(idx(2, 0), |st| st.conductance(NodeId(1), NodeId(2), 0.5));
+        assert_eq!(mat.get(0, 0), 0.5);
+        assert_eq!(mat.get(1, 1), 0.5);
+        assert_eq!(mat.get(0, 1), -0.5);
+        assert_eq!(mat.get(1, 0), -0.5);
     }
 
     #[test]
     fn conductance_to_ground_skips_ground_entries() {
-        let mut sink = RecordingSink::default();
-        let mut st = Stamps::new(&mut sink, idx(1, 0));
-        st.conductance(NodeId(1), NodeId::GROUND, 2.0);
-        assert_eq!(sink.mat.len(), 1);
-        assert_eq!(sink.mat[&(0, 0)], 2.0);
+        let (mat, _) = assemble(idx(1, 0), |st| {
+            st.conductance(NodeId(1), NodeId::GROUND, 2.0);
+        });
+        assert_eq!(mat.nnz(), 1);
+        assert_eq!(mat.get(0, 0), 2.0);
     }
 
     #[test]
     fn current_stamp_signs() {
-        let mut sink = RecordingSink::default();
-        let mut st = Stamps::new(&mut sink, idx(2, 0));
-        // 1 A flows from node a into node b.
-        st.current(NodeId(1), NodeId(2), 1.0);
-        assert_eq!(sink.rhs[&0], -1.0);
-        assert_eq!(sink.rhs[&1], 1.0);
+        // 1 A flows from node a into node b. (A matrix entry rides along:
+        // an all-RHS pattern has nothing to compress.)
+        let (_, rhs) = assemble(idx(2, 0), |st| {
+            st.current(NodeId(1), NodeId(2), 1.0);
+            st.conductance(NodeId(1), NodeId::GROUND, 1.0);
+        });
+        assert_eq!(rhs, [-1.0, 1.0]);
     }
 
     #[test]
     fn branch_incidence_pattern() {
-        let mut sink = RecordingSink::default();
-        let mut st = Stamps::new(&mut sink, idx(2, 1));
-        st.branch_incidence(NodeId(1), NodeId(2), BranchId(0));
+        let (mat, _) = assemble(idx(2, 1), |st| {
+            st.branch_incidence(NodeId(1), NodeId(2), BranchId(0));
+        });
         // Branch unknown is index 2.
-        assert_eq!(sink.mat[&(0, 2)], 1.0);
-        assert_eq!(sink.mat[&(2, 0)], 1.0);
-        assert_eq!(sink.mat[&(1, 2)], -1.0);
-        assert_eq!(sink.mat[&(2, 1)], -1.0);
+        assert_eq!(mat.get(0, 2), 1.0);
+        assert_eq!(mat.get(2, 0), 1.0);
+        assert_eq!(mat.get(1, 2), -1.0);
+        assert_eq!(mat.get(2, 1), -1.0);
     }
 
     #[test]
     fn transconductance_pattern() {
-        let mut sink = RecordingSink::default();
-        let mut st = Stamps::new(&mut sink, idx(4, 0));
-        st.transconductance(NodeId(1), NodeId(2), NodeId(3), NodeId(4), 2.0);
-        assert_eq!(sink.mat[&(0, 2)], 2.0);
-        assert_eq!(sink.mat[&(0, 3)], -2.0);
-        assert_eq!(sink.mat[&(1, 2)], -2.0);
-        assert_eq!(sink.mat[&(1, 3)], 2.0);
+        let (mat, _) = assemble(idx(4, 0), |st| {
+            st.transconductance(NodeId(1), NodeId(2), NodeId(3), NodeId(4), 2.0);
+        });
+        assert_eq!(mat.get(0, 2), 2.0);
+        assert_eq!(mat.get(0, 3), -2.0);
+        assert_eq!(mat.get(1, 2), -2.0);
+        assert_eq!(mat.get(1, 3), 2.0);
     }
 
     #[test]
     fn nonlinear_current_is_norton() {
-        let mut sink = RecordingSink::default();
-        let mut st = Stamps::new(&mut sink, idx(1, 0));
         // i(v) = v^2 at v0 = 2: i0 = 4, g = 4 → source = 4 - 8 = -4 (a→gnd).
-        st.nonlinear_current(NodeId(1), NodeId::GROUND, 4.0, 4.0, 2.0);
-        assert_eq!(sink.mat[&(0, 0)], 4.0);
-        assert_eq!(sink.rhs[&0], 4.0); // -(-4)
+        let (mat, rhs) = assemble(idx(1, 0), |st| {
+            st.nonlinear_current(NodeId(1), NodeId::GROUND, 4.0, 4.0, 2.0);
+        });
+        assert_eq!(mat.get(0, 0), 4.0);
+        assert_eq!(rhs, [4.0]); // -(-4)
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Devices must therefore make an identical sequence of matrix-stamp calls
 //! on every [`crate::device::Device::load`] — the refill pass asserts this.
 
-use crate::device::{AnalysisKind, EvalCtx, StampSink, Stamps, UnknownIndex};
+use crate::device::{AnalysisKind, EvalCtx, Sink, Stamps, UnknownIndex};
 use crate::error::{Result, SpiceError};
 use crate::netlist::Circuit;
 use crate::options::{Integrator, SimOptions};
@@ -39,42 +39,6 @@ pub struct SolveStats {
     /// Stored entries of L + U at the last fresh factorization; over
     /// `matrix_nnz` it is the fill the column order left.
     pub factor_nnz: usize,
-}
-
-/// Records the stamp pattern during the build pass.
-struct PatternSink {
-    triplets: TripletMatrix,
-    rhs_len: usize,
-}
-
-impl StampSink for PatternSink {
-    fn mat(&mut self, row: usize, col: usize, val: f64) {
-        self.triplets.add(row, col, val);
-    }
-    fn rhs(&mut self, row: usize, _val: f64) {
-        debug_assert!(row < self.rhs_len, "rhs row out of range");
-    }
-}
-
-/// Writes stamp values during a refill pass.
-struct ValueSink<'a> {
-    vals: &'a mut [f64],
-    cursor: usize,
-    rhs: &'a mut [f64],
-}
-
-impl StampSink for ValueSink<'_> {
-    fn mat(&mut self, _row: usize, _col: usize, val: f64) {
-        assert!(
-            self.cursor < self.vals.len(),
-            "device emitted more stamps than its pattern pass"
-        );
-        self.vals[self.cursor] = val;
-        self.cursor += 1;
-    }
-    fn rhs(&mut self, row: usize, val: f64) {
-        self.rhs[row] += val;
-    }
 }
 
 /// An assembled MNA system ready for repeated refill/solve cycles.
@@ -114,10 +78,6 @@ impl MnaSystem {
                 "circuit has no unknowns (only ground?)".into(),
             ));
         }
-        let mut sink = PatternSink {
-            triplets: TripletMatrix::new(n, n),
-            rhs_len: n,
-        };
         let zeros = vec![0.0; n];
         let ctx = EvalCtx {
             analysis,
@@ -131,24 +91,21 @@ impl MnaSystem {
             index,
             source_scale: 1.0,
         };
-        for dev in circuit.devices() {
-            let mut stamps = Stamps::new(&mut sink, index);
-            dev.load(&ctx, &mut stamps);
-        }
-        let gmin_first_stamp = sink.triplets.len();
+        let mut triplets = Self::record_stamps(circuit, &ctx);
+        let gmin_first_stamp = triplets.len();
         // Unconditional gmin diagonal on every node unknown.
         for i in 0..index.n_node_unknowns() {
-            sink.triplets.add(i, i, opts.gmin);
+            triplets.add(i, i, opts.gmin);
         }
         // Guard the branch diagonal too (some patterns leave it structurally
         // empty, e.g. an ideal source short); a true zero there is fine for
         // LU with pivoting, but a structurally *missing* column is not.
         for b in 0..index.n_unknowns() - index.n_node_unknowns() {
             let k = index.n_node_unknowns() + b;
-            sink.triplets.add(k, k, 0.0);
+            triplets.add(k, k, 0.0);
         }
-        let n_stamps = sink.triplets.len();
-        let (csc, map) = sink.triplets.to_csc()?;
+        let n_stamps = triplets.len();
+        let (csc, map) = triplets.to_csc()?;
         Ok(Self {
             index,
             analysis,
@@ -162,6 +119,20 @@ impl MnaSystem {
             source_scale: 1.0,
             stats: SolveStats::default(),
         })
+    }
+
+    /// The pattern pass: every matrix stamp the devices make at `ctx`, in
+    /// emission order. Summed per position the values are what a
+    /// [`MnaSystem::refill`] at that iterate assembles, less its gmin.
+    #[must_use]
+    pub fn record_stamps(circuit: &Circuit, ctx: &EvalCtx<'_>) -> TripletMatrix {
+        let n = ctx.index.n_unknowns();
+        let mut triplets = TripletMatrix::new(n, n);
+        let mut stamps = Stamps::new(Sink::Pattern(&mut triplets), ctx.index);
+        for dev in circuit.devices() {
+            dev.load(ctx, &mut stamps);
+        }
+        triplets
     }
 
     /// The unknown layout.
@@ -204,22 +175,18 @@ impl MnaSystem {
             index: self.index,
             source_scale: self.source_scale,
         };
-        let mut sink = ValueSink {
-            vals: &mut self.stamp_vals,
-            cursor: 0,
-            rhs: &mut self.rhs,
-        };
+        // The devices' share of the stamp slots only, so that one stamp too
+        // many trips the sink's own assert instead of landing on a gmin slot.
+        let vals = self.stamp_vals[..self.gmin_first_stamp].iter_mut();
+        let rhs = &mut self.rhs[..];
+        let mut stamps = Stamps::new(Sink::Values { vals, rhs }, self.index);
         {
             let _obs = tcam_obs::span!("device_eval");
             for dev in circuit.devices() {
-                let mut stamps = Stamps::new(&mut sink, self.index);
                 dev.load(&ctx, &mut stamps);
             }
         }
-        assert_eq!(
-            sink.cursor, self.gmin_first_stamp,
-            "a device emitted a different stamp count than its pattern pass"
-        );
+        stamps.finish();
         let _obs = tcam_obs::span!("mna_stamp");
         // gmin diagonals.
         for i in 0..self.index.n_node_unknowns() {
@@ -317,13 +284,21 @@ impl MnaSystem {
     pub fn rhs(&self) -> &[f64] {
         &self.rhs
     }
+
+    /// The matrix as last refilled (test/debug aid).
+    #[must_use]
+    pub fn matrix(&self) -> &CscMatrix {
+        &self.csc
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
     use crate::element::{Resistor, VoltageSource};
     use crate::netlist::Circuit;
+    use crate::node::NodeId;
 
     fn divider() -> Circuit {
         let mut ckt = Circuit::new();
@@ -392,6 +367,56 @@ mod tests {
         for (a, b) in x1.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// Two conductances to ground in the pattern pass (and while the iterate
+    /// is zero); once `x[0]` moves, `then` of them — a broken stamp contract.
+    #[derive(Debug)]
+    struct Unfaithful {
+        node: NodeId,
+        then: usize,
+    }
+
+    impl Device for Unfaithful {
+        fn name(&self) -> &str {
+            "unfaithful"
+        }
+        fn nodes(&self) -> Vec<NodeId> {
+            vec![self.node]
+        }
+        fn load(&self, ctx: &EvalCtx<'_>, stamps: &mut Stamps<'_>) {
+            let count = if ctx.x[0] != 0.0 { self.then } else { 2 };
+            for _ in 0..count {
+                stamps.conductance(self.node, NodeId::GROUND, 1e-3);
+            }
+        }
+    }
+
+    /// Refills the divider plus an [`Unfaithful`] on `out` at a zero and then
+    /// at a non-zero iterate.
+    fn refill_unfaithful(then: usize) {
+        let mut ckt = divider();
+        let node = ckt.node("out");
+        ckt.add(Unfaithful { node, then }).unwrap();
+        let opts = SimOptions::default();
+        let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
+        let zeros = vec![0.0; sys.index().n_unknowns()];
+        let be = Integrator::BackwardEuler;
+        sys.refill(&ckt, 0.0, 0.0, be, &zeros, &zeros, opts.gmin);
+        let moved = vec![1.0; zeros.len()];
+        sys.refill(&ckt, 0.0, 0.0, be, &moved, &zeros, opts.gmin);
+    }
+
+    #[test]
+    #[should_panic(expected = "device emitted more stamps than its pattern pass")]
+    fn an_extra_stamp_panics_at_the_stamp() {
+        refill_unfaithful(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "a device emitted a different stamp count than its pattern pass")]
+    fn a_missing_stamp_panics_at_the_end_of_the_refill() {
+        refill_unfaithful(1);
     }
 
     #[test]
