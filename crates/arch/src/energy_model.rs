@@ -41,19 +41,6 @@ impl OperationCosts {
         }
     }
 
-    /// The paper's published 16T SRAM figures.
-    #[must_use]
-    pub fn paper_sram() -> Self {
-        Self {
-            write_latency: 0.5e-9,
-            write_energy: 0.81e-12,
-            search_latency: 220e-12,
-            search_energy: 23.1e-15,
-            refresh_energy: 0.0,
-            retention: f64::INFINITY,
-        }
-    }
-
     /// Builds costs from measured experiment rows (returns `None` when the
     /// design name is missing from either set).
     #[must_use]
@@ -138,17 +125,6 @@ impl WorkloadMeter {
         self.energy += costs.refresh_energy;
         self.busy_time += op_time;
     }
-
-    /// Average power over `wall_time` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `wall_time` is not positive.
-    #[must_use]
-    pub fn average_power(&self, wall_time: f64) -> f64 {
-        assert!(wall_time > 0.0, "wall time must be positive");
-        self.energy / wall_time
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +136,6 @@ mod tests {
         let c = OperationCosts::paper_3t2n();
         // 520 fJ / 26.5 µs ≈ 19.6 nW — the paper's §IV-B refresh power.
         assert!((c.refresh_power() - 19.6e-9).abs() < 0.3e-9);
-        let s = OperationCosts::paper_sram();
-        assert_eq!(s.refresh_power(), 0.0);
-        // Paper ratios: write energy 2.31x, search delay 5.5x, EDP 12.7x.
-        assert!((s.write_energy / c.write_energy - 2.31).abs() < 0.02);
-        assert!((s.search_latency / c.search_latency - 5.5).abs() < 0.01);
-        let edp_ratio = (s.search_latency * s.search_energy) / (c.search_latency * c.search_energy);
-        assert!((edp_ratio - 12.7).abs() < 0.1, "EDP ratio {edp_ratio}");
     }
 
     #[test]
@@ -183,7 +152,6 @@ mod tests {
         assert_eq!(m.refreshes, 1);
         let expected = 1000.0 * c.search_energy + c.write_energy + c.refresh_energy;
         assert!((m.energy - expected).abs() < 1e-18);
-        assert!(m.average_power(1e-3) > 0.0);
 
         // Bulk accounting: search_n(n) equals n searches to fp tolerance.
         let mut bulk = WorkloadMeter::new();

@@ -54,7 +54,9 @@
 //! [`Rram`]: tcam_devices::rram::Rram
 //! [`VSwitch`]: tcam_spice::element::VSwitch
 
-use crate::designs::{add_line_cap, add_ml_precharge, add_step_driver, SearchExperiment};
+use crate::designs::{
+    add_line_cap, add_ml_precharge, add_step_driver, SearchExperiment, T_PC_RELEASE,
+};
 use crate::fault::ChaosProbe;
 use crate::ops::run_search;
 use crate::variation::assemble;
@@ -108,10 +110,9 @@ impl AcamSpec {
     }
 }
 
-/// Precharge release = search reference: the data lines settle first
-/// (they are driven from `t = 0`), then the ML floats.
-const T_PC_RELEASE: f64 = 0.8e-9;
-/// Sense window after the release: one violating cell must cross
+/// Sense window after the precharge release — the search reference here
+/// ([`T_PC_RELEASE`]): the data lines settle first (they are driven from
+/// `t = 0`), then the ML floats. One violating cell must cross
 /// `V_DD/2` inside it (`τ_1 = R_PD·C_ML = 0.6 ns` crosses at ≈ 0.4 ns).
 const SENSE_WINDOW: f64 = 0.45e-9;
 
@@ -317,7 +318,7 @@ impl AcamCellDesign {
             )?;
         }
 
-        add_ml_precharge(&mut ckt, ml, spec.vdd, self.c_ml, T_PC_RELEASE)?;
+        add_ml_precharge(&mut ckt, "", ml, spec.vdd, self.c_ml)?;
 
         Ok(SearchExperiment {
             circuit: ckt,

@@ -8,22 +8,11 @@
 //! encoder can pick the first high ML.
 
 use crate::bit::{word_matches, TernaryBit};
-use crate::designs::{
-    add_line_cap, add_ml_precharge_named, add_step_driver, check_spec, search_drive, ArraySpec,
-    Nem3t2n, TcamDesign,
-};
+use crate::designs::{build_search_rows, ArraySpec, RowNaming, TcamDesign};
 use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::error::Result;
-use tcam_spice::netlist::Circuit;
 use tcam_spice::options::SimOptions;
 use tcam_spice::waveform::Waveform;
-
-/// Precharge release instant.
-const T_PC_RELEASE: f64 = 0.8e-9;
-/// Search drive instant.
-const T_SEARCH: f64 = 1.0e-9;
-/// Sense window after the search edge.
-const SENSE_WINDOW: f64 = 0.6e-9;
 
 /// Outcome of a parallel array search.
 #[derive(Debug)]
@@ -43,91 +32,34 @@ pub struct ArraySearchResult {
     pub waveform: Waveform,
 }
 
-/// Builds and runs a parallel search of `key` against `words` on the 3T2N
-/// design: all words share the search lines; each word has its own
-/// matchline and precharge network.
+/// Builds and runs a parallel search of `key` against `words` on `design`:
+/// all words share the search lines; each word has its own matchline
+/// (`v(ml{r})`, cells `r{r}c{j}`) and precharge network — the row scaffold
+/// of [`TcamDesign::build_search`] with several words. Every matchline is
+/// sensed at the design's own window and decoded against its own
+/// match-retention level (a matching 2T2R row droops below V_DD/2).
 ///
 /// # Errors
 ///
 /// Propagates netlist and simulation failures; word widths must equal
-/// `spec.cols` and `words.len()` must not exceed `spec.rows`.
+/// `spec.cols` and `words.len()` must be between 1 and `spec.rows`.
 pub fn run_array_search(
-    design: &Nem3t2n,
+    design: &dyn TcamDesign,
     spec: &ArraySpec,
     words: &[Vec<TernaryBit>],
     key: &[TernaryBit],
 ) -> Result<ArraySearchResult> {
     let word_refs: Vec<&[TernaryBit]> = words.iter().map(Vec::as_slice).collect();
-    let mut all: Vec<&[TernaryBit]> = word_refs.clone();
-    all.push(key);
-    check_spec(spec, &all)?;
-    if words.len() > spec.rows {
-        return Err(tcam_spice::SpiceError::InvalidCircuit(format!(
-            "{} words exceed the array's {} rows",
-            words.len(),
-            spec.rows
-        )));
-    }
-
-    let mut ckt = Circuit::new();
-    let gnd = ckt.gnd();
-    let geom = design.geometry();
-    let c_sl = geom.column_wire_cap(spec.rows);
-
-    // Shared search lines, driven once.
-    let mut sls = Vec::with_capacity(spec.cols);
-    for (j, &kbit) in key.iter().enumerate() {
-        let sl = ckt.node(&format!("sl{j}"));
-        let slb = ckt.node(&format!("slb{j}"));
-        add_line_cap(&mut ckt, &format!("csl{j}"), sl, c_sl)?;
-        add_line_cap(&mut ckt, &format!("cslb{j}"), slb, c_sl)?;
-        let (v_sl, v_slb) = search_drive(kbit, spec.vdd);
-        add_step_driver(&mut ckt, &format!("vsl{j}"), sl, 0.0, v_sl, T_SEARCH)?;
-        add_step_driver(&mut ckt, &format!("vslb{j}"), slb, 0.0, v_slb, T_SEARCH)?;
-        sls.push((sl, slb));
-    }
-
-    // One matchline per stored word.
-    for (r, word) in words.iter().enumerate() {
-        let ml = ckt.node(&format!("ml{r}"));
-        for (j, &bit) in word.iter().enumerate() {
-            let (sl, slb) = sls[j];
-            design.build_cell(
-                &mut ckt,
-                &format!("r{r}c{j}"),
-                bit,
-                spec.vdd,
-                ml,
-                gnd,
-                gnd,
-                gnd,
-                sl,
-                slb,
-            )?;
-        }
-        add_ml_precharge_named(
-            &mut ckt,
-            &format!("_{r}"),
-            ml,
-            spec.vdd,
-            geom.row_wire_cap(spec.cols),
-            T_PC_RELEASE,
-        )?;
-    }
-
-    let t_sense = T_SEARCH + SENSE_WINDOW;
-    let wave = transient(
-        &mut ckt,
-        TransientSpec::to(t_sense + 0.4e-9),
-        &SimOptions::default(),
-    )?;
+    let exp = build_search_rows(design, spec, &word_refs, key, RowNaming::Indexed)?;
+    let mut ckt = exp.circuit;
+    let wave = transient(&mut ckt, TransientSpec::to(exp.t_stop), &SimOptions::default())?;
 
     let mut match_flags = Vec::with_capacity(words.len());
     let mut ml_at_sense = Vec::with_capacity(words.len());
     let mut functional_ok = true;
     for (r, word) in words.iter().enumerate() {
-        let v = wave.sample(&format!("v(ml{r})"), t_sense)?;
-        let matched = v > spec.vdd / 2.0;
+        let v = wave.sample(&RowNaming::Indexed.ml_signal(r), exp.t_sense)?;
+        let matched = v >= exp.v_match_min;
         let expected = word_matches(word, key);
         if matched != expected {
             functional_ok = false;
@@ -152,18 +84,14 @@ pub fn run_array_search(
 mod tests {
     use super::*;
     use crate::bit::parse_ternary;
+    use crate::designs::Nem3t2n;
+    use crate::experiments::all_designs;
 
-    fn spec() -> ArraySpec {
-        ArraySpec {
-            rows: 8,
-            cols: 4,
-            vdd: 1.0,
-        }
-    }
-
+    /// Every design, not only the 3T2N cell whose matchline a V_DD/2
+    /// decode happens to suit: the all-X 2T2R row holds ≈ 0.495 V at its
+    /// sense instant and is a match.
     #[test]
-    fn parallel_search_decodes_every_matchline() {
-        let d = Nem3t2n::default();
+    fn parallel_search_decodes_every_matchline_of_every_design() {
         let words = vec![
             parse_ternary("1010").unwrap(),
             parse_ternary("1X10").unwrap(),
@@ -171,11 +99,14 @@ mod tests {
             parse_ternary("XXXX").unwrap(),
         ];
         let key = parse_ternary("1110").unwrap();
-        let res = run_array_search(&d, &spec(), &words, &key).unwrap();
-        assert!(res.functional_ok, "{:?}", res.ml_at_sense);
-        assert_eq!(res.match_flags, vec![false, true, false, true]);
-        assert_eq!(res.first_match, Some(1));
-        assert!(res.energy > 0.0);
+        for d in all_designs() {
+            let res = run_array_search(d.as_ref(), &ArraySpec::small(), &words, &key).unwrap();
+            assert!(res.functional_ok, "{}: {:?}", d.name(), res.ml_at_sense);
+            assert_eq!(res.match_flags, vec![false, true, false, true], "{}", d.name());
+            assert_eq!(res.first_match, Some(1), "{}", d.name());
+            assert!(res.energy > 0.0);
+            assert!(res.waveform.trace("v(ml3)").is_ok());
+        }
     }
 
     #[test]
@@ -186,7 +117,7 @@ mod tests {
             parse_ternary("0000").unwrap(),
         ];
         let key = parse_ternary("1001").unwrap();
-        let res = run_array_search(&d, &spec(), &words, &key).unwrap();
+        let res = run_array_search(&d, &ArraySpec::small(), &words, &key).unwrap();
         assert!(res.functional_ok);
         assert_eq!(res.first_match, None);
     }

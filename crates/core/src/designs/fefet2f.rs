@@ -7,8 +7,10 @@
 //!   ML ── F2 (gate = SLB) ── SRC
 //! ```
 //!
-//! Encoding: stored `1 → (F1, F2) = (high-V_T, low-V_T)`,
-//! `0 → (low-V_T, high-V_T)`, `X → (high, high)`. A mismatch drives the
+//! The SLB-side F2 holds S and the SL-side F1 holds S̄ of
+//! [`TernaryBit::differential`] (low-V_T = 1), as in the 3T2N cell: stored
+//! `1 → (F1, F2) = (high-V_T, low-V_T)`, `0 → (low-V_T, high-V_T)`,
+//! `X → (high, high)`. A mismatch drives the
 //! low-V_T FeFET's gate to V_DD and discharges ML; the high-V_T state stays
 //! off at 1 V search (read-disturb-free, per the Preisach envelope).
 //!
@@ -19,16 +21,18 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
-    ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
+    add_driver, add_line_cap, add_pulse_driver, check_spec, worst_case_prior, ArraySpec, RowRail,
+    SearchCell, StateProbe, TcamDesign, WriteExperiment, DRIVE_RISE,
 };
-use crate::parasitics::{fefet2f_geometry, CellGeometry};
+use crate::parasitics::{fefet2f_geometry, CellGeometry, Line};
 use tcam_devices::fefet::Fefet;
 use tcam_devices::mosfet::MosParams;
 use tcam_devices::params::FefetParams;
+use tcam_numeric::interp::PiecewiseLinear;
 use tcam_spice::error::Result;
 use tcam_spice::netlist::Circuit;
 use tcam_spice::node::NodeId;
+use tcam_spice::source::Waveshape;
 
 /// The 2FeFET design.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,66 +76,37 @@ const NEG_WIDTH: f64 = 11e-9;
 /// Write-experiment end.
 const T_WRITE_STOP: f64 = 27e-9;
 
-/// Precharge release in the search experiment.
-const T_PC_RELEASE: f64 = 0.8e-9;
-/// Search drive instant.
-const T_SEARCH: f64 = 1.0e-9;
 /// Sense window (≈ 4× the expected 2FeFET worst-case t₅₀).
 const SENSE_WINDOW: f64 = 1.6e-9;
 
-/// `(f1_low_vt, f2_low_vt)` encoding of a stored ternary bit.
-fn encode(bit: TernaryBit) -> (bool, bool) {
-    match bit {
-        TernaryBit::One => (false, true),
-        TernaryBit::Zero => (true, false),
-        TernaryBit::X => (false, false),
-    }
-}
-
-/// Worst-case prior bit (every defined element switches).
-fn write_initial(target: TernaryBit) -> TernaryBit {
-    match target {
-        TernaryBit::Zero => TernaryBit::One,
-        TernaryBit::One => TernaryBit::Zero,
-        TernaryBit::X => TernaryBit::One,
-    }
-}
-
 impl Fefet2f {
-    #[allow(clippy::too_many_arguments)]
-    fn build_cell(
+    /// The plate (source/body) line over `cycles` write cycles of the
+    /// V_DD/2 scheme, cycle `k` starting at `k · period`: −V_W/2 through the
+    /// positive-polarization phase `pos = (start, width)`, +V_W/2 through
+    /// the negative phase `neg` (so each selected stack sees the full
+    /// ±V_W), 0 V between, behind `edge`-second ramps — a PWL laid out
+    /// cycle by cycle beside the gate lines' periodic pulses.
+    pub(crate) fn plate_waveform(
         &self,
-        ckt: &mut Circuit,
-        prefix: &str,
-        initial: TernaryBit,
-        ml: NodeId,
-        sl: NodeId,
-        slb: NodeId,
-        src: NodeId,
-    ) -> Result<()> {
-        let (f1_low, f2_low) = encode(initial);
-        for (branch, gate, low_vt) in [(1, sl, f1_low), (2, slb, f2_low)] {
-            ckt.add(
-                Fefet::new(
-                    format!("{prefix}_f{branch}"),
-                    ml,
-                    gate,
-                    src,
-                    src,
-                    self.channel,
-                    self.fe,
-                )
-                .with_bit(low_vt),
-            )?;
+        cycles: usize,
+        period: f64,
+        pos: (f64, f64),
+        neg: (f64, f64),
+        edge: f64,
+    ) -> Result<Waveshape> {
+        let half = self.v_write / 2.0;
+        let mut xs = vec![0.0];
+        let mut ys = vec![0.0];
+        for k in 0..cycles {
+            let base = k as f64 * period;
+            for ((t_on, width), level) in [(pos, -half), (neg, half)] {
+                let t = base + t_on;
+                xs.extend([t, t + edge, t + width, t + width + edge]);
+                ys.extend([0.0, level, level, 0.0]);
+            }
         }
-        Ok(())
-    }
-
-    fn c_gate_line(&self, spec: &ArraySpec) -> f64 {
-        let ch = self.channel;
-        let c_fe = self.fe.q_switch / (2.0 * 4.0);
-        fefet2f_geometry().column_wire_cap(spec.rows)
-            + (spec.rows - 1) as f64 * (ch.cgs + ch.cgd + ch.cgb + c_fe)
+        let pwl = PiecewiseLinear::new(xs, ys).map_err(tcam_spice::SpiceError::from)?;
+        Ok(Waveshape::Pwl(pwl))
     }
 }
 
@@ -150,7 +125,8 @@ impl TcamDesign for Fefet2f {
         let ml = ckt.node("ml");
         let src = ckt.node("src");
         let geom = self.geometry();
-        let c_gate = self.c_gate_line(spec);
+        let c_gate = geom.line_cap(Line::Column, spec.rows, self.search_cell().sl_load_per_row);
+        let c_row = geom.line_cap(Line::Row, spec.cols, 0.0);
         let half = self.v_write / 2.0;
         let mut probes = Vec::new();
 
@@ -158,11 +134,12 @@ impl TcamDesign for Fefet2f {
             let prefix = format!("c{j}");
             let sl = ckt.node(&format!("sl{j}"));
             let slb = ckt.node(&format!("slb{j}"));
-            self.build_cell(&mut ckt, &prefix, write_initial(bit), ml, sl, slb, src)?;
+            let prior = worst_case_prior(bit);
+            self.place_search_cell(&mut ckt, &prefix, prior, spec.vdd, ml, sl, slb, src)?;
             add_line_cap(&mut ckt, &format!("csl{j}"), sl, c_gate)?;
             add_line_cap(&mut ckt, &format!("cslb{j}"), slb, c_gate)?;
 
-            let (f1_low, f2_low) = encode(bit);
+            let (f2_low, f1_low) = bit.differential();
             // Gate lines swing +V/2 in the phase that polarizes their FeFET
             // positive (low-V_T), −V/2 in the other phase.
             for (line, name, low_vt) in [
@@ -188,35 +165,15 @@ impl TcamDesign for Fefet2f {
             });
         }
 
-        // Plate line: −V/2 during the positive phase, +V/2 during the
-        // negative phase (so each stack sees the full ±V_W).
-        add_line_cap(&mut ckt, "csrc", src, geom.row_wire_cap(spec.cols))?;
-        {
-            use tcam_numeric::interp::PiecewiseLinear;
-            use tcam_spice::source::Waveshape;
-            let e = crate::designs::DRIVE_RISE;
-            let pwl = PiecewiseLinear::new(
-                vec![
-                    0.0,
-                    T_POS,
-                    T_POS + e,
-                    T_POS + POS_WIDTH,
-                    T_POS + POS_WIDTH + e,
-                    T_NEG,
-                    T_NEG + e,
-                    T_NEG + NEG_WIDTH,
-                    T_NEG + NEG_WIDTH + e,
-                ],
-                vec![0.0, 0.0, -half, -half, 0.0, 0.0, half, half, 0.0],
-            )
-            .map_err(tcam_spice::SpiceError::from)?;
-            crate::designs::add_driver(&mut ckt, "vsrc", src, Waveshape::Pwl(pwl))?;
-        }
+        add_line_cap(&mut ckt, "csrc", src, c_row)?;
+        let (pos, neg) = ((T_POS, POS_WIDTH), (T_NEG, NEG_WIDTH));
+        let plate = self.plate_waveform(1, T_WRITE_STOP, pos, neg, DRIVE_RISE)?;
+        add_driver(&mut ckt, "vsrc", src, plate)?;
         // ML floats during writes (its capacitance equalizes to the plate
         // through the turned-on channels): grounding it would create a DC
         // path from the plate through every low-V_T channel — exactly the
         // disturb current the V_DD/2 scheme avoids.
-        add_line_cap(&mut ckt, "cml", ml, geom.row_wire_cap(spec.cols))?;
+        add_line_cap(&mut ckt, "cml", ml, c_row)?;
 
         Ok(WriteExperiment {
             circuit: ckt,
@@ -226,95 +183,58 @@ impl TcamDesign for Fefet2f {
         })
     }
 
-    fn build_search(
-        &self,
-        spec: &ArraySpec,
-        stored: &[TernaryBit],
-        key: &[TernaryBit],
-    ) -> Result<SearchExperiment> {
-        check_spec(spec, &[stored, key])?;
-        let mut ckt = Circuit::new();
-        let gnd = ckt.gnd();
-        let ml = ckt.node("ml");
-        let src = ckt.node("src");
-        let geom = self.geometry();
-        let c_gate = self.c_gate_line(spec);
-
-        for (j, (&bit, &kbit)) in stored.iter().zip(key).enumerate() {
-            let prefix = format!("c{j}");
-            let sl = ckt.node(&format!("sl{j}"));
-            let slb = ckt.node(&format!("slb{j}"));
-            self.build_cell(&mut ckt, &prefix, bit, ml, sl, slb, src)?;
-            add_line_cap(&mut ckt, &format!("csl{j}"), sl, c_gate)?;
-            add_line_cap(&mut ckt, &format!("cslb{j}"), slb, c_gate)?;
-            let (v_sl, v_slb) = search_drive(kbit, spec.vdd);
-            add_step_driver(&mut ckt, &format!("vsl{j}"), sl, 0.0, v_sl, T_SEARCH)?;
-            add_step_driver(&mut ckt, &format!("vslb{j}"), slb, 0.0, v_slb, T_SEARCH)?;
+    fn search_cell(&self) -> SearchCell {
+        let ch = self.channel;
+        // The ferroelectric stack as a line load: its switched charge
+        // `q_switch` linearised over the full −V_W … +V_W polarization
+        // swing, `2·v_write` (the device model books the same charge to
+        // its own gate capacitor).
+        let c_fe = self.fe.q_switch / (2.0 * self.v_write);
+        SearchCell {
+            // Every row's FeFET gate — channel plus ferroelectric stack —
+            // rides on the search line.
+            sl_load_per_row: ch.cgs + ch.cgd + ch.cgb + c_fe,
+            row_rail: RowRail::SourceLine,
+            sense_window: SENSE_WINDOW,
+            match_retention: 0.8,
         }
+    }
 
-        add_line_cap(&mut ckt, "csrc", src, geom.row_wire_cap(spec.cols))?;
-        ckt.add(tcam_spice::element::VoltageSource::dc(
-            "vsrc", src, gnd, 0.0,
-        ))?;
-
-        add_ml_precharge(
-            &mut ckt,
-            ml,
-            spec.vdd,
-            geom.row_wire_cap(spec.cols),
-            T_PC_RELEASE,
-        )?;
-
-        Ok(SearchExperiment {
-            circuit: ckt,
-            ml_signal: "v(ml)".into(),
-            t_search: T_SEARCH,
-            t_stop: T_SEARCH + SENSE_WINDOW + 0.5e-9,
-            expect_match: crate::bit::word_matches(stored, key),
-            t_sense: T_SEARCH + SENSE_WINDOW,
-            v_match_min: 0.8 * spec.vdd,
-            vdd: spec.vdd,
-        })
+    /// The two FeFETs of one cell — the same placement in a search, in a
+    /// write row and in the disturb slice, none of which has a further line.
+    fn place_search_cell(
+        &self,
+        ckt: &mut Circuit,
+        prefix: &str,
+        stored: TernaryBit,
+        _vdd: f64,
+        ml: NodeId,
+        sl: NodeId,
+        slb: NodeId,
+        src: NodeId,
+    ) -> Result<()> {
+        let (f2_low, f1_low) = stored.differential();
+        for (branch, gate, low_vt) in [(1, sl, f1_low), (2, slb, f2_low)] {
+            ckt.add(
+                Fefet::new(
+                    format!("{prefix}_f{branch}"),
+                    ml,
+                    gate,
+                    src,
+                    src,
+                    self.channel,
+                    self.fe,
+                )
+                .with_bit(low_vt),
+            )?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bit::TernaryBit::{One, Zero, X};
-
-    #[test]
-    fn encoding_rule() {
-        assert_eq!(encode(One), (false, true));
-        assert_eq!(encode(Zero), (true, false));
-        assert_eq!(encode(X), (false, false));
-        assert_eq!(write_initial(Zero), One);
-    }
-
-    #[test]
-    fn write_structure() {
-        let d = Fefet2f::default();
-        let spec = ArraySpec::small();
-        let data = vec![One, Zero, X, One];
-        let exp = d.build_write(&spec, &data).unwrap();
-        exp.circuit.validate().unwrap();
-        assert_eq!(exp.probes.len(), 2 * spec.cols);
-        // 2 FeFETs + 2 caps + 2 two-part drivers per cell, plus the
-        // floating-ML cap, SRC cap and its two-part plate driver.
-        assert_eq!(exp.circuit.devices().len(), spec.cols * 8 + 4);
-    }
-
-    #[test]
-    fn search_structure() {
-        let d = Fefet2f::default();
-        let spec = ArraySpec::small();
-        let stored = vec![One, Zero, X, One];
-        let mut key = stored.clone();
-        key[0] = Zero;
-        let exp = d.build_search(&spec, &stored, &key).unwrap();
-        exp.circuit.validate().unwrap();
-        assert!(!exp.expect_match);
-    }
 
     #[test]
     fn write_voltage_split() {

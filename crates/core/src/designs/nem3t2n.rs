@@ -19,10 +19,10 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
-    ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
+    add_line_cap, add_pulse_driver, add_step_driver, check_spec, worst_case_prior, ArraySpec,
+    RowRail, SearchCell, StateProbe, TcamDesign, WriteExperiment,
 };
-use crate::parasitics::{nem3t2n_geometry, CellGeometry};
+use crate::parasitics::{nem3t2n_geometry, CellGeometry, Line};
 use tcam_devices::mosfet::{MosParams, Mosfet};
 use tcam_devices::nem::NemRelay;
 use tcam_devices::params::NemTargets;
@@ -69,10 +69,6 @@ const WL_WIDTH: f64 = 5e-9;
 /// Write-experiment end.
 const T_WRITE_STOP: f64 = 7e-9;
 
-/// Precharge release instant in the search experiment.
-const T_PC_RELEASE: f64 = 0.8e-9;
-/// Search-line drive instant.
-const T_SEARCH: f64 = 1.0e-9;
 /// Sense window after the search edge (≈ 4× the expected worst-case t₅₀).
 const SENSE_WINDOW: f64 = 0.6e-9;
 
@@ -175,36 +171,47 @@ impl Nem3t2n {
         Ok(())
     }
 
-    /// Builds one cell wired for the OSR column-slice experiment (matchline
-    /// and search lines grounded), with stored-'1' gate nodes initialized to
-    /// the decayed level `v_store` that the refresh must restore.
+    /// Builds a column slice of *held* cells — the circuit under the OSR,
+    /// retention and neighbour-disturb experiments. Cell `r{r}` stores
+    /// `stored[r]` on its own wordline `wl{r}`; all share the bitline pair
+    /// `bl`/`blb`; matchline and search lines are grounded and stored-'1'
+    /// gate nodes start at `v_store`. Each wordline's lumped `cwl{r}` is
+    /// the full-row wire plus `wl_load_per_col` farads for every *other*
+    /// column's write-transistor gates; `cbl`/`cblb` are wire only (the
+    /// slice's own cells are attached as devices). Returns the wordlines
+    /// and the bitline pair for the caller to drive.
     ///
     /// # Errors
     ///
-    /// Propagates netlist-construction failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_cell_for_osr(
+    /// [`tcam_spice::SpiceError::InvalidCircuit`] for a degenerate `spec`;
+    /// netlist-construction failures.
+    pub(crate) fn build_held_slice(
         &self,
         ckt: &mut Circuit,
-        prefix: &str,
-        stored: TernaryBit,
+        spec: &ArraySpec,
+        stored: &[TernaryBit],
         v_store: f64,
-        wl: NodeId,
-        bl: NodeId,
-        blb: NodeId,
-    ) -> Result<()> {
+        wl_load_per_col: f64,
+    ) -> Result<(Vec<NodeId>, NodeId, NodeId)> {
+        check_spec(spec, &[])?;
         let gnd = ckt.gnd();
-        self.build_cell(ckt, prefix, stored, v_store, gnd, wl, bl, blb, gnd, gnd)
-    }
-
-    /// Worst-case prior bit for a write: every defined bit flips; X starts
-    /// as a stored '1'.
-    fn write_initial(target: TernaryBit) -> TernaryBit {
-        match target {
-            TernaryBit::Zero => TernaryBit::One,
-            TernaryBit::One => TernaryBit::Zero,
-            TernaryBit::X => TernaryBit::One,
+        let geom = self.geometry();
+        let wls: Vec<NodeId> = (0..stored.len())
+            .map(|r| ckt.node(&format!("wl{r}")))
+            .collect();
+        let bl = ckt.node("bl");
+        let blb = ckt.node("blb");
+        for (r, (&bit, &wl)) in stored.iter().zip(&wls).enumerate() {
+            self.build_cell(ckt, &format!("r{r}"), bit, v_store, gnd, wl, bl, blb, gnd, gnd)?;
         }
+        let c_wl = geom.line_cap(Line::Row, spec.cols, wl_load_per_col);
+        for (r, &wl) in wls.iter().enumerate() {
+            add_line_cap(ckt, &format!("cwl{r}"), wl, c_wl)?;
+        }
+        let c_bl = geom.line_cap(Line::Column, spec.rows, 0.0);
+        add_line_cap(ckt, "cbl", bl, c_bl)?;
+        add_line_cap(ckt, "cblb", blb, c_bl)?;
+        Ok((wls, bl, blb))
     }
 }
 
@@ -224,8 +231,9 @@ impl TcamDesign for Nem3t2n {
         let wl = ckt.node("wl");
         let geom = self.geometry();
 
-        let tw = self.tw_params();
-        let c_col = geom.column_wire_cap(spec.rows) + (spec.rows - 1) as f64 * tw.cdb;
+        // Every other row's write transistor hangs its bitline-side junction
+        // on the column.
+        let c_col = geom.line_cap(Line::Column, spec.rows, self.tw_params().cdb);
         let mut probes = Vec::new();
 
         for (j, &bit) in data.iter().enumerate() {
@@ -235,7 +243,7 @@ impl TcamDesign for Nem3t2n {
             self.build_cell(
                 &mut ckt,
                 &prefix,
-                Self::write_initial(bit),
+                worst_case_prior(bit),
                 spec.vdd,
                 gnd,
                 wl,
@@ -276,7 +284,7 @@ impl TcamDesign for Nem3t2n {
             });
         }
 
-        add_line_cap(&mut ckt, "cwl", wl, geom.row_wire_cap(spec.cols))?;
+        add_line_cap(&mut ckt, "cwl", wl, geom.line_cap(Line::Row, spec.cols, 0.0))?;
         add_pulse_driver(&mut ckt, "vwl", wl, 0.0, self.v_pp, T_WL, WL_WIDTH)?;
 
         Ok(WriteExperiment {
@@ -287,100 +295,29 @@ impl TcamDesign for Nem3t2n {
         })
     }
 
-    fn build_search(
-        &self,
-        spec: &ArraySpec,
-        stored: &[TernaryBit],
-        key: &[TernaryBit],
-    ) -> Result<SearchExperiment> {
-        check_spec(spec, &[stored, key])?;
-        let mut ckt = Circuit::new();
-        let gnd = ckt.gnd();
-        let ml = ckt.node("ml");
-        let geom = self.geometry();
-        let c_sl = geom.column_wire_cap(spec.rows);
-
-        for (j, (&bit, &kbit)) in stored.iter().zip(key).enumerate() {
-            let sl = ckt.node(&format!("sl{j}"));
-            let slb = ckt.node(&format!("slb{j}"));
-            let prefix = format!("c{j}");
-            self.build_cell(&mut ckt, &prefix, bit, spec.vdd, ml, gnd, gnd, gnd, sl, slb)?;
-            add_line_cap(&mut ckt, &format!("csl{j}"), sl, c_sl)?;
-            add_line_cap(&mut ckt, &format!("cslb{j}"), slb, c_sl)?;
-            let (v_sl, v_slb) = search_drive(kbit, spec.vdd);
-            add_step_driver(&mut ckt, &format!("vsl{j}"), sl, 0.0, v_sl, T_SEARCH)?;
-            add_step_driver(&mut ckt, &format!("vslb{j}"), slb, 0.0, v_slb, T_SEARCH)?;
+    fn search_cell(&self) -> SearchCell {
+        SearchCell {
+            // A relay drain of every row sits on each search line, but the
+            // relay model has no drain junction to scale: wire only.
+            sl_load_per_row: 0.0,
+            row_rail: RowRail::None,
+            sense_window: SENSE_WINDOW,
+            match_retention: 0.85,
         }
-
-        add_ml_precharge(
-            &mut ckt,
-            ml,
-            spec.vdd,
-            geom.row_wire_cap(spec.cols),
-            T_PC_RELEASE,
-        )?;
-
-        let expect_match = crate::bit::word_matches(stored, key);
-        Ok(SearchExperiment {
-            circuit: ckt,
-            ml_signal: "v(ml)".into(),
-            t_search: T_SEARCH,
-            t_stop: T_SEARCH + SENSE_WINDOW + 0.5e-9,
-            expect_match,
-            t_sense: T_SEARCH + SENSE_WINDOW,
-            v_match_min: 0.85 * spec.vdd,
-            vdd: spec.vdd,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bit::TernaryBit::{One, Zero, X};
-
-    #[test]
-    fn write_experiment_structure() {
-        let d = Nem3t2n::default();
-        let spec = ArraySpec::small();
-        let data = vec![One, Zero, X, One];
-        let exp = d.build_write(&spec, &data).unwrap();
-        // 2 probes per cell.
-        assert_eq!(exp.probes.len(), 2 * spec.cols);
-        // 5 FETs/relays + 2 ic caps per cell, plus 2 line caps and 2
-        // two-part drivers per column, plus WL cap + two-part WL driver.
-        assert_eq!(exp.circuit.devices().len(), spec.cols * 13 + 3);
-        exp.circuit.validate().unwrap();
     }
 
-    #[test]
-    fn search_experiment_structure() {
-        let d = Nem3t2n::default();
-        let spec = ArraySpec::small();
-        let stored = vec![One, Zero, X, One];
-        let key = vec![One, Zero, One, One];
-        let exp = d.build_search(&spec, &stored, &key).unwrap();
-        assert!(exp.expect_match); // X matches 1
-        assert_eq!(exp.ml_signal, "v(ml)");
-        exp.circuit.validate().unwrap();
-
-        let key2 = vec![Zero, Zero, One, One];
-        let exp2 = d.build_search(&spec, &stored, &key2).unwrap();
-        assert!(!exp2.expect_match);
-    }
-
-    #[test]
-    fn width_mismatch_rejected() {
-        let d = Nem3t2n::default();
-        let spec = ArraySpec::small();
-        assert!(d.build_write(&spec, &[One]).is_err());
-        assert!(d.build_search(&spec, &[One], &[One]).is_err());
-    }
-
-    #[test]
-    fn worst_case_initial_flips_every_defined_bit() {
-        assert_eq!(Nem3t2n::write_initial(One), Zero);
-        assert_eq!(Nem3t2n::write_initial(Zero), One);
-        assert_eq!(Nem3t2n::write_initial(X), One);
+    fn place_search_cell(
+        &self,
+        ckt: &mut Circuit,
+        prefix: &str,
+        stored: TernaryBit,
+        vdd: f64,
+        ml: NodeId,
+        sl: NodeId,
+        slb: NodeId,
+        _rail: NodeId,
+    ) -> Result<()> {
+        let gnd = ckt.gnd();
+        self.build_cell(ckt, prefix, stored, vdd, ml, gnd, gnd, gnd, sl, slb)
     }
 }

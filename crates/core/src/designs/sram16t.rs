@@ -1,9 +1,11 @@
 //! The 16-transistor SRAM TCAM baseline (paper Fig. 2a, after [3]).
 //!
 //! Each cell holds two 6T SRAM halves (`d1`, `d2`) plus a 4T NOR-style
-//! compare stack. Encoding: stored `1 → (d1, d2) = (0, 1)`,
-//! `0 → (1, 0)`, `X → (0, 0)`; pull-down path A is gated by `(SL, d1)`,
-//! path B by `(SLB, d2)`.
+//! compare stack. Pull-down path A is gated by `(SL, d1)`, path B by
+//! `(SLB, d2)`, so the SLB-side half `d2` holds S and the SL-side half
+//! `d1` holds S̄ of [`TernaryBit::differential`] (the 3T2N cell's
+//! arrangement): stored `1 → (d1, d2) = (0, 1)`, `0 → (1, 0)`,
+//! `X → (0, 0)`.
 //!
 //! SRAM bitlines idle *precharged high* (standard practice); a write pulls
 //! the low-going side to ground and the precharge restore afterwards is
@@ -12,10 +14,10 @@
 
 use crate::bit::TernaryBit;
 use crate::designs::{
-    add_line_cap, add_ml_precharge, add_pulse_driver, add_step_driver, check_spec, search_drive,
-    ArraySpec, SearchExperiment, StateProbe, TcamDesign, WriteExperiment,
+    add_line_cap, add_pulse_driver, check_spec, ArraySpec, RowRail, SearchCell, StateProbe,
+    TcamDesign, WriteExperiment,
 };
-use crate::parasitics::{sram16t_geometry, CellGeometry};
+use crate::parasitics::{sram16t_geometry, CellGeometry, Line};
 use tcam_devices::mosfet::{MosParams, Mosfet};
 use tcam_spice::element::{Capacitor, VoltageSource};
 use tcam_spice::error::Result;
@@ -51,21 +53,8 @@ const T_RESTORE: f64 = 2.4e-9;
 /// Write-experiment end.
 const T_WRITE_STOP: f64 = 3.5e-9;
 
-/// Precharge release in the search experiment.
-const T_PC_RELEASE: f64 = 0.8e-9;
-/// Search-line drive instant.
-const T_SEARCH: f64 = 1.0e-9;
 /// Sense window (≈ 4× the expected SRAM worst-case t₅₀).
 const SENSE_WINDOW: f64 = 2.0e-9;
-
-/// The `(d1, d2)` encoding of a stored ternary bit.
-fn encode(bit: TernaryBit) -> (bool, bool) {
-    match bit {
-        TernaryBit::One => (false, true),
-        TernaryBit::Zero => (true, false),
-        TernaryBit::X => (false, false),
-    }
-}
 
 impl Sram16t {
     fn nmos(&self) -> MosParams {
@@ -197,11 +186,6 @@ impl Sram16t {
         ))?;
         Ok(())
     }
-
-    fn c_bitline(&self, spec: &ArraySpec) -> f64 {
-        let acc = self.nmos().scaled_width(self.access_width);
-        sram16t_geometry().column_wire_cap(spec.rows) + (spec.rows - 1) as f64 * acc.cdb
-    }
 }
 
 impl TcamDesign for Sram16t {
@@ -221,12 +205,15 @@ impl TcamDesign for Sram16t {
         let vdd_rail = ckt.node("vddr");
         ckt.add(VoltageSource::dc("vdd", vdd_rail, gnd, spec.vdd))?;
 
-        let c_bl = self.c_bitline(spec);
+        // Every other row's access transistor hangs its junction on the
+        // bitline.
+        let acc = self.nmos().scaled_width(self.access_width);
+        let c_bl = self.geometry().line_cap(Line::Column, spec.rows, acc.cdb);
         let mut probes = Vec::new();
 
         for (j, &bit) in data.iter().enumerate() {
             let prefix = format!("c{j}");
-            let (t1, t2) = encode(bit);
+            let (t2, t1) = bit.differential();
             // Worst-case prior: invert both target halves.
             let (i1, i2) = (!t1, !t2);
             let mut bls = Vec::new();
@@ -282,7 +269,8 @@ impl TcamDesign for Sram16t {
             });
         }
 
-        add_line_cap(&mut ckt, "cwl", wl, self.geometry().row_wire_cap(spec.cols))?;
+        let c_wl = self.geometry().line_cap(Line::Row, spec.cols, 0.0);
+        add_line_cap(&mut ckt, "cwl", wl, c_wl)?;
         add_pulse_driver(&mut ckt, "vwl", wl, 0.0, spec.vdd, T_WL, WL_WIDTH)?;
 
         Ok(WriteExperiment {
@@ -293,111 +281,34 @@ impl TcamDesign for Sram16t {
         })
     }
 
-    fn build_search(
-        &self,
-        spec: &ArraySpec,
-        stored: &[TernaryBit],
-        key: &[TernaryBit],
-    ) -> Result<SearchExperiment> {
-        check_spec(spec, &[stored, key])?;
-        let mut ckt = Circuit::new();
-        let gnd = ckt.gnd();
-        let ml = ckt.node("ml");
-        let vdd_rail = ckt.node("vddr");
-        ckt.add(VoltageSource::dc("vdd", vdd_rail, gnd, spec.vdd))?;
-        let geom = self.geometry();
-        let c_sl = geom.column_wire_cap(spec.rows);
-
-        for (j, (&bit, &kbit)) in stored.iter().zip(key).enumerate() {
-            let prefix = format!("c{j}");
-            let sl = ckt.node(&format!("sl{j}"));
-            let slb = ckt.node(&format!("slb{j}"));
-            let (v1, v2) = encode(bit);
-            let d1 = self.build_half(
-                &mut ckt,
-                &format!("{prefix}h1"),
-                v1,
-                vdd_rail,
-                spec.vdd,
-                gnd,
-                gnd,
-                gnd,
-            )?;
-            let d2 = self.build_half(
-                &mut ckt,
-                &format!("{prefix}h2"),
-                v2,
-                vdd_rail,
-                spec.vdd,
-                gnd,
-                gnd,
-                gnd,
-            )?;
-            self.build_compare(&mut ckt, &prefix, ml, sl, slb, d1, d2)?;
-            add_line_cap(&mut ckt, &format!("csl{j}"), sl, c_sl)?;
-            add_line_cap(&mut ckt, &format!("cslb{j}"), slb, c_sl)?;
-            let (v_sl, v_slb) = search_drive(kbit, spec.vdd);
-            add_step_driver(&mut ckt, &format!("vsl{j}"), sl, 0.0, v_sl, T_SEARCH)?;
-            add_step_driver(&mut ckt, &format!("vslb{j}"), slb, 0.0, v_slb, T_SEARCH)?;
+    fn search_cell(&self) -> SearchCell {
+        SearchCell {
+            // A compare-stack gate of every row sits on each search line;
+            // the line is nevertheless modelled wire only.
+            sl_load_per_row: 0.0,
+            row_rail: RowRail::LatchSupply,
+            sense_window: SENSE_WINDOW,
+            match_retention: 0.85,
         }
-
-        add_ml_precharge(
-            &mut ckt,
-            ml,
-            spec.vdd,
-            geom.row_wire_cap(spec.cols),
-            T_PC_RELEASE,
-        )?;
-
-        Ok(SearchExperiment {
-            circuit: ckt,
-            ml_signal: "v(ml)".into(),
-            t_search: T_SEARCH,
-            t_stop: T_SEARCH + SENSE_WINDOW + 0.5e-9,
-            expect_match: crate::bit::word_matches(stored, key),
-            t_sense: T_SEARCH + SENSE_WINDOW,
-            v_match_min: 0.85 * spec.vdd,
-            vdd: spec.vdd,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bit::TernaryBit::{One, Zero, X};
-
-    #[test]
-    fn encoding_matches_nor_tcam_rule() {
-        // Mismatch (stored 1, search 0) requires the SLB/d2 path on.
-        let (d1, d2) = encode(One);
-        assert!(!d1 && d2);
-        let (d1, d2) = encode(Zero);
-        assert!(d1 && !d2);
-        let (d1, d2) = encode(X);
-        assert!(!d1 && !d2);
     }
 
-    #[test]
-    fn write_structure() {
-        let d = Sram16t::default();
-        let spec = ArraySpec::small();
-        let data = vec![One, Zero, X, One];
-        let exp = d.build_write(&spec, &data).unwrap();
-        exp.circuit.validate().unwrap();
-        assert_eq!(exp.probes.len(), 2 * spec.cols);
-        // 16 FETs + 4 ic caps + 4 line caps + 4 two-part drivers per
-        // cell, plus vdd, wl cap, two-part wl driver.
-        assert_eq!(exp.circuit.devices().len(), spec.cols * 32 + 4);
-    }
-
-    #[test]
-    fn search_structure() {
-        let d = Sram16t::default();
-        let spec = ArraySpec::small();
-        let stored = vec![One, Zero, X, One];
-        let exp = d.build_search(&spec, &stored, &stored).unwrap();
-        assert!(exp.expect_match);
-        exp.circuit.validate().unwrap();
+    fn place_search_cell(
+        &self,
+        ckt: &mut Circuit,
+        prefix: &str,
+        stored: TernaryBit,
+        vdd: f64,
+        ml: NodeId,
+        sl: NodeId,
+        slb: NodeId,
+        vdd_rail: NodeId,
+    ) -> Result<()> {
+        let gnd = ckt.gnd();
+        let (v2, v1) = stored.differential();
+        let h1 = format!("{prefix}h1");
+        let h2 = format!("{prefix}h2");
+        let d1 = self.build_half(ckt, &h1, v1, vdd_rail, vdd, gnd, gnd, gnd)?;
+        let d2 = self.build_half(ckt, &h2, v2, vdd_rail, vdd, gnd, gnd, gnd)?;
+        self.build_compare(ckt, prefix, ml, sl, slb, d1, d2)
     }
 }

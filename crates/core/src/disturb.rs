@@ -15,8 +15,10 @@
 //! ignores sub-window excursions — which the companion check verifies.
 
 use crate::bit::TernaryBit;
-use crate::designs::{add_driver, add_line_cap, ArraySpec, Fefet2f, TcamDesign};
-use tcam_devices::fefet::Fefet;
+use crate::designs::{
+    add_driver, add_line_cap, check_spec, drive_pulse, ArraySpec, Fefet2f, TcamDesign,
+};
+use crate::parasitics::Line;
 use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::error::Result;
 use tcam_spice::netlist::Circuit;
@@ -55,7 +57,8 @@ pub struct DisturbResult {
 ///
 /// # Errors
 ///
-/// Propagates netlist/simulation failures.
+/// [`tcam_spice::SpiceError::InvalidCircuit`] for a degenerate `spec`;
+/// propagates netlist/simulation failures.
 pub fn run_fefet_write_disturb(
     design: &Fefet2f,
     spec: &ArraySpec,
@@ -69,11 +72,14 @@ pub fn run_fefet_write_disturb(
 
 /// Builds the two-row half-select disturb slice.
 fn build_disturb_slice(design: &Fefet2f, spec: &ArraySpec, cycles: usize) -> Result<Circuit> {
+    check_spec(spec, &[])?;
     let cols = spec.cols;
     let half = design.v_write / 2.0;
     let mut ckt = Circuit::new();
     let geom = design.geometry();
-    let c_line = geom.column_wire_cap(spec.rows);
+    // Wire only: the slice leaves the other rows' gate load off its lines.
+    let c_line = geom.line_cap(Line::Column, spec.rows, 0.0);
+    let c_row = geom.line_cap(Line::Row, cols, 0.0);
 
     // Shared columns. The aggressor writes the pattern "all ZEROS" — the
     // polarity that stresses a victim storing ones: SL gets the +V/2 phase
@@ -83,99 +89,38 @@ fn build_disturb_slice(design: &Fefet2f, spec: &ArraySpec, cycles: usize) -> Res
         let slb = ckt.node(&format!("slb{j}"));
         add_line_cap(&mut ckt, &format!("csl{j}"), sl, c_line)?;
         add_line_cap(&mut ckt, &format!("cslb{j}"), slb, c_line)?;
-        add_driver(
-            &mut ckt,
-            &format!("vsl{j}"),
-            sl,
-            Waveshape::Pulse {
-                v1: 0.0,
-                v2: half,
-                delay: T_POS,
-                rise: 50e-12,
-                fall: 50e-12,
-                width: POS_WIDTH,
-                period: CYCLE,
-            },
-        )?;
-        add_driver(
-            &mut ckt,
-            &format!("vslb{j}"),
-            slb,
-            Waveshape::Pulse {
-                v1: 0.0,
-                v2: -half,
-                delay: T_NEG,
-                rise: 50e-12,
-                fall: 50e-12,
-                width: NEG_WIDTH,
-                period: CYCLE,
-            },
-        )?;
+        let pos = drive_pulse(0.0, half, T_POS, POS_WIDTH, CYCLE);
+        add_driver(&mut ckt, &format!("vsl{j}"), sl, pos)?;
+        let neg = drive_pulse(0.0, -half, T_NEG, NEG_WIDTH, CYCLE);
+        add_driver(&mut ckt, &format!("vslb{j}"), slb, neg)?;
     }
 
     // Row plates: aggressor's plate swings ∓V/2 (selected); victim's plate
     // is grounded (unselected) — so victim gates see only ±V/2.
     let src_a = ckt.node("src_a");
-    add_line_cap(&mut ckt, "csrc_a", src_a, geom.row_wire_cap(cols))?;
-    {
-        use tcam_numeric::interp::PiecewiseLinear;
-        // One cycle of the plate waveform, repeated by construction of the
-        // gate pulses; approximate with a periodic pulse pair via PWL over
-        // the full span (built per cycle).
-        let mut xs = vec![0.0];
-        let mut ys = vec![0.0];
-        for k in 0..cycles {
-            let base = k as f64 * CYCLE;
-            for (t, v) in [
-                (base + T_POS, 0.0),
-                (base + T_POS + 0.1e-9, -half),
-                (base + T_POS + POS_WIDTH, -half),
-                (base + T_POS + POS_WIDTH + 0.1e-9, 0.0),
-                (base + T_NEG, 0.0),
-                (base + T_NEG + 0.1e-9, half),
-                (base + T_NEG + NEG_WIDTH, half),
-                (base + T_NEG + NEG_WIDTH + 0.1e-9, 0.0),
-            ] {
-                xs.push(t);
-                ys.push(v);
-            }
-        }
-        let pwl = PiecewiseLinear::new(xs, ys).map_err(tcam_spice::SpiceError::from)?;
-        add_driver(&mut ckt, "vsrc_a", src_a, Waveshape::Pwl(pwl))?;
-    }
+    add_line_cap(&mut ckt, "csrc_a", src_a, c_row)?;
+    let plate =
+        design.plate_waveform(cycles, CYCLE, (T_POS, POS_WIDTH), (T_NEG, NEG_WIDTH), 0.1e-9)?;
+    add_driver(&mut ckt, "vsrc_a", src_a, plate)?;
     let src_v = ckt.node("src_v");
-    add_line_cap(&mut ckt, "csrc_v", src_v, geom.row_wire_cap(cols))?;
+    add_line_cap(&mut ckt, "csrc_v", src_v, c_row)?;
     add_driver(&mut ckt, "vsrc_v", src_v, Waveshape::Dc(0.0))?;
 
     // Floating matchlines (one per row).
     let ml_a = ckt.node("ml_a");
     let ml_v = ckt.node("ml_v");
-    add_line_cap(&mut ckt, "cml_a", ml_a, geom.row_wire_cap(cols))?;
-    add_line_cap(&mut ckt, "cml_v", ml_v, geom.row_wire_cap(cols))?;
+    add_line_cap(&mut ckt, "cml_a", ml_a, c_row)?;
+    add_line_cap(&mut ckt, "cml_v", ml_v, c_row)?;
 
     // Cells. Both rows start storing all-ones; the aggressor is rewritten
     // to all-zeros (a full flip) while the victim must keep its ones.
+    let ones = TernaryBit::One;
     for j in 0..cols {
         let sl = ckt.find_node(&format!("sl{j}"))?;
         let slb = ckt.find_node(&format!("slb{j}"))?;
-        for (row, ml, src, low_vt_f1, low_vt_f2) in [
-            ("a", ml_a, src_a, false, true), // stored One: f2 low
-            ("v", ml_v, src_v, false, true), // stored One: f2 low
-        ] {
-            for (branch, gate, low) in [(1, sl, low_vt_f1), (2, slb, low_vt_f2)] {
-                ckt.add(
-                    Fefet::new(
-                        format!("r{row}c{j}_f{branch}"),
-                        ml,
-                        gate,
-                        src,
-                        src,
-                        design.channel,
-                        design.fe,
-                    )
-                    .with_bit(low),
-                )?;
-            }
+        for (row, ml, src) in [("a", ml_a, src_a), ("v", ml_v, src_v)] {
+            let prefix = format!("r{row}c{j}");
+            design.place_search_cell(&mut ckt, &prefix, ones, spec.vdd, ml, sl, slb, src)?;
         }
     }
 
@@ -258,7 +203,8 @@ pub fn fefet_disturb_vwrite_sweep(
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
+/// [`tcam_spice::SpiceError::InvalidCircuit`] for a degenerate `spec`;
+/// propagates simulation failures.
 pub fn nem_victim_survives_neighbour_writes(
     design: &crate::designs::Nem3t2n,
     spec: &ArraySpec,
@@ -266,17 +212,11 @@ pub fn nem_victim_survives_neighbour_writes(
 ) -> Result<bool> {
     use crate::designs::add_pulse_driver;
     let mut ckt = Circuit::new();
-    let geom = design.geometry();
 
     // One victim cell storing '1', wordline held low, bitlines toggling
     // with the aggressor's data every cycle (the shared-column disturb).
-    let wl = ckt.node("wl");
-    let bl = ckt.node("bl");
-    let blb = ckt.node("blb");
-    design.build_cell_for_osr(&mut ckt, "victim", TernaryBit::One, 0.8, wl, bl, blb)?;
-    add_line_cap(&mut ckt, "cwl", wl, geom.row_wire_cap(spec.cols))?;
-    add_line_cap(&mut ckt, "cbl", bl, geom.column_wire_cap(spec.rows))?;
-    add_line_cap(&mut ckt, "cblb", blb, geom.column_wire_cap(spec.rows))?;
+    let (wls, bl, blb) = design.build_held_slice(&mut ckt, spec, &[TernaryBit::One], 0.8, 0.0)?;
+    let wl = wls[0];
     add_driver(&mut ckt, "vwl", wl, Waveshape::Dc(0.0))?;
     // Bitlines pulse to VDD every cycle (the neighbour's write data).
     for (name, node, delay) in [("vbl", bl, 1e-9), ("vblb", blb, 4e-9)] {
@@ -285,8 +225,8 @@ pub fn nem_victim_survives_neighbour_writes(
 
     let t_stop = cycles as f64 * 8e-9;
     let wave = transient(&mut ckt, TransientSpec::to(t_stop), &SimOptions::default())?;
-    let n1 = wave.last("victim_n1.contact")?;
-    let n2 = wave.last("victim_n2.contact")?;
+    let n1 = wave.last("r0_n1.contact")?;
+    let n2 = wave.last("r0_n2.contact")?;
     Ok(n1 > 0.5 && n2 < 0.5)
 }
 
@@ -388,6 +328,22 @@ mod tests {
         assert_eq!(sweep.len(), 3);
         assert!(sweep[0].1.is_ok() && sweep[2].1.is_ok());
         assert!(sweep[1].1.is_err(), "NaN level is a per-level failure");
+    }
+
+    fn zero_columns() -> ArraySpec {
+        ArraySpec { cols: 0, ..ArraySpec::small() }
+    }
+
+    #[test]
+    fn fefet_study_rejects_a_degenerate_spec() {
+        let res = run_fefet_write_disturb(&Fefet2f::default(), &zero_columns(), 2);
+        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
+    }
+
+    #[test]
+    fn nem_study_rejects_a_degenerate_spec() {
+        let res = nem_victim_survives_neighbour_writes(&Nem3t2n::default(), &zero_columns(), 2);
+        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
     }
 
     #[test]

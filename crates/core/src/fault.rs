@@ -15,7 +15,7 @@
 //! engineered to happen *mid-sweep*, where the per-trial containment of
 //! [`crate::variation::search_margin_study`] must absorb it.
 
-use crate::designs::{ArraySpec, SearchExperiment, TcamDesign, WriteExperiment};
+use crate::designs::{ArraySpec, SearchCell, SearchExperiment, TcamDesign, WriteExperiment};
 use crate::bit::TernaryBit;
 use crate::parasitics::CellGeometry;
 use tcam_spice::device::{AnalysisKind, Device, EvalCtx, Stamps};
@@ -113,6 +113,25 @@ impl TcamDesign for SabotagedDesign {
         Ok(exp)
     }
 
+    fn search_cell(&self) -> SearchCell {
+        self.inner.search_cell()
+    }
+
+    fn place_search_cell(
+        &self,
+        ckt: &mut Circuit,
+        prefix: &str,
+        stored: TernaryBit,
+        vdd: f64,
+        ml: NodeId,
+        sl: NodeId,
+        slb: NodeId,
+        rail: NodeId,
+    ) -> Result<()> {
+        self.inner
+            .place_search_cell(ckt, prefix, stored, vdd, ml, sl, slb, rail)
+    }
+
     fn build_search(
         &self,
         spec: &ArraySpec,
@@ -133,17 +152,9 @@ mod tests {
     use crate::ops::run_search;
     use tcam_spice::error::SpiceError;
 
-    fn spec() -> ArraySpec {
-        ArraySpec {
-            rows: 8,
-            cols: 4,
-            vdd: 1.0,
-        }
-    }
-
     #[test]
     fn benign_probe_does_not_change_search_outcome() {
-        let spec = spec();
+        let spec = ArraySpec::small();
         let stored = pattern_word(spec.cols);
         let key = mismatch_key(spec.cols);
         let clean = run_search(
@@ -167,7 +178,7 @@ mod tests {
 
     #[test]
     fn hostile_probe_forces_nonconvergence() {
-        let spec = spec();
+        let spec = ArraySpec::small();
         let stored = pattern_word(spec.cols);
         let key = mismatch_key(spec.cols);
         let bomb = SabotagedDesign::new(Box::new(Nem3t2n::default()), true);

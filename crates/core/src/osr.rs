@@ -13,7 +13,7 @@
 //! the column count.
 
 use crate::bit::TernaryBit;
-use crate::designs::{add_line_cap, add_pulse_driver, ArraySpec, Nem3t2n, TcamDesign};
+use crate::designs::{add_pulse_driver, ArraySpec, Nem3t2n};
 use tcam_numeric::parallel::parallel_map;
 use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::element::VoltageSource;
@@ -64,7 +64,8 @@ pub struct OsrResult {
 ///
 /// # Errors
 ///
-/// Propagates circuit-simulation failures.
+/// [`tcam_spice::SpiceError::InvalidCircuit`] for a degenerate `spec`;
+/// propagates circuit-simulation failures.
 pub fn run_osr(
     design: &Nem3t2n,
     spec: &ArraySpec,
@@ -84,57 +85,23 @@ fn build_osr_slice(
     pattern: &impl Fn(usize) -> TernaryBit,
 ) -> Result<(Circuit, Vec<TernaryBit>)> {
     let mut ckt = Circuit::new();
-    let geom = design.geometry();
+    let stored: Vec<TernaryBit> = (0..spec.rows).map(pattern).collect();
 
-    let bl = ckt.node("bl");
-    let blb = ckt.node("blb");
-
-    // Per-wordline capacitance: full-row wire plus the OTHER columns' write
-    // transistor gates (this column's are in the cell devices).
+    // Each wordline also carries the OTHER columns' write-transistor gates,
+    // two per cell (this column's are in the cell devices).
     let tw = tcam_devices::mosfet::MosParams::nmos_45lp().scaled_width(design.tw_width);
-    let c_wl =
-        geom.row_wire_cap(spec.cols) + (spec.cols - 1) as f64 * 2.0 * (tw.cgs + tw.cgd + tw.cgb);
+    let wl_load = 2.0 * (tw.cgs + tw.cgd + tw.cgb);
+    let (wls, bl, blb) =
+        design.build_held_slice(&mut ckt, spec, &stored, V_STORE_DECAYED, wl_load)?;
 
-    let mut stored = Vec::with_capacity(spec.rows);
-    for r in 0..spec.rows {
-        let wl = ckt.node(&format!("wl{r}"));
-        let bit = pattern(r);
-        stored.push(bit);
-        design.build_cell_for_osr(
-            &mut ckt,
-            &format!("r{r}"),
-            bit,
-            V_STORE_DECAYED,
-            wl,
-            bl,
-            blb,
-        )?;
-        add_line_cap(&mut ckt, &format!("cwl{r}"), wl, c_wl)?;
-        add_pulse_driver(
-            &mut ckt,
-            &format!("vwl{r}"),
-            wl,
-            0.0,
-            design.v_pp_refresh,
-            T_WL,
-            WL_WIDTH,
-        )?;
+    for (r, &wl) in wls.iter().enumerate() {
+        let name = format!("vwl{r}");
+        add_pulse_driver(&mut ckt, &name, wl, 0.0, design.v_pp_refresh, T_WL, WL_WIDTH)?;
     }
-
     // Bitline pair at V_R for the refresh window, back to 0 after.
-    let c_bl = geom.column_wire_cap(spec.rows); // device loads are attached
-    add_line_cap(&mut ckt, "cbl", bl, c_bl)?;
-    add_line_cap(&mut ckt, "cblb", blb, c_bl)?;
-    add_pulse_driver(&mut ckt, "vbl", bl, 0.0, v_refresh, T_BL, WL_WIDTH + 0.6e-9)?;
-    add_pulse_driver(
-        &mut ckt,
-        "vblb",
-        blb,
-        0.0,
-        v_refresh,
-        T_BL,
-        WL_WIDTH + 0.6e-9,
-    )?;
+    for (name, line) in [("vbl", bl), ("vblb", blb)] {
+        add_pulse_driver(&mut ckt, name, line, 0.0, v_refresh, T_BL, WL_WIDTH + 0.6e-9)?;
+    }
     Ok((ckt, stored))
 }
 
@@ -241,6 +208,15 @@ mod tests {
         assert!(res.energy_array > 0.0);
         assert!(res.energy_wordlines > 0.0);
         assert!(res.energy_bitlines > 0.0);
+    }
+
+    /// Zero columns must stop at the spec check, before any `cols − 1` line
+    /// load is computed.
+    #[test]
+    fn degenerate_spec_is_an_error() {
+        let spec = ArraySpec { cols: 0, ..ArraySpec::small() };
+        let res = run_osr(&Nem3t2n::default(), &spec, V_REFRESH, osr_default_pattern);
+        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! size" to every array line; this module reproduces that methodology. Each
 //! design declares a cell footprint (width × height); a line's wire
 //! capacitance is `length × C_WIRE_PER_UM`, and device loading (junction or
-//! gate capacitance per attached cell) is added on top by the experiment
-//! builders using the device models' own parameters.
+//! gate capacitance per attached cell, which the experiment builders read
+//! from the device models' own parameters) is added on top — both in
+//! [`CellGeometry::line_cap`], the only place a line's load is decided.
 //!
 //! Footprints are analytic estimates for a 45 nm process, chosen so the
 //! *relative* line loads track transistor count — the quantity the paper's
@@ -31,17 +32,29 @@ impl CellGeometry {
         self.width_um * self.height_um
     }
 
-    /// Wire capacitance of a horizontal line (WL/ML) spanning `cols` cells.
+    /// Lumped capacitance of an array line spanning `cells` cells: the wire
+    /// plus, for every cell but the one an experiment instantiates as
+    /// devices, `per_cell` farads of attached device load. The one place
+    /// the paper's "parasitic capacitor scaled by the TCAM cell size" is
+    /// computed; `per_cell = 0.0` is a wire-only line.
     #[must_use]
-    pub fn row_wire_cap(&self, cols: usize) -> f64 {
-        self.width_um * cols as f64 * C_WIRE_PER_UM
+    pub fn line_cap(&self, line: Line, cells: usize, per_cell: f64) -> f64 {
+        let pitch_um = match line {
+            Line::Row => self.width_um,
+            Line::Column => self.height_um,
+        };
+        pitch_um * cells as f64 * C_WIRE_PER_UM + cells.saturating_sub(1) as f64 * per_cell
     }
+}
 
-    /// Wire capacitance of a vertical line (BL/SL) spanning `rows` cells.
-    #[must_use]
-    pub fn column_wire_cap(&self, rows: usize) -> f64 {
-        self.height_um * rows as f64 * C_WIRE_PER_UM
-    }
+/// The direction an array line runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Line {
+    /// Along a word: wordline, matchline, source line (one cell width per
+    /// column).
+    Row,
+    /// Along a bit position: bitline, search line (one cell height per row).
+    Column,
 }
 
 /// 16T SRAM TCAM cell (12T storage + 4T compare) at 45 nm.
@@ -101,12 +114,15 @@ mod tests {
     #[test]
     fn line_caps_scale_with_span() {
         let g = nem3t2n_geometry();
-        let c64 = g.row_wire_cap(64);
-        let c128 = g.row_wire_cap(128);
+        let c64 = g.line_cap(Line::Row, 64, 0.0);
+        let c128 = g.line_cap(Line::Row, 128, 0.0);
         assert!((c128 / c64 - 2.0).abs() < 1e-12);
         // 64-cell NEM matchline wire: 64·0.62 µm·0.2 fF/µm ≈ 7.9 fF.
         assert!((c64 - 7.936e-15).abs() < 1e-17);
-        let cc = g.column_wire_cap(64);
+        let cc = g.line_cap(Line::Column, 64, 0.0);
         assert!((cc - 64.0 * 0.26 * 0.2e-15).abs() < 1e-18);
+        // Device load rides on every cell but the instantiated one.
+        assert_eq!(g.line_cap(Line::Column, 64, 1e-16), cc + 63.0 * 1e-16);
+        assert_eq!(g.line_cap(Line::Column, 0, 1e-16), 0.0);
     }
 }

@@ -6,7 +6,8 @@
 //! when the gate–body voltage falls below the pull-out voltage and the
 //! relay releases. Retention time is the interval from refresh to release.
 
-use crate::designs::{add_line_cap, ArraySpec, Nem3t2n, TcamDesign};
+use crate::bit::TernaryBit;
+use crate::designs::{ArraySpec, Nem3t2n};
 use tcam_spice::analysis::{transient, TransientSpec};
 use tcam_spice::element::VoltageSource;
 use tcam_spice::error::Result;
@@ -47,7 +48,8 @@ impl RetentionResult {
 ///
 /// # Errors
 ///
-/// Propagates circuit-simulation failures.
+/// [`tcam_spice::SpiceError::InvalidCircuit`] for a degenerate `spec`;
+/// propagates circuit-simulation failures.
 pub fn run_retention(
     design: &Nem3t2n,
     spec: &ArraySpec,
@@ -56,25 +58,12 @@ pub fn run_retention(
 ) -> Result<RetentionResult> {
     let mut ckt = Circuit::new();
     let gnd = ckt.gnd();
-    let geom = design.geometry();
 
     // One held cell; all lines quiet at ground. Lines still get their wire
     // capacitance (they couple leakage realistically).
-    let wl = ckt.node("wl");
-    let bl = ckt.node("bl");
-    let blb = ckt.node("blb");
-    design.build_cell_for_osr(
-        &mut ckt,
-        "cell",
-        crate::bit::TernaryBit::One,
-        v_start,
-        wl,
-        bl,
-        blb,
-    )?;
-    add_line_cap(&mut ckt, "cwl", wl, geom.row_wire_cap(spec.cols))?;
-    add_line_cap(&mut ckt, "cbl", bl, geom.column_wire_cap(spec.rows))?;
-    add_line_cap(&mut ckt, "cblb", blb, geom.column_wire_cap(spec.rows))?;
+    let (wls, bl, blb) =
+        design.build_held_slice(&mut ckt, spec, &[TernaryBit::One], v_start, 0.0)?;
+    let wl = wls[0];
     ckt.add(VoltageSource::dc("vwl", wl, gnd, 0.0))?;
     ckt.add(VoltageSource::dc("vbl", bl, gnd, 0.0))?;
     ckt.add(VoltageSource::dc("vblb", blb, gnd, 0.0))?;
@@ -92,12 +81,12 @@ pub fn run_retention(
     };
     let wave = transient(&mut ckt, TransientSpec::to(t_max), &opts)?;
 
-    let retention = match cross_time(&wave, "cell_n1.contact", 0.5, Edge::Falling, 0.0) {
+    let retention = match cross_time(&wave, "r0_n1.contact", 0.5, Edge::Falling, 0.0) {
         Ok(t) => Some(t),
         Err(tcam_spice::SpiceError::NotFound(_)) => None,
         Err(e) => return Err(e),
     };
-    let v_final = wave.last("v(cell_q)")?;
+    let v_final = wave.last("v(r0_q)")?;
     Ok(RetentionResult {
         retention,
         v_final,
@@ -123,6 +112,13 @@ mod tests {
         );
         let p = res.refresh_power(520e-15).unwrap();
         assert!(p > 1e-9 && p < 2e-7, "refresh power = {p:.3e} W");
+    }
+
+    #[test]
+    fn degenerate_spec_is_an_error() {
+        let spec = ArraySpec { cols: 0, ..ArraySpec::small() };
+        let res = run_retention(&Nem3t2n::default(), &spec, crate::osr::V_REFRESH, 1e-6);
+        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
     }
 
     #[test]

@@ -174,42 +174,6 @@ pub fn brent<F: FnMut(f64) -> f64>(
     })
 }
 
-/// Expands `[a, b]` geometrically around its midpoint until `f` changes sign,
-/// then hands off to [`brent`]. Convenience for calibration searches whose
-/// bracket is only roughly known.
-///
-/// # Errors
-///
-/// Returns [`NumericError::NoConvergence`] if no sign change is found within
-/// `max_expand` doublings, plus any error from [`brent`].
-pub fn brent_auto_bracket<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    max_expand: usize,
-    opt: RootOptions,
-) -> Result<f64> {
-    let mut fa = f(a);
-    let mut fb = f(b);
-    let mut n = 0;
-    while fa * fb > 0.0 {
-        if n >= max_expand {
-            return Err(NumericError::NoConvergence {
-                iterations: n,
-                residual: fa.abs().min(fb.abs()),
-            });
-        }
-        let mid = 0.5 * (a + b);
-        let half = (b - a).abs(); // doubled width
-        a = mid - half;
-        b = mid + half;
-        fa = f(a);
-        fb = f(b);
-        n += 1;
-    }
-    brent(f, a, b, opt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,18 +219,6 @@ mod tests {
         let f = |x: f64| ((x - 0.53) * 1e6).tanh();
         let r = brent(f, 0.0, 1.0, RootOptions::default()).unwrap();
         assert!((r - 0.53).abs() < 1e-6);
-    }
-
-    #[test]
-    fn auto_bracket_expands() {
-        // Root at 10, initial bracket [0, 1] misses it.
-        let r = brent_auto_bracket(|x| x - 10.0, 0.0, 1.0, 10, RootOptions::default()).unwrap();
-        assert!((r - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn auto_bracket_gives_up() {
-        assert!(brent_auto_bracket(|x| x * x + 1.0, 0.0, 1.0, 4, RootOptions::default()).is_err());
     }
 
     #[test]

@@ -251,26 +251,6 @@ pub fn percentile(samples: &[f64], q: f64) -> Result<f64> {
     SortedSamples::new(samples)?.percentile(q)
 }
 
-/// Geometric mean of strictly positive samples — the right average for the
-/// speedup/energy *ratios* the paper reports.
-///
-/// # Errors
-///
-/// Returns [`NumericError::InvalidInput`] for an empty slice or any
-/// non-positive sample.
-pub fn geometric_mean(samples: &[f64]) -> Result<f64> {
-    if samples.is_empty() {
-        return Err(NumericError::InvalidInput("empty sample set".into()));
-    }
-    if samples.iter().any(|&v| v <= 0.0 || !v.is_finite()) {
-        return Err(NumericError::InvalidInput(
-            "geometric mean needs positive finite samples".into(),
-        ));
-    }
-    let log_sum: f64 = samples.iter().map(|v| v.ln()).sum();
-    Ok((log_sum / samples.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,13 +407,5 @@ mod tests {
         let s = SortedSamples::new(&[1.0]).unwrap();
         assert!(s.percentile(-0.1).is_err());
         assert!(s.percentile(100.1).is_err());
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        let g = geometric_mean(&[2.0, 8.0]).unwrap();
-        assert!((g - 4.0).abs() < 1e-12);
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-        assert!(geometric_mean(&[]).is_err());
     }
 }

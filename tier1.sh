@@ -14,6 +14,12 @@ if [ "$#" -ne 0 ]; then
 fi
 
 cargo build --release --offline --workspace
+# clippy --all-targets compiles the examples; only running them shows a
+# signal an example reads by name ("v(ml)" in search_waveform) is still
+# recorded. A non-zero exit fails the gate (set -e).
+for example in quickstart search_waveform device_explorer; do
+    cargo run --release --offline -q --example "$example" > /dev/null
+done
 # The match kernel's shift/carry and AND loops are property-tested a
 # second time as optimised code: that is the code stack_bench times and
 # the service runs, and overflow checks differ between the profiles.
