@@ -235,15 +235,28 @@ mod tests {
     }
 
     #[test]
-    fn expanded_prefixes_cover_range_exactly() {
-        for (lo, hi) in [(1u16, 6u16), (3, 12), (0, 9), (5, 5), (7, 15)] {
-            let words = range_to_prefixes(lo, hi, 4);
-            for v in 0..16u16 {
-                let key = value_to_word(u64::from(v), 4);
-                let covered = words.iter().any(|w| tcam_core::bit::word_matches(w, &key));
-                assert_eq!(covered, (lo..=hi).contains(&v), "value {v} in [{lo},{hi}]");
+    fn range_prefixes_cover_exactly_and_minimally() {
+        // Exhaustive over every 6-bit range: each value in the range is
+        // matched by exactly one word (disjoint blocks), none outside it
+        // is, and no range needs more than the textbook 2w-2 words.
+        let width = 6usize;
+        for lo in 0..64u16 {
+            for hi in lo..64 {
+                let words = range_to_prefixes(lo, hi, width);
+                assert!(words.len() <= 2 * width - 2, "[{lo},{hi}]: too many words");
+                for v in 0..64u16 {
+                    let key = value_to_word(u64::from(v), width);
+                    let covered = words
+                        .iter()
+                        .filter(|w| tcam_core::bit::word_matches(w, &key))
+                        .count();
+                    let expected = usize::from((lo..=hi).contains(&v));
+                    assert_eq!(covered, expected, "[{lo},{hi}] value {v}");
+                }
             }
         }
+        // The classic worst case really is 2w-2.
+        assert_eq!(range_to_prefixes(1, 62, 6).len(), 10);
     }
 
     fn sample_rules() -> Vec<Rule> {

@@ -222,12 +222,6 @@ impl PackedTcamArray {
         true
     }
 
-    /// Whether a row with `id` is stored.
-    #[must_use]
-    pub fn contains_id(&self, id: u32) -> bool {
-        self.ids.binary_search(&id).is_ok()
-    }
-
     /// Word width.
     #[must_use]
     pub fn width(&self) -> usize {
@@ -424,8 +418,8 @@ mod tests {
         assert_eq!(packed.first_match(&key), Some(0));
         assert!(packed.remove(0));
         assert!(!packed.remove(0), "double remove reports absence");
-        assert!(!packed.contains_id(0));
         assert_eq!(packed.len(), 2);
+        assert_eq!(packed.row(0).unwrap().0, 1, "id 0's row is gone");
         assert_eq!(packed.first_match(&key), Some(1));
         assert!(packed.replace(1, &parse_ternary("0XX").unwrap()));
         assert_eq!(packed.first_match(&key), Some(2));

@@ -112,7 +112,10 @@ impl NamespaceGroup {
     /// using the **non-blocking** submit path, returning a
     /// [`PendingLookup`] to gather later — the split that lets a
     /// connection reader keep decoding (pipelining) while earlier
-    /// requests are still matching.
+    /// requests are still matching. A sampled request passes its hop
+    /// collector as `trace`: every scattered [`SearchBatch`] holds a
+    /// clone, so the shard workers record their queue/match hops into the
+    /// same trace the connection threads use.
     ///
     /// # Errors
     ///
@@ -121,18 +124,6 @@ impl NamespaceGroup {
     /// execute; their replies are discarded). [`ServeError::AmbiguousKey`]
     /// for keys with a don't-care in the selector bits,
     /// [`ServeError::ServiceClosed`] during shutdown.
-    pub fn submit(&self, keys: &[PackedWord]) -> Result<PendingLookup> {
-        self.submit_traced(keys, None)
-    }
-
-    /// [`Self::submit`] carrying a sampled request's hop collector: every
-    /// scattered [`SearchBatch`] holds a clone, so the shard workers record
-    /// their queue/match hops into the same trace the connection threads
-    /// use.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit`].
     pub fn submit_traced(
         &self,
         keys: &[PackedWord],
@@ -188,15 +179,15 @@ impl NamespaceGroup {
         })
     }
 
-    /// [`Self::submit`] + [`PendingLookup::wait`] in one call: returns
-    /// `(epoch, results)` with results in key order and the epoch being
-    /// the newest snapshot that served any key.
+    /// [`Self::submit_traced`] (untraced) + [`PendingLookup::wait`] in one
+    /// call: returns `(epoch, results)` with results in key order and the
+    /// epoch being the newest snapshot that served any key.
     ///
     /// # Errors
     ///
-    /// As [`Self::submit`].
+    /// As [`Self::submit_traced`].
     pub fn lookup(&self, keys: &[PackedWord]) -> Result<(u64, Vec<Option<u32>>)> {
-        self.submit(keys)?.wait()
+        self.submit_traced(keys, None)?.wait()
     }
 }
 
@@ -322,7 +313,8 @@ impl TcamNode {
     /// WAL append + fsync, in-memory store apply, updater apply, epoch
     /// publication to the namespace's workers — all under the store lock,
     /// so versions and epochs stay in lockstep. A new namespace is
-    /// provisioned (with word width `width`) by its first batch.
+    /// provisioned (with word width `width`) by its first *applied* batch;
+    /// a rejected one provisions nothing.
     ///
     /// Returns the namespace's new version — the epoch every lookup
     /// submitted after this call returns is served at (or a later one).
@@ -662,6 +654,36 @@ mod tests {
         node.shutdown();
         let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
         assert_eq!(node.namespaces(), vec![0]);
+        node.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rejected_first_batch_provisions_nothing() {
+        let dir = tmpdir("phantom");
+        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        // Removing from a namespace that does not exist yet is refused —
+        // and must not leave a 4-bit ns 7 behind to refuse the real
+        // first batch or to come back from a snapshot.
+        let refused = node.apply(7, 4, &[RuleChange::Remove { priority: 1 }]);
+        assert!(matches!(
+            refused,
+            Err(NetError::Serve(ServeError::UnknownRuleId { id: 1 }))
+        ));
+        assert!(node.namespace_summaries().is_empty());
+        node.apply(
+            7,
+            8,
+            &[RuleChange::Insert {
+                priority: 1,
+                word: w("1010XXXX"),
+            }],
+        )
+        .unwrap();
+        node.snapshot().unwrap();
+        node.shutdown();
+        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        assert_eq!(node.namespace_summaries(), vec![(7, 8, 1, 1)]);
         node.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

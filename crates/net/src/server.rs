@@ -15,7 +15,7 @@
 //! bounded channel of [`ServerConfig::inflight_per_connection`] entries —
 //! the per-connection pipelining cap. The reader decodes a request,
 //! *scatters* it to the shard queues with the non-blocking
-//! [`submit`](crate::node::NamespaceGroup::submit) path, and hands the
+//! [`submit_traced`](crate::node::NamespaceGroup::submit_traced) path, and hands the
 //! pending gather to the writer; the writer *gathers* replies and
 //! encodes responses in request order. A full shard queue becomes an
 //! explicit [`Status::Overloaded`] reply (`net_shed_requests`) — never

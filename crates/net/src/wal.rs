@@ -306,8 +306,9 @@ impl DurableStore {
 
     /// Applies one batch to `namespace` durably (validate → WAL append +
     /// fsync → in-memory apply) and returns the namespace's new version.
-    /// A namespace is provisioned implicitly by its first batch, with
-    /// word width `width`; later batches must agree on the width.
+    /// A namespace is provisioned implicitly by its first *applied* batch,
+    /// with word width `width` (a rejected batch provisions nothing);
+    /// later batches must agree on the width.
     ///
     /// # Errors
     ///
@@ -329,18 +330,19 @@ impl DurableStore {
                     .to_string(),
             });
         }
-        let store = self
-            .stores
-            .entry(namespace)
-            .or_insert_with(|| RuleStore::new(width));
-        if store.width() != width {
-            return Err(NetError::Serve(ServeError::WidthMismatch {
-                expected: store.width(),
-                found: width,
-            }));
+        // Validate against the namespace as it stands — a new one as an
+        // empty store that is only inserted once the batch is logged.
+        let version = match self.stores.get(&namespace) {
+            Some(store) if store.width() != width => {
+                return Err(NetError::Serve(ServeError::WidthMismatch {
+                    expected: store.width(),
+                    found: width,
+                }));
+            }
+            Some(store) => store.validate(batch).map(|()| store.version() + 1),
+            None => RuleStore::new(width).validate(batch).map(|()| 1),
         }
-        store.validate(batch).map_err(NetError::Serve)?;
-        let version = store.version() + 1;
+        .map_err(NetError::Serve)?;
         let payload = encode_record(
             namespace,
             u16::try_from(width).map_err(|_| {
@@ -398,7 +400,12 @@ impl DurableStore {
         tcam_obs::counter_add("wal_bytes_written", frame.len() as u64);
         #[allow(clippy::cast_precision_loss)]
         tcam_obs::gauge_set("wal_size_bytes", self.wal_bytes as f64);
-        let applied = store.apply(batch).expect("batch was validated");
+        let applied = self
+            .stores
+            .entry(namespace)
+            .or_insert_with(|| RuleStore::new(width))
+            .apply(batch)
+            .expect("batch was validated");
         debug_assert_eq!(applied, version);
         Ok(version)
     }

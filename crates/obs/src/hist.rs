@@ -188,15 +188,6 @@ impl LatencyHistogram {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// Occupied buckets as `(floor, width, count)` triples, for exporters.
-    pub fn occupied_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (value_of(b), bucket_width(b), c))
-    }
 }
 
 #[cfg(test)]

@@ -54,28 +54,6 @@ pub enum ServeError {
         /// The missing id.
         id: u32,
     },
-    /// A value range's bounds are inverted (`lo > hi`), so it matches
-    /// nothing.
-    InvertedRange {
-        /// The offered lower bound.
-        lo: u64,
-        /// The offered upper bound.
-        hi: u64,
-    },
-    /// A value has bits set beyond the field width it must fit.
-    OutOfDomain {
-        /// The offending value.
-        value: u64,
-        /// The field width in bits.
-        width: usize,
-    },
-    /// A CIDR-style prefix is longer than the word it selects into.
-    PrefixTooLong {
-        /// The offered prefix length.
-        prefix_len: usize,
-        /// The word width.
-        width: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -102,15 +80,6 @@ impl fmt::Display for ServeError {
                 write!(f, "rule id {id} is already present")
             }
             ServeError::UnknownRuleId { id } => write!(f, "rule id {id} is not present"),
-            ServeError::InvertedRange { lo, hi } => {
-                write!(f, "range [{lo}, {hi}] has inverted bounds")
-            }
-            ServeError::OutOfDomain { value, width } => {
-                write!(f, "value {value:#x} does not fit in {width} bits")
-            }
-            ServeError::PrefixTooLong { prefix_len, width } => {
-                write!(f, "prefix length {prefix_len} exceeds word width {width}")
-            }
         }
     }
 }

@@ -18,6 +18,7 @@
 //! default route) pay replication.
 
 use crate::error::{Result, ServeError};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use tcam_arch::array::TcamArray;
 use tcam_arch::packed::{PackedTcamArray, PackedWord, MAX_PACKED_WIDTH};
@@ -44,6 +45,26 @@ impl RowOps {
         self.writes += other.writes;
         self.erases += other.erases;
     }
+
+    /// Counts one row operation (a rewrite is a row write).
+    pub fn count(&mut self, op: RowOp) {
+        match op {
+            RowOp::Write | RowOp::Rewrite => self.writes += 1,
+            RowOp::Erase => self.erases += 1,
+        }
+    }
+}
+
+/// What one shard's copy of a rule needs when the rule's word changes
+/// (see [`cover_diff`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowOp {
+    /// The shard is newly covered: write the rule's row.
+    Write,
+    /// The shard is in both covers: rewrite the row in place.
+    Rewrite,
+    /// Only the old cover held the shard: erase the row.
+    Erase,
 }
 
 /// Where a key goes: the word width and selector width of a
@@ -104,9 +125,9 @@ impl ShardRouter {
 /// [`remove`](Self::remove) and [`replace`](Self::replace) keep every
 /// shard consistent with the logical rule map (the id → word
 /// `BTreeMap` held here is the source of truth), performing the minimal
-/// per-shard row operations — a replace only rewrites shards whose cover
-/// changed. Rule ids are global priorities (lower wins), matching the
-/// packed arrays' id-priority contract.
+/// per-shard row operations [`cover_diff`] walks out. Rule ids are
+/// global priorities (lower wins), matching the packed arrays'
+/// id-priority contract.
 #[derive(Debug, Clone)]
 pub struct ShardedRuleSet {
     shard_bits: u32,
@@ -192,31 +213,15 @@ impl ShardedRuleSet {
         if self.words.contains_key(&id) {
             return Err(ServeError::DuplicateRuleId { id });
         }
-        let cover = covered_shards(&word[..self.shard_bits as usize]);
-        for &shard in &cover {
-            self.shards[shard].push(&word, id);
-        }
-        self.words.insert(id, word);
-        Ok(RowOps {
-            writes: cover.len() as u64,
-            erases: 0,
-        })
+        Ok(self.move_rule(id, None, Some(word)))
     }
 
     /// Removes the rule at priority `id` from every covered shard,
     /// returning the physical rows erased — or `None` when no such rule
     /// exists.
     pub fn remove(&mut self, id: u32) -> Option<RowOps> {
-        let word = self.words.remove(&id)?;
-        let cover = covered_shards(&word[..self.shard_bits as usize]);
-        for &shard in &cover {
-            let present = self.shards[shard].remove(id);
-            debug_assert!(present, "shard {shard} missing rule {id}");
-        }
-        Some(RowOps {
-            writes: 0,
-            erases: cover.len() as u64,
-        })
+        let old = self.words.remove(&id)?;
+        Some(self.move_rule(id, Some(old), None))
     }
 
     /// Replaces the word of rule `id` with the minimal physical work:
@@ -234,43 +239,42 @@ impl ShardedRuleSet {
                 found: word.len(),
             });
         }
-        let Some(old) = self.words.get(&id) else {
+        let Some(old) = self.words.remove(&id) else {
             return Err(ServeError::UnknownRuleId { id });
         };
-        let sel = self.shard_bits as usize;
-        let old_cover = covered_shards(&old[..sel]);
-        let new_cover = covered_shards(&word[..sel]);
+        Ok(self.move_rule(id, Some(old), Some(word)))
+    }
+
+    /// Moves rule `id`'s rows from the shards its `old` word (already out
+    /// of the word map) covers to those its `new` word covers, either
+    /// absent, by [`cover_diff`] — the only code that changes a shard's
+    /// rows — then stores `new` and returns the row work.
+    fn move_rule(
+        &mut self,
+        id: u32,
+        old: Option<Vec<TernaryBit>>,
+        new: Option<Vec<TernaryBit>>,
+    ) -> RowOps {
+        const NEW: &str = "cover_diff writes only shards a new word covers";
+        let (sel, word) = (self.shard_bits as usize, new.as_deref());
+        let selectors = (old.as_deref().map(|w| &w[..sel]), word.map(|w| &w[..sel]));
         let mut ops = RowOps::default();
-        // Both covers are ascending (see `covered_shards`): merge-walk.
-        let (mut i, mut j) = (0, 0);
-        while i < old_cover.len() || j < new_cover.len() {
-            match (old_cover.get(i), new_cover.get(j)) {
-                (Some(&o), Some(&n)) if o == n => {
-                    self.shards[o].replace(id, &word);
-                    ops.writes += 1;
-                    i += 1;
-                    j += 1;
+        cover_diff(selectors.0, selectors.1, |s, op| {
+            let present = match op {
+                RowOp::Write => {
+                    self.shards[s].push(word.expect(NEW), id);
+                    true
                 }
-                (Some(&o), Some(&n)) if o < n => {
-                    self.shards[o].remove(id);
-                    ops.erases += 1;
-                    i += 1;
-                }
-                (Some(&o), None) => {
-                    self.shards[o].remove(id);
-                    ops.erases += 1;
-                    i += 1;
-                }
-                (_, Some(&n)) => {
-                    self.shards[n].push(&word, id);
-                    ops.writes += 1;
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
+                RowOp::Rewrite => self.shards[s].replace(id, word.expect(NEW)),
+                RowOp::Erase => self.shards[s].remove(id),
+            };
+            debug_assert!(present, "shard {s} missing rule {id}");
+            ops.count(op);
+        });
+        if let Some(new) = new {
+            self.words.insert(id, new);
         }
-        self.words.insert(id, word);
-        Ok(ops)
+        ops
     }
 
     /// The stored word of rule `id`, if present.
@@ -309,16 +313,6 @@ impl ShardedRuleSet {
         self.shards.iter().map(PackedTcamArray::len).sum()
     }
 
-    /// Average copies per rule (1.0 = no replication).
-    #[must_use]
-    pub fn replication_factor(&self) -> f64 {
-        if self.words.is_empty() {
-            1.0
-        } else {
-            self.total_rows() as f64 / self.words.len() as f64
-        }
-    }
-
     /// The packed rule array of shard `s`.
     ///
     /// # Panics
@@ -344,17 +338,8 @@ impl ShardedRuleSet {
         }
         // Pack only the selector bits; the extraction itself is one
         // shift/mask on the packed limbs.
-        self.route_packed(&PackedWord::pack(&key[..self.shard_bits as usize]))
-    }
-
-    /// [`ShardRouter::route_packed`] with this set's widths.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::AmbiguousKey`] when a selector bit is `X`.
-    #[inline]
-    pub fn route_packed(&self, key: &PackedWord) -> Result<usize> {
-        self.router().route_packed(key)
+        self.router()
+            .route_packed(&PackedWord::pack(&key[..self.shard_bits as usize]))
     }
 
     /// This set's router (two integers).
@@ -389,7 +374,7 @@ impl ShardedRuleSet {
             });
         }
         let packed = PackedWord::pack(key);
-        let shard = self.route_packed(&packed)?;
+        let shard = self.router().route_packed(&packed)?;
         Ok(self.shards[shard].first_match(&packed))
     }
 
@@ -408,11 +393,8 @@ impl ShardedRuleSet {
 }
 
 /// All shard indices a selector (possibly containing `X`) covers, in
-/// ascending order — each `X` doubles the cover set. Public because the
-/// online-update layer's delta compiler uses the same sharding function to
-/// plan per-shard row operations.
-#[must_use]
-pub fn covered_shards(selector: &[TernaryBit]) -> Vec<usize> {
+/// ascending order — each `X` doubles the cover set.
+fn covered_shards(selector: &[TernaryBit]) -> Vec<usize> {
     let mut cover = vec![0usize];
     for bit in selector {
         match bit {
@@ -439,6 +421,45 @@ pub fn covered_shards(selector: &[TernaryBit]) -> Vec<usize> {
     cover
 }
 
+/// The one diff of a rule's old shard cover against its new one: calls
+/// `each` once per shard either selector covers, in ascending shard
+/// order — [`RowOp::Rewrite`] where both cover it, [`RowOp::Erase`] where
+/// only `old` does, [`RowOp::Write`] where only `new` does. An absent
+/// selector covers nothing (`old: None` is an insert, `new: None` a
+/// remove). [`ShardedRuleSet`] mutates its shards by this walk and the
+/// online-update layer's delta compiler counts by it, so a plan and the
+/// work that realizes it cannot disagree about replication.
+pub fn cover_diff(
+    old: Option<&[TernaryBit]>,
+    new: Option<&[TernaryBit]>,
+    mut each: impl FnMut(usize, RowOp),
+) {
+    let old = old.map_or_else(Vec::new, covered_shards);
+    let new = new.map_or_else(Vec::new, covered_shards);
+    // Both covers are ascending: merge-walk. An exhausted cover reads as
+    // `usize::MAX`, past every shard index (< 2^MAX_SHARD_BITS).
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() || j < new.len() {
+        let o = old.get(i).copied().unwrap_or(usize::MAX);
+        let n = new.get(j).copied().unwrap_or(usize::MAX);
+        match o.cmp(&n) {
+            Ordering::Equal => {
+                each(o, RowOp::Rewrite);
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less => {
+                each(o, RowOp::Erase);
+                i += 1;
+            }
+            Ordering::Greater => {
+                each(n, RowOp::Write);
+                j += 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +481,42 @@ mod tests {
     }
 
     #[test]
+    fn cover_diff_is_the_set_difference_in_shard_order() {
+        // Every equal-length pair of absent-or-≤3-bit selectors: rewrite
+        // = old ∩ new, erase = old ∖ new, write = new ∖ old, each covered
+        // shard visited once, ascending.
+        let bits = [TernaryBit::Zero, TernaryBit::One, TernaryBit::X];
+        for len in 0..=3u32 {
+            let selectors: Vec<Vec<TernaryBit>> = (0..3usize.pow(len))
+                .map(|n| (0..len).map(|i| bits[n / 3usize.pow(i) % 3]).collect())
+                .collect();
+            let options: Vec<Option<&[TernaryBit]>> = std::iter::once(None)
+                .chain(selectors.iter().map(|s| Some(s.as_slice())))
+                .collect();
+            // A selector covers shard `s` when it matches `s`'s bits.
+            let covers = |sel: Option<&[TernaryBit]>, s: usize| {
+                let key = tcam_arch::array::value_to_word(s as u64, len as usize);
+                sel.is_some_and(|sel| tcam_core::bit::word_matches(sel, &key))
+            };
+            for &old in &options {
+                for &new in &options {
+                    let mut visited = Vec::new();
+                    cover_diff(old, new, |s, op| visited.push((s, op)));
+                    let expected: Vec<(usize, RowOp)> = (0..1usize << len)
+                        .filter_map(|s| match (covers(old, s), covers(new, s)) {
+                            (true, true) => Some((s, RowOp::Rewrite)),
+                            (true, false) => Some((s, RowOp::Erase)),
+                            (false, true) => Some((s, RowOp::Write)),
+                            (false, false) => None,
+                        })
+                        .collect();
+                    assert_eq!(visited, expected, "{old:?} → {new:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rules_land_in_covered_shards_with_global_ids() {
         let rules = words(&["1100", "0X11", "XXXX"]);
         let set = ShardedRuleSet::build(&rules, 2).unwrap();
@@ -467,7 +524,6 @@ mod tests {
         assert_eq!(set.rules(), 3);
         // rule 0 → shard 3; rule 1 → shards 0,1; rule 2 → all four.
         assert_eq!(set.total_rows(), 1 + 2 + 4);
-        assert!((set.replication_factor() - 7.0 / 3.0).abs() < 1e-12);
         let in_shard3 = set.shard(3).matches(&PackedWord::pack(&rules[0]));
         assert_eq!(in_shard3, vec![0, 2]);
     }
@@ -520,7 +576,7 @@ mod tests {
                 let packed = PackedWord::pack(&key);
                 assert_eq!(
                     set.route(&key),
-                    set.route_packed(&packed),
+                    set.router().route_packed(&packed),
                     "bits {shard_bits} key {key:?}"
                 );
             }

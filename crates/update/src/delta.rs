@@ -8,21 +8,21 @@
 //!
 //! * an **insert** writes one row in every covered shard;
 //! * a **remove** erases one row in every covered shard;
-//! * a **modify** is diffed cover-against-cover (both covers come from
-//!   the same ascending [`covered_shards`] the sharding layer uses):
-//!   shards in both covers get an in-place rewrite, shards only the old
-//!   cover held get an erase, newly covered shards get a write.
+//! * a **modify** is diffed cover-against-cover: shards in both covers
+//!   get an in-place rewrite, shards only the old cover held get an
+//!   erase, newly covered shards get a write.
 //!
-//! The plan is priced through [`OperationCosts`] — a NEM-relay row erase
-//! is physically a row write (the care mask is overwritten), so erases
-//! cost `write_latency`/`write_energy` too.
+//! All three are one [`cover_diff`] (an insert has no old cover, a remove
+//! no new one) — the walk the sharding layer mutates its shards by — run
+//! inside the batch walk [`RuleStore::validate`](crate::store::RuleStore::validate)
+//! uses. The plan is priced through [`OperationCosts`] — a NEM-relay row
+//! erase is physically a row write (the care mask is overwritten), so
+//! erases cost `write_latency`/`write_energy` too.
 
-use crate::store::RuleChange;
-use std::collections::BTreeMap;
+use crate::store::{stage, RuleChange};
 use tcam_arch::energy_model::OperationCosts;
-use tcam_core::bit::TernaryBit;
-use tcam_serve::error::{Result, ServeError};
-use tcam_serve::shard::{covered_shards, RowOps, ShardedRuleSet};
+use tcam_serve::error::Result;
+use tcam_serve::shard::{cover_diff, RowOps, ShardedRuleSet};
 
 /// Time and energy one compiled delta costs the array, assuming the
 /// serial row-update port the paper's 3T2N design has (writes do not
@@ -67,12 +67,6 @@ pub struct DeltaCompiler<'a> {
     costs: OperationCosts,
 }
 
-/// The staged view of one priority while compiling a batch.
-enum Staged {
-    Removed,
-    Word(Vec<TernaryBit>),
-}
-
 impl<'a> DeltaCompiler<'a> {
     /// A compiler planning against `rules`, pricing through `costs`.
     #[must_use]
@@ -82,87 +76,20 @@ impl<'a> DeltaCompiler<'a> {
 
     /// Compiles `batch` into per-shard row operations. Changes are
     /// staged in order (a batch may insert a priority and then modify
-    /// it), exactly mirroring [`RuleStore::apply`](crate::store::RuleStore::apply)
-    /// validation — a batch this function accepts will apply cleanly.
+    /// it) by the same walk [`RuleStore::validate`](crate::store::RuleStore::validate)
+    /// is — a batch this function accepts will apply cleanly.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EmptyRuleSet`] (empty batch),
-    /// [`ServeError::WidthMismatch`], [`ServeError::DuplicateRuleId`], or
-    /// [`ServeError::UnknownRuleId`].
+    /// As [`RuleStore::validate`](crate::store::RuleStore::validate).
     pub fn compile(&self, batch: &[RuleChange]) -> Result<CompiledDelta> {
-        if batch.is_empty() {
-            return Err(ServeError::EmptyRuleSet);
-        }
-        let shards = self.rules.shards();
         let sel = self.rules.shard_bits() as usize;
-        let width = self.rules.width();
-        let mut per_shard = vec![RowOps::default(); shards];
-        let mut staged: BTreeMap<u32, Staged> = BTreeMap::new();
-
-        for change in batch {
-            let priority = change.priority();
-            let current: Option<&[TernaryBit]> = match staged.get(&priority) {
-                Some(Staged::Removed) => None,
-                Some(Staged::Word(w)) => Some(w.as_slice()),
-                None => self.rules.word(priority),
-            };
-            match change {
-                RuleChange::Insert { word, .. } => {
-                    check_width(word, width)?;
-                    if current.is_some() {
-                        return Err(ServeError::DuplicateRuleId { id: priority });
-                    }
-                    for &s in &covered_shards(&word[..sel]) {
-                        per_shard[s].writes += 1;
-                    }
-                    staged.insert(priority, Staged::Word(word.clone()));
-                }
-                RuleChange::Remove { .. } => {
-                    let Some(old) = current else {
-                        return Err(ServeError::UnknownRuleId { id: priority });
-                    };
-                    for &s in &covered_shards(&old[..sel]) {
-                        per_shard[s].erases += 1;
-                    }
-                    staged.insert(priority, Staged::Removed);
-                }
-                RuleChange::Modify { word, .. } => {
-                    check_width(word, width)?;
-                    let Some(old) = current else {
-                        return Err(ServeError::UnknownRuleId { id: priority });
-                    };
-                    // Merge-walk the ascending covers (same diff the
-                    // sharded set performs when it applies the change).
-                    let old_cover = covered_shards(&old[..sel]);
-                    let new_cover = covered_shards(&word[..sel]);
-                    let (mut i, mut j) = (0, 0);
-                    while i < old_cover.len() || j < new_cover.len() {
-                        match (old_cover.get(i), new_cover.get(j)) {
-                            (Some(&o), Some(&n)) if o == n => {
-                                per_shard[o].writes += 1;
-                                i += 1;
-                                j += 1;
-                            }
-                            (Some(&o), Some(&n)) if o < n => {
-                                per_shard[o].erases += 1;
-                                i += 1;
-                            }
-                            (Some(&o), None) => {
-                                per_shard[o].erases += 1;
-                                i += 1;
-                            }
-                            (_, Some(&n)) => {
-                                per_shard[n].writes += 1;
-                                j += 1;
-                            }
-                            (None, None) => unreachable!(),
-                        }
-                    }
-                    staged.insert(priority, Staged::Word(word.clone()));
-                }
-            }
-        }
+        let mut per_shard = vec![RowOps::default(); self.rules.shards()];
+        let word = |p| self.rules.word(p);
+        stage(batch, self.rules.width(), word, |before, after| {
+            let selectors = (before.map(|w| &w[..sel]), after.map(|w| &w[..sel]));
+            cover_diff(selectors.0, selectors.1, |s, op| per_shard[s].count(op));
+        })?;
 
         let mut total = RowOps::default();
         for ops in &per_shard {
@@ -181,21 +108,11 @@ impl<'a> DeltaCompiler<'a> {
     }
 }
 
-fn check_width(word: &[TernaryBit], width: usize) -> Result<()> {
-    if word.len() == width {
-        Ok(())
-    } else {
-        Err(ServeError::WidthMismatch {
-            expected: width,
-            found: word.len(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcam_core::bit::parse_ternary;
+    use tcam_core::bit::{parse_ternary, TernaryBit};
+    use tcam_serve::error::ServeError;
 
     fn w(s: &str) -> Vec<TernaryBit> {
         parse_ternary(s).unwrap()

@@ -14,14 +14,14 @@
 //!
 //! * [`store::RuleStore`] — the versioned logical source of truth:
 //!   priority → ternary word, mutated in **atomic batches** of
-//!   [`store::RuleChange`]s, plus CIDR-prefix and range-to-prefix
-//!   expansion helpers ([`store::prefix_word`], [`store::range_words`]).
+//!   [`store::RuleChange`]s, plus the CIDR-prefix encoder
+//!   [`store::prefix_word`].
 //! * [`delta::DeltaCompiler`] — compiles a batch into the **minimal
 //!   per-shard row writes/erases** (replication included, covers diffed
-//!   with the sharding layer's own
-//!   [`covered_shards`](tcam_serve::shard::covered_shards) function),
-//!   priced through
-//!   [`OperationCosts`](tcam_arch::energy_model::OperationCosts).
+//!   by the sharding layer's own
+//!   [`cover_diff`](tcam_serve::shard::cover_diff), inside the batch walk
+//!   [`RuleStore::validate`](store::RuleStore::validate) uses), priced
+//!   through [`OperationCosts`](tcam_arch::energy_model::OperationCosts).
 //! * [`publish::Updater`] — applies batches to a shadow
 //!   [`ShardedRuleSet`](tcam_serve::shard::ShardedRuleSet), cross-checks
 //!   realized row work against the compiled plan, and publishes
@@ -59,7 +59,7 @@ pub mod store;
 pub use churn::BgpChurn;
 pub use delta::{CompiledDelta, DeltaCompiler, DeltaCost};
 pub use publish::{StagedDelta, Updater};
-pub use store::{prefix_word, range_words, RuleChange, RuleStore};
+pub use store::{prefix_word, RuleChange, RuleStore};
 
 // The update layer speaks the serving layer's error vocabulary: every
 // validation failure maps onto an existing `ServeError` variant.

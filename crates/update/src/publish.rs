@@ -10,13 +10,14 @@
 //! * one cached `Arc<PackedTcamArray>` per shard — the immutable
 //!   snapshots workers serve from.
 //!
-//! [`Updater::apply`] stages one batch: it compiles the plan (which
-//! validates the batch exactly as [`RuleStore::validate`] would — the
+//! [`Updater::apply`] stages one batch: it compiles the plan (by the same
+//! batch walk [`RuleStore::validate`] is — the
 //! `validate_and_compile_agree` property test), mutates the shadow with
-//! the minimal row operations, cross-checks that the realized row work
-//! equals the plan, and bumps the **epoch**. Only the shards the delta
-//! touched get a new snapshot `Arc`; untouched shards keep their cached
-//! one, so publishing to them is a pointer clone, not a table copy.
+//! the minimal row operations (the same cover diff the plan counted),
+//! checks that the realized row work equals the plan, and bumps the
+//! **epoch**. Only the shards the delta touched get a new snapshot `Arc`;
+//! untouched shards keep their cached one, so publishing to them is a
+//! pointer clone, not a table copy.
 //!
 //! [`Updater::publish`] then stores the current-epoch snapshot into every
 //! shard's published cell
@@ -141,10 +142,11 @@ impl Updater {
     /// Applies one update batch: compile (validates) → shadow → refresh
     /// touched snapshots → bump epoch.
     ///
-    /// The realized row work is cross-checked against the compiled plan;
-    /// a mismatch means the compiler and the sharding layer disagree
-    /// about replication and is a bug, so it panics rather than serving
-    /// rules whose physical cost is misaccounted.
+    /// The plan and the shadow's mutations walk the same
+    /// [`cover_diff`](tcam_serve::shard::cover_diff), so the realized row
+    /// work must equal the plan; a mismatch means the shadow is not the
+    /// rule set the batch was compiled against — a bug — so it panics
+    /// rather than serving rules whose physical cost is misaccounted.
     ///
     /// # Errors
     ///
@@ -176,10 +178,7 @@ impl Updater {
             };
             realized.add(ops);
         }
-        assert_eq!(
-            realized, planned.total,
-            "delta compiler and sharding layer disagree on row work"
-        );
+        assert_eq!(realized, planned.total, "shadow diverged from its plan");
         for &s in &planned.touched() {
             // The shadow mutates in place; the snapshot handed to workers
             // is a fresh clone.

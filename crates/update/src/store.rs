@@ -10,11 +10,12 @@
 //! one — the version is what epoch-snapshot publication ties search
 //! results back to.
 //!
-//! The module also carries the prefix/range expansion helpers that turn
-//! routing-table updates (a CIDR prefix, a port range) into ternary
-//! words.
+//! The module also carries [`prefix_word`], which turns a routing-table
+//! update's CIDR prefix into a ternary word (port ranges expand through
+//! [`range_to_prefixes`](tcam_arch::apps::classifier::range_to_prefixes)).
 
 use std::collections::BTreeMap;
+use tcam_arch::array::prefix_to_word;
 use tcam_core::bit::TernaryBit;
 use tcam_serve::error::{Result, ServeError};
 
@@ -84,19 +85,7 @@ impl RuleStore {
     /// [`ServeError::DuplicateRuleId`].
     pub fn from_rules(rules: &[(u32, Vec<TernaryBit>)]) -> Result<Self> {
         let width = rules.first().ok_or(ServeError::EmptyRuleSet)?.1.len();
-        let mut store = Self::new(width);
-        for (priority, word) in rules {
-            if word.len() != width {
-                return Err(ServeError::WidthMismatch {
-                    expected: width,
-                    found: word.len(),
-                });
-            }
-            if store.rules.insert(*priority, word.clone()).is_some() {
-                return Err(ServeError::DuplicateRuleId { id: *priority });
-            }
-        }
-        Ok(store)
+        Self::restore(width, rules, 0)
     }
 
     /// Rebuilds a store from recovered state: `rules` as they stood at
@@ -181,40 +170,7 @@ impl RuleStore {
     ///
     /// As [`Self::apply`].
     pub fn validate(&self, batch: &[RuleChange]) -> Result<()> {
-        if batch.is_empty() {
-            return Err(ServeError::EmptyRuleSet);
-        }
-        // Stage: only presence/width need validating, so track occupancy
-        // deltas against the live map without cloning any words.
-        let mut staged: BTreeMap<u32, bool> = BTreeMap::new();
-        for change in batch {
-            let priority = change.priority();
-            let present = *staged
-                .entry(priority)
-                .or_insert_with(|| self.rules.contains_key(&priority));
-            match change {
-                RuleChange::Insert { word, .. } => {
-                    self.check_width(word)?;
-                    if present {
-                        return Err(ServeError::DuplicateRuleId { id: priority });
-                    }
-                    staged.insert(priority, true);
-                }
-                RuleChange::Remove { .. } => {
-                    if !present {
-                        return Err(ServeError::UnknownRuleId { id: priority });
-                    }
-                    staged.insert(priority, false);
-                }
-                RuleChange::Modify { word, .. } => {
-                    self.check_width(word)?;
-                    if !present {
-                        return Err(ServeError::UnknownRuleId { id: priority });
-                    }
-                }
-            }
-        }
-        Ok(())
+        stage(batch, self.width, |p| self.word(p), |_, _| {})
     }
 
     /// Applies `batch` atomically and returns the new version.
@@ -247,130 +203,78 @@ impl RuleStore {
         self.version += 1;
         Ok(self.version)
     }
+}
 
-    fn check_width(&self, word: &[TernaryBit]) -> Result<()> {
-        if word.len() == self.width {
-            Ok(())
-        } else {
-            Err(ServeError::WidthMismatch {
-                expected: self.width,
-                found: word.len(),
-            })
-        }
+/// The one walk over a rule batch: stages `batch` in order over the rules
+/// `current` reads (a batch may insert a priority and then modify or
+/// remove it) and calls `each(before, after)` with every change's staged
+/// word before and after it (`None` = absent). The staged overlay borrows
+/// words from the batch, so nothing is cloned. [`RuleStore::validate`] is
+/// this walk with an empty visitor and
+/// [`DeltaCompiler::compile`](crate::delta::DeltaCompiler::compile) the
+/// same walk with a counting one, which is why they accept and reject the
+/// same batches. A failed batch may already have been visited in part.
+///
+/// # Errors
+///
+/// The first failure, checked in this order: an empty batch
+/// ([`ServeError::EmptyRuleSet`]), then per change an insert or modify
+/// word that is not `width` bits ([`ServeError::WidthMismatch`]), an
+/// insert over a present priority ([`ServeError::DuplicateRuleId`]), a
+/// remove or modify of an absent one ([`ServeError::UnknownRuleId`]).
+pub(crate) fn stage<'w>(
+    batch: &'w [RuleChange],
+    width: usize,
+    current: impl Fn(u32) -> Option<&'w [TernaryBit]>,
+    mut each: impl FnMut(Option<&'w [TernaryBit]>, Option<&'w [TernaryBit]>),
+) -> Result<()> {
+    if batch.is_empty() {
+        return Err(ServeError::EmptyRuleSet);
     }
+    let mut staged: BTreeMap<u32, Option<&[TernaryBit]>> = BTreeMap::new();
+    for change in batch {
+        let id = change.priority();
+        let slot = staged.entry(id).or_insert_with(|| current(id));
+        let before = *slot;
+        let after = match change {
+            RuleChange::Insert { word, .. } | RuleChange::Modify { word, .. }
+                if word.len() != width =>
+            {
+                return Err(ServeError::WidthMismatch {
+                    expected: width,
+                    found: word.len(),
+                });
+            }
+            RuleChange::Insert { .. } if before.is_some() => {
+                return Err(ServeError::DuplicateRuleId { id });
+            }
+            RuleChange::Remove { .. } | RuleChange::Modify { .. } if before.is_none() => {
+                return Err(ServeError::UnknownRuleId { id });
+            }
+            RuleChange::Insert { word, .. } | RuleChange::Modify { word, .. } => {
+                Some(word.as_slice())
+            }
+            RuleChange::Remove { .. } => None,
+        };
+        each(before, after);
+        *slot = after;
+    }
+    Ok(())
 }
 
 /// The ternary word matching every `width`-bit value whose top
 /// `prefix_len` bits equal those of `addr`: concrete prefix bits, then
-/// don't-cares — the CIDR-prefix encoding LPM tables use.
+/// don't-cares — the CIDR-prefix encoding LPM tables use
+/// ([`prefix_to_word`] once `addr` is known to fit the width).
 ///
 /// # Panics
 ///
 /// Panics when `width > 64`, `prefix_len > width`, or `addr` has bits
-/// set outside the width. Use [`try_prefix_word`] when the inputs come
-/// from an untrusted caller.
+/// set outside the width.
 #[must_use]
 pub fn prefix_word(addr: u64, prefix_len: usize, width: usize) -> Vec<TernaryBit> {
-    try_prefix_word(addr, prefix_len, width).expect("invalid prefix word")
-}
-
-/// Fallible [`prefix_word`]: validates the inputs instead of panicking.
-///
-/// # Errors
-///
-/// * [`ServeError::TooWide`] when `width > 64`.
-/// * [`ServeError::PrefixTooLong`] when `prefix_len > width`.
-/// * [`ServeError::OutOfDomain`] when `addr` has bits set outside the
-///   width.
-pub fn try_prefix_word(addr: u64, prefix_len: usize, width: usize) -> Result<Vec<TernaryBit>> {
-    if width > 64 {
-        return Err(ServeError::TooWide { width, max: 64 });
-    }
-    if prefix_len > width {
-        return Err(ServeError::PrefixTooLong { prefix_len, width });
-    }
-    if width < 64 && addr >> width != 0 {
-        return Err(ServeError::OutOfDomain { value: addr, width });
-    }
-    Ok((0..width)
-        .map(|i| {
-            if i < prefix_len {
-                if addr >> (width - 1 - i) & 1 == 1 {
-                    TernaryBit::One
-                } else {
-                    TernaryBit::Zero
-                }
-            } else {
-                TernaryBit::X
-            }
-        })
-        .collect())
-}
-
-/// The minimal set of prefix words covering the inclusive value range
-/// `[lo, hi]` of a `width`-bit field — the classic range-to-prefix
-/// expansion used to load port ranges into a TCAM. Words are emitted in
-/// ascending value order; their match sets are disjoint and union to
-/// exactly the range.
-///
-/// # Panics
-///
-/// Panics when `width > 64`, `lo > hi`, or `hi` has bits set outside the
-/// width. Use [`try_range_words`] when the bounds come from an untrusted
-/// caller.
-#[must_use]
-pub fn range_words(lo: u64, hi: u64, width: usize) -> Vec<Vec<TernaryBit>> {
-    try_range_words(lo, hi, width).expect("invalid range")
-}
-
-/// Fallible [`range_words`]: validates the bounds instead of panicking.
-///
-/// A degenerate range `[x, x]` yields the single fully-concrete word for
-/// `x`; the full domain `[0, 2^width - 1]` yields the single all-`X`
-/// word.
-///
-/// # Errors
-///
-/// * [`ServeError::TooWide`] when `width > 64`.
-/// * [`ServeError::InvertedRange`] when `lo > hi`.
-/// * [`ServeError::OutOfDomain`] when `hi` has bits set outside the
-///   width.
-pub fn try_range_words(lo: u64, hi: u64, width: usize) -> Result<Vec<Vec<TernaryBit>>> {
-    if width > 64 {
-        return Err(ServeError::TooWide { width, max: 64 });
-    }
-    if lo > hi {
-        return Err(ServeError::InvertedRange { lo, hi });
-    }
-    if width < 64 && hi >> width != 0 {
-        return Err(ServeError::OutOfDomain { value: hi, width });
-    }
-    if lo == 0 && hi == u64::MAX {
-        // The full 64-bit range would overflow the block arithmetic.
-        return Ok(vec![vec![TernaryBit::X; width]]);
-    }
-    let mut words = Vec::new();
-    let mut lo = lo;
-    loop {
-        // Largest aligned power-of-two block starting at `lo`…
-        let align = if lo == 0 {
-            u64::MAX // 2^64: capped by the fit test below
-        } else {
-            lo & lo.wrapping_neg()
-        };
-        // …that still fits inside [lo, hi].
-        let mut size = align;
-        while size != 1 && (size == u64::MAX || lo + (size - 1) > hi) {
-            size = if size == u64::MAX { 1 << 63 } else { size >> 1 };
-        }
-        let block_bits = size.trailing_zeros() as usize;
-        words.push(try_prefix_word(lo, width - block_bits, width)?);
-        let end = lo + (size - 1);
-        if end >= hi {
-            return Ok(words);
-        }
-        lo = end + 1;
-    }
+    assert!(width >= 64 || addr >> width == 0, "addr outside width");
+    prefix_to_word(addr, prefix_len, width)
 }
 
 #[cfg(test)]
@@ -527,89 +431,9 @@ mod tests {
         assert_eq!(prefix_word(0b1111, 4, 4), w("1111"));
     }
 
-    /// `word` matches `value` exactly when every concrete bit agrees.
-    fn matches(word: &[TernaryBit], value: u64) -> bool {
-        let width = word.len();
-        word.iter().enumerate().all(|(i, b)| match b {
-            TernaryBit::X => true,
-            TernaryBit::One => value >> (width - 1 - i) & 1 == 1,
-            TernaryBit::Zero => value >> (width - 1 - i) & 1 == 0,
-        })
-    }
-
     #[test]
-    fn range_words_cover_exactly_and_minimally() {
-        // Exhaustive over every 6-bit range: exact cover, disjoint
-        // blocks, and the textbook worst case of 2w-2 words.
-        let width = 6usize;
-        for lo in 0..64u64 {
-            for hi in lo..64 {
-                let words = range_words(lo, hi, width);
-                assert!(words.len() <= 2 * width - 2, "[{lo},{hi}]: too many words");
-                for v in 0..64u64 {
-                    let covered = words.iter().filter(|w| matches(w, v)).count();
-                    let expected = usize::from(v >= lo && v <= hi);
-                    assert_eq!(covered, expected, "[{lo},{hi}] value {v}");
-                }
-            }
-        }
-        // The classic worst case really is 2w-2.
-        assert_eq!(range_words(1, 62, 6).len(), 10);
-        // Full range is a single all-X word.
-        assert_eq!(range_words(0, 63, 6), vec![w("XXXXXX")]);
-    }
-
-    #[test]
-    fn range_word_interval_edge_cases() {
-        // Degenerate [x, x]: one fully-concrete word, no don't-cares —
-        // the same boundary the acam interval cell hits at lo == hi.
-        assert_eq!(try_range_words(0b1011, 0b1011, 4).unwrap(), vec![w("1011")]);
-        assert_eq!(try_range_words(0, 0, 3).unwrap(), vec![w("000")]);
-
-        // Full domain collapses to the single all-X word (the analog
-        // don't-care analogue), at sub-64 widths and at the 64-bit
-        // overflow edge alike.
-        assert_eq!(try_range_words(0, 255, 8).unwrap(), vec![w("XXXXXXXX")]);
-        assert_eq!(
-            try_range_words(0, u64::MAX, 64).unwrap(),
-            vec![vec![TernaryBit::X; 64]]
-        );
-
-        // Inverted bounds are a typed error, not a panic.
-        assert_eq!(
-            try_range_words(7, 3, 4).unwrap_err(),
-            ServeError::InvertedRange { lo: 7, hi: 3 }
-        );
-
-        // Out-of-domain and over-wide inputs are typed too.
-        assert_eq!(
-            try_range_words(0, 16, 4).unwrap_err(),
-            ServeError::OutOfDomain { value: 16, width: 4 }
-        );
-        assert_eq!(
-            try_range_words(0, 1, 65).unwrap_err(),
-            ServeError::TooWide { width: 65, max: 64 }
-        );
-    }
-
-    #[test]
-    fn prefix_word_rejects_bad_inputs_typed() {
-        assert_eq!(
-            try_prefix_word(0, 5, 4).unwrap_err(),
-            ServeError::PrefixTooLong { prefix_len: 5, width: 4 }
-        );
-        assert_eq!(
-            try_prefix_word(0b10000, 2, 4).unwrap_err(),
-            ServeError::OutOfDomain { value: 16, width: 4 }
-        );
-        assert_eq!(
-            try_prefix_word(0, 0, 70).unwrap_err(),
-            ServeError::TooWide { width: 70, max: 64 }
-        );
-        // The fallible and panicking paths agree on valid input.
-        assert_eq!(
-            try_prefix_word(0b1010_0000, 3, 8).unwrap(),
-            prefix_word(0b1010_0000, 3, 8)
-        );
+    #[should_panic(expected = "addr outside width")]
+    fn prefix_word_refuses_an_address_outside_the_width() {
+        let _ = prefix_word(0b10000, 2, 4);
     }
 }

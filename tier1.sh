@@ -16,8 +16,10 @@ fi
 cargo build --release --offline --workspace
 # clippy --all-targets compiles the examples; only running them shows a
 # signal an example reads by name ("v(ml)" in search_waveform) is still
-# recorded. A non-zero exit fails the gate (set -e).
-for example in quickstart search_waveform device_explorer; do
+# recorded, and that the prefix and range encoders (prefix_to_word in
+# ip_route_lookup, range_to_prefixes in acl_firewall) still load their
+# tables. A non-zero exit fails the gate (set -e).
+for example in quickstart search_waveform device_explorer ip_route_lookup acl_firewall; do
     cargo run --release --offline -q --example "$example" > /dev/null
 done
 # The match kernel's shift/carry and AND loops are property-tested a
