@@ -125,6 +125,15 @@ impl WorkloadMeter {
         self.energy += costs.refresh_energy;
         self.busy_time += op_time;
     }
+
+    /// Adds `other`'s counts and totals to this meter.
+    pub fn merge(&mut self, other: &Self) {
+        self.searches += other.searches;
+        self.writes += other.writes;
+        self.refreshes += other.refreshes;
+        self.energy += other.energy;
+        self.busy_time += other.busy_time;
+    }
 }
 
 #[cfg(test)]

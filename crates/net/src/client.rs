@@ -3,9 +3,15 @@
 //! [`NetClient::lookup`] is the simple request/response call. For
 //! throughput, pipeline: issue several [`NetClient::send_lookup`]s, then
 //! collect with [`NetClient::recv_response`] — responses arrive in
-//! request order (the server's per-connection writer preserves it), each
-//! carrying the request id for pairing. `stack_bench`'s wire phases drive
-//! exactly this loop.
+//! request order, each carrying the request id for pairing. The server
+//! keeps that order whichever of a connection's two threads writes a
+//! reply: its reader writes the replies it knows at once (a single-shard
+//! lookup, a status, a pong) only while no earlier reply is queued for
+//! its writer, which writes the rest in order. `stack_bench`'s wire
+//! phases drive exactly this loop. [`NetClient::lookup`] and
+//! [`NetClient::ping`] check that the response they read carries their
+//! own request id, so one called with responses still outstanding fails
+//! instead of taking another request's reply.
 //!
 //! **Tracing.** [`NetClient::set_tracing`] attaches the wire trace
 //! extension to every lookup, sampling one request in `sample_every`
@@ -152,6 +158,23 @@ impl NetClient {
         wire::decode_lookup_response(&payload)
     }
 
+    /// Receives the next response and checks it answers request `id`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::recv_response`], or [`NetError::Wire`] when the response
+    /// carries another request's id (one sent earlier and not collected).
+    fn recv_response_to(&mut self, id: u32) -> Result<LookupResponse> {
+        let resp = self.recv_response()?;
+        if resp.request_id != id {
+            return Err(NetError::Wire(format!(
+                "response id {} does not match request id {id}",
+                resp.request_id
+            )));
+        }
+        Ok(resp)
+    }
+
     /// One blocking lookup of packed keys: send, receive, and surface a
     /// non-OK status as [`NetError::Status`]. Returns `(epoch, results)`.
     ///
@@ -167,13 +190,7 @@ impl NetClient {
         let trace = self.next_trace_context();
         let traced = trace.is_some();
         let id = self.send_lookup_traced(namespace, keys, trace.as_ref())?;
-        let resp = self.recv_response()?;
-        if resp.request_id != id {
-            return Err(NetError::Wire(format!(
-                "response id {} does not match request id {id}",
-                resp.request_id
-            )));
-        }
+        let resp = self.recv_response_to(id)?;
         if resp.status == Status::BadRequest && traced && self.peer_traces.is_none() {
             // A pre-extension server rejects the flagged frame's length.
             // Learn that, stop tracing this connection, and retry the
@@ -204,12 +221,14 @@ impl NetClient {
         self.lookup(namespace, &packed)
     }
 
-    /// Liveness probe: round-trips a ping frame.
+    /// Sends one ping without waiting; returns its request id. Its pong
+    /// (status OK, no results) arrives in request order among the
+    /// lookups' responses.
     ///
     /// # Errors
     ///
-    /// I/O or wire errors, or a non-OK status.
-    pub fn ping(&mut self) -> Result<()> {
+    /// Send I/O errors.
+    pub fn send_ping(&mut self) -> Result<u32> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         // A ping is the 12-byte request header with a zero key count.
@@ -222,7 +241,19 @@ impl NetClient {
         self.frame.extend_from_slice(&[2, 0]); // limbs, reserved
         self.frame.extend_from_slice(&0u16.to_le_bytes());
         self.stream.write_all(&self.frame)?;
-        let resp = self.recv_response()?;
+        Ok(id)
+    }
+
+    /// Liveness probe: round-trips a ping frame.
+    ///
+    /// # Errors
+    ///
+    /// I/O or wire errors — [`NetError::Wire`] when the next response
+    /// answers an earlier, uncollected request instead — or a non-OK
+    /// status.
+    pub fn ping(&mut self) -> Result<()> {
+        let id = self.send_ping()?;
+        let resp = self.recv_response_to(id)?;
         if resp.status != Status::Ok {
             return Err(NetError::Status(resp.status));
         }

@@ -19,10 +19,16 @@
 //! in-memory store, and the published epoch move in lockstep — the
 //! epoch a lookup reply carries always equals a WAL-durable version.
 //!
-//! **Read path** (wire plane): [`TcamNode::lookup`] routes each packed
-//! key to its shard, submits with the non-blocking admission-control
-//! path ([`try_submit`](tcam_serve::pool::ShardPool::try_submit)), and
-//! gathers replies; the response epoch is the newest epoch that served
+//! **Read path** (wire plane): [`TcamNode::lookup`] and the wire server
+//! share one path, [`NamespaceGroup::submit_traced`]. In a single-shard
+//! namespace (`shard_bits: 0`, the default) every key routes to shard 0,
+//! so the calling thread matches the keys itself against the shard's
+//! published snapshot
+//! ([`answer_here`](tcam_serve::pool::ShardPool::answer_here)) — no queue
+//! and no hand-off. A multi-shard namespace routes each packed key to its
+//! shard, submits with the non-blocking admission-control path
+//! ([`try_submit`](tcam_serve::pool::ShardPool::try_submit)), and gathers
+//! replies. Either way the response epoch is the newest epoch that served
 //! any key (every key is served at or after the last epoch whose
 //! [`TcamNode::apply`] had returned at submission).
 //!
@@ -108,22 +114,28 @@ impl NamespaceGroup {
         self.updater.lock().expect("updater lock").epoch()
     }
 
-    /// Scatters one batch of packed keys across the namespace's shards
-    /// using the **non-blocking** submit path, returning a
-    /// [`PendingLookup`] to gather later — the split that lets a
-    /// connection reader keep decoding (pipelining) while earlier
+    /// Starts one lookup of packed keys. In a single-shard namespace every
+    /// key routes to shard 0, so the keys are matched right here, on the
+    /// calling thread ([`ShardPool::answer_here`]), and the lookup comes
+    /// back [`PendingLookup::Answered`]. Otherwise the keys are scattered
+    /// across the shards with the **non-blocking** submit path and come
+    /// back [`PendingLookup::Scattered`], to gather later — the split that
+    /// lets a connection reader keep decoding (pipelining) while earlier
     /// requests are still matching. A sampled request passes its hop
-    /// collector as `trace`: every scattered [`SearchBatch`] holds a
-    /// clone, so the shard workers record their queue/match hops into the
-    /// same trace the connection threads use.
+    /// collector as `trace`: the caller-run match records a shard-labeled
+    /// `serve_match` hop into it, and every scattered [`SearchBatch`]
+    /// holds a clone, so the shard workers record their queue/match hops
+    /// into the same trace the connection threads use.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when any shard queue is full — the
-    /// whole request is shed (already-submitted sub-batches still
-    /// execute; their replies are discarded). [`ServeError::AmbiguousKey`]
-    /// for keys with a don't-care in the selector bits,
-    /// [`ServeError::ServiceClosed`] during shutdown.
+    /// Scatter only: [`ServeError::Overloaded`] when any shard queue is
+    /// full — the whole request is shed (already-submitted sub-batches
+    /// still execute; their replies are discarded).
+    /// [`ServeError::AmbiguousKey`] for keys with a don't-care in the
+    /// selector bits, [`ServeError::ServiceClosed`] during shutdown.
+    ///
+    /// [`ShardPool::answer_here`]: tcam_serve::pool::ShardPool::answer_here
     pub fn submit_traced(
         &self,
         keys: &[PackedWord],
@@ -131,22 +143,9 @@ impl NamespaceGroup {
     ) -> Result<PendingLookup> {
         let router = self.service.router();
         let shards = self.service.shards();
-        // Fast path: a single-shard namespace needs no scatter.
         if shards == 1 {
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            self.service.try_submit(
-                0,
-                SearchBatch {
-                    keys: keys.to_vec(),
-                    submitted: Instant::now(),
-                    reply: Some(tx),
-                    trace: trace.cloned(),
-                },
-            )?;
-            return Ok(PendingLookup {
-                count: keys.len(),
-                parts: vec![(rx, None)],
-            });
+            let reply = self.service.answer_here(0, keys, trace.map(Arc::as_ref));
+            return Ok(PendingLookup::Answered(reply.epoch, reply.results));
         }
         // Scatter: route every key, preserving its position for gather.
         let mut per_shard: Vec<(Vec<PackedWord>, Vec<usize>)> =
@@ -171,9 +170,9 @@ impl NamespaceGroup {
                     trace: trace.cloned(),
                 },
             )?;
-            parts.push((rx, Some(positions)));
+            parts.push((rx, positions));
         }
-        Ok(PendingLookup {
+        Ok(PendingLookup::Scattered {
             count: keys.len(),
             parts,
         })
@@ -191,37 +190,41 @@ impl NamespaceGroup {
     }
 }
 
-/// An in-flight scatter/gather lookup: one reply receiver per touched
-/// shard, with the original key position of every scattered key.
-pub struct PendingLookup {
-    count: usize,
-    /// `(receiver, positions)`; `None` positions = the whole batch went
-    /// to one shard in key order.
-    parts: Vec<(std::sync::mpsc::Receiver<BatchReply>, Option<Vec<usize>>)>,
+/// A lookup [`NamespaceGroup::submit_traced`] started.
+pub enum PendingLookup {
+    /// Matched on the submitting thread: `(epoch, results)`.
+    Answered(u64, Vec<Option<u32>>),
+    /// In flight in the shard queues, to be gathered by [`Self::wait`].
+    Scattered {
+        /// Keys in the request.
+        count: usize,
+        /// One reply receiver per touched shard, with the original key
+        /// position of every key sent there.
+        parts: Vec<(std::sync::mpsc::Receiver<BatchReply>, Vec<usize>)>,
+    },
 }
 
 impl PendingLookup {
     /// Blocks until every touched shard replied; returns `(epoch,
     /// results)` in original key order, the epoch being the newest
-    /// snapshot that served any key.
+    /// snapshot that served any key. An answered lookup returns at once.
     ///
     /// # Errors
     ///
     /// [`ServeError::ServiceClosed`] when a worker exited before
     /// replying (shutdown).
     pub fn wait(self) -> Result<(u64, Vec<Option<u32>>)> {
+        let (count, parts) = match self {
+            Self::Answered(epoch, results) => return Ok((epoch, results)),
+            Self::Scattered { count, parts } => (count, parts),
+        };
         let mut epoch = 0u64;
-        let mut results = vec![None; self.count];
-        for (rx, positions) in self.parts {
+        let mut results = vec![None; count];
+        for (rx, positions) in parts {
             let reply: BatchReply = rx.recv().map_err(|_| ServeError::ServiceClosed)?;
             epoch = epoch.max(reply.epoch);
-            match positions {
-                None => results = reply.results,
-                Some(positions) => {
-                    for (slot, result) in positions.into_iter().zip(reply.results) {
-                        results[slot] = result;
-                    }
-                }
+            for (slot, result) in positions.into_iter().zip(reply.results) {
+                results[slot] = result;
             }
         }
         Ok((epoch, results))

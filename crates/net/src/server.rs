@@ -13,13 +13,26 @@
 //!
 //! Each connection runs a **reader/writer thread pair** bridged by a
 //! bounded channel of [`ServerConfig::inflight_per_connection`] entries —
-//! the per-connection pipelining cap. The reader decodes a request,
-//! *scatters* it to the shard queues with the non-blocking
-//! [`submit_traced`](crate::node::NamespaceGroup::submit_traced) path, and hands the
-//! pending gather to the writer; the writer *gathers* replies and
-//! encodes responses in request order. A full shard queue becomes an
-//! explicit [`Status::Overloaded`] reply (`net_shed_requests`) — never
-//! silent queueing, never a blocked accept loop.
+//! the per-connection pipelining cap. The reader decodes a request and
+//! hands it to [`submit_traced`](crate::node::NamespaceGroup::submit_traced):
+//!
+//! * in a single-shard namespace (the default) the lookup is **matched on
+//!   the reader** against the shard's published snapshot, so its reply is
+//!   known at once — as are an immediate status and a pong. The reader
+//!   **writes a known reply itself** when nothing is queued for the
+//!   writer; otherwise the reply queues behind the writer's work, so
+//!   replies stay in request order. A request costs no thread hand-off;
+//!   overload is plain TCP backpressure on the reader.
+//! * a multi-shard lookup is *scattered* to the shard queues with the
+//!   non-blocking submit path and the pending gather goes to the writer,
+//!   which *gathers* replies in request order while the reader keeps
+//!   decoding (pipelining). A full shard queue becomes an explicit
+//!   [`Status::Overloaded`] reply (`net_shed_requests`) — never silent
+//!   queueing, never a blocked accept loop.
+//!
+//! Both threads encode and write through one function, and a count of
+//! replies queued but not yet written decides who writes: the reader
+//! only while it is 0.
 //!
 //! # Graceful shutdown
 //!
@@ -32,15 +45,19 @@
 //! # Observability
 //!
 //! A request whose frame carries a **sampled** trace context gets a
-//! [`RequestTrace`] collector threaded reader → shard workers → writer:
-//! the reader records `net_decode` and `net_admission`, the workers
-//! record shard-labeled `serve_queue`/`serve_match` hops, and the
-//! writer records `net_gather` and `net_write` before finishing the
-//! trace — four top-level hops that tile the request's wall clock from
-//! frame receipt to response write. Every answered request (traced or
-//! not) feeds the `net_request` SLO tracker with its receipt-to-write
-//! latency; admission sheds feed the flight recorder, and a burst of
-//! [`SHED_BURST_DUMP_EVERY`] sheds triggers a post-mortem dump.
+//! [`RequestTrace`] collector. A lookup answered on the reader records
+//! three top-level hops: `net_decode`, a shard-labeled `serve_match` and
+//! `net_write`. A scattered lookup's collector is threaded reader → shard
+//! workers → writer: the reader records `net_decode` and
+//! `net_admission`, the workers record shard-labeled
+//! `serve_queue`/`serve_match` hops, and the writer records `net_gather`
+//! and `net_write` — four top-level hops. Whichever thread writes the
+//! reply finishes the trace; the top-level hops tile the request's wall
+//! clock from frame receipt to response write. Every answered request
+//! (traced or not) feeds the `net_request` SLO tracker with its
+//! receipt-to-write latency; admission sheds feed the flight recorder,
+//! and a burst of [`SHED_BURST_DUMP_EVERY`] sheds triggers a post-mortem
+//! dump.
 
 use crate::error::{NetError, Result};
 use crate::node::{PendingLookup, TcamNode};
@@ -49,7 +66,7 @@ use crate::wire::{
 };
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -315,13 +332,20 @@ fn reap_finished(shared: &Shared) {
     }
 }
 
-/// One writer-queue entry: either a pending scatter/gather or an
-/// immediately-known error reply.
+/// What one reply says: a lookup (answered on the reader, or a scatter
+/// still to gather) or an immediately-known status.
 enum Outcome {
-    Pending(PendingLookup),
+    Lookup(PendingLookup),
     Immediate(Status),
     /// A ping: answered with an empty OK response carrying the opcode.
     Pong,
+}
+
+impl Outcome {
+    /// Whether the reply can be encoded without waiting on a shard.
+    fn is_known(&self) -> bool {
+        !matches!(self, Self::Lookup(PendingLookup::Scattered { .. }))
+    }
 }
 
 struct QueuedReply {
@@ -334,6 +358,29 @@ struct QueuedReply {
     admitted: Instant,
     /// The sampled request's hop collector (`None` = untraced).
     trace: Option<Arc<RequestTrace>>,
+}
+
+/// The reader's end of a connection's replies. `queued` counts replies
+/// handed to the writer and not yet written: while it is 0 the socket is
+/// the reader's, so a reply the reader already knows is written at once;
+/// anything else queues behind the writer's work. Either way replies
+/// leave in request order.
+struct Replies {
+    tx: SyncSender<QueuedReply>,
+    queued: Arc<AtomicUsize>,
+    frame: Vec<u8>,
+}
+
+impl Replies {
+    /// Sends `reply` down the path that keeps request order; `false` once
+    /// the connection should close.
+    fn send(&mut self, stream: &TcpStream, reply: QueuedReply) -> bool {
+        if reply.outcome.is_known() && self.queued.load(Ordering::Acquire) == 0 {
+            return write_reply(stream, &mut self.frame, reply);
+        }
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(reply).is_ok()
+    }
 }
 
 fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
@@ -355,22 +402,30 @@ fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // The bounded reply channel IS the per-connection inflight cap
     // (admission control layer 3): the reader blocks here once the writer
     // has this many unanswered requests, which the peer observes as TCP
-    // backpressure.
+    // backpressure. (A reply the reader writes itself never occupies it:
+    // there the blocking write is the backpressure.)
     let (tx, rx) = std::sync::mpsc::sync_channel::<QueuedReply>(
         shared.config.inflight_per_connection.max(1),
     );
+    let queued = Arc::new(AtomicUsize::new(0));
+    let writer_queued = Arc::clone(&queued);
     let reader_shared = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name("tcam-net-conn".into())
         .spawn(move || {
             let writer = std::thread::Builder::new()
                 .name("tcam-net-conn-w".into())
-                .spawn(move || write_loop(writer_stream, &rx))
+                .spawn(move || write_loop(&writer_stream, &rx, &writer_queued))
                 .expect("spawn connection writer");
-            read_loop(stream, &tx, &reader_shared);
+            let mut replies = Replies {
+                tx,
+                queued,
+                frame: Vec::new(),
+            };
+            read_loop(stream, &mut replies, &reader_shared);
             // Hang up: the writer drains whatever is still in flight,
             // answers it, and exits.
-            drop(tx);
+            drop(replies);
             let _ = writer.join();
             reader_shared.live_connections.fetch_sub(1, Ordering::Relaxed);
             #[allow(clippy::cast_precision_loss)]
@@ -387,9 +442,9 @@ fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
         .push(handle);
 }
 
-/// Decodes frames and scatters lookups until EOF, a protocol violation,
-/// or shutdown. Returns when the connection should close.
-fn read_loop(mut stream: TcpStream, tx: &SyncSender<QueuedReply>, shared: &Shared) {
+/// Decodes frames and answers or scatters lookups until EOF, a protocol
+/// violation, or shutdown. Returns when the connection should close.
+fn read_loop(mut stream: TcpStream, replies: &mut Replies, shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return; // graceful: stop reading, let the writer drain
@@ -418,14 +473,15 @@ fn read_loop(mut stream: TcpStream, tx: &SyncSender<QueuedReply>, shared: &Share
         if payload[0] != WIRE_VERSION {
             // Answer so the peer can diagnose, then close: nothing else
             // in this stream will parse.
-            let _ = tx.send(QueuedReply {
+            let reply = QueuedReply {
                 request_id,
                 opcode: OP_LOOKUP,
                 outcome: Outcome::Immediate(Status::UnsupportedVersion),
                 received,
                 admitted: received,
                 trace: None,
-            });
+            };
+            replies.send(&stream, reply);
             return;
         }
         let reply = match opcode {
@@ -451,7 +507,11 @@ fn read_loop(mut stream: TcpStream, tx: &SyncSender<QueuedReply>, shared: &Share
                         submit_lookup(shared, req.namespace, &req.keys, trace.as_ref());
                     let admitted = Instant::now();
                     if let Some(trace) = &trace {
-                        trace.hop("net_admission", decoded, admitted);
+                        // A lookup answered here recorded its match as a
+                        // `serve_match` hop: that was its admission.
+                        if !matches!(outcome, Outcome::Lookup(PendingLookup::Answered(..))) {
+                            trace.hop("net_admission", decoded, admitted);
+                        }
                     }
                     QueuedReply {
                         request_id,
@@ -485,13 +545,14 @@ fn read_loop(mut stream: TcpStream, tx: &SyncSender<QueuedReply>, shared: &Share
             },
         };
         tcam_obs::counter_add("net_requests", 1);
-        if tx.send(reply).is_err() {
-            return; // writer died (peer hung up mid-write)
+        if !replies.send(&stream, reply) {
+            return; // peer hung up mid-write
         }
     }
 }
 
-/// Scatters one decoded lookup, mapping every failure to its wire status.
+/// Answers or scatters one decoded lookup, mapping every failure to its
+/// wire status.
 fn submit_lookup(
     shared: &Shared,
     namespace: u16,
@@ -505,7 +566,7 @@ fn submit_lookup(
         return Outcome::Immediate(Status::UnknownNamespace);
     };
     match group.submit_traced(keys, trace) {
-        Ok(pending) => Outcome::Pending(pending),
+        Ok(lookup) => Outcome::Lookup(lookup),
         Err(NetError::Serve(ServeError::Overloaded { shard })) => {
             tcam_obs::counter_add("net_shed_requests", 1);
             tcam_obs::flight_record("net_shed", u64::from(namespace), shard as u64);
@@ -541,22 +602,48 @@ fn status_label(status: Status) -> &'static str {
     }
 }
 
-/// Gathers replies in request order and writes response frames; drains
-/// the channel fully (every accepted request is answered) before exiting.
-fn write_loop(mut stream: TcpStream, rx: &Receiver<QueuedReply>) {
+/// Writes the replies the reader queued, in request order, gathering
+/// each scatter first; drains the channel fully (every accepted request
+/// is answered) before exiting.
+fn write_loop(mut stream: &TcpStream, rx: &Receiver<QueuedReply>, queued: &AtomicUsize) {
     let mut frame = Vec::new();
     while let Ok(reply) = rx.recv() {
-        let t0 = Instant::now();
-        let status = match reply.outcome {
-            Outcome::Pending(pending) => match pending.wait() {
+        if !write_reply(stream, &mut frame, reply) {
+            // Peer gone: keep draining so pending gathers complete and
+            // shard replies aren't left dangling, but stop writing. The
+            // count never returns to 0, so the reader stops writing too.
+            for remaining in rx.iter() {
+                if let Outcome::Lookup(lookup) = remaining.outcome {
+                    let _ = lookup.wait();
+                }
+            }
+            return;
+        }
+        // Released only once the frame is out: a reader that sees 0 writes
+        // after every queued reply.
+        queued.fetch_sub(1, Ordering::Release);
+    }
+    let _ = stream.flush();
+}
+
+/// Encodes one reply — gathering its scatter first, if it has one — and
+/// writes it; `false` when the write failed. The one encode-and-write
+/// path of a connection: the writer runs it for queued replies, the
+/// reader for the replies it already knows.
+fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: QueuedReply) -> bool {
+    let t0 = Instant::now();
+    let status = match reply.outcome {
+        Outcome::Lookup(lookup) => {
+            let gathers = !matches!(lookup, PendingLookup::Answered(..));
+            match lookup.wait() {
                 Ok((epoch, results)) => {
                     tcam_obs::counter_add("net_lookups", results.len() as u64);
-                    if let Some(trace) = &reply.trace {
+                    if let Some(trace) = reply.trace.as_ref().filter(|_| gathers) {
                         trace.hop("net_gather", reply.admitted, Instant::now());
                     }
                     let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
                     wire::encode_response_flagged(
-                        &mut frame,
+                        frame,
                         OP_LOOKUP,
                         Status::Ok,
                         reply.request_id,
@@ -568,7 +655,7 @@ fn write_loop(mut stream: TcpStream, rx: &Receiver<QueuedReply>) {
                 }
                 Err(_) => {
                     wire::encode_lookup_response(
-                        &mut frame,
+                        frame,
                         Status::ShuttingDown,
                         reply.request_id,
                         0,
@@ -576,45 +663,38 @@ fn write_loop(mut stream: TcpStream, rx: &Receiver<QueuedReply>) {
                     );
                     Status::ShuttingDown
                 }
-            },
-            Outcome::Immediate(status) => {
-                wire::encode_response(&mut frame, reply.opcode, status, reply.request_id, 0, &[]);
-                status
             }
-            Outcome::Pong => {
-                wire::encode_response(&mut frame, OP_PING, Status::Ok, reply.request_id, 0, &[]);
-                Status::Ok
-            }
-        };
-        let write_start = Instant::now();
-        if stream.write_all(&frame).is_err() {
-            // Peer gone: keep draining so pending gathers complete and
-            // shard replies aren't left dangling, but stop writing.
-            for remaining in rx.iter() {
-                if let Outcome::Pending(p) = remaining.outcome {
-                    let _ = p.wait();
-                }
-            }
-            return;
         }
-        let done = Instant::now();
-        if let Some(trace) = &reply.trace {
-            trace.hop("net_write", write_start, done);
-            let _ = trace.finish(status_label(status), done);
+        Outcome::Immediate(status) => {
+            wire::encode_response(frame, reply.opcode, status, reply.request_id, 0, &[]);
+            status
         }
-        // Every answered request feeds the wire-plane SLO: wall clock
-        // from frame receipt to response written, non-OK counts against
-        // the error budget.
-        tcam_obs::slo_record(
-            "net_request",
-            u64::try_from(done.saturating_duration_since(reply.received).as_nanos())
-                .unwrap_or(u64::MAX),
-            status == Status::Ok,
-        );
-        tcam_obs::hist_record(
-            "net_request_ns",
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        Outcome::Pong => {
+            wire::encode_response(frame, OP_PING, Status::Ok, reply.request_id, 0, &[]);
+            Status::Ok
+        }
+    };
+    let write_start = Instant::now();
+    if stream.write_all(frame).is_err() {
+        return false;
     }
-    let _ = stream.flush();
+    let done = Instant::now();
+    if let Some(trace) = &reply.trace {
+        trace.hop("net_write", write_start, done);
+        let _ = trace.finish(status_label(status), done);
+    }
+    // Every answered request feeds the wire-plane SLO: wall clock from
+    // frame receipt to response written, non-OK counts against the error
+    // budget.
+    tcam_obs::slo_record(
+        "net_request",
+        u64::try_from(done.saturating_duration_since(reply.received).as_nanos())
+            .unwrap_or(u64::MAX),
+        status == Status::Ok,
+    );
+    tcam_obs::hist_record(
+        "net_request_ns",
+        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    );
+    true
 }

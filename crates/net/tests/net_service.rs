@@ -15,7 +15,8 @@ use tcam_net::node::{NodeConfig, TcamNode};
 use tcam_net::server::{NetServer, ServerConfig};
 use tcam_net::wire::Status;
 use tcam_net::NetError;
-use tcam_serve::service::ServiceConfig;
+use tcam_serve::service::{SearchBatch, ServiceConfig, TcamService};
+use tcam_serve::shard::ShardedRuleSet;
 use tcam_update::store::{prefix_word, RuleChange};
 
 fn w(s: &str) -> Vec<TernaryBit> {
@@ -57,16 +58,17 @@ fn seed_lpm(node: &TcamNode) -> Vec<(u32, Vec<TernaryBit>)> {
     rules
 }
 
+/// The monolithic oracle for `rules`.
+fn reference_of(rules: &[(u32, Vec<TernaryBit>)]) -> ShardedRuleSet {
+    ShardedRuleSet::from_prioritized(rules, 0).unwrap()
+}
+
 #[test]
 fn lookups_over_loopback_match_the_reference() {
     let dir = tmpdir("correct");
     let node = quiet_node(&dir, 0);
     let rules = seed_lpm(&node);
-    let reference = tcam_serve::shard::ShardedRuleSet::build(
-        &rules.iter().map(|(_, w)| w.clone()).collect::<Vec<_>>(),
-        0,
-    )
-    .unwrap();
+    let reference = reference_of(&rules);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
@@ -177,14 +179,11 @@ fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn saturation_sheds_with_an_explicit_overloaded_status() {
-    let dir = tmpdir("overload");
-    // A deliberately chokeable node: single shard, 1-slot queue, and a
-    // worker that spends almost all its time in (heavy, frequent)
-    // refresh events.
+/// A deliberately chokeable node: 1-slot shard queues, and workers that
+/// spend almost all their time in (heavy, frequent) refresh events.
+fn choked_node(dir: &Path, shard_bits: u32) -> Arc<TcamNode> {
     let config = NodeConfig {
-        shard_bits: 0,
+        shard_bits,
         service: ServiceConfig {
             refresh: BankRefresh::OneShot { op_time: 10e-9 },
             refresh_interval: Duration::from_micros(100),
@@ -194,23 +193,33 @@ fn saturation_sheds_with_an_explicit_overloaded_status() {
         },
         snapshot_every_batches: 0,
     };
-    let node = Arc::new(TcamNode::open(&dir, config).unwrap());
+    Arc::new(TcamNode::open(dir, config).unwrap())
+}
+
+fn pipelined_server(node: &Arc<TcamNode>) -> NetServer {
+    let config = ServerConfig {
+        inflight_per_connection: 16,
+        ..ServerConfig::default()
+    };
+    NetServer::start(Arc::clone(node), "127.0.0.1:0", config).unwrap()
+}
+
+/// 512 concrete 8-bit keys (every value twice), ternary for the oracle.
+fn choke_keys() -> Vec<Vec<TernaryBit>> {
+    (0..512u64).map(|v| prefix_word(v % 256, 8, 8)).collect()
+}
+
+/// The multi-shard path still sheds: a scatter meets 1-slot queues.
+#[test]
+fn saturation_sheds_with_an_explicit_overloaded_status() {
+    let dir = tmpdir("overload");
+    let node = choked_node(&dir, 1);
     seed_lpm(&node);
-    let server = NetServer::start(
-        Arc::clone(&node),
-        "127.0.0.1:0",
-        ServerConfig {
-            inflight_per_connection: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = pipelined_server(&node);
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
-    let keys: Vec<PackedWord> = (0..512u64)
-        .map(|v| PackedWord::pack(&prefix_word(v % 256, 8, 8)))
-        .collect();
-    // Pipeline hard: with the worker stalled in refresh and a 1-slot
-    // queue, some requests MUST come back Overloaded — and every request
+    let keys: Vec<PackedWord> = choke_keys().iter().map(|k| PackedWord::pack(k)).collect();
+    // Pipeline hard: with the workers stalled in refresh and 1-slot
+    // queues, some requests MUST come back Overloaded — and every request
     // gets exactly one answer, in order.
     let total = 64u32;
     let mut sent = std::collections::VecDeque::new();
@@ -238,6 +247,177 @@ fn saturation_sheds_with_an_explicit_overloaded_status() {
     assert_eq!(ok + shed, total);
     assert!(shed > 0, "a choked shard never shed — admission control dead");
     assert!(ok > 0, "everything shed — the service never served at all");
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The single-shard path under the same choke: a lookup is matched on the
+/// connection reader, which waits out each refresh event instead of
+/// queueing — nothing is shed, every answer is the oracle's, and the
+/// report counts every key and the ones refresh held back.
+#[test]
+fn single_shard_lookups_wait_out_refresh_instead_of_shedding() {
+    let dir = tmpdir("choked-inline");
+    let node = choked_node(&dir, 0);
+    let rules = seed_lpm(&node);
+    let reference = reference_of(&rules);
+    let server = pipelined_server(&node);
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let ternary = choke_keys();
+    let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
+    let want: Vec<Option<u32>> = ternary.iter().map(|k| reference.search(k).unwrap()).collect();
+    let total = 64u32;
+    let mut sent = std::collections::VecDeque::new();
+    for i in 0..total {
+        sent.push_back(client.send_lookup(0, &keys).unwrap());
+        while sent.len() > 8 || (i == total - 1 && !sent.is_empty()) {
+            let resp = client.recv_response().unwrap();
+            assert_eq!(resp.request_id, sent.pop_front().unwrap());
+            assert_eq!(resp.status, Status::Ok, "a single-shard lookup was shed");
+            assert_eq!(resp.results, want);
+        }
+    }
+    server.shutdown();
+    let reports = node.shutdown();
+    let report = reports[0].1.as_ref().expect("no connection holds the group");
+    assert_eq!(report.searches(), u64::from(total) * keys.len() as u64);
+    assert!(
+        report.stalled_searches() > 0,
+        "no lookup met a refresh event: {report:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What the shard matched on the connection reader reaches the node's
+/// report exactly as the worker path meters the same frames.
+#[test]
+fn lookups_answered_on_the_reader_are_metered_like_worker_batches() {
+    let dir = tmpdir("metered");
+    let node = quiet_node(&dir, 0);
+    let rules = seed_lpm(&node);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let keys: Vec<PackedWord> = (0..=255u64)
+        .map(|v| PackedWord::pack(&prefix_word(v, 8, 8)))
+        .collect();
+    for chunk in keys.chunks(32) {
+        client.lookup(0, chunk).unwrap();
+    }
+    server.shutdown();
+    let wire = node.shutdown().remove(0).1.expect("no connection holds the group");
+
+    let config = ServiceConfig {
+        refresh: BankRefresh::None,
+        ..ServiceConfig::default()
+    };
+    let service = TcamService::start(reference_of(&rules), &config).unwrap();
+    for chunk in keys.chunks(32) {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let batch = SearchBatch {
+            keys: chunk.to_vec(),
+            submitted: Instant::now(),
+            reply: Some(tx),
+            trace: None,
+        };
+        service.submit(0, batch).unwrap();
+        rx.recv().unwrap();
+    }
+    let worker = service.shutdown();
+    assert_eq!(wire.searches(), 256);
+    assert_eq!(wire.searches(), worker.searches());
+    assert_eq!(wire.meter.searches, worker.meter.searches);
+    assert_eq!(wire.meter.energy.to_bits(), worker.meter.energy.to_bits());
+    assert_eq!(wire.latency.count(), worker.latency.count());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One reply a pipelined request must get.
+#[derive(Debug)]
+enum Want {
+    Lookup(Vec<Option<u32>>),
+    Pong,
+    Status(Status),
+}
+
+/// Replies leave in request order whichever thread writes them: lookups,
+/// pings and unknown-namespace lookups (an immediate status) mixed 12
+/// deep. On one shard the reader answers everything itself; on two, a
+/// scattered lookup goes to the writer, and the pings and statuses
+/// behind it must queue after it.
+#[test]
+fn replies_keep_request_order_across_the_reader_and_writer_paths() {
+    for shard_bits in [0, 1] {
+        let dir = tmpdir(&format!("order-{shard_bits}"));
+        let node = quiet_node(&dir, shard_bits);
+        let rules = seed_lpm(&node);
+        let reference = reference_of(&rules);
+        let server =
+            NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+        let keys: Vec<Vec<TernaryBit>> = (0..=255u64).map(|v| prefix_word(v, 8, 8)).collect();
+        for round in 0..4 {
+            let mut sent = Vec::new();
+            for i in 0..12 {
+                let chunk = &keys[(round * 12 + i) * 5 % 224..][..32];
+                let packed: Vec<PackedWord> = chunk.iter().map(|k| PackedWord::pack(k)).collect();
+                sent.push(match i % 3 {
+                    0 => (
+                        client.send_lookup(0, &packed).unwrap(),
+                        Want::Lookup(chunk.iter().map(|k| reference.search(k).unwrap()).collect()),
+                    ),
+                    1 => (client.send_ping().unwrap(), Want::Pong),
+                    _ => (
+                        client.send_lookup(42, &packed).unwrap(),
+                        Want::Status(Status::UnknownNamespace),
+                    ),
+                });
+            }
+            for (id, want) in sent {
+                let resp = client.recv_response().unwrap();
+                assert_eq!(resp.request_id, id, "{shard_bits} selector bits: out of order");
+                match want {
+                    Want::Lookup(results) => {
+                        assert_eq!((resp.status, resp.epoch), (Status::Ok, 1));
+                        assert_eq!(resp.results, results);
+                    }
+                    Want::Pong => {
+                        assert_eq!(resp.status, Status::Ok);
+                        assert!(resp.results.is_empty());
+                    }
+                    Want::Status(status) => {
+                        assert_eq!(resp.status, status);
+                        assert!(resp.results.is_empty());
+                    }
+                }
+            }
+        }
+        server.shutdown();
+        node.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A ping with a lookup still uncollected must not take the lookup's
+/// reply as its pong (and leave the pong to be read as the lookup's).
+#[test]
+fn ping_refuses_the_reply_to_an_earlier_request() {
+    let dir = tmpdir("ping-id");
+    let node = quiet_node(&dir, 0);
+    seed_lpm(&node);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let lookup = client
+        .send_lookup(0, &[PackedWord::pack(&w("00010000"))])
+        .unwrap();
+    assert!(
+        matches!(client.ping(), Err(NetError::Wire(_))),
+        "ping accepted the lookup's reply"
+    );
+    // The ping's own pong is next in the stream.
+    assert_eq!(client.recv_response().unwrap().request_id, lookup + 1);
     server.shutdown();
     node.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();

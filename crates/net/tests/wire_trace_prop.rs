@@ -140,21 +140,17 @@ fn untraced_frames_serve_identically_and_collect_no_trace() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The tracing contract on the whole wire stack, one pass: with every
-/// request sampled the top-level hops (`net_decode` → `net_admission` →
-/// `net_gather` → `net_write`) tile ≥ 90 % of each request's wall clock
-/// (median), the exemplar store and the `net_request` SLO saw the
-/// traffic, and an injected WAL append fault fails the `apply` and
-/// leaves a flight dump that parses and names `wal_rollback`.
-#[test]
-fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
+/// Runs `REQUESTS` sampled 64-key lookups against a fresh node with
+/// `shard_bits` selector bits and asserts every record's top-level hops
+/// read `tiling` and cover ≥ 90 % of the request wall clock (median).
+/// Returns the data directory and the node; the node's server is stopped.
+fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Arc<TcamNode>) {
     const REQUESTS: usize = 64;
-    let _g = lock();
-    let dir = tmpdir("cover");
-    let node = quiet_node(&dir, 0);
+    let dir = tmpdir(tag);
+    let node = quiet_node(&dir, shard_bits);
     // 1024 /12 routes: the match is most of a request even in a debug
-    // build, as it is in service; the reply encode between the gather
-    // and write hops is the one stretch no hop covers.
+    // build, as it is in service; the reply encode between the match (or
+    // gather) and write hops is the one stretch no hop covers.
     let routes: Vec<RuleChange> = (0..1024u32)
         .map(|i| RuleChange::Insert {
             priority: i,
@@ -174,8 +170,8 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
     for i in 0..REQUESTS {
         client.lookup(0, &keys[(i % 4) * 64..][..64]).unwrap();
     }
-    // The connection's one writer thread closes a request's span and
-    // scores its SLO *after* the client has the reply, and answers in
+    // Whichever connection thread writes a reply closes its span and
+    // scores its SLO *after* the client has it, and replies leave in
     // order: once the pong is back, all of that is done for every lookup.
     client.ping().unwrap();
 
@@ -186,11 +182,11 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
         "every sampled request leaves a record"
     );
     for r in &records {
-        let tiling: Vec<&str> = r.top_level().into_iter().map(|i| r.hops[i].name).collect();
+        let top: Vec<&str> = r.top_level().into_iter().map(|i| r.hops[i].name).collect();
         assert_eq!(
+            top,
             tiling,
-            ["net_decode", "net_admission", "net_gather", "net_write"],
-            "the request timeline lost a stage: {}",
+            "{shard_bits} selector bits: the request timeline lost a stage: {}",
             r.to_json()
         );
     }
@@ -199,7 +195,7 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
     let median = covers[REQUESTS / 2];
     assert!(
         median >= 90.0,
-        "span trees attribute only {median:.1}% of request wall; one record: {}",
+        "{shard_bits} selector bits: span trees attribute only {median:.1}% of request wall; one record: {}",
         records[0].to_json()
     );
     assert!(
@@ -214,6 +210,33 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
     assert!(
         window.total >= REQUESTS as u64,
         "SLO window missed traffic: {window:?}"
+    );
+    server.shutdown();
+    (dir, node)
+}
+
+/// The tracing contract on the whole wire stack, for both span trees.
+/// With every request sampled, the top-level hops tile ≥ 90 % of each
+/// request's wall clock (median): a single-shard node matches on the
+/// connection reader (`net_decode` → `serve_match` → `net_write`), a
+/// two-shard node scatters and gathers (`net_decode` → `net_admission` →
+/// `net_gather` → `net_write`). The exemplar store and the `net_request`
+/// SLO saw the traffic, and an injected WAL append fault fails the
+/// `apply` and leaves a flight dump that parses and names `wal_rollback`.
+#[test]
+fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
+    let _g = lock();
+    let (dir, node) = assert_span_tree(
+        "cover-inline",
+        0,
+        &["net_decode", "serve_match", "net_write"],
+    );
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (dir, node) = assert_span_tree(
+        "cover-scatter",
+        1,
+        &["net_decode", "net_admission", "net_gather", "net_write"],
     );
 
     // Post-mortem: the next WAL append writes a torn half-frame and fails.
@@ -253,7 +276,6 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
         "the dump holds the history that led to the rollback"
     );
 
-    server.shutdown();
     node.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }

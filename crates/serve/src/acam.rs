@@ -93,6 +93,7 @@ impl AcamShards {
 /// plus the query mode. A threshold winner's reported distance is 0 (the
 /// threshold kernel does not compute it).
 impl ShardTable for PackedAcamArray {
+    type Keys = Self::Query;
     type Query = (Arc<Vec<Vec<u16>>>, AcamQuery);
     type Answer = Vec<Option<AcamMatch>>;
 

@@ -16,6 +16,14 @@
 //! ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)), so
 //! no per-key clock read or metric update is on the hot path.
 //!
+//! A caller that needs exactly one shard and will wait for the answer
+//! anyway can skip the queue: [`ShardPool::answer_here`] matches its keys
+//! **on the calling thread** against the shard's published snapshot —
+//! no hand-off, no wake-up, no reply channel. It is accounted into the
+//! shard's own counter block (searches, matches, latency, energy), which
+//! worker 0 folds into its [`ShardStats`] at shutdown, so the report
+//! counts every key the shard served either way.
+//!
 //! # Refresh under load
 //!
 //! A dynamic TCAM must refresh within every retention interval, and the
@@ -24,8 +32,11 @@
 //! — while it runs the queue keeps filling, and the telemetry records the
 //! stall and the searches caught behind it. A physical shard refreshes
 //! once per interval however many threads serve it, so worker 0 owns the
-//! shard's refresh clock and its siblings serve through the stall. An
-//! event is sized by the [`BankRefresh`] policy
+//! shard's refresh clock and its siblings serve through the stall. Worker
+//! 0 also holds the shard's refresh lock for the event, so a caller-run
+//! query waits it out (and counts its keys in
+//! [`ServeReport::stalled_searches`]), and an event never overlaps a
+//! caller-run match. An event is sized by the [`BankRefresh`] policy
 //! (1 op one-shot, `rows` ops row-by-row), each op `refresh_op_work` units
 //! of real work and metered through
 //! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter): a row-by-row
@@ -45,17 +56,20 @@
 //! cell's `Arc`; none owns a copy.
 //!
 //! A worker loads the cell **after it has dequeued work and before it
-//! matches the first batch of that drain — never inside a batch**. That
-//! one rule gives three guarantees:
+//! matches the first batch of that drain — never inside a batch**; a
+//! caller-run query loads it once, before its match. That one rule gives
+//! three guarantees on both paths:
 //!
 //! * **no torn table**: a batch is served entirely from one immutable
 //!   snapshot whose epoch the reply reports ([`Reply::epoch`]), so the
 //!   result is what a single-threaded search of that epoch's rules returns;
 //! * **read-your-writes**: a lookup submitted after `publish(v)` returned
 //!   is served at an epoch ≥ v — the submit → dequeue hand-off orders the
-//!   worker's load after the publisher's store;
+//!   worker's load after the publisher's store (a caller-run load takes
+//!   the cell's lock after it);
 //! * **per-caller monotonic epochs**: a caller's consecutive replies from
-//!   a shard never go back in epoch, whichever of its workers serves them.
+//!   a shard never go back in epoch, whichever of its workers (or the
+//!   caller itself) serves them.
 //!   (Cells are per shard and a publisher stores into them one by one, so
 //!   *across* shards a caller can see `v` and then `v − 1` while a
 //!   publication is under way.)
@@ -67,13 +81,15 @@
 use crate::error::{Result, ServeError};
 use crate::queue::{BoundedQueue, TryPushError};
 use crate::telemetry::{ServeReport, ShardStats};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tcam_arch::bank::BankRefresh;
 use tcam_arch::energy_model::OperationCosts;
+use tcam_obs::RequestTrace;
 
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
@@ -129,8 +145,11 @@ impl Default for ServiceConfig {
 /// What a shard serves from: an immutable table with a batch kernel. The
 /// pool owns everything else.
 pub trait ShardTable: Send + Sync + 'static {
-    /// One batch of keys (plus whatever says how to match them).
-    type Query: Send + 'static;
+    /// One batch of keys (plus whatever says how to match them) as the
+    /// kernel reads it — borrowed, so a caller-run query needs no copy.
+    type Keys: ?Sized;
+    /// The owned form a [`Batch`] carries through a queue.
+    type Query: Borrow<Self::Keys> + Send + 'static;
     /// The kernel's output for one batch, one slot per key.
     type Answer: Default + Send + 'static;
 
@@ -138,11 +157,11 @@ pub trait ShardTable: Send + Sync + 'static {
     fn rows(&self) -> usize;
 
     /// Keys in `query`.
-    fn keys(query: &Self::Query) -> usize;
+    fn keys(query: &Self::Keys) -> usize;
 
     /// Matches every key of `query` into `out` (cleared first) and returns
     /// how many found a match.
-    fn answer(&self, query: &Self::Query, out: &mut Self::Answer) -> u64;
+    fn answer(&self, query: &Self::Keys, out: &mut Self::Answer) -> u64;
 }
 
 /// A batch of keys bound for one shard.
@@ -262,6 +281,11 @@ pub(crate) struct Shard<T: ShardTable> {
     /// Keys currently waiting in the queue (batch contents included);
     /// updated outside the match loop.
     queued_keys: AtomicU64,
+    /// Written by worker 0 for the length of a refresh event, read by a
+    /// caller-run query for the length of its match.
+    refreshing: RwLock<()>,
+    /// What caller-run queries accounted; worker 0 takes it at exit.
+    caller_run: Mutex<ShardStats>,
 }
 
 /// The running pool. Dropping without [`ShardPool::shutdown`] closes the
@@ -270,6 +294,8 @@ pub(crate) struct Shard<T: ShardTable> {
 pub struct ShardPool<T: ShardTable> {
     pub(crate) shards: Vec<Arc<Shard<T>>>,
     workers: Vec<JoinHandle<ShardStats>>,
+    /// Prices the searches caller-run queries account.
+    costs: OperationCosts,
 }
 
 impl<T: ShardTable> ShardPool<T> {
@@ -290,6 +316,8 @@ impl<T: ShardTable> ShardPool<T> {
                 queue: BoundedQueue::new(config.queue_capacity.max(1)),
                 cell: Cell::new(epoch, table),
                 queued_keys: AtomicU64::new(0),
+                refreshing: RwLock::new(()),
+                caller_run: Mutex::default(),
             });
             for worker in 0..per_shard {
                 let ctx = WorkerCtx {
@@ -308,7 +336,11 @@ impl<T: ShardTable> ShardPool<T> {
             }
             shards.push(shard);
         }
-        Self { shards, workers }
+        Self {
+            shards,
+            workers,
+            costs: config.costs,
+        }
     }
 
     /// Number of shards.
@@ -328,7 +360,7 @@ impl<T: ShardTable> ShardPool<T> {
     /// Panics when `shard` is out of range.
     pub fn submit(&self, shard: usize, batch: Batch<T>) -> Result<()> {
         let target = &self.shards[shard];
-        let keys = T::keys(&batch.keys) as u64;
+        let keys = T::keys(batch.keys.borrow()) as u64;
         target.queued_keys.fetch_add(keys, Ordering::Relaxed);
         target.queue.push(batch).map_err(|_rejected| {
             target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
@@ -351,7 +383,7 @@ impl<T: ShardTable> ShardPool<T> {
     /// Panics when `shard` is out of range.
     pub fn try_submit(&self, shard: usize, batch: Batch<T>) -> Result<()> {
         let target = &self.shards[shard];
-        let keys = T::keys(&batch.keys) as u64;
+        let keys = T::keys(batch.keys.borrow()) as u64;
         target.queued_keys.fetch_add(keys, Ordering::Relaxed);
         target.queue.try_push(batch).map_err(|rejected| {
             target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
@@ -360,6 +392,67 @@ impl<T: ShardTable> ShardPool<T> {
                 TryPushError::Closed(_) => ServeError::ServiceClosed,
             }
         })
+    }
+
+    /// Answers `keys` **on the calling thread** from shard `shard`'s
+    /// published snapshot: no queue, no worker, no reply channel. The cell
+    /// is loaded once, before the match, so the reply keeps every epoch
+    /// guarantee of the worker path (module docs). A refresh event of the
+    /// shard in progress is waited out, and the keys are then counted in
+    /// [`ServeReport::stalled_searches`]. Searches, matches, latency and
+    /// energy go to the shard's counters and reach the shutdown report
+    /// through worker 0. A sampled request's `trace` gets a shard-labeled
+    /// `serve_match` hop spanning the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn answer_here(
+        &self,
+        shard: usize,
+        keys: &T::Keys,
+        trace: Option<&RequestTrace>,
+    ) -> Reply<T::Answer> {
+        let start = Instant::now();
+        let target = &self.shards[shard];
+        let (event_over, stalled) = match target.refreshing.try_read() {
+            Ok(guard) => (guard, false),
+            Err(_) => (
+                target
+                    .refreshing
+                    .read()
+                    .expect("refresh lock is never held across a panic"),
+                true,
+            ),
+        };
+        let published = target.cell.load();
+        let mut results = T::Answer::default();
+        let matched = published.table.answer(keys, &mut results);
+        drop(event_over);
+        let done = Instant::now();
+        let n = T::keys(keys) as u64;
+        {
+            let mut stats = target
+                .caller_run
+                .lock()
+                .expect("caller-run stats lock is never held across a panic");
+            stats.batches += 1;
+            stats.searches += n;
+            stats.matched += matched;
+            if stalled {
+                stats.stalled_searches += n;
+            }
+            stats.meter.search_n(&self.costs, n);
+            stats.latency.record_n(nanos(start, done), n);
+        }
+        if let Some(trace) = trace {
+            let label = u32::try_from(shard).unwrap_or(u32::MAX);
+            trace.hop_labeled("serve_match", Some(label), start, done);
+        }
+        Reply {
+            epoch: published.epoch,
+            results,
+        }
     }
 
     /// Publishes `table` as shard `shard`'s snapshot of epoch `epoch`: one
@@ -526,8 +619,14 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
         let now = Instant::now();
         if refresh_on && now >= next_refresh {
             // A refresh event competes with traffic: the shard serves
-            // nothing until its ops complete.
+            // nothing until its ops complete — caller-run queries wait on
+            // the lock.
             let _obs = tcam_obs::span!("serve_refresh");
+            let _event = ctx
+                .shard
+                .refreshing
+                .write()
+                .expect("refresh lock is never held across a panic");
             let ops = config.refresh.ops_per_event(current.table.rows());
             for _ in 0..ops {
                 refresh_state = refresh_op(refresh_state, config.refresh_op_work);
@@ -567,6 +666,16 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
         if batches.is_empty() {
             if closed {
                 stats.rows = current.table.rows();
+                if ctx.worker == 0 {
+                    let caller_run = std::mem::take(
+                        &mut *ctx
+                            .shard
+                            .caller_run
+                            .lock()
+                            .expect("caller-run stats lock is never held across a panic"),
+                    );
+                    stats.absorb(&caller_run);
+                }
                 if tcam_obs::enabled() {
                     // Publish the shard's exact histograms wholesale and
                     // mirror the counters once — the registry view matches
@@ -589,7 +698,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
         let t0 = Instant::now();
         let obs_match = tcam_obs::span!("serve_match");
         for batch in batches {
-            let n = T::keys(&batch.keys) as u64;
+            let n = T::keys(batch.keys.borrow()) as u64;
             ctx.shard.queued_keys.fetch_sub(n, Ordering::Relaxed);
             let dequeued = Instant::now();
             stats.queue_wait.record(nanos(batch.submitted, dequeued));
@@ -598,7 +707,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
             // The whole batch goes through the kernel in one call;
             // telemetry is settled per batch (one clock read, O(1)
             // histogram/meter updates), never per key.
-            stats.matched += current.table.answer(&batch.keys, &mut kernel_out);
+            stats.matched += current.table.answer(batch.keys.borrow(), &mut kernel_out);
             stats.searches += n;
             stats.meter.search_n(&config.costs, n);
             let done = Instant::now();

@@ -22,6 +22,7 @@ use tcam_arch::packed::{PackedTcamArray, PackedWord};
 pub use crate::pool::ServiceConfig;
 
 impl ShardTable for PackedTcamArray {
+    type Keys = [PackedWord];
     type Query = Vec<PackedWord>;
     type Answer = Vec<Option<u32>>;
 
@@ -29,11 +30,11 @@ impl ShardTable for PackedTcamArray {
         self.len()
     }
 
-    fn keys(query: &Self::Query) -> usize {
+    fn keys(query: &[PackedWord]) -> usize {
         query.len()
     }
 
-    fn answer(&self, query: &Self::Query, out: &mut Self::Answer) -> u64 {
+    fn answer(&self, query: &[PackedWord], out: &mut Self::Answer) -> u64 {
         self.first_match_batch_into(query, out);
         out.iter().flatten().count() as u64
     }

@@ -18,6 +18,11 @@ use tcam_arch::energy_model::WorkloadMeter;
 pub use tcam_obs::hist::{bucket_of, value_of, LatencyHistogram};
 
 /// Counters one shard worker accumulates privately and returns at join.
+/// At shutdown, worker 0's block also takes in the lookups its shard
+/// answered on callers' threads ([`ShardPool::answer_here`]), so the
+/// report counts every key the shard served.
+///
+/// [`ShardPool::answer_here`]: crate::pool::ShardPool::answer_here
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -34,8 +39,9 @@ pub struct ShardStats {
     pub matched: u64,
     /// Batches processed.
     pub batches: u64,
-    /// Keys observed waiting in the queue at the end of refresh events —
-    /// traffic directly stalled behind refresh.
+    /// Keys observed waiting in the queue at the end of refresh events,
+    /// plus caller-run keys that waited for an event to end — traffic
+    /// directly stalled behind refresh.
     pub stalled_searches: u64,
     /// Snapshot swaps this worker made: times it found a newer epoch in
     /// its shard's published cell and switched to it. At most the number
@@ -80,6 +86,17 @@ impl ShardStats {
             ..Self::default()
         }
     }
+
+    /// Adds what caller-run lookups accounted (searches, matches, batches,
+    /// refresh stalls, latency and energy) to this block.
+    pub(crate) fn absorb(&mut self, caller_run: &ShardStats) {
+        self.searches += caller_run.searches;
+        self.matched += caller_run.matched;
+        self.batches += caller_run.batches;
+        self.stalled_searches += caller_run.stalled_searches;
+        self.latency.merge(&caller_run.latency);
+        self.meter.merge(&caller_run.meter);
+    }
 }
 
 /// Shutdown-time service report: per-shard stats plus aggregates.
@@ -116,11 +133,7 @@ impl ServeReport {
             latency.merge(&s.latency);
             queue_wait.merge(&s.queue_wait);
             update_latency.merge(&s.update_latency);
-            meter.searches += s.meter.searches;
-            meter.writes += s.meter.writes;
-            meter.refreshes += s.meter.refreshes;
-            meter.energy += s.meter.energy;
-            meter.busy_time += s.meter.busy_time;
+            meter.merge(&s.meter);
         }
         Self {
             shards,

@@ -29,10 +29,13 @@ cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's Acquire/Release pair and
 # the swap-between-batches rule are what optimised code can break, and
 # optimised code is what stack_bench times.
+# One layer further up, the connection's reader/writer hand-off (the
+# queued-reply count that decides which thread writes a reply) is ordering
+# code optimised builds can break, and it is what stack_bench times.
 # And on the circuit side: the channel model's closed-form gradient is held
 # to its finite-difference oracle, and Fig. 7's 64x64 solver counts to their
 # pins, as the optimised floating-point code stack_bench times.
-cargo test -q --offline --release -p tcam-serve -p tcam-update -p tcam-devices -p tcam-core
+cargo test -q --offline --release -p tcam-serve -p tcam-update -p tcam-net -p tcam-devices -p tcam-core
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
