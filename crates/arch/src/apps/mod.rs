@@ -1,7 +1,4 @@
-//! TCAM application workloads: route lookup, packet classification, TLB,
-//! and nearest-neighbor classification over the analog-CAM layer.
+//! TCAM application workloads: route lookup and packet classification.
 
 pub mod classifier;
-pub mod knn;
 pub mod router;
-pub mod tlb;

@@ -4,8 +4,6 @@
 //! circuit-level behaviour (latency/energy per operation) is attached via
 //! [`crate::energy_model`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use tcam_core::bit::{word_matches, TernaryBit};
 
@@ -26,7 +24,7 @@ pub enum ArchError {
         /// The capacity.
         rows: usize,
     },
-    /// The array is full (no free row for an append).
+    /// The array has fewer rows than the table needs.
     Full,
 }
 
@@ -73,12 +71,6 @@ pub type Result<T> = std::result::Result<T, ArchError>;
 pub struct TcamArray {
     width: usize,
     entries: Vec<Option<Vec<TernaryBit>>>,
-    /// Min-heap of candidate free rows. Entries are lazily invalidated: a
-    /// direct `write` into a free row leaves its stale heap entry behind,
-    /// and `append` skips candidates that turn out to be occupied. Every
-    /// genuinely free row is always present (possibly duplicated), so
-    /// `append` finds the lowest free row without scanning the array.
-    free: BinaryHeap<Reverse<usize>>,
     occupied: usize,
 }
 
@@ -89,7 +81,6 @@ impl TcamArray {
         Self {
             width,
             entries: vec![None; rows],
-            free: (0..rows).map(Reverse).collect(),
             occupied: 0,
         }
     }
@@ -137,31 +128,6 @@ impl TcamArray {
         Ok(())
     }
 
-    /// Appends `word` into the lowest-numbered free row, returning that
-    /// row. Free rows come from a maintained min-heap (no O(rows) scan);
-    /// an erased row is reused by the next append.
-    ///
-    /// # Errors
-    ///
-    /// [`ArchError::Full`] or [`ArchError::WidthMismatch`].
-    pub fn append(&mut self, word: Vec<TernaryBit>) -> Result<usize> {
-        if word.len() != self.width {
-            return Err(ArchError::WidthMismatch {
-                expected: self.width,
-                found: word.len(),
-            });
-        }
-        // Skip stale candidates (rows filled by a direct `write` after
-        // their heap entry was pushed).
-        while let Some(Reverse(row)) = self.free.pop() {
-            if self.entries[row].is_none() {
-                self.write(row, word)?;
-                return Ok(row);
-            }
-        }
-        Err(ArchError::Full)
-    }
-
     /// Invalidates a row.
     ///
     /// # Errors
@@ -176,7 +142,6 @@ impl TcamArray {
         }
         if self.entries[row].take().is_some() {
             self.occupied -= 1;
-            self.free.push(Reverse(row));
         }
         Ok(())
     }
@@ -282,47 +247,15 @@ mod tests {
     }
 
     #[test]
-    fn append_fills_gaps_and_reports_full() {
-        let mut t = TcamArray::new(2, 1);
-        assert_eq!(t.append(parse_ternary("1").unwrap()).unwrap(), 0);
-        assert_eq!(t.append(parse_ternary("0").unwrap()).unwrap(), 1);
-        assert_eq!(t.append(parse_ternary("X").unwrap()), Err(ArchError::Full));
-        t.erase(0).unwrap();
-        assert_eq!(t.append(parse_ternary("X").unwrap()).unwrap(), 0);
-    }
-
-    #[test]
-    fn erase_then_append_reuses_the_freed_row() {
-        let mut t = TcamArray::new(4, 1);
-        for _ in 0..4 {
-            t.append(parse_ternary("1").unwrap()).unwrap();
-        }
-        assert_eq!(t.occupancy(), 4);
-        t.erase(2).unwrap();
-        assert_eq!(t.occupancy(), 3);
-        // The freed row is the only hole; append must land exactly there.
-        assert_eq!(t.append(parse_ternary("0").unwrap()).unwrap(), 2);
-        assert_eq!(t.occupancy(), 4);
-        // Lowest-free-row order survives out-of-order erases.
-        t.erase(3).unwrap();
-        t.erase(1).unwrap();
-        assert_eq!(t.append(parse_ternary("X").unwrap()).unwrap(), 1);
-        assert_eq!(t.append(parse_ternary("X").unwrap()).unwrap(), 3);
-    }
-
-    #[test]
     fn occupancy_counter_tracks_interleaved_mutation() {
         use tcam_numeric::rng::SplitMix64;
         let mut rng = SplitMix64::new(0xF00D);
         let mut t = TcamArray::new(16, 3);
         for _ in 0..500 {
             let row = rng.below(16) as usize;
-            match rng.below(4) {
-                0 => {
-                    let _ = t.append(parse_ternary("1X0").unwrap());
-                }
-                1 => t.write(row, parse_ternary("0X1").unwrap()).unwrap(),
-                2 => t.erase(row).unwrap(),
+            match rng.below(3) {
+                0 => t.write(row, parse_ternary("0X1").unwrap()).unwrap(),
+                1 => t.erase(row).unwrap(),
                 _ => {
                     // Double erase must not unbalance the counter.
                     t.erase(row).unwrap();
@@ -332,9 +265,6 @@ mod tests {
             let truth = (0..16).filter(|&r| t.entry(r).is_some()).count();
             assert_eq!(t.occupancy(), truth);
         }
-        // Appends after churn still fill every hole exactly once.
-        while t.append(parse_ternary("111").unwrap()).is_ok() {}
-        assert_eq!(t.occupancy(), 16);
     }
 
     #[test]

@@ -20,14 +20,8 @@
 //! * [`refresh_sched`] — event-driven simulation of refresh interference:
 //!   row-by-row refresh vs the paper's one-shot refresh under search
 //!   traffic.
-//! * [`acam`] — the analog/range-CAM similarity-search layer:
-//!   interval-per-cell words (`[lo, hi]` acceptance ranges, analog
-//!   don't-care = full range), exact / distance-threshold / best-match
-//!   queries with priority tiebreak, and a cell-major SoA
-//!   representation with a block-batched distance kernel.
-//! * [`apps`] — longest-prefix-match routing, ACL packet classification
-//!   with range-to-prefix expansion, a mixed-page-size TLB, and a
-//!   nearest-neighbor classifier over the acam layer.
+//! * [`apps`] — longest-prefix-match routing and ACL packet
+//!   classification with range-to-prefix expansion.
 //!
 //! # Example — one-shot refresh barely interferes with traffic
 //!
@@ -53,7 +47,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod acam;
 pub mod apps;
 pub mod array;
 pub mod bank;
@@ -62,8 +55,6 @@ pub mod kernel;
 pub mod packed;
 pub mod refresh_sched;
 
-pub use acam::kernel::PackedAcamArray;
-pub use acam::{AcamArray, AcamCell, AcamError, AcamMatch, AcamMetric};
 pub use array::{ArchError, TcamArray};
 pub use bank::BankRefresh;
 pub use energy_model::{OperationCosts, WorkloadMeter};

@@ -90,9 +90,9 @@ pub const DRIVE_RISE: f64 = 50e-12;
 pub const DRIVE_RESISTANCE: f64 = 500.0;
 
 /// Precharge release instant of every search experiment, seconds.
-pub(crate) const T_PC_RELEASE: f64 = 0.8e-9;
+const T_PC_RELEASE: f64 = 0.8e-9;
 /// Search-line drive instant of every search experiment, seconds.
-pub(crate) const T_SEARCH: f64 = 1.0e-9;
+const T_SEARCH: f64 = 1.0e-9;
 
 /// The row-wide rail a design's search cell hangs on besides its matchline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub enum RowRail {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchCell {
     /// Device capacitance each *other* row of the array hangs on a search
-    /// line, farads (the row under test is there as devices); `0.0` is a
+    /// line, farads (the rows under test are there as devices); `0.0` is a
     /// wire-only line.
     pub sl_load_per_row: f64,
     /// The rail [`TcamDesign::place_search_cell`] receives.
@@ -329,7 +329,10 @@ pub(crate) fn build_search_rows<D: TcamDesign + ?Sized>(
             .collect(),
     };
 
-    let c_sl = geom.line_cap(Line::Column, spec.rows, cell.sl_load_per_row);
+    // The wire spans the whole column; the device load of every row not
+    // placed as cells below is lumped on it, so no row is counted twice.
+    let c_sl = geom.line_cap(Line::Column, spec.rows, 0.0)
+        + (spec.rows - rows) as f64 * cell.sl_load_per_row;
     for (j, &kbit) in key.iter().enumerate() {
         let sl = ckt.node(&format!("sl{j}"));
         let slb = ckt.node(&format!("slb{j}"));
@@ -457,7 +460,7 @@ pub(crate) fn add_pulse_driver(
 /// for a single matchline; arrays instantiate one per row): a V_DD rail, a
 /// clocked switch from the rail to `ml` that opens at [`T_PC_RELEASE`], and
 /// the ML wire capacitance.
-pub(crate) fn add_ml_precharge(
+fn add_ml_precharge(
     ckt: &mut Circuit,
     suffix: &str,
     ml: NodeId,
@@ -649,6 +652,31 @@ mod tests {
         assert_eq!(cell_devices(&indexed_one, "r0c2_"), per_cell);
         assert!(build_search_rows(&d, &spec, &[&word, &word], &word, RowNaming::Single).is_err());
         assert!(build_search_rows(&d, &spec, &[], &word, RowNaming::Indexed).is_err());
+    }
+
+    /// A search line carries each row's device load once: as cells for the
+    /// k rows the scaffold places, in the lump for the other `rows − k`.
+    /// Designs whose search line has no per-row load keep one value at
+    /// every k.
+    #[test]
+    fn search_line_lump_excludes_the_explicit_rows() {
+        let spec = ArraySpec::small();
+        let word = vec![One, Zero, X, One];
+        for d in all_designs() {
+            let per_row = d.search_cell().sl_load_per_row;
+            let lone = line_ff(&d.build_search(&spec, &word, &word).unwrap().circuit, "csl0");
+            for k in [2, 4] {
+                let words = vec![word.as_slice(); k];
+                let exp = build_search_rows(d.as_ref(), &spec, &words, &word, RowNaming::Indexed)
+                    .unwrap();
+                let csl = line_ff(&exp.circuit, "csl0");
+                let want = lone - (k - 1) as f64 * per_row * 1e15;
+                assert!((csl - want).abs() < 1e-9, "{} k={k}: {csl} fF, want {want}", d.name());
+                if per_row == 0.0 {
+                    assert_eq!(csl, lone, "{} k={k}", d.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl ChaosProbe {
     /// # Errors
     ///
     /// Propagates netlist failures (duplicate device name).
-    pub fn plant(ckt: &mut Circuit, name: &str, hostile: bool) -> Result<()> {
+    fn plant(ckt: &mut Circuit, name: &str, hostile: bool) -> Result<()> {
         let node = ckt.node(&format!("{name}_node"));
         ckt.add(Self::new(name, node, hostile))
     }

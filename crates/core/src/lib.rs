@@ -22,10 +22,6 @@
 //! * [`metrics`] — ratio computation and report formatting.
 //! * [`variation`] — Monte-Carlo device-variation study of the sensing
 //!   margin (the paper's Fig. 7c caveat, quantified).
-//! * [`acam`] — the analog/range-CAM circuit spine: a 6T2M-style
-//!   interval cell from the device library, matchline-discharge vs
-//!   interval-distance calibration, and a conductance-noise
-//!   study feeding the accuracy-vs-σ curves of `acam_study`.
 //!
 //! # Example — search a word on the 3T2N matchline
 //!
@@ -48,7 +44,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod acam;
 pub mod array_search;
 pub mod bit;
 pub mod disturb;

@@ -149,7 +149,7 @@ fn one_trial(
 
 /// Folds per-trial outcomes (in feasible-trial order) into the study
 /// summary. `infeasible` seeds the failure count.
-pub(crate) fn assemble(
+fn assemble(
     infeasible: usize,
     outcomes: Vec<StdResult<(f64, bool), String>>,
 ) -> MarginStudy {

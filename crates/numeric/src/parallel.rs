@@ -15,7 +15,7 @@ use std::thread;
 /// Number of worker threads to use for `n_items` independent tasks:
 /// the available parallelism, capped by the item count.
 #[must_use]
-pub fn worker_count(n_items: usize) -> usize {
+fn worker_count(n_items: usize) -> usize {
     let cores = thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);

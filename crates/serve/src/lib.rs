@@ -26,11 +26,6 @@
 //!   (p50/p95/p99/p999), per-shard counters, refresh-stall gauges, and
 //!   energy via the arch crate's `WorkloadMeter`.
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
-//! * [`acam`] — the opt-in similarity-search path: distance queries
-//!   cannot be prefix-routed, so [`acam::AcamService`] is the same pool
-//!   plus the *scatter-all + min-reduce* plan — each batch goes to every
-//!   row-partitioned shard and the per-shard winners are min-reduced at
-//!   gather, bit-identical to a monolithic scan.
 //!
 //! `stack_bench` (the repo's one benchmark, its own package) measures
 //! these layers end to end and one by one.
@@ -55,7 +50,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod acam;
 pub mod error;
 pub mod pool;
 pub mod queue;
@@ -64,9 +58,8 @@ pub mod shard;
 pub mod telemetry;
 pub mod workload;
 
-pub use acam::{AcamQuery, AcamService, AcamShards};
 pub use error::{Result, ServeError};
-pub use pool::{Batch, Reply, ShardPool, ShardTable};
+pub use pool::ShardPool;
 pub use queue::{BoundedQueue, TryPushError};
 pub use service::{BatchReply, SearchBatch, ServiceConfig, TcamService};
 pub use shard::{RowOps, ShardRouter, ShardedRuleSet};

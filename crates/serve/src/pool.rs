@@ -1,20 +1,20 @@
 //! The shard-worker pool: per shard, a bounded queue in front, worker
 //! threads behind it, refresh competing with traffic on the worker's
 //! clock, and one published-snapshot cell that rule updates swap whole
-//! tables through. Both services of this crate are a *plan* over it —
-//! [`TcamService`](crate::service::TcamService) routes a key to one shard,
-//! [`AcamService`](crate::acam::AcamService) scatters to all and
-//! min-reduces — and a [`ShardTable`] is the only thing that differs.
+//! tables through. A table is a bit-packed ternary array
+//! ([`PackedTcamArray`]), and [`TcamService`](crate::service::TcamService)
+//! is this pool plus the route-to-one plan.
 //!
 //! # Execution model
 //!
-//! Searches arrive as [`Batch`]es on a shard's [`BoundedQueue`] (blocking
-//! [`ShardPool::submit`] = backpressure, [`ShardPool::try_submit`] = load
-//! shedding). The shard's [`ServiceConfig::workers_per_shard`] workers
-//! drain the shared queue and match each batch in one kernel call
-//! ([`ShardTable::answer`]); telemetry is settled per batch
-//! ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)), so
-//! no per-key clock read or metric update is on the hot path.
+//! Searches arrive as [`SearchBatch`]es on a shard's [`BoundedQueue`]
+//! (blocking [`ShardPool::submit`] = backpressure,
+//! [`ShardPool::try_submit`] = load shedding). The shard's
+//! [`ServiceConfig::workers_per_shard`] workers drain the shared queue and
+//! match each batch in one kernel call
+//! ([`PackedTcamArray::first_match_batch_into`]); telemetry is settled per
+//! batch ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)),
+//! so no per-key clock read or metric update is on the hot path.
 //!
 //! A caller that needs exactly one shard and will wait for the answer
 //! anyway can skip the queue: [`ShardPool::answer_here`] matches its keys
@@ -61,7 +61,7 @@
 //! three guarantees on both paths:
 //!
 //! * **no torn table**: a batch is served entirely from one immutable
-//!   snapshot whose epoch the reply reports ([`Reply::epoch`]), so the
+//!   snapshot whose epoch the reply reports ([`BatchReply::epoch`]), so the
 //!   result is what a single-threaded search of that epoch's rules returns;
 //! * **read-your-writes**: a lookup submitted after `publish(v)` returned
 //!   is served at an epoch ≥ v — the submit → dequeue hand-off orders the
@@ -81,7 +81,6 @@
 use crate::error::{Result, ServeError};
 use crate::queue::{BoundedQueue, TryPushError};
 use crate::telemetry::{ServeReport, ShardStats};
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, RwLock};
@@ -89,6 +88,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tcam_arch::bank::BankRefresh;
 use tcam_arch::energy_model::OperationCosts;
+use tcam_arch::packed::{PackedTcamArray, PackedWord};
 use tcam_obs::RequestTrace;
 
 /// Service configuration.
@@ -109,24 +109,10 @@ pub struct ServiceConfig {
     /// Worker threads per shard — the multi-core scaling knob. All of a
     /// shard's workers pop from the same bounded queue and serve from the
     /// shard's one published snapshot, so scaling needs no sharding
-    /// change. `0` = auto: spread [`std::thread::available_parallelism`]
-    /// evenly across shards (at least one worker each).
+    /// change. `0` is clamped to 1, as a `queue_capacity` of 0 is.
     pub workers_per_shard: usize,
     /// Per-operation cost model for energy accounting.
     pub costs: OperationCosts,
-}
-
-impl ServiceConfig {
-    /// The worker count per shard this config resolves to for `shards`
-    /// shards (`0` = auto = available parallelism spread across shards).
-    #[must_use]
-    pub fn resolved_workers_per_shard(&self, shards: usize) -> usize {
-        if self.workers_per_shard > 0 {
-            return self.workers_per_shard;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        (cores / shards.max(1)).max(1)
-    }
 }
 
 impl Default for ServiceConfig {
@@ -142,37 +128,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What a shard serves from: an immutable table with a batch kernel. The
-/// pool owns everything else.
-pub trait ShardTable: Send + Sync + 'static {
-    /// One batch of keys (plus whatever says how to match them) as the
-    /// kernel reads it — borrowed, so a caller-run query needs no copy.
-    type Keys: ?Sized;
-    /// The owned form a [`Batch`] carries through a queue.
-    type Query: Borrow<Self::Keys> + Send + 'static;
-    /// The kernel's output for one batch, one slot per key.
-    type Answer: Default + Send + 'static;
-
-    /// Stored rows (sizes a row-by-row refresh event).
-    fn rows(&self) -> usize;
-
-    /// Keys in `query`.
-    fn keys(query: &Self::Keys) -> usize;
-
-    /// Matches every key of `query` into `out` (cleared first) and returns
-    /// how many found a match.
-    fn answer(&self, query: &Self::Keys, out: &mut Self::Answer) -> u64;
-}
-
-/// A batch of keys bound for one shard.
-pub struct Batch<T: ShardTable> {
+/// A batch of pre-routed, packed search keys bound for one shard.
+pub struct SearchBatch {
     /// The keys, all belonging to the destination shard.
-    pub keys: T::Query,
+    pub keys: Vec<PackedWord>,
     /// When the batch was submitted (queue-wait measurement starts here).
     pub submitted: Instant,
     /// Reply channel for closed-loop callers; `None` discards results
     /// (open-loop load generation counts completions instead).
-    pub reply: Option<SyncSender<Reply<T::Answer>>>,
+    pub reply: Option<SyncSender<BatchReply>>,
     /// The sampled request's hop collector, when the submitter carries
     /// one: the worker records its shard-labeled queue-wait and match
     /// hops into it. `None` (the common case) costs nothing on the
@@ -180,21 +144,22 @@ pub struct Batch<T: ShardTable> {
     pub trace: Option<Arc<tcam_obs::RequestTrace>>,
 }
 
-/// A worker's reply to a [`Batch`].
+/// A worker's reply to a [`SearchBatch`]: the serving epoch and the
+/// winning rule id per key.
 #[derive(Debug)]
-pub struct Reply<A> {
+pub struct BatchReply {
     /// The epoch of the table snapshot that served every key in the batch
     /// (0 = the initial table). Exactly one epoch serves a whole batch —
     /// the no-torn-snapshot guarantee, exposed so callers can verify it.
     pub epoch: u64,
     /// One result per key, in submission order.
-    pub results: A,
+    pub results: Vec<Option<u32>>,
 }
 
 /// One published table snapshot.
-struct Published<T> {
+struct Published {
     epoch: u64,
-    table: Arc<T>,
+    table: Arc<PackedTcamArray>,
     published_at: Instant,
 }
 
@@ -204,13 +169,13 @@ struct Published<T> {
 /// `epoch` is stored with `Release` while the slot lock is held, after the
 /// slot was replaced; a worker that `Acquire`-loads epoch `v` and then
 /// locks the slot therefore finds a snapshot of epoch ≥ `v`.
-struct Cell<T> {
+struct Cell {
     epoch: AtomicU64,
-    slot: Mutex<Published<T>>,
+    slot: Mutex<Published>,
 }
 
-impl<T> Cell<T> {
-    fn new(epoch: u64, table: Arc<T>) -> Self {
+impl Cell {
+    fn new(epoch: u64, table: Arc<PackedTcamArray>) -> Self {
         Self {
             epoch: AtomicU64::new(epoch),
             slot: Mutex::new(Published {
@@ -224,7 +189,7 @@ impl<T> Cell<T> {
     /// Replaces the snapshot if `epoch` is newer than the one held;
     /// returns whether it did. Republication is idempotent, and an older
     /// epoch can never overwrite a newer one.
-    fn publish(&self, epoch: u64, table: Arc<T>) -> bool {
+    fn publish(&self, epoch: u64, table: Arc<PackedTcamArray>) -> bool {
         let mut slot = self
             .slot
             .lock()
@@ -241,7 +206,7 @@ impl<T> Cell<T> {
         true
     }
 
-    fn load(&self) -> Published<T> {
+    fn load(&self) -> Published {
         let slot = self
             .slot
             .lock()
@@ -256,7 +221,11 @@ impl<T> Cell<T> {
     /// load; a newer snapshot replaces `current`, is accounted in `stats`,
     /// and the retired table is handed back so the caller decides when its
     /// memory is freed.
-    fn adopt(&self, current: &mut Published<T>, stats: &mut ShardStats) -> Option<Arc<T>> {
+    fn adopt(
+        &self,
+        current: &mut Published,
+        stats: &mut ShardStats,
+    ) -> Option<Arc<PackedTcamArray>> {
         if self.epoch.load(Ordering::Acquire) <= current.epoch {
             return None;
         }
@@ -275,9 +244,9 @@ impl<T> Cell<T> {
 }
 
 /// What a shard's workers and the submitting side share.
-pub(crate) struct Shard<T: ShardTable> {
-    pub(crate) queue: BoundedQueue<Batch<T>>,
-    cell: Cell<T>,
+pub(crate) struct Shard {
+    pub(crate) queue: BoundedQueue<SearchBatch>,
+    cell: Cell,
     /// Keys currently waiting in the queue (batch contents included);
     /// updated outside the match loop.
     queued_keys: AtomicU64,
@@ -291,24 +260,24 @@ pub(crate) struct Shard<T: ShardTable> {
 /// The running pool. Dropping without [`ShardPool::shutdown`] closes the
 /// queues and joins the workers (discarding their telemetry); shutdown and
 /// drop are both idempotent, in any order.
-pub struct ShardPool<T: ShardTable> {
-    pub(crate) shards: Vec<Arc<Shard<T>>>,
+pub struct ShardPool {
+    pub(crate) shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<ShardStats>>,
     /// Prices the searches caller-run queries account.
     costs: OperationCosts,
 }
 
-impl<T: ShardTable> ShardPool<T> {
+impl ShardPool {
     /// Starts `workers_per_shard` worker threads per table of `tables`
     /// (see [`ServiceConfig::workers_per_shard`]), every cell published at
-    /// `epoch`. A queue capacity of 0 is clamped to 1.
+    /// `epoch`. A queue capacity or worker count of 0 is clamped to 1.
     ///
     /// # Panics
     ///
     /// Panics when the OS refuses to spawn a thread.
     #[must_use]
-    pub fn start(tables: Vec<Arc<T>>, epoch: u64, config: &ServiceConfig) -> Self {
-        let per_shard = config.resolved_workers_per_shard(tables.len());
+    pub fn start(tables: Vec<Arc<PackedTcamArray>>, epoch: u64, config: &ServiceConfig) -> Self {
+        let per_shard = config.workers_per_shard.max(1);
         let mut shards = Vec::with_capacity(tables.len());
         let mut workers = Vec::with_capacity(tables.len() * per_shard);
         for (index, table) in tables.into_iter().enumerate() {
@@ -358,9 +327,9 @@ impl<T: ShardTable> ShardPool<T> {
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
-    pub fn submit(&self, shard: usize, batch: Batch<T>) -> Result<()> {
+    pub fn submit(&self, shard: usize, batch: SearchBatch) -> Result<()> {
         let target = &self.shards[shard];
-        let keys = T::keys(batch.keys.borrow()) as u64;
+        let keys = batch.keys.len() as u64;
         target.queued_keys.fetch_add(keys, Ordering::Relaxed);
         target.queue.push(batch).map_err(|_rejected| {
             target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
@@ -381,9 +350,9 @@ impl<T: ShardTable> ShardPool<T> {
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
-    pub fn try_submit(&self, shard: usize, batch: Batch<T>) -> Result<()> {
+    pub fn try_submit(&self, shard: usize, batch: SearchBatch) -> Result<()> {
         let target = &self.shards[shard];
-        let keys = T::keys(batch.keys.borrow()) as u64;
+        let keys = batch.keys.len() as u64;
         target.queued_keys.fetch_add(keys, Ordering::Relaxed);
         target.queue.try_push(batch).map_err(|rejected| {
             target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
@@ -410,9 +379,9 @@ impl<T: ShardTable> ShardPool<T> {
     pub fn answer_here(
         &self,
         shard: usize,
-        keys: &T::Keys,
+        keys: &[PackedWord],
         trace: Option<&RequestTrace>,
-    ) -> Reply<T::Answer> {
+    ) -> BatchReply {
         let start = Instant::now();
         let target = &self.shards[shard];
         let (event_over, stalled) = match target.refreshing.try_read() {
@@ -426,11 +395,11 @@ impl<T: ShardTable> ShardPool<T> {
             ),
         };
         let published = target.cell.load();
-        let mut results = T::Answer::default();
-        let matched = published.table.answer(keys, &mut results);
+        let mut results = Vec::new();
+        let matched = answer(&published.table, keys, &mut results);
         drop(event_over);
         let done = Instant::now();
-        let n = T::keys(keys) as u64;
+        let n = keys.len() as u64;
         {
             let mut stats = target
                 .caller_run
@@ -449,7 +418,7 @@ impl<T: ShardTable> ShardPool<T> {
             let label = u32::try_from(shard).unwrap_or(u32::MAX);
             trace.hop_labeled("serve_match", Some(label), start, done);
         }
-        Reply {
+        BatchReply {
             epoch: published.epoch,
             results,
         }
@@ -464,7 +433,7 @@ impl<T: ShardTable> ShardPool<T> {
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
-    pub fn publish(&self, shard: usize, epoch: u64, table: Arc<T>) -> bool {
+    pub fn publish(&self, shard: usize, epoch: u64, table: Arc<PackedTcamArray>) -> bool {
         self.shards[shard].cell.publish(epoch, table)
     }
 
@@ -510,7 +479,7 @@ impl<T: ShardTable> ShardPool<T> {
     }
 }
 
-impl<T: ShardTable> Drop for ShardPool<T> {
+impl Drop for ShardPool {
     /// Dropping without [`ShardPool::shutdown`] still closes the queues
     /// and joins the workers (so no thread outlives the pool), it just
     /// discards the telemetry. After an explicit shutdown this is a no-op.
@@ -519,7 +488,7 @@ impl<T: ShardTable> Drop for ShardPool<T> {
     }
 }
 
-struct WorkerCtx<T: ShardTable> {
+struct WorkerCtx {
     /// Shard index.
     index: usize,
     /// Worker index within the shard (worker 0 owns the refresh clock).
@@ -527,7 +496,7 @@ struct WorkerCtx<T: ShardTable> {
     /// Global worker index (`shard * workers_per_shard + worker`), the
     /// label for per-worker registry gauges.
     worker_label: u32,
-    shard: Arc<Shard<T>>,
+    shard: Arc<Shard>,
     config: ServiceConfig,
 }
 
@@ -545,6 +514,13 @@ fn refresh_op(state: u64, work: u32) -> u64 {
     std::hint::black_box(acc)
 }
 
+/// Matches every key of `keys` into `out` (cleared first) in one kernel
+/// call and returns how many found a match.
+fn answer(table: &PackedTcamArray, keys: &[PackedWord], out: &mut Vec<Option<u32>>) -> u64 {
+    table.first_match_batch_into(keys, out);
+    out.iter().flatten().count() as u64
+}
+
 /// `from → to` in nanoseconds (0 when `to` is earlier).
 fn nanos(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
@@ -555,12 +531,7 @@ fn nanos(from: Instant, to: Instant) -> u64 {
 /// utilization gauge by global worker index). Called at flush boundaries
 /// only — never per key — so the registry costs nothing on the match
 /// path.
-fn publish_gauges<T: ShardTable>(
-    ctx: &WorkerCtx<T>,
-    stats: &ShardStats,
-    shard: u32,
-    worker_start: Instant,
-) {
+fn publish_gauges(ctx: &WorkerCtx, stats: &ShardStats, shard: u32, worker_start: Instant) {
     #[allow(clippy::cast_precision_loss)]
     {
         tcam_obs::gauge_set_at(
@@ -594,11 +565,11 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 /// global mutex, so workers amortize it well past the per-batch path.
 const FLUSH_EVERY_BATCHES: u64 = 64;
 
-fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
+fn run_worker(ctx: &WorkerCtx) -> ShardStats {
     let worker_start = Instant::now();
     let (queue, cell) = (&ctx.shard.queue, &ctx.shard.cell);
     let mut current = cell.load();
-    let mut stats = ShardStats::new(ctx.index, current.table.rows());
+    let mut stats = ShardStats::new(ctx.index, current.table.len());
     stats.epoch = current.epoch;
     stats.worker = ctx.worker;
     let config = &ctx.config;
@@ -613,7 +584,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
     let mut batches_at_last_flush = 0u64;
     // Reused kernel output buffer: the no-reply (open-loop) path never
     // allocates; the reply path takes the buffer and leaves a fresh one.
-    let mut kernel_out = T::Answer::default();
+    let mut kernel_out = Vec::new();
 
     loop {
         let now = Instant::now();
@@ -627,7 +598,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
                 .refreshing
                 .write()
                 .expect("refresh lock is never held across a panic");
-            let ops = config.refresh.ops_per_event(current.table.rows());
+            let ops = config.refresh.ops_per_event(current.table.len());
             for _ in 0..ops {
                 refresh_state = refresh_op(refresh_state, config.refresh_op_work);
                 stats.meter.refresh(&config.costs, config.refresh.op_time());
@@ -665,7 +636,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
         let retired = cell.adopt(&mut current, &mut stats);
         if batches.is_empty() {
             if closed {
-                stats.rows = current.table.rows();
+                stats.rows = current.table.len();
                 if ctx.worker == 0 {
                     let caller_run = std::mem::take(
                         &mut *ctx
@@ -698,7 +669,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
         let t0 = Instant::now();
         let obs_match = tcam_obs::span!("serve_match");
         for batch in batches {
-            let n = T::keys(batch.keys.borrow()) as u64;
+            let n = batch.keys.len() as u64;
             ctx.shard.queued_keys.fetch_sub(n, Ordering::Relaxed);
             let dequeued = Instant::now();
             stats.queue_wait.record(nanos(batch.submitted, dequeued));
@@ -707,7 +678,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
             // The whole batch goes through the kernel in one call;
             // telemetry is settled per batch (one clock read, O(1)
             // histogram/meter updates), never per key.
-            stats.matched += current.table.answer(batch.keys.borrow(), &mut kernel_out);
+            stats.matched += answer(&current.table, &batch.keys, &mut kernel_out);
             stats.searches += n;
             stats.meter.search_n(&config.costs, n);
             let done = Instant::now();
@@ -721,7 +692,7 @@ fn run_worker<T: ShardTable>(ctx: &WorkerCtx<T>) -> ShardStats {
             stats.latency.record_n(nanos(batch.submitted, done), n);
             if let Some(reply) = batch.reply {
                 // A departed closed-loop caller is not an error.
-                let _ = reply.send(Reply {
+                let _ = reply.send(BatchReply {
                     epoch: current.epoch,
                     results: std::mem::take(&mut kernel_out),
                 });

@@ -12,53 +12,27 @@
 //! per AND.
 
 use crate::error::{Result, ServeError};
-use crate::pool::{Batch, Reply, ShardPool, ShardTable};
+use crate::pool::ShardPool;
 use crate::shard::{ShardRouter, ShardedRuleSet};
 use crate::telemetry::ServeReport;
 use std::sync::Arc;
 use std::time::Instant;
 use tcam_arch::packed::{PackedTcamArray, PackedWord};
 
-pub use crate::pool::ServiceConfig;
-
-impl ShardTable for PackedTcamArray {
-    type Keys = [PackedWord];
-    type Query = Vec<PackedWord>;
-    type Answer = Vec<Option<u32>>;
-
-    fn rows(&self) -> usize {
-        self.len()
-    }
-
-    fn keys(query: &[PackedWord]) -> usize {
-        query.len()
-    }
-
-    fn answer(&self, query: &[PackedWord], out: &mut Self::Answer) -> u64 {
-        self.first_match_batch_into(query, out);
-        out.iter().flatten().count() as u64
-    }
-}
-
-/// A batch of pre-routed, packed search keys.
-pub type SearchBatch = Batch<PackedTcamArray>;
-
-/// A worker's reply to a [`SearchBatch`]: the serving epoch and the
-/// winning rule id per key.
-pub type BatchReply = Reply<Vec<Option<u32>>>;
+pub use crate::pool::{BatchReply, SearchBatch, ServiceConfig};
 
 /// The running service: a [`ShardPool`] of packed ternary tables — whose
-/// `submit`, `try_submit`, `publish` and `shards` it derefs to — and the
-/// router that says which shard a key belongs to. It holds no rule set:
-/// the tables live in the pool's published cells, so after the first
-/// publication nothing here can answer from a stale one.
+/// `submit`, `try_submit`, `answer_here`, `publish` and `shards` it derefs
+/// to — and the router that says which shard a key belongs to. It holds
+/// no rule set: the tables live in the pool's published cells, so after
+/// the first publication nothing here can answer from a stale one.
 pub struct TcamService {
-    pool: ShardPool<PackedTcamArray>,
+    pool: ShardPool,
     router: ShardRouter,
 }
 
 impl std::ops::Deref for TcamService {
-    type Target = ShardPool<PackedTcamArray>;
+    type Target = ShardPool;
 
     fn deref(&self) -> &Self::Target {
         &self.pool
@@ -338,21 +312,6 @@ mod tests {
             assert!(s.epoch == 1 && s.updates_applied <= 1, "{s:?}");
             assert_eq!(s.refresh_events, 0);
         }
-    }
-
-    #[test]
-    fn auto_workers_resolve_to_at_least_one() {
-        let config = ServiceConfig {
-            workers_per_shard: 0,
-            ..ServiceConfig::default()
-        };
-        assert!(config.resolved_workers_per_shard(4) >= 1);
-        // Explicit counts pass through untouched.
-        let fixed = ServiceConfig {
-            workers_per_shard: 5,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(fixed.resolved_workers_per_shard(4), 5);
     }
 
     #[test]

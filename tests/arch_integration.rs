@@ -4,7 +4,6 @@
 
 use nem_tcam::arch::apps::classifier::range_to_prefixes;
 use nem_tcam::arch::apps::router::{Ipv4Prefix, Route, RouterTable};
-use nem_tcam::arch::apps::tlb::{Mapping, PageSize, Tlb};
 use nem_tcam::arch::array::{value_to_word, TcamArray};
 use nem_tcam::arch::refresh_sched::compare_policies;
 use nem_tcam::arch::{OperationCosts, WorkloadMeter};
@@ -38,24 +37,9 @@ fn router_workload_with_paper_energy_model() {
 }
 
 #[test]
-fn tlb_and_refresh_budget() {
-    // A TLB on a dynamic TCAM must refresh; check the power budget is tiny
-    // relative to lookup power at realistic rates.
-    let mut tlb = Tlb::new(64);
-    for i in 0..32u32 {
-        tlb.insert(Mapping {
-            va_base: i << 12,
-            pa_base: (i + 100) << 12,
-            size: PageSize::Small,
-        })
-        .expect("fits");
-    }
-    for i in 0..64u32 {
-        let _ = tlb.translate((i % 40) << 12);
-    }
-    let (hits, misses) = tlb.stats();
-    assert!(hits > 0 && misses > 0);
-
+fn refresh_power_is_below_a_tenth_of_lookup_power() {
+    // A dynamic TCAM must refresh; check the power budget is tiny relative
+    // to lookup power at a realistic 100 Msearch/s.
     let costs = OperationCosts::paper_3t2n();
     let lookup_power_at_100m = costs.search_energy * 100e6;
     assert!(

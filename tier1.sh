@@ -18,8 +18,9 @@ cargo build --release --offline --workspace
 # signal an example reads by name ("v(ml)" in search_waveform) is still
 # recorded, and that the prefix and range encoders (prefix_to_word in
 # ip_route_lookup, range_to_prefixes in acl_firewall) still load their
-# tables. A non-zero exit fails the gate (set -e).
-for example in quickstart search_waveform device_explorer ip_route_lookup acl_firewall; do
+# tables. Every file in examples/ is listed. A non-zero exit fails the
+# gate (set -e).
+for example in quickstart search_waveform device_explorer ip_route_lookup acl_firewall refresh_interference; do
     cargo run --release --offline -q --example "$example" > /dev/null
 done
 # The match kernel's shift/carry and AND loops are property-tested a
