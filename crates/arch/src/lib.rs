@@ -13,8 +13,9 @@
 //! * [`kernel`] — the bit-sliced match-line kernel behind
 //!   [`packed::PackedTcamArray::first_match_batch`]: two row bitmaps per
 //!   64-row block and bit column, so one AND resolves a column for 64
-//!   rows, a dead block is left early, and `trailing_zeros` is the
-//!   priority encoder.
+//!   rows; a per-block summary of the leading eight columns skips blocks
+//!   that cannot match before touching them, a dead block is left early,
+//!   and `trailing_zeros` is the priority encoder.
 //! * [`bank`] — [`bank::BankRefresh`], the refresh policy (none / one-shot /
 //!   row-by-row) the `tcam-serve` workers size their refresh events by.
 //! * [`refresh_sched`] — event-driven simulation of refresh interference:

@@ -184,7 +184,7 @@ impl PackedTcamArray {
         self.v0.insert(row, p.value[0]);
         self.v1.insert(row, p.value[1]);
         self.ids.insert(row, id);
-        self.lines.insert(row, &p);
+        self.lines.insert(row, &p, (&self.m0, &self.v0));
     }
 
     /// Removes the row with `id`, moving the rows after it down by one;
@@ -193,12 +193,12 @@ impl PackedTcamArray {
         let Ok(row) = self.ids.binary_search(&id) else {
             return false;
         };
-        self.m0.remove(row);
-        self.m1.remove(row);
-        self.v0.remove(row);
-        self.v1.remove(row);
+        let gone = PackedWord {
+            mask: [self.m0.remove(row), self.m1.remove(row)],
+            value: [self.v0.remove(row), self.v1.remove(row)],
+        };
         self.ids.remove(row);
-        self.lines.remove(row);
+        self.lines.remove(row, &gone, (&self.m0, &self.v0));
         true
     }
 
@@ -213,12 +213,13 @@ impl PackedTcamArray {
         let Ok(row) = self.ids.binary_search(&id) else {
             return false;
         };
+        let (_, old) = self.row(row).expect("present");
         let p = PackedWord::pack(word);
         self.m0[row] = p.mask[0];
         self.m1[row] = p.mask[1];
         self.v0[row] = p.value[0];
         self.v1[row] = p.value[1];
-        self.lines.write(row, &p);
+        self.lines.replace(row, &old, &p);
         true
     }
 
