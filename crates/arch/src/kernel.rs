@@ -53,12 +53,12 @@
 //! closes a one-bit hole by a shift-with-carry over the blocks from that
 //! row on — O(rows · width / 64) word operations; a replace rewrites
 //! `2·width` bits. The summary follows the same blocks without a
-//! rebuild: in each block one row enters and one leaves (their leading
-//! columns read from the row planes' first limb), so the entering row's
-//! 2^x values (x `X`s among the leading columns) are set, and the leaving
-//! row's are re-tested against the block's bitmaps by a walk down the k
-//! columns — k ANDs for a row with no leading `X`, one per live prefix
-//! otherwise — and cleared where the block is now dead. It stays exact.
+//! rebuild. Per block it counts, for each leading value, the rows that
+//! match it (at most 64, so a byte each), and a value's bit is set while
+//! its count is not zero. In each block the shift walks, one row enters
+//! and one leaves (their leading columns read from the row planes' first
+//! limb): the entering row's 2^x values (x `X`s among the leading
+//! columns) count one up, the leaving row's one down. It stays exact.
 //!
 //! Semantics are bit-identical to per-key [`PackedTcamArray::first_match`],
 //! which stays a row-at-a-time scan over the row planes and never reads
@@ -97,39 +97,21 @@ fn lead_values(lead: usize, (care, value): Lead) -> impl Iterator<Item = usize> 
     })
 }
 
-/// Clears bit `bit` of `live[v]` for each value `v` of pattern `(care,
-/// value)` that no row of a block matches, given the block's bitmaps for
-/// its `lead = bits.len() / 2` leading columns. A depth-first walk down
-/// the columns: `lines[c]` holds the rows that match `v` on its first `c`
-/// columns, so each prefix costs one AND, and a dead prefix clears all of
-/// the pattern's values under it at once.
-fn clear_dead(bits: &[u64], live: &mut [u64], bit: u64, (care, value): Lead) {
-    let lead = bits.len() / 2;
-    assert!(lead <= COLUMN_GROUP, "the summary's columns fit one group");
-    let xs = !care & ((1 << lead) - 1);
-    let mut lines = [!0u64; COLUMN_GROUP + 1];
-    let (mut v, mut c) = (value, 0);
-    loop {
-        while c < lead && lines[c] != 0 {
-            lines[c + 1] = lines[c] & bits[2 * c + (v >> (lead - 1 - c) & 1)];
-            c += 1;
+/// Scratch space of [`MatchLines::first_row`], reused across the keys of a
+/// batch.
+struct Scratch {
+    /// The word offsets of the columns a key cares about.
+    offsets: [u16; MAX_PACKED_WIDTH],
+    /// Blocks visited so far: what the block summary saves shows here.
+    visited: usize,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Self {
+            offsets: [0; MAX_PACKED_WIDTH],
+            visited: 0,
         }
-        // `v`'s `X` columns from `c` on are still 0, as in `value`.
-        let below = (1 << (lead - c)) - 1;
-        if lines[c] == 0 {
-            for u in lead_values(lead, (care | xs & !below, v)) {
-                live[u] &= !bit;
-            }
-        }
-        // Backtrack to the deepest `X` column above `c` still at 0, set it
-        // and zero the `X` columns after it; its line is re-ANDed next.
-        let open = xs & !below & !v;
-        if open == 0 {
-            return;
-        }
-        let turn = open & open.wrapping_neg();
-        v = (v | turn) & !(xs & (turn - 1));
-        c = lead - 1 - turn.trailing_zeros() as usize;
     }
 }
 
@@ -148,6 +130,9 @@ pub(crate) struct MatchLines {
     /// | v` is set exactly when some row of `block` matches `v` on the
     /// leading `lead` columns.
     live: Vec<u64>,
+    /// What keeps the summary exact: entry `block << lead | v` counts the
+    /// rows of `block` matching `v` on the leading columns (at most 64).
+    counts: Vec<u8>,
 }
 
 impl MatchLines {
@@ -158,6 +143,7 @@ impl MatchLines {
             bits: Vec::new(),
             lead: width.min(COLUMN_GROUP),
             live: Vec::new(),
+            counts: Vec::new(),
         }
     }
 
@@ -171,6 +157,7 @@ impl MatchLines {
         let stride = 2 * self.width;
         if self.rows.is_multiple_of(BLOCK_ROWS) {
             self.bits.resize(self.bits.len() + stride, 0);
+            self.counts.resize(self.counts.len() + (1 << self.lead), 0);
             if self.blocks().is_multiple_of(SUMMARY_BLOCKS) {
                 self.live.resize(self.live.len() + (1 << self.lead), 0);
             }
@@ -225,6 +212,7 @@ impl MatchLines {
         self.rows -= 1;
         let blocks = self.blocks();
         self.bits.truncate(blocks * stride);
+        self.counts.truncate(blocks << self.lead);
         if blocks < old_blocks {
             // The emptied last block leaves the summary.
             let bit = 1u64 << (blocks % SUMMARY_BLOCKS);
@@ -291,22 +279,27 @@ impl MatchLines {
         self.pattern(mask[row], value[row])
     }
 
-    /// Brings `block`'s summary bits up to date after a row with pattern
-    /// `enter` joined it and one with `leave` left it: the values `enter`
-    /// matches are set, and those `leave` matched are re-tested against
-    /// the block's bitmaps, which already hold `enter`'s row.
+    /// Brings `block`'s summary up to date after a row with pattern
+    /// `enter` joined it and one with `leave` left it: each value `enter`
+    /// matches counts one row more, each `leave` matched one fewer, and a
+    /// value's live bit follows its count to and from zero.
     fn resummarize(&mut self, block: usize, enter: Option<Lead>, leave: Option<Lead>) {
         if enter == leave {
             return;
         }
-        let live = &mut self.live[(block / SUMMARY_BLOCKS) << self.lead..][..1 << self.lead];
+        let lead = self.lead;
+        let counts = &mut self.counts[block << lead..][..1 << lead];
+        let live = &mut self.live[(block / SUMMARY_BLOCKS) << lead..][..1 << lead];
         let bit = 1u64 << (block % SUMMARY_BLOCKS);
-        for v in enter.into_iter().flat_map(|p| lead_values(self.lead, p)) {
+        for v in enter.into_iter().flat_map(|p| lead_values(lead, p)) {
+            counts[v] += 1;
             live[v] |= bit;
         }
-        if let Some(leave) = leave {
-            let bits = &self.bits[block * 2 * self.width..][..2 * self.lead];
-            clear_dead(bits, live, bit, leave);
+        for v in leave.into_iter().flat_map(|p| lead_values(lead, p)) {
+            counts[v] -= 1;
+            if counts[v] == 0 {
+                live[v] &= !bit;
+            }
         }
     }
 
@@ -366,13 +359,13 @@ impl MatchLines {
         })
     }
 
-    /// The first (lowest) row matching `key`, or `None`. `offsets` is
-    /// scratch space, reused across the keys of a batch.
-    fn first_row(&self, key: &PackedWord, offsets: &mut [u16; MAX_PACKED_WIDTH]) -> Option<usize> {
+    /// The first (lowest) row matching `key`, or `None`.
+    fn first_row(&self, key: &PackedWord, scratch: &mut Scratch) -> Option<usize> {
         let stride = 2 * self.width;
-        let groups = self.key_offsets(key, offsets);
-        let groups = &offsets.as_chunks::<COLUMN_GROUP>().0[..groups];
+        let groups = self.key_offsets(key, &mut scratch.offsets);
+        let groups = &scratch.offsets.as_chunks::<COLUMN_GROUP>().0[..groups];
         'blocks: for block in self.candidates(key) {
+            scratch.visited += 1;
             let bits = &self.bits[block * stride..][..stride];
             // Absent rows of the last block are zero in every bitmap, and
             // a key that cares about no column stops at the block's first
@@ -410,18 +403,18 @@ impl PackedTcamArray {
     /// the module docs for the kernel structure.
     pub fn first_match_batch_into(&self, keys: &[PackedWord], out: &mut Vec<Option<u32>>) {
         out.clear();
-        let mut offsets = [0; MAX_PACKED_WIDTH];
+        let mut scratch = Scratch::new();
         out.extend(
             keys.iter()
-                .map(|key| Some(self.ids[self.lines.first_row(key, &mut offsets)?])),
+                .map(|key| Some(self.ids[self.lines.first_row(key, &mut scratch)?])),
         );
     }
 }
 
 #[cfg(test)]
 impl MatchLines {
-    /// Test-only: the index holds exactly `rows`. Each bitmap bit and each
-    /// summary bit is derived afresh through the scalar rule
+    /// Test-only: the index holds exactly `rows`. Each bitmap bit, summary
+    /// bit and summary count is derived afresh through the scalar rule
     /// ([`PackedWord::matches`] against a key that cares about one column,
     /// or about the leading columns only), with no word beyond the last
     /// block or summary word and the bits of absent rows and blocks zero.
@@ -458,17 +451,25 @@ impl MatchLines {
         assert_eq!(self.bits, want, "width {} rows {}", self.width, self.rows);
         let blocks = rows.len().div_ceil(BLOCK_ROWS);
         let mut want = vec![0u64; blocks.div_ceil(SUMMARY_BLOCKS) << self.lead];
+        let mut counts = vec![0u8; blocks << self.lead];
         let leads: Vec<PackedWord> = (0..1 << self.lead)
             .map(|v| cared(0..self.lead, v))
             .collect();
         for (block, rows) in rows.chunks(BLOCK_ROWS).enumerate() {
             for (v, lead) in leads.iter().enumerate() {
-                if rows.iter().any(|row| row.matches(lead)) {
+                let n = rows.iter().filter(|row| row.matches(lead)).count();
+                counts[block << self.lead | v] = n as u8;
+                if n > 0 {
                     want[(block / SUMMARY_BLOCKS) << self.lead | v] |=
                         1 << (block % SUMMARY_BLOCKS);
                 }
             }
         }
+        assert_eq!(
+            self.counts, counts,
+            "summary counts, width {} rows {}",
+            self.width, self.rows
+        );
         assert_eq!(
             self.live, want,
             "summary, width {} rows {}",
@@ -797,37 +798,58 @@ mod tests {
     }
 
     /// The summary is what makes the kernel fast, not what makes it right:
-    /// one that degraded to all-ones would keep every answer and lose the
-    /// gain, so pin the blocks a key visits on the benchmark's 4,097-row
-    /// router table (65 blocks; a scan without the summary visits a mean
-    /// of about 37.6 per key).
+    /// one that degraded to all-ones, or a kernel that stopped reading it,
+    /// would keep every answer and lose the gain. So pin the blocks
+    /// `first_row` visits on the benchmark's router table — 4,096 random
+    /// /8–/28 prefixes, longest first, and a default route: 65 blocks, of
+    /// which a scan without the summary visits a mean of about 37.6 per
+    /// key. The table and keys follow `Workload::router_lpm(4096, 65_536,
+    /// 1)` in `tcam-serve` draw for draw.
     #[test]
     fn router_keys_visit_few_blocks() {
-        let workload = tcam_serve::workload::Workload::router_lpm(4096, 65_536, 1);
-        let mut packed = PackedTcamArray::new(workload.width);
-        for (id, word) in workload.words.iter().enumerate() {
-            packed.push(word, id as u32);
+        use crate::array::{prefix_to_word, value_to_word};
+        let mut rng = SplitMix64::new(1);
+        let (mut rule_rng, mut key_rng) = (rng.fork(), rng.fork());
+        let mut prefixes: Vec<(u32, usize)> = (0..4096)
+            .map(|_| {
+                let len = 8 + rule_rng.below(21) as usize;
+                (rule_rng.next_u64() as u32 & u32::MAX << (32 - len), len)
+            })
+            .collect();
+        prefixes.sort_by_key(|&(addr, len)| (std::cmp::Reverse(len), addr));
+        let mut packed = PackedTcamArray::new(32);
+        for (id, &(addr, len)) in prefixes.iter().enumerate() {
+            packed.push(&prefix_to_word(u64::from(addr), len, 32), id as u32);
         }
-        let keys: Vec<PackedWord> = workload.keys.iter().map(|k| PackedWord::pack(k)).collect();
+        packed.push(&prefix_to_word(0, 0, 32), prefixes.len() as u32);
+        let keys: Vec<PackedWord> = (0..65_536)
+            .map(|_| {
+                let addr = if key_rng.next_f64() < 0.8 {
+                    let (base, len) = prefixes[key_rng.below(prefixes.len() as u64) as usize];
+                    base | (key_rng.next_u64() as u32 & u32::MAX >> len)
+                } else {
+                    key_rng.next_u64() as u32
+                };
+                PackedWord::pack(&value_to_word(u64::from(addr), 32))
+            })
+            .collect();
         let lines = &packed.lines;
-        let (mut visited_total, mut scanned_total) = (0, 0);
-        let mut offsets = [0; MAX_PACKED_WIDTH];
+        assert_eq!(lines.blocks(), 65);
+        let mut scratch = Scratch::new();
+        let mut scanned = 0;
         for key in &keys {
-            // The kernel visits its candidates up to the winner's block, or
-            // all of them on a miss; a scan without the summary visits
-            // every block up to the winner's.
-            let last = lines
-                .first_row(key, &mut offsets)
-                .map_or(lines.blocks() - 1, |row| row / BLOCK_ROWS);
-            visited_total += lines.candidates(key).take_while(|&b| b <= last).count();
-            scanned_total += last + 1;
+            // A scan without the summary visits every block up to the
+            // winner's, or all of them on a miss.
+            scanned += lines
+                .first_row(key, &mut scratch)
+                .map_or(lines.blocks(), |row| row / BLOCK_ROWS + 1);
         }
         let mean = |total: usize| total as f64 / keys.len() as f64;
-        assert!(mean(scanned_total) > 30.0, "scan {}", mean(scanned_total));
+        assert!(mean(scanned) > 30.0, "scan {}", mean(scanned));
         assert!(
-            mean(visited_total) <= 8.0,
+            mean(scratch.visited) <= 8.0,
             "visited {}",
-            mean(visited_total)
+            mean(scratch.visited)
         );
     }
 

@@ -51,10 +51,11 @@
 //! workers → writer: the reader records `net_decode` and
 //! `net_admission`, the workers record shard-labeled
 //! `serve_queue`/`serve_match` hops, and the writer records `net_gather`
-//! and `net_write` — four top-level hops. Whichever thread writes the
-//! reply finishes the trace; the top-level hops tile the request's wall
-//! clock from frame receipt to response write. Every answered request
-//! (traced or not) feeds the `net_request` SLO tracker with its
+//! and `net_write` — four top-level hops; `net_write` spans the reply's
+//! hand-over, its encode and its write. Whichever thread writes the reply
+//! finishes the trace; the top-level hops tile the request's wall clock
+//! from frame receipt to response write. Every answered request (traced
+//! or not) feeds the `net_request` SLO tracker with its
 //! receipt-to-write latency; admission sheds feed the flight recorder,
 //! and a burst of [`SHED_BURST_DUMP_EVERY`] sheds triggers a post-mortem
 //! dump.
@@ -354,7 +355,8 @@ struct QueuedReply {
     outcome: Outcome,
     /// Frame-receipt instant: the request's SLO wall clock starts here.
     received: Instant,
-    /// When admission (scatter) finished — the `net_gather` hop's start.
+    /// When admission finished — the `net_gather` hop's start, or for a
+    /// lookup answered on the reader the `net_write` hop's.
     admitted: Instant,
     /// The sampled request's hop collector (`None` = untraced).
     trace: Option<Arc<RequestTrace>>,
@@ -632,6 +634,10 @@ fn write_loop(mut stream: &TcpStream, rx: &Receiver<QueuedReply>, queued: &Atomi
 /// reader for the replies it already knows.
 fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: QueuedReply) -> bool {
     let t0 = Instant::now();
+    // The `net_write` hop spans the hand-over, the encode and the write:
+    // it opens where the answer became known (admission, for a lookup
+    // answered on the reader) or where the gather closes.
+    let mut write_start = reply.admitted;
     let status = match reply.outcome {
         Outcome::Lookup(lookup) => {
             let gathers = !matches!(lookup, PendingLookup::Answered(..));
@@ -639,7 +645,8 @@ fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: QueuedReply) 
                 Ok((epoch, results)) => {
                     tcam_obs::counter_add("net_lookups", results.len() as u64);
                     if let Some(trace) = reply.trace.as_ref().filter(|_| gathers) {
-                        trace.hop("net_gather", reply.admitted, Instant::now());
+                        write_start = Instant::now();
+                        trace.hop("net_gather", reply.admitted, write_start);
                     }
                     let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
                     wire::encode_response_flagged(
@@ -674,7 +681,6 @@ fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: QueuedReply) 
             Status::Ok
         }
     };
-    let write_start = Instant::now();
     if stream.write_all(frame).is_err() {
         return false;
     }

@@ -148,19 +148,16 @@ fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Ar
     const REQUESTS: usize = 64;
     let dir = tmpdir(tag);
     let node = quiet_node(&dir, shard_bits);
-    // 1024 /20 routes under one leading byte, as a shard's table under
-    // one /8 is: the kernel's block summary, keyed by that byte, narrows
-    // nothing, so the match is most of a request even in a debug build;
-    // the reply encode between the match (or gather) and write hops is
-    // the one stretch no hop covers.
-    const NET: u64 = 0x0A << 16;
+    // 1024 /12 routes; keys past the last route miss, and at shard_bits 1
+    // the keys split across both shards. `net_write` spans the reply
+    // encode, so the hops tile the request however short the match is.
     let routes: Vec<RuleChange> = (0..1024u32)
         .map(|i| RuleChange::Insert {
             priority: i,
-            word: prefix_word(NET | (u64::from(i) * 16), 20, 24),
+            word: prefix_word(u64::from(i) * 16, 12, 16),
         })
         .collect();
-    node.apply(0, 24, &routes).unwrap();
+    node.apply(0, 16, &routes).unwrap();
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
@@ -168,7 +165,7 @@ fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Ar
 
     tcam_obs::trace_store_reset();
     let keys: Vec<PackedWord> = (0..256u64)
-        .map(|v| PackedWord::pack(&prefix_word(NET | (v * 251), 24, 24)))
+        .map(|v| PackedWord::pack(&prefix_word(v * 251, 16, 16)))
         .collect();
     for i in 0..REQUESTS {
         client.lookup(0, &keys[(i % 4) * 64..][..64]).unwrap();
@@ -247,10 +244,10 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
     node.chaos_fail_appends(1);
     let poisoned = node.apply(
         0,
-        24,
+        16,
         &[RuleChange::Insert {
             priority: u32::MAX,
-            word: prefix_word(0, 0, 24),
+            word: prefix_word(0, 0, 16),
         }],
     );
     assert!(poisoned.is_err(), "the injected append fault must surface");
