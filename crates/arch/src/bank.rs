@@ -1,7 +1,7 @@
 //! The refresh policy of a TCAM bank: how many refresh operations one
 //! retention event costs and how long each takes (one-shot for the 3T2N;
-//! none for SRAM/NVM). The `tcam-serve` shard workers size their refresh
-//! events by it; the paper's §III-D interference argument is reproduced by
+//! none for SRAM/NVM). The `tcam-serve` worker sizes its refresh events
+//! by it; the paper's §III-D interference argument is reproduced by
 //! [`crate::refresh_sched`].
 
 /// Refresh handling for the bank.

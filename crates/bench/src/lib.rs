@@ -6,7 +6,6 @@
 use tcam_core::designs::ArraySpec;
 
 pub mod jsonline;
-pub mod timing;
 
 /// Returns whether the bare flag `--<name>` is present in argv.
 #[must_use]

@@ -3,12 +3,9 @@
 //! [`NetClient::lookup`] is the simple request/response call. For
 //! throughput, pipeline: issue several [`NetClient::send_lookup`]s, then
 //! collect with [`NetClient::recv_response`] — responses arrive in
-//! request order, each carrying the request id for pairing. The server
-//! keeps that order whichever of a connection's two threads writes a
-//! reply: its reader writes the replies it knows at once (a single-shard
-//! lookup, a status, a pong) only while no earlier reply is queued for
-//! its writer, which writes the rest in order. `stack_bench`'s wire
-//! phases drive exactly this loop. [`NetClient::lookup`] and
+//! request order, each carrying the request id for pairing: the server
+//! answers a connection's requests one at a time, in the order they
+//! arrive. `stack_bench`'s wire phases drive exactly this loop. [`NetClient::lookup`] and
 //! [`NetClient::ping`] check that the response they read carries their
 //! own request id, so one called with responses still outstanding fails
 //! instead of taking another request's reply.
@@ -180,8 +177,8 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// I/O or wire errors, or the server's status (`Overloaded`,
-    /// `UnknownNamespace`, …).
+    /// I/O or wire errors, or the server's status (`UnknownNamespace`,
+    /// `WidthMismatch`, …).
     pub fn lookup(
         &mut self,
         namespace: u16,

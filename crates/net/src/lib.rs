@@ -7,19 +7,19 @@
 //! on `std::net`/`std::fs`, keeping the workspace zero-dependency):
 //!
 //! * **A wire front-end** ([`server`], [`wire`], [`client`]): a compact
-//!   length-prefixed binary lookup protocol over TCP, decoding straight
-//!   into the per-shard batch queues, every reply tagged with the
-//!   epoch that served it; plus a minimal HTTP/JSON admin plane
+//!   length-prefixed binary lookup protocol over TCP, each lookup matched
+//!   on its connection's thread and its reply tagged with the epoch that
+//!   served it; plus a minimal HTTP/JSON admin plane
 //!   ([`admin`]) for rule batches, stats, and snapshot triggers.
 //! * **Durability** ([`wal`]): a CRC-framed write-ahead log (fsync per
 //!   batch, torn-tail truncation on replay) with periodic snapshots and
 //!   log compaction, so a restart replays to exactly the rule state and
 //!   epoch the crash interrupted.
-//! * **Robustness** ([`server`], [`node`]): admission control at three
-//!   layers (bounded accept backlog, live-connection cap, per-connection
-//!   inflight cap) with overload as an explicit wire status; graceful
-//!   shutdown that answers every in-flight request; and multi-tenant
-//!   namespaces, each mapping to its own shard group ([`node`]).
+//! * **Robustness** ([`server`], [`node`]): admission control at two
+//!   connection-level layers (bounded accept backlog, live-connection
+//!   cap) and TCP backpressure within a connection; graceful shutdown
+//!   that answers every decoded request; and multi-tenant namespaces,
+//!   each mapping to its own table ([`node`]).
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -60,7 +60,7 @@ pub use admin::AdminServer;
 pub use client::NetClient;
 pub use crc::crc32c;
 pub use error::{NetError, Result};
-pub use node::{NamespaceGroup, NodeConfig, PendingLookup, TcamNode};
+pub use node::{NamespaceGroup, NodeConfig, TcamNode};
 pub use server::{NetServer, ServerConfig};
 pub use wal::{DurableStore, WalRecord};
 pub use wire::{LookupRequest, LookupResponse, Status};

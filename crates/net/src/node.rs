@@ -1,5 +1,5 @@
 //! The node: one process serving many tenant namespaces, each backed by
-//! its own shard group, all sharing one durable store.
+//! its own table, all sharing one durable store.
 //!
 //! A [`TcamNode`] owns
 //!
@@ -7,12 +7,12 @@
 //!   [`RuleStore`](tcam_update::store::RuleStore) per namespace (the
 //!   logical source of truth that survives restarts), and
 //! * one [`NamespaceGroup`] per provisioned namespace — a live
-//!   [`TcamService`] (its own shard workers) plus the single-writer
-//!   [`Updater`] that publishes epoch snapshots into it.
+//!   [`TcamService`] (one packed table and its worker) plus the
+//!   single-writer [`Updater`] that publishes epoch snapshots into it.
 //!
-//! Namespaces are the multi-tenancy boundary: each maps to its own shard
-//! group, so one tenant's rule churn or traffic burst contends with
-//! another's only for CPU, never for queues or tables.
+//! Namespaces are the multi-tenancy boundary: each maps to its own table,
+//! so one tenant's rule churn or traffic burst contends with another's
+//! only for CPU, never for queues or tables.
 //!
 //! **Write path** (admin plane): [`TcamNode::apply`] holds the store lock
 //! across *durable apply → updater apply → publish*, so the WAL, the
@@ -20,17 +20,13 @@
 //! epoch a lookup reply carries always equals a WAL-durable version.
 //!
 //! **Read path** (wire plane): [`TcamNode::lookup`] and the wire server
-//! share one path, [`NamespaceGroup::submit_traced`]. In a single-shard
-//! namespace (`shard_bits: 0`, the default) every key routes to shard 0,
-//! so the calling thread matches the keys itself against the shard's
-//! published snapshot
+//! share one path, [`NamespaceGroup::submit_traced`]: the calling thread
+//! checks the keys against the namespace's width and matches them itself
+//! against the published snapshot
 //! ([`answer_here`](tcam_serve::pool::ShardPool::answer_here)) — no queue
-//! and no hand-off. A multi-shard namespace routes each packed key to its
-//! shard, submits with the non-blocking admission-control path
-//! ([`try_submit`](tcam_serve::pool::ShardPool::try_submit)), and gathers
-//! replies. Either way the response epoch is the newest epoch that served
-//! any key (every key is served at or after the last epoch whose
-//! [`TcamNode::apply`] had returned at submission).
+//! and no hand-off. The response epoch is the snapshot's, which is at or
+//! after the last epoch whose [`TcamNode::apply`] had returned at
+//! submission.
 //!
 //! **Recovery**: [`TcamNode::open`] replays the store (snapshot + WAL),
 //! then rebuilds every namespace's group with [`Updater::resume`], whose
@@ -43,11 +39,10 @@ use crate::wal::DurableStore;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 use tcam_arch::packed::PackedWord;
 use tcam_obs::RequestTrace;
 use tcam_serve::error::ServeError;
-use tcam_serve::service::{BatchReply, SearchBatch, ServiceConfig, TcamService};
+use tcam_serve::service::{ServiceConfig, TcamService};
 use tcam_serve::shard::ShardedRuleSet;
 use tcam_serve::telemetry::ServeReport;
 use tcam_update::publish::Updater;
@@ -56,9 +51,7 @@ use tcam_update::store::RuleChange;
 /// Node-level configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
-    /// Shard-selector bits for every namespace's shard group.
-    pub shard_bits: u32,
-    /// Per-namespace service configuration (queues, workers, refresh;
+    /// Per-namespace service configuration (queue, refresh;
     /// its `costs` also price the updater's row work).
     pub service: ServiceConfig,
     /// Write a snapshot and compact the WAL every this many applied
@@ -70,7 +63,6 @@ pub struct NodeConfig {
 impl Default for NodeConfig {
     fn default() -> Self {
         Self {
-            shard_bits: 0,
             service: ServiceConfig::default(),
             snapshot_every_batches: 1024,
         }
@@ -79,7 +71,7 @@ impl Default for NodeConfig {
 
 /// One namespace's serving stack: a live service and its single writer.
 pub struct NamespaceGroup {
-    /// The shard workers answering this namespace's lookups.
+    /// The table (and its worker) answering this namespace's lookups.
     service: TcamService,
     /// The namespace's single writer (guards the shadow + epoch).
     updater: Mutex<Updater>,
@@ -90,7 +82,7 @@ impl NamespaceGroup {
     /// booting the workers at the store's version so even the very first
     /// reply after a restart carries the exact pre-crash epoch.
     fn start(store: tcam_update::store::RuleStore, config: &NodeConfig) -> Result<Self> {
-        let updater = Updater::resume(store, config.shard_bits, config.service.costs)?;
+        let updater = Updater::resume(store, 0, config.service.costs)?;
         let service = updater.start_service(&config.service)?;
         Ok(Self {
             service,
@@ -114,120 +106,55 @@ impl NamespaceGroup {
         self.updater.lock().expect("updater lock").epoch()
     }
 
-    /// Starts one lookup of packed keys. In a single-shard namespace every
-    /// key routes to shard 0, so the keys are matched right here, on the
-    /// calling thread ([`ShardPool::answer_here`]), and the lookup comes
-    /// back [`PendingLookup::Answered`]. Otherwise the keys are scattered
-    /// across the shards with the **non-blocking** submit path and come
-    /// back [`PendingLookup::Scattered`], to gather later — the split that
-    /// lets a connection reader keep decoding (pipelining) while earlier
-    /// requests are still matching. A sampled request passes its hop
-    /// collector as `trace`: the caller-run match records a shard-labeled
-    /// `serve_match` hop into it, and every scattered [`SearchBatch`]
-    /// holds a clone, so the shard workers record their queue/match hops
-    /// into the same trace the connection threads use.
+    /// One lookup of packed keys, matched right here, on the calling
+    /// thread ([`ShardPool::answer_here`]): returns `(epoch, results)`,
+    /// results in key order. A sampled request passes its hop collector
+    /// as `trace`, and the match records a `serve_match` hop into it.
     ///
     /// # Errors
     ///
-    /// Scatter only: [`ServeError::Overloaded`] when any shard queue is
-    /// full — the whole request is shed (already-submitted sub-batches
-    /// still execute; their replies are discarded).
-    /// [`ServeError::AmbiguousKey`] for keys with a don't-care in the
-    /// selector bits, [`ServeError::ServiceClosed`] during shutdown.
+    /// [`ServeError::WidthMismatch`] when a key cares about a column at or
+    /// past the namespace's width (`found` is the key's cared width): a
+    /// packed key carries no width, and the kernel ignores columns past
+    /// the table's, so such a key would otherwise be answered from its
+    /// leading columns alone. Don't-cares past the width are not cares
+    /// and pass.
     ///
     /// [`ShardPool::answer_here`]: tcam_serve::pool::ShardPool::answer_here
     pub fn submit_traced(
         &self,
         keys: &[PackedWord],
-        trace: Option<&Arc<RequestTrace>>,
-    ) -> Result<PendingLookup> {
-        let router = self.service.router();
-        let shards = self.service.shards();
-        if shards == 1 {
-            let reply = self.service.answer_here(0, keys, trace.map(Arc::as_ref));
-            return Ok(PendingLookup::Answered(reply.epoch, reply.results));
-        }
-        // Scatter: route every key, preserving its position for gather.
-        let mut per_shard: Vec<(Vec<PackedWord>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); shards];
-        for (i, key) in keys.iter().enumerate() {
-            let s = router.route_packed(key).map_err(NetError::Serve)?;
-            per_shard[s].0.push(*key);
-            per_shard[s].1.push(i);
-        }
-        let mut parts = Vec::new();
-        for (s, (shard_keys, positions)) in per_shard.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
+        trace: Option<&RequestTrace>,
+    ) -> Result<(u64, Vec<Option<u32>>)> {
+        let width = self.service.width();
+        if let Some(found) = keys.iter().map(cared_width).find(|&w| w > width) {
+            return Err(ServeError::WidthMismatch {
+                expected: width,
+                found,
             }
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            self.service.try_submit(
-                s,
-                SearchBatch {
-                    keys: shard_keys,
-                    submitted: Instant::now(),
-                    reply: Some(tx),
-                    trace: trace.cloned(),
-                },
-            )?;
-            parts.push((rx, positions));
+            .into());
         }
-        Ok(PendingLookup::Scattered {
-            count: keys.len(),
-            parts,
-        })
+        let reply = self.service.answer_here(keys, trace);
+        Ok((reply.epoch, reply.results))
     }
 
-    /// [`Self::submit_traced`] (untraced) + [`PendingLookup::wait`] in one
-    /// call: returns `(epoch, results)` with results in key order and the
-    /// epoch being the newest snapshot that served any key.
+    /// [`Self::submit_traced`], untraced.
     ///
     /// # Errors
     ///
     /// As [`Self::submit_traced`].
     pub fn lookup(&self, keys: &[PackedWord]) -> Result<(u64, Vec<Option<u32>>)> {
-        self.submit_traced(keys, None)?.wait()
+        self.submit_traced(keys, None)
     }
 }
 
-/// A lookup [`NamespaceGroup::submit_traced`] started.
-pub enum PendingLookup {
-    /// Matched on the submitting thread: `(epoch, results)`.
-    Answered(u64, Vec<Option<u32>>),
-    /// In flight in the shard queues, to be gathered by [`Self::wait`].
-    Scattered {
-        /// Keys in the request.
-        count: usize,
-        /// One reply receiver per touched shard, with the original key
-        /// position of every key sent there.
-        parts: Vec<(std::sync::mpsc::Receiver<BatchReply>, Vec<usize>)>,
-    },
-}
-
-impl PendingLookup {
-    /// Blocks until every touched shard replied; returns `(epoch,
-    /// results)` in original key order, the epoch being the newest
-    /// snapshot that served any key. An answered lookup returns at once.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ServiceClosed`] when a worker exited before
-    /// replying (shutdown).
-    pub fn wait(self) -> Result<(u64, Vec<Option<u32>>)> {
-        let (count, parts) = match self {
-            Self::Answered(epoch, results) => return Ok((epoch, results)),
-            Self::Scattered { count, parts } => (count, parts),
-        };
-        let mut epoch = 0u64;
-        let mut results = vec![None; count];
-        for (rx, positions) in parts {
-            let reply: BatchReply = rx.recv().map_err(|_| ServeError::ServiceClosed)?;
-            epoch = epoch.max(reply.epoch);
-            for (slot, result) in positions.into_iter().zip(reply.results) {
-                results[slot] = result;
-            }
-        }
-        Ok((epoch, results))
+/// One past the last column `key` cares about (0 for an all-`X` key).
+/// Column `j` is bit `63 - j % 64` of limb `j / 64`.
+fn cared_width(key: &PackedWord) -> usize {
+    match key.mask {
+        [_, high] if high != 0 => 128 - high.trailing_zeros() as usize,
+        [low, _] if low != 0 => 64 - low.trailing_zeros() as usize,
+        _ => 0,
     }
 }
 
@@ -248,7 +175,7 @@ impl TcamNode {
     ///
     /// # Errors
     ///
-    /// Recovery errors from [`DurableStore::open`], or shard-group
+    /// Recovery errors from [`DurableStore::open`], or rule-set
     /// construction errors.
     pub fn open(dir: &Path, config: NodeConfig) -> Result<Self> {
         let store = DurableStore::open(dir)?;
@@ -324,7 +251,7 @@ impl TcamNode {
     ///
     /// # Errors
     ///
-    /// Validation, I/O, or shard-construction errors; on any error the
+    /// Validation, I/O, or rule-set construction errors; on any error the
     /// store, WAL, and live tables are all unchanged (the durable store
     /// validates before it logs, and the updater's one validation accepts
     /// exactly what that one does — `tcam-update`'s
@@ -340,9 +267,9 @@ impl TcamNode {
         if existing.is_none() {
             // A new namespace must be servable BEFORE its first batch
             // becomes durable: the rule store accepts any width, but the
-            // shard layer caps it (and shard_bits), and a WAL record the
-            // group construction rejects would fail every later `open`.
-            ShardedRuleSet::empty(width, self.config.shard_bits)?;
+            // packed table caps it, and a WAL record the group
+            // construction rejects would fail every later `open`.
+            ShardedRuleSet::empty(width, 0)?;
         }
         let version = store.apply(namespace, width, batch)?;
         if let Some(group) = existing {
@@ -465,9 +392,8 @@ mod tests {
         dir
     }
 
-    fn quiet_config(shard_bits: u32) -> NodeConfig {
+    fn quiet_config() -> NodeConfig {
         NodeConfig {
-            shard_bits,
             service: ServiceConfig {
                 refresh: BankRefresh::None,
                 ..ServiceConfig::default()
@@ -479,7 +405,7 @@ mod tests {
     #[test]
     fn apply_then_lookup_reports_the_durable_version_as_epoch() {
         let dir = tmpdir("epoch");
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         node.apply(
             0,
             4,
@@ -516,7 +442,7 @@ mod tests {
     fn restart_resumes_exact_epochs_per_namespace() {
         let dir = tmpdir("restart");
         {
-            let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+            let node = TcamNode::open(&dir, quiet_config()).unwrap();
             for p in 0..3u32 {
                 node.apply(
                     0,
@@ -539,7 +465,7 @@ mod tests {
             .unwrap();
             node.shutdown();
         }
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         assert_eq!(node.namespaces(), vec![0, 5]);
         // Replies carry the pre-crash epoch from the very first lookup:
         // recovery republished before serving.
@@ -559,43 +485,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_namespace_scatter_gathers_in_key_order() {
-        let dir = tmpdir("scatter");
-        let node = TcamNode::open(&dir, quiet_config(2)).unwrap();
-        // Rules pinned to different shards (top-2 selector bits concrete).
-        node.apply(
-            0,
-            6,
-            &[
-                RuleChange::Insert {
-                    priority: 1,
-                    word: w("00XXXX"),
-                },
-                RuleChange::Insert {
-                    priority: 2,
-                    word: w("01XXXX"),
-                },
-                RuleChange::Insert {
-                    priority: 3,
-                    word: w("11XXXX"),
-                },
-            ],
-        )
-        .unwrap();
-        let keys = [key("110000"), key("000000"), key("011111"), key("100000")];
-        let (_, results) = node.lookup(0, &keys).unwrap();
-        assert_eq!(results, vec![Some(3), Some(1), Some(2), None]);
-        // An ambiguous key (don't-care in the selector) is a BadRequest
-        // class error, not a panic.
-        assert!(node.lookup(0, &[key("X00000")]).is_err());
-        node.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn cared_width_is_one_past_the_last_cared_column() {
+        let packed = |bits: &str| PackedWord::pack(&w(bits));
+        assert_eq!(cared_width(&packed("XXXX")), 0);
+        assert_eq!(cared_width(&packed("1XXX")), 1);
+        assert_eq!(cared_width(&packed("X0X1XX")), 4);
+        let mut wide = vec![TernaryBit::X; 128];
+        for (col, want) in [(63, 64), (64, 65), (127, 128)] {
+            wide[col] = TernaryBit::Zero;
+            assert_eq!(cared_width(&PackedWord::pack(&wide)), want);
+        }
     }
 
     #[test]
     fn auto_snapshot_compacts_the_wal() {
         let dir = tmpdir("autosnap");
-        let mut config = quiet_config(0);
+        let mut config = quiet_config();
         config.snapshot_every_batches = 4;
         let node = TcamNode::open(&dir, config).unwrap();
         for p in 0..4u32 {
@@ -614,7 +519,7 @@ mod tests {
         assert!(node.wal_bytes() > 0);
         node.shutdown();
         // Recovery = snapshot + the one post-compaction record.
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         let (epoch, results) = node.lookup(0, &[key("1000")]).unwrap();
         assert_eq!(epoch, 5);
         assert_eq!(results, vec![Some(1)]);
@@ -625,7 +530,7 @@ mod tests {
     #[test]
     fn unservable_namespace_is_rejected_before_it_becomes_durable() {
         let dir = tmpdir("unservable");
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         // 200-bit words fit the rule store and the WAL's u16 width field,
         // but not the packed serving path — the batch must be rejected
         // with the WAL untouched, not logged and then fail group start.
@@ -655,7 +560,7 @@ mod tests {
         )
         .unwrap();
         node.shutdown();
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         assert_eq!(node.namespaces(), vec![0]);
         node.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -664,7 +569,7 @@ mod tests {
     #[test]
     fn rejected_first_batch_provisions_nothing() {
         let dir = tmpdir("phantom");
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         // Removing from a namespace that does not exist yet is refused —
         // and must not leave a 4-bit ns 7 behind to refuse the real
         // first batch or to come back from a snapshot.
@@ -685,7 +590,7 @@ mod tests {
         .unwrap();
         node.snapshot().unwrap();
         node.shutdown();
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         assert_eq!(node.namespace_summaries(), vec![(7, 8, 1, 1)]);
         node.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -694,7 +599,7 @@ mod tests {
     #[test]
     fn shutdown_is_idempotent() {
         let dir = tmpdir("shutdown");
-        let node = TcamNode::open(&dir, quiet_config(0)).unwrap();
+        let node = TcamNode::open(&dir, quiet_config()).unwrap();
         node.apply(
             0,
             4,

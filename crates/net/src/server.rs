@@ -1,5 +1,5 @@
 //! The TCP lookup front-end: connection-per-core serving with admission
-//! control at every layer.
+//! control at the connection level.
 //!
 //! # Thread anatomy
 //!
@@ -11,64 +11,40 @@
 //! sockets and starts a connection whenever the live-connection count is
 //! under [`ServerConfig::max_connections`].
 //!
-//! Each connection runs a **reader/writer thread pair** bridged by a
-//! bounded channel of [`ServerConfig::inflight_per_connection`] entries —
-//! the per-connection pipelining cap. The reader decodes a request and
-//! hands it to [`submit_traced`](crate::node::NamespaceGroup::submit_traced):
-//!
-//! * in a single-shard namespace (the default) the lookup is **matched on
-//!   the reader** against the shard's published snapshot, so its reply is
-//!   known at once — as are an immediate status and a pong. The reader
-//!   **writes a known reply itself** when nothing is queued for the
-//!   writer; otherwise the reply queues behind the writer's work, so
-//!   replies stay in request order. A request costs no thread hand-off;
-//!   overload is plain TCP backpressure on the reader.
-//! * a multi-shard lookup is *scattered* to the shard queues with the
-//!   non-blocking submit path and the pending gather goes to the writer,
-//!   which *gathers* replies in request order while the reader keeps
-//!   decoding (pipelining). A full shard queue becomes an explicit
-//!   [`Status::Overloaded`] reply (`net_shed_requests`) — never silent
-//!   queueing, never a blocked accept loop.
-//!
-//! Both threads encode and write through one function, and a count of
-//! replies queued but not yet written decides who writes: the reader
-//! only while it is 0.
+//! Each connection runs **one thread**. It decodes a request, matches a
+//! lookup itself against the namespace's published snapshot
+//! ([`submit_traced`](crate::node::NamespaceGroup::submit_traced)),
+//! encodes the reply and writes it before it decodes the next, so
+//! replies leave in request order and every reply is known where it is
+//! written. A request costs no thread hand-off; overload is plain TCP
+//! backpressure on the connection, and a peer that stops reading is cut
+//! off by [`ServerConfig::write_timeout`].
 //!
 //! # Graceful shutdown
 //!
 //! [`NetServer::shutdown`] flips a flag: the accept loop closes the
-//! listener, parked sockets are dropped, readers (which poll with a read
-//! timeout) stop decoding and hang up their channel, writers drain every
-//! in-flight request — each accepted request is answered — and the
-//! server joins all threads before returning.
+//! listener, parked sockets are dropped, connections (which poll with a
+//! read timeout) stop decoding — every request they decoded has been
+//! answered — and the server joins all threads before returning.
 //!
 //! # Observability
 //!
 //! A request whose frame carries a **sampled** trace context gets a
-//! [`RequestTrace`] collector. A lookup answered on the reader records
-//! three top-level hops: `net_decode`, a shard-labeled `serve_match` and
-//! `net_write`. A scattered lookup's collector is threaded reader → shard
-//! workers → writer: the reader records `net_decode` and
-//! `net_admission`, the workers record shard-labeled
-//! `serve_queue`/`serve_match` hops, and the writer records `net_gather`
-//! and `net_write` — four top-level hops; `net_write` spans the reply's
-//! hand-over, its encode and its write. Whichever thread writes the reply
-//! finishes the trace; the top-level hops tile the request's wall clock
-//! from frame receipt to response write. Every answered request (traced
-//! or not) feeds the `net_request` SLO tracker with its
-//! receipt-to-write latency; admission sheds feed the flight recorder,
-//! and a burst of [`SHED_BURST_DUMP_EVERY`] sheds triggers a post-mortem
-//! dump.
+//! [`RequestTrace`] collector and records three top-level hops:
+//! `net_decode`, `serve_match` and `net_write`, which spans the reply's
+//! encode and its write. The connection finishes the trace; the hops tile
+//! the request's wall clock from frame receipt to response write. Every
+//! answered request (traced or not) feeds the `net_request` SLO tracker
+//! with its receipt-to-write latency.
 
 use crate::error::{NetError, Result};
-use crate::node::{PendingLookup, TcamNode};
+use crate::node::TcamNode;
 use crate::wire::{
     self, Status, MAX_KEYS_PER_REQUEST, OP_LOOKUP, OP_PING, RESP_FLAG_TRACED, WIRE_VERSION,
 };
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,12 +53,6 @@ use tcam_obs::trace::TraceContext;
 use tcam_obs::RequestTrace;
 use tcam_serve::error::ServeError;
 use tcam_serve::BoundedQueue;
-
-/// Admission sheds per flight-recorder post-mortem dump: every time the
-/// node-wide shed counter crosses a multiple of this, the current rings
-/// are dumped with cause `shed_burst` — overload is exactly when you
-/// want the recent-event record frozen.
-pub const SHED_BURST_DUMP_EVERY: u64 = 64;
 
 /// Front-end configuration.
 #[derive(Debug, Clone, Copy)]
@@ -93,15 +63,18 @@ pub struct ServerConfig {
     /// Parked sockets the admission queue holds before the accept loop
     /// sheds new connections outright.
     pub accept_backlog: usize,
-    /// Pipelined requests in flight per connection (the reader blocks —
-    /// i.e. TCP backpressure — once this many requests await replies).
+    /// No longer limits anything: a connection answers each request
+    /// before it decodes the next, so at most one is in flight on the
+    /// server side and further pipelined requests wait in the socket
+    /// (TCP backpressure). Kept so configurations that set it still
+    /// build.
     pub inflight_per_connection: usize,
     /// Read-poll granularity: how quickly an idle connection notices
     /// shutdown.
     pub read_timeout: Duration,
     /// Upper bound on one blocking response write: a peer that stops
-    /// reading (zero TCP window) errors the writer — which then drains
-    /// and exits — instead of pinning it forever. Together with
+    /// reading (zero TCP window) errors the connection — which then
+    /// closes — instead of pinning it forever. Together with
     /// [`wire::MAX_MID_FRAME_STALLS`] on the read side this keeps
     /// shutdown's thread joins finite no matter what peers do.
     pub write_timeout: Duration,
@@ -125,9 +98,6 @@ struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
     live_connections: AtomicU64,
-    /// Requests shed at admission since start (all connections); every
-    /// [`SHED_BURST_DUMP_EVERY`]th shed triggers a flight-recorder dump.
-    sheds: AtomicU64,
     /// Handles of running/finished connection threads, reaped by the
     /// dispatcher and drained at shutdown.
     connection_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -163,7 +133,6 @@ impl NetServer {
             config,
             shutdown: AtomicBool::new(false),
             live_connections: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
             connection_threads: Mutex::new(Vec::new()),
         });
         let admission: Arc<BoundedQueue<TcpStream>> =
@@ -203,7 +172,7 @@ impl NetServer {
     }
 
     /// Graceful stop: close the listener, drop parked sockets, let every
-    /// connection answer its in-flight requests, join all threads.
+    /// connection answer the request it is on, join all threads.
     ///
     /// # Panics
     ///
@@ -333,67 +302,32 @@ fn reap_finished(shared: &Shared) {
     }
 }
 
-/// What one reply says: a lookup (answered on the reader, or a scatter
-/// still to gather) or an immediately-known status.
+/// What one reply says: a lookup's answer or an immediately-known
+/// status.
 enum Outcome {
-    Lookup(PendingLookup),
+    /// `(epoch, results)`.
+    Lookup(u64, Vec<Option<u32>>),
     Immediate(Status),
     /// A ping: answered with an empty OK response carrying the opcode.
     Pong,
 }
 
-impl Outcome {
-    /// Whether the reply can be encoded without waiting on a shard.
-    fn is_known(&self) -> bool {
-        !matches!(self, Self::Lookup(PendingLookup::Scattered { .. }))
-    }
-}
-
-struct QueuedReply {
+struct Reply {
     request_id: u32,
     opcode: u8,
     outcome: Outcome,
     /// Frame-receipt instant: the request's SLO wall clock starts here.
     received: Instant,
-    /// When admission finished — the `net_gather` hop's start, or for a
-    /// lookup answered on the reader the `net_write` hop's.
-    admitted: Instant,
+    /// When the answer became known — the `net_write` hop's start.
+    answered: Instant,
     /// The sampled request's hop collector (`None` = untraced).
     trace: Option<Arc<RequestTrace>>,
 }
 
-/// The reader's end of a connection's replies. `queued` counts replies
-/// handed to the writer and not yet written: while it is 0 the socket is
-/// the reader's, so a reply the reader already knows is written at once;
-/// anything else queues behind the writer's work. Either way replies
-/// leave in request order.
-struct Replies {
-    tx: SyncSender<QueuedReply>,
-    queued: Arc<AtomicUsize>,
-    frame: Vec<u8>,
-}
-
-impl Replies {
-    /// Sends `reply` down the path that keeps request order; `false` once
-    /// the connection should close.
-    fn send(&mut self, stream: &TcpStream, reply: QueuedReply) -> bool {
-        if reply.outcome.is_known() && self.queued.load(Ordering::Acquire) == 0 {
-            return write_reply(stream, &mut self.frame, reply);
-        }
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(reply).is_ok()
-    }
-}
-
 fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return, // peer already gone
-    };
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
-    let _ = writer_stream.set_nodelay(true);
-    let _ = writer_stream.set_write_timeout(Some(shared.config.write_timeout));
     shared.live_connections.fetch_add(1, Ordering::Relaxed);
     #[allow(clippy::cast_precision_loss)]
     tcam_obs::gauge_set(
@@ -401,42 +335,19 @@ fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
         shared.live_connections.load(Ordering::Relaxed) as f64,
     );
     tcam_obs::counter_add("net_connections_accepted", 1);
-    // The bounded reply channel IS the per-connection inflight cap
-    // (admission control layer 3): the reader blocks here once the writer
-    // has this many unanswered requests, which the peer observes as TCP
-    // backpressure. (A reply the reader writes itself never occupies it:
-    // there the blocking write is the backpressure.)
-    let (tx, rx) = std::sync::mpsc::sync_channel::<QueuedReply>(
-        shared.config.inflight_per_connection.max(1),
-    );
-    let queued = Arc::new(AtomicUsize::new(0));
-    let writer_queued = Arc::clone(&queued);
-    let reader_shared = Arc::clone(shared);
+    let conn_shared = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name("tcam-net-conn".into())
         .spawn(move || {
-            let writer = std::thread::Builder::new()
-                .name("tcam-net-conn-w".into())
-                .spawn(move || write_loop(&writer_stream, &rx, &writer_queued))
-                .expect("spawn connection writer");
-            let mut replies = Replies {
-                tx,
-                queued,
-                frame: Vec::new(),
-            };
-            read_loop(stream, &mut replies, &reader_shared);
-            // Hang up: the writer drains whatever is still in flight,
-            // answers it, and exits.
-            drop(replies);
-            let _ = writer.join();
-            reader_shared.live_connections.fetch_sub(1, Ordering::Relaxed);
+            serve_connection(stream, &conn_shared);
+            conn_shared.live_connections.fetch_sub(1, Ordering::Relaxed);
             #[allow(clippy::cast_precision_loss)]
             tcam_obs::gauge_set(
                 "net_live_connections",
-                reader_shared.live_connections.load(Ordering::Relaxed) as f64,
+                conn_shared.live_connections.load(Ordering::Relaxed) as f64,
             );
         })
-        .expect("spawn connection reader");
+        .expect("spawn connection thread");
     shared
         .connection_threads
         .lock()
@@ -444,12 +355,14 @@ fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
         .push(handle);
 }
 
-/// Decodes frames and answers or scatters lookups until EOF, a protocol
-/// violation, or shutdown. Returns when the connection should close.
-fn read_loop(mut stream: TcpStream, replies: &mut Replies, shared: &Shared) {
+/// Decodes frames and answers each before the next until EOF, a protocol
+/// violation, a failed write, or shutdown. Returns when the connection
+/// should close.
+fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    let mut frame = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
-            return; // graceful: stop reading, let the writer drain
+            return; // graceful: every decoded request is answered
         }
         let payload = match wire::read_frame(&mut stream) {
             Ok(Some(p)) => p,
@@ -472,28 +385,25 @@ fn read_loop(mut stream: TcpStream, replies: &mut Replies, shared: &Shared) {
         }
         let opcode = payload[1];
         let request_id = u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]);
+        let immediate = |opcode, status| Reply {
+            request_id,
+            opcode,
+            outcome: Outcome::Immediate(status),
+            received,
+            answered: received,
+            trace: None,
+        };
         if payload[0] != WIRE_VERSION {
             // Answer so the peer can diagnose, then close: nothing else
             // in this stream will parse.
-            let reply = QueuedReply {
-                request_id,
-                opcode: OP_LOOKUP,
-                outcome: Outcome::Immediate(Status::UnsupportedVersion),
-                received,
-                admitted: received,
-                trace: None,
-            };
-            replies.send(&stream, reply);
+            let reply = immediate(OP_LOOKUP, Status::UnsupportedVersion);
+            write_reply(&stream, &mut frame, reply);
             return;
         }
         let reply = match opcode {
-            OP_PING => QueuedReply {
-                request_id,
-                opcode,
+            OP_PING => Reply {
                 outcome: Outcome::Pong,
-                received,
-                admitted: received,
-                trace: None,
+                ..immediate(opcode, Status::Ok)
             },
             OP_LOOKUP => match wire::decode_lookup_request(&payload) {
                 Ok(req) => {
@@ -505,61 +415,35 @@ fn read_loop(mut stream: TcpStream, replies: &mut Replies, shared: &Shared) {
                         t.hop("net_decode", received, decoded);
                         t
                     });
-                    let outcome =
-                        submit_lookup(shared, req.namespace, &req.keys, trace.as_ref());
-                    let admitted = Instant::now();
-                    if let Some(trace) = &trace {
-                        // A lookup answered here recorded its match as a
-                        // `serve_match` hop: that was its admission.
-                        if !matches!(outcome, Outcome::Lookup(PendingLookup::Answered(..))) {
-                            trace.hop("net_admission", decoded, admitted);
-                        }
-                    }
-                    QueuedReply {
+                    let outcome = lookup(shared, req.namespace, &req.keys, trace.as_deref());
+                    Reply {
                         request_id,
                         opcode,
                         outcome,
                         received,
-                        admitted,
+                        answered: Instant::now(),
                         trace,
                     }
                 }
-                Err(_) => {
-                    // Framing is intact (length-prefixed), so a malformed
-                    // body is answerable without desyncing the stream.
-                    QueuedReply {
-                        request_id,
-                        opcode,
-                        outcome: Outcome::Immediate(Status::BadRequest),
-                        received,
-                        admitted: received,
-                        trace: None,
-                    }
-                }
+                // Framing is intact (length-prefixed), so a malformed
+                // body is answerable without desyncing the stream.
+                Err(_) => immediate(opcode, Status::BadRequest),
             },
-            _ => QueuedReply {
-                request_id,
-                opcode: OP_LOOKUP,
-                outcome: Outcome::Immediate(Status::BadRequest),
-                received,
-                admitted: received,
-                trace: None,
-            },
+            _ => immediate(OP_LOOKUP, Status::BadRequest),
         };
         tcam_obs::counter_add("net_requests", 1);
-        if !replies.send(&stream, reply) {
+        if !write_reply(&stream, &mut frame, reply) {
             return; // peer hung up mid-write
         }
     }
 }
 
-/// Answers or scatters one decoded lookup, mapping every failure to its
-/// wire status.
-fn submit_lookup(
+/// Answers one decoded lookup, mapping every failure to its wire status.
+fn lookup(
     shared: &Shared,
     namespace: u16,
     keys: &[PackedWord],
-    trace: Option<&Arc<RequestTrace>>,
+    trace: Option<&RequestTrace>,
 ) -> Outcome {
     if keys.is_empty() || keys.len() > MAX_KEYS_PER_REQUEST {
         return Outcome::Immediate(Status::BadRequest);
@@ -568,22 +452,7 @@ fn submit_lookup(
         return Outcome::Immediate(Status::UnknownNamespace);
     };
     match group.submit_traced(keys, trace) {
-        Ok(lookup) => Outcome::Lookup(lookup),
-        Err(NetError::Serve(ServeError::Overloaded { shard })) => {
-            tcam_obs::counter_add("net_shed_requests", 1);
-            tcam_obs::flight_record("net_shed", u64::from(namespace), shard as u64);
-            let sheds = shared.sheds.fetch_add(1, Ordering::Relaxed) + 1;
-            if sheds.is_multiple_of(SHED_BURST_DUMP_EVERY) {
-                let _ = tcam_obs::flight_dump(
-                    "shed_burst",
-                    &format!("{sheds} requests shed at admission since start"),
-                );
-            }
-            Outcome::Immediate(Status::Overloaded)
-        }
-        Err(NetError::Serve(ServeError::ServiceClosed)) => {
-            Outcome::Immediate(Status::ShuttingDown)
-        }
+        Ok((epoch, results)) => Outcome::Lookup(epoch, results),
         Err(NetError::Serve(ServeError::WidthMismatch { .. })) => {
             Outcome::Immediate(Status::WidthMismatch)
         }
@@ -604,73 +473,23 @@ fn status_label(status: Status) -> &'static str {
     }
 }
 
-/// Writes the replies the reader queued, in request order, gathering
-/// each scatter first; drains the channel fully (every accepted request
-/// is answered) before exiting.
-fn write_loop(mut stream: &TcpStream, rx: &Receiver<QueuedReply>, queued: &AtomicUsize) {
-    let mut frame = Vec::new();
-    while let Ok(reply) = rx.recv() {
-        if !write_reply(stream, &mut frame, reply) {
-            // Peer gone: keep draining so pending gathers complete and
-            // shard replies aren't left dangling, but stop writing. The
-            // count never returns to 0, so the reader stops writing too.
-            for remaining in rx.iter() {
-                if let Outcome::Lookup(lookup) = remaining.outcome {
-                    let _ = lookup.wait();
-                }
-            }
-            return;
-        }
-        // Released only once the frame is out: a reader that sees 0 writes
-        // after every queued reply.
-        queued.fetch_sub(1, Ordering::Release);
-    }
-    let _ = stream.flush();
-}
-
-/// Encodes one reply — gathering its scatter first, if it has one — and
-/// writes it; `false` when the write failed. The one encode-and-write
-/// path of a connection: the writer runs it for queued replies, the
-/// reader for the replies it already knows.
-fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: QueuedReply) -> bool {
+/// Encodes one reply and writes it; `false` when the write failed.
+fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: Reply) -> bool {
     let t0 = Instant::now();
-    // The `net_write` hop spans the hand-over, the encode and the write:
-    // it opens where the answer became known (admission, for a lookup
-    // answered on the reader) or where the gather closes.
-    let mut write_start = reply.admitted;
     let status = match reply.outcome {
-        Outcome::Lookup(lookup) => {
-            let gathers = !matches!(lookup, PendingLookup::Answered(..));
-            match lookup.wait() {
-                Ok((epoch, results)) => {
-                    tcam_obs::counter_add("net_lookups", results.len() as u64);
-                    if let Some(trace) = reply.trace.as_ref().filter(|_| gathers) {
-                        write_start = Instant::now();
-                        trace.hop("net_gather", reply.admitted, write_start);
-                    }
-                    let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
-                    wire::encode_response_flagged(
-                        frame,
-                        OP_LOOKUP,
-                        Status::Ok,
-                        reply.request_id,
-                        epoch,
-                        &results,
-                        flags,
-                    );
-                    Status::Ok
-                }
-                Err(_) => {
-                    wire::encode_lookup_response(
-                        frame,
-                        Status::ShuttingDown,
-                        reply.request_id,
-                        0,
-                        &[],
-                    );
-                    Status::ShuttingDown
-                }
-            }
+        Outcome::Lookup(epoch, results) => {
+            tcam_obs::counter_add("net_lookups", results.len() as u64);
+            let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
+            wire::encode_response_flagged(
+                frame,
+                OP_LOOKUP,
+                Status::Ok,
+                reply.request_id,
+                epoch,
+                &results,
+                flags,
+            );
+            Status::Ok
         }
         Outcome::Immediate(status) => {
             wire::encode_response(frame, reply.opcode, status, reply.request_id, 0, &[]);
@@ -686,7 +505,9 @@ fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: QueuedReply) 
     }
     let done = Instant::now();
     if let Some(trace) = &reply.trace {
-        trace.hop("net_write", write_start, done);
+        // `net_write` spans the encode and the write: it opens where the
+        // answer became known.
+        trace.hop("net_write", reply.answered, done);
         let _ = trace.finish(status_label(status), done);
     }
     // Every answered request feeds the wire-plane SLO: wall clock from

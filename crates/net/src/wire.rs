@@ -4,10 +4,9 @@
 //! byte count followed by that many payload bytes. The payload starts
 //! with a fixed two-byte `(version, opcode)` header; the high bit of the
 //! opcode marks a response. Keys travel as the serving path's packed
-//! care-mask/value limbs — the server decodes a lookup batch straight
-//! into per-shard [`SearchBatch`](tcam_serve::SearchBatch)es without ever
-//! touching a ternary vector, which is what lets one connection sustain
-//! millions of lookups per second.
+//! care-mask/value limbs — the server matches a decoded lookup batch
+//! without ever touching a ternary vector, which is what lets one
+//! connection sustain millions of lookups per second.
 //!
 //! **Versioning rules.** `WIRE_VERSION` is a major version: a peer that
 //! sees any other value must reject the frame with
@@ -94,18 +93,18 @@ pub const NO_MATCH: u32 = u32::MAX;
 /// timeout never surface `WouldBlock`, so they are unaffected.
 pub const MAX_MID_FRAME_STALLS: u32 = 200;
 
-/// Response status codes. `Overloaded` is the admission-control signal:
-/// the request was *not* queued, and the client should back off — the
-/// explicit alternative to unbounded queueing.
+/// Response status codes. `Overloaded` stays in the protocol (a client
+/// must still decode it) though this crate's server no longer sends it:
+/// overload there is TCP backpressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Status {
     /// Served; results follow.
     Ok = 0,
-    /// Shed: a shard queue was full at admission. Retry after backoff.
+    /// Shed: the request was not queued. Retry after backoff.
     Overloaded = 1,
-    /// Malformed or unroutable request (bad opcode, ambiguous key, wrong
-    /// key width).
+    /// Malformed request (bad opcode, undecodable body, no keys or too
+    /// many).
     BadRequest = 2,
     /// The namespace in the header is not provisioned on this node.
     UnknownNamespace = 3,
@@ -113,7 +112,7 @@ pub enum Status {
     ShuttingDown = 4,
     /// The frame's version byte is not this peer's major version.
     UnsupportedVersion = 5,
-    /// The keys' packed width disagrees with the namespace's rule width.
+    /// A key cares about a column at or past the namespace's rule width.
     WidthMismatch = 6,
 }
 
@@ -137,7 +136,7 @@ impl Status {
 /// A decoded lookup request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupRequest {
-    /// Tenant namespace (selects the shard group serving the request).
+    /// Tenant namespace (selects the table serving the request).
     pub namespace: u16,
     /// Client-chosen id echoed in the response (pipelining correlation).
     pub request_id: u32,

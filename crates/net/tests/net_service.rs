@@ -1,5 +1,5 @@
 //! End-to-end tests of the wire front-end: correctness over loopback,
-//! epoch tags, admission control under saturation, recovery over a
+//! epoch tags, width checks, lookups under heavy refresh, recovery over a
 //! restart, and the HTTP admin plane.
 
 use std::io::{Read, Write};
@@ -29,9 +29,8 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn quiet_node(dir: &Path, shard_bits: u32) -> Arc<TcamNode> {
+fn quiet_node(dir: &Path) -> Arc<TcamNode> {
     let config = NodeConfig {
-        shard_bits,
         service: ServiceConfig {
             refresh: BankRefresh::None,
             ..ServiceConfig::default()
@@ -66,7 +65,7 @@ fn reference_of(rules: &[(u32, Vec<TernaryBit>)]) -> ShardedRuleSet {
 #[test]
 fn lookups_over_loopback_match_the_reference() {
     let dir = tmpdir("correct");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     let rules = seed_lpm(&node);
     let reference = reference_of(&rules);
     let server =
@@ -109,7 +108,7 @@ fn lookups_over_loopback_match_the_reference() {
 #[test]
 fn updates_are_visible_with_their_epoch_tag() {
     let dir = tmpdir("epochs");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -145,7 +144,7 @@ fn updates_are_visible_with_their_epoch_tag() {
 fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
     let dir = tmpdir("recover");
     {
-        let node = quiet_node(&dir, 0);
+        let node = quiet_node(&dir);
         seed_lpm(&node);
         node.apply(
             0,
@@ -161,7 +160,7 @@ fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
         // must carry all three batches.
         node.shutdown();
     }
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
@@ -179,11 +178,10 @@ fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A deliberately chokeable node: 1-slot shard queues, and workers that
-/// spend almost all their time in (heavy, frequent) refresh events.
-fn choked_node(dir: &Path, shard_bits: u32) -> Arc<TcamNode> {
+/// A deliberately chokeable node: a 1-slot queue, and a worker that
+/// spends almost all its time in (heavy, frequent) refresh events.
+fn choked_node(dir: &Path) -> Arc<TcamNode> {
     let config = NodeConfig {
-        shard_bits,
         service: ServiceConfig {
             refresh: BankRefresh::OneShot { op_time: 10e-9 },
             refresh_interval: Duration::from_micros(100),
@@ -196,73 +194,23 @@ fn choked_node(dir: &Path, shard_bits: u32) -> Arc<TcamNode> {
     Arc::new(TcamNode::open(dir, config).unwrap())
 }
 
-fn pipelined_server(node: &Arc<TcamNode>) -> NetServer {
-    let config = ServerConfig {
-        inflight_per_connection: 16,
-        ..ServerConfig::default()
-    };
-    NetServer::start(Arc::clone(node), "127.0.0.1:0", config).unwrap()
-}
-
 /// 512 concrete 8-bit keys (every value twice), ternary for the oracle.
 fn choke_keys() -> Vec<Vec<TernaryBit>> {
     (0..512u64).map(|v| prefix_word(v % 256, 8, 8)).collect()
 }
 
-/// The multi-shard path still sheds: a scatter meets 1-slot queues.
-#[test]
-fn saturation_sheds_with_an_explicit_overloaded_status() {
-    let dir = tmpdir("overload");
-    let node = choked_node(&dir, 1);
-    seed_lpm(&node);
-    let server = pipelined_server(&node);
-    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
-    let keys: Vec<PackedWord> = choke_keys().iter().map(|k| PackedWord::pack(k)).collect();
-    // Pipeline hard: with the workers stalled in refresh and 1-slot
-    // queues, some requests MUST come back Overloaded — and every request
-    // gets exactly one answer, in order.
-    let total = 64u32;
-    let mut sent = std::collections::VecDeque::new();
-    let mut ok = 0u32;
-    let mut shed = 0u32;
-    for i in 0..total {
-        sent.push_back(client.send_lookup(0, &keys).unwrap());
-        // Keep at most 8 in flight from the client side.
-        while sent.len() > 8 || (i == total - 1 && !sent.is_empty()) {
-            let resp = client.recv_response().unwrap();
-            assert_eq!(resp.request_id, sent.pop_front().unwrap());
-            match resp.status {
-                Status::Ok => {
-                    assert_eq!(resp.results.len(), keys.len());
-                    ok += 1;
-                }
-                Status::Overloaded => {
-                    assert!(resp.results.is_empty());
-                    shed += 1;
-                }
-                other => panic!("unexpected status {other:?}"),
-            }
-        }
-    }
-    assert_eq!(ok + shed, total);
-    assert!(shed > 0, "a choked shard never shed — admission control dead");
-    assert!(ok > 0, "everything shed — the service never served at all");
-    server.shutdown();
-    node.shutdown();
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The single-shard path under the same choke: a lookup is matched on the
-/// connection reader, which waits out each refresh event instead of
-/// queueing — nothing is shed, every answer is the oracle's, and the
-/// report counts every key and the ones refresh held back.
+/// Lookups under a choked worker: a lookup is matched on the connection
+/// thread, which waits out each refresh event instead of queueing —
+/// nothing is shed, every answer is the oracle's, and the report counts
+/// every key and the ones refresh held back.
 #[test]
 fn single_shard_lookups_wait_out_refresh_instead_of_shedding() {
     let dir = tmpdir("choked-inline");
-    let node = choked_node(&dir, 0);
+    let node = choked_node(&dir);
     let rules = seed_lpm(&node);
     let reference = reference_of(&rules);
-    let server = pipelined_server(&node);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
     let ternary = choke_keys();
     let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
@@ -289,12 +237,12 @@ fn single_shard_lookups_wait_out_refresh_instead_of_shedding() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// What the shard matched on the connection reader reaches the node's
+/// What the table matched on the connection thread reaches the node's
 /// report exactly as the worker path meters the same frames.
 #[test]
 fn lookups_answered_on_the_reader_are_metered_like_worker_batches() {
     let dir = tmpdir("metered");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     let rules = seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -341,62 +289,95 @@ enum Want {
     Status(Status),
 }
 
-/// Replies leave in request order whichever thread writes them: lookups,
-/// pings and unknown-namespace lookups (an immediate status) mixed 12
-/// deep. On one shard the reader answers everything itself; on two, a
-/// scattered lookup goes to the writer, and the pings and statuses
-/// behind it must queue after it.
+/// Replies leave in request order: lookups, pings and unknown-namespace
+/// lookups (an immediate status) mixed 12 deep, all answered by the
+/// connection's one thread.
 #[test]
-fn replies_keep_request_order_across_the_reader_and_writer_paths() {
-    for shard_bits in [0, 1] {
-        let dir = tmpdir(&format!("order-{shard_bits}"));
-        let node = quiet_node(&dir, shard_bits);
-        let rules = seed_lpm(&node);
-        let reference = reference_of(&rules);
-        let server =
-            NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
-        let keys: Vec<Vec<TernaryBit>> = (0..=255u64).map(|v| prefix_word(v, 8, 8)).collect();
-        for round in 0..4 {
-            let mut sent = Vec::new();
-            for i in 0..12 {
-                let chunk = &keys[(round * 12 + i) * 5 % 224..][..32];
-                let packed: Vec<PackedWord> = chunk.iter().map(|k| PackedWord::pack(k)).collect();
-                sent.push(match i % 3 {
-                    0 => (
-                        client.send_lookup(0, &packed).unwrap(),
-                        Want::Lookup(chunk.iter().map(|k| reference.search(k).unwrap()).collect()),
-                    ),
-                    1 => (client.send_ping().unwrap(), Want::Pong),
-                    _ => (
-                        client.send_lookup(42, &packed).unwrap(),
-                        Want::Status(Status::UnknownNamespace),
-                    ),
-                });
-            }
-            for (id, want) in sent {
-                let resp = client.recv_response().unwrap();
-                assert_eq!(resp.request_id, id, "{shard_bits} selector bits: out of order");
-                match want {
-                    Want::Lookup(results) => {
-                        assert_eq!((resp.status, resp.epoch), (Status::Ok, 1));
-                        assert_eq!(resp.results, results);
-                    }
-                    Want::Pong => {
-                        assert_eq!(resp.status, Status::Ok);
-                        assert!(resp.results.is_empty());
-                    }
-                    Want::Status(status) => {
-                        assert_eq!(resp.status, status);
-                        assert!(resp.results.is_empty());
-                    }
+fn replies_keep_request_order() {
+    let dir = tmpdir("order");
+    let node = quiet_node(&dir);
+    let rules = seed_lpm(&node);
+    let reference = reference_of(&rules);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let keys: Vec<Vec<TernaryBit>> = (0..=255u64).map(|v| prefix_word(v, 8, 8)).collect();
+    for round in 0..4 {
+        let mut sent = Vec::new();
+        for i in 0..12 {
+            let chunk = &keys[(round * 12 + i) * 5 % 224..][..32];
+            let packed: Vec<PackedWord> = chunk.iter().map(|k| PackedWord::pack(k)).collect();
+            sent.push(match i % 3 {
+                0 => (
+                    client.send_lookup(0, &packed).unwrap(),
+                    Want::Lookup(chunk.iter().map(|k| reference.search(k).unwrap()).collect()),
+                ),
+                1 => (client.send_ping().unwrap(), Want::Pong),
+                _ => (
+                    client.send_lookup(42, &packed).unwrap(),
+                    Want::Status(Status::UnknownNamespace),
+                ),
+            });
+        }
+        for (id, want) in sent {
+            let resp = client.recv_response().unwrap();
+            assert_eq!(resp.request_id, id, "out of order");
+            match want {
+                Want::Lookup(results) => {
+                    assert_eq!((resp.status, resp.epoch), (Status::Ok, 1));
+                    assert_eq!(resp.results, results);
+                }
+                Want::Pong => {
+                    assert_eq!(resp.status, Status::Ok);
+                    assert!(resp.results.is_empty());
+                }
+                Want::Status(status) => {
+                    assert_eq!(resp.status, status);
+                    assert!(resp.results.is_empty());
                 }
             }
         }
-        server.shutdown();
-        node.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A key that cares about a column past the namespace's width is refused
+/// with `WidthMismatch`, not answered from its leading columns; a key of
+/// the namespace's width with don't-cares is still served, and the
+/// connection stays usable.
+#[test]
+fn keys_wider_than_the_namespace_get_width_mismatch() {
+    let dir = tmpdir("width");
+    let node = quiet_node(&dir);
+    node.apply(
+        0,
+        32,
+        &[RuleChange::Insert {
+            priority: 1,
+            word: prefix_word(0xC0A8_0000, 16, 32),
+        }],
+    )
+    .unwrap();
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let wide = PackedWord::pack(&prefix_word(0xC0A8_0101 << 1, 33, 33));
+    assert!(matches!(
+        client.lookup(0, &[wide]),
+        Err(NetError::Status(Status::WidthMismatch))
+    ));
+    let mut ternary = prefix_word(0xC0A8_0101, 32, 32);
+    ternary[20] = TernaryBit::X;
+    ternary[31] = TernaryBit::X;
+    assert_eq!(
+        client.lookup(0, &[PackedWord::pack(&ternary)]).unwrap(),
+        (1, vec![Some(1)])
+    );
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A ping with a lookup still uncollected must not take the lookup's
@@ -404,7 +385,7 @@ fn replies_keep_request_order_across_the_reader_and_writer_paths() {
 #[test]
 fn ping_refuses_the_reply_to_an_earlier_request() {
     let dir = tmpdir("ping-id");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -426,7 +407,7 @@ fn ping_refuses_the_reply_to_an_earlier_request() {
 #[test]
 fn shutdown_completes_with_a_peer_stalled_mid_frame() {
     let dir = tmpdir("stalled-peer");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     seed_lpm(&node);
     // A short read poll so the mid-frame stall bound (a fixed retry
     // count) trips in ~hundreds of ms instead of the production ~5 s.
@@ -465,7 +446,7 @@ fn shutdown_completes_with_a_peer_stalled_mid_frame() {
 #[test]
 fn protocol_violations_get_explicit_statuses() {
     let dir = tmpdir("violations");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -533,7 +514,7 @@ fn http(addr: &str, request: &str) -> (u16, String) {
 #[test]
 fn admin_plane_applies_rules_and_exposes_state() {
     let dir = tmpdir("admin");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     let admin = tcam_net::AdminServer::start(Arc::clone(&node), "127.0.0.1:0").unwrap();
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -607,7 +588,7 @@ fn admin_plane_applies_rules_and_exposes_state() {
 #[test]
 fn graceful_shutdown_answers_in_flight_and_terminates() {
     let dir = tmpdir("drain");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();

@@ -46,9 +46,8 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn quiet_node(dir: &Path, shard_bits: u32) -> Arc<TcamNode> {
+fn quiet_node(dir: &Path) -> Arc<TcamNode> {
     let config = NodeConfig {
-        shard_bits,
         service: ServiceConfig {
             refresh: BankRefresh::None,
             ..ServiceConfig::default()
@@ -75,7 +74,7 @@ fn seed_lpm(node: &TcamNode) {
 fn untraced_frames_serve_identically_and_collect_no_trace() {
     let _g = lock();
     let dir = tmpdir("oldclient");
-    let node = quiet_node(&dir, 0);
+    let node = quiet_node(&dir);
     seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -140,17 +139,17 @@ fn untraced_frames_serve_identically_and_collect_no_trace() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Runs `REQUESTS` sampled 64-key lookups against a fresh node with
-/// `shard_bits` selector bits and asserts every record's top-level hops
-/// read `tiling` and cover ≥ 90 % of the request wall clock (median).
-/// Returns the data directory and the node; the node's server is stopped.
-fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Arc<TcamNode>) {
+/// Runs `REQUESTS` sampled 64-key lookups against a fresh node and
+/// asserts every record's top-level hops read `tiling` and cover ≥ 90 %
+/// of the request wall clock (median). Returns the data directory and the
+/// node; the node's server is stopped.
+fn assert_span_tree(tag: &str, tiling: &[&str]) -> (PathBuf, Arc<TcamNode>) {
     const REQUESTS: usize = 64;
     let dir = tmpdir(tag);
-    let node = quiet_node(&dir, shard_bits);
-    // 1024 /12 routes; keys past the last route miss, and at shard_bits 1
-    // the keys split across both shards. `net_write` spans the reply
-    // encode, so the hops tile the request however short the match is.
+    let node = quiet_node(&dir);
+    // 1024 /12 routes; keys past the last route miss. `net_write` spans
+    // the reply encode, so the hops tile the request however short the
+    // match is.
     let routes: Vec<RuleChange> = (0..1024u32)
         .map(|i| RuleChange::Insert {
             priority: i,
@@ -170,9 +169,9 @@ fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Ar
     for i in 0..REQUESTS {
         client.lookup(0, &keys[(i % 4) * 64..][..64]).unwrap();
     }
-    // Whichever connection thread writes a reply closes its span and
-    // scores its SLO *after* the client has it, and replies leave in
-    // order: once the pong is back, all of that is done for every lookup.
+    // The connection closes a reply's span and scores its SLO *after* the
+    // client has it, and replies leave in order: once the pong is back,
+    // all of that is done for every lookup.
     client.ping().unwrap();
 
     let records = tcam_obs::trace_recent(REQUESTS);
@@ -186,7 +185,7 @@ fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Ar
         assert_eq!(
             top,
             tiling,
-            "{shard_bits} selector bits: the request timeline lost a stage: {}",
+            "the request timeline lost a stage: {}",
             r.to_json()
         );
     }
@@ -195,7 +194,7 @@ fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Ar
     let median = covers[REQUESTS / 2];
     assert!(
         median >= 90.0,
-        "{shard_bits} selector bits: span trees attribute only {median:.1}% of request wall; one record: {}",
+        "span trees attribute only {median:.1}% of request wall; one record: {}",
         records[0].to_json()
     );
     assert!(
@@ -215,29 +214,17 @@ fn assert_span_tree(tag: &str, shard_bits: u32, tiling: &[&str]) -> (PathBuf, Ar
     (dir, node)
 }
 
-/// The tracing contract on the whole wire stack, for both span trees.
-/// With every request sampled, the top-level hops tile ≥ 90 % of each
-/// request's wall clock (median): a single-shard node matches on the
-/// connection reader (`net_decode` → `serve_match` → `net_write`), a
-/// two-shard node scatters and gathers (`net_decode` → `net_admission` →
-/// `net_gather` → `net_write`). The exemplar store and the `net_request`
-/// SLO saw the traffic, and an injected WAL append fault fails the
-/// `apply` and leaves a flight dump that parses and names `wal_rollback`.
+/// The tracing contract on the whole wire stack. With every request
+/// sampled, the top-level hops tile ≥ 90 % of each request's wall clock
+/// (median): the connection thread decodes, matches and writes
+/// (`net_decode` → `serve_match` → `net_write`). The exemplar store and
+/// the `net_request` SLO saw the traffic, and an injected WAL append
+/// fault fails the `apply` and leaves a flight dump that parses and
+/// names `wal_rollback`.
 #[test]
 fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
     let _g = lock();
-    let (dir, node) = assert_span_tree(
-        "cover-inline",
-        0,
-        &["net_decode", "serve_match", "net_write"],
-    );
-    node.shutdown();
-    std::fs::remove_dir_all(&dir).unwrap();
-    let (dir, node) = assert_span_tree(
-        "cover-scatter",
-        1,
-        &["net_decode", "net_admission", "net_gather", "net_write"],
-    );
+    let (dir, node) = assert_span_tree("cover-inline", &["net_decode", "serve_match", "net_write"]);
 
     // Post-mortem: the next WAL append writes a torn half-frame and fails.
     let epoch = node.group(0).unwrap().epoch();

@@ -10,8 +10,8 @@
 //! `(timestamp, kind, a, b)` events that silently overwrites its
 //! oldest entry — recording never blocks on another thread, never
 //! allocates after warm-up, and never grows. A **trigger** (WAL
-//! rollback/poison, `NonConvergence`, an admission shed burst, a
-//! panic, or an explicit admin request) calls [`flight_dump`], which
+//! rollback/poison, `NonConvergence`, a panic, or an explicit admin
+//! request) calls [`flight_dump`], which
 //! freezes every ring into one JSON artifact naming the trigger cause.
 //!
 //! Unlike the metrics registry, the recorder is **not** gated on

@@ -7,9 +7,9 @@
 //! [`TRACE_CONTEXT_BYTES`] little-endian bytes so `tcam-net` can carry
 //! it as an optional frame extension without renegotiating the
 //! protocol version. Everything else stays server-side: a sampled
-//! request gets one [`RequestTrace`] collector shared (via `Arc`)
-//! between the connection reader, the shard workers that execute its
-//! scatter, and the connection writer; each layer records **hops** —
+//! request gets one [`RequestTrace`] collector (an `Arc`, so a batch
+//! handed to a worker thread can carry it too); each layer the request
+//! crosses records **hops** —
 //! named `[start, end)` intervals measured against the collector's
 //! single origin instant, so cross-thread clock math never happens.
 //!
@@ -258,9 +258,9 @@ impl TraceRecord {
     /// the request timeline. Because `hops` is containment-ordered, a
     /// hop is top-level iff it starts at or after the end of the last
     /// top-level hop; skipped hops do **not** advance the frontier, so a
-    /// span that merely pokes out of its parent (a shard `serve_queue`
-    /// hop opened during `net_admission` and closed inside `net_gather`)
-    /// cannot knock the real next-stage hop out of the tiling.
+    /// span that merely pokes out of its parent (a worker's queue hop
+    /// opened during one stage and closed inside the next) cannot knock
+    /// the real next-stage hop out of the tiling.
     #[must_use]
     pub fn top_level(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -478,28 +478,28 @@ mod tests {
         let t0 = Instant::now();
         let at = |ms: u64| t0 + Duration::from_millis(ms);
         let trace = RequestTrace::start_at(TraceContext::sampled(7), t0);
-        // Worker hops recorded out of order, nested inside the gather.
+        // Worker hops recorded out of order, nested inside the wait.
         trace.hop_labeled("serve_match", Some(1), at(30), at(40));
         trace.hop("net_decode", at(0), at(10));
-        trace.hop("net_gather", at(20), at(80));
+        trace.hop("wait", at(20), at(80));
         trace.hop_labeled("serve_queue", Some(1), at(20), at(30));
-        trace.hop("net_admission", at(10), at(20));
+        trace.hop("submit", at(10), at(20));
         trace.hop("net_write", at(80), at(100));
         let record = trace.finish("ok", at(100));
 
         assert_eq!(record.total_ns, 100_000_000);
         let top: Vec<_> = record.top_level().into_iter().map(|i| record.hops[i].name).collect();
-        assert_eq!(top, ["net_decode", "net_admission", "net_gather", "net_write"]);
+        assert_eq!(top, ["net_decode", "submit", "wait", "net_write"]);
         assert!((record.cover_pct() - 100.0).abs() < 1e-9);
 
         let json = record.to_json();
-        // The worker hops render inside the gather span.
-        let gather = json.find("net_gather").expect("gather rendered");
+        // The worker hops render inside the wait span.
+        let wait = json.find("\"wait\"").expect("wait rendered");
         let queue = json.find("serve_queue").expect("queue rendered");
         let write = json.find("net_write").expect("write rendered");
-        assert!(gather < queue && queue < write, "nesting order: {json}");
+        assert!(wait < queue && queue < write, "nesting order: {json}");
         assert!(json.contains("\"label\":1"));
-        // Gather self-time excludes its children: 60ms - (10+10)ms.
+        // Wait self-time excludes its children: 60ms - (10+10)ms.
         assert!(json.contains("\"self_ns\":40000000"), "{json}");
     }
 

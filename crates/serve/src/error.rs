@@ -19,31 +19,21 @@ pub enum ServeError {
         /// The packed maximum.
         max: usize,
     },
-    /// More shard-selector bits than the word has, or than the replication
-    /// guard allows.
+    /// A nonzero shard-selector width: a rule set is one table, so 0 is
+    /// the only width accepted.
     BadShardBits {
         /// The offered selector width.
         bits: u32,
-        /// The maximum allowed here.
+        /// The maximum allowed (0).
         max: u32,
-    },
-    /// A search key carries a don't-care inside the shard-selector bits, so
-    /// it cannot be routed to a single shard.
-    AmbiguousKey {
-        /// The offending bit position (0 = leftmost).
-        bit: usize,
     },
     /// The rule set holds no rules.
     EmptyRuleSet,
     /// The service has shut down (queue closed).
     ServiceClosed,
-    /// A shard queue was full when a non-blocking submit arrived — the
-    /// admission-control signal a front-end turns into an explicit
-    /// wire-level "overloaded" reply instead of queueing without bound.
-    Overloaded {
-        /// The saturated shard.
-        shard: usize,
-    },
+    /// The search queue was full when a non-blocking submit arrived — the
+    /// load-shedding signal, instead of queueing without bound.
+    Overloaded,
     /// An insert reused a rule id (= priority) that is already present.
     DuplicateRuleId {
         /// The colliding id.
@@ -68,14 +58,9 @@ impl fmt::Display for ServeError {
             ServeError::BadShardBits { bits, max } => {
                 write!(f, "{bits} shard bits exceed maximum {max}")
             }
-            ServeError::AmbiguousKey { bit } => {
-                write!(f, "key has a don't-care in shard-selector bit {bit}")
-            }
             ServeError::EmptyRuleSet => write!(f, "rule set is empty"),
             ServeError::ServiceClosed => write!(f, "service has shut down"),
-            ServeError::Overloaded { shard } => {
-                write!(f, "shard {shard} queue is full (load shed)")
-            }
+            ServeError::Overloaded => write!(f, "search queue is full (load shed)"),
             ServeError::DuplicateRuleId { id } => {
                 write!(f, "rule id {id} is already present")
             }

@@ -1,4 +1,4 @@
-//! `tcam-serve`: a sharded, batched TCAM lookup service with
+//! `tcam-serve`: a batched TCAM lookup service with
 //! refresh-aware scheduling and latency/throughput telemetry.
 //!
 //! The lower layers of this workspace establish *device-level* numbers
@@ -11,19 +11,21 @@
 //!
 //! The pieces:
 //!
-//! * [`shard::ShardedRuleSet`] — prefix-range sharding of a ternary rule
-//!   set with don't-care replication, provably equivalent to a monolithic
-//!   array (property-tested against the oracle).
-//! * [`pool::ShardPool`] — the one serving core: per shard, a bounded
+//! * [`shard::ShardedRuleSet`] — a ternary rule set: the id → word map
+//!   beside one bit-packed table, property-tested against the monolithic
+//!   `TcamArray` oracle. The match kernel's block summary pre-selects the
+//!   64-row blocks a key searches.
+//! * [`pool::ShardPool`] — the one serving core: a bounded
 //!   [`queue::BoundedQueue`] (blocking push = backpressure, `try_submit`
-//!   = load shedding), `workers_per_shard` worker threads draining
-//!   batched searches through the table's kernel, refresh events on
-//!   schedule per [`BankRefresh`] policy, and a published-snapshot cell
-//!   that rule updates swap whole tables through.
-//! * [`service::TcamService`] — the pool over bit-packed ternary tables
-//!   plus the *route-to-one* plan (a key's prefix bits name its shard).
+//!   = load shedding), one worker thread draining batched searches
+//!   through the table's kernel, lookups matched on the caller's own
+//!   thread (`answer_here`), refresh events on schedule per
+//!   [`BankRefresh`] policy, and a published-snapshot cell that rule
+//!   updates swap whole tables through.
+//! * [`service::TcamService`] — the pool over one packed table plus the
+//!   table's word width.
 //! * [`telemetry`] — HDR-style log-bucketed latency histograms
-//!   (p50/p95/p99/p999), per-shard counters, refresh-stall gauges, and
+//!   (p50/p95/p99/p999), the worker's counters, refresh-stall gauges, and
 //!   energy via the arch crate's `WorkloadMeter`.
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
 //!
@@ -36,8 +38,8 @@
 //! use tcam_serve::workload::Workload;
 //!
 //! let w = Workload::router_lpm(128, 256, 42);
-//! let reference = ShardedRuleSet::build(&w.words, 2).unwrap();
-//! let rules = ShardedRuleSet::build(&w.words, 2).unwrap();
+//! let reference = ShardedRuleSet::build(&w.words, 0).unwrap();
+//! let rules = reference.clone();
 //! let service = TcamService::start(rules, &ServiceConfig::default()).unwrap();
 //! for key in &w.keys {
 //!     assert_eq!(service.search_blocking(key).unwrap(), reference.search(key).unwrap());
@@ -62,7 +64,7 @@ pub use error::{Result, ServeError};
 pub use pool::ShardPool;
 pub use queue::{BoundedQueue, TryPushError};
 pub use service::{BatchReply, SearchBatch, ServiceConfig, TcamService};
-pub use shard::{RowOps, ShardRouter, ShardedRuleSet};
+pub use shard::{RowOps, ShardedRuleSet};
 pub use telemetry::{LatencyHistogram, ServeReport, ShardStats};
 pub use workload::Workload;
 

@@ -1,28 +1,29 @@
-//! The shard-worker pool: per shard, a bounded queue in front, worker
-//! threads behind it, refresh competing with traffic on the worker's
-//! clock, and one published-snapshot cell that rule updates swap whole
-//! tables through. A table is a bit-packed ternary array
-//! ([`PackedTcamArray`]), and [`TcamService`](crate::service::TcamService)
-//! is this pool plus the route-to-one plan.
+//! The serving pool: one table, a bounded queue in front of one worker
+//! thread, refresh competing with traffic on the worker's clock, and one
+//! published-snapshot cell that rule updates swap whole tables through.
+//! The table is a bit-packed ternary array ([`PackedTcamArray`]), and
+//! [`TcamService`](crate::service::TcamService) is this pool plus the
+//! table's word width.
 //!
 //! # Execution model
 //!
-//! Searches arrive as [`SearchBatch`]es on a shard's [`BoundedQueue`]
-//! (blocking [`ShardPool::submit`] = backpressure,
-//! [`ShardPool::try_submit`] = load shedding). The shard's
-//! [`ServiceConfig::workers_per_shard`] workers drain the shared queue and
-//! match each batch in one kernel call
-//! ([`PackedTcamArray::first_match_batch_into`]); telemetry is settled per
-//! batch ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)),
+//! Searches arrive as [`SearchBatch`]es on the [`BoundedQueue`] (blocking
+//! [`ShardPool::submit`] = backpressure, [`ShardPool::try_submit`] = load
+//! shedding). The worker drains the queue and matches each batch in one
+//! kernel call ([`PackedTcamArray::first_match_batch_into`]); telemetry
+//! is settled per batch
+//! ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)),
 //! so no per-key clock read or metric update is on the hot path.
 //!
-//! A caller that needs exactly one shard and will wait for the answer
-//! anyway can skip the queue: [`ShardPool::answer_here`] matches its keys
-//! **on the calling thread** against the shard's published snapshot —
-//! no hand-off, no wake-up, no reply channel. It is accounted into the
-//! shard's own counter block (searches, matches, latency, energy), which
-//! worker 0 folds into its [`ShardStats`] at shutdown, so the report
-//! counts every key the shard served either way.
+//! A caller that will wait for the answer anyway can skip the queue:
+//! [`ShardPool::answer_here`] matches its keys **on the calling thread**
+//! against the published snapshot — no hand-off, no wake-up, no reply
+//! channel. This is how the wire front-end serves every lookup: its
+//! connection readers are the cores a table is spread across. A
+//! caller-run query is accounted into the pool's own counter block
+//! (searches, matches, latency, energy), which the worker folds into its
+//! [`ShardStats`] at shutdown, so the report counts every key served
+//! either way.
 //!
 //! # Refresh under load
 //!
@@ -30,32 +31,30 @@
 //! paper's one-shot scheme exists so that doing so barely interrupts
 //! traffic. Here refresh is a *scheduled event on the worker's wall clock*
 //! — while it runs the queue keeps filling, and the telemetry records the
-//! stall and the searches caught behind it. A physical shard refreshes
-//! once per interval however many threads serve it, so worker 0 owns the
-//! shard's refresh clock and its siblings serve through the stall. Worker
-//! 0 also holds the shard's refresh lock for the event, so a caller-run
-//! query waits it out (and counts its keys in
-//! [`ServeReport::stalled_searches`]), and an event never overlaps a
-//! caller-run match. An event is sized by the [`BankRefresh`] policy
-//! (1 op one-shot, `rows` ops row-by-row), each op `refresh_op_work` units
-//! of real work and metered through
+//! stall and the searches caught behind it. The worker holds the table's
+//! refresh lock for the event, so a caller-run query waits it out (and
+//! counts its keys in [`ServeReport::stalled_searches`]), and an event
+//! never overlaps a caller-run match. An event is sized by the
+//! [`BankRefresh`] policy (1 op one-shot, `rows` ops row-by-row), each op
+//! `refresh_op_work` units of real work and metered through
 //! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter): a row-by-row
-//! event stalls the shard ~`rows`× longer — the paper's argument, measured.
+//! event stalls the table ~`rows`× longer — the paper's argument,
+//! measured.
 //!
 //! # Online updates: the published-snapshot cell
 //!
-//! Rule updates never mutate a table a worker is reading. A publisher
-//! (the `tcam-update` crate's `Updater`) builds a complete replacement
-//! table and [`publishes`](ShardPool::publish) it under a monotonically
-//! increasing **epoch**: one store into the shard's cell, which holds
-//! exactly one `(epoch, Arc<table>, published_at)` — the newest. As with
-//! one-shot refresh, one whole-table operation supersedes any number of
-//! earlier ones, so nothing queues: a stale or repeated epoch is refused
-//! at the cell, and a worker that saw no traffic between two publications
-//! jumps straight to the newer one. All workers of a shard share the
+//! Rule updates never mutate a table a reader is using. A publisher (the
+//! `tcam-update` crate's `Updater`) builds a complete replacement table
+//! and [`publishes`](ShardPool::publish) it under a monotonically
+//! increasing **epoch**: one store into the cell, which holds exactly one
+//! `(epoch, Arc<table>, published_at)` — the newest. As with one-shot
+//! refresh, one whole-table operation supersedes any number of earlier
+//! ones, so nothing queues: a stale or repeated epoch is refused at the
+//! cell, and a worker that saw no traffic between two publications jumps
+//! straight to the newer one. The worker and caller-run queries share the
 //! cell's `Arc`; none owns a copy.
 //!
-//! A worker loads the cell **after it has dequeued work and before it
+//! The worker loads the cell **after it has dequeued work and before it
 //! matches the first batch of that drain — never inside a batch**; a
 //! caller-run query loads it once, before its match. That one rule gives
 //! three guarantees on both paths:
@@ -67,15 +66,12 @@
 //!   is served at an epoch ≥ v — the submit → dequeue hand-off orders the
 //!   worker's load after the publisher's store (a caller-run load takes
 //!   the cell's lock after it);
-//! * **per-caller monotonic epochs**: a caller's consecutive replies from
-//!   a shard never go back in epoch, whichever of its workers (or the
-//!   caller itself) serves them.
-//!   (Cells are per shard and a publisher stores into them one by one, so
-//!   *across* shards a caller can see `v` and then `v − 1` while a
-//!   publication is under way.)
+//! * **per-caller monotonic epochs**: a caller's consecutive replies never
+//!   go back in epoch, whether the worker or the caller itself serves
+//!   them.
 //!
 //! `tcam-update`'s `concurrent_churn` test holds all three under a live
-//! updater. Publish → swap is recorded per worker as the snapshot's
+//! updater. Publish → swap is recorded by the worker as the snapshot's
 //! staleness window (`update_latency`), the epoch jump as `max_epoch_lag`.
 
 use crate::error::{Result, ServeError};
@@ -94,23 +90,18 @@ use tcam_obs::RequestTrace;
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Batches each shard queue can hold before producers block.
+    /// Batches the search queue can hold before producers block.
     pub queue_capacity: usize,
     /// Refresh policy (event sizing; `None` disables refresh).
     pub refresh: BankRefresh,
-    /// Wall-clock interval between refresh events per shard. The physical
+    /// Wall-clock interval between refresh events. The physical
     /// retention (26.5 µs for the paper's 3T2N) is far below what software
     /// can schedule, so benches run a scaled-up interval; the *ratio*
     /// between policies is what the model preserves.
     pub refresh_interval: Duration,
     /// Units of work per refresh operation (SplitMix64 rounds); scales how
-    /// long one op occupies the shard.
+    /// long one op occupies the table.
     pub refresh_op_work: u32,
-    /// Worker threads per shard — the multi-core scaling knob. All of a
-    /// shard's workers pop from the same bounded queue and serve from the
-    /// shard's one published snapshot, so scaling needs no sharding
-    /// change. `0` is clamped to 1, as a `queue_capacity` of 0 is.
-    pub workers_per_shard: usize,
     /// Per-operation cost model for energy accounting.
     pub costs: OperationCosts,
 }
@@ -122,15 +113,14 @@ impl Default for ServiceConfig {
             refresh: BankRefresh::OneShot { op_time: 10e-9 },
             refresh_interval: Duration::from_millis(5),
             refresh_op_work: 512,
-            workers_per_shard: 1,
             costs: OperationCosts::paper_3t2n(),
         }
     }
 }
 
-/// A batch of pre-routed, packed search keys bound for one shard.
+/// A batch of packed search keys.
 pub struct SearchBatch {
-    /// The keys, all belonging to the destination shard.
+    /// The keys.
     pub keys: Vec<PackedWord>,
     /// When the batch was submitted (queue-wait measurement starts here).
     pub submitted: Instant,
@@ -138,9 +128,8 @@ pub struct SearchBatch {
     /// (open-loop load generation counts completions instead).
     pub reply: Option<SyncSender<BatchReply>>,
     /// The sampled request's hop collector, when the submitter carries
-    /// one: the worker records its shard-labeled queue-wait and match
-    /// hops into it. `None` (the common case) costs nothing on the
-    /// match path.
+    /// one: the worker records its queue-wait and match hops into it.
+    /// `None` (the common case) costs nothing on the match path.
     pub trace: Option<Arc<tcam_obs::RequestTrace>>,
 }
 
@@ -163,7 +152,7 @@ struct Published {
     published_at: Instant,
 }
 
-/// A shard's published-snapshot cell: the newest snapshot behind a lock,
+/// The published-snapshot cell: the newest snapshot behind a lock,
 /// and its epoch beside it so "anything new?" is one atomic load.
 ///
 /// `epoch` is stored with `Release` while the slot lock is held, after the
@@ -243,82 +232,60 @@ impl Cell {
     }
 }
 
-/// What a shard's workers and the submitting side share.
+/// What the worker and the submitting side share.
 pub(crate) struct Shard {
     pub(crate) queue: BoundedQueue<SearchBatch>,
     cell: Cell,
     /// Keys currently waiting in the queue (batch contents included);
     /// updated outside the match loop.
     queued_keys: AtomicU64,
-    /// Written by worker 0 for the length of a refresh event, read by a
+    /// Written by the worker for the length of a refresh event, read by a
     /// caller-run query for the length of its match.
     refreshing: RwLock<()>,
-    /// What caller-run queries accounted; worker 0 takes it at exit.
+    /// What caller-run queries accounted; the worker takes it at exit.
     caller_run: Mutex<ShardStats>,
 }
 
 /// The running pool. Dropping without [`ShardPool::shutdown`] closes the
-/// queues and joins the workers (discarding their telemetry); shutdown and
+/// queue and joins the worker (discarding its telemetry); shutdown and
 /// drop are both idempotent, in any order.
 pub struct ShardPool {
-    pub(crate) shards: Vec<Arc<Shard>>,
-    workers: Vec<JoinHandle<ShardStats>>,
+    pub(crate) shard: Arc<Shard>,
+    worker: Option<JoinHandle<ShardStats>>,
     /// Prices the searches caller-run queries account.
     costs: OperationCosts,
 }
 
 impl ShardPool {
-    /// Starts `workers_per_shard` worker threads per table of `tables`
-    /// (see [`ServiceConfig::workers_per_shard`]), every cell published at
-    /// `epoch`. A queue capacity or worker count of 0 is clamped to 1.
+    /// Starts the worker thread on `table`, published at `epoch`. A queue
+    /// capacity of 0 is clamped to 1.
     ///
     /// # Panics
     ///
     /// Panics when the OS refuses to spawn a thread.
     #[must_use]
-    pub fn start(tables: Vec<Arc<PackedTcamArray>>, epoch: u64, config: &ServiceConfig) -> Self {
-        let per_shard = config.workers_per_shard.max(1);
-        let mut shards = Vec::with_capacity(tables.len());
-        let mut workers = Vec::with_capacity(tables.len() * per_shard);
-        for (index, table) in tables.into_iter().enumerate() {
-            let shard = Arc::new(Shard {
-                queue: BoundedQueue::new(config.queue_capacity.max(1)),
-                cell: Cell::new(epoch, table),
-                queued_keys: AtomicU64::new(0),
-                refreshing: RwLock::new(()),
-                caller_run: Mutex::default(),
-            });
-            for worker in 0..per_shard {
-                let ctx = WorkerCtx {
-                    index,
-                    worker,
-                    worker_label: u32::try_from(index * per_shard + worker).unwrap_or(u32::MAX),
-                    shard: Arc::clone(&shard),
-                    config: *config,
-                };
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("tcam-s{index}w{worker}"))
-                        .spawn(move || run_worker(&ctx))
-                        .expect("spawn shard worker"),
-                );
-            }
-            shards.push(shard);
-        }
+    pub fn start(table: Arc<PackedTcamArray>, epoch: u64, config: &ServiceConfig) -> Self {
+        let shard = Arc::new(Shard {
+            queue: BoundedQueue::new(config.queue_capacity.max(1)),
+            cell: Cell::new(epoch, table),
+            queued_keys: AtomicU64::new(0),
+            refreshing: RwLock::new(()),
+            caller_run: Mutex::default(),
+        });
+        let (worker_shard, config_copy) = (Arc::clone(&shard), *config);
+        let worker = std::thread::Builder::new()
+            .name("tcam-serve".into())
+            .spawn(move || run_worker(&worker_shard, &config_copy))
+            .expect("spawn serving worker");
         Self {
-            shards,
-            workers,
+            shard,
+            worker: Some(worker),
             costs: config.costs,
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Submits a batch to shard `shard`, blocking while its queue is full.
+    /// Submits a batch, blocking while the queue is full. `shard` is the
+    /// index the sharded pool took; the one table is shard 0.
     ///
     /// # Errors
     ///
@@ -326,9 +293,13 @@ impl ShardPool {
     ///
     /// # Panics
     ///
-    /// Panics when `shard` is out of range.
+    /// Panics when `shard` is not 0.
     pub fn submit(&self, shard: usize, batch: SearchBatch) -> Result<()> {
-        let target = &self.shards[shard];
+        assert_eq!(
+            shard, 0,
+            "a pool serves one table: shard {shard} does not exist"
+        );
+        let target = &self.shard;
         let keys = batch.keys.len() as u64;
         target.queued_keys.fetch_add(keys, Ordering::Relaxed);
         target.queue.push(batch).map_err(|_rejected| {
@@ -337,53 +308,38 @@ impl ShardPool {
         })
     }
 
-    /// Submits a batch to shard `shard` **only if its queue has room right
-    /// now** — the admission-control path a network front-end uses so that
-    /// overload becomes an explicit error on the wire instead of unbounded
-    /// queueing (or a blocked accept loop).
+    /// Submits a batch **only if the queue has room right now** — load
+    /// shedding instead of blocking.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the shard queue is at capacity,
+    /// [`ServeError::Overloaded`] when the queue is at capacity,
     /// [`ServeError::ServiceClosed`] after shutdown began.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn try_submit(&self, shard: usize, batch: SearchBatch) -> Result<()> {
-        let target = &self.shards[shard];
+    pub fn try_submit(&self, batch: SearchBatch) -> Result<()> {
+        let target = &self.shard;
         let keys = batch.keys.len() as u64;
         target.queued_keys.fetch_add(keys, Ordering::Relaxed);
         target.queue.try_push(batch).map_err(|rejected| {
             target.queued_keys.fetch_sub(keys, Ordering::Relaxed);
             match rejected {
-                TryPushError::Full(_) => ServeError::Overloaded { shard },
+                TryPushError::Full(_) => ServeError::Overloaded,
                 TryPushError::Closed(_) => ServeError::ServiceClosed,
             }
         })
     }
 
-    /// Answers `keys` **on the calling thread** from shard `shard`'s
-    /// published snapshot: no queue, no worker, no reply channel. The cell
-    /// is loaded once, before the match, so the reply keeps every epoch
-    /// guarantee of the worker path (module docs). A refresh event of the
-    /// shard in progress is waited out, and the keys are then counted in
+    /// Answers `keys` **on the calling thread** from the published
+    /// snapshot: no queue, no worker, no reply channel. The cell is loaded
+    /// once, before the match, so the reply keeps every epoch guarantee of
+    /// the worker path (module docs). A refresh event in progress is
+    /// waited out, and the keys are then counted in
     /// [`ServeReport::stalled_searches`]. Searches, matches, latency and
-    /// energy go to the shard's counters and reach the shutdown report
-    /// through worker 0. A sampled request's `trace` gets a shard-labeled
+    /// energy go to the pool's counters and reach the shutdown report
+    /// through the worker. A sampled request's `trace` gets a
     /// `serve_match` hop spanning the call.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn answer_here(
-        &self,
-        shard: usize,
-        keys: &[PackedWord],
-        trace: Option<&RequestTrace>,
-    ) -> BatchReply {
+    pub fn answer_here(&self, keys: &[PackedWord], trace: Option<&RequestTrace>) -> BatchReply {
         let start = Instant::now();
-        let target = &self.shards[shard];
+        let target = &self.shard;
         let (event_over, stalled) = match target.refreshing.try_read() {
             Ok(guard) => (guard, false),
             Err(_) => (
@@ -415,8 +371,7 @@ impl ShardPool {
             stats.latency.record_n(nanos(start, done), n);
         }
         if let Some(trace) = trace {
-            let label = u32::try_from(shard).unwrap_or(u32::MAX);
-            trace.hop_labeled("serve_match", Some(label), start, done);
+            trace.hop("serve_match", start, done);
         }
         BatchReply {
             epoch: published.epoch,
@@ -424,25 +379,21 @@ impl ShardPool {
         }
     }
 
-    /// Publishes `table` as shard `shard`'s snapshot of epoch `epoch`: one
-    /// store into the shard's cell, never blocking. Returns `false` — and
-    /// changes nothing — when the cell already holds that epoch or a newer
-    /// one. Once this returns, every lookup submitted afterwards is served
-    /// at `epoch` or later.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn publish(&self, shard: usize, epoch: u64, table: Arc<PackedTcamArray>) -> bool {
-        self.shards[shard].cell.publish(epoch, table)
+    /// Publishes `table` as the snapshot of epoch `epoch`: one store into
+    /// the cell, never blocking. Returns `false` — and changes nothing —
+    /// when the cell already holds that epoch or a newer one. Once this
+    /// returns, every lookup submitted afterwards is served at `epoch` or
+    /// later.
+    pub fn publish(&self, epoch: u64, table: Arc<PackedTcamArray>) -> bool {
+        self.shard.cell.publish(epoch, table)
     }
 
-    /// Stops accepting work, drains the search queues, joins every worker
-    /// and returns the merged telemetry. Each worker loads its cell once
-    /// more on the way out, so [`ServeReport::last_epoch`] is the last
-    /// published epoch.
+    /// Stops accepting work, drains the search queue, joins the worker and
+    /// returns its telemetry. The worker loads the cell once more on the
+    /// way out, so [`ServeReport::last_epoch`] is the last published
+    /// epoch.
     ///
-    /// Shutdown is **idempotent and panic-free**: closing the queues twice
+    /// Shutdown is **idempotent and panic-free**: closing the queue twice
     /// is a no-op, and a worker that panicked (or already exited) is
     /// counted in [`ServeReport::workers_panicked`] instead of poisoning
     /// the caller — the lifecycle contract the network front-end's accept
@@ -453,25 +404,24 @@ impl ShardPool {
     }
 
     /// The idempotent core of [`Self::shutdown`], shared with `Drop`:
-    /// closes every queue (a second close is a no-op), joins whatever
-    /// workers are still owned, and merges their stats. After the first
-    /// call the worker list is empty, so later calls return an empty
-    /// report instead of blocking or panicking.
+    /// closes the queue (a second close is a no-op), joins the worker if
+    /// it is still owned, and reports its stats. After the first call no
+    /// worker is owned, so later calls return an empty report instead of
+    /// blocking or panicking.
     fn shutdown_in_place(&mut self) -> ServeReport {
-        for shard in &self.shards {
-            shard.queue.close();
-        }
+        self.shard.queue.close();
         let mut panicked = 0u64;
         let stats = self
-            .workers
-            .drain(..)
-            .filter_map(|w| match w.join() {
+            .worker
+            .take()
+            .and_then(|w| match w.join() {
                 Ok(stats) => Some(stats),
                 Err(_) => {
                     panicked += 1;
                     None
                 }
             })
+            .into_iter()
             .collect();
         let mut report = ServeReport::from_shards(stats);
         report.workers_panicked = panicked;
@@ -480,24 +430,12 @@ impl ShardPool {
 }
 
 impl Drop for ShardPool {
-    /// Dropping without [`ShardPool::shutdown`] still closes the queues
-    /// and joins the workers (so no thread outlives the pool), it just
+    /// Dropping without [`ShardPool::shutdown`] still closes the queue
+    /// and joins the worker (so no thread outlives the pool), it just
     /// discards the telemetry. After an explicit shutdown this is a no-op.
     fn drop(&mut self) {
         let _ = self.shutdown_in_place();
     }
-}
-
-struct WorkerCtx {
-    /// Shard index.
-    index: usize,
-    /// Worker index within the shard (worker 0 owns the refresh clock).
-    worker: usize,
-    /// Global worker index (`shard * workers_per_shard + worker`), the
-    /// label for per-worker registry gauges.
-    worker_label: u32,
-    shard: Arc<Shard>,
-    config: ServiceConfig,
 }
 
 /// One refresh operation's worth of work: `work` SplitMix64 rounds over
@@ -526,28 +464,28 @@ fn nanos(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Mirrors a worker's coarse state into the global `tcam-obs` registry as
-/// labeled gauges (shard-scoped gauges labeled by shard index, the
-/// utilization gauge by global worker index). Called at flush boundaries
-/// only — never per key — so the registry costs nothing on the match
-/// path.
-fn publish_gauges(ctx: &WorkerCtx, stats: &ShardStats, shard: u32, worker_start: Instant) {
+/// Mirrors the worker's coarse state into the global `tcam-obs` registry
+/// as gauges labeled with the table's index (0). Called at flush
+/// boundaries only — never per key — so the registry costs nothing on the
+/// match path.
+fn publish_gauges(shard: &Shard, stats: &ShardStats, worker_start: Instant) {
+    const LABEL: u32 = 0;
     #[allow(clippy::cast_precision_loss)]
     {
         tcam_obs::gauge_set_at(
             "serve_queue_depth",
-            shard,
-            ctx.shard.queued_keys.load(Ordering::Relaxed) as f64,
+            LABEL,
+            shard.queued_keys.load(Ordering::Relaxed) as f64,
         );
-        tcam_obs::gauge_set_at("serve_epoch", shard, stats.epoch as f64);
-        tcam_obs::gauge_set_at("serve_epoch_lag", shard, stats.max_epoch_lag as f64);
+        tcam_obs::gauge_set_at("serve_epoch", LABEL, stats.epoch as f64);
+        tcam_obs::gauge_set_at("serve_epoch_lag", LABEL, stats.max_epoch_lag as f64);
         // Utilization: fraction of this worker's wall clock spent matching
         // batches (refresh/swap/idle excluded).
         let elapsed = worker_start.elapsed().as_secs_f64();
         if elapsed > 0.0 {
             tcam_obs::gauge_set_at(
                 "serve_worker_busy_pct",
-                ctx.worker_label,
+                LABEL,
                 100.0 * stats.busy.as_secs_f64() / elapsed,
             );
         }
@@ -557,30 +495,24 @@ fn publish_gauges(ctx: &WorkerCtx, stats: &ShardStats, shard: u32, worker_start:
 /// Max batches a worker drains per queue visit.
 const DRAIN_BATCHES: usize = 4;
 
-/// How long a worker with no refresh clock blocks on an empty queue before
-/// it looks at the cell again.
+/// How long a worker with refresh off blocks on an empty queue before it
+/// looks at the cell again.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// How many processed batches between registry flushes. Flushing takes the
 /// global mutex, so workers amortize it well past the per-batch path.
 const FLUSH_EVERY_BATCHES: u64 = 64;
 
-fn run_worker(ctx: &WorkerCtx) -> ShardStats {
+fn run_worker(shard: &Shard, config: &ServiceConfig) -> ShardStats {
     let worker_start = Instant::now();
-    let (queue, cell) = (&ctx.shard.queue, &ctx.shard.cell);
+    let (queue, cell) = (&shard.queue, &shard.cell);
     let mut current = cell.load();
-    let mut stats = ShardStats::new(ctx.index, current.table.len());
+    let mut stats = ShardStats::new(0, current.table.len());
     stats.epoch = current.epoch;
-    stats.worker = ctx.worker;
-    let config = &ctx.config;
-    // A physical shard refreshes once per interval no matter how many
-    // threads serve it: worker 0 owns the shard's refresh clock, siblings
-    // keep draining the queue through the stall.
-    let refresh_on = ctx.worker == 0 && !matches!(config.refresh, BankRefresh::None);
+    let refresh_on = !matches!(config.refresh, BankRefresh::None);
     let refresh_interval = config.refresh_interval.max(Duration::from_micros(10));
     let mut next_refresh = Instant::now() + refresh_interval;
-    let mut refresh_state = ctx.index as u64;
-    let shard_label = u32::try_from(ctx.index).unwrap_or(u32::MAX);
+    let mut refresh_state = 0u64;
     let mut batches_at_last_flush = 0u64;
     // Reused kernel output buffer: the no-reply (open-loop) path never
     // allocates; the reply path takes the buffer and leaves a fresh one.
@@ -589,12 +521,11 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
     loop {
         let now = Instant::now();
         if refresh_on && now >= next_refresh {
-            // A refresh event competes with traffic: the shard serves
+            // A refresh event competes with traffic: the table serves
             // nothing until its ops complete — caller-run queries wait on
             // the lock.
             let _obs = tcam_obs::span!("serve_refresh");
-            let _event = ctx
-                .shard
+            let _event = shard
                 .refreshing
                 .write()
                 .expect("refresh lock is never held across a panic");
@@ -608,7 +539,7 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
             stats.refresh_ops += ops;
             stats.refresh_stall += end - now;
             // Everything queued right now sat through the stall.
-            stats.stalled_searches += ctx.shard.queued_keys.load(Ordering::Relaxed);
+            stats.stalled_searches += shard.queued_keys.load(Ordering::Relaxed);
             next_refresh += refresh_interval;
             if next_refresh <= end {
                 next_refresh = end + refresh_interval;
@@ -637,18 +568,15 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
         if batches.is_empty() {
             if closed {
                 stats.rows = current.table.len();
-                if ctx.worker == 0 {
-                    let caller_run = std::mem::take(
-                        &mut *ctx
-                            .shard
-                            .caller_run
-                            .lock()
-                            .expect("caller-run stats lock is never held across a panic"),
-                    );
-                    stats.absorb(&caller_run);
-                }
+                let caller_run = std::mem::take(
+                    &mut *shard
+                        .caller_run
+                        .lock()
+                        .expect("caller-run stats lock is never held across a panic"),
+                );
+                stats.absorb(&caller_run);
                 if tcam_obs::enabled() {
-                    // Publish the shard's exact histograms wholesale and
+                    // Publish the exact histograms wholesale and
                     // mirror the counters once — the registry view matches
                     // the final `ServeReport` without per-key recording.
                     tcam_obs::hist_merge("serve_latency", &stats.latency);
@@ -658,7 +586,7 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
                     tcam_obs::counter_add("serve_batches", stats.batches);
                     tcam_obs::counter_add("serve_refresh_events", stats.refresh_events);
                     tcam_obs::counter_add("serve_updates_applied", stats.updates_applied);
-                    publish_gauges(ctx, &stats, shard_label, worker_start);
+                    publish_gauges(shard, &stats, worker_start);
                     tcam_obs::flush();
                 }
                 return stats;
@@ -670,7 +598,7 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
         let obs_match = tcam_obs::span!("serve_match");
         for batch in batches {
             let n = batch.keys.len() as u64;
-            ctx.shard.queued_keys.fetch_sub(n, Ordering::Relaxed);
+            shard.queued_keys.fetch_sub(n, Ordering::Relaxed);
             let dequeued = Instant::now();
             stats.queue_wait.record(nanos(batch.submitted, dequeued));
             stats.batches += 1;
@@ -683,11 +611,10 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
             stats.meter.search_n(&config.costs, n);
             let done = Instant::now();
             if let Some(trace) = &batch.trace {
-                // Shard-labeled worker hops for the sampled request: its
-                // queue wait and the kernel-match interval, both nesting
-                // inside the submitter's gather span by containment.
-                trace.hop_labeled("serve_queue", Some(shard_label), batch.submitted, dequeued);
-                trace.hop_labeled("serve_match", Some(shard_label), dequeued, done);
+                // Worker hops for the sampled request: its queue wait and
+                // the kernel-match interval.
+                trace.hop("serve_queue", batch.submitted, dequeued);
+                trace.hop("serve_match", dequeued, done);
             }
             stats.latency.record_n(nanos(batch.submitted, done), n);
             if let Some(reply) = batch.reply {
@@ -705,7 +632,7 @@ fn run_worker(ctx: &WorkerCtx) -> ShardStats {
             // Periodic visibility for long-running services: gauges plus
             // accumulated span phases, amortized far past the batch path.
             batches_at_last_flush = stats.batches;
-            publish_gauges(ctx, &stats, shard_label, worker_start);
+            publish_gauges(shard, &stats, worker_start);
             tcam_obs::flush();
         }
     }

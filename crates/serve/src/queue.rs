@@ -1,9 +1,9 @@
 //! A bounded MPSC queue with blocking backpressure.
 //!
-//! Each shard worker owns one of these: load generators and closed-loop
+//! The serving worker owns one of these: load generators and closed-loop
 //! clients push [`batches`](crate::service::SearchBatch) from any thread,
 //! the worker drains them. The capacity bound is the service's flow
-//! control — when a shard falls behind (e.g. stalled in a row-by-row
+//! control — when the worker falls behind (e.g. stalled in a row-by-row
 //! refresh burst), producers block on `push` instead of growing an
 //! unbounded backlog, which is exactly the backpressure a real lookup
 //! frontend would exert.

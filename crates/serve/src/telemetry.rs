@@ -5,9 +5,9 @@
 //! solver, serving, and bench layers share one implementation and one set
 //! of correctness tests).
 //!
-//! [`ShardStats`] is the per-shard counter block each worker owns (no
+//! [`ShardStats`] is the counter block the serving worker owns (no
 //! sharing, no atomics on the hot path) and [`ServeReport`] is the
-//! shutdown-time merge across shards. Workers also mirror coarse
+//! shutdown-time report built from it. The worker also mirrors coarse
 //! aggregates into the global `tcam-obs` registry at batch-boundary
 //! flushes (see `pool.rs`), so a long-running serve loop is observable
 //! before shutdown; the report stays the exact, complete record.
@@ -17,21 +17,17 @@ use tcam_arch::energy_model::WorkloadMeter;
 
 pub use tcam_obs::hist::{bucket_of, value_of, LatencyHistogram};
 
-/// Counters one shard worker accumulates privately and returns at join.
-/// At shutdown, worker 0's block also takes in the lookups its shard
-/// answered on callers' threads ([`ShardPool::answer_here`]), so the
-/// report counts every key the shard served.
+/// Counters the serving worker accumulates privately and returns at join.
+/// At shutdown, the block also takes in the lookups answered on callers'
+/// threads ([`ShardPool::answer_here`]), so the report counts every key
+/// the table served.
 ///
 /// [`ShardPool::answer_here`]: crate::pool::ShardPool::answer_here
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
-    /// Shard index.
+    /// Table index (0: a pool serves one table).
     pub shard: usize,
-    /// Worker index within the shard (0 when the shard runs a single
-    /// worker; the report carries one entry per worker, not per shard,
-    /// when `workers_per_shard > 1`).
-    pub worker: usize,
-    /// Rules stored in this shard (after replication).
+    /// Rules stored in the table.
     pub rows: usize,
     /// Searches completed.
     pub searches: u64,
@@ -44,12 +40,12 @@ pub struct ShardStats {
     /// directly stalled behind refresh.
     pub stalled_searches: u64,
     /// Snapshot swaps this worker made: times it found a newer epoch in
-    /// its shard's published cell and switched to it. At most the number
+    /// the published cell and switched to it. At most the number
     /// of publications — epochs that superseded each other between two of
     /// the worker's swap points cost one swap, not one each.
     pub updates_applied: u64,
     /// The epoch this worker serves from (0 = the initial table) — after
-    /// shutdown, the last epoch published to its shard.
+    /// shutdown, the last epoch published.
     pub epoch: u64,
     /// Largest epoch jump observed at a snapshot swap: the published
     /// epoch minus the epoch served before the swap. 1 = the worker always
@@ -77,7 +73,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Fresh counters for shard `shard` holding `rows` rules.
+    /// Fresh counters for table `shard` holding `rows` rules.
     #[must_use]
     pub fn new(shard: usize, rows: usize) -> Self {
         Self {
@@ -99,25 +95,24 @@ impl ShardStats {
     }
 }
 
-/// Shutdown-time service report: per-shard stats plus aggregates.
+/// Shutdown-time service report: the worker's stats plus aggregates.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// Per-worker counters, one entry per worker thread in spawn order
-    /// (shard-major). With one worker per shard — the default — this is
-    /// exactly one entry per shard.
+    /// The worker's counters: one entry, or none when the worker
+    /// panicked.
     pub shards: Vec<ShardStats>,
-    /// All shards' lookup latencies merged.
+    /// The entries' lookup latencies merged.
     pub latency: LatencyHistogram,
-    /// All shards' queue waits merged.
+    /// The entries' queue waits merged.
     pub queue_wait: LatencyHistogram,
-    /// All shards' update publication latencies merged.
+    /// The entries' update publication latencies merged.
     pub update_latency: LatencyHistogram,
     /// Worker threads that panicked (or were otherwise unjoinable) at
     /// shutdown — their stats are missing from [`Self::shards`]. Always 0
     /// in a healthy run; shutdown reports it instead of panicking so the
     /// service lifecycle stays drop-safe.
     pub workers_panicked: u64,
-    /// All shards' meters merged.
+    /// The entries' meters merged.
     pub meter: WorkloadMeter,
 }
 

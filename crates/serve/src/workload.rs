@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn router_keys_mostly_hit() {
         let w = Workload::router_lpm(256, 512, 3);
-        let set = ShardedRuleSet::build(&w.words, 2).unwrap();
+        let set = ShardedRuleSet::build(&w.words, 0).unwrap();
         let hits = w
             .keys
             .iter()
@@ -249,7 +249,7 @@ mod tests {
         assert!(w.words.iter().all(|r| r.len() == 88));
         assert!(w.keys.iter().all(|k| k.len() == 88));
         // Catch-all guarantees every key matches something.
-        let set = ShardedRuleSet::build(&w.words, 2).unwrap();
+        let set = ShardedRuleSet::build(&w.words, 0).unwrap();
         for k in &w.keys {
             assert!(set.search(k).unwrap().is_some());
         }

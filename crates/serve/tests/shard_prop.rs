@@ -1,13 +1,12 @@
-//! Property tests for shard routing and service correctness, driven by
-//! the in-tree SplitMix64 RNG (no external proptest dependency).
+//! Property tests for rule-set and service correctness, driven by the
+//! in-tree SplitMix64 RNG (no external proptest dependency).
 //!
 //! The invariants pinned here are the serving layer's correctness story:
 //!
-//! 1. every fully-specified key routes to exactly one shard;
-//! 2. the sharded search returns the same highest-priority match as a
+//! 1. the rule set's search returns the same highest-priority match as a
 //!    monolithic `TcamArray` over the identical rule list (bit-identical
-//!    ids, not just "some match");
-//! 3. the concurrent service agrees with the single-threaded reference
+//!    ids, not just "some match"), built at once or mutated in place;
+//! 2. the concurrent service agrees with the single-threaded reference
 //!    path under live refresh.
 
 use std::time::Duration;
@@ -47,53 +46,23 @@ fn random_key(rng: &mut SplitMix64, width: usize) -> Vec<TernaryBit> {
 }
 
 #[test]
-fn every_key_routes_to_exactly_one_shard() {
-    let mut rng = SplitMix64::new(0xDECAF);
-    for &(width, shard_bits) in &[(8usize, 0u32), (8, 1), (16, 2), (16, 3), (32, 3)] {
-        let words: Vec<_> = (0..32).map(|_| random_word(&mut rng, width, 30)).collect();
-        let set = ShardedRuleSet::build(&words, shard_bits).unwrap();
-        for _ in 0..200 {
-            let key = random_key(&mut rng, width);
-            let shard = set.route(&key).unwrap();
-            assert!(shard < set.shards(), "shard {shard} out of range");
-            // Routing is a pure function of the selector bits: the same
-            // key must never route elsewhere.
-            assert_eq!(set.route(&key).unwrap(), shard);
-            // And the selector alone determines it: flipping any
-            // non-selector bit keeps the route.
-            if width > shard_bits as usize {
-                let mut flipped = key.clone();
-                let i = shard_bits as usize
-                    + rng.below((width - shard_bits as usize) as u64) as usize;
-                flipped[i] = match flipped[i] {
-                    TernaryBit::Zero => TernaryBit::One,
-                    _ => TernaryBit::Zero,
-                };
-                assert_eq!(set.route(&flipped).unwrap(), shard);
-            }
-        }
-    }
-}
-
-#[test]
 fn sharded_search_matches_monolithic_oracle_random_ternary() {
     let mut rng = SplitMix64::new(0xACCE55);
     for trial in 0..20 {
         let width = [4, 8, 16, 33, 64, 100, 128][trial % 7];
-        let shard_bits = (trial % 4) as u32;
         let x_percent = [0, 15, 40, 80][trial % 4];
         let rules = 1 + rng.below(64) as usize;
         let words: Vec<_> = (0..rules)
             .map(|_| random_word(&mut rng, width, x_percent))
             .collect();
-        let set = ShardedRuleSet::build(&words, shard_bits).unwrap();
+        let set = ShardedRuleSet::build(&words, 0).unwrap();
         let oracle = ShardedRuleSet::oracle(&words);
         for _ in 0..300 {
             let key = random_key(&mut rng, width);
             assert_eq!(
                 set.search(&key).unwrap(),
                 oracle.first_match(&key).map(|r| r as u32),
-                "trial {trial}: width {width}, {shard_bits} shard bits"
+                "trial {trial}: width {width}"
             );
         }
     }
@@ -102,11 +71,11 @@ fn sharded_search_matches_monolithic_oracle_random_ternary() {
 #[test]
 fn sharded_search_matches_oracle_on_router_and_acl_workloads() {
     for seed in [1u64, 7, 42] {
-        for (w, bits) in [
-            (Workload::router_lpm(256, 512, seed), 3u32),
-            (Workload::acl_classifier(48, 256, seed), 2),
+        for w in [
+            Workload::router_lpm(256, 512, seed),
+            Workload::acl_classifier(48, 256, seed),
         ] {
-            let set = ShardedRuleSet::build(&w.words, bits).unwrap();
+            let set = ShardedRuleSet::build(&w.words, 0).unwrap();
             let oracle = ShardedRuleSet::oracle(&w.words);
             for key in &w.keys {
                 assert_eq!(
@@ -122,7 +91,7 @@ fn sharded_search_matches_oracle_on_router_and_acl_workloads() {
 
 #[test]
 fn interleaved_mutation_stays_equivalent_to_monolithic_oracle() {
-    // Satellite invariant: a ShardedRuleSet mutated in place by any
+    // A ShardedRuleSet mutated in place by any
     // interleaving of insert/remove/replace answers every search exactly
     // like a monolithic `TcamArray` oracle holding the same rules, where
     // the oracle's row index IS the rule id (lower id = higher priority).
@@ -130,9 +99,8 @@ fn interleaved_mutation_stays_equivalent_to_monolithic_oracle() {
     const IDS: u64 = 96; // id space == oracle rows
     for trial in 0..12 {
         let width = [8usize, 16, 33, 64][trial % 4];
-        let shard_bits = (trial % 3) as u32;
         let x_percent = [10u64, 35, 70][trial % 3];
-        let mut set = ShardedRuleSet::empty(width, shard_bits).unwrap();
+        let mut set = ShardedRuleSet::empty(width, 0).unwrap();
         let mut oracle = tcam_arch::array::TcamArray::new(IDS as usize, width);
         for step in 0..400 {
             let id = rng.below(IDS) as u32;
@@ -161,7 +129,7 @@ fn interleaved_mutation_stays_equivalent_to_monolithic_oracle() {
                 assert_eq!(
                     set.search(&key).unwrap(),
                     oracle.first_match(&key).map(|r| r as u32),
-                    "trial {trial} step {step}: width {width}, {shard_bits} shard bits"
+                    "trial {trial} step {step}: width {width}"
                 );
             }
         }
@@ -171,7 +139,7 @@ fn interleaved_mutation_stays_equivalent_to_monolithic_oracle() {
 #[test]
 fn concurrent_service_agrees_with_reference_path_under_refresh() {
     let w = Workload::router_lpm(128, 256, 99);
-    let rules = ShardedRuleSet::build(&w.words, 2).unwrap();
+    let rules = ShardedRuleSet::build(&w.words, 0).unwrap();
     let reference = rules.clone();
     let config = ServiceConfig {
         refresh: BankRefresh::RowByRow { op_time: 10e-9 },

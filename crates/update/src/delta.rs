@@ -1,32 +1,29 @@
-//! The delta compiler: logical rule changes → minimal per-shard physical
-//! row operations, priced through the paper's cost model.
+//! The delta compiler: logical rule changes → physical row operations,
+//! priced through the paper's cost model.
 //!
-//! A TCAM update is expensive in rows, not rules: a rule whose shard
-//! selector carries don't-cares is **replicated** into every shard it
-//! covers, so one logical change can touch many physical rows. The
-//! compiler plans that work *before* anything mutates:
+//! A TCAM update is priced in rows, and every rule is one row of the
+//! namespace's table, so the compiler plans that work *before* anything
+//! mutates:
 //!
-//! * an **insert** writes one row in every covered shard;
-//! * a **remove** erases one row in every covered shard;
-//! * a **modify** is diffed cover-against-cover: shards in both covers
-//!   get an in-place rewrite, shards only the old cover held get an
-//!   erase, newly covered shards get a write.
+//! * an **insert** writes one row;
+//! * a **remove** erases one row;
+//! * a **modify** rewrites one row in place.
 //!
-//! All three are one [`cover_diff`] (an insert has no old cover, a remove
-//! no new one) — the walk the sharding layer mutates its shards by — run
-//! inside the batch walk [`RuleStore::validate`](crate::store::RuleStore::validate)
-//! uses. The plan is priced through [`OperationCosts`] — a NEM-relay row
-//! erase is physically a row write (the care mask is overwritten), so
-//! erases cost `write_latency`/`write_energy` too.
+//! The plan is counted inside the batch walk
+//! [`RuleStore::validate`](crate::store::RuleStore::validate) uses, by the
+//! same [`RowOps`] constants the rule set's mutations return. It is priced
+//! through [`OperationCosts`] — a NEM-relay row erase is physically a row
+//! write (the care mask is overwritten), so erases cost
+//! `write_latency`/`write_energy` too.
 
 use crate::store::{stage, RuleChange};
 use tcam_arch::energy_model::OperationCosts;
 use tcam_serve::error::Result;
-use tcam_serve::shard::{cover_diff, RowOps, ShardedRuleSet};
+use tcam_serve::shard::{RowOps, ShardedRuleSet};
 
 /// Time and energy one compiled delta costs the array, assuming the
 /// serial row-update port the paper's 3T2N design has (writes do not
-/// overlap searches on a shard, and a shard has one write port).
+/// overlap searches, and the table has one write port).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaCost {
     /// Wall time to apply every row op serially, seconds.
@@ -38,25 +35,10 @@ pub struct DeltaCost {
 /// A compiled update batch: the physical work plan for one epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledDelta {
-    /// Row writes/erases per shard (index = shard).
-    pub per_shard: Vec<RowOps>,
-    /// Batch totals across shards.
+    /// Row writes/erases of the whole batch.
     pub total: RowOps,
     /// The plan priced through the cost model.
     pub cost: DeltaCost,
-}
-
-impl CompiledDelta {
-    /// Shards this delta touches, ascending.
-    #[must_use]
-    pub fn touched(&self) -> Vec<usize> {
-        self.per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, ops)| ops.writes + ops.erases > 0)
-            .map(|(s, _)| s)
-            .collect()
-    }
 }
 
 /// Compiles [`RuleChange`] batches against a rule set snapshot without
@@ -74,37 +56,30 @@ impl<'a> DeltaCompiler<'a> {
         Self { rules, costs }
     }
 
-    /// Compiles `batch` into per-shard row operations. Changes are
-    /// staged in order (a batch may insert a priority and then modify
-    /// it) by the same walk [`RuleStore::validate`](crate::store::RuleStore::validate)
-    /// is — a batch this function accepts will apply cleanly.
+    /// Compiles `batch` into row operations. Changes are staged in order
+    /// (a batch may insert a priority and then modify it) by the same walk
+    /// [`RuleStore::validate`](crate::store::RuleStore::validate) is — a
+    /// batch this function accepts will apply cleanly.
     ///
     /// # Errors
     ///
     /// As [`RuleStore::validate`](crate::store::RuleStore::validate).
     pub fn compile(&self, batch: &[RuleChange]) -> Result<CompiledDelta> {
-        let sel = self.rules.shard_bits() as usize;
-        let mut per_shard = vec![RowOps::default(); self.rules.shards()];
-        let word = |p| self.rules.word(p);
-        stage(batch, self.rules.width(), word, |before, after| {
-            let selectors = (before.map(|w| &w[..sel]), after.map(|w| &w[..sel]));
-            cover_diff(selectors.0, selectors.1, |s, op| per_shard[s].count(op));
-        })?;
-
         let mut total = RowOps::default();
-        for ops in &per_shard {
-            total.add(*ops);
-        }
+        let word = |p| self.rules.word(p);
+        stage(batch, self.rules.width(), word, |_, after| {
+            total.add(if after.is_some() {
+                RowOps::WRITE
+            } else {
+                RowOps::ERASE
+            });
+        })?;
         let ops = total.writes + total.erases;
         let cost = DeltaCost {
             latency: ops as f64 * self.costs.write_latency,
             energy: ops as f64 * self.costs.write_energy,
         };
-        Ok(CompiledDelta {
-            per_shard,
-            total,
-            cost,
-        })
+        Ok(CompiledDelta { total, cost })
     }
 }
 
@@ -119,53 +94,43 @@ mod tests {
     }
 
     fn base() -> ShardedRuleSet {
-        // 2 shard bits → 4 shards. Rule 10 covers shard 3; rule 20
-        // covers shards 0 and 1; rule 30 covers all four.
         ShardedRuleSet::from_prioritized(
             &[(10, w("1100")), (20, w("0X11")), (30, w("XXXX"))],
-            2,
+            0,
         )
         .unwrap()
     }
 
     #[test]
-    fn insert_and_remove_count_replicated_rows() {
+    fn insert_writes_a_row_and_remove_erases_one() {
         let rules = base();
         let compiler = DeltaCompiler::new(&rules, OperationCosts::paper_3t2n());
         let delta = compiler
             .compile(&[
                 RuleChange::Insert {
                     priority: 15,
-                    word: w("X011"), // covers shards 0b00 and 0b10
+                    word: w("X011"),
                 },
-                RuleChange::Remove { priority: 30 }, // erases 4 rows
+                RuleChange::Remove { priority: 30 },
             ])
             .unwrap();
-        assert_eq!(delta.total, RowOps { writes: 2, erases: 4 });
-        assert_eq!(delta.per_shard[0], RowOps { writes: 1, erases: 1 });
-        assert_eq!(delta.per_shard[2], RowOps { writes: 1, erases: 1 });
-        assert_eq!(delta.per_shard[3], RowOps { writes: 0, erases: 1 });
-        assert_eq!(delta.touched(), vec![0, 1, 2, 3]);
+        assert_eq!(delta.total, RowOps { writes: 1, erases: 1 });
         let costs = OperationCosts::paper_3t2n();
-        assert!((delta.cost.latency - 6.0 * costs.write_latency).abs() < 1e-18);
-        assert!((delta.cost.energy - 6.0 * costs.write_energy).abs() < 1e-24);
+        assert!((delta.cost.latency - 2.0 * costs.write_latency).abs() < 1e-18);
+        assert!((delta.cost.energy - 2.0 * costs.write_energy).abs() < 1e-24);
     }
 
     #[test]
-    fn modify_diffs_covers_minimally() {
+    fn modify_rewrites_one_row() {
         let rules = base();
         let compiler = DeltaCompiler::new(&rules, OperationCosts::paper_3t2n());
-        // 20: cover {0,1} → {1,3}: rewrite 1, erase 0, write 3.
         let delta = compiler
             .compile(&[RuleChange::Modify {
                 priority: 20,
                 word: w("X111"),
             }])
             .unwrap();
-        assert_eq!(delta.total, RowOps { writes: 2, erases: 1 });
-        assert_eq!(delta.per_shard[0], RowOps { writes: 0, erases: 1 });
-        assert_eq!(delta.per_shard[1], RowOps { writes: 1, erases: 0 });
-        assert_eq!(delta.per_shard[3], RowOps { writes: 1, erases: 0 });
+        assert_eq!(delta.total, RowOps { writes: 1, erases: 0 });
     }
 
     #[test]

@@ -16,17 +16,15 @@
 //!   priority → ternary word, mutated in **atomic batches** of
 //!   [`store::RuleChange`]s, plus the CIDR-prefix encoder
 //!   [`store::prefix_word`].
-//! * [`delta::DeltaCompiler`] — compiles a batch into the **minimal
-//!   per-shard row writes/erases** (replication included, covers diffed
-//!   by the sharding layer's own
-//!   [`cover_diff`](tcam_serve::shard::cover_diff), inside the batch walk
+//! * [`delta::DeltaCompiler`] — compiles a batch into its **row
+//!   writes/erases** (one per change, counted inside the batch walk
 //!   [`RuleStore::validate`](store::RuleStore::validate) uses), priced
 //!   through [`OperationCosts`](tcam_arch::energy_model::OperationCosts).
 //! * [`publish::Updater`] — applies batches to a shadow
 //!   [`ShardedRuleSet`](tcam_serve::shard::ShardedRuleSet), cross-checks
 //!   realized row work against the compiled plan, and publishes
-//!   **epoch-tagged immutable snapshots** into live
-//!   [`TcamService`](tcam_serve::service::TcamService) workers — which
+//!   **epoch-tagged immutable snapshots** into a live
+//!   [`TcamService`](tcam_serve::service::TcamService) — whose readers
 //!   swap only at batch boundaries, so no search ever observes a torn
 //!   table.
 //! * [`churn`] — the deterministic BGP-like prefix churn generator
@@ -41,7 +39,7 @@
 //!
 //! let mut churn = BgpChurn::new(16, 64, 42);
 //! let store = RuleStore::from_rules(&churn.initial()).unwrap();
-//! let mut updater = Updater::new(store, 2, OperationCosts::paper_3t2n()).unwrap();
+//! let mut updater = Updater::new(store, 0, OperationCosts::paper_3t2n()).unwrap();
 //! let staged = updater.apply(&churn.next_batch(8)).unwrap();
 //! assert_eq!(staged.epoch, 1);
 //! assert_eq!(staged.realized, staged.planned.total);

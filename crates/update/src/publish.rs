@@ -1,5 +1,5 @@
 //! Epoch-snapshot publication: applying compiled deltas to a shadow rule
-//! set and swapping the result into live shard workers.
+//! set and swapping the result into a live service.
 //!
 //! The [`Updater`] is the single writer of the serving stack. It owns
 //!
@@ -7,21 +7,19 @@
 //!   priority → word map is the logical rule set; a [`RuleStore`] only
 //!   seeds it, and a durable copy, where there is one, is the WAL
 //!   layer's), and
-//! * one cached `Arc<PackedTcamArray>` per shard — the immutable
-//!   snapshots workers serve from.
+//! * a cached `Arc<PackedTcamArray>` — the immutable snapshot readers
+//!   serve from.
 //!
 //! [`Updater::apply`] stages one batch: it compiles the plan (by the same
 //! batch walk [`RuleStore::validate`] is — the
-//! `validate_and_compile_agree` property test), mutates the shadow with
-//! the minimal row operations (the same cover diff the plan counted),
-//! checks that the realized row work equals the plan, and bumps the
-//! **epoch**. Only the shards the delta touched get a new snapshot `Arc`;
-//! untouched shards keep their cached one, so publishing to them is a
-//! pointer clone, not a table copy.
+//! `validate_and_compile_agree` property test), mutates the shadow one
+//! row operation per change, checks that the realized row work equals
+//! the plan, snapshots the shadow's table into a fresh `Arc`, and bumps
+//! the **epoch**.
 //!
-//! [`Updater::publish`] then stores the current-epoch snapshot into every
-//! shard's published cell
-//! ([`publish`](tcam_serve::pool::ShardPool::publish)). Workers load the
+//! [`Updater::publish`] then stores the current-epoch snapshot into the
+//! service's published cell
+//! ([`publish`](tcam_serve::pool::ShardPool::publish)). Readers load the
 //! cell between batches only, so a search is always served from exactly
 //! one epoch — and because every reply reports that epoch,
 //! `tests/concurrent_churn.rs` verifies the zero-torn-snapshot property
@@ -50,24 +48,27 @@ pub struct StagedDelta {
     pub realized: RowOps,
 }
 
-/// The serving stack's single writer: shadow shards + per-shard snapshot
-/// cache, advanced one epoch per applied batch.
+/// The serving stack's single writer: the shadow rule set and its
+/// published snapshot, advanced one epoch per applied batch.
 #[derive(Debug)]
 pub struct Updater {
     shadow: ShardedRuleSet,
-    tables: Vec<Arc<PackedTcamArray>>,
+    table: Arc<PackedTcamArray>,
     epoch: u64,
     costs: OperationCosts,
 }
 
 impl Updater {
-    /// Builds the shadow rule set and snapshot cache from `store`'s rules
-    /// (the store itself is dropped), starting at epoch 0.
+    /// Builds the shadow rule set and its snapshot from `store`'s rules
+    /// (the store itself is dropped), starting at epoch 0. `shard_bits` is
+    /// the argument the sharded updater took; 0 is the only value
+    /// accepted.
     ///
     /// # Errors
     ///
-    /// Shard-construction errors ([`tcam_serve::ServeError::TooWide`],
-    /// [`tcam_serve::ServeError::BadShardBits`]).
+    /// Rule-set construction errors ([`tcam_serve::ServeError::TooWide`],
+    /// [`tcam_serve::ServeError::BadShardBits`] when `shard_bits` is not
+    /// 0).
     pub fn new(store: RuleStore, shard_bits: u32, costs: OperationCosts) -> Result<Self> {
         Self::at_epoch(&store, shard_bits, costs, 0)
     }
@@ -95,12 +96,10 @@ impl Updater {
         for (priority, word) in store.iter() {
             shadow.insert(priority, word.to_vec())?;
         }
-        let tables = (0..shadow.shards())
-            .map(|s| Arc::new(shadow.shard(s).clone()))
-            .collect();
+        let table = Arc::new(shadow.table().clone());
         Ok(Self {
             shadow,
-            tables,
+            table,
             epoch,
             costs,
         })
@@ -119,9 +118,8 @@ impl Updater {
         self.epoch
     }
 
-    /// Starts a service on this updater's cached snapshots (the `Arc`s
-    /// themselves — no table is copied), its workers booting at the
-    /// current epoch: epoch 0 for a fresh updater, the recovered version
+    /// Starts a service on this updater's cached snapshot (the `Arc`
+    /// itself — no table is copied), booting at the current epoch: epoch 0 for a fresh updater, the recovered version
     /// for a [resumed](Self::resume) one.
     ///
     /// # Errors
@@ -132,21 +130,21 @@ impl Updater {
         config: &tcam_serve::service::ServiceConfig,
     ) -> Result<TcamService> {
         Ok(TcamService::start_at(
-            self.shadow.router(),
-            self.tables.clone(),
+            self.shadow.width(),
+            Arc::clone(&self.table),
             self.epoch,
             config,
         ))
     }
 
-    /// Applies one update batch: compile (validates) → shadow → refresh
-    /// touched snapshots → bump epoch.
+    /// Applies one update batch: compile (validates) → shadow → snapshot →
+    /// bump epoch.
     ///
-    /// The plan and the shadow's mutations walk the same
-    /// [`cover_diff`](tcam_serve::shard::cover_diff), so the realized row
-    /// work must equal the plan; a mismatch means the shadow is not the
-    /// rule set the batch was compiled against — a bug — so it panics
-    /// rather than serving rules whose physical cost is misaccounted.
+    /// The plan counts one row operation per change and the shadow's
+    /// mutations perform one each, so the realized row work must equal
+    /// the plan; a mismatch means the shadow is not the rule set the batch
+    /// was compiled against — a bug — so it panics rather than serving
+    /// rules whose physical cost is misaccounted.
     ///
     /// # Errors
     ///
@@ -179,11 +177,9 @@ impl Updater {
             realized.add(ops);
         }
         assert_eq!(realized, planned.total, "shadow diverged from its plan");
-        for &s in &planned.touched() {
-            // The shadow mutates in place; the snapshot handed to workers
-            // is a fresh clone.
-            self.tables[s] = Arc::new(self.shadow.shard(s).clone());
-        }
+        // The shadow mutates in place; the snapshot handed to readers is a
+        // fresh clone.
+        self.table = Arc::new(self.shadow.table().clone());
         self.epoch += 1;
         tcam_obs::flight_record("update_apply", self.epoch, batch.len() as u64);
         tcam_obs::counter_add("update_batches_applied", 1);
@@ -196,12 +192,11 @@ impl Updater {
         })
     }
 
-    /// Publishes the current epoch's snapshot into every shard's cell of
-    /// `service` — one store per shard, never blocking. Untouched shards
-    /// receive the cached `Arc` — a pointer, not a copy. Publishing the
-    /// same epoch twice is idempotent (the cell refuses it). Once this
-    /// returns, every lookup submitted afterwards is served at this epoch
-    /// or a later one.
+    /// Publishes the current epoch's snapshot into `service`'s cell — one
+    /// store of the cached `Arc` (a pointer, not a copy), never blocking.
+    /// Publishing the same epoch twice is idempotent (the cell refuses
+    /// it). Once this returns, every lookup submitted afterwards is served
+    /// at this epoch or a later one.
     ///
     /// # Errors
     ///
@@ -209,10 +204,8 @@ impl Updater {
     /// `Result` is what every caller already propagates.
     pub fn publish(&self, service: &TcamService) -> Result<()> {
         let _obs = tcam_obs::span!("update_publish");
-        for (s, table) in self.tables.iter().enumerate() {
-            service.publish(s, self.epoch, Arc::clone(table));
-        }
-        tcam_obs::flight_record("update_publish", self.epoch, self.tables.len() as u64);
+        service.publish(self.epoch, Arc::clone(&self.table));
+        tcam_obs::flight_record("update_publish", self.epoch, 1);
         tcam_obs::counter_add("update_epochs_published", 1);
         Ok(())
     }
@@ -233,7 +226,7 @@ mod tests {
     }
 
     fn seeded_updater() -> Updater {
-        Updater::new(seeded_store(), 2, OperationCosts::paper_3t2n()).unwrap()
+        Updater::new(seeded_store(), 0, OperationCosts::paper_3t2n()).unwrap()
     }
 
     #[test]
@@ -251,7 +244,7 @@ mod tests {
             .unwrap();
         assert_eq!(staged.epoch, 1);
         assert_eq!(staged.realized, staged.planned.total);
-        assert_eq!(staged.realized, RowOps { writes: 1, erases: 4 });
+        assert_eq!(staged.realized, RowOps { writes: 1, erases: 1 });
         // The shadow answers with the new rules.
         assert_eq!(updater.snapshot().search(&w("1101")).unwrap(), Some(5));
         assert_eq!(updater.snapshot().search(&w("0000")).unwrap(), None);
@@ -272,7 +265,7 @@ mod tests {
         let costs = OperationCosts::paper_3t2n();
         let mut rng = tcam_numeric::rng::SplitMix64::new(0xDE17A);
         let mut store = RuleStore::new(WIDTH);
-        let mut updater = Updater::new(store.clone(), 2, costs).unwrap();
+        let mut updater = Updater::new(store.clone(), 0, costs).unwrap();
         let (mut accepted, mut errors) = (0u32, std::collections::HashMap::new());
         for trial in 0..4000 {
             // Ten priorities, up to five changes: repeats within a batch
@@ -345,7 +338,7 @@ mod tests {
         recovered
             .apply(&[RuleChange::Remove { priority: 5 }])
             .unwrap();
-        let mut resumed = Updater::resume(recovered, 2, OperationCosts::paper_3t2n()).unwrap();
+        let mut resumed = Updater::resume(recovered, 0, OperationCosts::paper_3t2n()).unwrap();
         assert_eq!(resumed.epoch(), 2, "epoch resumes at the WAL'd version");
         // The next applied batch continues the sequence.
         let staged = resumed
@@ -360,23 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn untouched_shards_keep_their_cached_snapshot() {
-        let mut updater = seeded_updater();
-        let before: Vec<_> = updater.tables.iter().map(Arc::as_ptr).collect();
-        // 1100 covers only shard 3.
-        updater
-            .apply(&[RuleChange::Insert {
-                priority: 11,
-                word: w("1101"),
-            }])
-            .unwrap();
-        for (s, &ptr) in before.iter().enumerate() {
-            if s == 3 {
-                assert_ne!(Arc::as_ptr(&updater.tables[s]), ptr, "shard 3 must refresh");
-            } else {
-                assert_eq!(Arc::as_ptr(&updater.tables[s]), ptr, "shard {s} must not copy");
-            }
-        }
+    fn nonzero_shard_bits_are_refused() {
+        let costs = OperationCosts::paper_3t2n();
+        let bad = Some(tcam_serve::ServeError::BadShardBits { bits: 2, max: 0 });
+        assert_eq!(Updater::new(seeded_store(), 2, costs).err(), bad);
+        assert_eq!(Updater::resume(seeded_store(), 2, costs).err(), bad);
     }
 
     #[test]
@@ -399,21 +380,17 @@ mod tests {
                 },
             ])
             .unwrap();
-        for (s, table) in updater.tables.iter().enumerate() {
-            let ids: Vec<u32> = (0..table.len()).map(|i| table.row(i).unwrap().0).collect();
-            assert!(
-                ids.windows(2).all(|w| w[0] < w[1]),
-                "published shard {s} not id-ordered: {ids:?}"
-            );
-        }
+        let table = &updater.table;
+        let ids: Vec<u32> = (0..table.len()).map(|i| table.row(i).unwrap().0).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "published table not id-ordered: {ids:?}"
+        );
         // Snapshot results agree with the shadow reference.
         for key in ["1100", "1111", "0011", "0000"] {
             let key = w(key);
             let reference = updater.snapshot().search(&key).unwrap();
-            let routed = updater.snapshot().route(&key).unwrap();
-            let via_snapshot = updater.tables[routed].first_match(
-                &tcam_arch::packed::PackedWord::pack(&key),
-            );
+            let via_snapshot = table.first_match(&tcam_arch::packed::PackedWord::pack(&key));
             assert_eq!(via_snapshot, reference);
         }
     }
@@ -428,7 +405,7 @@ mod tests {
             .map(|i| (i * 8, prefix_word(u64::from(i) * 16, 5, width)))
             .collect();
         let store = RuleStore::from_rules(&rules).unwrap();
-        let mut updater = Updater::new(store, 2, OperationCosts::paper_3t2n()).unwrap();
+        let mut updater = Updater::new(store, 0, OperationCosts::paper_3t2n()).unwrap();
         let config = tcam_serve::service::ServiceConfig {
             refresh: tcam_serve::BankRefresh::None,
             ..Default::default()

@@ -2,14 +2,15 @@
 //!
 //! One updater thread drives [`BgpChurn`] batches through
 //! [`Updater::apply`] + [`Updater::publish`] into a live
-//! [`TcamService`] (two workers per shard, one-shot refresh on a 1 ms
-//! clock) while checker threads submit multi-key batches, shard by shard,
-//! and compare every result with a single-threaded search of the recorded
-//! rule set of exactly the epoch the reply names. A disagreement is a torn
-//! snapshot: a batch served from a table other than the one its reply
-//! names. (Batches of many keys keep the workers matching most of the
-//! time, so a publication lands inside a match — where a swap must not
-//! happen — many times a run.)
+//! [`TcamService`] (its one worker, one-shot refresh on a 1 ms clock)
+//! while checker threads look up multi-key batches — alternately through
+//! the worker's queue and matched on their own thread — and compare every
+//! result with a single-threaded search of the recorded rule set of
+//! exactly the epoch the reply names. A disagreement is a torn snapshot:
+//! a batch served from a table other than the one its reply names.
+//! (Batches of many keys keep the matchers busy most of the time, so a
+//! publication lands inside a match — where a swap must not happen —
+//! many times a run.)
 //!
 //! The run is a fixed count of batches, not a time window, and the
 //! updater is paced by the checkers' verified-lookup counter (never by a
@@ -17,16 +18,13 @@
 //! replies have been verified, so lookups are in flight across every
 //! apply and publish.
 //!
-//! Two more guarantees follow from where a worker loads its shard's
-//! published cell — after it has dequeued work, before it matches — and
-//! are asserted here under the same load. *Per-caller monotonic epochs*:
-//! a checker's consecutive replies from a shard never go back in epoch,
-//! whichever of the shard's two workers serves them. (Shard by shard,
-//! because a publication is one store per shard: while it is between two
-//! cells, a caller can be answered at `v` by one shard and then at `v − 1`
-//! by the next.) *Read-your-writes*: a lookup the updater thread issues
-//! right after `publish` of epoch `i + 1` returned is served at `i + 1` or
-//! later.
+//! Two more guarantees follow from where the published cell is loaded —
+//! by the worker after it has dequeued work, by a caller before it
+//! matches — and are asserted here under the same load. *Per-caller
+//! monotonic epochs*: a checker's consecutive replies never go back in
+//! epoch, whether the worker or the checker itself served them.
+//! *Read-your-writes*: a lookup the updater thread issues right after
+//! `publish` of epoch `i + 1` returned is served at `i + 1` or later.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,11 +43,10 @@ const BATCHES: u64 = 150;
 const BATCH_SIZE: usize = 16;
 const CHECKERS: usize = 3;
 const LOOKUPS_PER_BATCH: u64 = 8;
-const WORKERS_PER_SHARD: usize = 2;
 
 /// What one checker saw: keys verified, keys whose result disagreed with
 /// their reply's epoch's reference, replies naming an older epoch than the
-/// same shard's reply before them, and the highest epoch observed.
+/// reply before them, and the highest epoch observed.
 #[derive(Default)]
 struct Seen {
     checked: u64,
@@ -75,8 +72,8 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
-/// Loops over the shards, submitting all of `keys` that route to the shard
-/// as one batch and verifying the reply, until `done`.
+/// Looks up all of `keys` as one batch — through the worker's queue and
+/// on the calling thread, in turn — verifying each reply, until `done`.
 fn run_checker(
     service: &TcamService,
     history: &Mutex<Vec<Arc<ShardedRuleSet>>>,
@@ -85,37 +82,31 @@ fn run_checker(
     done: &AtomicBool,
 ) -> Seen {
     let mut seen = Seen::default();
-    let mut by_shard = vec![(Vec::new(), Vec::new()); service.shards()];
-    for key in keys {
-        let packed = PackedWord::pack(key);
-        let shard = service
-            .router()
-            .route_packed(&packed)
-            .expect("routable key");
-        by_shard[shard].0.push(key);
-        by_shard[shard].1.push(packed);
-    }
-    let mut last_epoch = vec![0u64; by_shard.len()];
-    for shard in (0..by_shard.len()).cycle() {
+    let packed: Vec<PackedWord> = keys.iter().map(|k| PackedWord::pack(k)).collect();
+    let mut last_epoch = 0u64;
+    for round in 0u64.. {
         if done.load(Ordering::SeqCst) {
             break;
         }
-        let (keys, packed) = &by_shard[shard];
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let batch = SearchBatch {
-            keys: packed.clone(),
-            submitted: Instant::now(),
-            reply: Some(tx),
-            trace: None,
+        let reply = if round % 2 == 0 {
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            let batch = SearchBatch {
+                keys: packed.clone(),
+                submitted: Instant::now(),
+                reply: Some(tx),
+                trace: None,
+            };
+            service.submit(0, batch).expect("service is live");
+            rx.recv().expect("worker replies")
+        } else {
+            service.answer_here(&packed, None)
         };
-        service.submit(shard, batch).expect("service is live");
-        let reply = rx.recv().expect("worker replies");
         let reference = recorded(history, reply.epoch);
         for (key, hit) in keys.iter().zip(reply.results) {
-            seen.torn += u64::from(hit != reference.search(key).expect("routable key"));
+            seen.torn += u64::from(hit != reference.search(key).expect("key of the table's width"));
         }
-        seen.backwards += u64::from(reply.epoch < last_epoch[shard]);
-        last_epoch[shard] = reply.epoch;
+        seen.backwards += u64::from(reply.epoch < last_epoch);
+        last_epoch = reply.epoch;
         seen.checked += keys.len() as u64;
         seen.max_epoch = seen.max_epoch.max(reply.epoch);
         verified.fetch_add(1, Ordering::SeqCst);
@@ -127,15 +118,13 @@ fn run_checker(
 fn concurrent_churn_never_tears_a_snapshot() {
     let mut churn = BgpChurn::new(16, 512, 1);
     let store = RuleStore::from_rules(&churn.initial()).unwrap();
-    let mut updater = Updater::new(store, 1, OperationCosts::paper_3t2n()).unwrap();
+    let mut updater = Updater::new(store, 0, OperationCosts::paper_3t2n()).unwrap();
     let config = ServiceConfig {
-        workers_per_shard: WORKERS_PER_SHARD,
         refresh: BankRefresh::OneShot { op_time: 10e-9 },
         refresh_interval: Duration::from_millis(1),
         ..ServiceConfig::default()
     };
     let service = updater.start_service(&config).unwrap();
-    let workers = service.shards() * WORKERS_PER_SHARD;
     let history = Mutex::new(vec![Arc::new(updater.snapshot().clone())]);
     let key_pools: Vec<Vec<Vec<TernaryBit>>> = (0..CHECKERS)
         .map(|_| (0..256).map(|_| churn.random_key()).collect())
@@ -190,10 +179,7 @@ fn concurrent_churn_never_tears_a_snapshot() {
             "checker {c}: torn results among {} keys",
             s.checked
         );
-        assert_eq!(
-            s.backwards, 0,
-            "checker {c}: a shard's replies went back in epoch"
-        );
+        assert_eq!(s.backwards, 0, "checker {c}: replies went back in epoch");
     }
     assert!(
         seen.iter().any(|s| s.max_epoch > 0),
@@ -201,17 +187,15 @@ fn concurrent_churn_never_tears_a_snapshot() {
     );
     assert_eq!(report.workers_panicked, 0);
     assert_eq!(report.last_epoch(), BATCHES);
-    // Every worker ends on the last published epoch (it loads the cell
+    // The worker ends on the last published epoch (it loads the cell
     // once more on the way out), having swapped at most once per
     // publication: epochs that superseded each other between two of its
     // swap points cost it one swap.
-    assert_eq!(report.shards.len(), workers);
+    assert_eq!(report.shards.len(), 1);
     for w in &report.shards {
         assert!(
             w.epoch == BATCHES && w.updates_applied <= BATCHES,
-            "shard {} worker {}: epoch {} after {} swaps",
-            w.shard,
-            w.worker,
+            "worker: epoch {} after {} swaps",
             w.epoch,
             w.updates_applied
         );

@@ -5,9 +5,9 @@
 //! cargo run --release --example ip_route_lookup
 //! ```
 //!
-//! With `--serve`, the same forwarding table is additionally sharded and
-//! served through the concurrent `tcam-serve` lookup service, and the two
-//! paths are checked against each other:
+//! With `--serve`, the same forwarding table is additionally served
+//! through the concurrent `tcam-serve` lookup service, and the two paths
+//! are checked against each other:
 //!
 //! ```sh
 //! cargo run --release --example ip_route_lookup -- --serve
@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Runs the same lookups through the sharded concurrent `tcam-serve`
+/// Runs the same lookups through the concurrent `tcam-serve`
 /// service and checks it agrees with the direct TCAM array path.
 fn serve_demo(
     table: &RouterTable,
@@ -132,15 +132,14 @@ fn serve_demo(
         .iter()
         .map(|r| prefix_to_word(u64::from(u32::from(r.prefix.network())), r.prefix.len() as usize, 32))
         .collect();
-    let rules = ShardedRuleSet::build(&words, 2)?;
+    let rules = ShardedRuleSet::build(&words, 0)?;
     println!(
-        "\n--serve: sharded the table into {} shards ({} rows incl. replication)",
-        rules.shards(),
-        rules.total_rows()
+        "\n--serve: loaded the table's {} rules into one packed table",
+        rules.rules()
     );
 
     let service = TcamService::start(rules, &ServiceConfig::default())?;
-    println!("serving the same lookups through worker threads:");
+    println!("serving the same lookups through the service's worker thread:");
     for &ip in lookups {
         let key = value_to_word(u64::from(u32::from(ip)), 32);
         let hop = service

@@ -15,7 +15,7 @@
 //! | [`devices`] | `tcam-devices` | NEM relay, MOSFET, RRAM, FeFET models |
 //! | [`core`] | `tcam-core` | the TCAM designs + paper experiments |
 //! | [`arch`] | `tcam-arch` | functional arrays, refresh scheduling, apps |
-//! | [`serve`] | `tcam-serve` | sharded, batched lookup service + telemetry |
+//! | [`serve`] | `tcam-serve` | batched lookup service + telemetry |
 //! | [`update`] | `tcam-update` | online rule updates: epoch snapshots, churn |
 //!
 //! # Quickstart

@@ -30,9 +30,9 @@ cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's Acquire/Release pair and
 # the swap-between-batches rule are what optimised code can break, and
 # optimised code is what stack_bench times.
-# One layer further up, the connection's reader/writer hand-off (the
-# queued-reply count that decides which thread writes a reply) is ordering
-# code optimised builds can break, and it is what stack_bench times.
+# One layer further up, a connection matches on its own thread against
+# the published cell and writes each reply before it decodes the next:
+# that cell load and the reply order are what stack_bench times.
 # And on the circuit side: the channel model's closed-form gradient is held
 # to its finite-difference oracle, and Fig. 7's 64x64 solver counts to their
 # pins, as the optimised floating-point code stack_bench times.
