@@ -100,14 +100,14 @@ mod tests {
         h.record(250);
         let snap = tcam_obs::Snapshot {
             counters: vec![(("serve_searches", None), 9)],
-            gauges: vec![(("serve_queue_depth", Some(2)), 4.0)],
+            gauges: vec![(("serve_epoch", Some(2)), 4.0)],
             hists: vec![(("serve_latency", None), h)],
             phases: vec![("serve_match", tcam_obs::PhaseStat { ns: 800, count: 2 })],
         };
         let json = tcam_obs::export::flat_json(&snap);
         let obj = jsonline::parse_flat_object(&json).expect("exporter output parses");
         assert_eq!(jsonline::num(&obj, "serve_searches"), Some(9.0));
-        assert_eq!(jsonline::num(&obj, "serve_queue_depth_2"), Some(4.0));
+        assert_eq!(jsonline::num(&obj, "serve_epoch_2"), Some(4.0));
         assert_eq!(jsonline::num(&obj, "phase_serve_match_ns"), Some(800.0));
         assert_eq!(jsonline::num(&obj, "serve_latency_count"), Some(1.0));
     }

@@ -2,7 +2,7 @@
 //! serving stack into an actual service.
 //!
 //! Everything below rides on the existing layers — `tcam-serve`'s
-//! epoch-snapshot workers and `tcam-update`'s single-writer rule store —
+//! epoch-snapshot tables and `tcam-update`'s single-writer rule store —
 //! and adds the three things a deployed match engine needs (hand-rolled
 //! on `std::net`/`std::fs`, keeping the workspace zero-dependency):
 //!

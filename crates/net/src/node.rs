@@ -7,12 +7,12 @@
 //!   [`RuleStore`](tcam_update::store::RuleStore) per namespace (the
 //!   logical source of truth that survives restarts), and
 //! * one [`NamespaceGroup`] per provisioned namespace — a live
-//!   [`TcamService`] (one packed table and its worker) plus the
+//!   [`TcamService`] (one packed table and its refresh clock) plus the
 //!   single-writer [`Updater`] that publishes epoch snapshots into it.
 //!
 //! Namespaces are the multi-tenancy boundary: each maps to its own table,
 //! so one tenant's rule churn or traffic burst contends with another's
-//! only for CPU, never for queues or tables.
+//! only for CPU, never for tables or refresh schedules.
 //!
 //! **Write path** (admin plane): [`TcamNode::apply`] holds the store lock
 //! across *durable apply → updater apply → publish*, so the WAL, the
@@ -23,14 +23,14 @@
 //! share one path, [`NamespaceGroup::submit_traced`]: the calling thread
 //! checks the keys against the namespace's width and matches them itself
 //! against the published snapshot
-//! ([`answer_here`](tcam_serve::pool::ShardPool::answer_here)) — no queue
-//! and no hand-off. The response epoch is the snapshot's, which is at or
+//! ([`answer_here`](tcam_serve::pool::ShardPool::answer_here), the pool's
+//! one match path) — no hand-off. The response epoch is the snapshot's, which is at or
 //! after the last epoch whose [`TcamNode::apply`] had returned at
 //! submission.
 //!
 //! **Recovery**: [`TcamNode::open`] replays the store (snapshot + WAL),
 //! then rebuilds every namespace's group with [`Updater::resume`], whose
-//! [`start_service`](Updater::start_service) boots the workers at the
+//! [`start_service`](Updater::start_service) publishes the table at the
 //! recovered version, so the first reply after a restart already carries
 //! the exact pre-crash epoch.
 
@@ -51,8 +51,8 @@ use tcam_update::store::RuleChange;
 /// Node-level configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
-    /// Per-namespace service configuration (queue, refresh;
-    /// its `costs` also price the updater's row work).
+    /// Per-namespace service configuration (the refresh schedule; its
+    /// `costs` also price the updater's row work).
     pub service: ServiceConfig,
     /// Write a snapshot and compact the WAL every this many applied
     /// batches (node-wide); `0` disables automatic snapshots (explicit
@@ -71,7 +71,8 @@ impl Default for NodeConfig {
 
 /// One namespace's serving stack: a live service and its single writer.
 pub struct NamespaceGroup {
-    /// The table (and its worker) answering this namespace's lookups.
+    /// The table (and its refresh clock) answering this namespace's
+    /// lookups.
     service: TcamService,
     /// The namespace's single writer (guards the shadow + epoch).
     updater: Mutex<Updater>,
@@ -79,7 +80,7 @@ pub struct NamespaceGroup {
 
 impl NamespaceGroup {
     /// Builds the group from a recovered (or just-written) rule store,
-    /// booting the workers at the store's version so even the very first
+    /// publishing the table at the store's version so even the very first
     /// reply after a restart carries the exact pre-crash epoch.
     fn start(store: tcam_update::store::RuleStore, config: &NodeConfig) -> Result<Self> {
         let updater = Updater::resume(store, 0, config.service.costs)?;
@@ -241,7 +242,7 @@ impl TcamNode {
 
     /// Applies one rule batch to `namespace` **durably and visibly**:
     /// WAL append + fsync, in-memory store apply, updater apply, epoch
-    /// publication to the namespace's workers — all under the store lock,
+    /// publication to the namespace's table — all under the store lock,
     /// so versions and epochs stay in lockstep. A new namespace is
     /// provisioned (with word width `width`) by its first *applied* batch;
     /// a rejected one provisions nothing.

@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tcam_arch::bank::BankRefresh;
+use tcam_arch::energy_model::WorkloadMeter;
 use tcam_arch::packed::PackedWord;
 use tcam_core::bit::{parse_ternary, TernaryBit};
 use tcam_net::client::NetClient;
@@ -15,7 +16,7 @@ use tcam_net::node::{NodeConfig, TcamNode};
 use tcam_net::server::{NetServer, ServerConfig};
 use tcam_net::wire::Status;
 use tcam_net::NetError;
-use tcam_serve::service::{SearchBatch, ServiceConfig, TcamService};
+use tcam_serve::service::ServiceConfig;
 use tcam_serve::shard::ShardedRuleSet;
 use tcam_update::store::{prefix_word, RuleChange};
 
@@ -178,15 +179,14 @@ fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A deliberately chokeable node: a 1-slot queue, and a worker that
-/// spends almost all its time in (heavy, frequent) refresh events.
+/// A deliberately chokeable node: a refresh clock that spends almost all
+/// its time in (heavy, frequent) refresh events.
 fn choked_node(dir: &Path) -> Arc<TcamNode> {
     let config = NodeConfig {
         service: ServiceConfig {
             refresh: BankRefresh::OneShot { op_time: 10e-9 },
             refresh_interval: Duration::from_micros(100),
             refresh_op_work: 2_000_000,
-            queue_capacity: 1,
             ..ServiceConfig::default()
         },
         snapshot_every_batches: 0,
@@ -199,7 +199,7 @@ fn choke_keys() -> Vec<Vec<TernaryBit>> {
     (0..512u64).map(|v| prefix_word(v % 256, 8, 8)).collect()
 }
 
-/// Lookups under a choked worker: a lookup is matched on the connection
+/// Lookups under a choked refresh clock: a lookup is matched on the connection
 /// thread, which waits out each refresh event instead of queueing —
 /// nothing is shed, every answer is the oracle's, and the report counts
 /// every key and the ones refresh held back.
@@ -229,55 +229,45 @@ fn single_shard_lookups_wait_out_refresh_instead_of_shedding() {
     server.shutdown();
     let reports = node.shutdown();
     let report = reports[0].1.as_ref().expect("no connection holds the group");
-    assert_eq!(report.searches(), u64::from(total) * keys.len() as u64);
+    assert_eq!(report.stats.searches, u64::from(total) * keys.len() as u64);
     assert!(
-        report.stalled_searches() > 0,
+        report.stats.stalled_searches > 0,
         "no lookup met a refresh event: {report:?}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// What the table matched on the connection thread reaches the node's
-/// report exactly as the worker path meters the same frames.
+/// report exactly as a meter fed the same frames prices them: one
+/// `search_n` per frame, energy equal to the bit.
 #[test]
 fn lookups_answered_on_the_reader_are_metered_like_worker_batches() {
     let dir = tmpdir("metered");
     let node = quiet_node(&dir);
-    let rules = seed_lpm(&node);
+    seed_lpm(&node);
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
     let keys: Vec<PackedWord> = (0..=255u64)
         .map(|v| PackedWord::pack(&prefix_word(v, 8, 8)))
         .collect();
+    let costs = ServiceConfig::default().costs;
+    let mut meter = WorkloadMeter::new();
     for chunk in keys.chunks(32) {
         client.lookup(0, chunk).unwrap();
+        meter.search_n(&costs, chunk.len() as u64);
     }
     server.shutdown();
-    let wire = node.shutdown().remove(0).1.expect("no connection holds the group");
-
-    let config = ServiceConfig {
-        refresh: BankRefresh::None,
-        ..ServiceConfig::default()
-    };
-    let service = TcamService::start(reference_of(&rules), &config).unwrap();
-    for chunk in keys.chunks(32) {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let batch = SearchBatch {
-            keys: chunk.to_vec(),
-            submitted: Instant::now(),
-            reply: Some(tx),
-            trace: None,
-        };
-        service.submit(0, batch).unwrap();
-        rx.recv().unwrap();
-    }
-    let worker = service.shutdown();
-    assert_eq!(wire.searches(), 256);
-    assert_eq!(wire.searches(), worker.searches());
-    assert_eq!(wire.meter.searches, worker.meter.searches);
-    assert_eq!(wire.meter.energy.to_bits(), worker.meter.energy.to_bits());
-    assert_eq!(wire.latency.count(), worker.latency.count());
+    let wire = node
+        .shutdown()
+        .remove(0)
+        .1
+        .expect("no connection holds the group")
+        .stats;
+    assert_eq!((wire.searches, wire.batches), (256, 8));
+    assert_eq!(wire.meter.searches, meter.searches);
+    assert_eq!(wire.meter.energy.to_bits(), meter.energy.to_bits());
+    assert_eq!(wire.latency.count(), 256);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

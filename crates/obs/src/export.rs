@@ -6,7 +6,7 @@
 //! Flat-JSON keys are `snake_case`, built as:
 //!
 //! * counters/gauges — the metric name verbatim; a label becomes a
-//!   `_<label>` suffix (`serve_queue_depth_3`),
+//!   `_<label>` suffix (`serve_epoch_3`),
 //! * histograms — `<name>_{p50,p95,p99,p999,max,mean}_ns` plus
 //!   `<name>_count`,
 //! * phases — `phase_<name>_ns` and `phase_<name>_count`.

@@ -314,7 +314,7 @@ impl Snapshot {
 
 /// Flushes the calling thread, then copies the merged global state.
 /// Other threads' unflushed buffers are not included — flush them first
-/// (workers flush at exit; see `ShardStats`).
+/// (a serving pool's refresh clock flushes when it exits).
 #[must_use]
 pub fn snapshot() -> Snapshot {
     flush();

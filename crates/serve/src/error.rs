@@ -29,11 +29,6 @@ pub enum ServeError {
     },
     /// The rule set holds no rules.
     EmptyRuleSet,
-    /// The service has shut down (queue closed).
-    ServiceClosed,
-    /// The search queue was full when a non-blocking submit arrived — the
-    /// load-shedding signal, instead of queueing without bound.
-    Overloaded,
     /// An insert reused a rule id (= priority) that is already present.
     DuplicateRuleId {
         /// The colliding id.
@@ -59,8 +54,6 @@ impl fmt::Display for ServeError {
                 write!(f, "{bits} shard bits exceed maximum {max}")
             }
             ServeError::EmptyRuleSet => write!(f, "rule set is empty"),
-            ServeError::ServiceClosed => write!(f, "service has shut down"),
-            ServeError::Overloaded => write!(f, "search queue is full (load shed)"),
             ServeError::DuplicateRuleId { id } => {
                 write!(f, "rule id {id} is already present")
             }

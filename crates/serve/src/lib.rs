@@ -15,18 +15,19 @@
 //!   beside one bit-packed table, property-tested against the monolithic
 //!   `TcamArray` oracle. The match kernel's block summary pre-selects the
 //!   64-row blocks a key searches.
-//! * [`pool::ShardPool`] — the one serving core: a bounded
-//!   [`queue::BoundedQueue`] (blocking push = backpressure, `try_submit`
-//!   = load shedding), one worker thread draining batched searches
-//!   through the table's kernel, lookups matched on the caller's own
-//!   thread (`answer_here`), refresh events on schedule per
-//!   [`BankRefresh`] policy, and a published-snapshot cell that rule
-//!   updates swap whole tables through.
+//! * [`pool::ShardPool`] — the one serving core: lookups matched on the
+//!   caller's own thread (`answer_here`) through the table's kernel, one
+//!   thread that keeps the refresh clock per [`BankRefresh`] policy, and
+//!   a published-snapshot cell that rule updates swap whole tables
+//!   through.
 //! * [`service::TcamService`] — the pool over one packed table plus the
 //!   table's word width.
 //! * [`telemetry`] — HDR-style log-bucketed latency histograms
-//!   (p50/p95/p99/p999), the worker's counters, refresh-stall gauges, and
+//!   (p50/p95/p99/p999), the table's counters, refresh stalls, and
 //!   energy via the arch crate's `WorkloadMeter`.
+//! * [`queue::BoundedQueue`] — a bounded queue with non-blocking
+//!   admission (`try_push` sheds when full), the network front-end's
+//!   accept queue.
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
 //!
 //! `stack_bench` (the repo's one benchmark, its own package) measures
@@ -44,9 +45,9 @@
 //! for key in &w.keys {
 //!     assert_eq!(service.search_blocking(key).unwrap(), reference.search(key).unwrap());
 //! }
-//! let report = service.shutdown();
-//! assert_eq!(report.searches(), 256);
-//! assert!(report.latency.quantile(99.0) >= report.latency.quantile(50.0));
+//! let stats = service.shutdown().stats;
+//! assert_eq!(stats.searches, 256);
+//! assert!(stats.latency.quantile(99.0) >= stats.latency.quantile(50.0));
 //! ```
 
 #![deny(missing_docs)]

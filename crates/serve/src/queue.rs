@@ -1,12 +1,10 @@
-//! A bounded MPSC queue with blocking backpressure.
+//! A bounded multi-producer queue with non-blocking admission.
 //!
-//! The serving worker owns one of these: load generators and closed-loop
-//! clients push [`batches`](crate::service::SearchBatch) from any thread,
-//! the worker drains them. The capacity bound is the service's flow
-//! control — when the worker falls behind (e.g. stalled in a row-by-row
-//! refresh burst), producers block on `push` instead of growing an
-//! unbounded backlog, which is exactly the backpressure a real lookup
-//! frontend would exert.
+//! Producers offer items with [`BoundedQueue::try_push`], which refuses
+//! instead of waiting when the queue is full, so the caller sheds the
+//! work; a consumer drains items in batches with a timeout. The network
+//! front-end's accept queue is one: the accept loop offers sockets and
+//! drops them when the queue is full, and the dispatch loop pops them.
 //!
 //! Built on `Mutex` + `Condvar` only, so the queue can report its depth
 //! (a telemetry gauge) and pop in batches — two things
@@ -22,7 +20,7 @@ pub enum TryPushError<T> {
     /// The queue is at capacity right now — the caller should shed the
     /// work (admission control) rather than wait.
     Full(T),
-    /// The queue has been closed (service shutdown).
+    /// The queue has been closed (shutdown).
     Closed(T),
 }
 
@@ -35,7 +33,6 @@ struct State<T> {
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
     capacity: usize,
 }
 
@@ -54,36 +51,12 @@ impl<T> BoundedQueue<T> {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             capacity,
         }
     }
 
-    /// Enqueues `item`, blocking while the queue is full (backpressure).
-    /// Returns the item back when the queue has been closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex was poisoned (a worker panicked).
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.items.len() < self.capacity {
-                state.items.push_back(item);
-                drop(state);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Enqueues `item` only if a slot is free **right now** — the
-    /// admission-control variant of [`Self::push`]. A full queue returns
-    /// [`TryPushError::Full`] immediately instead of blocking, so a
+    /// Enqueues `item` only if a slot is free **right now**. A full queue
+    /// returns [`TryPushError::Full`] immediately instead of blocking, so a
     /// front-end can shed load with an explicit error while the queue
     /// keeps its bound.
     ///
@@ -94,7 +67,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the queue mutex was poisoned (a worker panicked).
+    /// Panics if the queue mutex was poisoned (a consumer panicked).
     pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
         let mut state = self.state.lock().expect("queue lock");
         if state.closed {
@@ -122,11 +95,7 @@ impl<T> BoundedQueue<T> {
         loop {
             if !state.items.is_empty() {
                 let take = state.items.len().min(max.max(1));
-                let batch: Vec<T> = state.items.drain(..take).collect();
-                drop(state);
-                // Every drained slot can admit a blocked producer.
-                self.not_full.notify_all();
-                return (batch, false);
+                return (state.items.drain(..take).collect(), false);
             }
             if state.closed {
                 return (Vec::new(), true);
@@ -163,7 +132,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: pending items remain poppable, further pushes
-    /// fail, and blocked producers/consumers wake.
+    /// fail, and a waiting consumer wakes.
     ///
     /// # Panics
     ///
@@ -171,21 +140,18 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         self.state.lock().expect("queue lock").closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn fifo_order_and_batch_pop() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
-            q.push(i).unwrap();
+            q.try_push(i).unwrap();
         }
         assert_eq!(q.len(), 5);
         let (batch, closed) = q.pop_batch(3, Duration::from_millis(1));
@@ -207,32 +173,15 @@ mod tests {
     #[test]
     fn close_rejects_push_and_drains() {
         let q = BoundedQueue::new(2);
-        q.push(1).unwrap();
+        q.try_push(1).unwrap();
         q.close();
-        assert_eq!(q.push(2), Err(2));
+        assert_eq!(q.try_push(2), Err(TryPushError::Closed(2)));
         let (batch, closed) = q.pop_batch(4, Duration::from_millis(1));
         assert_eq!(batch, vec![1]);
         assert!(!closed); // items were returned; closed reported once empty
         let (empty, closed) = q.pop_batch(4, Duration::from_millis(1));
         assert!(empty.is_empty());
         assert!(closed);
-    }
-
-    #[test]
-    fn full_queue_blocks_until_consumed() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u32).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push(1).is_ok())
-        };
-        // The producer must be blocked; free a slot and it completes.
-        thread::sleep(Duration::from_millis(10));
-        let (batch, _) = q.pop_batch(1, Duration::from_millis(100));
-        assert_eq!(batch, vec![0]);
-        assert!(producer.join().unwrap());
-        let (batch, _) = q.pop_batch(1, Duration::from_millis(100));
-        assert_eq!(batch, vec![1]);
     }
 
     #[test]
@@ -246,18 +195,5 @@ mod tests {
         assert_eq!(q.try_push(4), Ok(()), "freed slot admits again");
         q.close();
         assert_eq!(q.try_push(5), Err(TryPushError::Closed(5)));
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(7u32).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push(8))
-        };
-        thread::sleep(Duration::from_millis(10));
-        q.close();
-        assert_eq!(producer.join().unwrap(), Err(8));
     }
 }

@@ -2,59 +2,66 @@
 //! of its own: the registry is process-global, so only with no other
 //! service in the process are its totals exactly this service's.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tcam_arch::bank::BankRefresh;
 use tcam_arch::packed::PackedWord;
-use tcam_serve::service::{SearchBatch, ServiceConfig, TcamService};
+use tcam_serve::service::{ServiceConfig, TcamService};
 use tcam_serve::shard::ShardedRuleSet;
 use tcam_serve::workload::Workload;
 
 #[test]
 fn workers_mirror_stats_into_obs_registry() {
-    // Long enough, as optimised code too (a batch matches in ~30 us there),
-    // that starting and joining the worker thread — inside the wall clock
-    // below, outside every span — stays far under the 10 % the cover
-    // assertion leaves unattributed.
-    const BATCHES: usize = 1024;
+    // A time window, not a batch count, so that starting and joining the
+    // refresh clock — inside the wall clock below, outside every span,
+    // and a few milliseconds at worst on a loaded box — stays far under
+    // the 10 % the cover assertion leaves unattributed, in debug and
+    // release alike.
+    const WINDOW: Duration = Duration::from_millis(200);
     const BATCH_KEYS: usize = 512;
     let w = Workload::router_lpm(512, BATCH_KEYS, 21);
     let keys: Vec<PackedWord> = w.keys.iter().map(|k| PackedWord::pack(k)).collect();
     let rules = ShardedRuleSet::build(&w.words, 0).unwrap();
-    // One shard, one worker (the default): its wall clock is the service's.
+    // Refresh on, so the clock thread's lifetime is split between its two
+    // phases: waiting for the next deadline and running the event.
     let config = ServiceConfig {
-        refresh: BankRefresh::None,
+        refresh: BankRefresh::OneShot { op_time: 10e-9 },
+        refresh_interval: Duration::from_millis(1),
         ..ServiceConfig::default()
     };
     let t0 = Instant::now();
     let service = TcamService::start(rules, &config).unwrap();
-    for _ in 0..BATCHES {
-        let batch = SearchBatch {
-            keys: keys.clone(),
-            submitted: Instant::now(),
-            reply: None,
-            trace: None,
-        };
-        service.submit(0, batch).unwrap();
+    let mut batches = 0u64;
+    while t0.elapsed() < WINDOW {
+        service.answer_here(&keys, None);
+        batches += 1;
     }
     let report = service.shutdown();
     let wall_ns = t0.elapsed().as_secs_f64() * 1e9;
-    let searches = (BATCHES * BATCH_KEYS) as u64;
-    assert_eq!(report.searches(), searches);
+    let searches = batches * BATCH_KEYS as u64;
+    assert_eq!(report.stats.searches, searches);
 
     let snap = tcam_obs::snapshot();
     assert_eq!(snap.counter("serve_searches"), searches);
-    let lat = snap.hist("serve_latency").expect("merged at worker exit");
+    assert_eq!(snap.counter("serve_batches"), batches);
+    assert_eq!(
+        snap.counter("serve_refresh_events"),
+        report.stats.refresh_events
+    );
+    let lat = snap.hist("serve_latency").expect("merged at shutdown");
     assert_eq!(lat.count(), searches);
-    assert!(snap.phase("serve_match").count > 0, "match span recorded");
+    assert!(
+        snap.phase("serve_refresh").count > 0,
+        "refresh span recorded"
+    );
     assert!(snap.phase("serve_idle").count > 0, "idle span recorded");
     assert!(
         snap.gauges
             .iter()
             .any(|((n, l), _)| *n == "serve_epoch" && l.is_some()),
-        "per-shard epoch gauge published"
+        "per-table epoch gauge published"
     );
-    // The spans partition the worker's wall clock (match, idle, refresh,
-    // swap): a region that lost its span shows up as unattributed time.
+    // The spans partition the clock thread's wall clock (idle, refresh):
+    // a region that lost its span shows up as unattributed time.
     let serve_ns: u64 = snap
         .phases
         .iter()
@@ -65,7 +72,7 @@ fn workers_mirror_stats_into_obs_registry() {
     let cover = serve_ns as f64 / wall_ns;
     assert!(
         cover >= 0.90,
-        "serve_* phases attribute {serve_ns} of the worker's {wall_ns:.0} ns: {:?}",
+        "serve_* phases attribute {serve_ns} of the clock's {wall_ns:.0} ns: {:?}",
         snap.phases
     );
 }

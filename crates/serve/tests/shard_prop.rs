@@ -153,6 +153,5 @@ fn concurrent_service_agrees_with_reference_path_under_refresh() {
             reference.search(key).unwrap()
         );
     }
-    let report = service.shutdown();
-    assert_eq!(report.searches(), w.keys.len() as u64);
+    assert_eq!(service.shutdown().stats.searches, w.keys.len() as u64);
 }

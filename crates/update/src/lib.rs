@@ -24,9 +24,9 @@
 //!   [`ShardedRuleSet`](tcam_serve::shard::ShardedRuleSet), cross-checks
 //!   realized row work against the compiled plan, and publishes
 //!   **epoch-tagged immutable snapshots** into a live
-//!   [`TcamService`](tcam_serve::service::TcamService) — whose readers
-//!   swap only at batch boundaries, so no search ever observes a torn
-//!   table.
+//!   [`TcamService`](tcam_serve::service::TcamService) — whose lookups
+//!   each load one snapshot before they match, so no search ever
+//!   observes a torn table.
 //! * [`churn`] — the deterministic BGP-like prefix churn generator
 //!   [`churn::BgpChurn`], the fuel for the epoch-verified concurrency
 //!   test (`tests/concurrent_churn.rs`).

@@ -39,7 +39,7 @@ use tcam_serve::shard::{RowOps, ShardedRuleSet};
 /// realized row work behind one epoch.
 #[derive(Debug, Clone)]
 pub struct StagedDelta {
-    /// The epoch this batch produced (workers report it in replies).
+    /// The epoch this batch produced (lookup replies report it).
     pub epoch: u64,
     /// The physical work plan the compiler produced.
     pub planned: CompiledDelta,
@@ -446,6 +446,6 @@ mod tests {
             }
         }
         let report = service.shutdown();
-        assert_eq!(report.last_epoch(), 20);
+        assert_eq!(report.stats.epoch, 20);
     }
 }

@@ -2,15 +2,13 @@
 //!
 //! One updater thread drives [`BgpChurn`] batches through
 //! [`Updater::apply`] + [`Updater::publish`] into a live
-//! [`TcamService`] (its one worker, one-shot refresh on a 1 ms clock)
-//! while checker threads look up multi-key batches — alternately through
-//! the worker's queue and matched on their own thread — and compare every
-//! result with a single-threaded search of the recorded rule set of
-//! exactly the epoch the reply names. A disagreement is a torn snapshot:
-//! a batch served from a table other than the one its reply names.
-//! (Batches of many keys keep the matchers busy most of the time, so a
-//! publication lands inside a match — where a swap must not happen —
-//! many times a run.)
+//! [`TcamService`] (one-shot refresh on a 1 ms clock) while checker
+//! threads look up multi-key batches, each matched on the checker's own
+//! thread, and compare every result with a single-threaded search of the
+//! recorded rule set of exactly the epoch the reply names. A disagreement
+//! is a torn snapshot: a batch served from a table other than the one its
+//! reply names. (Batches of many keys keep the matchers busy most of the
+//! time, so a publication lands inside a match many times a run.)
 //!
 //! The run is a fixed count of batches, not a time window, and the
 //! updater is paced by the checkers' verified-lookup counter (never by a
@@ -19,20 +17,19 @@
 //! apply and publish.
 //!
 //! Two more guarantees follow from where the published cell is loaded —
-//! by the worker after it has dequeued work, by a caller before it
-//! matches — and are asserted here under the same load. *Per-caller
-//! monotonic epochs*: a checker's consecutive replies never go back in
-//! epoch, whether the worker or the checker itself served them.
-//! *Read-your-writes*: a lookup the updater thread issues right after
-//! `publish` of epoch `i + 1` returned is served at `i + 1` or later.
+//! once per lookup, before it matches — and are asserted here under the
+//! same load. *Per-caller monotonic epochs*: a checker's consecutive
+//! replies never go back in epoch. *Read-your-writes*: a lookup the
+//! updater thread issues right after `publish` of epoch `i + 1` returned
+//! is served at `i + 1` or later.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tcam_arch::energy_model::OperationCosts;
 use tcam_arch::packed::PackedWord;
 use tcam_core::bit::TernaryBit;
-use tcam_serve::service::{SearchBatch, ServiceConfig, TcamService};
+use tcam_serve::service::{ServiceConfig, TcamService};
 use tcam_serve::shard::ShardedRuleSet;
 use tcam_serve::BankRefresh;
 use tcam_update::churn::BgpChurn;
@@ -72,8 +69,8 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
-/// Looks up all of `keys` as one batch — through the worker's queue and
-/// on the calling thread, in turn — verifying each reply, until `done`.
+/// Looks up all of `keys` as one batch on the calling thread, verifying
+/// each reply, until `done`.
 fn run_checker(
     service: &TcamService,
     history: &Mutex<Vec<Arc<ShardedRuleSet>>>,
@@ -84,23 +81,8 @@ fn run_checker(
     let mut seen = Seen::default();
     let packed: Vec<PackedWord> = keys.iter().map(|k| PackedWord::pack(k)).collect();
     let mut last_epoch = 0u64;
-    for round in 0u64.. {
-        if done.load(Ordering::SeqCst) {
-            break;
-        }
-        let reply = if round % 2 == 0 {
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            let batch = SearchBatch {
-                keys: packed.clone(),
-                submitted: Instant::now(),
-                reply: Some(tx),
-                trace: None,
-            };
-            service.submit(0, batch).expect("service is live");
-            rx.recv().expect("worker replies")
-        } else {
-            service.answer_here(&packed, None)
-        };
+    while !done.load(Ordering::SeqCst) {
+        let reply = service.answer_here(&packed, None);
         let reference = recorded(history, reply.epoch);
         for (key, hit) in keys.iter().zip(reply.results) {
             seen.torn += u64::from(hit != reference.search(key).expect("key of the table's width"));
@@ -151,7 +133,9 @@ fn concurrent_churn_never_tears_a_snapshot() {
             updater.publish(&service).expect("service is live");
             // Read-your-writes, from the publishing thread itself.
             let key = churn.random_key();
-            let (epoch, hit) = service.search_with_epoch(&key).expect("service is live");
+            let (epoch, hit) = service
+                .search_with_epoch(&key)
+                .expect("key of the table's width");
             assert!(
                 epoch > i,
                 "lookup after publish({}) returned was served at epoch {epoch}",
@@ -185,23 +169,14 @@ fn concurrent_churn_never_tears_a_snapshot() {
         seen.iter().any(|s| s.max_epoch > 0),
         "no checker ever observed a published epoch"
     );
-    assert_eq!(report.workers_panicked, 0);
-    assert_eq!(report.last_epoch(), BATCHES);
-    // The worker ends on the last published epoch (it loads the cell
-    // once more on the way out), having swapped at most once per
-    // publication: epochs that superseded each other between two of its
-    // swap points cost it one swap.
-    assert_eq!(report.shards.len(), 1);
-    for w in &report.shards {
-        assert!(
-            w.epoch == BATCHES && w.updates_applied <= BATCHES,
-            "worker: epoch {} after {} swaps",
-            w.epoch,
-            w.updates_applied
-        );
-    }
+    assert!(!report.clock_panicked);
+    // The cell accepted every publication and holds the last one.
     assert_eq!(
-        report.searches(),
+        (report.stats.epoch, report.stats.updates_applied),
+        (BATCHES, BATCHES)
+    );
+    assert_eq!(
+        report.stats.searches,
         seen.iter().map(|s| s.checked).sum::<u64>() + BATCHES
     );
 }

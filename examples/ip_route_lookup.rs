@@ -139,7 +139,7 @@ fn serve_demo(
     );
 
     let service = TcamService::start(rules, &ServiceConfig::default())?;
-    println!("serving the same lookups through the service's worker thread:");
+    println!("serving the same lookups through the service, matched on this thread:");
     for &ip in lookups {
         let key = value_to_word(u64::from(u32::from(ip)), 32);
         let hop = service
@@ -148,13 +148,13 @@ fn serve_demo(
         assert_eq!(hop, table.lookup(ip), "service disagrees with array");
         println!("  {ip:<16} -> next hop {hop:?}  (service == direct array)");
     }
-    let report = service.shutdown();
+    let stats = service.shutdown().stats;
     println!(
         "service telemetry: {} lookups, p50 {} ns, p99 {} ns, {} refresh events",
-        report.searches(),
-        report.latency.quantile(50.0),
-        report.latency.quantile(99.0),
-        report.refresh_events()
+        stats.searches,
+        stats.latency.quantile(50.0),
+        stats.latency.quantile(99.0),
+        stats.refresh_events
     );
     Ok(())
 }

@@ -27,9 +27,9 @@ done
 # second time as optimised code: that is the code stack_bench times and
 # the service runs, and overflow checks differ between the profiles.
 cargo test -q --offline --release -p tcam-arch
-# Same reason one layer up: the published cell's Acquire/Release pair and
-# the swap-between-batches rule are what optimised code can break, and
-# optimised code is what stack_bench times.
+# Same reason one layer up: the published cell's load-once-before-the-match
+# rule and the refresh lock a lookup waits out are what optimised code can
+# break, and optimised code is what stack_bench times.
 # One layer further up, a connection matches on its own thread against
 # the published cell and writes each reply before it decodes the next:
 # that cell load and the reply order are what stack_bench times.
