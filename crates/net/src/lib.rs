@@ -15,9 +15,9 @@
 //!   batch, torn-tail truncation on replay) with periodic snapshots and
 //!   log compaction, so a restart replays to exactly the rule state and
 //!   epoch the crash interrupted.
-//! * **Robustness** ([`server`], [`node`]): admission control at two
-//!   connection-level layers (bounded accept backlog, live-connection
-//!   cap) and TCP backpressure within a connection; graceful shutdown
+//! * **Robustness** ([`server`], [`node`]): a live-connection cap
+//!   (further sockets wait in the listen backlog) and TCP backpressure
+//!   within a connection; graceful shutdown
 //!   that answers every decoded request; and multi-tenant namespaces,
 //!   each mapping to its own table ([`node`]).
 //!

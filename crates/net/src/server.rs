@@ -1,15 +1,12 @@
-//! The TCP lookup front-end: connection-per-core serving with admission
-//! control at the connection level.
+//! The TCP lookup front-end: connection-per-core serving with a cap on
+//! live connections.
 //!
 //! # Thread anatomy
 //!
-//! One **accept loop** polls the listener and pushes accepted sockets
-//! into a *bounded admission queue* (depth exported as the
-//! `net_accept_depth` gauge) — when the queue is full the socket is
-//! closed immediately (`net_shed_connections`), so a connection storm
-//! cannot grow an unbounded backlog. A **dispatcher** pops parked
-//! sockets and starts a connection whenever the live-connection count is
-//! under [`ServerConfig::max_connections`].
+//! One **accept loop** polls the listener and starts a connection for
+//! each socket it accepts. While [`ServerConfig::max_connections`]
+//! connections are live it stops accepting: further sockets wait in the
+//! kernel's listen backlog until a connection closes.
 //!
 //! Each connection runs **one thread**. It decodes a request, matches a
 //! lookup itself against the namespace's published snapshot
@@ -22,10 +19,11 @@
 //!
 //! # Graceful shutdown
 //!
-//! [`NetServer::shutdown`] flips a flag: the accept loop closes the
-//! listener, parked sockets are dropped, connections (which poll with a
-//! read timeout) stop decoding — every request they decoded has been
-//! answered — and the server joins all threads before returning.
+//! [`NetServer::shutdown`] flips a flag: the accept loop returns, which
+//! closes the listener and drops any socket still in its backlog;
+//! connections (which poll with a read timeout) stop decoding — every
+//! request they decoded has been answered — and the server joins all
+//! threads before returning.
 //!
 //! # Observability
 //!
@@ -52,17 +50,13 @@ use tcam_arch::packed::PackedWord;
 use tcam_obs::trace::TraceContext;
 use tcam_obs::RequestTrace;
 use tcam_serve::error::ServeError;
-use tcam_serve::BoundedQueue;
 
 /// Front-end configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Maximum simultaneously live connections; further accepted sockets
-    /// park in the admission queue.
+    /// Maximum simultaneously live connections; further sockets wait in
+    /// the listen backlog until one closes.
     pub max_connections: usize,
-    /// Parked sockets the admission queue holds before the accept loop
-    /// sheds new connections outright.
-    pub accept_backlog: usize,
     /// No longer limits anything: a connection answers each request
     /// before it decodes the next, so at most one is in flight on the
     /// server side and further pipelined requests wait in the socket
@@ -84,7 +78,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            accept_backlog: 64,
             inflight_per_connection: 8,
             read_timeout: Duration::from_millis(25),
             write_timeout: Duration::from_secs(5),
@@ -99,7 +92,7 @@ struct Shared {
     shutdown: AtomicBool,
     live_connections: AtomicU64,
     /// Handles of running/finished connection threads, reaped by the
-    /// dispatcher and drained at shutdown.
+    /// accept loop and drained at shutdown.
     connection_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -109,12 +102,11 @@ pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    dispatcher_thread: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop and dispatcher.
+    /// starts the accept loop.
     ///
     /// # Errors
     ///
@@ -135,27 +127,16 @@ impl NetServer {
             live_connections: AtomicU64::new(0),
             connection_threads: Mutex::new(Vec::new()),
         });
-        let admission: Arc<BoundedQueue<TcpStream>> =
-            Arc::new(BoundedQueue::new(config.accept_backlog.max(1)));
-
         let accept_shared = Arc::clone(&shared);
-        let accept_queue = Arc::clone(&admission);
         let accept_thread = std::thread::Builder::new()
             .name("tcam-net-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_queue, &accept_shared))
+            .spawn(move || accept_loop(&listener, &accept_shared))
             .expect("spawn accept loop");
-
-        let dispatch_shared = Arc::clone(&shared);
-        let dispatcher_thread = std::thread::Builder::new()
-            .name("tcam-net-dispatch".into())
-            .spawn(move || dispatch_loop(&admission, &dispatch_shared))
-            .expect("spawn dispatcher");
 
         Ok(Self {
             shared,
             local_addr,
             accept_thread: Some(accept_thread),
-            dispatcher_thread: Some(dispatcher_thread),
         })
     }
 
@@ -171,8 +152,8 @@ impl NetServer {
         self.shared.live_connections.load(Ordering::Relaxed)
     }
 
-    /// Graceful stop: close the listener, drop parked sockets, let every
-    /// connection answer the request it is on, join all threads.
+    /// Graceful stop: close the listener, drop the sockets in its backlog,
+    /// let every connection answer the request it is on, join all threads.
     ///
     /// # Panics
     ///
@@ -186,9 +167,6 @@ impl NetServer {
         if let Some(t) = self.accept_thread.take() {
             t.join().expect("accept loop panicked");
         }
-        if let Some(t) = self.dispatcher_thread.take() {
-            t.join().expect("dispatcher panicked");
-        }
         let handles = std::mem::take(
             &mut *self
                 .shared
@@ -200,7 +178,6 @@ impl NetServer {
             h.join().expect("connection thread panicked");
         }
         tcam_obs::gauge_set("net_live_connections", 0.0);
-        tcam_obs::gauge_set("net_accept_depth", 0.0);
     }
 }
 
@@ -210,79 +187,27 @@ impl Drop for NetServer {
     }
 }
 
-/// Accepts sockets into the bounded admission queue; sheds (closes) when
-/// the queue is full. Exits — closing the listener — on shutdown.
-fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<TcpStream>, shared: &Shared) {
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            queue.close();
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                #[allow(clippy::cast_precision_loss)]
-                if queue.try_push(stream).is_err() {
-                    // Admission control layer 1: a full backlog closes the
-                    // socket now instead of queueing without bound.
-                    tcam_obs::counter_add("net_shed_connections", 1);
-                } else {
-                    tcam_obs::gauge_set("net_accept_depth", queue.len() as f64);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Listener died; nothing to accept anymore.
-                queue.close();
-                return;
-            }
-        }
-    }
-}
-
-/// Pops parked sockets and starts connections while under the live cap.
-fn dispatch_loop(queue: &BoundedQueue<TcpStream>, shared: &Arc<Shared>) {
-    loop {
-        let (mut popped, closed) = queue.pop_batch(1, Duration::from_millis(25));
-        #[allow(clippy::cast_precision_loss)]
-        tcam_obs::gauge_set("net_accept_depth", queue.len() as f64);
-        let Some(stream) = popped.pop() else {
-            if closed {
-                return;
-            }
-            // Idle moment: reap finished connection threads so the handle
-            // list stays proportional to live connections.
-            reap_finished(shared);
-            continue;
-        };
-        if shared.shutdown.load(Ordering::Relaxed) {
-            // Parked after shutdown began: drop, it was never served.
-            tcam_obs::counter_add("net_shed_connections", 1);
-            continue;
-        }
-        // Admission control layer 2: the live-connection cap. Parked
-        // sockets wait here (bounded by the queue) until a slot frees.
-        while shared.live_connections.load(Ordering::Relaxed)
-            >= shared.config.max_connections as u64
-        {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                tcam_obs::counter_add("net_shed_connections", 1);
-                break;
-            }
+/// Accepts sockets and starts a connection for each while under the
+/// live-connection cap. Returns — closing the listener — on shutdown.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let cap = shared.config.max_connections as u64;
+    while !shared.shutdown.load(Ordering::Relaxed) {
+        if shared.live_connections.load(Ordering::Relaxed) >= cap {
+            // At the cap: leave further sockets in the listen backlog.
             reap_finished(shared);
             std::thread::sleep(Duration::from_millis(1));
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
             continue;
         }
-        start_connection(stream, shared);
+        match listener.accept() {
+            Ok((stream, _peer)) => start_connection(stream, shared),
+            // Nothing pending, or an error accept(2) says to retry
+            // (ECONNABORTED, EPROTO, ENETUNREACH, …): poll again. Reaping
+            // here keeps the handle list proportional to live connections.
+            Err(_) => {
+                reap_finished(shared);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
     }
 }
 

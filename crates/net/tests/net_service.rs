@@ -433,6 +433,65 @@ fn shutdown_completes_with_a_peer_stalled_mid_frame() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// With `max_connections: 1` a second client's handshake completes in the
+/// kernel but nothing answers it until the first closes; a third, never
+/// started, does not hold up shutdown.
+#[test]
+fn live_connection_cap_holds_further_clients_until_a_slot_frees() {
+    let dir = tmpdir("conn-cap");
+    let node = quiet_node(&dir);
+    seed_lpm(&node);
+    let server = NetServer::start(
+        Arc::clone(&node),
+        "127.0.0.1:0",
+        ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let mut a = NetClient::connect(&addr).unwrap();
+    a.ping().unwrap();
+
+    let mut b = NetClient::connect(&addr).unwrap();
+    let b_ping = b.send_ping().unwrap();
+    b.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    match b.recv_response() {
+        Err(NetError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("a client over the cap was answered: {other:?}"),
+    }
+    assert_eq!(server.live_connections(), 1);
+
+    drop(a);
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let pong = b.recv_response().unwrap();
+    assert_eq!(pong.request_id, b_ping);
+    assert_eq!(pong.status, Status::Ok);
+
+    let mut c = NetClient::connect(&addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    c.send_ping().unwrap();
+    assert_eq!(server.live_connections(), 1);
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !shutdown.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "shutdown pinned by a client waiting for a slot"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    shutdown.join().unwrap();
+    assert!(c.recv_response().is_err(), "a client never started was answered");
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn protocol_violations_get_explicit_statuses() {
     let dir = tmpdir("violations");

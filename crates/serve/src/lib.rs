@@ -25,9 +25,6 @@
 //! * [`telemetry`] — HDR-style log-bucketed latency histograms
 //!   (p50/p95/p99/p999), the table's counters, refresh stalls, and
 //!   energy via the arch crate's `WorkloadMeter`.
-//! * [`queue::BoundedQueue`] — a bounded queue with non-blocking
-//!   admission (`try_push` sheds when full), the network front-end's
-//!   accept queue.
 //! * [`workload`] — router-LPM and ACL-classifier rule/key generators.
 //!
 //! `stack_bench` (the repo's one benchmark, its own package) measures
@@ -55,7 +52,6 @@
 
 pub mod error;
 pub mod pool;
-pub mod queue;
 pub mod service;
 pub mod shard;
 pub mod telemetry;
@@ -63,7 +59,6 @@ pub mod workload;
 
 pub use error::{Result, ServeError};
 pub use pool::ShardPool;
-pub use queue::{BoundedQueue, TryPushError};
 pub use service::{BatchReply, SearchBatch, ServiceConfig, TcamService};
 pub use shard::{RowOps, ShardedRuleSet};
 pub use telemetry::{LatencyHistogram, ServeReport, ShardStats};

@@ -337,7 +337,7 @@ impl ShardPool {
     /// Shutdown is **idempotent and panic-free**: a clock thread that
     /// panicked is reported in [`ServeReport::clock_panicked`] instead of
     /// poisoning the caller — the lifecycle contract the network
-    /// front-end's accept loops rely on, where `Drop` may race an explicit
+    /// front-end relies on, where `Drop` may race an explicit
     /// shutdown.
     #[must_use]
     pub fn shutdown(mut self) -> ServeReport {
