@@ -99,15 +99,15 @@ mod tests {
         let mut h = tcam_obs::LatencyHistogram::new();
         h.record(250);
         let snap = tcam_obs::Snapshot {
-            counters: vec![(("serve_searches", None), 9)],
-            gauges: vec![(("serve_epoch", Some(2)), 4.0)],
-            hists: vec![(("serve_latency", None), h)],
+            counters: vec![("serve_searches", 9)],
+            gauges: vec![("serve_epoch", 4.0)],
+            hists: vec![("serve_latency", h)],
             phases: vec![("serve_match", tcam_obs::PhaseStat { ns: 800, count: 2 })],
         };
         let json = tcam_obs::export::flat_json(&snap);
         let obj = jsonline::parse_flat_object(&json).expect("exporter output parses");
         assert_eq!(jsonline::num(&obj, "serve_searches"), Some(9.0));
-        assert_eq!(jsonline::num(&obj, "serve_epoch_2"), Some(4.0));
+        assert_eq!(jsonline::num(&obj, "serve_epoch"), Some(4.0));
         assert_eq!(jsonline::num(&obj, "phase_serve_match_ns"), Some(800.0));
         assert_eq!(jsonline::num(&obj, "serve_latency_count"), Some(1.0));
     }

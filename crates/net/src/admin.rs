@@ -221,16 +221,13 @@ fn handle_connection(mut stream: TcpStream, node: &Arc<TcamNode>) {
         ("GET", "/stats") => {
             let snap = tcam_obs::snapshot();
             let mut body = tcam_obs::export::flat_json(&snap);
-            let slo = tcam_obs::slo_flat_fragment();
-            if !slo.is_empty() {
-                // Splice the SLO fields into the registry's flat object.
-                body.pop();
-                if body.len() > 1 {
-                    body.push_str(", ");
-                }
-                body.push_str(&slo);
-                body.push('}');
+            // Splice the SLO fields into the registry's flat object.
+            body.pop();
+            if body.len() > 1 {
+                body.push_str(", ");
             }
+            body.push_str(&tcam_obs::slo_flat_fragment());
+            body.push('}');
             respond(&mut stream, 200, "application/json", &body);
         }
         ("GET", "/metrics") => {

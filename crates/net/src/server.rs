@@ -115,11 +115,9 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        // A panicking server thread should leave a post-mortem, and the
-        // wire plane's latency objective should be tracked from the first
-        // request — both idempotent across multiple servers in-process.
+        // A panicking server thread should leave a post-mortem —
+        // idempotent across multiple servers in-process.
         tcam_obs::install_panic_hook();
-        tcam_obs::slo_configure("net_request", tcam_obs::SloConfig::default());
         let shared = Arc::new(Shared {
             node,
             config,
@@ -439,7 +437,6 @@ fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: Reply) -> boo
     // frame receipt to response written, non-OK counts against the error
     // budget.
     tcam_obs::slo_record(
-        "net_request",
         u64::try_from(done.saturating_duration_since(reply.received).as_nanos())
             .unwrap_or(u64::MAX),
         status == Status::Ok,

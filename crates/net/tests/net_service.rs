@@ -621,16 +621,26 @@ fn admin_plane_applies_rules_and_exposes_state() {
     let (status, body) = http(&addr, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
     assert!(body.starts_with('{') && body.contains("admin_requests"), "stats: {body}");
+    assert!(body.contains("\"slo_net_request_60s_total\":"), "stats: {body}");
     let (status, body) = http(&addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
     assert!(body.contains("# TYPE"), "metrics: {body}");
+    assert!(
+        body.contains("slo_requests_total{slo=\"net_request\",window=\"60s\"} "),
+        "metrics: {body}"
+    );
 
     let (status, _) = http(&addr, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 404);
 
+    // A table publishes its epoch gauge when it shuts down, under its
+    // bare name.
     server.shutdown();
+    assert!(node.shutdown().iter().any(|(_, report)| report.is_some()));
+    let (status, body) = http(&addr, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"serve_epoch\": "), "stats: {body}");
     admin.shutdown();
-    node.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

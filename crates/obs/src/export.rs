@@ -5,8 +5,7 @@
 //!
 //! Flat-JSON keys are `snake_case`, built as:
 //!
-//! * counters/gauges — the metric name verbatim; a label becomes a
-//!   `_<label>` suffix (`serve_epoch_3`),
+//! * counters/gauges — the metric name verbatim,
 //! * histograms — `<name>_{p50,p95,p99,p999,max,mean}_ns` plus
 //!   `<name>_count`,
 //! * phases — `phase_<name>_ns` and `phase_<name>_count`.
@@ -18,25 +17,20 @@ use crate::hist::LatencyHistogram;
 use crate::registry::Snapshot;
 use std::fmt::Write as _;
 
-fn label_suffix(label: Option<u32>) -> String {
-    label.map(|l| format!("_{l}")).unwrap_or_default()
-}
-
 /// Renders a snapshot as a single flat JSON object (one line, keys
 /// sorted as stored: counters, gauges, histograms, phases).
 #[must_use]
 pub fn flat_json(snap: &Snapshot) -> String {
     let mut fields: Vec<(String, f64)> = Vec::new();
-    for (&(name, label), &v) in snap.counters.iter().map(|(k, v)| (k, v)) {
-        fields.push((format!("{name}{}", label_suffix(label)), v as f64));
+    for &(name, v) in &snap.counters {
+        fields.push((name.to_string(), v as f64));
     }
-    for (&(name, label), &v) in snap.gauges.iter().map(|(k, v)| (k, v)) {
-        fields.push((format!("{name}{}", label_suffix(label)), v));
+    for &(name, v) in &snap.gauges {
+        fields.push((name.to_string(), v));
     }
-    for ((name, label), h) in &snap.hists {
-        let base = format!("{name}{}", label_suffix(*label));
+    for (name, h) in &snap.hists {
         for (k, v) in hist_fields(h) {
-            fields.push((format!("{base}_{k}"), v));
+            fields.push((format!("{name}_{k}"), v));
         }
     }
     for &(name, stat) in &snap.phases {
@@ -133,55 +127,33 @@ pub fn prom_series(name: &str, labels: &[(&str, &str)]) -> String {
     format!("{name}{{{body}}}")
 }
 
-/// Emits the `# HELP`/`# TYPE` pair for `name` unless it was the last
-/// family emitted in this section — labeled series of one family share
-/// one header, per the exposition format.
-fn family_header(out: &mut String, last: &mut String, name: &str, kind: &str, help: &str) {
-    if *last != name {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        last.clear();
-        last.push_str(name);
-    }
+fn family_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
 /// Renders a snapshot in the Prometheus text exposition format: one
-/// `# HELP`/`# TYPE` pair per metric *family* (labeled series share
-/// it), labels as `{label="i"}` with values escaped, histograms as
-/// summaries with `quantile` labels plus `_sum`/`_count`/`_max`.
+/// `# HELP`/`# TYPE` pair per metric, histograms as summaries with
+/// `quantile` labels plus `_sum`/`_count`/`_max`.
 #[must_use]
 pub fn prometheus_text(snap: &Snapshot) -> String {
     let mut out = String::new();
-    let mut last = String::new();
-    for &((name, label), v) in &snap.counters {
-        family_header(&mut out, &mut last, name, "counter", "tcam-obs counter");
-        let ls = label.map(|l| l.to_string());
-        let pairs: Vec<(&str, &str)> = ls.iter().map(|l| ("label", l.as_str())).collect();
-        let _ = writeln!(out, "{} {v}", prom_series(name, &pairs));
+    for &(name, v) in &snap.counters {
+        family_header(&mut out, name, "counter", "tcam-obs counter");
+        let _ = writeln!(out, "{name} {v}");
     }
-    last.clear();
-    for &((name, label), v) in &snap.gauges {
-        family_header(&mut out, &mut last, name, "gauge", "tcam-obs gauge");
-        let ls = label.map(|l| l.to_string());
-        let pairs: Vec<(&str, &str)> = ls.iter().map(|l| ("label", l.as_str())).collect();
-        let _ = writeln!(out, "{} {v}", prom_series(name, &pairs));
+    for &(name, v) in &snap.gauges {
+        family_header(&mut out, name, "gauge", "tcam-obs gauge");
+        let _ = writeln!(out, "{name} {v}");
     }
-    last.clear();
-    for ((name, label), h) in &snap.hists {
-        family_header(&mut out, &mut last, name, "summary", "tcam-obs latency summary (ns)");
-        let label = label.map(|l| l.to_string());
+    for (name, h) in &snap.hists {
+        family_header(&mut out, name, "summary", "tcam-obs latency summary (ns)");
         for (q, qs) in [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99"), (99.9, "0.999")] {
-            let mut pairs: Vec<(&str, &str)> = Vec::new();
-            if let Some(l) = &label {
-                pairs.push(("label", l.as_str()));
-            }
-            pairs.push(("quantile", qs));
-            let _ = writeln!(out, "{} {}", prom_series(name, &pairs), h.quantile(q));
+            let _ = writeln!(out, "{} {}", prom_series(name, &[("quantile", qs)]), h.quantile(q));
         }
-        let pairs: Vec<(&str, &str)> = label.iter().map(|l| ("label", l.as_str())).collect();
-        let _ = writeln!(out, "{} {}", prom_series(&format!("{name}_sum"), &pairs), h.sum());
-        let _ = writeln!(out, "{} {}", prom_series(&format!("{name}_count"), &pairs), h.count());
-        let _ = writeln!(out, "{} {}", prom_series(&format!("{name}_max"), &pairs), h.max());
+        let _ = writeln!(out, "{name}_sum {}", h.sum());
+        let _ = writeln!(out, "{name}_count {}", h.count());
+        let _ = writeln!(out, "{name}_max {}", h.max());
     }
     for &(name, stat) in &snap.phases {
         let _ = writeln!(out, "# HELP phase_{name}_ns tcam-obs phase self-time (ns)");
@@ -206,9 +178,9 @@ mod tests {
             h.record(v);
         }
         Snapshot {
-            counters: vec![(("test_exp_total", None), 42), (("test_exp_shard", Some(1)), 7)],
-            gauges: vec![(("test_exp_depth", None), 3.5)],
-            hists: vec![(("test_exp_lat", None), h)],
+            counters: vec![("test_exp_total", 42)],
+            gauges: vec![("test_exp_depth", 3.5)],
+            hists: vec![("test_exp_lat", h)],
             phases: vec![("test_exp_phase", crate::PhaseStat { ns: 1500, count: 3 })],
         }
     }
@@ -218,7 +190,6 @@ mod tests {
         let json = flat_json(&test_snapshot());
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"test_exp_total\": 42"), "{json}");
-        assert!(json.contains("\"test_exp_shard_1\": 7"), "{json}");
         assert!(json.contains("\"test_exp_depth\": 3.5"), "{json}");
         assert!(json.contains("\"test_exp_lat_p50_ns\":"), "{json}");
         assert!(json.contains("\"test_exp_lat_count\": 3"), "{json}");
@@ -231,35 +202,13 @@ mod tests {
         let text = prometheus_text(&test_snapshot());
         assert!(text.contains("# TYPE test_exp_total counter"), "{text}");
         assert!(text.contains("# HELP test_exp_total "), "{text}");
-        assert!(text.contains("test_exp_shard{label=\"1\"} 7"), "{text}");
+        assert!(text.contains("test_exp_total 42"), "{text}");
+        assert!(text.contains("# TYPE test_exp_depth gauge"), "{text}");
+        assert!(text.contains("test_exp_depth 3.5"), "{text}");
         assert!(text.contains("# TYPE test_exp_lat summary"), "{text}");
         assert!(text.contains("test_exp_lat{quantile=\"0.5\"}"), "{text}");
         assert!(text.contains("test_exp_lat_count 3"), "{text}");
         assert!(text.contains("test_exp_lat_sum 600"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_families_share_one_header_across_labels() {
-        let snap = Snapshot {
-            counters: vec![
-                (("test_fam_shed", Some(0)), 1),
-                (("test_fam_shed", Some(1)), 2),
-                (("test_fam_shed", Some(2)), 3),
-            ],
-            gauges: Vec::new(),
-            hists: Vec::new(),
-            phases: Vec::new(),
-        };
-        let text = prometheus_text(&snap);
-        assert_eq!(
-            text.matches("# TYPE test_fam_shed counter").count(),
-            1,
-            "one TYPE line per family, not per series: {text}"
-        );
-        assert_eq!(text.matches("# HELP test_fam_shed ").count(), 1, "{text}");
-        for (l, v) in [(0, 1), (1, 2), (2, 3)] {
-            assert!(text.contains(&format!("test_fam_shed{{label=\"{l}\"}} {v}")), "{text}");
-        }
     }
 
     #[test]

@@ -37,13 +37,12 @@ pub use flight::{
 };
 pub use hist::LatencyHistogram;
 pub use registry::{
-    counter_add, counter_add_at, enabled, flush, gauge_set, gauge_set_at, hist_merge, hist_record,
-    hist_record_at, phase_mark, phases_since, set_enabled, snapshot, PhaseMark, PhaseStat,
-    Snapshot,
+    counter_add, enabled, flush, gauge_set, hist_merge, hist_record, phase_mark, phases_since,
+    set_enabled, snapshot, PhaseMark, PhaseStat, Snapshot,
 };
 pub use slo::{
-    slo_configure, slo_flat_fragment, slo_json_array, slo_prometheus, slo_record, slo_report,
-    slo_reset, SloConfig, SloReport, SloWindow, SLO_WINDOWS_SECS,
+    slo_flat_fragment, slo_json_array, slo_prometheus, slo_record, slo_report, slo_reset,
+    SloWindow, SLO_WINDOWS_SECS,
 };
 pub use span::SpanGuard;
 pub use trace::{

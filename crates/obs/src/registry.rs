@@ -9,19 +9,16 @@
 //! recording call reads is the global [`enabled`] flag (a single relaxed
 //! atomic load); when it is off, every entry point returns immediately.
 //! Buffers merge into the global state on [`flush`] — call it at natural
-//! batch boundaries (a worker every N batches and at exit, a bench after
-//! a run) — and [`snapshot`] flushes the calling thread before reading.
+//! boundaries (a thread at exit, a bench after a run) — and [`snapshot`]
+//! flushes the calling thread before reading.
 //!
 //! # Keys
 //!
-//! Metric names are `&'static str` in the unified `snake_case` scheme
-//! (see DESIGN.md §10). The `*_at` variants attach a small integer label
-//! (shard index, rung number); exporters render it as `name{label="i"}`
-//! (Prometheus) or `name_i` (flat JSON).
+//! A metric is its name: a `&'static str` in the unified `snake_case`
+//! scheme (see DESIGN.md §10), one series per name in every exporter.
 //!
-//! Gauges are last-write-wins **per label**: two threads setting the same
-//! unlabeled gauge race on flush order, which is why per-shard gauges are
-//! labeled by shard.
+//! Gauges are last-write-wins: two threads setting the same gauge race
+//! on flush order, so a gauge has one writer.
 
 use crate::hist::LatencyHistogram;
 use std::cell::RefCell;
@@ -29,8 +26,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// A metric key: static name plus optional small-integer label.
-pub type Key = (&'static str, Option<u32>);
+/// A metric key: its static name.
+pub type Key = &'static str;
 
 /// Accumulated self-time of one span name on one or more threads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,83 +106,40 @@ fn with_local<R>(f: impl FnOnce(&mut Buffers) -> R) -> Option<R> {
 /// Adds `delta` to the named counter.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    counter_add_key(name, None, delta);
-}
-
-/// Adds `delta` to the named counter under label `label`.
-#[inline]
-pub fn counter_add_at(name: &'static str, label: u32, delta: u64) {
-    counter_add_key(name, Some(label), delta);
-}
-
-#[inline]
-fn counter_add_key(name: &'static str, label: Option<u32>, delta: u64) {
     if !enabled() {
         return;
     }
-    with_local(|buf| *buf.counters.entry((name, label)).or_insert(0) += delta);
+    with_local(|buf| *buf.counters.entry(name).or_insert(0) += delta);
 }
 
 /// Sets the named gauge (last flush wins across threads).
 #[inline]
 pub fn gauge_set(name: &'static str, value: f64) {
-    gauge_set_key(name, None, value);
-}
-
-/// Sets the named gauge under label `label`.
-#[inline]
-pub fn gauge_set_at(name: &'static str, label: u32, value: f64) {
-    gauge_set_key(name, Some(label), value);
-}
-
-#[inline]
-fn gauge_set_key(name: &'static str, label: Option<u32>, value: f64) {
     if !enabled() {
         return;
     }
     with_local(|buf| {
-        buf.gauges.insert((name, label), value);
+        buf.gauges.insert(name, value);
     });
 }
 
 /// Records `v` (nanoseconds by convention) into the named histogram.
 #[inline]
 pub fn hist_record(name: &'static str, v: u64) {
-    hist_record_key(name, None, v);
-}
-
-/// Records `v` into the named histogram under label `label`.
-#[inline]
-pub fn hist_record_at(name: &'static str, label: u32, v: u64) {
-    hist_record_key(name, Some(label), v);
-}
-
-#[inline]
-fn hist_record_key(name: &'static str, label: Option<u32>, v: u64) {
     if !enabled() {
         return;
     }
-    with_local(|buf| {
-        buf.hists
-            .entry((name, label))
-            .or_default()
-            .record(v);
-    });
+    with_local(|buf| buf.hists.entry(name).or_default().record(v));
 }
 
 /// Merges an already-built histogram into the named slot — the path for
-/// components (e.g. shard workers) that own per-thread histograms and
-/// publish them wholesale rather than per-value.
+/// components (e.g. a serving table) that keep their own histogram and
+/// publish it wholesale rather than per-value.
 pub fn hist_merge(name: &'static str, hist: &LatencyHistogram) {
     if !enabled() {
         return;
     }
-    with_local(|buf| {
-        buf.hists
-            .entry((name, None))
-            .or_default()
-            .merge(hist);
-    });
+    with_local(|buf| buf.hists.entry(name).or_default().merge(hist));
 }
 
 /// Adds one closed span's self-time to the named phase. Normally called
@@ -273,43 +227,30 @@ impl Snapshot {
     /// The named counter's value (0 when absent).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, v)| v)
-            .sum()
+        lookup(&self.counters, name).copied().unwrap_or(0)
     }
 
-    /// The named unlabeled gauge, if set.
+    /// The named gauge, if set.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|((n, l), _)| *n == name && l.is_none())
-            .map(|(_, v)| *v)
+        lookup(&self.gauges, name).copied()
     }
 
-    /// The named histogram (merged across labels if labeled).
+    /// The named histogram, if recorded.
     #[must_use]
     pub fn hist(&self, name: &str) -> Option<LatencyHistogram> {
-        let mut out: Option<LatencyHistogram> = None;
-        for ((n, _), h) in &self.hists {
-            if *n == name {
-                out.get_or_insert_with(LatencyHistogram::default).merge(h);
-            }
-        }
-        out
+        lookup(&self.hists, name).cloned()
     }
 
     /// The named phase's accumulated self-time.
     #[must_use]
     pub fn phase(&self, name: &str) -> PhaseStat {
-        self.phases
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or_default()
+        lookup(&self.phases, name).copied().unwrap_or_default()
     }
+}
+
+fn lookup<'a, T>(entries: &'a [(Key, T)], name: &str) -> Option<&'a T> {
+    entries.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
 }
 
 /// Flushes the calling thread, then copies the merged global state.
@@ -346,9 +287,8 @@ mod tests {
         counter_add("test_reg_hits", 2);
         flush();
         counter_add("test_reg_hits", 3);
-        counter_add_at("test_reg_hits", 7, 5);
         let snap = snapshot();
-        assert_eq!(snap.counter("test_reg_hits"), 10);
+        assert_eq!(snap.counter("test_reg_hits"), 5);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The SLO engine: rolling multi-window latency-objective and
-//! error-budget burn-rate tracking.
+//! error-budget burn-rate tracking for the wire plane's one SLO.
 //!
-//! An SLO here is "fraction `target` of requests finish OK within
-//! `objective_ns`". Every request is scored **good** (OK and within
-//! the objective) or **bad** at record time into a 64-slot
+//! The SLO is [`NAME`]: "fraction [`TARGET`] of requests finish OK
+//! within [`OBJECTIVE_NS`]". Every request is scored **good** (OK and
+//! within the objective) or **bad** at record time into a 64-slot
 //! one-second-per-slot ring, so the three reporting windows (1 s,
 //! 10 s, 60 s) are pure sums over recent slots — no per-request
 //! allocation, no timestamps stored. The **burn rate** per window is
@@ -18,43 +18,32 @@
 //! on [`crate::registry::flush`], which long-lived connection threads
 //! may never call — an SLO that updates only when a thread exits
 //! would always read stale. Recording here is one mutex lock on a
-//! small map; callers record once per *request*, not per key, so the
+//! small ring; callers record once per *request*, not per key, so the
 //! lock is far off the per-key hot path.
 
-use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Slots in the per-SLO ring; also the longest expressible window in
-/// seconds (the 60 s reporting window plus slack for slot reuse).
+/// Slots in the ring; also the longest expressible window in seconds
+/// (the 60 s reporting window plus slack for slot reuse).
 const SLOTS: usize = 64;
 
 /// The reporting windows, seconds. Multi-window so a short burst and a
 /// sustained burn are distinguishable.
 pub const SLO_WINDOWS_SECS: [u64; 3] = [1, 10, 60];
 
-/// One service-level objective: `target` fraction of requests must
-/// finish OK within `objective_ns`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// Latency objective in nanoseconds.
-    pub objective_ns: u64,
-    /// Target good fraction in `(0, 1)`, e.g. `0.999`.
-    pub target: f64,
-}
+/// The SLO's name in every export (`/slo`, `slo_<name>_*` flat keys,
+/// `slo="<name>"` series).
+pub const NAME: &str = "net_request";
 
-impl Default for SloConfig {
-    /// 1 ms at three nines — a deliberate middle-of-the-road default
-    /// for callers that record before configuring.
-    fn default() -> Self {
-        Self {
-            objective_ns: 1_000_000,
-            target: 0.999,
-        }
-    }
-}
+/// Latency objective: a request is good when it finishes OK within
+/// this many nanoseconds (1 ms).
+pub const OBJECTIVE_NS: u64 = 1_000_000;
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Target good fraction (three nines).
+pub const TARGET: f64 = 0.999;
+
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     tick: u64,
     total: u64,
@@ -62,30 +51,32 @@ struct Slot {
     errors: u64,
 }
 
+const EMPTY: Slot = Slot {
+    tick: 0,
+    total: 0,
+    good: 0,
+    errors: 0,
+};
+
 #[derive(Debug)]
 struct Tracker {
-    config: SloConfig,
     slots: [Slot; SLOTS],
 }
 
 impl Tracker {
-    fn new(config: SloConfig) -> Self {
+    const fn new() -> Self {
         Self {
-            config,
-            slots: [Slot::default(); SLOTS],
+            slots: [EMPTY; SLOTS],
         }
     }
 
     fn record(&mut self, tick: u64, latency_ns: u64, ok: bool) {
         let slot = &mut self.slots[usize::try_from(tick).unwrap_or(0) % SLOTS];
         if slot.tick != tick {
-            *slot = Slot {
-                tick,
-                ..Slot::default()
-            };
+            *slot = Slot { tick, ..EMPTY };
         }
         slot.total += 1;
-        if ok && latency_ns <= self.config.objective_ns {
+        if ok && latency_ns <= OBJECTIVE_NS {
             slot.good += 1;
         }
         if !ok {
@@ -109,14 +100,13 @@ impl Tracker {
         } else {
             (total - good) as f64 / total as f64
         };
-        let budget = (1.0 - self.config.target).max(f64::EPSILON);
         SloWindow {
             secs,
             total,
             good,
             errors,
             bad_fraction,
-            burn_rate: bad_fraction / budget,
+            burn_rate: bad_fraction / (1.0 - TARGET),
         }
     }
 }
@@ -139,20 +129,10 @@ pub struct SloWindow {
     pub burn_rate: f64,
 }
 
-/// One SLO's full report: its configuration plus every window.
-#[derive(Debug, Clone)]
-pub struct SloReport {
-    /// SLO name (snake_case, e.g. `net_request`).
-    pub name: &'static str,
-    /// The configured objective.
-    pub config: SloConfig,
-    /// One rollup per entry of [`SLO_WINDOWS_SECS`].
-    pub windows: Vec<SloWindow>,
-}
+static ENGINE: Mutex<Tracker> = Mutex::new(Tracker::new());
 
-fn engine() -> &'static Mutex<BTreeMap<&'static str, Tracker>> {
-    static ENGINE: OnceLock<Mutex<BTreeMap<&'static str, Tracker>>> = OnceLock::new();
-    ENGINE.get_or_init(|| Mutex::new(BTreeMap::new()))
+fn engine() -> std::sync::MutexGuard<'static, Tracker> {
+    ENGINE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn epoch() -> Instant {
@@ -164,98 +144,63 @@ fn now_tick() -> u64 {
     epoch().elapsed().as_secs()
 }
 
-/// Declares (or reconfigures) the SLO `name`. Existing window data is
-/// kept; only the objective changes.
-pub fn slo_configure(name: &'static str, config: SloConfig) {
-    let mut map = engine().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    map.entry(name)
-        .and_modify(|t| t.config = config)
-        .or_insert_with(|| Tracker::new(config));
-}
-
-/// Records one finished request against SLO `name`. An unconfigured
-/// name is created with [`SloConfig::default`].
-pub fn slo_record(name: &'static str, latency_ns: u64, ok: bool) {
+/// Records one finished request against the SLO.
+pub fn slo_record(latency_ns: u64, ok: bool) {
     let tick = now_tick();
-    let mut map = engine().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    map.entry(name)
-        .or_insert_with(|| Tracker::new(SloConfig::default()))
-        .record(tick, latency_ns, ok);
+    engine().record(tick, latency_ns, ok);
 }
 
-/// Every SLO's current multi-window report, name-ordered.
+/// The SLO's current rollup, one window per entry of
+/// [`SLO_WINDOWS_SECS`].
 #[must_use]
-pub fn slo_report() -> Vec<SloReport> {
+pub fn slo_report() -> [SloWindow; SLO_WINDOWS_SECS.len()] {
     let tick = now_tick();
-    let map = engine().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    map.iter()
-        .map(|(&name, t)| SloReport {
-            name,
-            config: t.config,
-            windows: SLO_WINDOWS_SECS
-                .iter()
-                .map(|&secs| t.window(tick, secs))
-                .collect(),
-        })
-        .collect()
+    let tracker = engine();
+    SLO_WINDOWS_SECS.map(|secs| tracker.window(tick, secs))
 }
 
-/// Renders every SLO as a JSON array (the `"slos"` value of the
-/// `/slo` admin endpoint; nested, snake_case keys).
+/// Renders the SLO as a one-element JSON array (the `"slo"` value of
+/// the `/slo` admin endpoint; nested, snake_case keys).
 #[must_use]
 pub fn slo_json_array() -> String {
-    let mut out = String::from("[");
-    for (i, report) in slo_report().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"objective_ns\":{},\"target\":{},\"windows\":[",
-            report.name, report.config.objective_ns, report.config.target
-        ));
-        for (j, w) in report.windows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+    let windows = slo_report()
+        .iter()
+        .map(|w| {
+            format!(
                 "{{\"secs\":{},\"total\":{},\"good\":{},\"errors\":{},\"bad_fraction\":{:.6},\"burn_rate\":{:.4}}}",
                 w.secs, w.total, w.good, w.errors, w.bad_fraction, w.burn_rate
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    out
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        "[{{\"name\":\"{NAME}\",\"objective_ns\":{OBJECTIVE_NS},\"target\":{TARGET},\"windows\":[{windows}]}}]"
+    )
 }
 
-/// Renders every SLO as flat-JSON fields
+/// Renders the SLO as flat-JSON fields
 /// (`"slo_<name>_<secs>s_<field>":v` fragments, no braces) for the
 /// `/stats` endpoint and bench records.
 #[must_use]
 pub fn slo_flat_fragment() -> String {
     let mut parts = Vec::new();
-    for report in slo_report() {
-        for w in &report.windows {
-            let p = format!("slo_{}_{}s", report.name, w.secs);
-            parts.push(format!("\"{p}_total\":{}", w.total));
-            parts.push(format!("\"{p}_good\":{}", w.good));
-            parts.push(format!("\"{p}_errors\":{}", w.errors));
-            parts.push(format!("\"{p}_bad_fraction\":{:.6}", w.bad_fraction));
-            parts.push(format!("\"{p}_burn_rate\":{:.4}", w.burn_rate));
-        }
+    for w in &slo_report() {
+        let p = format!("slo_{NAME}_{}s", w.secs);
+        parts.push(format!("\"{p}_total\":{}", w.total));
+        parts.push(format!("\"{p}_good\":{}", w.good));
+        parts.push(format!("\"{p}_errors\":{}", w.errors));
+        parts.push(format!("\"{p}_bad_fraction\":{:.6}", w.bad_fraction));
+        parts.push(format!("\"{p}_burn_rate\":{:.4}", w.burn_rate));
     }
     parts.join(",")
 }
 
 /// Appends the SLO families to a Prometheus text exposition, one
 /// `# HELP`/`# TYPE` pair per family and `slo`/`window` labels per
-/// series (label values escaped by the caller-independent rule that
-/// they are all generated snake_case/digit strings here).
+/// series (no escaping needed: every label value is a constant
+/// snake_case name or a digit string).
 pub fn slo_prometheus(out: &mut String) {
-    let reports = slo_report();
-    if reports.is_empty() {
-        return;
-    }
+    let windows = slo_report();
     type WindowValue = fn(&SloWindow) -> f64;
     let families: [(&str, &str, WindowValue); 4] = [
         ("slo_requests_total", "Requests scored in the window", |w| {
@@ -282,23 +227,19 @@ pub fn slo_prometheus(out: &mut String) {
     for (family, help, value) in families {
         out.push_str(&format!("# HELP {family} {help}\n"));
         out.push_str(&format!("# TYPE {family} gauge\n"));
-        for report in &reports {
-            for w in &report.windows {
-                out.push_str(&format!(
-                    "{family}{{slo=\"{}\",window=\"{}s\"}} {}\n",
-                    report.name,
-                    w.secs,
-                    value(w)
-                ));
-            }
+        for w in &windows {
+            out.push_str(&format!(
+                "{family}{{slo=\"{NAME}\",window=\"{}s\"}} {}\n",
+                w.secs,
+                value(w)
+            ));
         }
     }
 }
 
-/// Clears every SLO (tests and bench windows).
+/// Empties every window (tests and bench windows).
 pub fn slo_reset() {
-    let mut map = engine().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    map.clear();
+    *engine() = Tracker::new();
 }
 
 #[cfg(test)]
@@ -309,57 +250,30 @@ mod tests {
     fn good_bad_and_burn_rate_accounting() {
         let _guard = crate::test_lock();
         slo_reset();
-        slo_configure(
-            "test_req",
-            SloConfig {
-                objective_ns: 1000,
-                target: 0.9,
-            },
-        );
-        // 8 good, 1 slow, 1 failed -> bad_fraction 0.2, budget 0.1,
-        // burn rate 2.0.
+        // 8 good, 1 slow, 1 failed -> bad_fraction 0.2, burn rate
+        // 0.2 / (1 - TARGET).
         for _ in 0..8 {
-            slo_record("test_req", 500, true);
+            slo_record(OBJECTIVE_NS / 2, true);
         }
-        slo_record("test_req", 5000, true);
-        slo_record("test_req", 500, false);
+        slo_record(2 * OBJECTIVE_NS, true);
+        slo_record(OBJECTIVE_NS / 2, false);
         let report = slo_report();
-        let r = report.iter().find(|r| r.name == "test_req").expect("present");
-        assert_eq!(r.windows.len(), SLO_WINDOWS_SECS.len());
         // Assert on the >= 10 s windows only: recording can straddle a
         // one-second tick boundary, which legitimately splits the burst
         // out of the 1 s window.
-        for w in r.windows.iter().filter(|w| w.secs >= 10) {
+        for w in report.iter().filter(|w| w.secs >= 10) {
             assert_eq!(w.total, 10, "window {}s", w.secs);
             assert_eq!(w.good, 8);
             assert_eq!(w.errors, 1);
             assert!((w.bad_fraction - 0.2).abs() < 1e-9);
-            assert!((w.burn_rate - 2.0).abs() < 1e-9);
+            assert!((w.burn_rate - 0.2 / (1.0 - TARGET)).abs() < 1e-9);
         }
-        slo_reset();
-    }
-
-    #[test]
-    fn unconfigured_names_get_the_default_objective() {
-        let _guard = crate::test_lock();
-        slo_reset();
-        slo_record("adhoc", 100, true);
-        let report = slo_report();
-        let r = report.iter().find(|r| r.name == "adhoc").expect("created");
-        assert_eq!(r.config.objective_ns, SloConfig::default().objective_ns);
-        let w60 = r.windows.iter().find(|w| w.secs == 60).expect("60s window");
-        assert_eq!(w60.good, 1);
         slo_reset();
     }
 
     #[test]
     fn stale_slots_age_out_of_short_windows() {
-        let _guard = crate::test_lock();
-        slo_reset();
-        let mut t = Tracker::new(SloConfig {
-            objective_ns: 1000,
-            target: 0.99,
-        });
+        let mut t = Tracker::new();
         // A burst at tick 5 is visible at tick 5 in every window, gone
         // from the 1s window by tick 7, and gone from the 10s window by
         // tick 20.
@@ -374,23 +288,16 @@ mod tests {
         // Slot reuse: tick 5+64 lands in slot 5 and resets it.
         t.record(5 + SLOTS as u64, 100, true);
         assert_eq!(t.window(5 + SLOTS as u64, 60).total, 1);
-        slo_reset();
     }
 
     #[test]
     fn renderers_emit_snake_case_families() {
         let _guard = crate::test_lock();
         slo_reset();
-        slo_configure(
-            "net_request",
-            SloConfig {
-                objective_ns: 2_000_000,
-                target: 0.995,
-            },
-        );
-        slo_record("net_request", 100, true);
+        slo_record(100, true);
         let json = slo_json_array();
         assert!(json.contains("\"name\":\"net_request\""));
+        assert!(json.contains("\"objective_ns\":1000000,\"target\":0.999"), "{json}");
         assert!(json.contains("\"burn_rate\""));
         let flat = slo_flat_fragment();
         assert!(flat.contains("\"slo_net_request_10s_total\":"));
@@ -408,11 +315,9 @@ mod tests {
     fn empty_window_is_zero_not_nan() {
         let _guard = crate::test_lock();
         slo_reset();
-        slo_configure("quiet", SloConfig::default());
-        for w in &slo_report()[0].windows {
+        for w in &slo_report() {
             assert_eq!(w.total, 0);
             assert!(w.bad_fraction == 0.0 && w.burn_rate == 0.0);
         }
-        slo_reset();
     }
 }

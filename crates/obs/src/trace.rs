@@ -7,11 +7,10 @@
 //! [`TRACE_CONTEXT_BYTES`] little-endian bytes so `tcam-net` can carry
 //! it as an optional frame extension without renegotiating the
 //! protocol version. Everything else stays server-side: a sampled
-//! request gets one [`RequestTrace`] collector (an `Arc`, so a batch
-//! handed to a worker thread can carry it too); each layer the request
-//! crosses records **hops** —
-//! named `[start, end)` intervals measured against the collector's
-//! single origin instant, so cross-thread clock math never happens.
+//! request gets one [`RequestTrace`] collector (an `Arc`, shared with
+//! the lookup it rides on); each layer the request crosses records
+//! **hops** — named `[start, end)` intervals measured against the
+//! collector's single origin instant, so no two clocks are compared.
 //!
 //! [`RequestTrace::finish`] freezes the hops into a [`TraceRecord`]
 //! and registers it with the global store: a bounded ring of recent
@@ -22,9 +21,8 @@
 //!
 //! Span trees are assembled at render time by interval containment
 //! (sort by start ascending / end descending, then a stack), so
-//! recorders never coordinate about nesting: the worker-side
-//! queue/match hops of a scatter land inside the writer-side gather
-//! hop purely because their intervals do.
+//! recorders never coordinate about nesting: a hop lands inside
+//! another purely because its interval does.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,13 +126,11 @@ pub fn next_trace_id() -> u64 {
 }
 
 /// One recorded hop: a named `[start_ns, end_ns)` interval relative to
-/// the collector's origin, optionally labeled (shard index).
+/// the collector's origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     /// Hop name (snake_case, e.g. `serve_match`).
     pub name: &'static str,
-    /// Optional numeric label (shard index for scatter hops).
-    pub label: Option<u32>,
     /// Start offset from the request origin, nanoseconds.
     pub start_ns: u64,
     /// End offset from the request origin, nanoseconds.
@@ -191,19 +187,13 @@ impl RequestTrace {
         self.t0
     }
 
-    /// Records an unlabeled hop.
+    /// Records the hop `name` over `[start, end)`.
     pub fn hop(&self, name: &'static str, start: Instant, end: Instant) {
-        self.hop_labeled(name, None, start, end);
-    }
-
-    /// Records a hop labeled with a shard (or other small) index.
-    pub fn hop_labeled(&self, name: &'static str, label: Option<u32>, start: Instant, end: Instant) {
         let start_ns = saturating_offset_ns(self.t0, start);
         let end_ns = saturating_offset_ns(self.t0, end);
         let mut hops = self.hops.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         hops.push(Hop {
             name,
-            label,
             start_ns,
             end_ns: end_ns.max(start_ns),
         });
@@ -258,9 +248,9 @@ impl TraceRecord {
     /// the request timeline. Because `hops` is containment-ordered, a
     /// hop is top-level iff it starts at or after the end of the last
     /// top-level hop; skipped hops do **not** advance the frontier, so a
-    /// span that merely pokes out of its parent (a worker's queue hop
-    /// opened during one stage and closed inside the next) cannot knock
-    /// the real next-stage hop out of the tiling.
+    /// span that merely pokes out of its parent (opened during one stage
+    /// and closed inside the next) cannot knock the real next-stage hop
+    /// out of the tiling.
     #[must_use]
     pub fn top_level(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -276,8 +266,8 @@ impl TraceRecord {
 
     /// Share of the request wall time attributed by the top-level hops,
     /// percent. Top-level hops of a well-instrumented path tile the
-    /// request (decode → admission → gather → write), so this reads
-    /// near 100; a hole means a hop is missing its recorder.
+    /// request (decode → match → write), so this reads near 100; a hole
+    /// means a hop is missing its recorder.
     #[must_use]
     pub fn cover_pct(&self) -> f64 {
         if self.total_ns == 0 {
@@ -327,9 +317,6 @@ impl TraceRecord {
             h.start_ns,
             h.dur_ns()
         ));
-        if let Some(label) = h.label {
-            out.push_str(&format!(",\"label\":{label}"));
-        }
         let mut child_ns = 0u64;
         let mut j = i + 1;
         let mut rendered_child = false;
@@ -478,11 +465,11 @@ mod tests {
         let t0 = Instant::now();
         let at = |ms: u64| t0 + Duration::from_millis(ms);
         let trace = RequestTrace::start_at(TraceContext::sampled(7), t0);
-        // Worker hops recorded out of order, nested inside the wait.
-        trace.hop_labeled("serve_match", Some(1), at(30), at(40));
+        // Inner hops recorded out of order, nested inside the wait.
+        trace.hop("serve_match", at(30), at(40));
         trace.hop("net_decode", at(0), at(10));
         trace.hop("wait", at(20), at(80));
-        trace.hop_labeled("serve_queue", Some(1), at(20), at(30));
+        trace.hop("serve_queue", at(20), at(30));
         trace.hop("submit", at(10), at(20));
         trace.hop("net_write", at(80), at(100));
         let record = trace.finish("ok", at(100));
@@ -493,12 +480,11 @@ mod tests {
         assert!((record.cover_pct() - 100.0).abs() < 1e-9);
 
         let json = record.to_json();
-        // The worker hops render inside the wait span.
+        // The inner hops render inside the wait span.
         let wait = json.find("\"wait\"").expect("wait rendered");
         let queue = json.find("serve_queue").expect("queue rendered");
         let write = json.find("net_write").expect("write rendered");
         assert!(wait < queue && queue < write, "nesting order: {json}");
-        assert!(json.contains("\"label\":1"));
         // Wait self-time excludes its children: 60ms - (10+10)ms.
         assert!(json.contains("\"self_ns\":40000000"), "{json}");
     }

@@ -379,7 +379,7 @@ impl ShardPool {
             tcam_obs::counter_add("serve_refresh_events", stats.refresh_events);
             tcam_obs::counter_add("serve_updates_applied", stats.updates_applied);
             #[allow(clippy::cast_precision_loss)]
-            tcam_obs::gauge_set_at("serve_epoch", 0, stats.epoch as f64);
+            tcam_obs::gauge_set("serve_epoch", stats.epoch as f64);
             tcam_obs::flush();
         }
         ServeReport {

@@ -54,11 +54,10 @@ fn workers_mirror_stats_into_obs_registry() {
         "refresh span recorded"
     );
     assert!(snap.phase("serve_idle").count > 0, "idle span recorded");
-    assert!(
-        snap.gauges
-            .iter()
-            .any(|((n, l), _)| *n == "serve_epoch" && l.is_some()),
-        "per-table epoch gauge published"
+    assert_eq!(
+        snap.gauge("serve_epoch"),
+        Some(report.stats.epoch as f64),
+        "epoch gauge published"
     );
     // The spans partition the clock thread's wall clock (idle, refresh):
     // a region that lost its span shows up as unattributed time.
