@@ -11,9 +11,12 @@
 //! one [block][c] = rows matching a key 1 at c = !care | value
 //! ```
 //!
-//! A stored `X` sets both; the bits of absent rows in the last block are
-//! zero. Words are block-major — `(block · width + c) · 2 + key_bit` — so
-//! one block's `2·width` words (512 B at width 32) are contiguous.
+//! A stored `X` sets both; the bits of a hole (a slot whose row was
+//! removed, see [`crate::packed`]) and of absent rows in the last block
+//! are zero in every column, and a valid word per block marks the slots
+//! that hold a row. Words are block-major — `(block · width + c) · 2 +
+//! key_bit` — so one block's `2·width` words (512 B at width 32) are
+//! contiguous.
 //!
 //! Beside the bitmaps sits a block summary, keyed by the k = min(8,
 //! width) leading columns: for each of their 2^k values `v`, a bitmap
@@ -42,23 +45,30 @@
 //!    Rows are stored in ascending id order (see [`crate::packed`]), so
 //!    the first set bit of the first live block *is* the winner.
 //!
+//! A hole drops out at the key's first column, so the loop reads no
+//! valid word; a key that cares about no column matches every row and is
+//! answered from the valid words alone.
+//!
 //! The worst case (no early exit: X-heavy rules, or a key that matches
 //! late) is `width` ANDs per 64 rows. Key care bits at positions ≥ the
 //! array width — which a hostile wire frame can carry — are never read,
 //! exactly as the stored planes' zero care bits ignore them in the scalar
 //! scan.
 //!
-//! The write side keeps the bitmaps in step with the row planes: an
-//! append sets `2·width` bits; a mid-table insert or remove opens or
-//! closes a one-bit hole by a shift-with-carry over the blocks from that
-//! row on — O(rows · width / 64) word operations; a replace rewrites
-//! `2·width` bits. The summary follows the same blocks without a
-//! rebuild. Per block it counts, for each leading value, the rows that
-//! match it (at most 64, so a byte each), and a value's bit is set while
-//! its count is not zero. In each block the shift walks, one row enters
-//! and one leaves (their leading columns read from the row planes' first
-//! limb): the entering row's 2^x values (x `X`s among the leading
-//! columns) count one up, the leaving row's one down. It stays exact.
+//! The write side keeps the bitmaps in step with the row planes: filling
+//! a hole, or emptying a row into one, sets or clears `2·width` bits and
+//! a valid bit, and a replace rewrites `2·width` bits. Moving a hole —
+//! how a push brings the nearest hole to its place — shifts the rows
+//! between by one slot with a masked shift-with-carry over the blocks
+//! they span, O(moved · width / 64) word operations, the valid words
+//! shifted alike. The summary follows without a rebuild. Per block it
+//! counts, for each leading value, the rows that match it (at most 64,
+//! so a byte each), and a value's bit is set while its count is not
+//! zero. A filled row's 2^x values (x `X`s among the leading columns)
+//! count one up and a cleared row's one down; a move changes only the
+//! blocks whose edge a row crosses, one row per edge (its leading
+//! columns read from the row planes' first limb). It stays exact, and a
+//! block of holes has no live bit.
 //!
 //! Semantics are bit-identical to per-key [`PackedTcamArray::first_match`],
 //! which stays a row-at-a-time scan over the row planes and never reads
@@ -115,15 +125,75 @@ impl Scratch {
     }
 }
 
+/// The bits of rows `lo..hi` that fall in `block`.
+fn rows_mask(block: usize, lo: usize, hi: usize) -> u64 {
+    let base = block * BLOCK_ROWS;
+    let below = |row: usize| {
+        let n = row.clamp(base, base + BLOCK_ROWS) - base;
+        u64::MAX.checked_shr((BLOCK_ROWS - n) as u32).unwrap_or(0)
+    };
+    below(hi) & !below(lo)
+}
+
+/// Moves the hole at row `from` to row `to` in block-major bitmaps of
+/// `stride` words per block: the rows between move one row towards
+/// `from`, and `to`'s bits are cleared.
+fn carry_hole(words: &mut [u64], stride: usize, from: usize, to: usize) {
+    let (first, last) = (from.min(to) / BLOCK_ROWS, from.max(to) / BLOCK_ROWS);
+    if to < from {
+        // Rows `to..from` move up one, the last block first: each block
+        // past the first takes the top row of the block below it.
+        for block in (first..=last).rev() {
+            let moved = rows_mask(block, to + 1, from + 1);
+            let keep = !(moved | rows_mask(block, to, to + 1));
+            if block > first {
+                let (below, this) =
+                    words[(block - 1) * stride..(block + 1) * stride].split_at_mut(stride);
+                for (w, b) in this.iter_mut().zip(below.iter()) {
+                    *w = *w & keep | (*w << 1 | *b >> 63) & moved;
+                }
+            } else {
+                for w in &mut words[block * stride..(block + 1) * stride] {
+                    *w = *w & keep | *w << 1 & moved;
+                }
+            }
+        }
+    } else {
+        // Rows `from + 1..=to` move down one, the first block first: each
+        // block before the last takes the bottom row of the block above.
+        for block in first..=last {
+            let moved = rows_mask(block, from, to);
+            let keep = !(moved | rows_mask(block, to, to + 1));
+            if block < last {
+                let (this, above) =
+                    words[block * stride..(block + 2) * stride].split_at_mut(stride);
+                for (w, a) in this.iter_mut().zip(above.iter()) {
+                    *w = *w & keep | (*w >> 1 | *a << 63) & moved;
+                }
+            } else {
+                for w in &mut words[block * stride..(block + 1) * stride] {
+                    *w = *w & keep | *w >> 1 & moved;
+                }
+            }
+        }
+    }
+}
+
 /// The bit-sliced search index of a [`PackedTcamArray`]: two row bitmaps
-/// per 64-row block and bit column, and a summary of which blocks can
-/// match each value of the leading columns (see the module docs).
+/// per 64-row block and bit column, a valid word per block, and a
+/// summary of which blocks can match each value of the leading columns
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct MatchLines {
     width: usize,
+    /// Slots: rows and holes.
     rows: usize,
     /// Block-major bitmaps: word `(block * width + column) * 2 + key_bit`.
+    /// A hole's bits are zero in every word.
     bits: Vec<u64>,
+    /// Bit `j` of word `block` is set when slot `64 * block + j` holds a
+    /// row; holes and the slots past the last are clear.
+    valid: Vec<u64>,
     /// Leading columns the summary is keyed by: `min(COLUMN_GROUP, width)`.
     lead: usize,
     /// The block summary: bit `block % 64` of word `(block / 64) << lead
@@ -141,6 +211,7 @@ impl MatchLines {
             width,
             rows: 0,
             bits: Vec::new(),
+            valid: Vec::new(),
             lead: width.min(COLUMN_GROUP),
             live: Vec::new(),
             counts: Vec::new(),
@@ -151,114 +222,113 @@ impl MatchLines {
         self.rows.div_ceil(BLOCK_ROWS)
     }
 
-    /// Inserts `word` as row `row`, moving rows `row..` up by one;
-    /// `limb0` is the row planes with `word` already inserted.
-    pub(crate) fn insert(&mut self, row: usize, word: &PackedWord, limb0: Limb0) {
-        let stride = 2 * self.width;
+    /// Appends a hole at the back; every 64th opens a zeroed block.
+    pub(crate) fn push_hole(&mut self) {
         if self.rows.is_multiple_of(BLOCK_ROWS) {
-            self.bits.resize(self.bits.len() + stride, 0);
+            self.bits.resize(self.bits.len() + 2 * self.width, 0);
+            self.valid.push(0);
             self.counts.resize(self.counts.len() + (1 << self.lead), 0);
             if self.blocks().is_multiple_of(SUMMARY_BLOCKS) {
                 self.live.resize(self.live.len() + (1 << self.lead), 0);
             }
         }
         self.rows += 1;
-        let (first, pos) = (row / BLOCK_ROWS, row % BLOCK_ROWS);
-        let blocks = self.blocks();
-        // Later blocks shift up one row, last block first, each taking the
-        // top row of the block below it.
-        for block in (first + 1..blocks).rev() {
-            let (below, this) =
-                self.bits[(block - 1) * stride..(block + 1) * stride].split_at_mut(stride);
-            for (w, b) in this.iter_mut().zip(below) {
-                *w = *w << 1 | *b >> 63;
-            }
-        }
-        let low = (1u64 << pos) - 1;
-        for w in &mut self.bits[first * stride..(first + 1) * stride] {
-            *w = (*w & low) | (*w & !low) << 1;
-        }
-        self.set_row(row, word);
-        // Each block from `first` on gained a row (`word`, or the block
-        // below's old top row, now its bottom row) and, below the last
-        // block, lost its old top row to the bottom of the block above.
-        for block in first..blocks {
-            let enter = self.pattern_of(limb0, row.max(block * BLOCK_ROWS));
-            let leave =
-                (block + 1 < blocks).then(|| self.pattern_of(limb0, (block + 1) * BLOCK_ROWS));
-            self.resummarize(block, Some(enter), leave);
-        }
     }
 
-    /// Removes row `row`, which stored `gone`, moving rows `row + 1..` down
-    /// by one; `limb0` is the row planes with `gone` already removed.
-    pub(crate) fn remove(&mut self, row: usize, gone: &PackedWord, limb0: Limb0) {
-        let stride = 2 * self.width;
-        let (first, pos) = (row / BLOCK_ROWS, row % BLOCK_ROWS);
-        let old_blocks = self.blocks();
-        let low = (1u64 << pos) - 1;
-        for w in &mut self.bits[first * stride..(first + 1) * stride] {
-            *w = (*w & low) | (*w >> 1 & !low);
+    /// Whether slot `row` holds a row (and is not a hole).
+    #[inline]
+    pub(crate) fn is_valid(&self, row: usize) -> bool {
+        self.valid[row / BLOCK_ROWS] >> (row % BLOCK_ROWS) & 1 == 1
+    }
+
+    /// The first hole at or after slot `row`.
+    pub(crate) fn hole_from(&self, row: usize) -> Option<usize> {
+        let mut block = row / BLOCK_ROWS;
+        let mut free = !self.valid.get(block)? & u64::MAX << (row % BLOCK_ROWS);
+        while free == 0 {
+            block += 1;
+            free = !*self.valid.get(block)?;
         }
-        // Each later block hands its bottom row to the block below it.
-        for block in first + 1..old_blocks {
-            let (below, this) =
-                self.bits[(block - 1) * stride..(block + 1) * stride].split_at_mut(stride);
-            for (w, b) in this.iter_mut().zip(below) {
-                *b |= *w << 63;
-                *w >>= 1;
-            }
+        let slot = block * BLOCK_ROWS + free.trailing_zeros() as usize;
+        // The slots past the last are clear too, and come after every hole.
+        (slot < self.rows).then_some(slot)
+    }
+
+    /// The last hole before slot `row`.
+    pub(crate) fn hole_before(&self, row: usize) -> Option<usize> {
+        let mut block = row / BLOCK_ROWS;
+        let below = (1u64 << (row % BLOCK_ROWS)) - 1;
+        let mut free = self.valid.get(block).map_or(0, |&w| !w & below);
+        while free == 0 {
+            block = block.checked_sub(1)?;
+            free = !self.valid[block];
         }
-        self.rows -= 1;
-        let blocks = self.blocks();
-        self.bits.truncate(blocks * stride);
-        self.counts.truncate(blocks << self.lead);
-        if blocks < old_blocks {
-            // The emptied last block leaves the summary.
-            let bit = 1u64 << (blocks % SUMMARY_BLOCKS);
-            for w in &mut self.live[(blocks / SUMMARY_BLOCKS) << self.lead..] {
-                *w &= !bit;
-            }
-            self.live
-                .truncate(blocks.div_ceil(SUMMARY_BLOCKS) << self.lead);
+        Some(block * BLOCK_ROWS + 63 - free.leading_zeros() as usize)
+    }
+
+    /// Stores `word` in the hole at slot `row`.
+    pub(crate) fn fill(&mut self, row: usize, word: &PackedWord) {
+        self.set_row(row, Some(word));
+        self.valid[row / BLOCK_ROWS] |= 1 << (row % BLOCK_ROWS);
+        let enter = self.pattern(word.mask[0], word.value[0]);
+        self.resummarize(row / BLOCK_ROWS, Some(enter), None);
+    }
+
+    /// Empties slot `row`, which stored `old`, into a hole.
+    pub(crate) fn clear(&mut self, row: usize, old: &PackedWord) {
+        self.set_row(row, None);
+        self.valid[row / BLOCK_ROWS] &= !(1 << (row % BLOCK_ROWS));
+        let leave = self.pattern(old.mask[0], old.value[0]);
+        self.resummarize(row / BLOCK_ROWS, None, Some(leave));
+    }
+
+    /// Moves the hole at slot `from` to slot `to`, the rows between moving
+    /// one slot towards `from`; `limb0` is the row planes after the move.
+    pub(crate) fn move_hole(&mut self, from: usize, to: usize, limb0: Limb0) {
+        if from == to {
+            return;
         }
-        // Each block from `first` on lost a row (the removed one, or its
-        // old bottom row, now the block below's top row) and, below the
-        // old last block, gained the block above's old bottom row as its
-        // top row.
-        for block in first..blocks {
-            let leave = if block == first {
-                self.pattern(gone.mask[0], gone.value[0])
+        carry_hole(&mut self.bits, 2 * self.width, from, to);
+        carry_hole(&mut self.valid, 1, from, to);
+        // One row crosses each block edge between the two: up into the
+        // block above when the hole moves down, else down into the block
+        // below. The hole itself counts nowhere.
+        let (first, last) = (from.min(to) / BLOCK_ROWS, from.max(to) / BLOCK_ROWS);
+        for block in first..last {
+            let edge = (block + 1) * BLOCK_ROWS;
+            let (gains, loses, row) = if to < from {
+                (block + 1, block, edge)
             } else {
-                self.pattern_of(limb0, block * BLOCK_ROWS - 1)
+                (block, block + 1, edge - 1)
             };
-            let enter = (block + 1 < old_blocks)
-                .then(|| self.pattern_of(limb0, (block + 1) * BLOCK_ROWS - 1));
-            self.resummarize(block, enter, Some(leave));
+            let crossed = self.pattern_of(limb0, row);
+            self.resummarize(gains, Some(crossed), None);
+            self.resummarize(loses, None, Some(crossed));
         }
     }
 
     /// Rewrites row `row`, which stored `old`, to store `word`.
     pub(crate) fn replace(&mut self, row: usize, old: &PackedWord, word: &PackedWord) {
-        self.set_row(row, word);
+        self.set_row(row, Some(word));
         let enter = self.pattern(word.mask[0], word.value[0]);
         let leave = self.pattern(old.mask[0], old.value[0]);
         self.resummarize(row / BLOCK_ROWS, Some(enter), Some(leave));
     }
 
-    /// Rewrites the `2 * width` bitmap bits of row `row` to store `word`.
-    fn set_row(&mut self, row: usize, word: &PackedWord) {
+    /// Rewrites the `2 * width` bitmap bits of slot `row` to store `word`,
+    /// or to a hole's zeros.
+    fn set_row(&mut self, row: usize, word: Option<&PackedWord>) {
         let stride = 2 * self.width;
         let bit = 1u64 << (row % BLOCK_ROWS);
         let block = &mut self.bits[row / BLOCK_ROWS * stride..][..stride];
         for (c, pair) in block.chunks_exact_mut(2).enumerate() {
             let shift = 63 - c % 64;
-            let care = word.mask[c / 64] >> shift & 1;
-            let value = word.value[c / 64] >> shift & 1;
-            for (w, on) in pair
-                .iter_mut()
-                .zip([care & value == 0, care == 0 || value == 1])
-            {
+            let on = word.map_or([false; 2], |word| {
+                let care = word.mask[c / 64] >> shift & 1;
+                let value = word.value[c / 64] >> shift & 1;
+                [care & value == 0, care == 0 || value == 1]
+            });
+            for (w, on) in pair.iter_mut().zip(on) {
                 *w = if on { *w | bit } else { *w & !bit };
             }
         }
@@ -363,13 +433,18 @@ impl MatchLines {
     fn first_row(&self, key: &PackedWord, scratch: &mut Scratch) -> Option<usize> {
         let stride = 2 * self.width;
         let groups = self.key_offsets(key, &mut scratch.offsets);
+        if groups == 0 {
+            // A key that cares about no column matches every row: the
+            // first valid slot wins.
+            let block = self.valid.iter().position(|&w| w != 0)?;
+            return Some(block * BLOCK_ROWS + self.valid[block].trailing_zeros() as usize);
+        }
         let groups = &scratch.offsets.as_chunks::<COLUMN_GROUP>().0[..groups];
         'blocks: for block in self.candidates(key) {
             scratch.visited += 1;
             let bits = &self.bits[block * stride..][..stride];
-            // Absent rows of the last block are zero in every bitmap, and
-            // a key that cares about no column stops at the block's first
-            // row, which is always present.
+            // Holes and the slots past the last are zero in every bitmap,
+            // so the key's first column already drops them.
             let mut line = !0u64;
             for group in groups {
                 for &o in group {
@@ -413,13 +488,14 @@ impl PackedTcamArray {
 
 #[cfg(test)]
 impl MatchLines {
-    /// Test-only: the index holds exactly `rows`. Each bitmap bit, summary
-    /// bit and summary count is derived afresh through the scalar rule
-    /// ([`PackedWord::matches`] against a key that cares about one column,
-    /// or about the leading columns only), with no word beyond the last
-    /// block or summary word and the bits of absent rows and blocks zero.
-    pub(crate) fn assert_stores(&self, rows: &[PackedWord]) {
-        assert_eq!(self.rows, rows.len());
+    /// Test-only: the index holds exactly `slots` (`None` a hole). Each
+    /// bitmap bit, summary bit and summary count is derived afresh through
+    /// the scalar rule ([`PackedWord::matches`] against a key that cares
+    /// about one column, or about the leading columns only), and each
+    /// valid bit from the slots, with no word beyond the last block or
+    /// summary word and the bits of holes and absent rows and blocks zero.
+    pub(crate) fn assert_stores(&self, slots: &[Option<PackedWord>]) {
+        assert_eq!(self.rows, slots.len());
         let cared = |columns: std::ops::Range<usize>, value: usize| {
             let mut key = PackedWord {
                 mask: [0; 2],
@@ -437,8 +513,12 @@ impl MatchLines {
         let columns: Vec<[PackedWord; 2]> = (0..self.width)
             .map(|c| [0, 1].map(|key_bit| cared(c..c + 1, key_bit)))
             .collect();
-        let mut want = vec![0u64; rows.len().div_ceil(BLOCK_ROWS) * 2 * self.width];
-        for (r, row) in rows.iter().enumerate() {
+        let blocks = slots.len().div_ceil(BLOCK_ROWS);
+        let mut want = vec![0u64; blocks * 2 * self.width];
+        let mut valid = vec![0u64; blocks];
+        for (r, row) in slots.iter().enumerate() {
+            let Some(row) = row else { continue };
+            valid[r / BLOCK_ROWS] |= 1 << (r % BLOCK_ROWS);
             for (c, keys) in columns.iter().enumerate() {
                 for (key_bit, key) in keys.iter().enumerate() {
                     if row.matches(key) {
@@ -448,16 +528,20 @@ impl MatchLines {
                 }
             }
         }
-        assert_eq!(self.bits, want, "width {} rows {}", self.width, self.rows);
-        let blocks = rows.len().div_ceil(BLOCK_ROWS);
+        assert_eq!(self.bits, want, "width {} slots {}", self.width, self.rows);
+        assert_eq!(self.valid, valid, "valid, slots {}", self.rows);
         let mut want = vec![0u64; blocks.div_ceil(SUMMARY_BLOCKS) << self.lead];
         let mut counts = vec![0u8; blocks << self.lead];
         let leads: Vec<PackedWord> = (0..1 << self.lead)
             .map(|v| cared(0..self.lead, v))
             .collect();
-        for (block, rows) in rows.chunks(BLOCK_ROWS).enumerate() {
+        for (block, rows) in slots.chunks(BLOCK_ROWS).enumerate() {
             for (v, lead) in leads.iter().enumerate() {
-                let n = rows.iter().filter(|row| row.matches(lead)).count();
+                let n = rows
+                    .iter()
+                    .flatten()
+                    .filter(|row| row.matches(lead))
+                    .count();
                 counts[block << self.lead | v] = n as u8;
                 if n > 0 {
                     want[(block / SUMMARY_BLOCKS) << self.lead | v] |=
@@ -467,12 +551,12 @@ impl MatchLines {
         }
         assert_eq!(
             self.counts, counts,
-            "summary counts, width {} rows {}",
+            "summary counts, width {} slots {}",
             self.width, self.rows
         );
         assert_eq!(
             self.live, want,
-            "summary, width {} rows {}",
+            "summary, width {} slots {}",
             self.width, self.rows
         );
     }
@@ -524,7 +608,7 @@ mod tests {
         if churn {
             for n in 0..rows / 3 {
                 let id = rng.below(rows as u64) as u32 * 3;
-                if packed.remove(id) && n % 2 == 0 {
+                if packed.remove(id).is_some() && n % 2 == 0 {
                     packed.push(&random_word(rng, width, 0.35), id + 1);
                 }
             }
@@ -578,10 +662,7 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         for churn in [false, true] {
             let packed = random_array(&mut rng, 72, 90, churn);
-            let min_id = (0..packed.len())
-                .map(|i| packed.row(i).unwrap().0)
-                .min()
-                .unwrap();
+            let min_id = packed.rows().map(|(id, _)| id).min().unwrap();
             let key = PackedWord::pack(&[TernaryBit::X; 72]);
             assert_eq!(packed.first_match_batch(&[key]), vec![Some(min_id)]);
         }
@@ -593,9 +674,8 @@ mod tests {
         // so the kernel's first set bit is still the scalar scan's winner.
         let mut rng = SplitMix64::new(0xAB);
         let packed = random_array(&mut rng, 48, 120, true);
-        for i in 1..packed.len() {
-            assert!(packed.row(i).unwrap().0 > packed.row(i - 1).unwrap().0);
-        }
+        let ids: Vec<u32> = packed.rows().map(|(id, _)| id).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
         let keys: Vec<PackedWord> = (0..64)
             .map(|_| PackedWord::pack(&random_word(&mut rng, 48, 0.1)))
             .collect();
@@ -710,7 +790,7 @@ mod tests {
             let lead = width.min(COLUMN_GROUP);
             for rows in [1usize, 64, 65, 190] {
                 let packed = random_array(&mut rng, width, rows, true);
-                let blocks = packed.len().div_ceil(BLOCK_ROWS);
+                let blocks = packed.slots().div_ceil(BLOCK_ROWS);
                 for i in 0..256 {
                     let mut word = random_word(&mut rng, width, 0.0);
                     let open = i % 2 == 0;
@@ -739,9 +819,9 @@ mod tests {
     }
 
     /// Rows with `X`s in the leading columns — a default route, a /4 —
-    /// carried across the block edge by mid-table pushes and removes keep
-    /// the summary exact, and a block emptied by a remove, at the back or
-    /// mid-table, leaves no live bit behind.
+    /// carried across the block edge by mid-table pushes keep the summary
+    /// exact, and a block emptied by removes, into holes, leaves no live
+    /// bit behind.
     #[test]
     fn wildcard_leading_rows_cross_the_block_edge() {
         use crate::array::{prefix_to_word, value_to_word};
@@ -753,10 +833,11 @@ mod tests {
             let scalar: Vec<Option<u32>> = keys.iter().map(|k| packed.first_match(k)).collect();
             assert_eq!(packed.first_match_batch(&keys), scalar);
         };
-        let one_block = |packed: &PackedTcamArray| {
+        let block_1_dead = |packed: &PackedTcamArray| {
             assert_eq!(packed.lines.live.len(), 1 << COLUMN_GROUP);
             assert!(packed.lines.live.iter().all(|&w| w & !1 == 0));
         };
+        let default_route = prefix_to_word(0, 0, 32);
         let mut packed = PackedTcamArray::new(32);
         // Block 0: 64 /16s under leading bytes 0x40..0x80; block 1: the
         // default route.
@@ -764,37 +845,41 @@ mod tests {
             let word = prefix_to_word(u64::from(0x40 + i) << 24, 16, 32);
             packed.push(&word, 10 * (i + 1));
         }
-        packed.push(&prefix_to_word(0, 0, 32), 1000);
+        packed.push(&default_route, 1000);
         check(&packed);
-        // A /4 at the front pushes block 0's top row into block 1; a
-        // second default route mid-block pushes another; removing the
-        // first /16 pulls one back.
-        packed.push(&prefix_to_word(0xA000_0000, 4, 32), 1);
+        // A /4 at the front finds no hole: a slot opens at the back and
+        // every row moves up one, block 0's top row into block 1. A
+        // second default route mid-block moves the rows after it.
+        assert_eq!(packed.push(&prefix_to_word(0xA000_0000, 4, 32), 1), 65);
         check(&packed);
-        packed.push(&prefix_to_word(0, 0, 32), 205);
+        assert_eq!(packed.push(&default_route, 205), 45);
         check(&packed);
-        assert!(packed.remove(10));
+        // Removes leave holes and move nothing.
+        for id in [10, 1] {
+            assert_eq!(packed.remove(id), Some(0));
+            check(&packed);
+        }
+        assert_eq!(packed.hole_slots(), [0, 1]);
+        // Block 1 holds ids 630, 640 and 1000: removing them empties it.
+        for id in [640, 1000, 630] {
+            assert_eq!(packed.remove(id), Some(0));
+            check(&packed);
+        }
+        assert_eq!(packed.slots(), 67);
+        block_1_dead(&packed);
+        // A default route at the back takes block 1's last hole without a
+        // move, then leaves it again.
+        assert_eq!(packed.push(&default_route, 2000), 0);
         check(&packed);
-        // Rows 0..=64 now: the /4 leaves, then the mid-block default route
-        // goes and block 1 empties from the middle of the table.
-        assert!(packed.remove(1));
+        assert_eq!(packed.remove(2000), Some(0));
         check(&packed);
-        assert!(packed.remove(205));
-        check(&packed);
-        assert_eq!(packed.len(), 64);
-        one_block(&packed);
-        // The default route back at the back, then removed from there.
-        packed.push(&prefix_to_word(0, 0, 32), 2000);
-        check(&packed);
-        assert!(packed.remove(2000));
-        check(&packed);
-        one_block(&packed);
+        block_1_dead(&packed);
         // With the last default route gone, only the /16s' leading bytes
         // stay live.
-        assert!(packed.remove(1000));
+        assert_eq!(packed.remove(205), Some(0));
         check(&packed);
         let live: Vec<usize> = (0..256).filter(|&v| packed.lines.live[v] != 0).collect();
-        assert_eq!(live, (0x41..=0x7F).collect::<Vec<_>>());
+        assert_eq!(live, (0x41..=0x7D).collect::<Vec<_>>());
     }
 
     /// The summary is what makes the kernel fast, not what makes it right:
@@ -902,12 +987,15 @@ mod tests {
     /// widths 0–3, where the summary is keyed by the whole word: a table
     /// of 62 or 63 all-`0` rows (ids 32 apart, so block 0 starts live at
     /// one value only and every change to its summary shows) takes each
-    /// of push / remove / replace at the front, at row 63 (the top of
-    /// block 0) and at the back, the word of each push or replace the
-    /// next of all 3^w in turn. After every step the index,
-    /// summary included, is rebuilt from the row planes and compared, and
-    /// every one of the 3^w keys is answered alike by the kernel, the
-    /// scalar scan and `TcamArray`.
+    /// of push / remove / replace of the first, the 64th and the last
+    /// row in id order, the word of each push or replace the next of all
+    /// 3^w in turn. Removes leave holes, and the sequences reach a hole
+    /// at the first, 63rd and last slot, as block 1's first row and
+    /// across all of block 1, with pushes moving rows to them from either
+    /// side. After every step the index, summary and valid words
+    /// included, is rebuilt from the row planes and compared, and every
+    /// one of the 3^w keys, the all-`X` key among them, is answered alike
+    /// by the kernel, the scalar scan and `TcamArray`.
     #[test]
     fn every_short_write_sequence_across_the_block_edge() {
         #[derive(Clone, Copy)]
@@ -919,6 +1007,7 @@ mod tests {
         struct Walk {
             words: Vec<Vec<TernaryBit>>,
             next_word: usize,
+            shapes: [bool; 5],
         }
         impl Walk {
             fn word(&mut self) -> Vec<TernaryBit> {
@@ -952,7 +1041,7 @@ mod tests {
                             _ if ids.is_empty() => continue,
                             Op::Remove => {
                                 let id = ids[at.min(ids.len() - 1)];
-                                assert!(packed.remove(id));
+                                assert!(packed.remove(id).is_some());
                                 model.remove(&id);
                             }
                             Op::Replace => {
@@ -962,6 +1051,9 @@ mod tests {
                             }
                         }
                         assert_agrees(&packed, &model, &self.words);
+                        for (seen, now) in self.shapes.iter_mut().zip(packed.hole_shapes()) {
+                            *seen |= now;
+                        }
                         self.visit(&packed, &model, depth + 1);
                     }
                 }
@@ -981,8 +1073,10 @@ mod tests {
                 let mut walk = Walk {
                     words: words.clone(),
                     next_word: 0,
+                    shapes: [false; 5],
                 };
                 walk.visit(&packed, &model, 0);
+                assert_eq!(walk.shapes, [true; 5], "width {width} prefill {prefill}");
             }
         }
     }

@@ -9,7 +9,9 @@
 //!   measurements) and workload accounting.
 //! * [`packed`] — bit-packed ternary words and arrays for the serving path
 //!   (`tcam-serve`), matching millions of keys per second; rows are
-//!   always stored in ascending id (= priority) order.
+//!   always stored in ascending id (= priority) order, a removed row
+//!   leaves a hole, and an insert moves rows only as far as the nearest
+//!   hole.
 //! * [`kernel`] — the bit-sliced match-line kernel behind
 //!   [`packed::PackedTcamArray::first_match_batch`]: two row bitmaps per
 //!   64-row block and bit column, so one AND resolves a column for 64

@@ -4,14 +4,15 @@
 //! # The write path
 //!
 //! [`DurableStore::apply`] is the only mutation entry point, and it runs
-//! **validate → log → apply**:
+//! **validate → log → apply** in one walk over the batch
+//! ([`RuleStore::apply_logged`]):
 //!
-//! 1. the batch is validated against the in-memory [`RuleStore`] without
-//!    applying it ([`RuleStore::validate`]), so the log can never contain
-//!    a record its own replay would reject;
+//! 1. the batch is validated against the in-memory [`RuleStore`], so the
+//!    log can never contain a record its own replay would reject;
 //! 2. one WAL record is appended and `fsync`ed — the batch is durable the
 //!    moment `apply` returns;
-//! 3. the batch is applied in memory (infallible after step 1).
+//! 3. the batch is committed in memory (infallible after step 1); a
+//!    failed append commits nothing.
 //!
 //! # Record framing and the torn-tail rule
 //!
@@ -330,19 +331,40 @@ impl DurableStore {
                     .to_string(),
             });
         }
-        // Validate against the namespace as it stands — a new one as an
-        // empty store that is only inserted once the batch is logged.
-        let version = match self.stores.get(&namespace) {
-            Some(store) if store.width() != width => {
+        if let Some(store) = self.stores.get(&namespace) {
+            if store.width() != width {
                 return Err(NetError::Serve(ServeError::WidthMismatch {
                     expected: store.width(),
                     found: width,
                 }));
             }
-            Some(store) => store.validate(batch).map(|()| store.version() + 1),
-            None => RuleStore::new(width).validate(batch).map(|()| 1),
         }
-        .map_err(NetError::Serve)?;
+        // The namespace's store leaves the map while it validates, logs
+        // and commits, so the append can borrow the log; a new namespace
+        // is an empty store that joins the map only once its first batch
+        // commits.
+        let taken = self.stores.remove(&namespace);
+        let provisioned = taken.is_some();
+        let mut store = taken.unwrap_or_else(|| RuleStore::new(width));
+        let applied = store.apply_logged(batch, |version| {
+            self.append(namespace, width, version, batch)
+        });
+        if provisioned || applied.is_ok() {
+            self.stores.insert(namespace, store);
+        }
+        applied
+    }
+
+    /// Appends and `fsync`s the record of `batch` as `namespace`'s
+    /// `version`; on an I/O failure the partial frame is truncated away
+    /// (see [`Self::rollback_append`]).
+    fn append(
+        &mut self,
+        namespace: u16,
+        width: usize,
+        version: u64,
+        batch: &[RuleChange],
+    ) -> Result<()> {
         let payload = encode_record(
             namespace,
             u16::try_from(width).map_err(|_| {
@@ -400,14 +422,7 @@ impl DurableStore {
         tcam_obs::counter_add("wal_bytes_written", frame.len() as u64);
         #[allow(clippy::cast_precision_loss)]
         tcam_obs::gauge_set("wal_size_bytes", self.wal_bytes as f64);
-        let applied = self
-            .stores
-            .entry(namespace)
-            .or_insert_with(|| RuleStore::new(width))
-            .apply(batch)
-            .expect("batch was validated");
-        debug_assert_eq!(applied, version);
-        Ok(version)
+        Ok(())
     }
 
     /// Truncates the WAL back to the last acknowledged record boundary

@@ -31,7 +31,11 @@
 //! `refresh_op_work` units of real work and metered through
 //! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter): a row-by-row
 //! event stalls the table ~`rows`× longer — the paper's argument,
-//! measured. The clock does nothing else.
+//! measured. The clock does nothing else. Its first deadline is one
+//! interval after [`ShardPool::start`], and an event that fell due
+//! before shutdown runs before the clock stops, however late the clock
+//! thread is scheduled: a pool that lives longer than one interval has
+//! refreshed at least once.
 //!
 //! # Online updates: the published-snapshot cell
 //!
@@ -234,9 +238,10 @@ impl ShardPool {
             stopped: Condvar::new(),
         });
         let (clock_shard, config_copy) = (Arc::clone(&shard), *config);
+        let started = Instant::now();
         let clock = std::thread::Builder::new()
             .name("tcam-refresh".into())
-            .spawn(move || run_clock(&clock_shard, &config_copy))
+            .spawn(move || run_clock(&clock_shard, &config_copy, started))
             .expect("spawn refresh clock");
         Self {
             shard,
@@ -418,20 +423,23 @@ fn nanos(from: Instant, to: Instant) -> u64 {
 }
 
 /// The refresh clock: sleeps until the next deadline (until shutdown when
-/// refresh is off), then runs one event under the write side of the
-/// refresh lock. Its two spans, `serve_idle` and `serve_refresh`,
-/// partition its lifetime.
-fn run_clock(shard: &Shard, config: &ServiceConfig) {
+/// refresh is off), the first one interval after `started`, then runs one
+/// event under the write side of the refresh lock. A deadline that has
+/// passed when the clock sees the shutdown still gets its event, however
+/// late the thread was scheduled. Its two spans, `serve_idle` and
+/// `serve_refresh`, partition its lifetime.
+fn run_clock(shard: &Shard, config: &ServiceConfig, started: Instant) {
     let refresh_on = !matches!(config.refresh, BankRefresh::None);
     let interval = config.refresh_interval.max(Duration::from_micros(10));
-    let mut next_refresh = Instant::now() + interval;
+    let mut next_refresh = started + interval;
     let mut refresh_state = 0u64;
     loop {
-        {
+        let stopping = {
             let _obs = tcam_obs::span!("serve_idle");
-            if shard.wait_for_stop(refresh_on.then_some(next_refresh)) {
-                break;
-            }
+            shard.wait_for_stop(refresh_on.then_some(next_refresh))
+        };
+        if stopping && !(refresh_on && Instant::now() >= next_refresh) {
+            break;
         }
         // A refresh event competes with traffic: the table serves nothing
         // until its ops complete — lookups wait on the lock.
@@ -455,6 +463,9 @@ fn run_clock(shard: &Shard, config: &ServiceConfig) {
             stats.refresh_events += 1;
             stats.refresh_ops += ops;
             stats.refresh_stall += end - start;
+        }
+        if stopping {
+            break;
         }
         next_refresh += interval;
         if next_refresh <= end {

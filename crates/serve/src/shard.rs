@@ -27,25 +27,41 @@ pub struct RowOps {
     pub writes: u64,
     /// Rows erased.
     pub erases: u64,
+    /// Rows moved to another slot to make room for an insert, or by a
+    /// compaction: each is one more row write.
+    pub moves: u64,
 }
 
 impl RowOps {
-    /// One row written: what an insert or a replacement costs.
+    /// One row written, none moved: an insert beside a hole, or a
+    /// replacement.
     pub const WRITE: RowOps = RowOps {
         writes: 1,
         erases: 0,
+        moves: 0,
     };
 
-    /// One row erased: what a removal costs.
+    /// One row erased, none moved.
     pub const ERASE: RowOps = RowOps {
         writes: 0,
         erases: 1,
+        moves: 0,
     };
+
+    /// These operations plus `moves` moved rows.
+    #[must_use]
+    pub fn moving(self, moves: usize) -> RowOps {
+        RowOps {
+            moves: self.moves + moves as u64,
+            ..self
+        }
+    }
 
     /// Accumulates another count into this one.
     pub fn add(&mut self, other: RowOps) {
         self.writes += other.writes;
         self.erases += other.erases;
+        self.moves += other.moves;
     }
 }
 
@@ -54,7 +70,8 @@ impl RowOps {
 /// The set is **mutable**: [`insert`](Self::insert),
 /// [`remove`](Self::remove) and [`replace`](Self::replace) keep the table
 /// consistent with the logical rule map (the id → word `BTreeMap` held
-/// here is the source of truth), one row operation each. Rule ids are
+/// here is the source of truth), one row operation each plus the rows
+/// the table moved to make room or to compact. Rule ids are
 /// priorities (lower wins), matching the packed array's id-priority
 /// contract.
 #[derive(Debug, Clone)]
@@ -125,7 +142,8 @@ impl ShardedRuleSet {
         })
     }
 
-    /// Inserts a rule at priority `id`: one row written.
+    /// Inserts a rule at priority `id`: one row written, plus the rows
+    /// moved to bring a hole to its place.
     ///
     /// # Errors
     ///
@@ -135,18 +153,21 @@ impl ShardedRuleSet {
         if self.words.contains_key(&id) {
             return Err(ServeError::DuplicateRuleId { id });
         }
-        self.table.push(&word, id);
+        let moves = self.table.push(&word, id);
         self.words.insert(id, word);
-        Ok(RowOps::WRITE)
+        Ok(RowOps::WRITE.moving(moves))
     }
 
-    /// Removes the rule at priority `id` — one row erased — or returns
-    /// `None` when no such rule exists.
+    /// Removes the rule at priority `id` — one row erased, plus the rows a
+    /// compaction moved — or returns `None` when no such rule exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table lacks a rule the map holds (a bug).
     pub fn remove(&mut self, id: u32) -> Option<RowOps> {
         self.words.remove(&id)?;
-        let present = self.table.remove(id);
-        debug_assert!(present, "table missing rule {id}");
-        Some(RowOps::ERASE)
+        let moves = self.table.remove(id).expect("table holds every rule");
+        Some(RowOps::ERASE.moving(moves))
     }
 
     /// Replaces the word of rule `id` in place: one row written.
@@ -269,15 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn each_mutation_is_one_row_operation() {
-        let mut set = ShardedRuleSet::build(&words(&["1100", "XXXX"]), 0).unwrap();
+    fn each_mutation_is_one_row_operation_plus_the_rows_it_moves() {
         let word = |s| parse_ternary(s).unwrap();
-        assert_eq!(set.insert(5, word("0X11")), Ok(RowOps::WRITE));
-        assert_eq!(set.replace(0, word("1X00")), Ok(RowOps::WRITE));
-        assert_eq!(set.remove(1), Some(RowOps::ERASE));
-        assert_eq!(set.remove(1), None);
-        assert_eq!((set.rules(), set.table().len()), (2, 2));
-        assert_eq!(set.search(&word("1000")), Ok(Some(0)));
+        let mut set =
+            ShardedRuleSet::from_prioritized(&[(10, word("1100")), (20, word("XXXX"))], 0).unwrap();
+        // An append moves nothing; an insert at the front moves every row.
+        assert_eq!(set.insert(30, word("0X11")), Ok(RowOps::WRITE));
+        assert_eq!(set.insert(5, word("0X11")), Ok(RowOps::WRITE.moving(3)));
+        assert_eq!(set.replace(10, word("1X00")), Ok(RowOps::WRITE));
+        // A remove leaves a hole, and an insert beside it moves nothing.
+        assert_eq!(set.remove(20), Some(RowOps::ERASE));
+        assert_eq!(set.remove(20), None);
+        assert_eq!(set.insert(15, word("0000")), Ok(RowOps::WRITE));
+        assert_eq!((set.rules(), set.table().len()), (4, 4));
+        assert_eq!(set.search(&word("1000")), Ok(Some(10)));
         assert!(matches!(
             set.replace(9, word("0000")),
             Err(ServeError::UnknownRuleId { id: 9 })
@@ -286,6 +312,13 @@ mod tests {
             set.insert(5, word("0000")),
             Err(ServeError::DuplicateRuleId { id: 5 })
         ));
+        // Three holes beside one rule compact the table: rule 30 moves
+        // down three slots, one row move.
+        assert_eq!(set.remove(5), Some(RowOps::ERASE));
+        assert_eq!(set.remove(10), Some(RowOps::ERASE));
+        assert_eq!(set.remove(15), Some(RowOps::ERASE.moving(1)));
+        assert_eq!(set.table().slots(), 1);
+        assert_eq!(set.search(&word("0011")), Ok(Some(30)));
     }
 
     #[test]

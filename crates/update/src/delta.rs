@@ -15,6 +15,12 @@
 //! through [`OperationCosts`] — a NEM-relay row erase is physically a row
 //! write (the care mask is overwritten), so erases cost
 //! `write_latency`/`write_energy` too.
+//!
+//! The plan cannot know placement: an insert may also move rows to bring
+//! a hole of the table to its place, and a remove may compact the table
+//! (see [`tcam_arch::packed`]). The rule set's mutations count those
+//! moves, and [`Updater`](crate::publish::Updater) prices each as one
+//! more row write in the realized cost ([`DeltaCost::of`]).
 
 use crate::store::{stage, RuleChange};
 use tcam_arch::energy_model::OperationCosts;
@@ -32,10 +38,24 @@ pub struct DeltaCost {
     pub energy: f64,
 }
 
+impl DeltaCost {
+    /// What `ops` cost through `costs`: each write, erase and move is one
+    /// row write.
+    #[must_use]
+    pub fn of(ops: RowOps, costs: &OperationCosts) -> Self {
+        let rows = (ops.writes + ops.erases + ops.moves) as f64;
+        Self {
+            latency: rows * costs.write_latency,
+            energy: rows * costs.write_energy,
+        }
+    }
+}
+
 /// A compiled update batch: the physical work plan for one epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledDelta {
-    /// Row writes/erases of the whole batch.
+    /// Row writes/erases of the whole batch (no moves: placement is the
+    /// table's).
     pub total: RowOps,
     /// The plan priced through the cost model.
     pub cost: DeltaCost,
@@ -74,11 +94,7 @@ impl<'a> DeltaCompiler<'a> {
                 RowOps::ERASE
             });
         })?;
-        let ops = total.writes + total.erases;
-        let cost = DeltaCost {
-            latency: ops as f64 * self.costs.write_latency,
-            energy: ops as f64 * self.costs.write_energy,
-        };
+        let cost = DeltaCost::of(total, &self.costs);
         Ok(CompiledDelta { total, cost })
     }
 }
@@ -114,7 +130,14 @@ mod tests {
                 RuleChange::Remove { priority: 30 },
             ])
             .unwrap();
-        assert_eq!(delta.total, RowOps { writes: 1, erases: 1 });
+        assert_eq!(
+            delta.total,
+            RowOps {
+                writes: 1,
+                erases: 1,
+                moves: 0
+            }
+        );
         let costs = OperationCosts::paper_3t2n();
         assert!((delta.cost.latency - 2.0 * costs.write_latency).abs() < 1e-18);
         assert!((delta.cost.energy - 2.0 * costs.write_energy).abs() < 1e-24);
@@ -130,7 +153,7 @@ mod tests {
                 word: w("X111"),
             }])
             .unwrap();
-        assert_eq!(delta.total, RowOps { writes: 1, erases: 0 });
+        assert_eq!(delta.total, RowOps::WRITE);
     }
 
     #[test]
@@ -148,7 +171,14 @@ mod tests {
                 RuleChange::Remove { priority: 15 },
             ])
             .unwrap();
-        assert_eq!(delta.total, RowOps { writes: 1, erases: 1 });
+        assert_eq!(
+            delta.total,
+            RowOps {
+                writes: 1,
+                erases: 1,
+                moves: 0
+            }
+        );
         // Removing a priority twice in one batch must fail.
         assert_eq!(
             compiler.compile(&[

@@ -22,7 +22,8 @@
 //!   through [`OperationCosts`](tcam_arch::energy_model::OperationCosts).
 //! * [`publish::Updater`] — applies batches to a shadow
 //!   [`ShardedRuleSet`](tcam_serve::shard::ShardedRuleSet), cross-checks
-//!   realized row work against the compiled plan, and publishes
+//!   realized row work against the compiled plan, prices the rows the
+//!   table moved on top of it, and publishes
 //!   **epoch-tagged immutable snapshots** into a live
 //!   [`TcamService`](tcam_serve::service::TcamService) — whose lookups
 //!   each load one snapshot before they match, so no search ever
@@ -42,7 +43,7 @@
 //! let mut updater = Updater::new(store, 0, OperationCosts::paper_3t2n()).unwrap();
 //! let staged = updater.apply(&churn.next_batch(8)).unwrap();
 //! assert_eq!(staged.epoch, 1);
-//! assert_eq!(staged.realized, staged.planned.total);
+//! assert_eq!(staged.realized.writes + staged.realized.erases, 8);
 //! assert!(staged.planned.cost.energy > 0.0);
 //! ```
 

@@ -13,9 +13,10 @@
 //! [`Updater::apply`] stages one batch: it compiles the plan (by the same
 //! batch walk [`RuleStore::validate`] is — the
 //! `validate_and_compile_agree` property test), mutates the shadow one
-//! row operation per change, checks that the realized row work equals
-//! the plan, snapshots the shadow's table into a fresh `Arc`, and bumps
-//! the **epoch**.
+//! row operation per change, checks that the realized writes and erases
+//! equal the plan's, prices them with the rows the table moved (each
+//! move one more row write), snapshots the shadow's table into a fresh
+//! `Arc`, and bumps the **epoch**.
 //!
 //! [`Updater::publish`] then stores the current-epoch snapshot into the
 //! service's published cell
@@ -26,7 +27,7 @@
 //! against the updater's recorded history while checkers and the updater
 //! run concurrently.
 
-use crate::delta::{CompiledDelta, DeltaCompiler};
+use crate::delta::{CompiledDelta, DeltaCompiler, DeltaCost};
 use crate::store::{RuleChange, RuleStore};
 use std::sync::Arc;
 use tcam_arch::energy_model::OperationCosts;
@@ -43,9 +44,13 @@ pub struct StagedDelta {
     pub epoch: u64,
     /// The physical work plan the compiler produced.
     pub planned: CompiledDelta,
-    /// Row operations the shadow actually performed — checked equal to
-    /// `planned.total`.
+    /// Row operations the shadow actually performed: its writes and
+    /// erases are checked equal to `planned.total`'s, and its moves are
+    /// what the plan could not know.
     pub realized: RowOps,
+    /// `realized` priced through the cost model, each move one more row
+    /// write.
+    pub realized_cost: DeltaCost,
 }
 
 /// The serving stack's single writer: the shadow rule set and its
@@ -141,10 +146,11 @@ impl Updater {
     /// bump epoch.
     ///
     /// The plan counts one row operation per change and the shadow's
-    /// mutations perform one each, so the realized row work must equal
-    /// the plan; a mismatch means the shadow is not the rule set the batch
-    /// was compiled against — a bug — so it panics rather than serving
-    /// rules whose physical cost is misaccounted.
+    /// mutations perform one each, so the realized writes and erases must
+    /// equal the plan's; a mismatch means the shadow is not the rule set
+    /// the batch was compiled against — a bug — so it panics rather than
+    /// serving rules whose physical cost is misaccounted. The rows the
+    /// table moved on top are priced into `realized_cost`.
     ///
     /// # Errors
     ///
@@ -153,7 +159,7 @@ impl Updater {
     ///
     /// # Panics
     ///
-    /// Panics when the realized row operations differ from the plan.
+    /// Panics when the realized writes or erases differ from the plan's.
     pub fn apply(&mut self, batch: &[RuleChange]) -> Result<StagedDelta> {
         let _obs = tcam_obs::span!("update_apply");
         let planned = DeltaCompiler::new(&self.shadow, self.costs).compile(batch)?;
@@ -176,7 +182,11 @@ impl Updater {
             };
             realized.add(ops);
         }
-        assert_eq!(realized, planned.total, "shadow diverged from its plan");
+        assert_eq!(
+            (realized.writes, realized.erases),
+            (planned.total.writes, planned.total.erases),
+            "shadow diverged from its plan"
+        );
         // The shadow mutates in place; the snapshot handed to readers is a
         // fresh clone.
         self.table = Arc::new(self.shadow.table().clone());
@@ -189,6 +199,7 @@ impl Updater {
             epoch: self.epoch,
             planned,
             realized,
+            realized_cost: DeltaCost::of(realized, &self.costs),
         })
     }
 
@@ -243,8 +254,28 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(staged.epoch, 1);
-        assert_eq!(staged.realized, staged.planned.total);
-        assert_eq!(staged.realized, RowOps { writes: 1, erases: 1 });
+        // Priority 5 goes in front of all three rules, moving each; the
+        // remove leaves a hole.
+        assert_eq!(
+            staged.planned.total,
+            RowOps {
+                writes: 1,
+                erases: 1,
+                moves: 0
+            }
+        );
+        assert_eq!(
+            staged.realized,
+            RowOps {
+                writes: 1,
+                erases: 1,
+                moves: 3
+            }
+        );
+        let costs = OperationCosts::paper_3t2n();
+        assert_eq!(staged.planned.cost, DeltaCost::of(staged.planned.total, &costs));
+        assert!((staged.realized_cost.energy - 5.0 * costs.write_energy).abs() < 1e-24);
+        assert!((staged.realized_cost.latency - 5.0 * costs.write_latency).abs() < 1e-18);
         // The shadow answers with the new rules.
         assert_eq!(updater.snapshot().search(&w("1101")).unwrap(), Some(5));
         assert_eq!(updater.snapshot().search(&w("0000")).unwrap(), None);
@@ -363,7 +394,7 @@ mod tests {
     #[test]
     fn published_snapshots_are_id_ordered_after_churn() {
         let mut updater = seeded_updater();
-        // Removing priority 10 closes a hole ahead of later rows, 40 is
+        // Removing priority 10 leaves a hole ahead of later rows, 40 is
         // announced behind them and 15 between them: every published
         // snapshot must still come out id-ordered, which is what lets the
         // serving kernel stop at the first matching row.
@@ -381,7 +412,7 @@ mod tests {
             ])
             .unwrap();
         let table = &updater.table;
-        let ids: Vec<u32> = (0..table.len()).map(|i| table.row(i).unwrap().0).collect();
+        let ids: Vec<u32> = table.rows().map(|(id, _)| id).collect();
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "published table not id-ordered: {ids:?}"

@@ -162,9 +162,7 @@ impl RuleStore {
 
     /// Validates `batch` against the current state **without applying
     /// it** — exactly the checks [`Self::apply`] performs before its
-    /// commit phase. A durability layer calls this first, so a batch is
-    /// only written to the write-ahead log once it is certain to apply
-    /// (the WAL must never contain a record its own replay would reject).
+    /// commit phase.
     ///
     /// # Errors
     ///
@@ -188,7 +186,26 @@ impl RuleStore {
     /// empty batch is rejected as [`ServeError::EmptyRuleSet`] so version
     /// numbers always certify real mutations.
     pub fn apply(&mut self, batch: &[RuleChange]) -> Result<u64> {
+        self.apply_logged(batch, |_| Ok(()))
+    }
+
+    /// [`Self::apply`] with `log` run between the validation and the
+    /// commit, given the version the batch will commit as: a durability
+    /// layer appends its log record there, so a batch is validated once
+    /// and logged only when it is certain to apply (a write-ahead log
+    /// must never hold a record its own replay would reject). An error
+    /// from `log` is returned and commits nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::apply`], then `log`'s.
+    pub fn apply_logged<E: From<ServeError>>(
+        &mut self,
+        batch: &[RuleChange],
+        log: impl FnOnce(u64) -> std::result::Result<(), E>,
+    ) -> std::result::Result<u64, E> {
         self.validate(batch)?;
+        log(self.version + 1)?;
         // Commit: infallible after validation.
         for change in batch {
             match change {
@@ -396,6 +413,37 @@ mod tests {
             Err(ServeError::DuplicateRuleId { id: 1 })
         );
         assert_eq!(store.validate(&[]), Err(ServeError::EmptyRuleSet));
+    }
+
+    /// The log hook runs once, after validation and before the commit: a
+    /// batch that fails validation is never logged, and a failed log
+    /// commits nothing.
+    #[test]
+    fn apply_logged_logs_only_valid_batches_and_commits_only_logged_ones() {
+        let mut store = RuleStore::new(4);
+        let batch = [RuleChange::Insert {
+            priority: 1,
+            word: w("10XX"),
+        }];
+        let mut logged = Vec::new();
+        let refused = store.apply_logged(&[RuleChange::Remove { priority: 1 }], |v| {
+            logged.push(v);
+            Ok::<(), ServeError>(())
+        });
+        assert_eq!(refused, Err(ServeError::UnknownRuleId { id: 1 }));
+        let failed = store.apply_logged(&batch, |v| {
+            logged.push(v);
+            Err(ServeError::EmptyRuleSet)
+        });
+        assert_eq!(failed, Err(ServeError::EmptyRuleSet));
+        assert_eq!((store.len(), store.version()), (0, 0));
+        let applied = store.apply_logged(&batch, |v| {
+            logged.push(v);
+            Ok::<(), ServeError>(())
+        });
+        assert_eq!(applied, Ok(1));
+        assert_eq!(logged, [1, 1]);
+        assert_eq!(store.word(1), Some(w("10XX").as_slice()));
     }
 
     #[test]

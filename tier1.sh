@@ -23,9 +23,11 @@ cargo build --release --offline --workspace
 for example in quickstart search_waveform device_explorer ip_route_lookup acl_firewall refresh_interference; do
     cargo run --release --offline -q --example "$example" > /dev/null
 done
-# The match kernel's shift/carry and AND loops are property-tested a
-# second time as optimised code: that is the code stack_bench times and
-# the service runs, and overflow checks differ between the profiles.
+# The match kernel's AND loop and the table's hole paths (a remove
+# leaving a hole, a push filling one or carrying rows to the nearest one
+# across block edges, compaction) are property-tested a second time as
+# optimised code: that is the code stack_bench times and the service
+# runs, and overflow checks differ between the profiles.
 cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's load-once-before-the-match
 # rule and the refresh lock a lookup waits out are what optimised code can
