@@ -5,7 +5,11 @@
 //! collect with [`NetClient::recv_response`] — responses arrive in
 //! request order, each carrying the request id for pairing: the server
 //! answers a connection's requests one at a time, in the order they
-//! arrive. `stack_bench`'s wire phases drive exactly this loop. [`NetClient::lookup`] and
+//! arrive, and writes the replies to a burst it read whole in one write.
+//! The client reads them through one 64 KiB buffer on its one socket
+//! (requests are written straight to that socket), so a burst's replies
+//! cost about one `read(2)`, not two per reply. `stack_bench`'s wire
+//! phases drive exactly this loop. [`NetClient::lookup`] and
 //! [`NetClient::ping`] check that the response they read carries their
 //! own request id, so one called with responses still outstanding fails
 //! instead of taking another request's reply.
@@ -23,7 +27,7 @@ use crate::error::{NetError, Result};
 use crate::wire::{
     self, needs_wide_limbs, LookupResponse, Status, OP_PING, RESP_FLAG_TRACED, WIRE_VERSION,
 };
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 use tcam_arch::packed::PackedWord;
@@ -32,7 +36,9 @@ use tcam_obs::trace::{next_trace_id, TraceContext};
 
 /// A connection to a [`NetServer`](crate::server::NetServer).
 pub struct NetClient {
-    stream: TcpStream,
+    /// The connection: responses are read through the buffer, requests
+    /// written to [`BufReader::get_ref`].
+    reader: BufReader<TcpStream>,
     frame: Vec<u8>,
     next_id: u32,
     /// 0 = tracing off; N = attach a context to every lookup, sampled
@@ -55,7 +61,7 @@ impl NetClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self {
-            stream,
+            reader: BufReader::with_capacity(wire::READ_BUFFER_BYTES, stream),
             frame: Vec::new(),
             next_id: 1,
             trace_every: 0,
@@ -86,7 +92,7 @@ impl NetClient {
     ///
     /// Socket option I/O errors.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
-        self.stream.set_read_timeout(timeout)?;
+        self.reader.get_ref().set_read_timeout(timeout)?;
         Ok(())
     }
 
@@ -123,7 +129,7 @@ impl NetClient {
             needs_wide_limbs(keys),
             trace,
         );
-        self.stream.write_all(&self.frame)?;
+        self.reader.get_ref().write_all(&self.frame)?;
         Ok(id)
     }
 
@@ -150,7 +156,7 @@ impl NetClient {
     /// I/O errors, or [`NetError::Wire`] on a malformed frame / closed
     /// stream mid-frame.
     pub fn recv_response(&mut self) -> Result<LookupResponse> {
-        let payload = wire::read_frame(&mut self.stream)?
+        let payload = wire::read_frame(&mut self.reader)?
             .ok_or_else(|| NetError::Wire("server closed the connection".into()))?;
         wire::decode_lookup_response(&payload)
     }
@@ -237,7 +243,7 @@ impl NetClient {
         self.frame.extend_from_slice(&id.to_le_bytes());
         self.frame.extend_from_slice(&[2, 0]); // limbs, reserved
         self.frame.extend_from_slice(&0u16.to_le_bytes());
-        self.stream.write_all(&self.frame)?;
+        self.reader.get_ref().write_all(&self.frame)?;
         Ok(id)
     }
 

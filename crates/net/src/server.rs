@@ -8,40 +8,53 @@
 //! connections are live it stops accepting: further sockets wait in the
 //! kernel's listen backlog until a connection closes.
 //!
-//! Each connection runs **one thread**. It decodes a request, matches a
-//! lookup itself against the namespace's published snapshot
-//! ([`submit_traced`](crate::node::NamespaceGroup::submit_traced)),
-//! encodes the reply and writes it before it decodes the next, so
-//! replies leave in request order and every reply is known where it is
-//! written. A request costs no thread hand-off; overload is plain TCP
-//! backpressure on the connection, and a peer that stops reading is cut
-//! off by [`ServerConfig::write_timeout`].
+//! Each connection runs **one thread**. It reads frames through one
+//! 64 KiB [`BufReader`], so a burst of pipelined frames costs one
+//! `read(2)`, not two per frame. It decodes a request, matches a lookup
+//! itself against the namespace's published snapshot
+//! ([`submit_traced`](crate::node::NamespaceGroup::submit_traced)) and
+//! encodes the reply into the connection's out-buffer before it decodes
+//! the next, so replies leave in request order and every reply is known
+//! where it is encoded. The out-buffer is **held** only while the read
+//! buffer already holds the whole next request frame (length prefix and
+//! payload); otherwise it is written at once. A burst's replies
+//! therefore leave in one `write(2)`, a lone request is answered before
+//! the thread reads again, and no reply waits behind a frame that has
+//! not fully arrived. Memory per connection is the read buffer plus the
+//! held replies. Those answer requests read from at most two fills of
+//! the buffer (the first may straddle a refill), and no reply is longer
+//! than 22⁄12 of its request frame, so the out-buffer stays under 4 ×
+//! the read buffer. A request costs no thread hand-off; overload is
+//! plain TCP backpressure on the connection, and a peer that stops
+//! reading is cut off by [`ServerConfig::write_timeout`].
 //!
 //! # Graceful shutdown
 //!
 //! [`NetServer::shutdown`] flips a flag: the accept loop returns, which
 //! closes the listener and drops any socket still in its backlog;
-//! connections (which poll with a read timeout) stop decoding — every
-//! request they decoded has been answered — and the server joins all
-//! threads before returning.
+//! connections (which poll with a read timeout) stop decoding, write
+//! the replies they hold — every request they decoded has been answered
+//! — and half-close, so the peer reads those replies and then a clean
+//! end of stream; the server joins all threads before returning.
 //!
 //! # Observability
 //!
 //! A request whose frame carries a **sampled** trace context gets a
 //! [`RequestTrace`] collector and records three top-level hops:
 //! `net_decode`, `serve_match` and `net_write`, which spans the reply's
-//! encode and its write. The connection finishes the trace; the hops tile
+//! encode and its write (for a held reply, the hold too). The connection
+//! finishes the trace once the reply's bytes are written; the hops tile
 //! the request's wall clock from frame receipt to response write. Every
 //! answered request (traced or not) feeds the `net_request` SLO tracker
-//! with its receipt-to-write latency.
+//! with its receipt-to-write latency, taken at that same write.
 
 use crate::error::{NetError, Result};
 use crate::node::TcamNode;
 use crate::wire::{
     self, Status, MAX_KEYS_PER_REQUEST, OP_LOOKUP, OP_PING, RESP_FLAG_TRACED, WIRE_VERSION,
 };
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -58,10 +71,12 @@ pub struct ServerConfig {
     /// the listen backlog until one closes.
     pub max_connections: usize,
     /// No longer limits anything: a connection answers each request
-    /// before it decodes the next, so at most one is in flight on the
-    /// server side and further pipelined requests wait in the socket
-    /// (TCP backpressure). Kept so configurations that set it still
-    /// build.
+    /// before it decodes the next, and holds the encoded replies only
+    /// while its 64 KiB read buffer holds the whole next request, so
+    /// memory per connection is that buffer plus the replies to the
+    /// requests it held, and further pipelined requests wait in the
+    /// socket (TCP backpressure). Kept so configurations that set it
+    /// still build.
     pub inflight_per_connection: usize,
     /// Read-poll granularity: how quickly an idle connection notices
     /// shutdown.
@@ -278,16 +293,30 @@ fn start_connection(stream: TcpStream, shared: &Arc<Shared>) {
         .push(handle);
 }
 
-/// Decodes frames and answers each before the next until EOF, a protocol
-/// violation, a failed write, or shutdown. Returns when the connection
-/// should close.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    let mut frame = Vec::new();
+/// Reads frames through one buffer and answers each until EOF, a
+/// protocol violation, a failed write, or shutdown; every exit writes
+/// the replies still held.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
+    let mut reader = BufReader::with_capacity(wire::READ_BUFFER_BYTES, &stream);
+    let mut out = OutBuffer::default();
+    serve_frames(&mut reader, &mut out, shared);
+    out.write(&stream);
+    // End the reply stream with a FIN before the close: closing with
+    // request bytes still unread makes the kernel reset the connection,
+    // and a peer that already has the FIN reads every reply and then a
+    // clean end of stream.
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// Decodes frames and answers each before the next. Returns when the
+/// connection should close, leaving the caller to write what `out`
+/// holds.
+fn serve_frames(reader: &mut BufReader<&TcpStream>, out: &mut OutBuffer, shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return; // graceful: every decoded request is answered
         }
-        let payload = match wire::read_frame(&mut stream) {
+        let payload = match wire::read_frame(reader) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean EOF between frames
             Err(NetError::Io(e))
@@ -319,8 +348,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         if payload[0] != WIRE_VERSION {
             // Answer so the peer can diagnose, then close: nothing else
             // in this stream will parse.
-            let reply = immediate(OP_LOOKUP, Status::UnsupportedVersion);
-            write_reply(&stream, &mut frame, reply);
+            out.push(immediate(OP_LOOKUP, Status::UnsupportedVersion));
             return;
         }
         let reply = match opcode {
@@ -355,10 +383,22 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             _ => immediate(OP_LOOKUP, Status::BadRequest),
         };
         tcam_obs::counter_add("net_requests", 1);
-        if !write_reply(&stream, &mut frame, reply) {
+        out.push(reply);
+        // Hold the replies only while the next request is here whole:
+        // reading it then costs no `read(2)` and cannot wait on the peer.
+        if !holds_whole_frame(reader.buffer()) && !out.write(reader.get_ref()) {
             return; // peer hung up mid-write
         }
     }
+}
+
+/// Whether `buffered` starts with a whole frame: the length prefix and
+/// all the payload it announces.
+fn holds_whole_frame(buffered: &[u8]) -> bool {
+    buffered.get(..4).is_some_and(|prefix| {
+        let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]);
+        usize::try_from(len).is_ok_and(|len| buffered.len() - 4 >= len)
+    })
 }
 
 /// Answers one decoded lookup, mapping every failure to its wire status.
@@ -396,54 +436,100 @@ fn status_label(status: Status) -> &'static str {
     }
 }
 
-/// Encodes one reply and writes it; `false` when the write failed.
-fn write_reply(mut stream: &TcpStream, frame: &mut Vec<u8>, reply: Reply) -> bool {
-    let t0 = Instant::now();
-    let status = match reply.outcome {
-        Outcome::Lookup(epoch, results) => {
-            tcam_obs::counter_add("net_lookups", results.len() as u64);
-            let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
-            wire::encode_response_flagged(
-                frame,
-                OP_LOOKUP,
-                Status::Ok,
-                reply.request_id,
-                epoch,
-                &results,
-                flags,
+/// Replies encoded but not yet written, and what each still owes its
+/// trace and the SLO once its bytes are out.
+#[derive(Default)]
+struct OutBuffer {
+    /// The encoded frames, in request order.
+    bytes: Vec<u8>,
+    /// One reply's encoding, appended to `bytes`.
+    frame: Vec<u8>,
+    held: Vec<Held>,
+}
+
+/// What a held reply records when it is written.
+struct Held {
+    status: Status,
+    received: Instant,
+    answered: Instant,
+    /// When its encode began (`net_request_ns` spans encode to write).
+    encoded: Instant,
+    trace: Option<Arc<RequestTrace>>,
+}
+
+impl OutBuffer {
+    /// Encodes one reply behind those already held.
+    fn push(&mut self, reply: Reply) {
+        let encoded = Instant::now();
+        let frame = &mut self.frame;
+        let status = match reply.outcome {
+            Outcome::Lookup(epoch, results) => {
+                tcam_obs::counter_add("net_lookups", results.len() as u64);
+                let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
+                wire::encode_response_flagged(
+                    frame,
+                    OP_LOOKUP,
+                    Status::Ok,
+                    reply.request_id,
+                    epoch,
+                    &results,
+                    flags,
+                );
+                Status::Ok
+            }
+            Outcome::Immediate(status) => {
+                wire::encode_response(frame, reply.opcode, status, reply.request_id, 0, &[]);
+                status
+            }
+            Outcome::Pong => {
+                wire::encode_response(frame, OP_PING, Status::Ok, reply.request_id, 0, &[]);
+                Status::Ok
+            }
+        };
+        self.bytes.extend_from_slice(frame);
+        self.held.push(Held {
+            status,
+            received: reply.received,
+            answered: reply.answered,
+            encoded,
+            trace: reply.trace,
+        });
+    }
+
+    /// Writes every held reply in one `write_all`, then closes each one's
+    /// trace and scores it; `false` when the write failed.
+    fn write(&mut self, mut stream: &TcpStream) -> bool {
+        if self.held.is_empty() {
+            return true;
+        }
+        let written = stream.write_all(&self.bytes).is_ok();
+        self.bytes.clear();
+        if !written {
+            self.held.clear(); // the peer hung up: none of them was answered
+            return false;
+        }
+        let done = Instant::now();
+        for reply in self.held.drain(..) {
+            if let Some(trace) = &reply.trace {
+                // `net_write` spans the encode, the hold and the write: it
+                // opens where the answer became known.
+                trace.hop("net_write", reply.answered, done);
+                let _ = trace.finish(status_label(reply.status), done);
+            }
+            // Every answered request feeds the wire-plane SLO: wall clock
+            // from frame receipt to response written, non-OK counts
+            // against the error budget.
+            tcam_obs::slo_record(
+                u64::try_from(done.saturating_duration_since(reply.received).as_nanos())
+                    .unwrap_or(u64::MAX),
+                reply.status == Status::Ok,
             );
-            Status::Ok
+            tcam_obs::hist_record(
+                "net_request_ns",
+                u64::try_from(done.saturating_duration_since(reply.encoded).as_nanos())
+                    .unwrap_or(u64::MAX),
+            );
         }
-        Outcome::Immediate(status) => {
-            wire::encode_response(frame, reply.opcode, status, reply.request_id, 0, &[]);
-            status
-        }
-        Outcome::Pong => {
-            wire::encode_response(frame, OP_PING, Status::Ok, reply.request_id, 0, &[]);
-            Status::Ok
-        }
-    };
-    if stream.write_all(frame).is_err() {
-        return false;
+        true
     }
-    let done = Instant::now();
-    if let Some(trace) = &reply.trace {
-        // `net_write` spans the encode and the write: it opens where the
-        // answer became known.
-        trace.hop("net_write", reply.answered, done);
-        let _ = trace.finish(status_label(status), done);
-    }
-    // Every answered request feeds the wire-plane SLO: wall clock from
-    // frame receipt to response written, non-OK counts against the error
-    // budget.
-    tcam_obs::slo_record(
-        u64::try_from(done.saturating_duration_since(reply.received).as_nanos())
-            .unwrap_or(u64::MAX),
-        status == Status::Ok,
-    );
-    tcam_obs::hist_record(
-        "net_request_ns",
-        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    );
-    true
 }

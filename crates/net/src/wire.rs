@@ -93,6 +93,12 @@ pub const NO_MATCH: u32 = u32::MAX;
 /// timeout never surface `WouldBlock`, so they are unaffected.
 pub const MAX_MID_FRAME_STALLS: u32 = 200;
 
+/// Capacity of the read buffer each server connection and each
+/// [`NetClient`](crate::client::NetClient) reads frames through: a burst
+/// of pipelined frames (16 of 64 keys is ≈ 17 KiB of requests, ≈ 4.4 KiB
+/// of replies) arrives in one `read(2)` instead of two per frame.
+pub(crate) const READ_BUFFER_BYTES: usize = 64 << 10;
+
 /// Response status codes. `Overloaded` stays in the protocol (a client
 /// must still decode it) though this crate's server no longer sends it:
 /// overload there is TCP backpressure.

@@ -14,7 +14,7 @@ use tcam_core::bit::{parse_ternary, TernaryBit};
 use tcam_net::client::NetClient;
 use tcam_net::node::{NodeConfig, TcamNode};
 use tcam_net::server::{NetServer, ServerConfig};
-use tcam_net::wire::Status;
+use tcam_net::wire::{self, LookupResponse, Status, OP_PING, WIRE_VERSION};
 use tcam_net::NetError;
 use tcam_serve::service::ServiceConfig;
 use tcam_serve::shard::ShardedRuleSet;
@@ -312,24 +312,197 @@ fn replies_keep_request_order() {
         for (id, want) in sent {
             let resp = client.recv_response().unwrap();
             assert_eq!(resp.request_id, id, "out of order");
-            match want {
-                Want::Lookup(results) => {
-                    assert_eq!((resp.status, resp.epoch), (Status::Ok, 1));
-                    assert_eq!(resp.results, results);
-                }
-                Want::Pong => {
-                    assert_eq!(resp.status, Status::Ok);
-                    assert!(resp.results.is_empty());
-                }
-                Want::Status(status) => {
-                    assert_eq!(resp.status, status);
-                    assert!(resp.results.is_empty());
-                }
-            }
+            assert_answers(&resp, want);
         }
     }
     server.shutdown();
     node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Checks one reply against what its request must get.
+fn assert_answers(resp: &LookupResponse, want: Want) {
+    match want {
+        Want::Lookup(results) => {
+            assert_eq!((resp.status, resp.epoch), (Status::Ok, 1));
+            assert_eq!(resp.results, results);
+        }
+        Want::Pong => {
+            assert_eq!(resp.status, Status::Ok);
+            assert!(resp.results.is_empty());
+        }
+        Want::Status(status) => {
+            assert_eq!(resp.status, status);
+            assert!(resp.results.is_empty());
+        }
+    }
+}
+
+/// A lookup frame as `NetClient` sends it, untraced.
+fn lookup_frame(namespace: u16, request_id: u32, keys: &[PackedWord]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    wire::encode_lookup_request(&mut frame, namespace, request_id, keys, false);
+    frame
+}
+
+/// A ping frame: the 12-byte request header with a zero key count.
+fn ping_frame(request_id: u32) -> Vec<u8> {
+    let mut frame = 12u32.to_le_bytes().to_vec();
+    frame.extend_from_slice(&[WIRE_VERSION, OP_PING]);
+    frame.extend_from_slice(&0u16.to_le_bytes());
+    frame.extend_from_slice(&request_id.to_le_bytes());
+    frame.extend_from_slice(&[2, 0]);
+    frame.extend_from_slice(&0u16.to_le_bytes());
+    frame
+}
+
+/// Reads and decodes the next reply on a raw connection.
+fn read_reply(stream: &mut TcpStream) -> LookupResponse {
+    let payload = wire::read_frame(stream)
+        .unwrap()
+        .expect("a reply, not the end of the stream");
+    wire::decode_lookup_response(&payload).unwrap()
+}
+
+/// The server holds a reply only while the whole next frame is already in
+/// its read buffer. With one lookup and part of the next sent in one
+/// write, the first reply arrives before the rest is sent, whether the
+/// part ends inside the next frame's length prefix or inside its payload.
+#[test]
+fn a_partial_next_frame_holds_no_reply() {
+    let dir = tmpdir("partial");
+    let node = quiet_node(&dir);
+    let rules = seed_lpm(&node);
+    let reference = reference_of(&rules);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let ternary: Vec<Vec<TernaryBit>> = (0..8u64).map(|v| prefix_word(v * 32, 8, 8)).collect();
+    let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
+    let want: Vec<Option<u32>> = ternary.iter().map(|k| reference.search(k).unwrap()).collect();
+    // 2 bytes: inside the length prefix; 4 + 12 + 64: inside the keys.
+    for (round, split) in [2usize, 80].into_iter().enumerate() {
+        let id = 2 * u32::try_from(round).unwrap();
+        let mut bytes = lookup_frame(0, id, &keys);
+        let next = lookup_frame(0, id + 1, &keys);
+        bytes.extend_from_slice(&next[..split]);
+        stream.write_all(&bytes).unwrap();
+        let payload = match wire::read_frame(&mut stream) {
+            Ok(Some(payload)) => payload,
+            other => panic!("reply {id} waited behind a partial frame: {other:?}"),
+        };
+        let first = wire::decode_lookup_response(&payload).unwrap();
+        assert_eq!(first.request_id, id);
+        assert_answers(&first, Want::Lookup(want.clone()));
+        stream.write_all(&next[split..]).unwrap();
+        let second = read_reply(&mut stream);
+        assert_eq!(second.request_id, id + 1);
+        assert_answers(&second, Want::Lookup(want.clone()));
+    }
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// 32 frames in one write — lookups, pings and unknown-namespace lookups
+/// — reach the server's read buffer together; their replies, held and
+/// written together, come back in request order with the oracle's
+/// results.
+#[test]
+fn one_write_of_mixed_frames_gets_every_reply_in_order() {
+    let dir = tmpdir("burst");
+    let node = quiet_node(&dir);
+    let rules = seed_lpm(&node);
+    let reference = reference_of(&rules);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let keys: Vec<Vec<TernaryBit>> = (0..=255u64).map(|v| prefix_word(v, 8, 8)).collect();
+    let mut burst = Vec::new();
+    let mut wants = Vec::new();
+    for id in 0..32u32 {
+        let chunk = &keys[id as usize * 7 % 224..][..32];
+        let packed: Vec<PackedWord> = chunk.iter().map(|k| PackedWord::pack(k)).collect();
+        let (frame, want) = match id % 3 {
+            0 => (
+                lookup_frame(0, id, &packed),
+                Want::Lookup(chunk.iter().map(|k| reference.search(k).unwrap()).collect()),
+            ),
+            1 => (ping_frame(id), Want::Pong),
+            _ => (
+                lookup_frame(42, id, &packed),
+                Want::Status(Status::UnknownNamespace),
+            ),
+        };
+        burst.extend_from_slice(&frame);
+        wants.push(want);
+    }
+    stream.write_all(&burst).unwrap();
+    for (id, want) in (0u32..).zip(wants) {
+        let resp = read_reply(&mut stream);
+        assert_eq!(resp.request_id, id, "out of order");
+        assert_answers(&resp, want);
+    }
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Shutdown while replies are held: 8 lookups sent in one write, then
+/// `shutdown()`. The replies that arrive are whole and in order, the
+/// stream then ends in a clean EOF at a frame boundary — also when the
+/// connection saw the flag before it read the burst and so closed with
+/// bytes unread — and every lookup the table matched was answered.
+#[test]
+fn shutdown_writes_held_replies_and_ends_in_a_clean_eof() {
+    let dir = tmpdir("drain-held");
+    let node = quiet_node(&dir);
+    let rules = seed_lpm(&node);
+    let reference = reference_of(&rules);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // A pong first: the connection is being served.
+    stream.write_all(&ping_frame(0)).unwrap();
+    assert_answers(&read_reply(&mut stream), Want::Pong);
+    let ternary: Vec<Vec<TernaryBit>> = (0..16u64).map(|v| prefix_word(v * 16, 8, 8)).collect();
+    let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
+    let want: Vec<Option<u32>> = ternary.iter().map(|k| reference.search(k).unwrap()).collect();
+    let burst: Vec<u8> = (1..=8).flat_map(|id| lookup_frame(0, id, &keys)).collect();
+    stream.write_all(&burst).unwrap();
+    server.shutdown();
+    let mut answered = 0u32;
+    loop {
+        match wire::read_frame(&mut stream) {
+            Ok(Some(payload)) => {
+                let resp = wire::decode_lookup_response(&payload).unwrap();
+                answered += 1;
+                assert_eq!(resp.request_id, answered, "out of order");
+                assert_answers(&resp, Want::Lookup(want.clone()));
+            }
+            Ok(None) => break,
+            Err(e) => panic!("the stream broke after {answered} replies: {e}"),
+        }
+    }
+    assert!(answered <= 8);
+    let matched = node
+        .shutdown()
+        .remove(0)
+        .1
+        .expect("no connection holds the group")
+        .stats
+        .batches;
+    assert_eq!(
+        u64::from(answered),
+        matched,
+        "a lookup the table matched went unanswered"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -9,12 +9,16 @@
 //!   flagged (over-long) frame with `BadRequest`; the client falls back
 //!   untraced once, learns `peer_traces = Some(false)`, and never sends
 //!   the extension again on that connection — lookups keep working.
+//! * Held replies: a burst sent in one write is answered in one write,
+//!   yet every sampled request still records its three hops and every
+//!   request scores the SLO once, when its reply is written.
 //! * Codec property sweep: for random key batches, the traced encoding
 //!   is the untraced encoding plus exactly the flag bit and the trailing
 //!   16 context bytes, and both decode to the same request modulo
 //!   `trace`.
 
-use std::net::TcpListener;
+use std::io::Write as _;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -262,6 +266,100 @@ fn sampled_spans_cover_the_request_and_a_wal_fault_leaves_a_parsable_dump() {
         "the dump holds the history that led to the rollback"
     );
 
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Replies to a burst are held and written together, and each is traced
+/// and scored at that write: 24 lookups sent in one write (a third
+/// sampled, a third with an unsampled context, a third to an unknown
+/// namespace) leave one record per sampled request whose hops tile as
+/// `net_decode` → `serve_match` → `net_write`, and every answered request
+/// scores the `net_request` SLO exactly once.
+#[test]
+fn held_replies_are_traced_and_scored_once_when_written() {
+    const REQUESTS: u32 = 24;
+    let _g = lock();
+    let dir = tmpdir("held");
+    let node = quiet_node(&dir);
+    seed_lpm(&node);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    tcam_obs::trace_store_reset();
+    tcam_obs::slo_reset();
+
+    let keys: Vec<PackedWord> = (0..64u64)
+        .map(|v| PackedWord::pack(&prefix_word(v * 4, 8, 8)))
+        .collect();
+    let mut burst = Vec::new();
+    let mut frame = Vec::new();
+    let mut sampled = Vec::new();
+    for id in 0..REQUESTS {
+        let trace_id = next_trace_id();
+        let (namespace, ctx) = match id % 3 {
+            0 => {
+                sampled.push(trace_id);
+                (0, Some(TraceContext::sampled(trace_id)))
+            }
+            1 => (0, Some(TraceContext::unsampled(trace_id))),
+            _ => (42, None),
+        };
+        wire::encode_lookup_request_traced(&mut frame, namespace, id, &keys, false, ctx.as_ref());
+        burst.extend_from_slice(&frame);
+    }
+    stream.write_all(&burst).unwrap();
+    for id in 0..REQUESTS {
+        let payload = wire::read_frame(&mut stream).unwrap().expect("a reply");
+        let resp = wire::decode_lookup_response(&payload).unwrap();
+        assert_eq!(resp.request_id, id, "out of order");
+        let status = if id % 3 == 2 {
+            Status::UnknownNamespace
+        } else {
+            Status::Ok
+        };
+        assert_eq!(resp.status, status);
+        assert_eq!(resp.flags & RESP_FLAG_TRACED != 0, id % 3 == 0);
+    }
+    drop(stream);
+    // Joining the connection finishes every record and every score.
+    server.shutdown();
+
+    let mut covers = Vec::new();
+    for trace_id in &sampled {
+        let record = trace_lookup(*trace_id).expect("every sampled request leaves a record");
+        let top: Vec<&str> = record
+            .top_level()
+            .into_iter()
+            .map(|i| record.hops[i].name)
+            .collect();
+        assert_eq!(
+            top,
+            ["net_decode", "serve_match", "net_write"],
+            "a held reply's timeline lost a stage: {}",
+            record.to_json()
+        );
+        covers.push(record.cover_pct());
+    }
+    assert_eq!(
+        tcam_obs::trace_recent(usize::try_from(REQUESTS).unwrap()).len(),
+        sampled.len(),
+        "only sampled requests leave a record"
+    );
+    covers.sort_by(f64::total_cmp);
+    let median = covers[covers.len() / 2];
+    assert!(median >= 90.0, "held replies' hops cover only {median:.1}%");
+    let window = tcam_obs::slo_report()
+        .into_iter()
+        .find(|w| w.secs == 60)
+        .expect("the SLO reports a 60 s window");
+    assert_eq!(
+        (window.total, window.errors),
+        (u64::from(REQUESTS), u64::from(REQUESTS / 3)),
+        "each answered request scores the SLO once: {window:?}"
+    );
     node.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
