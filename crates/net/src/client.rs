@@ -6,9 +6,19 @@
 //! request order, each carrying the request id for pairing: the server
 //! answers a connection's requests one at a time, in the order they
 //! arrive, and writes the replies to a burst it read whole in one write.
-//! The client reads them through one 64 KiB buffer on its one socket
-//! (requests are written straight to that socket), so a burst's replies
-//! cost about one `read(2)`, not two per reply. `stack_bench`'s wire
+//!
+//! **The request queue.** A send does not write: it encodes the request
+//! and appends it to the client's queue. [`NetClient::recv_response`]
+//! writes the whole queue with one `write(2)` before it reads, so a
+//! burst of pipelined requests leaves in one write and its replies,
+//! read through one 64 KiB buffer on the same socket, come back in about
+//! one `read(2)`. A depth-1 [`NetClient::lookup`] or [`NetClient::ping`]
+//! is a send and a receive, so it still costs one write. A send writes
+//! the queue first when its frame would take the queue past 64 KiB (the
+//! server's read buffer), so a queue never holds more than one server
+//! read's worth of requests (a lone frame larger than that is queued
+//! alone). [`NetClient::flush`] writes the queue without reading;
+//! dropping a client discards its queue unwritten. `stack_bench`'s wire
 //! phases drive exactly this loop. [`NetClient::lookup`] and
 //! [`NetClient::ping`] check that the response they read carries their
 //! own request id, so one called with responses still outstanding fails
@@ -25,7 +35,7 @@
 
 use crate::error::{NetError, Result};
 use crate::wire::{
-    self, needs_wide_limbs, LookupResponse, Status, OP_PING, RESP_FLAG_TRACED, WIRE_VERSION,
+    self, needs_wide_limbs, LookupResponse, Status, MAX_KEYS_PER_REQUEST, RESP_FLAG_TRACED,
 };
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
@@ -35,10 +45,17 @@ use tcam_core::bit::TernaryBit;
 use tcam_obs::trace::{next_trace_id, TraceContext};
 
 /// A connection to a [`NetServer`](crate::server::NetServer).
+///
+/// Dropping a client closes the connection and discards any queued
+/// request unwritten: call [`Self::flush`] first to send them.
 pub struct NetClient {
     /// The connection: responses are read through the buffer, requests
     /// written to [`BufReader::get_ref`].
     reader: BufReader<TcpStream>,
+    /// Encoded requests not yet written, in send order; at most
+    /// [`wire::READ_BUFFER_BYTES`] unless it holds one larger frame.
+    queue: Vec<u8>,
+    /// The request being encoded, before it joins the queue.
     frame: Vec<u8>,
     next_id: u32,
     /// 0 = tracing off; N = attach a context to every lookup, sampled
@@ -62,6 +79,7 @@ impl NetClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             reader: BufReader::with_capacity(wire::READ_BUFFER_BYTES, stream),
+            queue: Vec::with_capacity(wire::READ_BUFFER_BYTES),
             frame: Vec::new(),
             next_id: 1,
             trace_every: 0,
@@ -96,29 +114,39 @@ impl NetClient {
         Ok(())
     }
 
-    /// Sends one lookup request without waiting; returns its request id.
-    /// Collect responses in order with [`Self::recv_response`].
+    /// Queues one lookup request without waiting; returns its request
+    /// id. Collect responses in order with [`Self::recv_response`], which
+    /// writes the queue first.
     ///
     /// # Errors
     ///
-    /// Send I/O errors.
+    /// [`NetError::Wire`] when `keys` holds more than
+    /// [`MAX_KEYS_PER_REQUEST`] keys (nothing is queued); write I/O errors
+    /// when this frame would take the queue past its bound and writing
+    /// the queue fails (the queue is then discarded).
     pub fn send_lookup(&mut self, namespace: u16, keys: &[PackedWord]) -> Result<u32> {
         let trace = self.next_trace_context();
         self.send_lookup_traced(namespace, keys, trace.as_ref())
     }
 
-    /// Sends one lookup with an explicit trace context (or none),
+    /// Queues one lookup with an explicit trace context (or none),
     /// bypassing the sampling policy. Returns the request id.
     ///
     /// # Errors
     ///
-    /// Send I/O errors.
+    /// As [`Self::send_lookup`].
     pub fn send_lookup_traced(
         &mut self,
         namespace: u16,
         keys: &[PackedWord],
         trace: Option<&TraceContext>,
     ) -> Result<u32> {
+        if keys.len() > MAX_KEYS_PER_REQUEST {
+            return Err(NetError::Wire(format!(
+                "{} keys exceed the {MAX_KEYS_PER_REQUEST}-key request limit",
+                keys.len()
+            )));
+        }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         wire::encode_lookup_request_traced(
@@ -129,8 +157,36 @@ impl NetClient {
             needs_wide_limbs(keys),
             trace,
         );
-        self.reader.get_ref().write_all(&self.frame)?;
+        self.enqueue()?;
         Ok(id)
+    }
+
+    /// Appends the encoded frame to the queue, writing the queue first
+    /// when the frame would take it past [`wire::READ_BUFFER_BYTES`].
+    fn enqueue(&mut self) -> Result<()> {
+        if self.queue.len() + self.frame.len() > wire::READ_BUFFER_BYTES {
+            self.flush()?;
+        }
+        self.queue.extend_from_slice(&self.frame);
+        Ok(())
+    }
+
+    /// Writes every queued request in one `write_all`, without reading.
+    /// [`Self::recv_response`] does this itself; call it directly when
+    /// replies are collected some other way, or before dropping a client
+    /// whose requests must still reach the server.
+    ///
+    /// # Errors
+    ///
+    /// Write I/O errors. The queue is emptied either way; after a failed
+    /// write the connection is unusable.
+    pub fn flush(&mut self) -> Result<()> {
+        if self.queue.is_empty() {
+            return Ok(());
+        }
+        let written = self.reader.get_ref().write_all(&self.queue);
+        self.queue.clear();
+        Ok(written?)
     }
 
     /// The context the sampling policy attaches to the next lookup, if
@@ -149,13 +205,15 @@ impl NetClient {
         })
     }
 
-    /// Receives the next response (they arrive in request order).
+    /// Writes the queued requests, then receives the next response
+    /// (they arrive in request order).
     ///
     /// # Errors
     ///
-    /// I/O errors, or [`NetError::Wire`] on a malformed frame / closed
-    /// stream mid-frame.
+    /// Write or read I/O errors, or [`NetError::Wire`] on a malformed
+    /// frame / closed stream mid-frame.
     pub fn recv_response(&mut self) -> Result<LookupResponse> {
+        self.flush()?;
         let payload = wire::read_frame(&mut self.reader)?
             .ok_or_else(|| NetError::Wire("server closed the connection".into()))?;
         wire::decode_lookup_response(&payload)
@@ -183,8 +241,9 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// I/O or wire errors, or the server's status (`UnknownNamespace`,
-    /// `WidthMismatch`, …).
+    /// I/O or wire errors — [`NetError::Wire`], with nothing sent, when
+    /// `keys` holds more than [`MAX_KEYS_PER_REQUEST`] keys — or the
+    /// server's status (`UnknownNamespace`, `WidthMismatch`, …).
     pub fn lookup(
         &mut self,
         namespace: u16,
@@ -224,26 +283,19 @@ impl NetClient {
         self.lookup(namespace, &packed)
     }
 
-    /// Sends one ping without waiting; returns its request id. Its pong
+    /// Queues one ping without waiting; returns its request id. Its pong
     /// (status OK, no results) arrives in request order among the
     /// lookups' responses.
     ///
     /// # Errors
     ///
-    /// Send I/O errors.
+    /// Write I/O errors when the ping would take the queue past its
+    /// bound and writing the queue fails (the queue is then discarded).
     pub fn send_ping(&mut self) -> Result<u32> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        // A ping is the 12-byte request header with a zero key count.
-        self.frame.clear();
-        self.frame.extend_from_slice(&12u32.to_le_bytes());
-        self.frame.push(WIRE_VERSION);
-        self.frame.push(OP_PING);
-        self.frame.extend_from_slice(&0u16.to_le_bytes());
-        self.frame.extend_from_slice(&id.to_le_bytes());
-        self.frame.extend_from_slice(&[2, 0]); // limbs, reserved
-        self.frame.extend_from_slice(&0u16.to_le_bytes());
-        self.reader.get_ref().write_all(&self.frame)?;
+        wire::encode_ping_request(&mut self.frame, id);
+        self.enqueue()?;
         Ok(id)
     }
 

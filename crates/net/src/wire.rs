@@ -96,8 +96,10 @@ pub const MAX_MID_FRAME_STALLS: u32 = 200;
 /// Capacity of the read buffer each server connection and each
 /// [`NetClient`](crate::client::NetClient) reads frames through: a burst
 /// of pipelined frames (16 of 64 keys is ≈ 17 KiB of requests, ≈ 4.4 KiB
-/// of replies) arrives in one `read(2)` instead of two per frame.
-pub(crate) const READ_BUFFER_BYTES: usize = 64 << 10;
+/// of replies) arrives in one `read(2)` instead of two per frame. It also
+/// bounds a client's queue of unwritten requests, so one write of the
+/// queue is at most one server read's worth.
+pub const READ_BUFFER_BYTES: usize = 64 << 10;
 
 /// Response status codes. `Overloaded` stays in the protocol (a client
 /// must still decode it) though this crate's server no longer sends it:
@@ -260,6 +262,21 @@ pub fn encode_lookup_request_traced(
     if let Some(trace) = trace {
         buf.extend_from_slice(&trace.encode());
     }
+}
+
+/// Encodes a ping request into `buf` (cleared first), including the
+/// length prefix: the 12-byte request header with opcode [`OP_PING`],
+/// namespace 0, 2 limbs and a zero key count.
+pub fn encode_ping_request(buf: &mut Vec<u8>, request_id: u32) {
+    buf.clear();
+    put_u32(buf, 12);
+    buf.push(WIRE_VERSION);
+    buf.push(OP_PING);
+    put_u16(buf, 0);
+    put_u32(buf, request_id);
+    buf.push(2);
+    buf.push(0);
+    put_u16(buf, 0);
 }
 
 /// Decodes a lookup request payload (the bytes after the length prefix).
@@ -600,6 +617,16 @@ mod tests {
         assert_eq!(resp.flags & RESP_FLAG_TRACED, RESP_FLAG_TRACED);
         encode_lookup_response(&mut buf, Status::Ok, 42, 3, &[Some(1)]);
         assert_eq!(decode_lookup_response(&buf[4..]).unwrap().flags, 0);
+    }
+
+    #[test]
+    fn ping_request_is_the_bare_header() {
+        let mut buf = vec![0xAA; 3];
+        encode_ping_request(&mut buf, 0x0403_0201);
+        assert_eq!(
+            buf,
+            [12, 0, 0, 0, WIRE_VERSION, OP_PING, 0, 0, 1, 2, 3, 4, 2, 0, 0, 0]
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! restart, and the HTTP admin plane.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ use tcam_core::bit::{parse_ternary, TernaryBit};
 use tcam_net::client::NetClient;
 use tcam_net::node::{NodeConfig, TcamNode};
 use tcam_net::server::{NetServer, ServerConfig};
-use tcam_net::wire::{self, LookupResponse, Status, OP_PING, WIRE_VERSION};
+use tcam_net::wire::{self, LookupResponse, Status, MAX_KEYS_PER_REQUEST, READ_BUFFER_BYTES};
 use tcam_net::NetError;
 use tcam_serve::service::ServiceConfig;
 use tcam_serve::shard::ShardedRuleSet;
@@ -345,14 +345,10 @@ fn lookup_frame(namespace: u16, request_id: u32, keys: &[PackedWord]) -> Vec<u8>
     frame
 }
 
-/// A ping frame: the 12-byte request header with a zero key count.
+/// A ping frame as `NetClient` sends it.
 fn ping_frame(request_id: u32) -> Vec<u8> {
-    let mut frame = 12u32.to_le_bytes().to_vec();
-    frame.extend_from_slice(&[WIRE_VERSION, OP_PING]);
-    frame.extend_from_slice(&0u16.to_le_bytes());
-    frame.extend_from_slice(&request_id.to_le_bytes());
-    frame.extend_from_slice(&[2, 0]);
-    frame.extend_from_slice(&0u16.to_le_bytes());
+    let mut frame = Vec::new();
+    wire::encode_ping_request(&mut frame, request_id);
     frame
 }
 
@@ -567,6 +563,158 @@ fn ping_refuses_the_reply_to_an_earlier_request() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A client connected to a raw listener, and the listener's end of it.
+fn raw_peer() -> (NetClient, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = NetClient::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+    let (peer, _) = listener.accept().unwrap();
+    (client, peer)
+}
+
+/// Sends queue their frames until the caller waits: 16 `send_lookup`s
+/// put no byte on the wire, `flush` writes exactly the 16 frames the
+/// encoder produces, in order, and `recv_response` writes what it finds
+/// queued before it reads.
+#[test]
+fn sends_queue_until_flush_or_receive_writes_them() {
+    let (mut client, mut peer) = raw_peer();
+    let keys: Vec<PackedWord> = (0..8u64)
+        .map(|v| PackedWord::pack(&prefix_word(v * 32, 8, 8)))
+        .collect();
+    let mut want = Vec::new();
+    for _ in 0..16 {
+        let id = client.send_lookup(0, &keys).unwrap();
+        want.extend_from_slice(&lookup_frame(0, id, &keys));
+    }
+    peer.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    let mut byte = [0u8; 1];
+    match peer.read(&mut byte) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("a queued request reached the peer before flush: {other:?}"),
+    }
+    client.flush().unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut got = vec![0u8; want.len()];
+    peer.read_exact(&mut got).unwrap();
+    assert_eq!(got, want, "flush wrote other bytes than the 16 encoded frames");
+    peer.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    assert!(peer.read(&mut byte).is_err(), "flush wrote past the 16 frames");
+
+    // A ping and a lookup, collected with recv_response: the peer answers
+    // only once both requests have arrived.
+    let ping = client.send_ping().unwrap();
+    let lookup = client.send_lookup(0, &keys).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    std::thread::scope(|s| {
+        let peer = &mut peer;
+        s.spawn(move || {
+            peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut want = ping_frame(ping);
+            want.extend_from_slice(&lookup_frame(0, lookup, &keys));
+            let mut got = vec![0u8; want.len()];
+            peer.read_exact(&mut got).unwrap();
+            assert_eq!(got, want);
+            let mut replies = Vec::new();
+            let mut reply = Vec::new();
+            wire::encode_response(&mut reply, wire::OP_PING, Status::Ok, ping, 0, &[]);
+            replies.extend_from_slice(&reply);
+            wire::encode_lookup_response(&mut reply, Status::Ok, lookup, 1, &[None; 8]);
+            replies.extend_from_slice(&reply);
+            peer.write_all(&replies).unwrap();
+        });
+        assert_eq!(client.recv_response().unwrap().request_id, ping);
+        assert_eq!(client.recv_response().unwrap().request_id, lookup);
+    });
+}
+
+/// A send writes the queue first when its frame would take the queue past
+/// one server read buffer: the peer gets exactly the frames queued before
+/// the last such write, and what a dropped client discards never exceeds
+/// the bound.
+#[test]
+fn the_queue_is_written_before_it_passes_one_read_buffer() {
+    let (mut client, mut peer) = raw_peer();
+    let reader = std::thread::spawn(move || {
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        got
+    });
+    let mut frames = Vec::new();
+    for i in 0..300u64 {
+        let count = usize::try_from(i % 64).unwrap() + 1;
+        let keys: Vec<PackedWord> = (0..count as u64)
+            .map(|v| PackedWord::pack(&prefix_word(v, 8, 8)))
+            .collect();
+        let id = client.send_lookup(0, &keys).unwrap();
+        frames.push(lookup_frame(0, id, &keys));
+    }
+    // Dropping the client discards its queue and closes the connection.
+    drop(client);
+    let got = reader.join().unwrap();
+
+    let (mut written, mut queued) = (0, 0);
+    for frame in &frames {
+        if queued + frame.len() > READ_BUFFER_BYTES {
+            written += queued;
+            queued = 0;
+        }
+        queued += frame.len();
+    }
+    let all = frames.concat();
+    assert!(all.len() > 2 * READ_BUFFER_BYTES, "the frames must cross the bound twice");
+    assert_eq!(got.len(), written, "the peer got other than the bound-triggered writes");
+    assert_eq!(got, all[..written], "bound-triggered writes changed the bytes");
+    assert!(all.len() - got.len() <= READ_BUFFER_BYTES, "the queue passed its bound");
+}
+
+/// A send to a peer that has closed only queues, so it succeeds; the
+/// receive that writes the queue then fails instead of hanging.
+#[test]
+fn a_send_to_a_closed_peer_fails_at_the_receive() {
+    let (mut client, peer) = raw_peer();
+    drop(peer);
+    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let start = Instant::now();
+    client
+        .send_lookup(0, &[PackedWord::pack(&w("00010000"))])
+        .unwrap();
+    client.send_ping().unwrap();
+    assert!(client.recv_response().is_err(), "a closed peer answered");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the receive waited out its timeout instead of seeing the close"
+    );
+}
+
+/// More keys than a request can count is the caller's error, returned
+/// before anything is queued: the connection stays in step.
+#[test]
+fn an_oversized_batch_is_refused_before_anything_is_queued() {
+    let dir = tmpdir("oversized");
+    let node = quiet_node(&dir);
+    let rules = seed_lpm(&node);
+    let reference = reference_of(&rules);
+    let server =
+        NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let key = w("00010000");
+    let oversized = vec![PackedWord::pack(&key); MAX_KEYS_PER_REQUEST + 1];
+    assert!(matches!(client.send_lookup(0, &oversized), Err(NetError::Wire(_))));
+    assert!(matches!(client.lookup(0, &oversized), Err(NetError::Wire(_))));
+    assert_eq!(
+        client.lookup(0, &[PackedWord::pack(&key)]).unwrap(),
+        (1, vec![reference.search(&key).unwrap()])
+    );
+    server.shutdown();
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn shutdown_completes_with_a_peer_stalled_mid_frame() {
     let dir = tmpdir("stalled-peer");
@@ -649,6 +797,7 @@ fn live_connection_cap_holds_further_clients_until_a_slot_frees() {
     let mut c = NetClient::connect(&addr).unwrap();
     c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     c.send_ping().unwrap();
+    c.flush().unwrap();
     assert_eq!(server.live_connections(), 1);
     let shutdown = std::thread::spawn(move || server.shutdown());
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -832,6 +981,7 @@ fn graceful_shutdown_answers_in_flight_and_terminates() {
         .map(|v| PackedWord::pack(&prefix_word(v, 8, 8)))
         .collect();
     let id = client.send_lookup(0, &keys).unwrap();
+    client.flush().unwrap();
     let start = Instant::now();
     server.shutdown();
     assert!(

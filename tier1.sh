@@ -34,9 +34,10 @@ cargo test -q --offline --release -p tcam-arch
 # break, and optimised code is what stack_bench times.
 # One layer further up, a connection matches on its own thread against
 # the published cell, reads frames through one buffer and holds its
-# encoded replies only while that buffer holds the whole next frame:
-# that cell load, the reply order and the held-reply rule are what
-# stack_bench times.
+# encoded replies only while that buffer holds the whole next frame,
+# and the client queues a burst's requests and writes them in one write,
+# never past one server read buffer: that cell load, the reply order,
+# the held-reply rule and the client's queue are what stack_bench times.
 # And on the circuit side: the channel model's closed-form gradient is held
 # to its finite-difference oracle, and Fig. 7's 64x64 solver counts to their
 # pins, as the optimised floating-point code stack_bench times.
