@@ -315,6 +315,12 @@ impl PackedTcamArray {
         true
     }
 
+    /// Whether a row with `id` is stored.
+    #[must_use]
+    pub fn contains(&self, id: u32) -> bool {
+        self.slot_of(id).is_some()
+    }
+
     /// The slot of the row with `id`, if one is stored.
     fn slot_of(&self, id: u32) -> Option<usize> {
         let slot = self.ids.binary_search(&id).ok()?;
@@ -571,8 +577,11 @@ mod tests {
         packed.push(&parse_ternary("XXX").unwrap(), 2);
         let key = PackedWord::pack(&parse_ternary("100").unwrap());
         assert_eq!(packed.first_match(&key), Some(0));
+        assert!(packed.contains(0) && !packed.contains(3));
         assert_eq!(packed.remove(0), Some(0));
         assert_eq!(packed.remove(0), None, "double remove reports absence");
+        assert!(!packed.contains(0), "a hole keeps id 0 but holds no row");
+        assert!(packed.contains(1) && packed.contains(2));
         assert_eq!(packed.len(), 2);
         assert_eq!(packed.row(0).unwrap().0, 1, "id 0's row is gone");
         assert_eq!(packed.row(1).unwrap().0, 2);
@@ -581,6 +590,7 @@ mod tests {
         assert!(packed.replace(1, &parse_ternary("0XX").unwrap()));
         assert_eq!(packed.first_match(&key), Some(2));
         assert!(!packed.replace(9, &parse_ternary("0XX").unwrap()));
+        assert!(!packed.contains(9));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //!
 //! * the [`DurableStore`] — WAL + snapshots, one
 //!   [`RuleStore`](tcam_update::store::RuleStore) per namespace (the
-//!   logical source of truth that survives restarts), and
+//!   logical source of truth that survives restarts) — and, under the
+//!   same mutex, the count of batches since its last snapshot, and
 //! * one [`NamespaceGroup`] per provisioned namespace — a live
-//!   [`TcamService`] (one packed table and its refresh clock) plus the
-//!   single-writer [`Updater`] that publishes epoch snapshots into it.
+//!   [`TcamService`] (its refresh clock and published cell) plus the
+//!   single-writer [`Updater`] whose one packed table the cell holds,
+//!   copy-on-write, as the published epoch snapshot.
+//!
+//! A namespace therefore holds its rules twice: in its `RuleStore` and in
+//! that one table.
 //!
 //! Namespaces are the multi-tenancy boundary: each maps to its own table,
 //! so one tenant's rule churn or traffic burst contends with another's
@@ -159,14 +164,18 @@ fn cared_width(key: &PackedWord) -> usize {
     }
 }
 
+/// The durable store and its auto-compaction counter, under one mutex.
+struct Durable {
+    store: DurableStore,
+    /// Batches applied since the last snapshot.
+    batches_since_snapshot: u64,
+}
+
 /// The multi-tenant, durable, network-servable TCAM node.
 pub struct TcamNode {
-    store: Mutex<DurableStore>,
+    durable: Mutex<Durable>,
     groups: RwLock<BTreeMap<u16, Arc<NamespaceGroup>>>,
     config: NodeConfig,
-    /// Batches applied since the last snapshot (auto-compaction trigger);
-    /// guarded by the store mutex's critical section.
-    batches_since_snapshot: Mutex<u64>,
 }
 
 impl TcamNode {
@@ -188,10 +197,12 @@ impl TcamNode {
         #[allow(clippy::cast_precision_loss)]
         tcam_obs::gauge_set("node_namespaces", groups.len() as f64);
         Ok(Self {
-            store: Mutex::new(store),
+            durable: Mutex::new(Durable {
+                store,
+                batches_since_snapshot: 0,
+            }),
             groups: RwLock::new(groups),
             config,
-            batches_since_snapshot: Mutex::new(0),
         })
     }
 
@@ -229,7 +240,8 @@ impl TcamNode {
     /// Panics if the store lock is poisoned.
     #[must_use]
     pub fn namespace_summaries(&self) -> Vec<(u16, usize, u64, usize)> {
-        let store = self.store.lock().expect("store lock");
+        let durable = self.durable.lock().expect("store lock");
+        let store = &durable.store;
         store
             .namespaces()
             .into_iter()
@@ -263,7 +275,7 @@ impl TcamNode {
     /// Panics if a lock is poisoned, or if the durable store and the
     /// updater disagree on the resulting version (a lockstep bug).
     pub fn apply(&self, namespace: u16, width: usize, batch: &[RuleChange]) -> Result<u64> {
-        let mut store = self.store.lock().expect("store lock");
+        let mut durable = self.durable.lock().expect("store lock");
         let existing = self.group(namespace);
         if existing.is_none() {
             // A new namespace must be servable BEFORE its first batch
@@ -272,7 +284,7 @@ impl TcamNode {
             // construction rejects would fail every later `open`.
             ShardedRuleSet::empty(width, 0)?;
         }
-        let version = store.apply(namespace, width, batch)?;
+        let version = durable.store.apply(namespace, width, batch)?;
         if let Some(group) = existing {
             let mut updater = group.updater.lock().expect("updater lock");
             let staged = updater.apply(batch)?;
@@ -284,7 +296,7 @@ impl TcamNode {
         } else {
             // First batch of a new namespace: build its group from the
             // just-applied store state (epoch resumes at `version`).
-            let rules = store.store(namespace).expect("just applied").clone();
+            let rules = durable.store.store(namespace).expect("just applied").clone();
             let group = Arc::new(NamespaceGroup::start(rules, &self.config)?);
             let mut groups = self.groups.write().expect("groups lock");
             groups.insert(namespace, group);
@@ -292,12 +304,11 @@ impl TcamNode {
             tcam_obs::gauge_set("node_namespaces", groups.len() as f64);
         }
         tcam_obs::counter_add("node_batches_applied", 1);
-        let mut since = self.batches_since_snapshot.lock().expect("snapshot counter");
-        *since += 1;
-        if self.config.snapshot_every_batches > 0 && *since >= self.config.snapshot_every_batches
-        {
-            store.snapshot()?;
-            *since = 0;
+        durable.batches_since_snapshot += 1;
+        let every = self.config.snapshot_every_batches;
+        if every > 0 && durable.batches_since_snapshot >= every {
+            durable.store.snapshot()?;
+            durable.batches_since_snapshot = 0;
         }
         Ok(version)
     }
@@ -325,7 +336,7 @@ impl TcamNode {
     ///
     /// Panics if the store lock is poisoned.
     pub fn chaos_fail_appends(&self, n: u32) {
-        self.store.lock().expect("store lock").chaos_fail_appends(n);
+        self.durable.lock().expect("store lock").store.chaos_fail_appends(n);
     }
 
     /// Forces a snapshot + WAL compaction now.
@@ -338,8 +349,9 @@ impl TcamNode {
     ///
     /// Panics if the store lock is poisoned.
     pub fn snapshot(&self) -> Result<()> {
-        self.store.lock().expect("store lock").snapshot()?;
-        *self.batches_since_snapshot.lock().expect("snapshot counter") = 0;
+        let mut durable = self.durable.lock().expect("store lock");
+        durable.store.snapshot()?;
+        durable.batches_since_snapshot = 0;
         Ok(())
     }
 
@@ -350,7 +362,7 @@ impl TcamNode {
     /// Panics if the store lock is poisoned.
     #[must_use]
     pub fn wal_bytes(&self) -> u64 {
-        self.store.lock().expect("store lock").wal_bytes()
+        self.durable.lock().expect("store lock").store.wal_bytes()
     }
 
     /// Shuts every namespace group down and returns per-namespace serving
@@ -524,6 +536,37 @@ mod tests {
         let (epoch, results) = node.lookup(0, &[key("1000")]).unwrap();
         assert_eq!(epoch, 5);
         assert_eq!(results, vec![Some(1)]);
+        node.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An explicit snapshot restarts the count of batches towards the next
+    /// automatic one.
+    #[test]
+    fn explicit_snapshot_restarts_the_auto_snapshot_count() {
+        let dir = tmpdir("snapcount");
+        let mut config = quiet_config();
+        config.snapshot_every_batches = 2;
+        let node = TcamNode::open(&dir, config).unwrap();
+        let insert = |priority| {
+            node.apply(
+                0,
+                4,
+                &[RuleChange::Insert {
+                    priority,
+                    word: w("10XX"),
+                }],
+            )
+            .unwrap()
+        };
+        insert(0);
+        assert!(node.wal_bytes() > 0);
+        node.snapshot().unwrap();
+        assert_eq!(node.wal_bytes(), 0);
+        insert(1);
+        assert!(node.wal_bytes() > 0, "one batch since the snapshot");
+        insert(2);
+        assert_eq!(node.wal_bytes(), 0, "second batch since the snapshot");
         node.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,5 +1,5 @@
-//! The rule set one namespace serves: an id → word map beside one
-//! bit-packed table.
+//! The rule set one namespace serves: one bit-packed table, shared
+//! copy-on-write.
 //!
 //! Every rule lives in exactly one row of one [`PackedTcamArray`], at its
 //! global priority (lower id wins), so a lookup is one first match over
@@ -8,13 +8,20 @@
 //! columns: bank pre-selection done inside the table, with no rule
 //! replicated.
 //!
+//! The table is the only copy of the rules: it finds an id by binary
+//! search over its id-ordered slots, so no id → word map sits beside it.
+//! It is held behind an `Arc` and changed through [`Arc::make_mut`], so
+//! the `Arc` [`ShardedRuleSet::shared`] hands out is an immutable
+//! snapshot: the next mutation clones the table once if that snapshot is
+//! still held, and changes it in place if not.
+//!
 //! The type keeps the name and the `shard_bits` argument of the
 //! prefix-sharded set it replaced, so that code built against that
 //! signature (the `stack_bench` package) still compiles: `0` is the only
 //! accepted value, and [`ShardedRuleSet::shard`] takes only index 0.
 
 use crate::error::{Result, ServeError};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 use tcam_arch::array::TcamArray;
 use tcam_arch::packed::{PackedTcamArray, PackedWord, MAX_PACKED_WIDTH};
 use tcam_core::bit::TernaryBit;
@@ -68,17 +75,15 @@ impl RowOps {
 /// A ternary rule set in one packed table.
 ///
 /// The set is **mutable**: [`insert`](Self::insert),
-/// [`remove`](Self::remove) and [`replace`](Self::replace) keep the table
-/// consistent with the logical rule map (the id → word `BTreeMap` held
-/// here is the source of truth), one row operation each plus the rows
-/// the table moved to make room or to compact. Rule ids are
+/// [`remove`](Self::remove) and [`replace`](Self::replace) change the
+/// table, the one copy of the rules, one row operation each plus the
+/// rows the table moved to make room or to compact. Rule ids are
 /// priorities (lower wins), matching the packed array's id-priority
-/// contract.
+/// contract. A clone shares the table until either side mutates it.
 #[derive(Debug, Clone)]
 pub struct ShardedRuleSet {
     width: usize,
-    words: BTreeMap<u32, Vec<TernaryBit>>,
-    table: PackedTcamArray,
+    table: Arc<PackedTcamArray>,
 }
 
 impl ShardedRuleSet {
@@ -137,8 +142,7 @@ impl ShardedRuleSet {
         }
         Ok(Self {
             width,
-            words: BTreeMap::new(),
-            table: PackedTcamArray::new(width),
+            table: Arc::new(PackedTcamArray::new(width)),
         })
     }
 
@@ -148,25 +152,23 @@ impl ShardedRuleSet {
     /// # Errors
     ///
     /// [`ServeError::WidthMismatch`] or [`ServeError::DuplicateRuleId`].
-    pub fn insert(&mut self, id: u32, word: Vec<TernaryBit>) -> Result<RowOps> {
-        self.check_width(&word)?;
-        if self.words.contains_key(&id) {
+    pub fn insert(&mut self, id: u32, word: impl AsRef<[TernaryBit]>) -> Result<RowOps> {
+        let word = word.as_ref();
+        self.check_width(word)?;
+        if self.table.contains(id) {
             return Err(ServeError::DuplicateRuleId { id });
         }
-        let moves = self.table.push(&word, id);
-        self.words.insert(id, word);
+        let moves = Arc::make_mut(&mut self.table).push(word, id);
         Ok(RowOps::WRITE.moving(moves))
     }
 
     /// Removes the rule at priority `id` — one row erased, plus the rows a
     /// compaction moved — or returns `None` when no such rule exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the table lacks a rule the map holds (a bug).
     pub fn remove(&mut self, id: u32) -> Option<RowOps> {
-        self.words.remove(&id)?;
-        let moves = self.table.remove(id).expect("table holds every rule");
+        if !self.table.contains(id) {
+            return None;
+        }
+        let moves = Arc::make_mut(&mut self.table).remove(id)?;
         Some(RowOps::ERASE.moving(moves))
     }
 
@@ -175,14 +177,13 @@ impl ShardedRuleSet {
     /// # Errors
     ///
     /// [`ServeError::WidthMismatch`] or [`ServeError::UnknownRuleId`].
-    pub fn replace(&mut self, id: u32, word: Vec<TernaryBit>) -> Result<RowOps> {
-        self.check_width(&word)?;
-        let Some(slot) = self.words.get_mut(&id) else {
+    pub fn replace(&mut self, id: u32, word: impl AsRef<[TernaryBit]>) -> Result<RowOps> {
+        let word = word.as_ref();
+        self.check_width(word)?;
+        if !self.table.contains(id) {
             return Err(ServeError::UnknownRuleId { id });
-        };
-        let present = self.table.replace(id, &word);
-        debug_assert!(present, "table missing rule {id}");
-        *slot = word;
+        }
+        Arc::make_mut(&mut self.table).replace(id, word);
         Ok(RowOps::WRITE)
     }
 
@@ -197,10 +198,10 @@ impl ShardedRuleSet {
         }
     }
 
-    /// The stored word of rule `id`, if present.
+    /// Whether rule `id` is present.
     #[must_use]
-    pub fn word(&self, id: u32) -> Option<&[TernaryBit]> {
-        self.words.get(&id).map(Vec::as_slice)
+    pub fn contains(&self, id: u32) -> bool {
+        self.table.contains(id)
     }
 
     /// Word width in bits.
@@ -212,13 +213,21 @@ impl ShardedRuleSet {
     /// Number of rules (= stored rows).
     #[must_use]
     pub fn rules(&self) -> usize {
-        self.words.len()
+        self.table.len()
     }
 
     /// The packed table.
     #[must_use]
     pub fn table(&self) -> &PackedTcamArray {
         &self.table
+    }
+
+    /// The packed table as the shared snapshot: the `Arc` itself, no row
+    /// copied. It stays as it is now; the set's next mutation clones the
+    /// table while this `Arc` is held.
+    #[must_use]
+    pub fn shared(&self) -> Arc<PackedTcamArray> {
+        Arc::clone(&self.table)
     }
 
     /// The packed table, by the index the sharded set took.
@@ -233,10 +242,11 @@ impl ShardedRuleSet {
     }
 
     /// Gives up the packed table — how a service takes ownership of a rule
-    /// set without copying a row.
+    /// set without copying a row, unless a clone or a [`Self::shared`]
+    /// snapshot still holds it.
     #[must_use]
     pub fn into_table(self) -> PackedTcamArray {
-        self.table
+        Arc::unwrap_or_clone(self.table)
     }
 
     /// Single-threaded lookup: the winning rule's id. This is the

@@ -104,7 +104,7 @@ fn interleaved_mutation_stays_equivalent_to_monolithic_oracle() {
         let mut oracle = tcam_arch::array::TcamArray::new(IDS as usize, width);
         for step in 0..400 {
             let id = rng.below(IDS) as u32;
-            let present = set.word(id).is_some();
+            let present = set.contains(id);
             match rng.below(10) {
                 // Bias toward inserts so the table actually fills up.
                 0..=4 if !present => {

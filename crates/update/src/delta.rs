@@ -86,9 +86,9 @@ impl<'a> DeltaCompiler<'a> {
     /// As [`RuleStore::validate`](crate::store::RuleStore::validate).
     pub fn compile(&self, batch: &[RuleChange]) -> Result<CompiledDelta> {
         let mut total = RowOps::default();
-        let word = |p| self.rules.word(p);
-        stage(batch, self.rules.width(), word, |_, after| {
-            total.add(if after.is_some() {
+        let present = |p| self.rules.contains(p);
+        stage(batch, self.rules.width(), present, |after| {
+            total.add(if after {
                 RowOps::WRITE
             } else {
                 RowOps::ERASE

@@ -23,8 +23,8 @@
 //! * [`publish::Updater`] — applies batches to a shadow
 //!   [`ShardedRuleSet`](tcam_serve::shard::ShardedRuleSet), cross-checks
 //!   realized row work against the compiled plan, prices the rows the
-//!   table moved on top of it, and publishes
-//!   **epoch-tagged immutable snapshots** into a live
+//!   table moved on top of it, and publishes the shadow's own table,
+//!   copy-on-write, as **epoch-tagged immutable snapshots** into a live
 //!   [`TcamService`](tcam_serve::service::TcamService) — whose lookups
 //!   each load one snapshot before they match, so no search ever
 //!   observes a torn table.

@@ -1,37 +1,35 @@
 //! Epoch-snapshot publication: applying compiled deltas to a shadow rule
 //! set and swapping the result into a live service.
 //!
-//! The [`Updater`] is the single writer of the serving stack. It owns
-//!
-//! * a **shadow** [`ShardedRuleSet`] — the one rule table it keeps (its
-//!   priority → word map is the logical rule set; a [`RuleStore`] only
-//!   seeds it, and a durable copy, where there is one, is the WAL
-//!   layer's), and
-//! * a cached `Arc<PackedTcamArray>` — the immutable snapshot readers
-//!   serve from.
+//! The [`Updater`] is the single writer of the serving stack. It owns one
+//! **shadow** [`ShardedRuleSet`]: one packed table behind an `Arc`, the
+//! one copy of the rules the writer keeps (a [`RuleStore`] only seeds
+//! it, and a durable copy, where there is one, is the WAL layer's).
 //!
 //! [`Updater::apply`] stages one batch: it compiles the plan (by the same
 //! batch walk [`RuleStore::validate`] is — the
 //! `validate_and_compile_agree` property test), mutates the shadow one
 //! row operation per change, checks that the realized writes and erases
 //! equal the plan's, prices them with the rows the table moved (each
-//! move one more row write), snapshots the shadow's table into a fresh
-//! `Arc`, and bumps the **epoch**.
+//! move one more row write), and bumps the **epoch**.
 //!
-//! [`Updater::publish`] then stores the current-epoch snapshot into the
+//! [`Updater::publish`] then stores the shadow's own `Arc` into the
 //! service's published cell
-//! ([`publish`](tcam_serve::pool::ShardPool::publish)). Readers load the
-//! cell between batches only, so a search is always served from exactly
-//! one epoch — and because every reply reports that epoch,
-//! `tests/concurrent_churn.rs` verifies the zero-torn-snapshot property
-//! against the updater's recorded history while checkers and the updater
-//! run concurrently.
+//! ([`publish`](tcam_serve::pool::ShardPool::publish)): publication is
+//! **copy-on-write**. The shadow changes through
+//! [`Arc::make_mut`](std::sync::Arc::make_mut), so the first change after
+//! a publish, while the cell still holds that `Arc`, clones the table
+//! once and leaves the published epoch as it was; later changes before
+//! the next publish change that unpublished copy in place. Readers load the cell between batches only, so a search is
+//! always served from exactly one epoch — and because every reply
+//! reports that epoch, `tests/concurrent_churn.rs` verifies the
+//! zero-torn-snapshot property against a history of references that
+//! share no table with the ones published, while checkers and the
+//! updater run concurrently.
 
 use crate::delta::{CompiledDelta, DeltaCompiler, DeltaCost};
 use crate::store::{RuleChange, RuleStore};
-use std::sync::Arc;
 use tcam_arch::energy_model::OperationCosts;
-use tcam_arch::packed::PackedTcamArray;
 use tcam_serve::error::Result;
 use tcam_serve::service::TcamService;
 use tcam_serve::shard::{RowOps, ShardedRuleSet};
@@ -53,21 +51,19 @@ pub struct StagedDelta {
     pub realized_cost: DeltaCost,
 }
 
-/// The serving stack's single writer: the shadow rule set and its
-/// published snapshot, advanced one epoch per applied batch.
+/// The serving stack's single writer: the shadow rule set, published
+/// copy-on-write and advanced one epoch per applied batch.
 #[derive(Debug)]
 pub struct Updater {
     shadow: ShardedRuleSet,
-    table: Arc<PackedTcamArray>,
     epoch: u64,
     costs: OperationCosts,
 }
 
 impl Updater {
-    /// Builds the shadow rule set and its snapshot from `store`'s rules
-    /// (the store itself is dropped), starting at epoch 0. `shard_bits` is
-    /// the argument the sharded updater took; 0 is the only value
-    /// accepted.
+    /// Builds the shadow rule set from `store`'s rules (the store itself
+    /// is dropped), starting at epoch 0. `shard_bits` is the argument the
+    /// sharded updater took; 0 is the only value accepted.
     ///
     /// # Errors
     ///
@@ -99,19 +95,21 @@ impl Updater {
     ) -> Result<Self> {
         let mut shadow = ShardedRuleSet::empty(store.width(), shard_bits)?;
         for (priority, word) in store.iter() {
-            shadow.insert(priority, word.to_vec())?;
+            shadow.insert(priority, word)?;
         }
-        let table = Arc::new(shadow.table().clone());
         Ok(Self {
             shadow,
-            table,
             epoch,
             costs,
         })
     }
 
-    /// The shadow rule set at the current epoch — the reference a checker
-    /// compares epoch-tagged search results against.
+    /// The shadow rule set at the current epoch.
+    ///
+    /// A clone of it shares the table with the published snapshot until
+    /// the next `apply`, so it is no independent reference: a checker that
+    /// holds epoch-tagged replies to account keeps its own copy (a table
+    /// rebuilt from the applied rules, or a deep copy of this one).
     #[must_use]
     pub fn snapshot(&self) -> &ShardedRuleSet {
         &self.shadow
@@ -123,9 +121,9 @@ impl Updater {
         self.epoch
     }
 
-    /// Starts a service on this updater's cached snapshot (the `Arc`
-    /// itself — no table is copied), booting at the current epoch: epoch 0 for a fresh updater, the recovered version
-    /// for a [resumed](Self::resume) one.
+    /// Starts a service on the shadow's table (its `Arc` itself — no table
+    /// is copied), booting at the current epoch: epoch 0 for a fresh
+    /// updater, the recovered version for a [resumed](Self::resume) one.
     ///
     /// # Errors
     ///
@@ -136,14 +134,16 @@ impl Updater {
     ) -> Result<TcamService> {
         Ok(TcamService::start_at(
             self.shadow.width(),
-            Arc::clone(&self.table),
+            self.shadow.shared(),
             self.epoch,
             config,
         ))
     }
 
-    /// Applies one update batch: compile (validates) → shadow → snapshot →
-    /// bump epoch.
+    /// Applies one update batch: compile (validates) → shadow → bump
+    /// epoch. The first batch after a publish clones the table (the cell
+    /// still holds the published one); a batch after an unpublished one
+    /// changes the same unpublished copy.
     ///
     /// The plan counts one row operation per change and the shadow's
     /// mutations perform one each, so the realized writes and erases must
@@ -170,14 +170,14 @@ impl Updater {
             let ops = match change {
                 RuleChange::Insert { priority, word } => self
                     .shadow
-                    .insert(*priority, word.clone())
+                    .insert(*priority, word)
                     .expect("validated insert"),
                 RuleChange::Remove { priority } => {
                     self.shadow.remove(*priority).expect("validated remove")
                 }
                 RuleChange::Modify { priority, word } => self
                     .shadow
-                    .replace(*priority, word.clone())
+                    .replace(*priority, word)
                     .expect("validated modify"),
             };
             realized.add(ops);
@@ -187,9 +187,6 @@ impl Updater {
             (planned.total.writes, planned.total.erases),
             "shadow diverged from its plan"
         );
-        // The shadow mutates in place; the snapshot handed to readers is a
-        // fresh clone.
-        self.table = Arc::new(self.shadow.table().clone());
         self.epoch += 1;
         tcam_obs::flight_record("update_apply", self.epoch, batch.len() as u64);
         tcam_obs::counter_add("update_batches_applied", 1);
@@ -204,7 +201,9 @@ impl Updater {
     }
 
     /// Publishes the current epoch's snapshot into `service`'s cell — one
-    /// store of the cached `Arc` (a pointer, not a copy), never blocking.
+    /// store of the shadow's own `Arc` (a pointer, not a copy), never
+    /// blocking. The next `apply` leaves this snapshot as it is: it
+    /// clones the table before it changes a row.
     /// Publishing the same epoch twice is idempotent (the cell refuses
     /// it). Once this returns, every lookup submitted afterwards is served
     /// at this epoch or a later one.
@@ -215,7 +214,7 @@ impl Updater {
     /// `Result` is what every caller already propagates.
     pub fn publish(&self, service: &TcamService) -> Result<()> {
         let _obs = tcam_obs::span!("update_publish");
-        service.publish(self.epoch, Arc::clone(&self.table));
+        service.publish(self.epoch, self.shadow.shared());
         tcam_obs::flight_record("update_publish", self.epoch, 1);
         tcam_obs::counter_add("update_epochs_published", 1);
         Ok(())
@@ -226,6 +225,8 @@ impl Updater {
 mod tests {
     use super::*;
     use crate::store::prefix_word;
+    use std::sync::Arc;
+    use tcam_arch::packed::PackedTcamArray;
     use tcam_core::bit::{parse_ternary, TernaryBit};
 
     fn w(s: &str) -> Vec<TernaryBit> {
@@ -238,6 +239,12 @@ mod tests {
 
     fn seeded_updater() -> Updater {
         Updater::new(seeded_store(), 0, OperationCosts::paper_3t2n()).unwrap()
+    }
+
+    /// A reference rebuilt from `store`'s rules: a table that shares no
+    /// allocation with the updater's.
+    fn rebuilt(store: &RuleStore) -> ShardedRuleSet {
+        ShardedRuleSet::from_prioritized(&store.rules_vec(), 0).unwrap()
     }
 
     #[test]
@@ -394,36 +401,89 @@ mod tests {
     #[test]
     fn published_snapshots_are_id_ordered_after_churn() {
         let mut updater = seeded_updater();
+        let mut mirror = seeded_store();
         // Removing priority 10 leaves a hole ahead of later rows, 40 is
         // announced behind them and 15 between them: every published
         // snapshot must still come out id-ordered, which is what lets the
         // serving kernel stop at the first matching row.
-        updater
-            .apply(&[
-                RuleChange::Remove { priority: 10 },
-                RuleChange::Insert {
-                    priority: 40,
-                    word: w("11XX"),
-                },
-                RuleChange::Insert {
-                    priority: 15,
-                    word: w("X1XX"),
-                },
-            ])
-            .unwrap();
-        let table = &updater.table;
+        let batch = [
+            RuleChange::Remove { priority: 10 },
+            RuleChange::Insert {
+                priority: 40,
+                word: w("11XX"),
+            },
+            RuleChange::Insert {
+                priority: 15,
+                word: w("X1XX"),
+            },
+        ];
+        updater.apply(&batch).unwrap();
+        mirror.apply(&batch).unwrap();
+        // What `publish` would hand the cell.
+        let table = updater.snapshot().shared();
         let ids: Vec<u32> = table.rows().map(|(id, _)| id).collect();
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "published table not id-ordered: {ids:?}"
         );
-        // Snapshot results agree with the shadow reference.
+        // Snapshot results agree with a reference rebuilt from the rules.
+        let reference = rebuilt(&mirror);
         for key in ["1100", "1111", "0011", "0000"] {
             let key = w(key);
-            let reference = updater.snapshot().search(&key).unwrap();
             let via_snapshot = table.first_match(&tcam_arch::packed::PackedWord::pack(&key));
-            assert_eq!(via_snapshot, reference);
+            assert_eq!(via_snapshot, reference.search(&key).unwrap());
         }
+    }
+
+    /// Publication is copy-on-write: the first `apply` after a publish
+    /// clones the table and leaves the published one as it was, and a
+    /// second `apply` before the next publish changes that same clone.
+    #[test]
+    fn apply_after_publish_copies_the_table_once() {
+        let mut updater = seeded_updater();
+        let config = tcam_serve::service::ServiceConfig {
+            refresh: tcam_serve::BankRefresh::None,
+            ..Default::default()
+        };
+        let service = updater.start_service(&config).unwrap();
+        updater
+            .apply(&[RuleChange::Insert {
+                priority: 5,
+                word: w("110X"),
+            }])
+            .unwrap();
+        updater.publish(&service).unwrap();
+        let published = updater.snapshot().shared();
+        let rows: Vec<_> = published.rows().collect();
+
+        updater
+            .apply(&[
+                RuleChange::Remove { priority: 5 },
+                RuleChange::Modify {
+                    priority: 10,
+                    word: w("0000"),
+                },
+            ])
+            .unwrap();
+        assert_eq!(published.rows().collect::<Vec<_>>(), rows);
+        assert!(!Arc::ptr_eq(&published, &updater.snapshot().shared()));
+        // The cell still serves epoch 1's rules.
+        assert_eq!(service.search_with_epoch(&w("1101")).unwrap(), (1, Some(5)));
+        drop(published);
+
+        let unpublished: *const PackedTcamArray = updater.snapshot().table();
+        updater
+            .apply(&[RuleChange::Insert {
+                priority: 40,
+                word: w("1111"),
+            }])
+            .unwrap();
+        assert!(std::ptr::eq(updater.snapshot().table(), unpublished));
+        assert_eq!(updater.snapshot().search(&w("1111")).unwrap(), Some(30));
+        assert_eq!(updater.snapshot().search(&w("0000")).unwrap(), Some(10));
+        updater.publish(&service).unwrap();
+        assert_eq!(service.search_with_epoch(&w("0000")).unwrap(), (3, Some(10)));
+        let _ = service.shutdown();
     }
 
     #[test]
@@ -435,26 +495,29 @@ mod tests {
         let rules: Vec<(u32, Vec<TernaryBit>)> = (0..16u32)
             .map(|i| (i * 8, prefix_word(u64::from(i) * 16, 5, width)))
             .collect();
-        let store = RuleStore::from_rules(&rules).unwrap();
-        let mut updater = Updater::new(store, 0, OperationCosts::paper_3t2n()).unwrap();
+        let mut mirror = RuleStore::from_rules(&rules).unwrap();
+        let mut updater = Updater::new(mirror.clone(), 0, OperationCosts::paper_3t2n()).unwrap();
         let config = tcam_serve::service::ServiceConfig {
             refresh: tcam_serve::BankRefresh::None,
             ..Default::default()
         };
         let service = updater.start_service(&config).unwrap();
-        let mut history = vec![updater.snapshot().clone()]; // epoch 0
+        // Each epoch's reference is rebuilt from the applied rules: a
+        // clone of the shadow would share the published table and so
+        // check it against itself.
+        let mut history = vec![rebuilt(&mirror)]; // epoch 0
 
         let mut rng = tcam_numeric::rng::SplitMix64::new(7);
         for round in 0..20u32 {
             let priority = 128 + round; // fresh priorities, insert/remove churn
             let addr = rng.below(1 << width);
-            updater
-                .apply(&[RuleChange::Insert {
-                    priority,
-                    word: prefix_word(addr, 6, width),
-                }])
-                .unwrap();
-            history.push(updater.snapshot().clone());
+            let batch = [RuleChange::Insert {
+                priority,
+                word: prefix_word(addr, 6, width),
+            }];
+            updater.apply(&batch).unwrap();
+            mirror.apply(&batch).unwrap();
+            history.push(rebuilt(&mirror));
             updater.publish(&service).unwrap();
             for _ in 0..16 {
                 let key: Vec<TernaryBit> = (0..width)

@@ -168,7 +168,7 @@ impl RuleStore {
     ///
     /// As [`Self::apply`].
     pub fn validate(&self, batch: &[RuleChange]) -> Result<()> {
-        stage(batch, self.width, |p| self.word(p), |_, _| {})
+        stage(batch, self.width, |p| self.rules.contains_key(&p), |_| {})
     }
 
     /// Applies `batch` atomically and returns the new version.
@@ -222,12 +222,12 @@ impl RuleStore {
     }
 }
 
-/// The one walk over a rule batch: stages `batch` in order over the rules
-/// `current` reads (a batch may insert a priority and then modify or
-/// remove it) and calls `each(before, after)` with every change's staged
-/// word before and after it (`None` = absent). The staged overlay borrows
-/// words from the batch, so nothing is cloned. [`RuleStore::validate`] is
-/// this walk with an empty visitor and
+/// The one walk over a rule batch: stages `batch` in order over the
+/// priorities `present` reports (a batch may insert a priority and then
+/// modify or remove it) and calls `each(present_after)` with whether every
+/// change leaves its priority present. Only presence is staged: no change
+/// reads a word it does not carry. [`RuleStore::validate`] is this walk
+/// with an empty visitor and
 /// [`DeltaCompiler::compile`](crate::delta::DeltaCompiler::compile) the
 /// same walk with a counting one, which is why they accept and reject the
 /// same batches. A failed batch may already have been visited in part.
@@ -239,19 +239,19 @@ impl RuleStore {
 /// word that is not `width` bits ([`ServeError::WidthMismatch`]), an
 /// insert over a present priority ([`ServeError::DuplicateRuleId`]), a
 /// remove or modify of an absent one ([`ServeError::UnknownRuleId`]).
-pub(crate) fn stage<'w>(
-    batch: &'w [RuleChange],
+pub(crate) fn stage(
+    batch: &[RuleChange],
     width: usize,
-    current: impl Fn(u32) -> Option<&'w [TernaryBit]>,
-    mut each: impl FnMut(Option<&'w [TernaryBit]>, Option<&'w [TernaryBit]>),
+    present: impl Fn(u32) -> bool,
+    mut each: impl FnMut(bool),
 ) -> Result<()> {
     if batch.is_empty() {
         return Err(ServeError::EmptyRuleSet);
     }
-    let mut staged: BTreeMap<u32, Option<&[TernaryBit]>> = BTreeMap::new();
+    let mut staged: BTreeMap<u32, bool> = BTreeMap::new();
     for change in batch {
         let id = change.priority();
-        let slot = staged.entry(id).or_insert_with(|| current(id));
+        let slot = staged.entry(id).or_insert_with(|| present(id));
         let before = *slot;
         let after = match change {
             RuleChange::Insert { word, .. } | RuleChange::Modify { word, .. }
@@ -262,18 +262,16 @@ pub(crate) fn stage<'w>(
                     found: word.len(),
                 });
             }
-            RuleChange::Insert { .. } if before.is_some() => {
+            RuleChange::Insert { .. } if before => {
                 return Err(ServeError::DuplicateRuleId { id });
             }
-            RuleChange::Remove { .. } | RuleChange::Modify { .. } if before.is_none() => {
+            RuleChange::Remove { .. } | RuleChange::Modify { .. } if !before => {
                 return Err(ServeError::UnknownRuleId { id });
             }
-            RuleChange::Insert { word, .. } | RuleChange::Modify { word, .. } => {
-                Some(word.as_slice())
-            }
-            RuleChange::Remove { .. } => None,
+            RuleChange::Insert { .. } | RuleChange::Modify { .. } => true,
+            RuleChange::Remove { .. } => false,
         };
-        each(before, after);
+        each(after);
         *slot = after;
     }
     Ok(())

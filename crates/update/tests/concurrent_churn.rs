@@ -5,7 +5,10 @@
 //! [`TcamService`] (one-shot refresh on a 1 ms clock) while checker
 //! threads look up multi-key batches, each matched on the checker's own
 //! thread, and compare every result with a single-threaded search of the
-//! recorded rule set of exactly the epoch the reply names. A disagreement
+//! recorded rule set of exactly the epoch the reply names. Each recorded
+//! rule set is rebuilt from a [`RuleStore`] that applies the same
+//! batches, so it shares no table with the one the updater publishes (a
+//! clone of the updater's shadow would). A disagreement
 //! is a torn snapshot: a batch served from a table other than the one its
 //! reply names. (Batches of many keys keep the matchers busy most of the
 //! time, so a publication lands inside a match many times a run.)
@@ -50,6 +53,11 @@ struct Seen {
     torn: u64,
     backwards: u64,
     max_epoch: u64,
+}
+
+/// The rule set `mirror` holds, rebuilt as a table of its own.
+fn rebuilt(mirror: &RuleStore) -> Arc<ShardedRuleSet> {
+    Arc::new(ShardedRuleSet::from_prioritized(&mirror.rules_vec(), 0).expect("rules build"))
 }
 
 /// The recorded rule set of epoch `epoch`. History is appended before
@@ -99,15 +107,15 @@ fn run_checker(
 #[test]
 fn concurrent_churn_never_tears_a_snapshot() {
     let mut churn = BgpChurn::new(16, 512, 1);
-    let store = RuleStore::from_rules(&churn.initial()).unwrap();
-    let mut updater = Updater::new(store, 0, OperationCosts::paper_3t2n()).unwrap();
+    let mut mirror = RuleStore::from_rules(&churn.initial()).unwrap();
+    let mut updater = Updater::new(mirror.clone(), 0, OperationCosts::paper_3t2n()).unwrap();
     let config = ServiceConfig {
         refresh: BankRefresh::OneShot { op_time: 10e-9 },
         refresh_interval: Duration::from_millis(1),
         ..ServiceConfig::default()
     };
     let service = updater.start_service(&config).unwrap();
-    let history = Mutex::new(vec![Arc::new(updater.snapshot().clone())]);
+    let history = Mutex::new(vec![rebuilt(&mirror)]);
     let key_pools: Vec<Vec<Vec<TernaryBit>>> = (0..CHECKERS)
         .map(|_| (0..256).map(|_| churn.random_key()).collect())
         .collect();
@@ -124,12 +132,11 @@ fn concurrent_churn_never_tears_a_snapshot() {
             while verified.load(Ordering::SeqCst) < LOOKUPS_PER_BATCH * i {
                 std::thread::yield_now();
             }
-            let staged = updater.apply(&churn.next_batch(BATCH_SIZE)).unwrap();
+            let batch = churn.next_batch(BATCH_SIZE);
+            let staged = updater.apply(&batch).unwrap();
             assert_eq!(staged.epoch, i + 1);
-            history
-                .lock()
-                .expect("history lock")
-                .push(Arc::new(updater.snapshot().clone()));
+            assert_eq!(mirror.apply(&batch), Ok(staged.epoch));
+            history.lock().expect("history lock").push(rebuilt(&mirror));
             updater.publish(&service).expect("service is live");
             // Read-your-writes, from the publishing thread itself.
             let key = churn.random_key();

@@ -31,7 +31,10 @@ done
 cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's load-once-before-the-match
 # rule and the refresh lock a lookup waits out are what optimised code can
-# break, and optimised code is what stack_bench times.
+# break, and optimised code is what stack_bench times. So is the update
+# path's copy-on-write publication: the updater's one table is the cell's
+# snapshot, and the first change after a publish clones it before it
+# writes a row.
 # One layer further up, a connection matches on its own thread against
 # the published cell, reads frames through one buffer and holds its
 # encoded replies only while that buffer holds the whole next frame,
