@@ -6,6 +6,7 @@
 //! ([`OperationCosts::from_measurements`]). [`WorkloadMeter`] accumulates
 //! operation counts into total energy/time for architectural studies.
 
+use crate::bank::BankRefresh;
 use tcam_core::experiments::{SearchRow, WriteRow};
 
 /// Circuit-level cost of each TCAM operation for one design.
@@ -79,8 +80,6 @@ impl OperationCosts {
 pub struct WorkloadMeter {
     /// Searches performed.
     pub searches: u64,
-    /// Row writes performed.
-    pub writes: u64,
     /// Refresh operations performed.
     pub refreshes: u64,
     /// Total energy, joules.
@@ -112,27 +111,14 @@ impl WorkloadMeter {
         self.busy_time += costs.search_latency * n as f64;
     }
 
-    /// Records one row write.
-    pub fn write(&mut self, costs: &OperationCosts) {
-        self.writes += 1;
-        self.energy += costs.write_energy;
-        self.busy_time += costs.write_latency;
-    }
-
-    /// Records one refresh operation of duration `op_time`.
-    pub fn refresh(&mut self, costs: &OperationCosts, op_time: f64) {
-        self.refreshes += 1;
-        self.energy += costs.refresh_energy;
-        self.busy_time += op_time;
-    }
-
-    /// Adds `other`'s counts and totals to this meter.
-    pub fn merge(&mut self, other: &Self) {
-        self.searches += other.searches;
-        self.writes += other.writes;
-        self.refreshes += other.refreshes;
-        self.energy += other.energy;
-        self.busy_time += other.busy_time;
+    /// Records one refresh event of `ops` operations under `refresh`, each
+    /// priced by [`BankRefresh::op_energy`] and lasting
+    /// [`BankRefresh::op_time`].
+    #[allow(clippy::cast_precision_loss)]
+    pub fn refresh(&mut self, costs: &OperationCosts, refresh: &BankRefresh, ops: u64) {
+        self.refreshes += ops;
+        self.energy += refresh.op_energy(costs) * ops as f64;
+        self.busy_time += refresh.op_time() * ops as f64;
     }
 }
 
@@ -154,13 +140,17 @@ mod tests {
         for _ in 0..1000 {
             m.search(&c);
         }
-        m.write(&c);
-        m.refresh(&c, 10e-9);
+        m.refresh(&c, &BankRefresh::OneShot { op_time: 10e-9 }, 1);
         assert_eq!(m.searches, 1000);
-        assert_eq!(m.writes, 1);
         assert_eq!(m.refreshes, 1);
-        let expected = 1000.0 * c.search_energy + c.write_energy + c.refresh_energy;
+        let expected = 1000.0 * c.search_energy + c.refresh_energy;
         assert!((m.energy - expected).abs() < 1e-18);
+
+        // A row-by-row event of 64 ops: 64 refreshes at 2 × write_energy.
+        let before = m.energy;
+        m.refresh(&c, &BankRefresh::RowByRow { op_time: 10e-9 }, 64);
+        assert_eq!(m.refreshes, 65);
+        assert!((m.energy - before - 64.0 * 2.0 * c.write_energy).abs() < 1e-18);
 
         // Bulk accounting: search_n(n) equals n searches to fp tolerance.
         let mut bulk = WorkloadMeter::new();

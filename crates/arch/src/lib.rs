@@ -18,32 +18,32 @@
 //!   rows; a per-block summary of the leading eight columns skips blocks
 //!   that cannot match before touching them, a dead block is left early,
 //!   and `trailing_zeros` is the priority encoder.
-//! * [`bank`] — [`bank::BankRefresh`], the refresh policy (none / one-shot /
-//!   row-by-row) the `tcam-serve` workers size their refresh events by.
+//! * [`bank`] — [`bank::BankRefresh`], the one refresh model (none /
+//!   one-shot / row-by-row): operations per event, the time of one and its
+//!   energy from [`OperationCosts`]. The `tcam-serve` refresh clock and
+//!   [`refresh_sched`] both run on it.
 //! * [`refresh_sched`] — event-driven simulation of refresh interference:
 //!   row-by-row refresh vs the paper's one-shot refresh under search
-//!   traffic.
+//!   traffic, counting the searches each policy's refresh delays.
 //! * [`apps`] — longest-prefix-match routing and ACL packet
 //!   classification with range-to-prefix expansion.
 //!
 //! # Example — one-shot refresh barely interferes with traffic
 //!
 //! ```
-//! use tcam_arch::refresh_sched::compare_policies;
+//! use tcam_arch::refresh_sched::{compare_policies, RefreshSimConfig};
+//! use tcam_arch::OperationCosts;
 //!
-//! let (row_by_row, one_shot) = compare_policies(
-//!     64,       // rows
-//!     26.5e-6,  // retention (paper §IV-B)
-//!     10e-9,    // row refresh op time
-//!     0.7e-12,  // row refresh energy
-//!     10e-9,    // OSR op time
-//!     520e-15,  // OSR energy (paper §IV-B)
-//!     50e6,     // 50 Msearch/s
-//!     5e-9,     // search service time
-//!     1e-3,     // simulate 1 ms
-//!     1,        // seed
-//! );
-//! assert!(one_shot.delayed_searches < row_by_row.delayed_searches);
+//! let config = RefreshSimConfig {
+//!     rows: 64,
+//!     costs: OperationCosts::paper_3t2n(), // 26.5 µs retention, 520 fJ OSR
+//!     search_rate: 50e6,                   // 50 Msearch/s
+//!     search_time: 5e-9,
+//!     duration: 1e-3, // simulate 1 ms
+//!     seed: 1,
+//! };
+//! let (row_by_row, one_shot) = compare_policies(&config, 10e-9); // 10 ns ops
+//! assert!(one_shot.refresh_delayed_searches * 10 < row_by_row.refresh_delayed_searches);
 //! assert!(one_shot.refresh_energy < row_by_row.refresh_energy);
 //! ```
 
@@ -62,4 +62,4 @@ pub use array::{ArchError, TcamArray};
 pub use bank::BankRefresh;
 pub use energy_model::{OperationCosts, WorkloadMeter};
 pub use packed::{PackedTcamArray, PackedWord};
-pub use refresh_sched::{simulate, RefreshPolicy, RefreshSimConfig, RefreshSimReport};
+pub use refresh_sched::{simulate, RefreshSimConfig, RefreshSimReport};

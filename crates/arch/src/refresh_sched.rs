@@ -9,42 +9,26 @@
 //! The simulator models one TCAM bank as a non-preemptive server: refresh
 //! operations are released on their schedule with priority (data integrity
 //! cannot wait), searches arrive as a Poisson process and queue FIFO. It
-//! reports search waiting-time statistics and refresh energy for each
-//! policy.
+//! reports search waiting-time statistics, the searches refresh delayed,
+//! and refresh energy for each policy. The policy is a
+//! [`BankRefresh`], the type the serving pool's refresh clock sizes,
+//! times and meters its events by, priced from the design's
+//! [`OperationCosts`].
 
+use crate::bank::BankRefresh;
+use crate::energy_model::OperationCosts;
 use tcam_numeric::rng::SplitMix64;
 use tcam_numeric::stats::{percentile, Running};
 
-/// Refresh policy under test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefreshPolicy {
-    /// Row-by-row read–write refresh: `rows` operations per retention
-    /// interval, spread evenly, each taking `op_time` and costing
-    /// `op_energy`.
-    RowByRow {
-        /// Number of rows in the bank.
-        rows: usize,
-        /// Duration of one row refresh (read + write back), seconds.
-        op_time: f64,
-        /// Energy of one row refresh, joules.
-        op_energy: f64,
-    },
-    /// One-shot refresh: a single operation per retention interval.
-    OneShot {
-        /// Duration of the OSR operation, seconds.
-        op_time: f64,
-        /// Energy of the OSR operation, joules.
-        op_energy: f64,
-    },
-}
-
-/// Simulation configuration.
+/// The bank and traffic under test; the refresh policy is the second
+/// argument of [`simulate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshSimConfig {
-    /// Retention interval, seconds.
-    pub retention: f64,
-    /// Policy under test.
-    pub policy: RefreshPolicy,
+    /// Number of rows in the bank (sizes a row-by-row interval).
+    pub rows: usize,
+    /// The design's costs: `retention` spaces the refresh operations, and
+    /// [`BankRefresh::op_energy`] prices each from them.
+    pub costs: OperationCosts,
     /// Mean Poisson search arrival rate, searches/second.
     pub search_rate: f64,
     /// Search service time, seconds.
@@ -60,8 +44,12 @@ pub struct RefreshSimConfig {
 pub struct RefreshSimReport {
     /// Searches completed.
     pub searches: u64,
-    /// Searches that had to wait (arrived while the bank was busy).
+    /// Searches that had to wait (arrived while the bank was busy, with a
+    /// search or a refresh).
     pub delayed_searches: u64,
+    /// Searches delayed by refresh: they arrived before the bank had
+    /// finished the last refresh operation released before them.
+    pub refresh_delayed_searches: u64,
     /// Refresh operations performed.
     pub refresh_ops: u64,
     /// Mean search waiting time, seconds.
@@ -76,39 +64,40 @@ pub struct RefreshSimReport {
     pub refresh_utilization: f64,
 }
 
-/// Runs the refresh-interference simulation.
+/// Runs the refresh-interference simulation of `config`'s bank under
+/// `refresh`: [`BankRefresh::ops_per_event`] operations per retention
+/// interval, spread evenly, each lasting [`BankRefresh::op_time`] and
+/// costing [`BankRefresh::op_energy`].
 ///
 /// # Panics
 ///
 /// Panics on non-positive rates/durations (configuration bugs).
 #[must_use]
-pub fn simulate(config: &RefreshSimConfig) -> RefreshSimReport {
-    assert!(config.retention > 0.0, "retention must be positive");
+pub fn simulate(config: &RefreshSimConfig, refresh: BankRefresh) -> RefreshSimReport {
+    let retention = config.costs.retention;
+    assert!(retention > 0.0, "retention must be positive");
     assert!(config.duration > 0.0, "duration must be positive");
     assert!(config.search_rate >= 0.0, "rate must be non-negative");
 
     let mut rng = SplitMix64::new(config.seed);
 
-    // Refresh release times and per-op parameters over the horizon.
-    let (ops_per_interval, op_time, op_energy) = match config.policy {
-        RefreshPolicy::RowByRow {
-            rows,
-            op_time,
-            op_energy,
-        } => (rows.max(1), op_time, op_energy),
-        RefreshPolicy::OneShot { op_time, op_energy } => (1, op_time, op_energy),
-    };
-    let refresh_spacing = config.retention / ops_per_interval as f64;
+    // Refresh release spacing and per-op parameters over the horizon (no
+    // refresh: an infinite spacing releases none).
+    let op_time = refresh.op_time();
+    let op_energy = refresh.op_energy(&config.costs);
+    let refresh_spacing = retention / refresh.ops_per_event(config.rows) as f64;
 
     // Merge two ordered streams: refresh releases (deterministic) and
     // search arrivals (Poisson). The bank serves refreshes with priority.
     let mut t_bank_free = 0.0_f64; // when the bank next becomes idle
+    let mut t_refresh_done = 0.0_f64; // when the last released refresh ends
     let mut next_refresh = refresh_spacing;
     let mut next_search = rng.exp(config.search_rate);
 
     let mut waits = Vec::new();
     let mut stats = Running::new();
     let mut delayed = 0_u64;
+    let mut refresh_delayed = 0_u64;
     let mut refresh_ops = 0_u64;
     let mut refresh_busy = 0.0_f64;
 
@@ -121,6 +110,7 @@ pub fn simulate(config: &RefreshSimConfig) -> RefreshSimReport {
             // frees up after its release time.
             let start = t_bank_free.max(next_refresh);
             t_bank_free = start + op_time;
+            t_refresh_done = t_bank_free;
             refresh_busy += op_time;
             refresh_ops += 1;
             next_refresh += refresh_spacing;
@@ -132,6 +122,9 @@ pub fn simulate(config: &RefreshSimConfig) -> RefreshSimReport {
             let wait = start - next_search;
             if wait > 0.0 {
                 delayed += 1;
+            }
+            if t_refresh_done > next_search {
+                refresh_delayed += 1;
             }
             waits.push(wait);
             stats.push(wait);
@@ -148,6 +141,7 @@ pub fn simulate(config: &RefreshSimConfig) -> RefreshSimReport {
     RefreshSimReport {
         searches: stats.count(),
         delayed_searches: delayed,
+        refresh_delayed_searches: refresh_delayed,
         refresh_ops,
         mean_wait: stats.mean(),
         p99_wait: p99,
@@ -157,58 +151,29 @@ pub fn simulate(config: &RefreshSimConfig) -> RefreshSimReport {
     }
 }
 
-/// Convenience: the paper-flavoured comparison — row-by-row vs one-shot on
-/// the same bank and traffic. Returns `(row_by_row, one_shot)`.
+/// The paper-flavoured comparison: row-by-row against one-shot refresh on
+/// the same bank and traffic load, each operation lasting `op_time`.
+/// Returns `(row_by_row, one_shot)`.
 ///
-/// Each policy's simulation seeds its own RNG with a value derived from
-/// `seed` in a fixed order (row-by-row first), so the result is
+/// Each policy's simulation seeds its own RNG (so each sees its own
+/// arrival stream) with a value derived from
+/// `config.seed` in a fixed order (row-by-row first), so the result is
 /// bit-identical no matter how many threads
 /// [`parallel_map`](tcam_numeric::parallel) schedules the two simulations
 /// across — nothing is drawn from a shared stream in scheduling order.
 #[must_use]
-#[allow(clippy::too_many_arguments)] // a deliberate flat convenience API
 pub fn compare_policies(
-    rows: usize,
-    retention: f64,
-    row_op_time: f64,
-    row_op_energy: f64,
-    osr_time: f64,
-    osr_energy: f64,
-    search_rate: f64,
-    search_time: f64,
-    duration: f64,
-    seed: u64,
+    config: &RefreshSimConfig,
+    op_time: f64,
 ) -> (RefreshSimReport, RefreshSimReport) {
-    let mut seeder = SplitMix64::new(seed);
-    let rbr_seed = seeder.next_u64();
-    let osr_seed = seeder.next_u64();
-    let base = RefreshSimConfig {
-        retention,
-        policy: RefreshPolicy::RowByRow {
-            rows,
-            op_time: row_op_time,
-            op_energy: row_op_energy,
-        },
-        search_rate,
-        search_time,
-        duration,
-        seed,
-    };
-    let configs = vec![
-        RefreshSimConfig {
-            seed: rbr_seed,
-            ..base
-        },
-        RefreshSimConfig {
-            policy: RefreshPolicy::OneShot {
-                op_time: osr_time,
-                op_energy: osr_energy,
-            },
-            seed: osr_seed,
-            ..base
-        },
+    let mut seeder = SplitMix64::new(config.seed);
+    let runs = vec![
+        (BankRefresh::RowByRow { op_time }, seeder.next_u64()),
+        (BankRefresh::OneShot { op_time }, seeder.next_u64()),
     ];
-    let mut reports = tcam_numeric::parallel::parallel_map(configs, |c| simulate(&c));
+    let mut reports = tcam_numeric::parallel::parallel_map(runs, |(refresh, seed)| {
+        simulate(&RefreshSimConfig { seed, ..*config }, refresh)
+    });
     let osr = reports.pop().expect("two simulations");
     let rbr = reports.pop().expect("two simulations");
     (rbr, osr)
@@ -218,11 +183,15 @@ pub fn compare_policies(
 mod tests {
     use super::*;
 
-    fn config(policy: RefreshPolicy) -> RefreshSimConfig {
+    const OP_TIME: f64 = 10e-9;
+    const ONE_SHOT: BankRefresh = BankRefresh::OneShot { op_time: OP_TIME };
+    const ROW_BY_ROW: BankRefresh = BankRefresh::RowByRow { op_time: OP_TIME };
+
+    fn config() -> RefreshSimConfig {
         RefreshSimConfig {
-            retention: 26.5e-6,
-            policy,
-            search_rate: 50e6, // 50 Msearch/s
+            rows: 64,
+            costs: OperationCosts::paper_3t2n(), // 26.5 µs retention
+            search_rate: 50e6,                   // 50 Msearch/s
             search_time: 5e-9,
             duration: 2e-3,
             seed: 42,
@@ -231,10 +200,7 @@ mod tests {
 
     #[test]
     fn osr_runs_one_op_per_interval() {
-        let r = simulate(&config(RefreshPolicy::OneShot {
-            op_time: 10e-9,
-            op_energy: 520e-15,
-        }));
+        let r = simulate(&config(), ONE_SHOT);
         let expected_ops = (2e-3 / 26.5e-6) as u64;
         assert!((r.refresh_ops as i64 - expected_ops as i64).abs() <= 1);
         assert!(r.searches > 50_000);
@@ -242,19 +208,31 @@ mod tests {
 
     #[test]
     fn row_by_row_runs_n_ops_per_interval() {
-        let r = simulate(&config(RefreshPolicy::RowByRow {
-            rows: 64,
-            op_time: 10e-9,
-            op_energy: 0.7e-12,
-        }));
+        let r = simulate(&config(), ROW_BY_ROW);
         let expected = 64.0 * 2e-3 / 26.5e-6;
         assert!((r.refresh_ops as f64 - expected).abs() / expected < 0.01);
     }
 
     #[test]
+    fn no_refresh_releases_no_ops() {
+        let r = simulate(&config(), BankRefresh::None);
+        assert_eq!((r.refresh_ops, r.refresh_delayed_searches), (0, 0));
+        assert_eq!(r.refresh_energy, 0.0);
+        assert_eq!(r.refresh_utilization, 0.0);
+        assert!(
+            r.delayed_searches > 0,
+            "searches still queue behind searches"
+        );
+    }
+
+    #[test]
     fn osr_interferes_less_than_row_by_row() {
         let (rbr, osr) = compare_policies(
-            64, 26.5e-6, 10e-9, 0.7e-12, 10e-9, 520e-15, 50e6, 5e-9, 2e-3, 7,
+            &RefreshSimConfig {
+                seed: 7,
+                ..config()
+            },
+            OP_TIME,
         );
         assert!(
             osr.delayed_searches < rbr.delayed_searches,
@@ -262,20 +240,56 @@ mod tests {
             osr.delayed_searches,
             rbr.delayed_searches
         );
+        // Most delayed searches wait behind other searches (the bank is
+        // 25 % busy with searches alone); those refresh delayed are where
+        // the policies differ by an order of magnitude.
+        assert!(
+            osr.refresh_delayed_searches * 10 < rbr.refresh_delayed_searches,
+            "osr {} vs rbr {} delayed by refresh",
+            osr.refresh_delayed_searches,
+            rbr.refresh_delayed_searches
+        );
         assert!(osr.mean_wait <= rbr.mean_wait);
         assert!(osr.refresh_utilization < rbr.refresh_utilization);
-        // Energy: 1 op of 520 fJ vs 64 ops of ~0.7 pJ per interval.
+        // Energy: 1 op of 520 fJ vs 64 ops of 0.7 pJ per interval.
         assert!(osr.refresh_energy < rbr.refresh_energy / 10.0);
+    }
+
+    /// A1 as `summary` prints it (64 rows, 26.5 µs, 10 ns ops,
+    /// 50 Msearch/s, 5 ns searches, 1 ms, seed 42), pinned to the bit: the
+    /// values the study read when each policy carried its own rows, op
+    /// time and op energy.
+    #[test]
+    fn a1_pinned_at_summary_configuration() {
+        let a1 = RefreshSimConfig {
+            duration: 1e-3,
+            ..config()
+        };
+        let (rbr, osr) = compare_policies(&a1, OP_TIME);
+        let counts = |r: &RefreshSimReport| (r.searches, r.delayed_searches, r.refresh_ops);
+        assert_eq!(counts(&rbr), (50_006, 13_585, 2_415));
+        assert_eq!(
+            rbr.mean_wait.to_bits(),
+            1.008_438_779_484_299_7e-9_f64.to_bits()
+        );
+        assert_eq!(
+            rbr.refresh_energy.to_bits(),
+            1.690_500_000_000_000_1e-9_f64.to_bits()
+        );
+        assert_eq!(counts(&osr), (50_169, 12_630, 37));
+        assert_eq!(
+            osr.mean_wait.to_bits(),
+            8.475_647_991_592_004e-10_f64.to_bits()
+        );
+        assert_eq!(osr.refresh_energy.to_bits(), 1.924e-11_f64.to_bits());
+        assert_eq!(rbr.refresh_delayed_searches, 1_246);
+        assert_eq!(osr.refresh_delayed_searches, 26);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let c = config(RefreshPolicy::OneShot {
-            op_time: 10e-9,
-            op_energy: 520e-15,
-        });
-        let a = simulate(&c);
-        let b = simulate(&c);
+        let a = simulate(&config(), ONE_SHOT);
+        let b = simulate(&config(), ONE_SHOT);
         assert_eq!(a.searches, b.searches);
         assert_eq!(a.mean_wait, b.mean_wait);
     }
@@ -286,16 +300,21 @@ mod tests {
     #[test]
     fn compare_policies_deterministic_across_runs() {
         for seed in [3u64, 9001] {
-            let run = || {
-                compare_policies(
-                    64, 26.5e-6, 10e-9, 0.7e-12, 10e-9, 520e-15, 80e6, 5e-9, 1e-3, seed,
-                )
+            let c = RefreshSimConfig {
+                search_rate: 80e6,
+                duration: 1e-3,
+                seed,
+                ..config()
             };
-            let (rbr_a, osr_a) = run();
-            let (rbr_b, osr_b) = run();
+            let (rbr_a, osr_a) = compare_policies(&c, OP_TIME);
+            let (rbr_b, osr_b) = compare_policies(&c, OP_TIME);
             for (a, b) in [(&rbr_a, &rbr_b), (&osr_a, &osr_b)] {
                 assert_eq!(a.searches, b.searches, "seed {seed}");
                 assert_eq!(a.delayed_searches, b.delayed_searches, "seed {seed}");
+                assert_eq!(
+                    a.refresh_delayed_searches, b.refresh_delayed_searches,
+                    "seed {seed}"
+                );
                 assert_eq!(a.refresh_ops, b.refresh_ops, "seed {seed}");
                 assert!(a.mean_wait == b.mean_wait, "seed {seed}");
                 assert!(a.p99_wait == b.p99_wait, "seed {seed}");
@@ -304,18 +323,13 @@ mod tests {
             // The derivation is the documented fixed-order one: each policy
             // simulated directly with its derived seed gives the same report.
             let mut seeder = SplitMix64::new(seed);
-            let direct_rbr = simulate(&RefreshSimConfig {
-                retention: 26.5e-6,
-                policy: RefreshPolicy::RowByRow {
-                    rows: 64,
-                    op_time: 10e-9,
-                    op_energy: 0.7e-12,
+            let direct_rbr = simulate(
+                &RefreshSimConfig {
+                    seed: seeder.next_u64(),
+                    ..c
                 },
-                search_rate: 80e6,
-                search_time: 5e-9,
-                duration: 1e-3,
-                seed: seeder.next_u64(),
-            });
+                ROW_BY_ROW,
+            );
             assert_eq!(direct_rbr.searches, rbr_a.searches, "seed {seed}");
             assert!(direct_rbr.mean_wait == rbr_a.mean_wait, "seed {seed}");
         }
@@ -323,12 +337,13 @@ mod tests {
 
     #[test]
     fn zero_traffic_still_refreshes() {
-        let mut c = config(RefreshPolicy::OneShot {
-            op_time: 10e-9,
-            op_energy: 520e-15,
-        });
-        c.search_rate = 0.0;
-        let r = simulate(&c);
+        let r = simulate(
+            &RefreshSimConfig {
+                search_rate: 0.0,
+                ..config()
+            },
+            ONE_SHOT,
+        );
         assert_eq!(r.searches, 0);
         assert!(r.refresh_ops > 0);
         assert_eq!(r.mean_wait, 0.0);

@@ -5,7 +5,8 @@
 //! With `--stats` it additionally prints per-design solver statistics
 //! for the worst-case search transient, recovery-ladder rescues included.
 
-use tcam_arch::refresh_sched::compare_policies;
+use tcam_arch::energy_model::OperationCosts;
+use tcam_arch::refresh_sched::{compare_policies, RefreshSimConfig};
 use tcam_bench::{banner, has_flag, spec_from_args};
 use tcam_core::experiments::{
     all_designs, fig6_write, fig7_search, mismatch_key, pattern_word, refresh_study,
@@ -108,22 +109,30 @@ fn main() {
 
     // A1 — architectural refresh interference.
     println!("\n[A1] refresh interference under 50 Msearch/s (1 ms simulated)");
-    let (rbr, osr) = compare_policies(
-        spec.rows, 26.5e-6, 10e-9, 0.7e-12, 10e-9, 520e-15, 50e6, 5e-9, 1e-3, 42,
-    );
+    let a1 = RefreshSimConfig {
+        rows: spec.rows,
+        costs: OperationCosts::paper_3t2n(),
+        search_rate: 50e6,
+        search_time: 5e-9,
+        duration: 1e-3,
+        seed: 42,
+    };
+    let (rbr, osr) = compare_policies(&a1, 10e-9);
     println!(
-        "  row-by-row: {} refresh ops, {} delayed searches, mean wait {}, energy {}",
+        "  row-by-row: {} refresh ops, {} delayed searches, mean wait {}, energy {}, {} delayed by refresh",
         rbr.refresh_ops,
         rbr.delayed_searches,
         format_si(rbr.mean_wait, "s"),
-        format_si(rbr.refresh_energy, "J")
+        format_si(rbr.refresh_energy, "J"),
+        rbr.refresh_delayed_searches
     );
     println!(
-        "  one-shot:   {} refresh ops, {} delayed searches, mean wait {}, energy {}",
+        "  one-shot:   {} refresh ops, {} delayed searches, mean wait {}, energy {}, {} delayed by refresh",
         osr.refresh_ops,
         osr.delayed_searches,
         format_si(osr.mean_wait, "s"),
-        format_si(osr.refresh_energy, "J")
+        format_si(osr.refresh_energy, "J"),
+        osr.refresh_delayed_searches
     );
     // Optional: per-design solver statistics for the F7 mismatch search,
     // showing the cached-LU path at work (fresh factorizations stay in the

@@ -18,7 +18,8 @@
 //!   64-row blocks a key searches.
 //! * [`pool::ShardPool`] — the one serving core: lookups matched on the
 //!   caller's own thread (`answer_here`) through the table's kernel, one
-//!   thread that keeps the refresh clock per [`BankRefresh`] policy, and
+//!   thread that keeps the refresh clock per
+//!   [`BankRefresh`](tcam_arch::bank::BankRefresh) policy, and
 //!   a published-snapshot cell that rule updates swap whole tables
 //!   through.
 //! * [`service::TcamService`] — the pool over one packed table plus the
@@ -62,8 +63,5 @@ pub use error::{Result, ServeError};
 pub use pool::ShardPool;
 pub use service::{BatchReply, SearchBatch, ServiceConfig, TcamService};
 pub use shard::{RowOps, ShardedRuleSet};
-pub use telemetry::{LatencyHistogram, ServeReport, ShardStats};
+pub use telemetry::{ServeReport, ShardStats};
 pub use workload::Workload;
-
-// Re-exported so service configuration reads naturally at the call site.
-pub use tcam_arch::bank::BankRefresh;

@@ -13,7 +13,7 @@
 //! — no queue, no hand-off, no reply channel. This is how the wire
 //! front-end serves every lookup: its connection readers are the cores a
 //! table is spread across. Telemetry is settled per call, not per key
-//! ([`LatencyHistogram::record_n`](crate::telemetry::LatencyHistogram)),
+//! ([`LatencyHistogram::record_n`](tcam_obs::LatencyHistogram::record_n)),
 //! into the pool's one counter block ([`ShardStats`]), which
 //! [`ShardPool::shutdown`] takes as the [`ServeReport`].
 //! [`ShardPool::submit`] is the same match behind a [`SearchBatch`].
@@ -28,11 +28,13 @@
 //! counts its keys in [`ShardStats::stalled_searches`]), and an event
 //! never overlaps a match. An event is sized by the [`BankRefresh`]
 //! policy (1 op one-shot, `rows` ops row-by-row), each op
-//! `refresh_op_work` units of real work and metered through
-//! [`WorkloadMeter`](tcam_arch::energy_model::WorkloadMeter): a row-by-row
-//! event stalls the table ~`rows`× longer — the paper's argument,
-//! measured. The clock does nothing else. Its first deadline is one
-//! interval after [`ShardPool::start`], and an event that fell due
+//! `refresh_op_work` units of real work, and metered once through
+//! [`WorkloadMeter::refresh`](tcam_arch::energy_model::WorkloadMeter::refresh),
+//! which prices each op by [`BankRefresh::op_energy`] as the
+//! interference simulation does: a row-by-row event stalls the table
+//! ~`rows`× longer — the paper's argument, measured. The clock does
+//! nothing else. Its first deadline is one interval after
+//! [`ShardPool::start`], and an event that fell due
 //! before shutdown runs before the clock stops, however late the clock
 //! thread is scheduled: a pool that lives longer than one interval has
 //! refreshed at least once.
@@ -457,9 +459,7 @@ fn run_clock(shard: &Shard, config: &ServiceConfig, started: Instant) {
         let end = Instant::now();
         {
             let mut stats = shard.stats();
-            for _ in 0..ops {
-                stats.meter.refresh(&config.costs, config.refresh.op_time());
-            }
+            stats.meter.refresh(&config.costs, &config.refresh, ops);
             stats.refresh_events += 1;
             stats.refresh_ops += ops;
             stats.refresh_stall += end - start;

@@ -177,6 +177,17 @@ mod tests {
         assert!(s.refresh_events > 0);
         assert!(s.rows > 0);
         assert_eq!(s.refresh_ops, s.refresh_events * s.rows as u64);
+        // Each row op is priced as a read and a write-back, as the
+        // interference simulation prices it — not as a whole-array OSR.
+        assert_eq!(s.meter.refreshes, s.refresh_ops);
+        let op_energy = 2.0 * ServiceConfig::default().costs.write_energy;
+        let expected = s.refresh_ops as f64 * op_energy;
+        assert!(
+            (s.meter.energy - expected).abs() <= 1e-9 * expected,
+            "metered {} J, {} ops at {op_energy} J",
+            s.meter.energy,
+            s.refresh_ops
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Latency/throughput telemetry for the lookup service.
 //!
-//! The histogram type is [`tcam_obs::LatencyHistogram`], re-exported here
-//! — this crate no longer defines its own (it moved to `tcam-obs` so the
-//! solver, serving, and bench layers share one implementation and one set
-//! of correctness tests).
+//! The histogram type is [`tcam_obs::LatencyHistogram`]: the solver,
+//! serving, and bench layers share one implementation and one set of
+//! correctness tests.
 //!
 //! [`ShardStats`] is the table's counter block: lookups, publications and
 //! refresh events write it under one lock, each once per call or event,
@@ -13,8 +12,7 @@
 
 use std::time::Duration;
 use tcam_arch::energy_model::WorkloadMeter;
-
-pub use tcam_obs::hist::{bucket_of, value_of, LatencyHistogram};
+use tcam_obs::LatencyHistogram;
 
 /// The table's counters, written by every lookup
 /// ([`ShardPool::answer_here`]), every accepted publication and every
@@ -63,25 +61,4 @@ pub struct ServeReport {
     /// unjoinable) at shutdown. Shutdown reports it instead of panicking
     /// so the service lifecycle stays drop-safe.
     pub clock_panicked: bool,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Histogram correctness tests live with the type in `tcam-obs`
-    // (`crates/obs/src/hist.rs`).
-
-    #[test]
-    fn shared_histogram_is_the_obs_type() {
-        // The re-export is the single histogram type: quantiles come back
-        // midpoint-reported with the exact-max clamp, same as `tcam-obs`.
-        let mut h = LatencyHistogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(50.0), 502, "midpoint convention");
-        assert_eq!(h.quantile(100.0), 1000, "exact max clamp");
-        assert_eq!(value_of(bucket_of(77)), 77);
-    }
 }

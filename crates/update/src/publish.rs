@@ -442,7 +442,7 @@ mod tests {
     fn apply_after_publish_copies_the_table_once() {
         let mut updater = seeded_updater();
         let config = tcam_serve::service::ServiceConfig {
-            refresh: tcam_serve::BankRefresh::None,
+            refresh: tcam_arch::bank::BankRefresh::None,
             ..Default::default()
         };
         let service = updater.start_service(&config).unwrap();
@@ -498,7 +498,7 @@ mod tests {
         let mut mirror = RuleStore::from_rules(&rules).unwrap();
         let mut updater = Updater::new(mirror.clone(), 0, OperationCosts::paper_3t2n()).unwrap();
         let config = tcam_serve::service::ServiceConfig {
-            refresh: tcam_serve::BankRefresh::None,
+            refresh: tcam_arch::bank::BankRefresh::None,
             ..Default::default()
         };
         let service = updater.start_service(&config).unwrap();

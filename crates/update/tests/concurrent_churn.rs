@@ -29,12 +29,12 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use tcam_arch::bank::BankRefresh;
 use tcam_arch::energy_model::OperationCosts;
 use tcam_arch::packed::PackedWord;
 use tcam_core::bit::TernaryBit;
 use tcam_serve::service::{ServiceConfig, TcamService};
 use tcam_serve::shard::ShardedRuleSet;
-use tcam_serve::BankRefresh;
 use tcam_update::churn::BgpChurn;
 use tcam_update::publish::Updater;
 use tcam_update::store::RuleStore;

@@ -5,7 +5,7 @@
 use nem_tcam::arch::apps::classifier::range_to_prefixes;
 use nem_tcam::arch::apps::router::{Ipv4Prefix, Route, RouterTable};
 use nem_tcam::arch::array::{value_to_word, TcamArray};
-use nem_tcam::arch::refresh_sched::compare_policies;
+use nem_tcam::arch::refresh_sched::{compare_policies, RefreshSimConfig};
 use nem_tcam::arch::{OperationCosts, WorkloadMeter};
 use nem_tcam::core::bit::word_matches;
 use nem_tcam::numeric::rng::SplitMix64;
@@ -53,10 +53,22 @@ fn refresh_power_is_below_a_tenth_of_lookup_power() {
 #[test]
 fn osr_scheduling_beats_row_by_row_across_seeds() {
     for seed in [1u64, 7, 42, 1234] {
-        let (rbr, osr) = compare_policies(
-            64, 26.5e-6, 10e-9, 0.7e-12, 10e-9, 520e-15, 80e6, 5e-9, 1e-3, seed,
-        );
+        let config = RefreshSimConfig {
+            rows: 64,
+            costs: OperationCosts::paper_3t2n(),
+            search_rate: 80e6,
+            search_time: 5e-9,
+            duration: 1e-3,
+            seed,
+        };
+        let (rbr, osr) = compare_policies(&config, 10e-9);
         assert!(osr.delayed_searches < rbr.delayed_searches, "seed {seed}");
+        assert!(
+            osr.refresh_delayed_searches * 10 < rbr.refresh_delayed_searches,
+            "seed {seed}: {} vs {} delayed by refresh",
+            osr.refresh_delayed_searches,
+            rbr.refresh_delayed_searches
+        );
         assert!(osr.refresh_energy < rbr.refresh_energy, "seed {seed}");
     }
 }
