@@ -16,7 +16,10 @@ fn main() {
     println!("victim row stores all ones; aggressor row rewritten each cycle\n");
 
     println!("2FeFET victim polarization vs aggressor write cycles:");
-    println!("{:<8} {:>10} {:>14} {:>10}", "cycles", "p(victim)", "ΔV_T shift", "bit ok");
+    println!(
+        "{:<8} {:>10} {:>14} {:>10}",
+        "cycles", "p(victim)", "ΔV_T shift", "bit ok"
+    );
     let design = Fefet2f::default();
     // All four corner points simulate concurrently on scoped threads.
     for (cycles, outcome) in fefet_disturb_cycle_sweep(&design, &spec, &[1, 2, 5, 10]) {

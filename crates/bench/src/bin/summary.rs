@@ -12,11 +12,11 @@ use tcam_core::experiments::{
     all_designs, fig6_write, fig7_search, mismatch_key, pattern_word, refresh_study,
     table1_measurements,
 };
-use tcam_core::ops::run_search;
 use tcam_core::metrics::{
     format_search_table, format_write_table, search_edp_ratios, search_latency_ratios,
     write_energy_ratios,
 };
+use tcam_core::ops::run_search;
 use tcam_core::osr::V_REFRESH;
 use tcam_spice::units::format_si;
 

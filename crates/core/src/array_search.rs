@@ -52,7 +52,11 @@ pub fn run_array_search(
     let word_refs: Vec<&[TernaryBit]> = words.iter().map(Vec::as_slice).collect();
     let exp = build_search_rows(design, spec, &word_refs, key, RowNaming::Indexed)?;
     let mut ckt = exp.circuit;
-    let wave = transient(&mut ckt, TransientSpec::to(exp.t_stop), &SimOptions::default())?;
+    let wave = transient(
+        &mut ckt,
+        TransientSpec::to(exp.t_stop),
+        &SimOptions::default(),
+    )?;
 
     let mut match_flags = Vec::with_capacity(words.len());
     let mut ml_at_sense = Vec::with_capacity(words.len());
@@ -102,7 +106,12 @@ mod tests {
         for d in all_designs() {
             let res = run_array_search(d.as_ref(), &ArraySpec::small(), &words, &key).unwrap();
             assert!(res.functional_ok, "{}: {:?}", d.name(), res.ml_at_sense);
-            assert_eq!(res.match_flags, vec![false, true, false, true], "{}", d.name());
+            assert_eq!(
+                res.match_flags,
+                vec![false, true, false, true],
+                "{}",
+                d.name()
+            );
             assert_eq!(res.first_match, Some(1), "{}", d.name());
             assert!(res.energy > 0.0);
             assert!(res.waveform.trace("v(ml3)").is_ok());

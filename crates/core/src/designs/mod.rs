@@ -569,16 +569,56 @@ mod tests {
         let table = [
             // 5 FETs/relays + 2 ic caps per cell, 2 line caps and 2 two-part
             // drivers per column; WL cap + two-part WL driver.
-            ("3T2N", RowRail::None, 0.85, 3.328, 10.888, "cbl0", true, 13, 3),
+            (
+                "3T2N",
+                RowRail::None,
+                0.85,
+                3.328,
+                10.888,
+                "cbl0",
+                true,
+                13,
+                3,
+            ),
             // 16 FETs + 4 ic caps + 4 line caps + 4 two-part drivers per
             // cell; vdd, WL cap, two-part WL driver.
-            ("16T SRAM", RowRail::LatchSupply, 0.85, 6.656, 13.208, "cbl1_0", false, 32, 4),
+            (
+                "16T SRAM",
+                RowRail::LatchSupply,
+                0.85,
+                6.656,
+                13.208,
+                "cbl1_0",
+                false,
+                32,
+                4,
+            ),
             // 4 cell devices + 2 caps + 2 two-part drivers per cell; the
             // ML/SRC caps and their two-part write drivers.
-            ("2T2R RRAM", RowRail::SourceLine, 0.42, 12.138, 12.138, "csl0", false, 10, 6),
+            (
+                "2T2R RRAM",
+                RowRail::SourceLine,
+                0.42,
+                12.138,
+                12.138,
+                "csl0",
+                false,
+                10,
+                6,
+            ),
             // 2 FeFETs + 2 caps + 2 two-part drivers per cell; the
             // floating-ML cap, SRC cap and its two-part plate driver.
-            ("2FeFET", RowRail::SourceLine, 0.8, 15.032, 15.032, "csl0", false, 8, 4),
+            (
+                "2FeFET",
+                RowRail::SourceLine,
+                0.8,
+                15.032,
+                15.032,
+                "csl0",
+                false,
+                8,
+                4,
+            ),
         ];
         let small = ArraySpec::small();
         let paper = ArraySpec::paper();
@@ -590,7 +630,11 @@ mod tests {
         {
             assert_eq!(d.name(), name);
             let cell = d.search_cell();
-            assert_eq!((cell.row_rail, cell.match_retention), (rail, retention), "{name}");
+            assert_eq!(
+                (cell.row_rail, cell.match_retention),
+                (rail, retention),
+                "{name}"
+            );
 
             let exp = d.build_search(&small, &stored, &hit).unwrap();
             exp.circuit.validate().unwrap();
@@ -598,27 +642,52 @@ mod tests {
             assert_eq!(exp.ml_signal, "v(ml)");
             assert_eq!(exp.t_sense, T_SEARCH + cell.sense_window);
             assert_eq!(exp.v_match_min, retention * small.vdd);
-            assert!(!d.build_search(&small, &stored, &miss).unwrap().expect_match, "{name}");
+            assert!(
+                !d.build_search(&small, &stored, &miss).unwrap().expect_match,
+                "{name}"
+            );
             assert!(d.build_search(&small, &[One], &[One]).is_err(), "{name}");
             assert!(d.build_write(&small, &[One]).is_err(), "{name}");
 
-            let search = d.build_search(&paper, &pattern_word(64), &pattern_word(64)).unwrap();
-            assert!((line_ff(&search.circuit, "csl0") - sl_ff).abs() < 1e-6, "{name}");
-            assert_eq!(line_ff(&search.circuit, "cslb63"), line_ff(&search.circuit, "csl0"));
+            let search = d
+                .build_search(&paper, &pattern_word(64), &pattern_word(64))
+                .unwrap();
+            assert!(
+                (line_ff(&search.circuit, "csl0") - sl_ff).abs() < 1e-6,
+                "{name}"
+            );
+            assert_eq!(
+                line_ff(&search.circuit, "cslb63"),
+                line_ff(&search.circuit, "csl0")
+            );
             let write = d.build_write(&paper, &pattern_word(64)).unwrap();
-            assert!((line_ff(&write.circuit, col_cap) - col_ff).abs() < 1e-6, "{name}");
+            assert!(
+                (line_ff(&write.circuit, col_cap) - col_ff).abs() < 1e-6,
+                "{name}"
+            );
 
             let write = d.build_write(&small, &stored).unwrap();
             write.circuit.validate().unwrap();
-            assert_eq!(write.circuit.devices().len(), small.cols * per_cell + per_row, "{name}");
+            assert_eq!(
+                write.circuit.devices().len(),
+                small.cols * per_cell + per_row,
+                "{name}"
+            );
             // One stored-bit encoding, two probes per cell: the element
             // named first holds S in the 3T2N cell (N1, on SLB) and S̄ in the
             // other three (their first element is the SL-side one).
             assert_eq!(write.probes.len(), 2 * small.cols);
             for (j, bit) in stored.iter().enumerate() {
                 let (s, sb) = bit.differential();
-                let held = (write.probes[2 * j].expect_high, write.probes[2 * j + 1].expect_high);
-                assert_eq!(held, if s_first { (s, sb) } else { (sb, s) }, "{name} cell {j}");
+                let held = (
+                    write.probes[2 * j].expect_high,
+                    write.probes[2 * j + 1].expect_high,
+                );
+                assert_eq!(
+                    held,
+                    if s_first { (s, sb) } else { (sb, s) },
+                    "{name} cell {j}"
+                );
             }
         }
         assert_eq!([One, Zero, X].map(worst_case_prior), [Zero, One, One]);
@@ -633,18 +702,26 @@ mod tests {
         let spec = ArraySpec::small();
         let word = vec![One, Zero, X, One];
         let cell_devices = |exp: &SearchExperiment, prefix: &str| -> Vec<String> {
-            let names = exp.circuit.devices().iter().map(|dev| dev.name().to_string());
-            names.filter_map(|n| n.strip_prefix(prefix).map(str::to_string)).collect()
+            let names = exp
+                .circuit
+                .devices()
+                .iter()
+                .map(|dev| dev.name().to_string());
+            names
+                .filter_map(|n| n.strip_prefix(prefix).map(str::to_string))
+                .collect()
         };
         let one = d.build_search(&spec, &word, &word).unwrap();
-        let two =
-            build_search_rows(&d, &spec, &[&word, &word], &word, RowNaming::Indexed).unwrap();
+        let two = build_search_rows(&d, &spec, &[&word, &word], &word, RowNaming::Indexed).unwrap();
         two.circuit.validate().unwrap();
         let per_cell = cell_devices(&one, "c2_");
         assert_eq!(per_cell, ["tw1", "tw2", "n1", "n2", "ts", "icq", "icqb"]);
         assert_eq!(cell_devices(&two, "r0c2_"), per_cell);
         assert_eq!(cell_devices(&two, "r1c2_"), per_cell);
-        assert_eq!(two.circuit.devices().len(), one.circuit.devices().len() + 4 * 7 + 4);
+        assert_eq!(
+            two.circuit.devices().len(),
+            one.circuit.devices().len() + 4 * 7 + 4
+        );
 
         let indexed_one =
             build_search_rows(&d, &spec, &[&word], &word, RowNaming::Indexed).unwrap();
@@ -664,14 +741,21 @@ mod tests {
         let word = vec![One, Zero, X, One];
         for d in all_designs() {
             let per_row = d.search_cell().sl_load_per_row;
-            let lone = line_ff(&d.build_search(&spec, &word, &word).unwrap().circuit, "csl0");
+            let lone = line_ff(
+                &d.build_search(&spec, &word, &word).unwrap().circuit,
+                "csl0",
+            );
             for k in [2, 4] {
                 let words = vec![word.as_slice(); k];
                 let exp = build_search_rows(d.as_ref(), &spec, &words, &word, RowNaming::Indexed)
                     .unwrap();
                 let csl = line_ff(&exp.circuit, "csl0");
                 let want = lone - (k - 1) as f64 * per_row * 1e15;
-                assert!((csl - want).abs() < 1e-9, "{} k={k}: {csl} fF, want {want}", d.name());
+                assert!(
+                    (csl - want).abs() < 1e-9,
+                    "{} k={k}: {csl} fF, want {want}",
+                    d.name()
+                );
                 if per_row == 0.0 {
                     assert_eq!(csl, lone, "{} k={k}", d.name());
                 }

@@ -202,7 +202,18 @@ impl Nem3t2n {
         let bl = ckt.node("bl");
         let blb = ckt.node("blb");
         for (r, (&bit, &wl)) in stored.iter().zip(&wls).enumerate() {
-            self.build_cell(ckt, &format!("r{r}"), bit, v_store, gnd, wl, bl, blb, gnd, gnd)?;
+            self.build_cell(
+                ckt,
+                &format!("r{r}"),
+                bit,
+                v_store,
+                gnd,
+                wl,
+                bl,
+                blb,
+                gnd,
+                gnd,
+            )?;
         }
         let c_wl = geom.line_cap(Line::Row, spec.cols, wl_load_per_col);
         for (r, &wl) in wls.iter().enumerate() {
@@ -284,7 +295,12 @@ impl TcamDesign for Nem3t2n {
             });
         }
 
-        add_line_cap(&mut ckt, "cwl", wl, geom.line_cap(Line::Row, spec.cols, 0.0))?;
+        add_line_cap(
+            &mut ckt,
+            "cwl",
+            wl,
+            geom.line_cap(Line::Row, spec.cols, 0.0),
+        )?;
         add_pulse_driver(&mut ckt, "vwl", wl, 0.0, self.v_pp, T_WL, WL_WIDTH)?;
 
         Ok(WriteExperiment {

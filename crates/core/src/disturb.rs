@@ -99,8 +99,13 @@ fn build_disturb_slice(design: &Fefet2f, spec: &ArraySpec, cycles: usize) -> Res
     // is grounded (unselected) — so victim gates see only ±V/2.
     let src_a = ckt.node("src_a");
     add_line_cap(&mut ckt, "csrc_a", src_a, c_row)?;
-    let plate =
-        design.plate_waveform(cycles, CYCLE, (T_POS, POS_WIDTH), (T_NEG, NEG_WIDTH), 0.1e-9)?;
+    let plate = design.plate_waveform(
+        cycles,
+        CYCLE,
+        (T_POS, POS_WIDTH),
+        (T_NEG, NEG_WIDTH),
+        0.1e-9,
+    )?;
     add_driver(&mut ckt, "vsrc_a", src_a, plate)?;
     let src_v = ckt.node("src_v");
     add_line_cap(&mut ckt, "csrc_v", src_v, c_row)?;
@@ -308,7 +313,10 @@ mod tests {
             let scalar = run_fefet_write_disturb(&variant, &spec(), 2).unwrap();
             assert_eq!(swept.victim_p_start, scalar.victim_p_start, "V_W = {vw}");
             assert_eq!(swept.victim_p_end, scalar.victim_p_end, "V_W = {vw}");
-            assert_eq!(swept.victim_vth_shift, scalar.victim_vth_shift, "V_W = {vw}");
+            assert_eq!(
+                swept.victim_vth_shift, scalar.victim_vth_shift,
+                "V_W = {vw}"
+            );
             drifts.push(swept.victim_p_start - swept.victim_p_end);
         }
         // Higher write voltage → deeper half-select stress → more drift.
@@ -331,19 +339,28 @@ mod tests {
     }
 
     fn zero_columns() -> ArraySpec {
-        ArraySpec { cols: 0, ..ArraySpec::small() }
+        ArraySpec {
+            cols: 0,
+            ..ArraySpec::small()
+        }
     }
 
     #[test]
     fn fefet_study_rejects_a_degenerate_spec() {
         let res = run_fefet_write_disturb(&Fefet2f::default(), &zero_columns(), 2);
-        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
+        assert!(matches!(
+            res,
+            Err(tcam_spice::SpiceError::InvalidCircuit(_))
+        ));
     }
 
     #[test]
     fn nem_study_rejects_a_degenerate_spec() {
         let res = nem_victim_survives_neighbour_writes(&Nem3t2n::default(), &zero_columns(), 2);
-        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
+        assert!(matches!(
+            res,
+            Err(tcam_spice::SpiceError::InvalidCircuit(_))
+        ));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! engineered to happen *mid-sweep*, where the per-trial containment of
 //! [`crate::variation::search_margin_study`] must absorb it.
 
-use crate::designs::{ArraySpec, SearchCell, SearchExperiment, TcamDesign, WriteExperiment};
 use crate::bit::TernaryBit;
+use crate::designs::{ArraySpec, SearchCell, SearchExperiment, TcamDesign, WriteExperiment};
 use crate::parasitics::CellGeometry;
 use tcam_spice::device::{AnalysisKind, Device, EvalCtx, Stamps};
 use tcam_spice::error::Result;

@@ -46,8 +46,8 @@
 
 pub mod array_search;
 pub mod bit;
-pub mod disturb;
 pub mod designs;
+pub mod disturb;
 pub mod experiments;
 pub mod fault;
 pub mod metrics;

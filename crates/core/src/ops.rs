@@ -33,7 +33,11 @@ pub struct WriteResult {
 /// [`SpiceError::NotFound`] if a probe signal was never recorded.
 pub fn run_write(exp: WriteExperiment) -> Result<WriteResult> {
     let mut circuit = exp.circuit;
-    let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &SimOptions::default())?;
+    let wave = transient(
+        &mut circuit,
+        TransientSpec::to(exp.t_stop),
+        &SimOptions::default(),
+    )?;
 
     let mut latency: f64 = 0.0;
     let mut all_valid = true;
@@ -106,7 +110,11 @@ impl SearchResult {
 /// Propagates simulation failures.
 pub fn run_search(exp: SearchExperiment) -> Result<SearchResult> {
     let mut circuit = exp.circuit;
-    let wave = transient(&mut circuit, TransientSpec::to(exp.t_stop), &SimOptions::default())?;
+    let wave = transient(
+        &mut circuit,
+        TransientSpec::to(exp.t_stop),
+        &SimOptions::default(),
+    )?;
     let ml_at_sense = wave.sample(&exp.ml_signal, exp.t_sense)?;
     let energy = circuit.total_sourced_energy();
 
@@ -224,7 +232,10 @@ mod tests {
         let res = run_search(exp).unwrap();
         let wall_ns = t0.elapsed().as_secs_f64() * 1e9;
         assert!(res.functional_ok, "ml at sense = {}", res.ml_at_sense);
-        let trace = res.waveform.solver_trace().expect("transient records a trace");
+        let trace = res
+            .waveform
+            .solver_trace()
+            .expect("transient records a trace");
         assert!(trace.stats.steps_accepted > 0);
         assert!(trace.stats.nr_iterations >= trace.stats.steps_accepted);
         assert!(
@@ -234,7 +245,11 @@ mod tests {
             trace.max_dt_used
         );
         assert_eq!(
-            (trace.gmin_events, trace.source_step_events, trace.integrator_fallbacks),
+            (
+                trace.gmin_events,
+                trace.source_step_events,
+                trace.integrator_fallbacks
+            ),
             (0, 0, 0),
             "a recovery-ladder rung fired on the reference array"
         );

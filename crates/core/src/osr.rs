@@ -96,11 +96,27 @@ fn build_osr_slice(
 
     for (r, &wl) in wls.iter().enumerate() {
         let name = format!("vwl{r}");
-        add_pulse_driver(&mut ckt, &name, wl, 0.0, design.v_pp_refresh, T_WL, WL_WIDTH)?;
+        add_pulse_driver(
+            &mut ckt,
+            &name,
+            wl,
+            0.0,
+            design.v_pp_refresh,
+            T_WL,
+            WL_WIDTH,
+        )?;
     }
     // Bitline pair at V_R for the refresh window, back to 0 after.
     for (name, line) in [("vbl", bl), ("vblb", blb)] {
-        add_pulse_driver(&mut ckt, name, line, 0.0, v_refresh, T_BL, WL_WIDTH + 0.6e-9)?;
+        add_pulse_driver(
+            &mut ckt,
+            name,
+            line,
+            0.0,
+            v_refresh,
+            T_BL,
+            WL_WIDTH + 0.6e-9,
+        )?;
     }
     Ok((ckt, stored))
 }
@@ -214,9 +230,15 @@ mod tests {
     /// load is computed.
     #[test]
     fn degenerate_spec_is_an_error() {
-        let spec = ArraySpec { cols: 0, ..ArraySpec::small() };
+        let spec = ArraySpec {
+            cols: 0,
+            ..ArraySpec::small()
+        };
         let res = run_osr(&Nem3t2n::default(), &spec, V_REFRESH, osr_default_pattern);
-        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
+        assert!(matches!(
+            res,
+            Err(tcam_spice::SpiceError::InvalidCircuit(_))
+        ));
     }
 
     #[test]
@@ -230,7 +252,10 @@ mod tests {
         for (vr, res) in window {
             let swept = res.expect("level completes");
             let scalar = run_osr(&d, &small_spec(), vr, osr_default_pattern).unwrap();
-            assert_eq!(swept.states_preserved, scalar.states_preserved, "V_R = {vr}");
+            assert_eq!(
+                swept.states_preserved, scalar.states_preserved,
+                "V_R = {vr}"
+            );
             assert_eq!(swept.q_after, scalar.q_after, "V_R = {vr}");
             assert_eq!(swept.energy_array, scalar.energy_array, "V_R = {vr}");
             assert!(swept.energy_array > 0.0);

@@ -116,9 +116,15 @@ mod tests {
 
     #[test]
     fn degenerate_spec_is_an_error() {
-        let spec = ArraySpec { cols: 0, ..ArraySpec::small() };
+        let spec = ArraySpec {
+            cols: 0,
+            ..ArraySpec::small()
+        };
         let res = run_retention(&Nem3t2n::default(), &spec, crate::osr::V_REFRESH, 1e-6);
-        assert!(matches!(res, Err(tcam_spice::SpiceError::InvalidCircuit(_))));
+        assert!(matches!(
+            res,
+            Err(tcam_spice::SpiceError::InvalidCircuit(_))
+        ));
     }
 
     #[test]

@@ -26,11 +26,11 @@
 
 use std::result::Result as StdResult;
 
+use crate::bit::TernaryBit;
 use crate::designs::{ArraySpec, Nem3t2n, Rram2t2r, TcamDesign};
 use crate::experiments::{mismatch_key, pattern_word};
 use crate::fault::SabotagedDesign;
 use crate::ops::run_search;
-use crate::bit::TernaryBit;
 use tcam_numeric::parallel::parallel_map;
 use tcam_numeric::rng::SplitMix64;
 use tcam_numeric::stats::Running;
@@ -149,10 +149,7 @@ fn one_trial(
 
 /// Folds per-trial outcomes (in feasible-trial order) into the study
 /// summary. `infeasible` seeds the failure count.
-fn assemble(
-    infeasible: usize,
-    outcomes: Vec<StdResult<(f64, bool), String>>,
-) -> MarginStudy {
+fn assemble(infeasible: usize, outcomes: Vec<StdResult<(f64, bool), String>>) -> MarginStudy {
     let mut failures = infeasible;
     let mut sim_failures = 0;
     let mut failure_causes = Vec::new();

@@ -160,7 +160,8 @@ fn nem_relay_transient_bitwise_identical_with_cached_solver() {
             },
         ))
         .expect("adds");
-        ckt.add(VoltageSource::dc("vd", d, gnd, 0.05)).expect("adds");
+        ckt.add(VoltageSource::dc("vd", d, gnd, 0.05))
+            .expect("adds");
         ckt.add(Resistor::new("rs", s, gnd, 1e3).expect("valid"))
             .expect("adds");
         let opts = SimOptions {

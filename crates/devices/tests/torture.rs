@@ -78,7 +78,10 @@ fn relay_overdrive_recovers_with_ladder() {
     // v(s) ≈ 0.5 V (contact resistance ≪ 10 kΩ); before contact the
     // source floats near 0.
     let v_after = wave.last("v(s)").unwrap();
-    assert!((v_after - 0.5).abs() < 0.05, "v(s) post-contact = {v_after}");
+    assert!(
+        (v_after - 0.5).abs() < 0.05,
+        "v(s) post-contact = {v_after}"
+    );
     assert_eq!(wave.last("n1.contact").unwrap(), 1.0);
     // Before the rail step the beam is released and the source floats.
     let v_idle = wave.sample("v(s)", 0.4e-9).unwrap();
@@ -94,7 +97,10 @@ fn relay_overdrive_recovers_with_ladder() {
         trace.source_step_events > 0,
         "source stepping engaged: {trace:?}"
     );
-    assert!(trace.gmin_events > 0, "gmin rung was tried first: {trace:?}");
+    assert!(
+        trace.gmin_events > 0,
+        "gmin rung was tried first: {trace:?}"
+    );
     assert!(wave.meas_solver("source_step_events").unwrap() >= 1.0);
 }
 
@@ -121,7 +127,8 @@ fn fefet_overdrive_circuit() -> Circuit {
     .unwrap();
     let vdd = ckt.node("vdd");
     ckt.add(VoltageSource::dc("vdd", vdd, gnd, 1.0)).unwrap();
-    ckt.add(Resistor::new("rd", vdd, d, 100e3).unwrap()).unwrap();
+    ckt.add(Resistor::new("rd", vdd, d, 100e3).unwrap())
+        .unwrap();
     ckt.add(Capacitor::new("cd", d, gnd, 1e-15).unwrap())
         .unwrap();
     ckt.add(VoltageSource::new(
@@ -179,7 +186,8 @@ fn floating_node_op_names_unknown_and_gmin_ladder_rescues() {
         let (a, fl) = (ckt.node("a"), ckt.node("float"));
         let gnd = ckt.gnd();
         ckt.add(VoltageSource::dc("v1", a, gnd, 1.0)).unwrap();
-        ckt.add(Capacitor::new("c1", a, fl, 1e-15).unwrap()).unwrap();
+        ckt.add(Capacitor::new("c1", a, fl, 1e-15).unwrap())
+            .unwrap();
         ckt
     };
     let opts = SimOptions {

@@ -212,7 +212,12 @@ fn error_json(detail: &str) -> String {
 
 fn handle_connection(mut stream: TcpStream, node: &Arc<TcamNode>) {
     let Some(req) = read_request(&mut stream) else {
-        respond(&mut stream, 400, "application/json", &error_json("unreadable request"));
+        respond(
+            &mut stream,
+            400,
+            "application/json",
+            &error_json("unreadable request"),
+        );
         return;
     };
     tcam_obs::counter_add("admin_requests", 1);
@@ -247,7 +252,12 @@ fn handle_connection(mut stream: TcpStream, node: &Arc<TcamNode>) {
         ("GET", "/trace") => match trace_response(&req) {
             Ok(body) => respond(&mut stream, 200, "application/json", &body),
             Err((status, detail)) => {
-                respond(&mut stream, status, "application/json", &error_json(&detail));
+                respond(
+                    &mut stream,
+                    status,
+                    "application/json",
+                    &error_json(&detail),
+                );
             }
         },
         ("GET", "/flightrec") => match tcam_obs::flight_last_dump() {
@@ -265,9 +275,7 @@ fn handle_connection(mut stream: TcpStream, node: &Arc<TcamNode>) {
         }
         ("GET", "/namespaces") => {
             let mut body = String::from("[");
-            for (i, (ns, width, version, rules)) in
-                node.namespace_summaries().iter().enumerate()
-            {
+            for (i, (ns, width, version, rules)) in node.namespace_summaries().iter().enumerate() {
                 if i > 0 {
                     body.push(',');
                 }
@@ -287,7 +295,12 @@ fn handle_connection(mut stream: TcpStream, node: &Arc<TcamNode>) {
                 &format!("{{\"version\": {version}}}"),
             ),
             Err((status, detail)) => {
-                respond(&mut stream, status, "application/json", &error_json(&detail));
+                respond(
+                    &mut stream,
+                    status,
+                    "application/json",
+                    &error_json(&detail),
+                );
             }
         },
         ("POST", "/snapshot") => match node.snapshot() {
@@ -347,8 +360,8 @@ fn apply_rules(node: &Arc<TcamNode>, req: &HttpRequest) -> std::result::Result<u
         .ok_or((400, "missing ns= query parameter".to_string()))?
         .parse::<u16>()
         .map_err(|_| (400, "ns= must be a u16".to_string()))?;
-    let body = std::str::from_utf8(&req.body)
-        .map_err(|_| (400, "body is not utf-8".to_string()))?;
+    let body =
+        std::str::from_utf8(&req.body).map_err(|_| (400, "body is not utf-8".to_string()))?;
     let doc = Json::parse(body).map_err(|e| (400, format!("bad json: {e}")))?;
     let width = doc
         .get("width")
@@ -375,8 +388,7 @@ fn apply_rules(node: &Arc<TcamNode>, req: &HttpRequest) -> std::result::Result<u
                 .get("word")
                 .and_then(Json::as_str)
                 .ok_or((400, format!("change {i}: missing \"word\"")))?;
-            parse_ternary(text)
-                .ok_or((400, format!("change {i}: word is not a 0/1/X string")))
+            parse_ternary(text).ok_or((400, format!("change {i}: word is not a 0/1/X string")))
         };
         batch.push(match op {
             "insert" => RuleChange::Insert {

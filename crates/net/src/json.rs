@@ -102,9 +102,10 @@ fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
     skip_ws(bytes, at);
     match bytes.get(*at) {
         None => Err("unexpected end of input".into()),
-        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}", at = *at))
-        }
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {at}",
+            at = *at
+        )),
         Some(b'{') => parse_object(bytes, at, depth),
         Some(b'[') => parse_array(bytes, at, depth),
         Some(b'"') => Ok(Json::String(parse_string(bytes, at)?)),
@@ -130,8 +131,7 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
     if bytes.get(*at) == Some(&b'-') {
         *at += 1;
     }
-    while *at < bytes.len()
-        && matches!(bytes[*at], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    while *at < bytes.len() && matches!(bytes[*at], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
     {
         *at += 1;
     }
@@ -164,12 +164,9 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*at + 1..*at + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = bytes.get(*at + 1..*at + 5).ok_or("truncated \\u escape")?;
                         let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         // Surrogates are rejected rather than paired: the
                         // admin plane has no use for astral characters.
                         out.push(char::from_u32(code).ok_or("surrogate \\u escape")?);
@@ -182,8 +179,8 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
             Some(&c) if c < 0x20 => return Err("raw control character in string".into()),
             Some(_) => {
                 // Copy one UTF-8 scalar (multi-byte sequences intact).
-                let s = std::str::from_utf8(&bytes[*at..])
-                    .map_err(|_| "non-utf8 string content")?;
+                let s =
+                    std::str::from_utf8(&bytes[*at..]).map_err(|_| "non-utf8 string content")?;
                 let ch = s.chars().next().expect("non-empty");
                 out.push(ch);
                 *at += ch.len_utf8();
@@ -345,7 +342,11 @@ mod tests {
         let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok());
         // …one deeper is a syntax error…
-        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         assert!(Json::parse(&deep).is_err());
         // …and a hostile megabyte of open brackets (the admin plane's
         // attack shape: never balanced) errors instead of aborting.

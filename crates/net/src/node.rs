@@ -219,7 +219,12 @@ impl TcamNode {
     /// Panics if the group map lock is poisoned.
     #[must_use]
     pub fn namespaces(&self) -> Vec<u16> {
-        self.groups.read().expect("groups lock").keys().copied().collect()
+        self.groups
+            .read()
+            .expect("groups lock")
+            .keys()
+            .copied()
+            .collect()
     }
 
     /// The serving group for `namespace`, if provisioned.
@@ -229,7 +234,11 @@ impl TcamNode {
     /// Panics if the group map lock is poisoned.
     #[must_use]
     pub fn group(&self, namespace: u16) -> Option<Arc<NamespaceGroup>> {
-        self.groups.read().expect("groups lock").get(&namespace).cloned()
+        self.groups
+            .read()
+            .expect("groups lock")
+            .get(&namespace)
+            .cloned()
     }
 
     /// Per-namespace `(namespace, width, version, rules)` summary for the
@@ -296,7 +305,11 @@ impl TcamNode {
         } else {
             // First batch of a new namespace: build its group from the
             // just-applied store state (epoch resumes at `version`).
-            let rules = durable.store.store(namespace).expect("just applied").clone();
+            let rules = durable
+                .store
+                .store(namespace)
+                .expect("just applied")
+                .clone();
             let group = Arc::new(NamespaceGroup::start(rules, &self.config)?);
             let mut groups = self.groups.write().expect("groups lock");
             groups.insert(namespace, group);
@@ -336,7 +349,11 @@ impl TcamNode {
     ///
     /// Panics if the store lock is poisoned.
     pub fn chaos_fail_appends(&self, n: u32) {
-        self.durable.lock().expect("store lock").store.chaos_fail_appends(n);
+        self.durable
+            .lock()
+            .expect("store lock")
+            .store
+            .chaos_fail_appends(n);
     }
 
     /// Forces a snapshot + WAL compaction now.
@@ -490,7 +507,8 @@ mod tests {
         assert_eq!(results, vec![Some(9)]);
         // And the next batch continues the sequence.
         assert_eq!(
-            node.apply(0, 4, &[RuleChange::Remove { priority: 2 }]).unwrap(),
+            node.apply(0, 4, &[RuleChange::Remove { priority: 2 }])
+                .unwrap(),
             4
         );
         node.shutdown();
@@ -528,7 +546,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(node.wal_bytes(), 0, "4th batch triggered compaction");
-        node.apply(0, 4, &[RuleChange::Remove { priority: 0 }]).unwrap();
+        node.apply(0, 4, &[RuleChange::Remove { priority: 0 }])
+            .unwrap();
         assert!(node.wal_bytes() > 0);
         node.shutdown();
         // Recovery = snapshot + the one post-compaction record.

@@ -465,7 +465,11 @@ impl OutBuffer {
         let status = match reply.outcome {
             Outcome::Lookup(epoch, results) => {
                 tcam_obs::counter_add("net_lookups", results.len() as u64);
-                let flags = if reply.trace.is_some() { RESP_FLAG_TRACED } else { 0 };
+                let flags = if reply.trace.is_some() {
+                    RESP_FLAG_TRACED
+                } else {
+                    0
+                };
                 wire::encode_response_flagged(
                     frame,
                     OP_LOOKUP,

@@ -126,7 +126,11 @@ pub fn encode_record(namespace: u16, width: u16, version: u64, batch: &[RuleChan
     buf.extend_from_slice(&namespace.to_le_bytes());
     buf.extend_from_slice(&width.to_le_bytes());
     buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(batch.len()).expect("batch fits u32").to_le_bytes());
+    buf.extend_from_slice(
+        &u32::try_from(batch.len())
+            .expect("batch fits u32")
+            .to_le_bytes(),
+    );
     for change in batch {
         match change {
             RuleChange::Insert { priority, word } => {
@@ -497,15 +501,23 @@ fn encode_snapshot(stores: &BTreeMap<u16, RuleStore>) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(stores.len()).expect("namespaces fit u32").to_le_bytes());
+    buf.extend_from_slice(
+        &u32::try_from(stores.len())
+            .expect("namespaces fit u32")
+            .to_le_bytes(),
+    );
     for (&ns, store) in stores {
         buf.extend_from_slice(&ns.to_le_bytes());
         buf.extend_from_slice(
-            &u16::try_from(store.width()).expect("width fits u16").to_le_bytes(),
+            &u16::try_from(store.width())
+                .expect("width fits u16")
+                .to_le_bytes(),
         );
         buf.extend_from_slice(&store.version().to_le_bytes());
         buf.extend_from_slice(
-            &u32::try_from(store.len()).expect("rules fit u32").to_le_bytes(),
+            &u32::try_from(store.len())
+                .expect("rules fit u32")
+                .to_le_bytes(),
         );
         for (priority, word) in store.iter() {
             buf.extend_from_slice(&priority.to_le_bytes());
@@ -607,26 +619,26 @@ fn replay_wal(wal: &mut File, path: &Path, stores: &mut BTreeMap<u16, RuleStore>
                 path: path.to_path_buf(),
                 detail: format!("CRC-valid record at byte {at} fails structural decode"),
             })?;
-        let store = stores
-            .entry(record.namespace)
-            .or_insert_with(|| {
-                // First sight of this namespace: it was born after the
-                // snapshot, at the version just before this record.
-                RuleStore::restore(usize::from(record.width), &[], record.version - 1)
-                    .expect("empty restore cannot fail")
-            });
+        let store = stores.entry(record.namespace).or_insert_with(|| {
+            // First sight of this namespace: it was born after the
+            // snapshot, at the version just before this record.
+            RuleStore::restore(usize::from(record.width), &[], record.version - 1)
+                .expect("empty restore cannot fail")
+        });
         if record.version <= store.version() {
             // Already covered by the snapshot (crash between snapshot
             // rename and WAL truncate): skip, don't double-apply.
             skipped += 1;
         } else if record.version == store.version() + 1 {
-            store.apply(&record.changes).map_err(|e| NetError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "record v{} for namespace {} does not apply: {e}",
-                    record.version, record.namespace
-                ),
-            })?;
+            store
+                .apply(&record.changes)
+                .map_err(|e| NetError::Corrupt {
+                    path: path.to_path_buf(),
+                    detail: format!(
+                        "record v{} for namespace {} does not apply: {e}",
+                        record.version, record.namespace
+                    ),
+                })?;
             replayed += 1;
         } else {
             return Err(NetError::Corrupt {
@@ -665,10 +677,7 @@ mod tests {
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "tcam-wal-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("tcam-wal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -815,7 +824,9 @@ mod tests {
         store.snapshot().unwrap();
         assert_eq!(store.wal_bytes(), 0);
         // More batches after compaction land in the fresh log.
-        store.apply(0, 4, &[RuleChange::Remove { priority: 3 }]).unwrap();
+        store
+            .apply(0, 4, &[RuleChange::Remove { priority: 3 }])
+            .unwrap();
         let expect = store.store(0).unwrap().rules_vec();
         drop(store);
 
@@ -853,7 +864,11 @@ mod tests {
             f.write_all(&frame).unwrap();
         }
         let recovered = DurableStore::open(&dir).unwrap();
-        assert_eq!(recovered.store(0).unwrap().version(), 9, "stale record skipped");
+        assert_eq!(
+            recovered.store(0).unwrap().version(),
+            9,
+            "stale record skipped"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -201,8 +201,7 @@ fn get_u64(buf: &[u8], at: usize) -> u64 {
 /// Whether any key needs the second limb pair (word wider than 64 bits).
 #[must_use]
 pub fn needs_wide_limbs(keys: &[PackedWord]) -> bool {
-    keys.iter()
-        .any(|k| k.mask[1] != 0 || k.value[1] != 0)
+    keys.iter().any(|k| k.mask[1] != 0 || k.value[1] != 0)
 }
 
 /// Encodes a lookup request into `buf` (cleared first), including the
@@ -238,7 +237,10 @@ pub fn encode_lookup_request_traced(
     wide: bool,
     trace: Option<&TraceContext>,
 ) {
-    assert!(keys.len() <= MAX_KEYS_PER_REQUEST, "batch exceeds u16 count");
+    assert!(
+        keys.len() <= MAX_KEYS_PER_REQUEST,
+        "batch exceeds u16 count"
+    );
     let limbs: u8 = if wide { 4 } else { 2 };
     buf.clear();
     let payload =
@@ -300,7 +302,10 @@ pub fn decode_lookup_request(payload: &[u8]) -> Result<LookupRequest> {
         )));
     }
     if payload[1] != OP_LOOKUP {
-        return Err(NetError::Wire(format!("unexpected opcode {:#x}", payload[1])));
+        return Err(NetError::Wire(format!(
+            "unexpected opcode {:#x}",
+            payload[1]
+        )));
     }
     let namespace = get_u16(payload, 2);
     let request_id = get_u32(payload, 4);
@@ -401,7 +406,10 @@ pub fn encode_response_flagged(
     results: &[Option<u32>],
     flags: u8,
 ) {
-    assert!(results.len() <= MAX_KEYS_PER_REQUEST, "batch exceeds u16 count");
+    assert!(
+        results.len() <= MAX_KEYS_PER_REQUEST,
+        "batch exceeds u16 count"
+    );
     buf.clear();
     let payload = 18 + results.len() * 4;
     put_u32(buf, u32::try_from(payload).expect("payload fits u32"));
@@ -436,7 +444,10 @@ pub fn decode_lookup_response(payload: &[u8]) -> Result<LookupResponse> {
         )));
     }
     if payload[1] != (OP_LOOKUP | OP_RESPONSE) && payload[1] != (OP_PING | OP_RESPONSE) {
-        return Err(NetError::Wire(format!("unexpected opcode {:#x}", payload[1])));
+        return Err(NetError::Wire(format!(
+            "unexpected opcode {:#x}",
+            payload[1]
+        )));
     }
     let status = Status::from_u8(payload[2])
         .ok_or_else(|| NetError::Wire(format!("unknown status {}", payload[2])))?;
@@ -612,7 +623,15 @@ mod tests {
 
         // The response echoes the traced flag.
         let mut buf = Vec::new();
-        encode_response_flagged(&mut buf, OP_LOOKUP, Status::Ok, 42, 3, &[Some(1)], RESP_FLAG_TRACED);
+        encode_response_flagged(
+            &mut buf,
+            OP_LOOKUP,
+            Status::Ok,
+            42,
+            3,
+            &[Some(1)],
+            RESP_FLAG_TRACED,
+        );
         let resp = decode_lookup_response(&buf[4..]).unwrap();
         assert_eq!(resp.flags & RESP_FLAG_TRACED, RESP_FLAG_TRACED);
         encode_lookup_response(&mut buf, Status::Ok, 42, 3, &[Some(1)]);
@@ -625,7 +644,24 @@ mod tests {
         encode_ping_request(&mut buf, 0x0403_0201);
         assert_eq!(
             buf,
-            [12, 0, 0, 0, WIRE_VERSION, OP_PING, 0, 0, 1, 2, 3, 4, 2, 0, 0, 0]
+            [
+                12,
+                0,
+                0,
+                0,
+                WIRE_VERSION,
+                OP_PING,
+                0,
+                0,
+                1,
+                2,
+                3,
+                4,
+                2,
+                0,
+                0,
+                0
+            ]
         );
     }
 
@@ -734,9 +770,6 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
         let mut cursor = std::io::Cursor::new(stream);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(NetError::Wire(_))
-        ));
+        assert!(matches!(read_frame(&mut cursor), Err(NetError::Wire(_))));
     }
 }

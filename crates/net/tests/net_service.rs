@@ -133,7 +133,8 @@ fn updates_are_visible_with_their_epoch_tag() {
     assert_eq!(results, vec![Some(0)], "priority 0 still wins (lower id)");
     // Remove the only rule matching 0x10-prefixed keys: epoch 3 replies,
     // and the miss is real.
-    node.apply(0, 8, &[RuleChange::Remove { priority: 1 }]).unwrap();
+    node.apply(0, 8, &[RuleChange::Remove { priority: 1 }])
+        .unwrap();
     let key = [PackedWord::pack(&w("00010000"))];
     assert_eq!(client.lookup(0, &key).unwrap(), (3, vec![None]));
     server.shutdown();
@@ -156,7 +157,8 @@ fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
             }],
         )
         .unwrap();
-        node.apply(0, 8, &[RuleChange::Remove { priority: 15 }]).unwrap();
+        node.apply(0, 8, &[RuleChange::Remove { priority: 15 }])
+            .unwrap();
         // Simulated kill: no snapshot, no clean close — the WAL alone
         // must carry all three batches.
         node.shutdown();
@@ -166,7 +168,13 @@ fn restart_serves_the_exact_pre_kill_epoch_over_the_wire() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
     let (epoch, results) = client
-        .lookup(0, &[PackedWord::pack(&w("11111110")), PackedWord::pack(&w("11110000"))])
+        .lookup(
+            0,
+            &[
+                PackedWord::pack(&w("11111110")),
+                PackedWord::pack(&w("11110000")),
+            ],
+        )
         .unwrap();
     assert_eq!(epoch, 3, "the very first reply carries the pre-kill epoch");
     assert_eq!(
@@ -214,7 +222,10 @@ fn single_shard_lookups_wait_out_refresh_instead_of_shedding() {
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
     let ternary = choke_keys();
     let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
-    let want: Vec<Option<u32>> = ternary.iter().map(|k| reference.search(k).unwrap()).collect();
+    let want: Vec<Option<u32>> = ternary
+        .iter()
+        .map(|k| reference.search(k).unwrap())
+        .collect();
     let total = 64u32;
     let mut sent = std::collections::VecDeque::new();
     for i in 0..total {
@@ -228,7 +239,10 @@ fn single_shard_lookups_wait_out_refresh_instead_of_shedding() {
     }
     server.shutdown();
     let reports = node.shutdown();
-    let report = reports[0].1.as_ref().expect("no connection holds the group");
+    let report = reports[0]
+        .1
+        .as_ref()
+        .expect("no connection holds the group");
     assert_eq!(report.stats.searches, u64::from(total) * keys.len() as u64);
     assert!(
         report.stats.stalled_searches > 0,
@@ -374,10 +388,15 @@ fn a_partial_next_frame_holds_no_reply() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     let ternary: Vec<Vec<TernaryBit>> = (0..8u64).map(|v| prefix_word(v * 32, 8, 8)).collect();
     let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
-    let want: Vec<Option<u32>> = ternary.iter().map(|k| reference.search(k).unwrap()).collect();
+    let want: Vec<Option<u32>> = ternary
+        .iter()
+        .map(|k| reference.search(k).unwrap())
+        .collect();
     // 2 bytes: inside the length prefix; 4 + 12 + 64: inside the keys.
     for (round, split) in [2usize, 80].into_iter().enumerate() {
         let id = 2 * u32::try_from(round).unwrap();
@@ -416,7 +435,9 @@ fn one_write_of_mixed_frames_gets_every_reply_in_order() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     let keys: Vec<Vec<TernaryBit>> = (0..=255u64).map(|v| prefix_word(v, 8, 8)).collect();
     let mut burst = Vec::new();
     let mut wants = Vec::new();
@@ -463,13 +484,18 @@ fn shutdown_writes_held_replies_and_ends_in_a_clean_eof() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     // A pong first: the connection is being served.
     stream.write_all(&ping_frame(0)).unwrap();
     assert_answers(&read_reply(&mut stream), Want::Pong);
     let ternary: Vec<Vec<TernaryBit>> = (0..16u64).map(|v| prefix_word(v * 16, 8, 8)).collect();
     let keys: Vec<PackedWord> = ternary.iter().map(|k| PackedWord::pack(k)).collect();
-    let want: Vec<Option<u32>> = ternary.iter().map(|k| reference.search(k).unwrap()).collect();
+    let want: Vec<Option<u32>> = ternary
+        .iter()
+        .map(|k| reference.search(k).unwrap())
+        .collect();
     let burst: Vec<u8> = (1..=8).flat_map(|id| lookup_frame(0, id, &keys)).collect();
     stream.write_all(&burst).unwrap();
     server.shutdown();
@@ -586,7 +612,8 @@ fn sends_queue_until_flush_or_receive_writes_them() {
         let id = client.send_lookup(0, &keys).unwrap();
         want.extend_from_slice(&lookup_frame(0, id, &keys));
     }
-    peer.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    peer.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
     let mut byte = [0u8; 1];
     match peer.read(&mut byte) {
         Err(e)
@@ -600,15 +627,24 @@ fn sends_queue_until_flush_or_receive_writes_them() {
     peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut got = vec![0u8; want.len()];
     peer.read_exact(&mut got).unwrap();
-    assert_eq!(got, want, "flush wrote other bytes than the 16 encoded frames");
-    peer.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
-    assert!(peer.read(&mut byte).is_err(), "flush wrote past the 16 frames");
+    assert_eq!(
+        got, want,
+        "flush wrote other bytes than the 16 encoded frames"
+    );
+    peer.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    assert!(
+        peer.read(&mut byte).is_err(),
+        "flush wrote past the 16 frames"
+    );
 
     // A ping and a lookup, collected with recv_response: the peer answers
     // only once both requests have arrived.
     let ping = client.send_ping().unwrap();
     let lookup = client.send_lookup(0, &keys).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     std::thread::scope(|s| {
         let peer = &mut peer;
         s.spawn(move || {
@@ -665,10 +701,24 @@ fn the_queue_is_written_before_it_passes_one_read_buffer() {
         queued += frame.len();
     }
     let all = frames.concat();
-    assert!(all.len() > 2 * READ_BUFFER_BYTES, "the frames must cross the bound twice");
-    assert_eq!(got.len(), written, "the peer got other than the bound-triggered writes");
-    assert_eq!(got, all[..written], "bound-triggered writes changed the bytes");
-    assert!(all.len() - got.len() <= READ_BUFFER_BYTES, "the queue passed its bound");
+    assert!(
+        all.len() > 2 * READ_BUFFER_BYTES,
+        "the frames must cross the bound twice"
+    );
+    assert_eq!(
+        got.len(),
+        written,
+        "the peer got other than the bound-triggered writes"
+    );
+    assert_eq!(
+        got,
+        all[..written],
+        "bound-triggered writes changed the bytes"
+    );
+    assert!(
+        all.len() - got.len() <= READ_BUFFER_BYTES,
+        "the queue passed its bound"
+    );
 }
 
 /// A send to a peer that has closed only queues, so it succeeds; the
@@ -677,7 +727,9 @@ fn the_queue_is_written_before_it_passes_one_read_buffer() {
 fn a_send_to_a_closed_peer_fails_at_the_receive() {
     let (mut client, peer) = raw_peer();
     drop(peer);
-    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     let start = Instant::now();
     client
         .send_lookup(0, &[PackedWord::pack(&w("00010000"))])
@@ -701,11 +753,19 @@ fn an_oversized_batch_is_refused_before_anything_is_queued() {
     let server =
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let key = w("00010000");
     let oversized = vec![PackedWord::pack(&key); MAX_KEYS_PER_REQUEST + 1];
-    assert!(matches!(client.send_lookup(0, &oversized), Err(NetError::Wire(_))));
-    assert!(matches!(client.lookup(0, &oversized), Err(NetError::Wire(_))));
+    assert!(matches!(
+        client.send_lookup(0, &oversized),
+        Err(NetError::Wire(_))
+    ));
+    assert!(matches!(
+        client.lookup(0, &oversized),
+        Err(NetError::Wire(_))
+    ));
     assert_eq!(
         client.lookup(0, &[PackedWord::pack(&key)]).unwrap(),
         (1, vec![reference.search(&key).unwrap()])
@@ -777,7 +837,8 @@ fn live_connection_cap_holds_further_clients_until_a_slot_frees() {
 
     let mut b = NetClient::connect(&addr).unwrap();
     let b_ping = b.send_ping().unwrap();
-    b.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    b.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
     match b.recv_response() {
         Err(NetError::Io(e))
             if matches!(
@@ -809,7 +870,10 @@ fn live_connection_cap_holds_further_clients_until_a_slot_frees() {
         std::thread::sleep(Duration::from_millis(10));
     }
     shutdown.join().unwrap();
-    assert!(c.recv_response().is_err(), "a client never started was answered");
+    assert!(
+        c.recv_response().is_err(),
+        "a client never started was answered"
+    );
     node.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -933,7 +997,10 @@ fn admin_plane_applies_rules_and_exposes_state() {
 
     // Snapshot trigger compacts the WAL.
     assert!(node.wal_bytes() > 0);
-    let (status, _) = http(&addr, "POST /snapshot HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n");
+    let (status, _) = http(
+        &addr,
+        "POST /snapshot HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
+    );
     assert_eq!(status, 200);
     assert_eq!(node.wal_bytes(), 0);
 
@@ -942,8 +1009,14 @@ fn admin_plane_applies_rules_and_exposes_state() {
     let _ = client.lookup(3, &[PackedWord::pack(&w("0000"))]).unwrap();
     let (status, body) = http(&addr, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
-    assert!(body.starts_with('{') && body.contains("admin_requests"), "stats: {body}");
-    assert!(body.contains("\"slo_net_request_60s_total\":"), "stats: {body}");
+    assert!(
+        body.starts_with('{') && body.contains("admin_requests"),
+        "stats: {body}"
+    );
+    assert!(
+        body.contains("\"slo_net_request_60s_total\":"),
+        "stats: {body}"
+    );
     let (status, body) = http(&addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
     assert!(body.contains("# TYPE"), "metrics: {body}");
@@ -975,7 +1048,9 @@ fn graceful_shutdown_answers_in_flight_and_terminates() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
     let mut client = NetClient::connect(&addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     // One request in flight when shutdown begins.
     let keys: Vec<PackedWord> = (0..64u64)
         .map(|v| PackedWord::pack(&prefix_word(v, 8, 8)))

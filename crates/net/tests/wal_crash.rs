@@ -36,7 +36,10 @@ impl Oracle {
     }
 
     fn record(&mut self, ns: u16, state: NsState) {
-        self.namespaces.entry(ns).or_insert_with(|| vec![NsState::new()]).push(state);
+        self.namespaces
+            .entry(ns)
+            .or_insert_with(|| vec![NsState::new()])
+            .push(state);
     }
 
     /// Rewinds a namespace's history to end at `version` (after a torn

@@ -41,7 +41,8 @@ use tcam_update::store::{prefix_word, RuleChange};
 /// in-process servers of parallel tests can't cross-pollinate counts.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -287,7 +288,9 @@ fn held_replies_are_traced_and_scored_once_when_written() {
         NetServer::start(Arc::clone(&node), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     tcam_obs::trace_store_reset();
     tcam_obs::slo_reset();
 
@@ -558,13 +561,20 @@ fn traced_and_untraced_encodings_agree_modulo_the_extension() {
         stripped[4 + 9] = 0;
         let body_len = u32::try_from(untraced.len() - 4).unwrap();
         stripped[0..4].copy_from_slice(&body_len.to_le_bytes());
-        assert_eq!(stripped, untraced, "round {round}: frames differ beyond the extension");
+        assert_eq!(
+            stripped, untraced,
+            "round {round}: frames differ beyond the extension"
+        );
 
         // Decode-level law: identical requests modulo the trace field.
         let plain = wire::decode_lookup_request(&untraced[4..]).unwrap();
         let with_ctx = wire::decode_lookup_request(&traced[4..]).unwrap();
         assert_eq!(plain.trace, None);
-        assert_eq!(with_ctx.trace, Some(ctx), "round {round}: context round-trips");
+        assert_eq!(
+            with_ctx.trace,
+            Some(ctx),
+            "round {round}: context round-trips"
+        );
         assert_eq!(plain.namespace, with_ctx.namespace);
         assert_eq!(plain.request_id, with_ctx.request_id);
         assert_eq!(plain.keys, with_ctx.keys, "round {round}: keys must agree");

@@ -124,7 +124,11 @@ mod tests {
     #[test]
     fn skewed_costs_stay_in_order_and_bit_identical() {
         fn cost(i: usize) -> u64 {
-            if i < 4 { 200_000 } else { 50 }
+            if i < 4 {
+                200_000
+            } else {
+                50
+            }
         }
         fn burn(i: usize) -> f64 {
             let mut acc = i as f64;

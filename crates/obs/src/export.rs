@@ -148,8 +148,18 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
     }
     for (name, h) in &snap.hists {
         family_header(&mut out, name, "summary", "tcam-obs latency summary (ns)");
-        for (q, qs) in [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99"), (99.9, "0.999")] {
-            let _ = writeln!(out, "{} {}", prom_series(name, &[("quantile", qs)]), h.quantile(q));
+        for (q, qs) in [
+            (50.0, "0.5"),
+            (95.0, "0.95"),
+            (99.0, "0.99"),
+            (99.9, "0.999"),
+        ] {
+            let _ = writeln!(
+                out,
+                "{} {}",
+                prom_series(name, &[("quantile", qs)]),
+                h.quantile(q)
+            );
         }
         let _ = writeln!(out, "{name}_sum {}", h.sum());
         let _ = writeln!(out, "{name}_count {}", h.count());

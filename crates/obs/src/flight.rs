@@ -108,7 +108,9 @@ fn local_ring() -> SharedRing {
             next: 0,
             total: 0,
         }));
-        let mut rings = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut rings = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if rings.len() >= MAX_RINGS {
             // Evict rings whose thread has exited (only the registry
             // still holds them); live threads keep theirs.
@@ -125,7 +127,9 @@ fn local_ring() -> SharedRing {
 pub fn flight_record(kind: &'static str, a: u64, b: u64) {
     let ts_ns = u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX);
     let ring = local_ring();
-    let mut ring = ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut ring = ring
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let event = FlightEvent { ts_ns, kind, a, b };
     if ring.events.len() < RING_CAP {
         ring.events.push(event);
@@ -163,12 +167,16 @@ pub fn flight_dump(cause: &str, detail: &str) -> String {
         json_escape(detail)
     ));
     let rings: Vec<SharedRing> = {
-        let rings = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let rings = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         rings.clone()
     };
     let mut first = true;
     for ring in &rings {
-        let ring = ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let ring = ring
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if ring.total == 0 {
             continue;
         }
@@ -244,11 +252,15 @@ pub fn install_panic_hook() {
 /// process lifetime.
 pub fn flight_reset() {
     let rings = {
-        let rings = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let rings = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         rings.clone()
     };
     for ring in rings {
-        let mut ring = ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut ring = ring
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         ring.events.clear();
         ring.next = 0;
         ring.total = 0;

@@ -132,7 +132,9 @@ pub struct SloWindow {
 static ENGINE: Mutex<Tracker> = Mutex::new(Tracker::new());
 
 fn engine() -> std::sync::MutexGuard<'static, Tracker> {
-    ENGINE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    ENGINE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn epoch() -> Instant {
@@ -208,11 +210,15 @@ pub fn slo_prometheus(out: &mut String) {
             let v = w.total as f64;
             v
         }),
-        ("slo_errors_total", "Requests that failed in the window", |w| {
-            #[allow(clippy::cast_precision_loss)]
-            let v = w.errors as f64;
-            v
-        }),
+        (
+            "slo_errors_total",
+            "Requests that failed in the window",
+            |w| {
+                #[allow(clippy::cast_precision_loss)]
+                let v = w.errors as f64;
+                v
+            },
+        ),
         (
             "slo_bad_fraction",
             "Share of requests missing the objective in the window",
@@ -297,7 +303,10 @@ mod tests {
         slo_record(100, true);
         let json = slo_json_array();
         assert!(json.contains("\"name\":\"net_request\""));
-        assert!(json.contains("\"objective_ns\":1000000,\"target\":0.999"), "{json}");
+        assert!(
+            json.contains("\"objective_ns\":1000000,\"target\":0.999"),
+            "{json}"
+        );
         assert!(json.contains("\"burn_rate\""));
         let flat = slo_flat_fragment();
         assert!(flat.contains("\"slo_net_request_10s_total\":"));

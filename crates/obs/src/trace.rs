@@ -191,7 +191,10 @@ impl RequestTrace {
     pub fn hop(&self, name: &'static str, start: Instant, end: Instant) {
         let start_ns = saturating_offset_ns(self.t0, start);
         let end_ns = saturating_offset_ns(self.t0, end);
-        let mut hops = self.hops.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut hops = self
+            .hops
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         hops.push(Hop {
             name,
             start_ns,
@@ -204,7 +207,10 @@ impl RequestTrace {
     pub fn finish(&self, status: &'static str, end: Instant) -> Arc<TraceRecord> {
         let total_ns = saturating_offset_ns(self.t0, end);
         let mut hops = {
-            let guard = self.hops.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let guard = self
+                .hops
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             guard.clone()
         };
         // Containment order: outer intervals first, so render-time tree
@@ -360,7 +366,9 @@ fn store() -> &'static Mutex<StoreInner> {
 }
 
 fn store_register(record: &Arc<TraceRecord>) {
-    let mut inner = store().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut inner = store()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     if inner.recent.len() == RECENT_CAP {
         inner.recent.pop_front();
     }
@@ -374,7 +382,9 @@ fn store_register(record: &Arc<TraceRecord>) {
 /// Looks up a finished trace by id (the `/trace?id=` path).
 #[must_use]
 pub fn trace_lookup(trace_id: u64) -> Option<Arc<TraceRecord>> {
-    let inner = store().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let inner = store()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     inner
         .recent
         .iter()
@@ -386,7 +396,9 @@ pub fn trace_lookup(trace_id: u64) -> Option<Arc<TraceRecord>> {
 /// The most recent `n` finished traces, newest first.
 #[must_use]
 pub fn trace_recent(n: usize) -> Vec<Arc<TraceRecord>> {
-    let inner = store().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let inner = store()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     inner.recent.iter().rev().take(n).cloned().collect()
 }
 
@@ -394,7 +406,9 @@ pub fn trace_recent(n: usize) -> Vec<Arc<TraceRecord>> {
 /// ascending by latency.
 #[must_use]
 pub fn trace_exemplars() -> Vec<(u64, Arc<TraceRecord>)> {
-    let inner = store().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let inner = store()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     inner
         .exemplars
         .iter()
@@ -422,7 +436,9 @@ pub fn trace_exemplars_json() -> String {
 
 /// Clears the global trace store (tests and bench windows).
 pub fn trace_store_reset() {
-    let mut inner = store().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut inner = store()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     inner.recent.clear();
     inner.exemplars.clear();
 }
@@ -475,7 +491,11 @@ mod tests {
         let record = trace.finish("ok", at(100));
 
         assert_eq!(record.total_ns, 100_000_000);
-        let top: Vec<_> = record.top_level().into_iter().map(|i| record.hops[i].name).collect();
+        let top: Vec<_> = record
+            .top_level()
+            .into_iter()
+            .map(|i| record.hops[i].name)
+            .collect();
         assert_eq!(top, ["net_decode", "submit", "wait", "net_write"]);
         assert!((record.cover_pct() - 100.0).abs() < 1e-9);
 
@@ -539,7 +559,11 @@ mod tests {
         trace.hop("net_decode", at(0), at(40));
         // 60µs hole: nothing recorded between decode and finish.
         let record = trace.finish("ok", at(100));
-        assert!((record.cover_pct() - 40.0).abs() < 1.0, "{}", record.cover_pct());
+        assert!(
+            (record.cover_pct() - 40.0).abs() < 1.0,
+            "{}",
+            record.cover_pct()
+        );
         trace_store_reset();
     }
 }

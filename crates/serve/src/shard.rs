@@ -360,7 +360,10 @@ mod tests {
             let bad = Some(ServeError::BadShardBits { bits, max: 0 });
             assert_eq!(ShardedRuleSet::build(&rules, bits).err(), bad);
             let prioritized = [(3, rules[0].clone())];
-            assert_eq!(ShardedRuleSet::from_prioritized(&prioritized, bits).err(), bad);
+            assert_eq!(
+                ShardedRuleSet::from_prioritized(&prioritized, bits).err(),
+                bad
+            );
             assert_eq!(ShardedRuleSet::empty(4, bits).err(), bad);
         }
     }

@@ -106,11 +106,7 @@ impl Workload {
         }
         let gen_prefix = |rng: &mut SplitMix64, min_len: usize| {
             let len = min_len + rng.below((25 - min_len) as u64) as usize; // min..=24
-            let mask = if len == 0 {
-                0
-            } else {
-                u32::MAX << (32 - len)
-            };
+            let mask = if len == 0 { 0 } else { u32::MAX << (32 - len) };
             (rng.next_u64() as u32 & mask, len)
         };
         let acl: Vec<AclRule> = (0..rules)
@@ -220,8 +216,10 @@ mod tests {
         assert_eq!(a.keys, b.keys);
         assert_eq!(a.words.len(), 129); // + default route
         assert!(a.words.iter().all(|w| w.len() == 32));
-        assert!(a.keys.iter().all(|k| k.len() == 32
-            && k.iter().all(|b| !matches!(b, TernaryBit::X))));
+        assert!(a
+            .keys
+            .iter()
+            .all(|k| k.len() == 32 && k.iter().all(|b| !matches!(b, TernaryBit::X))));
         let c = Workload::router_lpm(128, 256, 10);
         assert_ne!(a.keys, c.keys);
     }

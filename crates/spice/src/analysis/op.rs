@@ -111,7 +111,9 @@ pub fn operating_point_traced(
                     Err(_) => {
                         let _ = tcam_obs::flight_dump(
                             "non_convergence",
-                            &format!("operating point failed after full recovery ladder: {gmin_err}"),
+                            &format!(
+                                "operating point failed after full recovery ladder: {gmin_err}"
+                            ),
                         );
                         return Err(gmin_err);
                     }

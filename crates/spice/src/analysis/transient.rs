@@ -598,7 +598,7 @@ mod tests {
         let run = |reuse: bool| {
             let mut ckt = rc_circuit(1e3, 1e-9);
             let opts = SimOptions {
-                    reuse_factorization: reuse,
+                reuse_factorization: reuse,
                 ..SimOptions::default()
             };
             transient(&mut ckt, TransientSpec::to(5e-6), &opts).unwrap()

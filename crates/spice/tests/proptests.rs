@@ -57,8 +57,12 @@ fn rc_energy_conservation() {
             .expect("adds");
         ckt.add(Capacitor::new("c1", out, gnd, c).expect("valid"))
             .expect("adds");
-        let wave = transient(&mut ckt, TransientSpec::to(12.0 * tau), &SimOptions::default())
-            .expect("simulates");
+        let wave = transient(
+            &mut ckt,
+            TransientSpec::to(12.0 * tau),
+            &SimOptions::default(),
+        )
+        .expect("simulates");
         assert!((wave.last("v(out)").expect("recorded") - 1.0).abs() < 0.01);
         let e = ckt.total_source_energy();
         assert!((e - c).abs() / c < 0.08, "E = {e:.3e}, CV² = {c:.3e}");
@@ -74,7 +78,12 @@ fn si_format_parse_roundtrip() {
         let exp = rng.below(24) as i32 - 15; // −15..9
         let v = mantissa * 10f64.powi(exp);
         let s = format_si(v, "");
-        let num: f64 = s.split(' ').next().expect("number").parse().expect("parses");
+        let num: f64 = s
+            .split(' ')
+            .next()
+            .expect("number")
+            .parse()
+            .expect("parses");
         let prefix = s.split(' ').nth(1).unwrap_or("");
         let mult = match prefix {
             "T" => 1e12,

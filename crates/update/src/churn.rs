@@ -158,8 +158,7 @@ impl BgpChurn {
                     if let Some(i) = self.pick_victim() {
                         // Re-advertisement: same priority (and so same
                         // band/length), fresh address bits.
-                        let len = self.width
-                            - (self.active[i].0 >> BAND_SHIFT) as usize;
+                        let len = self.width - (self.active[i].0 >> BAND_SHIFT) as usize;
                         let addr = if len == 0 {
                             0
                         } else {

@@ -88,11 +88,7 @@ impl<'a> DeltaCompiler<'a> {
         let mut total = RowOps::default();
         let present = |p| self.rules.contains(p);
         stage(batch, self.rules.width(), present, |after| {
-            total.add(if after {
-                RowOps::WRITE
-            } else {
-                RowOps::ERASE
-            });
+            total.add(if after { RowOps::WRITE } else { RowOps::ERASE });
         })?;
         let cost = DeltaCost::of(total, &self.costs);
         Ok(CompiledDelta { total, cost })
@@ -110,11 +106,8 @@ mod tests {
     }
 
     fn base() -> ShardedRuleSet {
-        ShardedRuleSet::from_prioritized(
-            &[(10, w("1100")), (20, w("0X11")), (30, w("XXXX"))],
-            0,
-        )
-        .unwrap()
+        ShardedRuleSet::from_prioritized(&[(10, w("1100")), (20, w("0X11")), (30, w("XXXX"))], 0)
+            .unwrap()
     }
 
     #[test]

@@ -280,14 +280,19 @@ mod tests {
             }
         );
         let costs = OperationCosts::paper_3t2n();
-        assert_eq!(staged.planned.cost, DeltaCost::of(staged.planned.total, &costs));
+        assert_eq!(
+            staged.planned.cost,
+            DeltaCost::of(staged.planned.total, &costs)
+        );
         assert!((staged.realized_cost.energy - 5.0 * costs.write_energy).abs() < 1e-24);
         assert!((staged.realized_cost.latency - 5.0 * costs.write_latency).abs() < 1e-18);
         // The shadow answers with the new rules.
         assert_eq!(updater.snapshot().search(&w("1101")).unwrap(), Some(5));
         assert_eq!(updater.snapshot().search(&w("0000")).unwrap(), None);
         // A failed batch changes nothing.
-        assert!(updater.apply(&[RuleChange::Remove { priority: 99 }]).is_err());
+        assert!(updater
+            .apply(&[RuleChange::Remove { priority: 99 }])
+            .is_err());
         assert_eq!(updater.epoch(), 1);
         assert_eq!(updater.snapshot().rules(), 3);
     }
@@ -482,7 +487,10 @@ mod tests {
         assert_eq!(updater.snapshot().search(&w("1111")).unwrap(), Some(30));
         assert_eq!(updater.snapshot().search(&w("0000")).unwrap(), Some(10));
         updater.publish(&service).unwrap();
-        assert_eq!(service.search_with_epoch(&w("0000")).unwrap(), (3, Some(10)));
+        assert_eq!(
+            service.search_with_epoch(&w("0000")).unwrap(),
+            (3, Some(10))
+        );
         let _ = service.shutdown();
     }
 

@@ -98,11 +98,7 @@ impl RuleStore {
     /// # Errors
     ///
     /// [`ServeError::WidthMismatch`] or [`ServeError::DuplicateRuleId`].
-    pub fn restore(
-        width: usize,
-        rules: &[(u32, Vec<TernaryBit>)],
-        version: u64,
-    ) -> Result<Self> {
+    pub fn restore(width: usize, rules: &[(u32, Vec<TernaryBit>)], version: u64) -> Result<Self> {
         let mut store = Self::new(width);
         for (priority, word) in rules {
             if word.len() != width {

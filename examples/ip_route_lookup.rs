@@ -130,7 +130,13 @@ fn serve_demo(
     routes.sort_by_key(|r| std::cmp::Reverse(r.prefix.len()));
     let words: Vec<_> = routes
         .iter()
-        .map(|r| prefix_to_word(u64::from(u32::from(r.prefix.network())), r.prefix.len() as usize, 32))
+        .map(|r| {
+            prefix_to_word(
+                u64::from(u32::from(r.prefix.network())),
+                r.prefix.len() as usize,
+                32,
+            )
+        })
         .collect();
     let rules = ShardedRuleSet::build(&words, 0)?;
     println!(
@@ -200,9 +206,15 @@ fn listen_demo(
     let server = NetServer::start(Arc::clone(&node), addr, ServerConfig::default())?;
     let admin = AdminServer::start(Arc::clone(&node), "127.0.0.1:0")?;
     println!("\n--listen: wire plane on {}", server.local_addr());
-    println!("          admin plane on http://{}/stats", admin.local_addr());
+    println!(
+        "          admin plane on http://{}/stats",
+        admin.local_addr()
+    );
     println!("          WAL + snapshots under {}", data.display());
-    println!("          {} routes durable at version {version}", routes.len());
+    println!(
+        "          {} routes durable at version {version}",
+        routes.len()
+    );
 
     // The client side: the same lookups, now over TCP.
     let mut client = NetClient::connect(&server.local_addr().to_string())?;

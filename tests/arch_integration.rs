@@ -132,7 +132,9 @@ fn lpm_agrees_with_linear_scan() {
             .filter(|r| r.prefix.contains(ip))
             .max_by_key(|r| r.prefix.len())
             .map(|r| r.prefix.len());
-        let got = table.lookup(ip).map(|hop| routes[hop as usize].prefix.len());
+        let got = table
+            .lookup(ip)
+            .map(|hop| routes[hop as usize].prefix.len());
         // Compare by matched prefix length (ties between equal-length
         // prefixes may resolve to either route).
         assert_eq!(got, expected);
