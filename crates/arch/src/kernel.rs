@@ -16,7 +16,8 @@
 //! are zero in every column, and a valid word per block marks the slots
 //! that hold a row. Words are block-major — `(block · width + c) · 2 +
 //! key_bit` — so one block's `2·width` words (512 B at width 32) are
-//! contiguous.
+//! contiguous. After the last block come `256 − 2·width` zero words, so
+//! that from the start of any block 256 words can be read.
 //!
 //! Beside the bitmaps sits a block summary, keyed by the k = min(8,
 //! width) leading columns: for each of their 2^k values `v`, a bitmap
@@ -29,18 +30,24 @@
 //! [`PackedTcamArray::first_match_batch_into`] answers one key by
 //!
 //! 1. listing the word offsets of the columns the key cares about,
-//!    leading column first, in one branch-free pass over the columns.
-//!    This per-key fixed cost is what a small table pays for, so a fully
-//!    specified single-limb key — an ordinary lookup — takes a pass
-//!    without the running count, which vectorises;
+//!    leading column first, one byte each. This per-key fixed cost is
+//!    what a small table pays for, so a fully specified single-limb key —
+//!    an ordinary lookup — is prepared a key byte at a time: one load
+//!    from a 256-entry table gives a byte's eight offsets, and the
+//!    columns after the last full byte take the per-column formula. Any
+//!    other key takes one branch-free pass over the columns with a
+//!    running count of the cared-for ones;
 //! 2. per candidate block, in ascending order, ANDing those bitmaps into
 //!    a match-line word — 64 rows per AND — and testing it for zero every
-//!    eight columns. The candidates are the summary's blocks for the
-//!    key's leading value, or every block when the key leaves a leading
-//!    column `X`. A block no row of which agrees with the key's leading
-//!    columns is never visited: on the 4,097-row longest-prefix table of
-//!    `lpm_scan_4k` a key visits a mean of 7.3 of 65 blocks, where a scan
-//!    visits 37.6. A visited block whose line dies is left at once;
+//!    eight columns. The bitmaps end in a zero tail, so every block's
+//!    words start a view of `2·MAX_PACKED_WIDTH` = 256 words, and a `u8`
+//!    offset indexes it with no bounds check. The candidates are the
+//!    summary's blocks for the key's leading value, or every block when
+//!    the key leaves a leading column `X`. A block no row of which agrees
+//!    with the key's leading columns is never visited: on the 4,097-row
+//!    longest-prefix table of `lpm_scan_4k` a key visits a mean of 7.3 of
+//!    65 blocks, where a scan visits 37.6. A visited block whose line
+//!    dies is left at once;
 //! 3. priority-encoding the first non-zero line with `trailing_zeros`.
 //!    Rows are stored in ascending id order (see [`crate::packed`]), so
 //!    the first set bit of the first live block *is* the winner.
@@ -87,6 +94,31 @@ const COLUMN_GROUP: usize = 8;
 /// Blocks per block-summary word.
 const SUMMARY_BLOCKS: usize = 64;
 
+/// Words of a block view: the most words a block can have, and the most
+/// values a `u8` offset can take.
+const BLOCK_VIEW: usize = 2 * MAX_PACKED_WIDTH;
+
+/// The offsets of one key byte's eight columns, packed a byte each, the
+/// byte's first column lowest: byte `i` of entry `v` is `2·i` plus bit
+/// `7 − i` of `v`, the key bit of column `i`. Adding `16·b` to every byte
+/// moves them to key byte `b`; no byte carries, as `16·7 + 15 = 127`.
+static BYTE_OFFSETS: [u64; 256] = const {
+    let mut table = [0; 256];
+    let mut v = 0;
+    while v < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[v] |= ((2 * i + (v >> (7 - i) & 1)) as u64) << (8 * i);
+            i += 1;
+        }
+        v += 1;
+    }
+    table
+};
+
+/// `16·b` in every byte of a [`BYTE_OFFSETS`] entry is this times `b`.
+const BYTE_STEP: u64 = 0x1010_1010_1010_1010;
+
 /// A row's leading-column pattern, `(care, value)`, the leading column in
 /// the top one of the `lead` bits.
 type Lead = (usize, usize);
@@ -110,8 +142,9 @@ fn lead_values(lead: usize, (care, value): Lead) -> impl Iterator<Item = usize> 
 /// Scratch space of [`MatchLines::first_row`], reused across the keys of a
 /// batch.
 struct Scratch {
-    /// The word offsets of the columns a key cares about.
-    offsets: [u16; MAX_PACKED_WIDTH],
+    /// The word offsets of the columns a key cares about, a byte each:
+    /// the largest is `2·127 + 1 = 255`.
+    offsets: [u8; MAX_PACKED_WIDTH],
     /// Blocks visited so far: what the block summary saves shows here.
     visited: usize,
 }
@@ -189,7 +222,9 @@ pub(crate) struct MatchLines {
     /// Slots: rows and holes.
     rows: usize,
     /// Block-major bitmaps: word `(block * width + column) * 2 + key_bit`.
-    /// A hole's bits are zero in every word.
+    /// A hole's bits are zero in every word. A zero tail follows the last
+    /// block, so `bits[block * 2 * width..]` holds at least [`BLOCK_VIEW`]
+    /// words for every block.
     bits: Vec<u64>,
     /// Bit `j` of word `block` is set when slot `64 * block + j` holds a
     /// row; holes and the slots past the last are clear.
@@ -222,10 +257,13 @@ impl MatchLines {
         self.rows.div_ceil(BLOCK_ROWS)
     }
 
-    /// Appends a hole at the back; every 64th opens a zeroed block.
+    /// Appends a hole at the back; every 64th opens a zeroed block, out of
+    /// the zero tail, which then grows to end [`BLOCK_VIEW`] words past
+    /// the new block's start.
     pub(crate) fn push_hole(&mut self) {
         if self.rows.is_multiple_of(BLOCK_ROWS) {
-            self.bits.resize(self.bits.len() + 2 * self.width, 0);
+            self.bits
+                .resize(self.blocks() * 2 * self.width + BLOCK_VIEW, 0);
             self.valid.push(0);
             self.counts.resize(self.counts.len() + (1 << self.lead), 0);
             if self.blocks().is_multiple_of(SUMMARY_BLOCKS) {
@@ -377,15 +415,22 @@ impl MatchLines {
     /// cares about, leading column first, and returns how many groups of
     /// [`COLUMN_GROUP`] they fill. The last group is padded with repeats
     /// of the last offset: ANDing a bitmap in twice changes nothing.
-    fn key_offsets(&self, key: &PackedWord, offsets: &mut [u16; MAX_PACKED_WIDTH]) -> usize {
+    fn key_offsets(&self, key: &PackedWord, offsets: &mut [u8; MAX_PACKED_WIDTH]) -> usize {
         // The top `width` bits of limb 0 (all of it from 64 columns up).
         let every = !(u64::MAX.checked_shr(self.width as u32).unwrap_or(0));
         let mut n = 0;
         if self.width <= 64 && key.mask[0] & every == every {
             // A fully specified single-limb key — a plain lookup — keeps
-            // every column: no running count, so the pass vectorises.
-            for (c, o) in offsets[..self.width].iter_mut().enumerate() {
-                *o = (2 * c) as u16 + (key.value[0] >> (63 - c) & 1) as u16;
+            // every column: one table load per full key byte, then the
+            // columns after the last full byte one at a time.
+            let full = self.width / 8;
+            let bytes = key.value[0].to_be_bytes();
+            let chunks = offsets.as_chunks_mut::<8>().0;
+            for (b, (chunk, &byte)) in chunks.iter_mut().zip(&bytes[..full]).enumerate() {
+                *chunk = (BYTE_OFFSETS[usize::from(byte)] + BYTE_STEP * b as u64).to_le_bytes();
+            }
+            for (c, o) in (8 * full..).zip(&mut offsets[8 * full..self.width]) {
+                *o = (2 * c) as u8 + (key.value[0] >> (63 - c) & 1) as u8;
             }
             n = self.width;
         } else {
@@ -393,7 +438,7 @@ impl MatchLines {
             for limb in 0..2 {
                 let (value, care) = (key.value[limb], key.mask[limb]);
                 for c in 0..self.width.saturating_sub(64 * limb).min(64) {
-                    offsets[n] = (2 * (64 * limb + c)) as u16 + (value >> (63 - c) & 1) as u16;
+                    offsets[n] = (2 * (64 * limb + c)) as u8 + (value >> (63 - c) & 1) as u8;
                     n += (care >> (63 - c) & 1) as usize;
                 }
             }
@@ -442,7 +487,11 @@ impl MatchLines {
         let groups = &scratch.offsets.as_chunks::<COLUMN_GROUP>().0[..groups];
         'blocks: for block in self.candidates(key) {
             scratch.visited += 1;
-            let bits = &self.bits[block * stride..][..stride];
+            // The block's words and whatever follows them, the zero tail
+            // at the last block: a `u8` offset is always in bounds.
+            let bits: &[u64; BLOCK_VIEW] = self.bits[block * stride..]
+                .first_chunk()
+                .expect("a zero tail follows the last block");
             // Holes and the slots past the last are zero in every bitmap,
             // so the key's first column already drops them.
             let mut line = !0u64;
@@ -492,8 +541,9 @@ impl MatchLines {
     /// bitmap bit, summary bit and summary count is derived afresh through
     /// the scalar rule ([`PackedWord::matches`] against a key that cares
     /// about one column, or about the leading columns only), and each
-    /// valid bit from the slots, with no word beyond the last block or
-    /// summary word and the bits of holes and absent rows and blocks zero.
+    /// valid bit from the slots, with the bits of holes and absent rows
+    /// and blocks zero, the bitmaps' zero tail in place after the last
+    /// block, and no word beyond it or the last summary word.
     pub(crate) fn assert_stores(&self, slots: &[Option<PackedWord>]) {
         assert_eq!(self.rows, slots.len());
         let cared = |columns: std::ops::Range<usize>, value: usize| {
@@ -527,6 +577,10 @@ impl MatchLines {
                     }
                 }
             }
+        }
+        if blocks > 0 {
+            // The zero tail: `BLOCK_VIEW` words from the last block's start.
+            want.resize((blocks - 1) * 2 * self.width + BLOCK_VIEW, 0);
         }
         assert_eq!(self.bits, want, "width {} slots {}", self.width, self.rows);
         assert_eq!(self.valid, valid, "valid, slots {}", self.rows);
@@ -774,6 +828,48 @@ mod tests {
                     want,
                     "kernel, width {width}"
                 );
+            }
+        }
+    }
+
+    /// The byte-table prep gives the per-column list `2·c + key_bit(c)`,
+    /// padding included: every value of every key byte, the other bytes
+    /// random, at widths around the byte and limb edges. A key with care
+    /// and value bits past the width, as a hostile wire frame can carry,
+    /// gets the same offsets.
+    #[test]
+    fn byte_table_prep_equals_the_per_column_list() {
+        let mut rng = SplitMix64::new(0xB17E);
+        let mut offsets = [0u8; MAX_PACKED_WIDTH];
+        for width in [1usize, 7, 8, 13, 32, 56, 63, 64] {
+            let lines = MatchLines::new(width);
+            let inside = leading_bits(width);
+            for byte in 0..width.div_ceil(8) {
+                let shift = 56 - 8 * byte;
+                for v in 0..=255u64 {
+                    let value = rng.next_u64() & !(0xFF << shift) | v << shift;
+                    let mut want: Vec<u8> = (0..width)
+                        .map(|c| (2 * c) as u8 + (value >> (63 - c) & 1) as u8)
+                        .collect();
+                    want.resize(width.next_multiple_of(COLUMN_GROUP), want[width - 1]);
+                    let clean = PackedWord {
+                        mask: [inside, 0],
+                        value: [value & inside, 0],
+                    };
+                    let hostile = PackedWord {
+                        mask: [inside | rng.next_u64(), rng.next_u64()],
+                        value: [value, rng.next_u64()],
+                    };
+                    for key in [clean, hostile] {
+                        offsets.fill(0);
+                        let groups = lines.key_offsets(&key, &mut offsets);
+                        assert_eq!(
+                            (groups * COLUMN_GROUP, &offsets[..want.len()]),
+                            (want.len(), &want[..]),
+                            "width {width} byte {byte} value {v:#04x}"
+                        );
+                    }
+                }
             }
         }
     }

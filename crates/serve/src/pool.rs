@@ -37,7 +37,10 @@
 //! [`ShardPool::start`], and an event that fell due
 //! before shutdown runs before the clock stops, however late the clock
 //! thread is scheduled: a pool that lives longer than one interval has
-//! refreshed at least once.
+//! refreshed at least once. Each event records how late it began — when
+//! the clock held the lock, minus the deadline — in
+//! [`ShardStats::refresh_lateness`], so lookups that hold the clock off
+//! show as lateness, not only as fewer events.
 //!
 //! # Online updates: the published-snapshot cell
 //!
@@ -381,6 +384,7 @@ impl ShardPool {
             // counters once: the registry view matches the report without
             // per-key recording.
             tcam_obs::hist_merge("serve_latency", &stats.latency);
+            tcam_obs::hist_merge("serve_refresh_lateness", &stats.refresh_lateness);
             tcam_obs::counter_add("serve_searches", stats.searches);
             tcam_obs::counter_add("serve_batches", stats.batches);
             tcam_obs::counter_add("serve_refresh_events", stats.refresh_events);
@@ -426,9 +430,10 @@ fn nanos(from: Instant, to: Instant) -> u64 {
 
 /// The refresh clock: sleeps until the next deadline (until shutdown when
 /// refresh is off), the first one interval after `started`, then runs one
-/// event under the write side of the refresh lock. A deadline that has
-/// passed when the clock sees the shutdown still gets its event, however
-/// late the thread was scheduled. Its two spans, `serve_idle` and
+/// event under the write side of the refresh lock, recording how late
+/// the event began against its deadline. A deadline that has passed when
+/// the clock sees the shutdown still gets its event, however late the
+/// thread was scheduled. Its two spans, `serve_idle` and
 /// `serve_refresh`, partition its lifetime.
 fn run_clock(shard: &Shard, config: &ServiceConfig, started: Instant) {
     let refresh_on = !matches!(config.refresh, BankRefresh::None);
@@ -451,6 +456,7 @@ fn run_clock(shard: &Shard, config: &ServiceConfig, started: Instant) {
             .refreshing
             .write()
             .expect("refresh lock is never held across a panic");
+        let begun = Instant::now();
         let ops = config.refresh.ops_per_event(shard.cell.load().table.len());
         for _ in 0..ops {
             refresh_state = refresh_op(refresh_state, config.refresh_op_work);
@@ -463,6 +469,7 @@ fn run_clock(shard: &Shard, config: &ServiceConfig, started: Instant) {
             stats.refresh_events += 1;
             stats.refresh_ops += ops;
             stats.refresh_stall += end - start;
+            stats.refresh_lateness.record(nanos(next_refresh, begun));
         }
         if stopping {
             break;

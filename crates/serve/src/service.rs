@@ -190,6 +190,28 @@ mod tests {
         );
     }
 
+    /// Every refresh event records its lateness once: on an idle pool,
+    /// and under one caller matching back to back, which can hold events
+    /// off — they are then fewer and later, but each is recorded.
+    #[test]
+    fn refresh_lateness_records_every_event() {
+        for busy in [false, true] {
+            let (w, service) = tiny_service(BankRefresh::OneShot { op_time: 10e-9 });
+            let keys: Vec<PackedWord> = w.keys.iter().map(|k| PackedWord::pack(k)).collect();
+            let deadline = Instant::now() + Duration::from_millis(20);
+            while Instant::now() < deadline {
+                if busy {
+                    service.answer_here(&keys, None);
+                } else {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            let s = service.shutdown().stats;
+            assert!(s.refresh_events > 0, "busy {busy}: no refresh event");
+            assert_eq!(s.refresh_lateness.count(), s.refresh_events, "busy {busy}");
+        }
+    }
+
     #[test]
     fn published_snapshots_swap_atomically_with_epoch() {
         let (w, service) = tiny_service(BankRefresh::None);

@@ -45,6 +45,10 @@ pub struct ShardStats {
     pub refresh_ops: u64,
     /// Wall time spent inside refresh events.
     pub refresh_stall: Duration,
+    /// How late each refresh event began: the moment the clock held the
+    /// refresh lock minus the event's deadline, nanoseconds, one value
+    /// per event. A clock that lookups keep off the lock shows here.
+    pub refresh_lateness: LatencyHistogram,
     /// Per-lookup latency (the match call, refresh wait included),
     /// nanoseconds.
     pub latency: LatencyHistogram,

@@ -49,6 +49,10 @@ fn workers_mirror_stats_into_obs_registry() {
     );
     let lat = snap.hist("serve_latency").expect("merged at shutdown");
     assert_eq!(lat.count(), searches);
+    let lateness = snap
+        .hist("serve_refresh_lateness")
+        .expect("merged at shutdown");
+    assert_eq!(lateness.count(), report.stats.refresh_events);
     assert!(
         snap.phase("serve_refresh").count > 0,
         "refresh span recorded"

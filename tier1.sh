@@ -14,6 +14,8 @@ if [ "$#" -ne 0 ]; then
 fi
 
 cargo build --release --offline --workspace
+# The workspace stays rustfmt-clean, so no change carries unrelated reformatting.
+cargo fmt --all -- --check
 # clippy --all-targets compiles the examples; only running them shows a
 # signal an example reads by name ("v(ml)" in search_waveform) is still
 # recorded, and that the prefix and range encoders (prefix_to_word in
@@ -27,7 +29,9 @@ done
 # leaving a hole, a push filling one or carrying rows to the nearest one
 # across block edges, compaction) are property-tested a second time as
 # optimised code: that is the code stack_bench times and the service
-# runs, and overflow checks differ between the profiles.
+# runs, and overflow checks differ between the profiles; so is the
+# bitmaps' zero tail, which lets optimised code index the AND loop's
+# `u8` block view without bounds checks.
 cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's load-once-before-the-match
 # rule and the refresh lock a lookup waits out are what optimised code can
