@@ -15,7 +15,7 @@
 //! * [`kernel`] — the bit-sliced match-line kernel behind
 //!   [`packed::PackedTcamArray::first_match_batch`]: two row bitmaps per
 //!   64-row block and bit column, so one AND resolves a column for 64
-//!   rows; a per-block summary of the leading eight columns skips blocks
+//!   rows; per-block summaries of the first two column groups skip blocks
 //!   that cannot match before touching them, a dead block is left early,
 //!   and `trailing_zeros` is the priority encoder.
 //! * [`bank`] — [`bank::BankRefresh`], the one refresh model (none /

@@ -14,7 +14,7 @@
 //! * [`shard::ShardedRuleSet`] — a ternary rule set: one bit-packed
 //!   table, the rules' only copy, shared copy-on-write with the snapshot
 //!   it publishes, property-tested against the monolithic `TcamArray`
-//!   oracle. The match kernel's block summary pre-selects the
+//!   oracle. The match kernel's block summaries pre-select the
 //!   64-row blocks a key searches.
 //! * [`pool::ShardPool`] — the one serving core: lookups matched on the
 //!   caller's own thread (`answer_here`) through the table's kernel, one

@@ -6,7 +6,7 @@
 //! epoch-snapshot publication, telemetry, shutdown) is the pool's and is
 //! documented there. The kernel is the bit-sliced match-line kernel
 //! ([`PackedTcamArray::first_match_batch_into`]), which resolves 64 rows
-//! per AND and visits only the 64-row blocks its block summary keeps for
+//! per AND and visits only the 64-row blocks its block summaries keep for
 //! the key.
 
 use crate::error::{Result, ServeError};

@@ -4,9 +4,9 @@
 //! Every rule lives in exactly one row of one [`PackedTcamArray`], at its
 //! global priority (lower id wins), so a lookup is one first match over
 //! the whole table. Pre-selection — which 64-row blocks a key searches at
-//! all — is the match kernel's block summary, keyed by the key's leading
-//! columns: bank pre-selection done inside the table, with no rule
-//! replicated.
+//! all — is the match kernel's: its block summaries, keyed by the key's
+//! first two bytes, are bank pre-selection done inside the table, with
+//! no rule replicated.
 //!
 //! The table is the only copy of the rules: it finds an id by binary
 //! search over its id-ordered slots, so no id → word map sits beside it.

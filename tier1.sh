@@ -31,7 +31,10 @@ done
 # optimised code: that is the code stack_bench times and the service
 # runs, and overflow checks differ between the profiles; so is the
 # bitmaps' zero tail, which lets optimised code index the AND loop's
-# `u8` block view without bounds checks.
+# `u8` block view without bounds checks; and so are both block
+# summaries, on the key's first byte and on its second, whose counts
+# every write and move keeps exact and whose live bits pick the blocks
+# a key visits.
 cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's load-once-before-the-match
 # rule and the refresh lock a lookup waits out are what optimised code can
