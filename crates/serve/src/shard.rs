@@ -5,8 +5,8 @@
 //! global priority (lower id wins), so a lookup is one first match over
 //! the whole table. Pre-selection — which 64-row blocks a key searches at
 //! all — is the match kernel's: its block summaries, keyed by the key's
-//! first two bytes, are bank pre-selection done inside the table, with
-//! no rule replicated.
+//! first 12 columns and by the 8 after them, are bank pre-selection done
+//! inside the table, with no rule replicated.
 //!
 //! The table is the only copy of the rules: it finds an id by binary
 //! search over its id-ordered slots, so no id → word map sits beside it.

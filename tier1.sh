@@ -32,9 +32,10 @@ done
 # runs, and overflow checks differ between the profiles; so is the
 # bitmaps' zero tail, which lets optimised code index the AND loop's
 # `u8` block view without bounds checks; and so are both block
-# summaries, on the key's first byte and on its second, whose counts
-# every write and move keeps exact and whose live bits pick the blocks
-# a key visits.
+# summaries, on the key's leading 12 columns and on the 8 after them,
+# whose live bits pick the blocks a key visits and which every write and
+# move keeps exact: a joining row sets its values' bits, and a leaving
+# row rechecks each of its values against the block's bitmaps.
 cargo test -q --offline --release -p tcam-arch
 # Same reason one layer up: the published cell's load-once-before-the-match
 # rule and the refresh lock a lookup waits out are what optimised code can
