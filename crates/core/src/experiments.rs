@@ -345,13 +345,12 @@ mod tests {
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Transient, &opts).unwrap();
         let index = sys.index();
         for (x, dt) in [(&op, 1e-12), (&moved, 3e-12)] {
-            let (time, integrator) = (exp.t_search, opts.integrator);
-            sys.refill(&ckt, time, dt, integrator, x, &op, opts.gmin);
+            let time = exp.t_search;
+            sys.refill(&ckt, time, dt, x, &op, opts.gmin);
             let ctx = EvalCtx {
                 analysis: AnalysisKind::Transient,
                 time,
                 dt,
-                integrator,
                 x,
                 x_prev: &op,
                 index,
@@ -508,11 +507,10 @@ mod tests {
                     (
                         t.gmin_events,
                         t.source_step_events,
-                        t.integrator_fallbacks,
                         t.dt_shrinks,
                         t.ladder_recoveries
                     ),
-                    (0, 0, 0, 0, 0),
+                    (0, 0, 0, 0),
                     "{name}: a recovery rung fired"
                 );
             }

@@ -7,8 +7,8 @@
 //! [`ChaosProbe`] in every experiment circuit. A benign probe is an inert
 //! one-node conductance; a hostile probe flips its injected current with
 //! the Newton iterate during *transient* analysis, defeating the solver at
-//! any gmin and with either integrator — the unrescuable trial a variation
-//! sweep can draw. Both modes produce the identical stamp structure, so
+//! any gmin and any step — the unrescuable trial a variation sweep can
+//! draw. Both modes produce the identical stamp structure, so
 //! sabotaged and clean trials share one circuit topology.
 //!
 //! The operating point stays convergent in both modes: the failure is
@@ -25,7 +25,7 @@ use tcam_spice::node::NodeId;
 
 /// A one-node device whose injected current flips sign with the iterate
 /// once hostile (transient analysis only), defeating Newton at any gmin
-/// and any integrator. Benign mode is a plain 1 mS conductance with the
+/// and any step. Benign mode is a plain 1 mS conductance with the
 /// identical stamp structure. The probe sits on its own floating node, so
 /// it never perturbs the host circuit's electrical behavior — a benign
 /// probe's node just settles to 0 V.

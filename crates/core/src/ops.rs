@@ -245,12 +245,8 @@ mod tests {
             trace.max_dt_used
         );
         assert_eq!(
-            (
-                trace.gmin_events,
-                trace.source_step_events,
-                trace.integrator_fallbacks
-            ),
-            (0, 0, 0),
+            (trace.gmin_events, trace.source_step_events),
+            (0, 0),
             "a recovery-ladder rung fired on the reference array"
         );
         // The waveform's own phase breakdown accounts for the run: a hot

@@ -2,22 +2,22 @@
 //! composite devices (MOSFET terminal caps, the NEM relay's gate–body
 //! capacitance, the FeFET gate stack).
 //!
-//! Mirrors the behaviour of [`tcam_spice::element::Capacitor`] but exposes
-//! `load`/`commit` as plain methods so a device can own several instances
-//! and vary their capacitance between steps (piecewise-constant-C
-//! approximation for voltage/state-dependent capacitors).
+//! Stamps what [`tcam_spice::element::Capacitor`] stamps, as a plain
+//! `load` method so a device can own several instances and vary their
+//! capacitance between steps (piecewise-constant-C approximation for
+//! voltage/state-dependent capacitors). Backward Euler reads only the
+//! previous accepted solution, so the companion carries no history and
+//! has nothing to commit.
 
-use tcam_spice::device::{AnalysisKind, CommitCtx, EvalCtx, Stamps};
+use tcam_spice::device::{AnalysisKind, EvalCtx, Stamps};
 use tcam_spice::node::NodeId;
-use tcam_spice::options::Integrator;
 
-/// Embedded linear capacitor state.
+/// Embedded linear capacitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompanionCap {
     /// Present capacitance in farads. Owners may update this between steps
     /// (never inside a Newton loop) to model state-dependent capacitance.
     pub farads: f64,
-    i_hist: f64,
 }
 
 impl CompanionCap {
@@ -33,10 +33,7 @@ impl CompanionCap {
             farads.is_finite() && farads >= 0.0,
             "capacitance must be finite and non-negative"
         );
-        Self {
-            farads,
-            i_hist: 0.0,
-        }
+        Self { farads }
     }
 
     /// Stamps the companion between `a` and `b`. Call from the owner's
@@ -48,39 +45,11 @@ impl CompanionCap {
                 stamps.conductance(a, b, 0.0);
             }
             AnalysisKind::Transient => {
+                // Backward Euler: i = C/dt (v − v_prev).
                 let v_prev = ctx.v_prev(a) - ctx.v_prev(b);
-                match ctx.integrator {
-                    Integrator::BackwardEuler => {
-                        let geq = self.farads / ctx.dt;
-                        stamps.conductance(a, b, geq);
-                        stamps.current(a, b, -geq * v_prev);
-                    }
-                    Integrator::Trapezoidal => {
-                        let geq = 2.0 * self.farads / ctx.dt;
-                        stamps.conductance(a, b, geq);
-                        stamps.current(a, b, -geq * v_prev - self.i_hist);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advances the trapezoidal current history. Call from the owner's
-    /// `Device::commit`.
-    pub fn commit(&mut self, ctx: &CommitCtx<'_>, a: NodeId, b: NodeId) {
-        match ctx.analysis {
-            AnalysisKind::Op | AnalysisKind::DcSweep => self.i_hist = 0.0,
-            AnalysisKind::Transient => {
-                if ctx.dt > 0.0 {
-                    let v = ctx.v(a) - ctx.v(b);
-                    let v_prev = ctx.v_prev(a) - ctx.v_prev(b);
-                    self.i_hist = match ctx.integrator {
-                        Integrator::BackwardEuler => self.farads / ctx.dt * (v - v_prev),
-                        Integrator::Trapezoidal => {
-                            2.0 * self.farads / ctx.dt * (v - v_prev) - self.i_hist
-                        }
-                    };
-                }
+                let geq = self.farads / ctx.dt;
+                stamps.conductance(a, b, geq);
+                stamps.current(a, b, -geq * v_prev);
             }
         }
     }
@@ -112,12 +81,9 @@ mod tests {
         fn load(&self, ctx: &EvalCtx<'_>, stamps: &mut Stamps<'_>) {
             self.cap.load(ctx, stamps, self.a, self.b);
         }
-        fn commit(&mut self, ctx: &CommitCtx<'_>) {
-            self.cap.commit(ctx, self.a, self.b);
-        }
     }
 
-    fn rc_with(use_wrapped: bool, integrator: Integrator) -> f64 {
+    fn rc_with(use_wrapped: bool) -> f64 {
         let mut ckt = Circuit::new();
         let vin = ckt.node("vin");
         let out = ckt.node("out");
@@ -143,22 +109,14 @@ mod tests {
             ckt.add(Capacitor::new("c1", out, gnd, 1e-9).unwrap())
                 .unwrap();
         }
-        let opts = SimOptions::with_integrator(integrator);
-        let wave = transient(&mut ckt, TransientSpec::to(2e-6), &opts).unwrap();
+        let wave = transient(&mut ckt, TransientSpec::to(2e-6), &SimOptions::default()).unwrap();
         wave.sample("v(out)", 1e-6).unwrap()
     }
 
     #[test]
     fn matches_builtin_capacitor_be() {
-        let a = rc_with(true, Integrator::BackwardEuler);
-        let b = rc_with(false, Integrator::BackwardEuler);
-        assert!((a - b).abs() < 1e-6, "wrapped {a} vs builtin {b}");
-    }
-
-    #[test]
-    fn matches_builtin_capacitor_tr() {
-        let a = rc_with(true, Integrator::Trapezoidal);
-        let b = rc_with(false, Integrator::Trapezoidal);
+        let a = rc_with(true);
+        let b = rc_with(false);
         assert!((a - b).abs() < 1e-6, "wrapped {a} vs builtin {b}");
     }
 

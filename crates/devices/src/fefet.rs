@@ -33,8 +33,7 @@ pub struct Fefet {
     /// Remanent polarization in `[−1, 1]`; +1 = low-V_T ("1").
     p: f64,
     c_fe: CompanionCap,
-    /// The baseline transistor's terminal capacitors. Loaded, never
-    /// committed: see [`Device::load`] below.
+    /// The baseline transistor's terminal capacitors.
     caps: [CompanionCap; 5],
 }
 
@@ -116,19 +115,13 @@ impl Device for Fefet {
     }
 
     fn load(&self, ctx: &EvalCtx<'_>, stamps: &mut Stamps<'_>) {
-        // The embedded transistor's five terminal capacitors are
-        // history-less: `commit` never advances them, so their trapezoidal
-        // current history stays zero. Invisible under the default backward
-        // Euler; under trapezoidal a modelling quirk kept as it always was
-        // (giving them state would move every FeFET waveform).
         load_transistor(ctx, stamps, self.nodes, &self.channel_params(), &self.caps);
         let [_, g, _, b] = self.nodes;
         self.c_fe.load(ctx, stamps, g, b);
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        let [_, g, s, b] = self.nodes;
-        self.c_fe.commit(ctx, g, b);
+        let [_, g, s, _] = self.nodes;
         let v_now = ctx.v(g) - ctx.v(s);
         match ctx.analysis {
             AnalysisKind::Op | AnalysisKind::DcSweep => {

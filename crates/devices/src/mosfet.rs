@@ -24,7 +24,7 @@
 
 use crate::companion::CompanionCap;
 use crate::params::VT_300K;
-use tcam_spice::device::{CommitCtx, Device, EvalCtx, Stamps};
+use tcam_spice::device::{Device, EvalCtx, Stamps};
 use tcam_spice::node::NodeId;
 
 /// Channel polarity.
@@ -297,12 +297,6 @@ impl Device for Mosfet {
 
     fn load(&self, ctx: &EvalCtx<'_>, stamps: &mut Stamps<'_>) {
         load_transistor(ctx, stamps, self.nodes, &self.params, &self.caps);
-    }
-
-    fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        for (cap, (i, j)) in self.caps.iter_mut().zip(CAP_ENDS) {
-            cap.commit(ctx, self.nodes[i], self.nodes[j]);
-        }
     }
 }
 

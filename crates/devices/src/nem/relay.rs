@@ -151,7 +151,6 @@ impl Device for NemRelay {
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.cgb.commit(ctx, self.g, self.b);
         let vgb_now = ctx.v(self.g) - ctx.v(self.b);
         match ctx.analysis {
             AnalysisKind::Op | AnalysisKind::DcSweep => {

@@ -111,7 +111,6 @@ impl Device for Rram {
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.c_top.commit(ctx, self.top, NodeId::GROUND);
         let v_now = ctx.v(self.top) - ctx.v(self.bottom);
         match ctx.analysis {
             AnalysisKind::Op | AnalysisKind::DcSweep => {

@@ -98,23 +98,12 @@ pub fn dc_sweep(circuit: &mut Circuit, spec: &DcSweepSpec, opts: &SimOptions) ->
         circuit
             .device_as_mut::<VoltageSource>(&spec.source)?
             .set_shape(Waveshape::Dc(value));
-        let outcome = solve_point(
-            circuit,
-            &mut sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            &zeros,
-            &guess,
-            opts,
-            opts.gmin,
-        )?;
+        let outcome = solve_point(circuit, &mut sys, 0.0, 0.0, &zeros, &guess, opts, opts.gmin)?;
         // Commit quasi-static state (hysteresis!).
         let ctx = CommitCtx {
             analysis: AnalysisKind::DcSweep,
             time: 0.0,
             dt: 0.0,
-            integrator: opts.integrator,
             x: &outcome.x,
             x_prev: &guess,
             index,

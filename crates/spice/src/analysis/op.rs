@@ -70,17 +70,7 @@ pub fn operating_point_traced(
     let n = sys.index().n_unknowns();
     let zeros = vec![0.0; n];
 
-    let direct = solve_point(
-        circuit,
-        &mut sys,
-        0.0,
-        0.0,
-        opts.integrator,
-        &zeros,
-        &zeros,
-        opts,
-        opts.gmin,
-    );
+    let direct = solve_point(circuit, &mut sys, 0.0, 0.0, &zeros, &zeros, opts, opts.gmin);
 
     let (outcome, gmin_steps, source_steps) = match direct {
         Ok(o) => (o, 0, 0),
@@ -91,7 +81,6 @@ pub fn operating_point_traced(
                 &mut sys,
                 0.0,
                 0.0,
-                opts.integrator,
                 &zeros,
                 &mut x,
                 &mut Vec::new(),
@@ -158,17 +147,7 @@ fn source_stepping(
         sys.set_source_scale(target);
         trace.source_stage();
         stages += 1;
-        match solve_point(
-            circuit,
-            sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            zeros,
-            &guess,
-            opts,
-            opts.gmin,
-        ) {
+        match solve_point(circuit, sys, 0.0, 0.0, zeros, &guess, opts, opts.gmin) {
             Ok(out) => {
                 guess.clone_from(&out.x);
                 lambda = target;
@@ -198,7 +177,6 @@ pub(crate) fn commit_op(circuit: &mut Circuit, x: &[f64], x_prev: &[f64]) {
         analysis: AnalysisKind::Op,
         time: 0.0,
         dt: 0.0,
-        integrator: crate::options::Integrator::BackwardEuler,
         x,
         x_prev,
         index,

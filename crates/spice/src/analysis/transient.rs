@@ -12,11 +12,14 @@
 //!    [`crate::device::Device::dt_hint`] (the NEM relay uses this while its
 //!    beam is in flight).
 //!
-//! A Newton failure engages the convergence-recovery ladder — (1) a gmin
-//! ramp at the same step, (2) a TR→BE integrator fallback for the failing
-//! step — before the dt shrink; underflow of [`SimOptions::dt_min`] aborts
-//! with [`SpiceError::TimestepUnderflow`]. Every proposal is counted once,
-//! in the [`SolverTrace`] attached to the returned waveform.
+//! Every step is backward Euler: a capacitor's companion reads only the
+//! previous accepted solution, so no device carries integration history.
+//!
+//! A Newton failure engages the convergence-recovery ladder — a gmin ramp
+//! at the same step — before the dt shrink; underflow of
+//! [`SimOptions::dt_min`] aborts with [`SpiceError::TimestepUnderflow`].
+//! Every proposal is counted once, in the [`SolverTrace`] attached to the
+//! returned waveform.
 
 use crate::analysis::op::operating_point_traced;
 use crate::device::{AnalysisKind, CommitCtx};
@@ -24,7 +27,7 @@ use crate::error::{Result, SpiceError};
 use crate::mna::MnaSystem;
 use crate::netlist::Circuit;
 use crate::newton::{gmin_ramp, solve_point_in_place, GminRamp};
-use crate::options::{Integrator, SimOptions};
+use crate::options::SimOptions;
 use crate::trace::{RejectReason, Rung, SolverTrace};
 use crate::waveform::Waveform;
 use std::mem;
@@ -47,8 +50,7 @@ impl TransientSpec {
 /// Hard cap on accepted+rejected step attempts, to bound runaway runs.
 const MAX_STEP_ATTEMPTS: usize = 50_000_000;
 
-/// Initial step as a fraction of the span (when
-/// [`SimOptions::dt_initial`] ≤ 0).
+/// Initial step as a fraction of the span.
 const DT_INITIAL_FRACTION: f64 = 1e-4;
 /// The step grows by at most this factor after an accepted solve.
 const DT_GROW: f64 = 1.6;
@@ -158,11 +160,7 @@ pub fn transient(
     record(&mut wave, &mut row, 0.0, &op.x, circuit);
 
     // 5. Time loop.
-    let dt0 = if opts.dt_initial > 0.0 {
-        opts.dt_initial
-    } else {
-        spec.t_stop * DT_INITIAL_FRACTION
-    };
+    let dt0 = spec.t_stop * DT_INITIAL_FRACTION;
     let mut t = 0.0_f64;
     let mut dt = dt0;
     let mut x_prev = op.x;
@@ -212,18 +210,16 @@ pub fn transient(
         drop(obs_step_control);
 
         // Newton solve: guess is the previous accepted state. On failure
-        // the recovery ladder retries at the *same* (t, dt) — gmin ramp,
-        // then TR→BE — before falling back to the dt shrink.
+        // the recovery ladder's gmin ramp retries at the *same* (t, dt)
+        // before falling back to the dt shrink.
         x_cur.clear();
         x_cur.extend_from_slice(&x_prev);
         let mut recovered = false;
-        let mut step_integrator = opts.integrator;
         let iterations = match solve_point_in_place(
             circuit,
             &mut sys,
             t_new,
             step,
-            opts.integrator,
             &x_prev,
             &mut x_cur,
             &mut x_scratch,
@@ -249,9 +245,8 @@ pub fn transient(
                     opts,
                     &mut trace,
                 ) {
-                    Some((iters, integrator)) => {
+                    Some(iters) => {
                         recovered = true;
-                        step_integrator = integrator;
                         iters
                     }
                     None => {
@@ -293,15 +288,12 @@ pub fn transient(
         }
         drop(obs_lte);
 
-        // Accept: commit devices, record. The commit must see the
-        // integrator that actually produced the solution (a TR→BE fallback
-        // changes the companion-history update).
+        // Accept: commit devices, record.
         let obs_commit = tcam_obs::span!("commit_record");
         let ctx = CommitCtx {
             analysis: AnalysisKind::Transient,
             time: t_new,
             dt: step,
-            integrator: step_integrator,
             x: &x_cur,
             x_prev: &x_prev,
             index,
@@ -361,9 +353,12 @@ pub fn transient(
 }
 
 /// The transient recovery ladder, engaged at a fixed `(t_new, step)` after a
-/// plain Newton failure. Returns the converged iteration count and the
-/// integrator that produced the solution (left in `x_cur`), or `None` when
-/// every rung failed and the caller should fall back to the dt shrink.
+/// plain Newton failure: a gmin ramp at the same step. Returns the converged
+/// iteration count (the solution is left in `x_cur`), or `None` when the
+/// ramp failed and the caller should fall back to the dt shrink. A ramp
+/// that cannot refine to the target gmin is no solution of this step.
+/// (Source stepping applies only to the initial operating point and lives
+/// in the OP driver.)
 #[allow(clippy::too_many_arguments)]
 fn recover_step(
     circuit: &Circuit,
@@ -375,72 +370,18 @@ fn recover_step(
     x_scratch: &mut Vec<f64>,
     opts: &SimOptions,
     trace: &mut SolverTrace,
-) -> Option<(usize, Integrator)> {
-    // Rung 1: gmin ramp at the same step and integrator. A ramp that
-    // cannot refine to the target gmin is no solution of this step.
+) -> Option<usize> {
     trace.rung_engaged(Rung::GminRamp);
-    if let Ok(GminRamp {
-        refined: true,
-        iterations,
-        ..
-    }) = gmin_ramp(
-        circuit,
-        sys,
-        t_new,
-        step,
-        opts.integrator,
-        x_prev,
-        x_cur,
-        x_scratch,
-        opts,
-        trace,
+    match gmin_ramp(
+        circuit, sys, t_new, step, x_prev, x_cur, x_scratch, opts, trace,
     ) {
-        return Some((iterations, opts.integrator));
-    }
-
-    // Rung 3: TR→BE fallback for this one step — trapezoidal ringing around
-    // an abrupt event (relay pull-in) can defeat Newton outright; backward
-    // Euler's L-stability damps it. (Rung 2, source stepping, applies only
-    // to the initial operating point and lives in the OP driver.)
-    if opts.integrator == Integrator::Trapezoidal {
-        trace.rung_engaged(Rung::IntegratorFallback);
-        let _obs = tcam_obs::span!("rung_integrator_fallback");
-        x_cur.clear();
-        x_cur.extend_from_slice(x_prev);
-        if let Ok(iters) = solve_point_in_place(
-            circuit,
-            sys,
-            t_new,
-            step,
-            Integrator::BackwardEuler,
-            x_prev,
-            x_cur,
-            x_scratch,
-            opts,
-            opts.gmin,
-        ) {
-            return Some((iters, Integrator::BackwardEuler));
-        }
-        if let Ok(GminRamp {
+        Ok(GminRamp {
             refined: true,
             iterations,
             ..
-        }) = gmin_ramp(
-            circuit,
-            sys,
-            t_new,
-            step,
-            Integrator::BackwardEuler,
-            x_prev,
-            x_cur,
-            x_scratch,
-            opts,
-            trace,
-        ) {
-            return Some((iterations, Integrator::BackwardEuler));
-        }
+        }) => Some(iterations),
+        _ => None,
     }
-    None
 }
 
 #[cfg(test)]
@@ -449,7 +390,7 @@ mod tests {
     use crate::device::AnalysisKind;
     use crate::element::{Capacitor, Inductor, Resistor, VoltageSource};
     use crate::error::SpiceError;
-    use crate::options::{Integrator, SimOptions};
+    use crate::options::SimOptions;
     use crate::source::Waveshape;
 
     fn rc_circuit(tau_r: f64, tau_c: f64) -> Circuit {
@@ -481,18 +422,6 @@ mod tests {
         // At exactly one tau: 1 − e⁻¹ ≈ 0.632 (BE is 1st order, so be loose).
         let v_tau = wave.sample("v(out)", 1e-6).unwrap();
         assert!((v_tau - 0.632).abs() < 0.03, "v(tau) = {v_tau}");
-    }
-
-    #[test]
-    fn rc_step_response_trapezoidal_is_tighter() {
-        let mut ckt = rc_circuit(1e3, 1e-9);
-        let opts = SimOptions::with_integrator(Integrator::Trapezoidal);
-        let wave = transient(&mut ckt, TransientSpec::to(5e-6), &opts).unwrap();
-        let v_tau = wave.sample("v(out)", 1e-6).unwrap();
-        assert!(
-            (v_tau - (1.0 - (-1.0_f64).exp())).abs() < 5e-3,
-            "v(tau) = {v_tau}"
-        );
     }
 
     #[test]
@@ -660,19 +589,24 @@ mod tests {
         assert!(wave.axis().iter().any(|&t| (t - 50e-6).abs() < 1e-15));
     }
 
-    /// A device that is unsolvable under trapezoidal integration during the
-    /// transient (its injected current flips sign with the iterate, so
-    /// Newton oscillates at any dt) but benign during the OP and — unless
-    /// `breaks_be` — under backward Euler. Exercises the TR→BE ladder rung
-    /// in isolation, or with `breaks_be` a step no rung rescues.
+    /// A device whose injected current flips sign with the iterate, so
+    /// Newton oscillates at any dt and any gmin, for its first
+    /// `hostile_loads` transient loads (the transient system's pattern pass
+    /// takes the first); benign otherwise, a 1 mS load to ground with the
+    /// same stamps. `usize::MAX` makes a step no rung rescues; a count that
+    /// ends with the first Newton solve makes one the gmin ramp rescues,
+    /// because its stages then load the benign device. (Counting loads in a
+    /// `Cell` breaks the purity the device contract asks of `load`, which
+    /// only a test device may do.)
     #[derive(Debug)]
-    struct TrapBreaker {
+    struct TransientBreaker {
         name: String,
         a: crate::node::NodeId,
-        breaks_be: bool,
+        hostile_loads: usize,
+        transient_loads: std::cell::Cell<usize>,
     }
 
-    impl crate::device::Device for TrapBreaker {
+    impl crate::device::Device for TransientBreaker {
         fn name(&self) -> &str {
             &self.name
         }
@@ -681,8 +615,11 @@ mod tests {
         }
         fn load(&self, ctx: &crate::device::EvalCtx<'_>, stamps: &mut crate::device::Stamps<'_>) {
             let v = ctx.v(self.a);
-            let hostile = ctx.analysis == AnalysisKind::Transient
-                && (self.breaks_be || ctx.integrator == Integrator::Trapezoidal);
+            let hostile = ctx.analysis == AnalysisKind::Transient && {
+                let n = self.transient_loads.get();
+                self.transient_loads.set(n + 1);
+                n < self.hostile_loads
+            };
             // Identical stamp structure on both branches (device contract).
             if hostile {
                 let i0 = if v > 0.25 { 1e-3 } else { -1e-3 };
@@ -693,17 +630,31 @@ mod tests {
         }
     }
 
-    fn trap_breaker_circuit(breaks_be: bool) -> Circuit {
+    /// The Newton budget of the ladder tests.
+    const LADDER_NR_ITERS: usize = 12;
+
+    fn ladder_opts() -> SimOptions {
+        SimOptions {
+            max_nr_iters: LADDER_NR_ITERS,
+            dt_min: 1e-15,
+            ..SimOptions::default()
+        }
+    }
+
+    /// 1 V through 1 kΩ into a [`TransientBreaker`] on node `a`, which
+    /// settles at 0.5 V while the breaker is benign.
+    fn breaker_circuit(hostile_loads: usize) -> Circuit {
         let mut ckt = Circuit::new();
         let vin = ckt.node("vin");
         let a = ckt.node("a");
         let gnd = ckt.gnd();
         ckt.add(VoltageSource::dc("v1", vin, gnd, 1.0)).unwrap();
         ckt.add(Resistor::new("r1", vin, a, 1e3).unwrap()).unwrap();
-        ckt.add(TrapBreaker {
+        ckt.add(TransientBreaker {
             name: "x1".into(),
             a,
-            breaks_be,
+            hostile_loads,
+            transient_loads: std::cell::Cell::new(0),
         })
         .unwrap();
         ckt
@@ -711,23 +662,17 @@ mod tests {
 
     #[test]
     fn unrescuable_step_underflows_with_a_readable_dump() {
-        let mut ckt = trap_breaker_circuit(true);
-        let opts = SimOptions {
-            integrator: Integrator::Trapezoidal,
-            max_nr_iters: 12,
-            dt_min: 1e-15,
-            ..SimOptions::default()
-        };
-        let err = transient(&mut ckt, TransientSpec::to(1e-9), &opts).unwrap_err();
+        let mut ckt = breaker_circuit(usize::MAX);
+        let err = transient(&mut ckt, TransientSpec::to(1e-9), &ladder_opts()).unwrap_err();
         assert!(
             matches!(err, SpiceError::TimestepUnderflow { .. }),
             "got {err:?}"
         );
         // The dump taken on the way out shows the last steps: Newton
-        // rejections, each answered by the gmin ramp, the BE fallback and,
-        // both failing, a dt shrink. The dump store is process-global, but
-        // a later dump by a concurrent test still snapshots this thread's
-        // ring, so look this thread up in it.
+        // rejections, each answered by the gmin ramp and, that failing, a
+        // dt shrink. The dump store is process-global, but a later dump by
+        // a concurrent test still snapshots this thread's ring, so look
+        // this thread up in it.
         let (cause, dump) = tcam_obs::flight_last_dump().expect("underflow takes a dump");
         assert_eq!(cause, "non_convergence");
         let me = std::thread::current();
@@ -737,40 +682,45 @@ mod tests {
             .find(|ring| ring.starts_with(&label))
             .unwrap_or_else(|| panic!("no ring for {label} in {dump}"));
         let last = |event: &str| ring.rfind(event);
-        let reject = last("\"kind\":\"step_reject\",\"a\":0,\"b\":12}");
+        let reject = last(&format!(
+            "\"kind\":\"step_reject\",\"a\":0,\"b\":{LADDER_NR_ITERS}}}"
+        ));
         let gmin = last("\"kind\":\"rung_engaged\",\"a\":0,");
-        let fallback = last("\"kind\":\"rung_engaged\",\"a\":2,");
         let shrink = last("\"kind\":\"rung_engaged\",\"a\":3,");
         assert!(
-            reject.is_some() && reject < gmin && gmin < fallback && fallback < shrink,
-            "the run ends in a Newton rejection (12 iterations), then the gmin \
-             ramp, the BE fallback and the dt shrink: {ring}"
+            reject.is_some() && reject < gmin && gmin < shrink,
+            "the run ends in a Newton rejection ({LADDER_NR_ITERS} iterations), \
+             then the gmin ramp and the dt shrink: {ring}"
+        );
+        // Between them the gmin ramp is the only rung that engages.
+        let between = &ring[reject.unwrap()..shrink.unwrap()];
+        assert_eq!(
+            between.matches("\"kind\":\"rung_engaged\",").count(),
+            between
+                .matches("\"kind\":\"rung_engaged\",\"a\":0,")
+                .count(),
+            "no other rung between the rejection and the shrink: {ring}"
         );
     }
 
     #[test]
-    fn tr_to_be_rung_rescues_trapezoidal_pathology() {
-        let mut ckt = trap_breaker_circuit(false);
-        let opts = SimOptions {
-            integrator: Integrator::Trapezoidal,
-            max_nr_iters: 12,
-            dt_min: 1e-15,
-            dt_initial: 1e-10,
-            ..SimOptions::default()
-        };
-        let wave = transient(&mut ckt, TransientSpec::to(1e-9), &opts).unwrap();
-        // Under BE the device is a 1 mS load: v(a) settles to the divider.
-        let va = wave.last("v(a)").unwrap();
-        assert!((va - 0.5).abs() < 1e-3, "v(a) = {va}");
+    fn gmin_ramp_rescues_a_failed_step() {
+        // Hostile through the pattern pass and the whole first Newton
+        // solve: that solve fails, and the ramp's stages converge.
+        let mut ckt = breaker_circuit(1 + LADDER_NR_ITERS);
+        let wave = transient(&mut ckt, TransientSpec::to(1e-9), &ladder_opts()).unwrap();
+        // Every recorded point is the benign divider: the rescued step
+        // holds the ramp's refined solution, not a shunted stage's.
+        for va in wave.trace("v(a)").unwrap() {
+            assert!((va - 0.5).abs() < 1e-6, "v(a) = {va}");
+        }
         let trace = wave.solver_trace().expect("transient records a trace");
-        assert!(trace.integrator_fallbacks > 0, "{trace:?}");
         assert!(trace.ladder_recoveries > 0, "{trace:?}");
-        assert!(trace.reject_newton > 0);
-        assert!(trace.gmin_events > 0, "gmin rung tried before TR→BE");
-        assert!(wave.meas_solver("integrator_fallbacks").unwrap() >= 1.0);
+        assert!(trace.reject_newton > 0, "{trace:?}");
+        assert!(trace.gmin_events > 0, "{trace:?}");
+        assert_eq!(trace.dt_shrinks, 0, "the ramp, not the shrink: {trace:?}");
         // One ledger: each name has one value, and it holds the work of
-        // the ramp stages and failed rungs, not only of the solves that
-        // ended a proposal.
+        // the ramp stages, not only of the solves that ended a proposal.
         let stats = wave.stats().expect("the trace carries the stats");
         for (name, value) in [
             ("steps_accepted", stats.steps_accepted),
@@ -779,17 +729,23 @@ mod tests {
         ] {
             assert_eq!(wave.meas_solver(name).unwrap(), value as f64, "{name}");
         }
-        // A rejected proposal spent the whole 12-iteration budget and an
-        // accepted one a single BE iteration (the device is linear there).
-        let final_solves = 12 * stats.steps_rejected + stats.steps_accepted;
+        // A rejected proposal spent the whole budget and an accepted one a
+        // single iteration (the device is linear there and the circuit at
+        // rest).
+        let final_solves = LADDER_NR_ITERS * stats.steps_rejected + stats.steps_accepted;
         assert!(
             stats.nr_iterations > final_solves,
-            "{} iterations must include the failed gmin stages on top of {final_solves}",
+            "{} iterations must include the gmin stages on top of {final_solves}",
             stats.nr_iterations
         );
         // The JSON line parses shallowly: single line, balanced braces.
         let line = trace.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}') && !line.contains('\n'));
+        assert_eq!(
+            line.matches('{').count(),
+            line.matches('}').count(),
+            "{line}"
+        );
     }
 
     #[test]
@@ -825,7 +781,6 @@ mod tests {
         let trace = wave.solver_trace().unwrap();
         assert_eq!(trace.stats.steps_accepted + 1, wave.len());
         assert_eq!(trace.ladder_recoveries, 0);
-        assert_eq!(trace.integrator_fallbacks, 0);
         assert_eq!(trace.gmin_events, 0);
         assert!(trace.min_dt_used > 0.0 && trace.min_dt_used <= trace.max_dt_used);
     }

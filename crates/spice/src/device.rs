@@ -25,7 +25,6 @@
 //! pass's count, and at the end of the refill when fewer arrived.
 
 use crate::node::NodeId;
-use crate::options::Integrator;
 use std::any::Any;
 use std::fmt;
 use tcam_numeric::sparse::TripletMatrix;
@@ -91,8 +90,6 @@ pub struct EvalCtx<'a> {
     pub time: f64,
     /// Step size (0 for OP / DC sweep).
     pub dt: f64,
-    /// Integration method in force.
-    pub integrator: Integrator,
     /// Current Newton iterate.
     pub x: &'a [f64],
     /// Accepted solution at the start of the step (equals a zero vector
@@ -147,8 +144,6 @@ pub struct CommitCtx<'a> {
     pub time: f64,
     /// Step that produced it (0 for OP / DC sweep points).
     pub dt: f64,
-    /// Integration method in force.
-    pub integrator: Integrator,
     /// The accepted solution.
     pub x: &'a [f64],
     /// Solution at the start of the step.
@@ -496,7 +491,6 @@ mod tests {
             analysis: AnalysisKind::Transient,
             time: 1e-9,
             dt: 1e-12,
-            integrator: Integrator::BackwardEuler,
             x: &x,
             x_prev: &xp,
             index,

@@ -8,7 +8,6 @@
 use crate::device::{AnalysisKind, BranchId, CommitCtx, Device, EvalCtx, Stamps};
 use crate::error::{Result, SpiceError};
 use crate::node::NodeId;
-use crate::options::Integrator;
 use crate::source::Waveshape;
 
 /// An ideal linear resistor.
@@ -74,8 +73,6 @@ pub struct Capacitor {
     b: NodeId,
     farads: f64,
     ic: Option<f64>,
-    /// Capacitor current at the last accepted solution (trapezoidal history).
-    i_hist: f64,
 }
 
 impl Capacitor {
@@ -97,7 +94,6 @@ impl Capacitor {
             b,
             farads,
             ic: None,
-            i_hist: 0.0,
         })
     }
 
@@ -136,40 +132,11 @@ impl Device for Capacitor {
                 }
             }
             AnalysisKind::Transient => {
-                let dt = ctx.dt;
+                // Backward Euler: i = C/dt (v − v_prev).
                 let v_prev = ctx.v_prev(self.a) - ctx.v_prev(self.b);
-                match ctx.integrator {
-                    Integrator::BackwardEuler => {
-                        let geq = self.farads / dt;
-                        stamps.conductance(self.a, self.b, geq);
-                        stamps.current(self.a, self.b, -geq * v_prev);
-                    }
-                    Integrator::Trapezoidal => {
-                        let geq = 2.0 * self.farads / dt;
-                        stamps.conductance(self.a, self.b, geq);
-                        stamps.current(self.a, self.b, -geq * v_prev - self.i_hist);
-                    }
-                }
-            }
-        }
-    }
-
-    fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        match ctx.analysis {
-            AnalysisKind::Op | AnalysisKind::DcSweep => {
-                self.i_hist = 0.0;
-            }
-            AnalysisKind::Transient => {
-                if ctx.dt > 0.0 {
-                    let v = ctx.v(self.a) - ctx.v(self.b);
-                    let v_prev = ctx.v_prev(self.a) - ctx.v_prev(self.b);
-                    self.i_hist = match ctx.integrator {
-                        Integrator::BackwardEuler => self.farads / ctx.dt * (v - v_prev),
-                        Integrator::Trapezoidal => {
-                            2.0 * self.farads / ctx.dt * (v - v_prev) - self.i_hist
-                        }
-                    };
-                }
+                let geq = self.farads / ctx.dt;
+                stamps.conductance(self.a, self.b, geq);
+                stamps.current(self.a, self.b, -geq * v_prev);
             }
         }
     }
@@ -183,7 +150,6 @@ pub struct Inductor {
     b: NodeId,
     henries: f64,
     branch: Option<BranchId>,
-    v_hist: f64,
 }
 
 impl Inductor {
@@ -205,7 +171,6 @@ impl Inductor {
             b,
             henries,
             branch: None,
-            v_hist: 0.0,
         })
     }
 
@@ -239,28 +204,13 @@ impl Device for Inductor {
                 // v_ab = 0 (ideal short): branch row is v_a − v_b = 0.
             }
             AnalysisKind::Transient => {
-                let i_prev = ctx.i_prev(br);
-                match ctx.integrator {
-                    Integrator::BackwardEuler => {
-                        // v = L/dt (i − i_prev) → v_a − v_b − (L/dt) i = −(L/dt) i_prev
-                        let req = self.henries / ctx.dt;
-                        stamps.mat_branch_branch(br, -req);
-                        stamps.rhs_branch(br, -req * i_prev);
-                    }
-                    Integrator::Trapezoidal => {
-                        // v + v_prev = 2L/dt (i − i_prev)
-                        // ⇒ v − (2L/dt)·i = −(2L/dt)·i_prev − v_prev
-                        let req = 2.0 * self.henries / ctx.dt;
-                        stamps.mat_branch_branch(br, -req);
-                        stamps.rhs_branch(br, -req * i_prev - self.v_hist);
-                    }
-                }
+                // Backward Euler: v = L/dt (i − i_prev)
+                // ⇒ v_a − v_b − (L/dt) i = −(L/dt) i_prev.
+                let req = self.henries / ctx.dt;
+                stamps.mat_branch_branch(br, -req);
+                stamps.rhs_branch(br, -req * ctx.i_prev(br));
             }
         }
-    }
-
-    fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.v_hist = ctx.v(self.a) - ctx.v(self.b);
     }
 }
 

@@ -2,21 +2,20 @@
 //!
 //! `tcam-spice` provides the simulation substrate for the `nem-tcam`
 //! project: modified nodal analysis (MNA) with damped Newton–Raphson,
-//! adaptive-timestep transient integration (Backward Euler / Trapezoidal),
+//! adaptive-timestep backward-Euler transient integration,
 //! DC operating point, quasi-static DC sweeps for hysteresis tracing,
 //! energy-metered sources, waveform capture, `.meas` style measurements,
 //! and a SPICE-like netlist parser.
 //!
 //! There is one solver configuration. A Newton failure always walks the
-//! recovery ladder — gmin ramp, source stepping (operating point),
-//! TR→BE fallback (transient), dt shrink — and each step, iteration and
-//! factorization is counted once, in the [`trace::SolverTrace`] a
-//! transient [`waveform::Waveform`] carries. [`options::SimOptions`] holds
-//! the ten values some caller in this repository sets (`gmin`,
-//! `max_nr_iters`, `integrator`, `reuse_factorization`, `dt_initial`,
-//! `dt_min`, `dt_max`, `lte_tol`, `gmin_step_start`, `gmin_step_decades`);
-//! a tolerance with one value everywhere is a constant beside the code
-//! that reads it.
+//! recovery ladder — gmin ramp, source stepping (operating point), dt
+//! shrink (transient) — and each step, iteration and factorization is
+//! counted once, in the [`trace::SolverTrace`] a transient
+//! [`waveform::Waveform`] carries. [`options::SimOptions`] holds the eight
+//! values some caller in this repository sets (`gmin`, `max_nr_iters`,
+//! `reuse_factorization`, `dt_min`, `dt_max`, `lte_tol`,
+//! `gmin_step_start`, `gmin_step_decades`); a tolerance with one value
+//! everywhere is a constant beside the code that reads it.
 //!
 //! Circuit elements implement the [`device::Device`] trait; the built-in
 //! linear elements live in [`element`], while the nonlinear NEM relay,
@@ -77,7 +76,7 @@ pub mod prelude {
     pub use crate::mna::{MnaSystem, SolveStats};
     pub use crate::netlist::Circuit;
     pub use crate::node::NodeId;
-    pub use crate::options::{Integrator, SimOptions};
+    pub use crate::options::SimOptions;
     pub use crate::source::Waveshape;
     pub use crate::trace::{RejectReason, Rung, SolverTrace};
     pub use crate::waveform::Waveform;

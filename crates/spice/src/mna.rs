@@ -12,7 +12,7 @@
 use crate::device::{AnalysisKind, EvalCtx, Sink, Stamps, UnknownIndex};
 use crate::error::{Result, SpiceError};
 use crate::netlist::Circuit;
-use crate::options::{Integrator, SimOptions};
+use crate::options::SimOptions;
 use tcam_numeric::sparse::{CscMatrix, StampMap, TripletMatrix};
 use tcam_numeric::sparse_lu::SparseLu;
 use tcam_numeric::NumericError;
@@ -85,7 +85,6 @@ impl MnaSystem {
             // A placeholder positive dt so transient companions stamp their
             // full pattern.
             dt: 1e-12,
-            integrator: opts.integrator,
             x: &zeros,
             x_prev: &zeros,
             index,
@@ -153,13 +152,11 @@ impl MnaSystem {
     ///
     /// Panics if a device emits a different number of stamps than during the
     /// pattern pass (a violation of the [`crate::device::Device`] contract).
-    #[allow(clippy::too_many_arguments)]
     pub fn refill(
         &mut self,
         circuit: &Circuit,
         time: f64,
         dt: f64,
-        integrator: Integrator,
         x: &[f64],
         x_prev: &[f64],
         gmin: f64,
@@ -169,7 +166,6 @@ impl MnaSystem {
             analysis: self.analysis,
             time,
             dt,
-            integrator,
             x,
             x_prev,
             index: self.index,
@@ -320,15 +316,7 @@ mod tests {
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let n = sys.index().n_unknowns();
         let zeros = vec![0.0; n];
-        sys.refill(
-            &ckt,
-            0.0,
-            0.0,
-            Integrator::BackwardEuler,
-            &zeros,
-            &zeros,
-            opts.gmin,
-        );
+        sys.refill(&ckt, 0.0, 0.0, &zeros, &zeros, opts.gmin);
         let x = sys.solve().unwrap();
         // vdd = 2.0, out = 2.0 * 3k/4k = 1.5, i(v1) = -2/4k = -0.5 mA.
         assert!((ckt.voltage_of(&x, "vdd").unwrap() - 2.0).abs() < 1e-9);
@@ -344,25 +332,9 @@ mod tests {
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let n = sys.index().n_unknowns();
         let zeros = vec![0.0; n];
-        sys.refill(
-            &ckt,
-            0.0,
-            0.0,
-            Integrator::BackwardEuler,
-            &zeros,
-            &zeros,
-            opts.gmin,
-        );
+        sys.refill(&ckt, 0.0, 0.0, &zeros, &zeros, opts.gmin);
         let x1 = sys.solve().unwrap();
-        sys.refill(
-            &ckt,
-            0.0,
-            0.0,
-            Integrator::BackwardEuler,
-            &x1,
-            &zeros,
-            opts.gmin,
-        );
+        sys.refill(&ckt, 0.0, 0.0, &x1, &zeros, opts.gmin);
         let x2 = sys.solve().unwrap();
         for (a, b) in x1.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-12);
@@ -401,10 +373,9 @@ mod tests {
         let opts = SimOptions::default();
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let zeros = vec![0.0; sys.index().n_unknowns()];
-        let be = Integrator::BackwardEuler;
-        sys.refill(&ckt, 0.0, 0.0, be, &zeros, &zeros, opts.gmin);
+        sys.refill(&ckt, 0.0, 0.0, &zeros, &zeros, opts.gmin);
         let moved = vec![1.0; zeros.len()];
-        sys.refill(&ckt, 0.0, 0.0, be, &moved, &zeros, opts.gmin);
+        sys.refill(&ckt, 0.0, 0.0, &moved, &zeros, opts.gmin);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::error::{Result, SpiceError};
 use crate::mna::MnaSystem;
 use crate::netlist::Circuit;
-use crate::options::{Integrator, SimOptions};
+use crate::options::SimOptions;
 use crate::trace::SolverTrace;
 use tcam_numeric::NumericError;
 
@@ -57,7 +57,6 @@ pub fn solve_point(
     sys: &mut MnaSystem,
     time: f64,
     dt: f64,
-    integrator: Integrator,
     x_prev: &[f64],
     x_guess: &[f64],
     opts: &SimOptions,
@@ -70,7 +69,6 @@ pub fn solve_point(
         sys,
         time,
         dt,
-        integrator,
         x_prev,
         &mut x,
         &mut scratch,
@@ -99,7 +97,6 @@ pub fn solve_point_in_place(
     sys: &mut MnaSystem,
     time: f64,
     dt: f64,
-    integrator: Integrator,
     x_prev: &[f64],
     x: &mut Vec<f64>,
     x_new: &mut Vec<f64>,
@@ -113,7 +110,7 @@ pub fn solve_point_in_place(
     let mut worst_idx: Option<usize> = None;
 
     for iter in 1..=opts.max_nr_iters {
-        sys.refill(circuit, time, dt, integrator, x, x_prev, gmin);
+        sys.refill(circuit, time, dt, x, x_prev, gmin);
         sys.stats_mut().nr_iterations += 1;
         if let Err(e) = sys.solve_into(x_new) {
             // A singular (or otherwise failed) linear point is one more way
@@ -224,7 +221,6 @@ pub(crate) fn gmin_ramp(
     sys: &mut MnaSystem,
     time: f64,
     dt: f64,
-    integrator: Integrator,
     x_prev: &[f64],
     x: &mut Vec<f64>,
     x_new: &mut Vec<f64>,
@@ -242,18 +238,15 @@ pub(crate) fn gmin_ramp(
     let mut gmin = opts.gmin_step_start;
     while gmin > opts.gmin && ramp.stages <= opts.gmin_step_decades {
         trace.gmin_stage();
-        ramp.iterations = solve_point_in_place(
-            circuit, sys, time, dt, integrator, x_prev, x, x_new, opts, gmin,
-        )?;
+        ramp.iterations =
+            solve_point_in_place(circuit, sys, time, dt, x_prev, x, x_new, opts, gmin)?;
         ramp.stages += 1;
         gmin *= 0.1;
     }
     // The in-place solve clobbers its guess, so keep the tightest stage.
     let stage_x = x.clone();
     trace.gmin_stage();
-    match solve_point_in_place(
-        circuit, sys, time, dt, integrator, x_prev, x, x_new, opts, opts.gmin,
-    ) {
+    match solve_point_in_place(circuit, sys, time, dt, x_prev, x, x_new, opts, opts.gmin) {
         Ok(iterations) => {
             ramp.iterations = iterations;
             ramp.refined = true;
@@ -319,18 +312,7 @@ mod tests {
         let opts = SimOptions::default();
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let zeros = vec![0.0; sys.index().n_unknowns()];
-        let out = solve_point(
-            &ckt,
-            &mut sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            &zeros,
-            &zeros,
-            &opts,
-            opts.gmin,
-        )
-        .unwrap();
+        let out = solve_point(&ckt, &mut sys, 0.0, 0.0, &zeros, &zeros, &opts, opts.gmin).unwrap();
         let vd = ckt.voltage_of(&out.x, "mid").unwrap();
         // Forward drop of a silicon-like diode at ~4.3 mA.
         assert!(vd > 0.6 && vd < 0.8, "vd = {vd}");
@@ -351,18 +333,7 @@ mod tests {
         let opts = SimOptions::default();
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let zeros = vec![0.0; sys.index().n_unknowns()];
-        let out = solve_point(
-            &ckt,
-            &mut sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            &zeros,
-            &zeros,
-            &opts,
-            opts.gmin,
-        )
-        .unwrap();
+        let out = solve_point(&ckt, &mut sys, 0.0, 0.0, &zeros, &zeros, &opts, opts.gmin).unwrap();
         assert!(out.iterations <= 3);
         assert!((out.x[0] - 1.0).abs() < 1e-9);
     }
@@ -387,17 +358,7 @@ mod tests {
         };
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let zeros = vec![0.0; sys.index().n_unknowns()];
-        let err = solve_point(
-            &ckt,
-            &mut sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            &zeros,
-            &zeros,
-            &opts,
-            opts.gmin,
-        );
+        let err = solve_point(&ckt, &mut sys, 0.0, 0.0, &zeros, &zeros, &opts, opts.gmin);
         match err {
             Err(SpiceError::NonConvergence {
                 worst_unknown,
@@ -423,18 +384,8 @@ mod tests {
         let opts = SimOptions::default();
         let mut sys = MnaSystem::build(&ckt, AnalysisKind::Op, &opts).unwrap();
         let zeros = vec![0.0; sys.index().n_unknowns()];
-        let err = solve_point(
-            &ckt,
-            &mut sys,
-            0.0,
-            0.0,
-            opts.integrator,
-            &zeros,
-            &zeros,
-            &opts,
-            opts.gmin,
-        )
-        .unwrap_err();
+        let err =
+            solve_point(&ckt, &mut sys, 0.0, 0.0, &zeros, &zeros, &opts, opts.gmin).unwrap_err();
         match err {
             SpiceError::NonConvergence {
                 worst_unknown,

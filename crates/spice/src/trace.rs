@@ -25,14 +25,17 @@ pub enum RejectReason {
 }
 
 /// A recovery-ladder rung, in escalation order.
+///
+/// Each rung's flight-recorder event code (see
+/// [`SolverTrace::rung_engaged`]) is fixed: `DtShrink` keeps code 3 and
+/// code 2 stays unused, so a code in a dump names the same rung whichever
+/// version of the engine wrote it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
     /// Retry with extra conductance to ground, ramped back down in decades.
     GminRamp,
     /// Scale all independent sources 0 → 1 (initial operating point only).
     SourceStepping,
-    /// Fall back from trapezoidal to backward Euler for the failing step.
-    IntegratorFallback,
     /// The last resort: shrink dt and retry.
     DtShrink,
 }
@@ -56,8 +59,6 @@ pub struct SolverTrace {
     pub gmin_events: u64,
     /// Individual source-stepping stage solves attempted.
     pub source_step_events: u64,
-    /// TR→BE integrator fallbacks engaged.
-    pub integrator_fallbacks: u64,
     /// dt-shrink retries (the ladder's last rung).
     pub dt_shrinks: u64,
     /// Failures rescued by a ladder rung above dt shrink.
@@ -92,7 +93,6 @@ impl SolverTrace {
             device_hint_limited: 0,
             gmin_events: 0,
             source_step_events: 0,
-            integrator_fallbacks: 0,
             dt_shrinks: 0,
             ladder_recoveries: 0,
             min_dt_used: f64::INFINITY,
@@ -142,16 +142,12 @@ impl SolverTrace {
     ///
     /// Every engagement also lands in the flight recorder (`rung_engaged`
     /// events, first payload = rung code: 0 gmin ramp, 1 source stepping,
-    /// 2 integrator fallback, 3 dt shrink; second = rejections so far) so a
-    /// post-mortem dump shows the escalation ladder that preceded a failure.
+    /// 3 dt shrink; second = rejections so far) so a post-mortem dump
+    /// shows the escalation ladder that preceded a failure.
     pub fn rung_engaged(&mut self, rung: Rung) {
         let code = match rung {
             Rung::GminRamp => 0,
             Rung::SourceStepping => 1,
-            Rung::IntegratorFallback => {
-                self.integrator_fallbacks += 1;
-                2
-            }
             Rung::DtShrink => {
                 self.dt_shrinks += 1;
                 3
@@ -203,7 +199,6 @@ impl SolverTrace {
             ("nr_iterations", c(self.stats.nr_iterations as u64)),
             ("gmin_events", c(self.gmin_events)),
             ("source_step_events", c(self.source_step_events)),
-            ("integrator_fallbacks", c(self.integrator_fallbacks)),
             ("dt_shrinks", c(self.dt_shrinks)),
             ("ladder_recoveries", c(self.ladder_recoveries)),
             ("min_dt_used", self.min_dt_used),

@@ -1,6 +1,5 @@
 //! Engine accuracy against closed-form circuit theory: second-order RLC
-//! response, superposition, Thévenin equivalence, and integrator-order
-//! checks.
+//! response, superposition and Thévenin equivalence.
 
 use tcam_spice::prelude::*;
 
@@ -36,7 +35,6 @@ fn underdamped_rlc_rings_at_the_analytic_frequency() {
     let (l, c, r) = (1e-6, 1e-9, 10.0);
     let opts = SimOptions {
         lte_tol: 1e-4,
-        integrator: Integrator::Trapezoidal,
         ..SimOptions::default()
     };
     let (wave, _) = rlc_step(r, l, c, 3e-6, &opts);
@@ -102,45 +100,6 @@ fn superposition_of_two_sources() {
     let op = operating_point(&mut ckt, &SimOptions::default()).expect("solves");
     let v = op.voltage(&ckt, "out").expect("exists");
     assert!((v - 0.5).abs() < 1e-7, "v = {v}");
-}
-
-#[test]
-fn trapezoidal_is_higher_order_than_backward_euler() {
-    // Compare v(τ) error of an RC charge for both integrators with the
-    // same forced step ceiling: TR must be at least 5× more accurate.
-    let exact = 1.0 - (-1.0_f64).exp();
-    let mut errs = Vec::new();
-    for integ in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("vin");
-        let out = ckt.node("out");
-        let gnd = ckt.gnd();
-        ckt.add(VoltageSource::new(
-            "v1",
-            vin,
-            gnd,
-            Waveshape::step(0.0, 1.0, 0.0, 1e-12),
-        ))
-        .expect("adds");
-        ckt.add(Resistor::new("r1", vin, out, 1e3).expect("valid"))
-            .expect("adds");
-        ckt.add(Capacitor::new("c1", out, gnd, 1e-9).expect("valid"))
-            .expect("adds");
-        let opts = SimOptions {
-            integrator: integ,
-            dt_max: 40e-9, // force visible truncation error (τ = 1 µs)
-            lte_tol: 1.0,  // disable LTE shrinking: pure method comparison
-            ..SimOptions::default()
-        };
-        let wave = transient(&mut ckt, TransientSpec::to(1e-6), &opts).expect("simulates");
-        errs.push((wave.sample("v(out)", 1e-6).expect("recorded") - exact).abs());
-    }
-    assert!(
-        errs[1] * 5.0 < errs[0],
-        "BE err {:.3e}, TR err {:.3e}",
-        errs[0],
-        errs[1]
-    );
 }
 
 #[test]
